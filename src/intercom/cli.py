@@ -5,33 +5,32 @@ import argparse
 import dataclasses
 import json
 import logging
-import pickle
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import embed as embed_mod
 from . import predictor as pred_mod
-from .corpus import CorpusError, CrossLink, extract_crosslinks, load_events
-from .forest import load_forest, train_forest
-from .lstm import init_params
+from .corpus import CorpusError, load_events
+from .forest import train_forest
+from .lstm import load_params
 from .matching import NoMatchError, matched_post
-from .mobilization import BaselineError, baseline_ratio, detect
+from .mobilization import BaselineError, detect
 from .pipeline import (
     Config,
     ConfigError,
+    Run,
     StageError,
     apply_overrides,
     load_config,
+    lstm_dataset,
     run_pipeline,
-    substream_seed,
+    sentiment_rows,
+    stage_embed,
+    train_lstm,
 )
 from .replynet import build_reply_graph, echo_metrics
-from .sentiment import builtin_lexicon, crosslink_features, load_lexicon, predict_sentiment
+from .sentiment import crosslink_features
 from .synth import SynthError, SynthSpec, generate_corpus
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,45 +50,35 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _load_corpus(path: str):
-    """Accept either an event-log .jsonl file or an ingest --index-out dir."""
-    p = Path(path)
-    if p.is_dir():
-        with open(p / "corpus.pkl", "rb") as fh:
-            return pickle.load(fh)
-    return load_events(p)
+def _run(args, **fields) -> Run:
+    """The pipeline's values for the corpus options, plus ``fields``."""
+    if hasattr(args, "baseline"):
+        fields.update(baseline=args.baseline, baseline_stat=args.stat)
+    config = Config(corpus=args.corpus, host_allowlist=args.hosts,
+                    window_hours=args.window_hours, **fields)
+    config.validate()
+    return Run(config)
 
 
-def _load_lexicon_arg(lexicon_dir: str | None):
-    return load_lexicon(lexicon_dir) if lexicon_dir else builtin_lexicon()
+def _emit(path: str | None, lines) -> None:
+    """Write lines to ``path``, or to stdout without one."""
+    stream = open(path, "w", encoding="utf-8") if path else sys.stdout
+    try:
+        for line in lines:
+            stream.write(line + "\n")
+    finally:
+        if stream is not sys.stdout:
+            stream.close()
 
 
-def _out_stream(path: str | None):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
-
-
-def _get_links(corpus, args) -> list[CrossLink]:
-    hosts = [h.strip() for h in args.hosts.split(",") if h.strip()] if getattr(args, "hosts", "") else None
-    return extract_crosslinks(corpus, host_allowlist=hosts,
-                              window_hours=getattr(args, "window_hours", 12.0))
-
-
-def _resolve_baseline(corpus, links, args) -> float:
-    if args.baseline == "auto":
-        return baseline_ratio(corpus, links, window_hours=args.window_hours, stat=args.stat)
-    value = float(args.baseline)
-    if value <= 0:
-        raise ValueError("baseline must be positive")
-    return value
+def _jsonl(rows) -> list[str]:
+    return [json.dumps(row, sort_keys=True) for row in rows]
 
 
 def cmd_ingest(args) -> int:
-    corpus = load_events(args.path)
-    stats = corpus.stats
+    stats = load_events(args.path).stats
     out = Path(args.index_out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "corpus.pkl", "wb") as fh:
-        pickle.dump(corpus, fh)
     with open(out / "stats.json", "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(stats), fh, sort_keys=True, indent=2)
     print(f"lines={stats.lines} posts={stats.posts} comments={stats.comments} "
@@ -98,104 +87,70 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_crosslinks(args) -> int:
-    corpus = _load_corpus(args.corpus)
-    links = _get_links(corpus, args)
-    stream = _out_stream(args.out)
-    try:
-        for link in links:
-            stream.write(json.dumps(dataclasses.asdict(link), sort_keys=True) + "\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    links = _run(args).links
+    _emit(args.out, _jsonl(dataclasses.asdict(link) for link in links))
     print(f"extracted {len(links)} cross-links", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_detect(args) -> int:
-    corpus = _load_corpus(args.corpus)
-    links = _get_links(corpus, args)
-    baseline = _resolve_baseline(corpus, links, args)
-    stream = _out_stream(args.out)
-    n_mob = 0
-    try:
-        for link in links:
-            record = detect(corpus, link, baseline, links=links, window_hours=args.window_hours)
-            n_mob += record.verdict == "mobilization"
-            stream.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
-    print(f"baseline={baseline:.4f} mobilizations={n_mob}/{len(links)}", file=sys.stderr)
+    run = _run(args)
+    rows = [record.to_dict() for record in run.records]
+    _emit(args.out, _jsonl(rows))
+    n_mob = sum(1 for row in rows if row["verdict"] == "mobilization")
+    print(f"baseline={run.baseline['value']:.4f} ({run.baseline['mode']}) "
+          f"mobilizations={n_mob}/{len(rows)}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_match(args) -> int:
-    corpus = _load_corpus(args.corpus)
-    links = _get_links(corpus, args)
-    pair = matched_post(corpus, links, args.post)
+    run = _run(args)
+    pair = matched_post(run.corpus, run.links, args.post)
     print(json.dumps(dataclasses.asdict(pair), sort_keys=True, indent=2))
     return EXIT_OK
 
 
 def cmd_sentiment(args) -> int:
-    corpus = _load_corpus(args.corpus)
-    lexicon = _load_lexicon_arg(args.lexicon_dir)
-    links = _get_links(corpus, args)
-    if args.action == "train":
-        labels = {}
-        with open(args.labels, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                post_id, _, label = line.partition(",")
-                labels[post_id.strip()] = label.strip()
-        X, y = [], []
-        for link in links:
-            if link.source_post in labels:
-                X.append(crosslink_features(corpus, link, lexicon))
-                y.append(labels[link.source_post])
-        if not X:
-            raise ValueError("no labeled cross-links found")
-        forest = train_forest(X, y, trees=args.trees, seed=args.seed)
-        forest.save(args.model)
-        print(f"trained on {len(X)} examples, oob_accuracy={forest.oob_accuracy}")
+    run = _run(args, lexicon_dir=args.lexicon_dir or "", sentiment_model=args.model)
+    if args.action == "predict":
+        _emit(args.out, _jsonl(sentiment_rows(run)))
         return EXIT_OK
-    model = load_forest(args.model)
-    stream = _out_stream(args.out)
-    try:
-        for link in links:
-            label, p_neg = predict_sentiment(model, link, corpus, lexicon)
-            stream.write(json.dumps({"source_post": link.source_post, "label": label,
-                                     "p_negative": p_neg}, sort_keys=True) + "\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    labels = {}
+    with open(args.labels, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            post_id, _, label = line.partition(",")
+            labels[post_id.strip()] = label.strip()
+    X, y = [], []
+    for link in run.links:
+        if link.source_post in labels:
+            X.append(crosslink_features(run.corpus, link, run.lexicon))
+            y.append(labels[link.source_post])
+    if not X:
+        raise ValueError("no labeled cross-links found")
+    forest = train_forest(X, y, trees=args.trees, seed=args.seed)
+    forest.save(args.model)
+    print(f"trained on {len(X)} examples, oob_accuracy={forest.oob_accuracy}")
     return EXIT_OK
 
 
 def cmd_replynet(args) -> int:
-    corpus = _load_corpus(args.corpus)
-    links = _get_links(corpus, args)
-    by_id = {l.source_post: l for l in links}
+    run = _run(args)
+    by_id = {l.source_post: l for l in run.links}
     if args.mobilization not in by_id:
         raise KeyError(f"no cross-link with source post {args.mobilization!r}")
     link = by_id[args.mobilization]
-    baseline = _resolve_baseline(corpus, links, args)
-    record = detect(corpus, link, baseline, window_hours=args.window_hours)
-    comments = corpus.thread_comments.get(link.target_post, [])
+    record = detect(run.corpus, link, run.baseline["value"], window_hours=args.window_hours)
+    comments = run.corpus.thread_comments.get(link.target_post, [])
     graph = build_reply_graph(comments, link.target_post, record.attackers, record.defenders)
-    stream = _out_stream(args.out)
-    try:
-        for (src, dst), weight in sorted(graph.edges.items()):
-            stream.write(f"{src} {dst} {weight} {graph.nodes[src]} {graph.nodes[dst]}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    _emit(args.out, [f"{src} {dst} {weight} {graph.nodes[src]} {graph.nodes[dst]}"
+                     for (src, dst), weight in sorted(graph.edges.items())])
     if record.attackers and record.defenders:
         echo = echo_metrics(graph)
-        print(json.dumps({k: v for k, v in dataclasses.asdict(echo).items()},
-                         sort_keys=True, indent=2, default=str), file=sys.stderr)
+        print(json.dumps(dataclasses.asdict(echo), sort_keys=True, indent=2, default=str),
+              file=sys.stderr)
     else:
         print("verdict is not a two-sided mobilization; no echo metrics", file=sys.stderr)
     return EXIT_OK
@@ -210,105 +165,43 @@ def cmd_impact(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    corpus = _load_corpus(args.corpus)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    graph = embed_mod.build_bipartite(corpus)
-    table = embed_mod.train_embeddings(graph, dim=args.dim, negatives=args.negatives,
-                                       epochs=args.epochs, seed=args.seed)
-    embed_mod.save_vectors(out / "users.vec", table.users, table.user_vectors)
-    embed_mod.save_vectors(out / "communities.vec", table.communities, table.community_vectors)
-    if args.with_words:
-        word_graph = embed_mod.build_word_bipartite(corpus, max_vocab=args.vocab_size)
-        word_table = embed_mod.train_embeddings(word_graph, dim=args.dim,
-                                                negatives=args.negatives,
-                                                epochs=max(1, args.epochs // 2),
-                                                seed=args.seed + 1)
-        embed_mod.save_vectors(out / "words.vec", word_table.users, word_table.user_vectors)
-    sample_loss = embed_mod.loss(graph, table, seed=args.seed,
-                                 sample_size=min(2000, graph.n_edges))
-    print(f"edges={graph.n_edges} users={len(table.users)} "
-          f"communities={len(table.communities)} loss={sample_loss:.4f}")
+    config = Config(corpus=args.corpus, output_dir=args.out, embed_dim=args.dim,
+                    embed_epochs=args.epochs, embed_negatives=args.negatives,
+                    vocab_size=args.vocab_size, seed=args.seed)
+    config.validate()
+    run = Run(config)
+    run.out.mkdir(parents=True, exist_ok=True)
+    stage_embed(run)
+    print((run.out / "embed.json").read_text(encoding="utf-8"), end="")
     return EXIT_OK
 
 
-def _load_embedding_table(directory: str, dim: int) -> tuple[embed_mod.EmbeddingTable, dict]:
-    d = Path(directory)
-    user_vectors = embed_mod.load_vectors(d / "users.vec")
-    community_vectors = embed_mod.load_vectors(d / "communities.vec")
-    word_vectors = embed_mod.load_vectors(d / "words.vec") if (d / "words.vec").exists() else {}
-    names_u, names_c = sorted(user_vectors), sorted(community_vectors)
-    table = embed_mod.EmbeddingTable(
-        users=names_u, communities=names_c,
-        user_vectors=np.vstack([user_vectors[u] for u in names_u]),
-        community_vectors=np.vstack([community_vectors[c] for c in names_c]),
-        dim=dim,
-    )
-    return table, word_vectors
-
-
 def cmd_predict(args) -> int:
-    corpus = _load_corpus(args.corpus)
-    links = _get_links(corpus, args)
-
+    table, word_vectors = embed_mod.load_table(args.embeddings)
     if args.action == "train":
-        baseline = _resolve_baseline(corpus, links, args)
-        labels = {}
-        for link in links:
-            record = detect(corpus, link, baseline, window_hours=args.window_hours)
-            labels[link.source_post] = 1 if record.verdict == "mobilization" else 0
-        table, word_vectors = _load_embedding_table(args.embeddings, args.dim)
-        dataset = pred_mod.build_dataset(corpus, links, labels, table, word_vectors,
-                                         seed=args.seed, max_words=args.max_words)
-        result = pred_mod.train(dataset, init_params(args.dim, args.hidden, seed=args.seed),
-                                lr=args.lr, epochs=args.epochs,
-                                seed=substream_seed(args.seed, "train"))
-        with open(args.model, "wb") as fh:
-            pickle.dump({
-                "format": "intercom-lstm", "version": 1,
-                "input_dim": result.params.input_dim, "hidden_dim": result.params.hidden_dim,
-                "weights": result.params.weights, "seed": args.seed,
-                "max_words": args.max_words, "log": result.log,
-            }, fh)
+        run = _run(args, hidden_size=args.hidden, predict_epochs=args.epochs,
+                   predict_lr=args.lr, max_words=args.max_words, seed=args.seed)
+        _, result = train_lstm(run, table, word_vectors, args.model)
         print(f"trained; best val AUC = {result.best_val_auc}")
         return EXIT_OK
 
-    with open(args.model, "rb") as fh:
-        checkpoint = pickle.load(fh)
-    if checkpoint.get("format") != "intercom-lstm":
-        raise ValueError(f"{args.model} is not an LSTM checkpoint")
-    from .lstm import LSTMParams
-
-    params = LSTMParams(input_dim=checkpoint["input_dim"], hidden_dim=checkpoint["hidden_dim"],
-                        weights=checkpoint["weights"])
-    table, word_vectors = _load_embedding_table(args.embeddings, checkpoint["input_dim"])
-
+    params, checkpoint = load_params(args.model)
+    run = _run(args, max_words=checkpoint["max_words"], seed=checkpoint["seed"])
     if args.action == "score":
-        stream = _out_stream(args.out)
-        try:
-            for link in links:
-                try:
-                    seq = pred_mod.assemble_sequence(link, corpus, table, word_vectors,
-                                                     max_words=checkpoint.get("max_words", 50))
-                except pred_mod.MissingEmbeddingError:
-                    continue
-                prob = pred_mod.predict_prob(seq, params)
-                stream.write(json.dumps({"source_post": link.source_post,
-                                         "p_mobilization": prob}, sort_keys=True) + "\n")
-        finally:
-            if stream is not sys.stdout:
-                stream.close()
+        rows = []
+        for link in run.links:
+            try:
+                seq = pred_mod.assemble_sequence(link, run.corpus, table, word_vectors,
+                                                 max_words=run.config.max_words)
+            except pred_mod.MissingEmbeddingError:
+                continue
+            rows.append({"source_post": link.source_post,
+                         "p_mobilization": pred_mod.predict_prob(seq, params)})
+        _emit(args.out, _jsonl(rows))
         return EXIT_OK
 
-    # eval: rebuild the dataset with the checkpoint's seed and report test AUC
-    baseline = _resolve_baseline(corpus, links, args)
-    labels = {}
-    for link in links:
-        record = detect(corpus, link, baseline, window_hours=args.window_hours)
-        labels[link.source_post] = 1 if record.verdict == "mobilization" else 0
-    dataset = pred_mod.build_dataset(corpus, links, labels, table, word_vectors,
-                                     seed=checkpoint["seed"],
-                                     max_words=checkpoint.get("max_words", 50))
+    # eval: rebuild the training run's dataset and split and report test AUC
+    dataset = lstm_dataset(run, table, word_vectors)
     scores = [pred_mod.predict_prob(dataset.sequences[i], params) for i in dataset.test_idx]
     test_labels = [int(dataset.labels[i]) for i in dataset.test_idx]
     if len(set(test_labels)) < 2:
@@ -349,7 +242,7 @@ def cmd_report(args) -> int:
 
 
 def _add_corpus_opts(p, baseline: bool = False):
-    p.add_argument("--corpus", required=True, help="event log .jsonl or ingest index dir")
+    p.add_argument("--corpus", required=True, help="event log .jsonl")
     p.add_argument("--hosts", default="", help="comma-separated cross-link host allowlist")
     p.add_argument("--window-hours", type=float, default=12.0, dest="window_hours")
     if baseline:
@@ -363,7 +256,7 @@ def build_parser() -> _Parser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse and index an event log")
+    p = sub.add_parser("ingest", help="parse an event log and write its load statistics")
     p.add_argument("path")
     p.add_argument("--index-out", required=True, dest="index_out")
     p.set_defaults(fn=cmd_ingest)
@@ -408,14 +301,13 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_impact)
 
-    p = sub.add_parser("embed", help="train user/community embeddings")
+    p = sub.add_parser("embed", help="train user, community and word embeddings")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--vocab-size", type=int, default=10000, dest="vocab_size")
-    p.add_argument("--with-words", action="store_true", dest="with_words")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_embed)
 
@@ -424,7 +316,6 @@ def build_parser() -> _Parser:
     _add_corpus_opts(p, baseline=True)
     p.add_argument("--embeddings", required=True, help="dir with users/communities/words .vec")
     p.add_argument("--model", required=True)
-    p.add_argument("--dim", type=int, default=32)
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.01)

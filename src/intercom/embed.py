@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -278,3 +279,18 @@ def load_vectors(path) -> dict[str, np.ndarray]:
     if len(out) != count:
         raise ValueError(f"{path}: header count {count} != {len(out)} vectors")
     return out
+
+
+def load_table(directory) -> tuple[EmbeddingTable, dict[str, np.ndarray]]:
+    """The user/community table and the word vectors an embed run wrote to
+    ``directory`` (users.vec, communities.vec, words.vec)."""
+    d = Path(directory)
+    users = load_vectors(d / "users.vec")
+    communities = load_vectors(d / "communities.vec")
+    names_u, names_c = sorted(users), sorted(communities)
+    user_vectors = np.vstack([users[u] for u in names_u])
+    table = EmbeddingTable(
+        users=names_u, communities=names_c, user_vectors=user_vectors,
+        community_vectors=np.vstack([communities[c] for c in names_c]), dim=user_vectors.shape[1],
+    )
+    return table, load_vectors(d / "words.vec")

@@ -9,29 +9,32 @@ import logging
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import embed as embed_mod
 from . import impact as impact_mod
 from . import predictor as pred_mod
-from .corpus import CrossLink, extract_crosslinks, load_events
+from .corpus import CorpusError, CrossLink, extract_crosslinks, load_events
 from .forest import load_forest, train_forest
-from .lstm import init_params, mean_hidden
+from .lstm import init_params, mean_hidden, save_params
 from .mobilization import BaselineError, MobilizationRecord, baseline_ratio, detect
 from .replynet import build_reply_graph, echo_metrics, group_pagerank, anger_rate
 from .sentiment import builtin_lexicon, community_tfidf_vectors, load_lexicon, predict_sentiment
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 STAGE_ORDER = [
     "ingest", "crosslinks", "baseline", "detect", "sentiment",
     "replynet", "impact", "embed", "predict", "report",
 ]
 # path-valued keys are excluded from the manifest echo so bundles written to
-# different directories stay byte-identical
+# different directories stay byte-identical; in stage keys the input paths
+# stand for the content of the files they name
 _PATH_KEYS = {"corpus", "output_dir", "lexicon_dir", "sentiment_model"}
 
 
@@ -71,7 +74,6 @@ class Config:
     predict_lr: float = 0.01
     max_words: int = 50
     ensemble_trees: int = 100
-    forest_trees: int = 400
     seed: int = 0
 
     def validate(self) -> None:
@@ -89,7 +91,6 @@ class Config:
             (self.predict_lr > 0, "predict_lr must be positive"),
             (self.max_words >= 0, "max_words must be >= 0"),
             (self.ensemble_trees >= 1, "ensemble_trees must be >= 1"),
-            (self.forest_trees >= 1, "forest_trees must be >= 1"),
             (self.default_baseline > 0, "default_baseline must be positive"),
             (self.baseline_stat in ("mean", "median"), "baseline_stat must be mean or median"),
         ]
@@ -207,153 +208,67 @@ class PipelineResult:
     cache_hits: list[str] = field(default_factory=list)
 
 
-def _load_lexicon(config: Config):
-    if config.lexicon_dir:
-        return load_lexicon(config.lexicon_dir)
-    return builtin_lexicon()
+class Run:
+    """The values the stages share, each computed from the config on first
+    use. The CLI commands use the same values. When a stage re-runs while an
+    upstream stage hit the cache, the upstream value is recomputed in memory;
+    only the embeddings travel through the bundle (``embed.load_table``)."""
 
+    def __init__(self, config: Config):
+        self.config = config
+        self.out = Path(config.output_dir)
 
-def run_pipeline(config: Config) -> PipelineResult:
-    """ingest -> crosslinks -> baseline -> detect -> sentiment -> replynet ->
-    impact [-> embed -> predict] -> report.
+    @cached_property
+    def corpus(self):
+        return load_events(self.config.corpus)
 
-    Each stage's outputs are cached in the output directory and reused on
-    re-runs; a stage failure halts the pipeline with the stage name while
-    earlier outputs stay on disk.
-    """
-    config.validate()
-    if not config.corpus:
-        raise ConfigError("config.corpus is required")
-    if not config.output_dir:
-        raise ConfigError("config.output_dir is required")
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cache_hits: list[str] = []
-    stage_info: dict[str, dict] = {}
+    @cached_property
+    def lexicon(self):
+        return load_lexicon(self.config.lexicon_dir) if self.config.lexicon_dir else builtin_lexicon()
 
-    def run_stage(name: str, outputs: list[str], fn):
-        paths = [out / rel for rel in outputs]
-        if paths and all(p.exists() for p in paths):
-            cache_hits.append(name)
-            stage_info[name] = {"cached": True, "outputs": outputs}
-            return None
-        try:
-            info = fn(paths) or {}
-        except Exception as exc:  # noqa: BLE001 - halt with the stage name
-            raise StageError(name, exc) from exc
-        stage_info[name] = {"cached": False, "outputs": outputs, **info}
-        return info
+    @cached_property
+    def links(self) -> list[CrossLink]:
+        return extract_crosslinks(self.corpus, host_allowlist=self.config.hosts(),
+                                  window_hours=self.config.window_hours)
 
-    # ingest
-    corpus = load_events(config.corpus)
-
-    def stage_ingest(paths):
-        stats = corpus.stats
-        _write_json(paths[0], {
-            "lines": stats.lines, "posts": stats.posts, "comments": stats.comments,
-            "rejected": stats.rejected, "dangling_comments": stats.dangling_comments,
-        })
-        return {"posts": stats.posts, "comments": stats.comments}
-
-    run_stage("ingest", ["ingest.json"], stage_ingest)
-
-    # crosslinks
-    links_path = out / "crosslinks.jsonl"
-
-    def stage_crosslinks(paths):
-        links = extract_crosslinks(corpus, host_allowlist=config.hosts(),
-                                   window_hours=config.window_hours)
-        _write_jsonl(paths[0], [dataclasses.asdict(l) for l in links])
-        return {"links": len(links)}
-
-    run_stage("crosslinks", ["crosslinks.jsonl"], stage_crosslinks)
-    links = [CrossLink(**json.loads(line)) for line in links_path.read_text().splitlines() if line]
-
-    # baseline
-    baseline_path = out / "baseline.json"
-
-    def stage_baseline(paths):
+    @cached_property
+    def baseline(self) -> dict:
+        """The null-model rate: fixed by the config, measured on matched
+        pairs, or the default when no pair is eligible (``fallback``)."""
+        config = self.config
         if config.baseline != "auto":
-            value, mode, pairs, fallback = float(config.baseline), "fixed", 0, False
+            value, mode = float(config.baseline), "fixed"
         else:
             try:
-                value = baseline_ratio(corpus, links, window_hours=config.window_hours,
+                value = baseline_ratio(self.corpus, self.links, window_hours=config.window_hours,
                                        stat=config.baseline_stat)
-                mode, pairs, fallback = "auto", len(links), False
+                mode = "auto"
             except BaselineError:
-                value, mode, pairs, fallback = config.default_baseline, "default", 0, True
+                value, mode = config.default_baseline, "default"
                 log.warning("no eligible matched pairs; using default baseline %.3f", value)
-        _write_json(paths[0], {"value": value, "mode": mode, "stat": config.baseline_stat,
-                               "fallback": fallback})
-        return {"value": value}
+        return {"value": value, "mode": mode, "stat": config.baseline_stat,
+                "fallback": mode == "default"}
 
-    run_stage("baseline", ["baseline.json"], stage_baseline)
-    baseline_value = json.loads(baseline_path.read_text())["value"]
+    @cached_property
+    def records(self) -> list[MobilizationRecord]:
+        return [detect(self.corpus, link, self.baseline["value"], links=self.links,
+                       window_hours=self.config.window_hours) for link in self.links]
 
-    # detect
-    detect_path = out / "mobilizations.jsonl"
+    @cached_property
+    def mobilized(self) -> list[MobilizationRecord]:
+        return [r for r in self.records if r.verdict == "mobilization"]
 
-    def stage_detect(paths):
-        records = [detect(corpus, link, baseline_value, links=links,
-                          window_hours=config.window_hours) for link in links]
-        _write_jsonl(paths[0], [r.to_dict() for r in records])
-        # machine-readable alert feed: just the positive verdicts
-        _write_jsonl(paths[1], [r.to_dict() for r in records if r.verdict == "mobilization"])
-        n_mob = sum(1 for r in records if r.verdict == "mobilization")
-        return {"records": len(records), "mobilizations": n_mob}
-
-    run_stage("detect", ["mobilizations.jsonl", "alerts.jsonl"], stage_detect)
-    records = [MobilizationRecord.from_dict(json.loads(line))
-               for line in detect_path.read_text().splitlines() if line]
-
-    # sentiment
-    sentiment_path = out / "sentiment.jsonl"
-
-    def stage_sentiment(paths):
-        lexicon = _load_lexicon(config)
+    @cached_property
+    def replynet_rows(self) -> list[list]:
+        """One REPLYNET_HEADER row per mobilization with both attackers and defenders."""
+        config = self.config
         rows = []
-        if config.sentiment_model:
-            model = load_forest(config.sentiment_model)
-            for record in records:
-                label, p_neg = predict_sentiment(model, record.crosslink, corpus, lexicon)
-                rows.append({"source_post": record.id, "label": label, "p_negative": p_neg})
-        else:
-            rows = [{"source_post": r.id, "label": "unlabeled", "p_negative": None}
-                    for r in records]
-        _write_jsonl(paths[0], rows)
-        return {"labeled": bool(config.sentiment_model)}
-
-    run_stage("sentiment", ["sentiment.jsonl"], stage_sentiment)
-    sentiment_by_id = {json.loads(line)["source_post"]: json.loads(line)["label"]
-                       for line in sentiment_path.read_text().splitlines() if line}
-    for record in records:
-        record.sentiment = sentiment_by_id.get(record.id, "unlabeled")
-
-    mobilized = [r for r in records if r.verdict == "mobilization"]
-
-    # replynet
-    replynet_path = out / "replynet.csv"
-    replynet_header = [
-        "mobilization", "n_attackers", "n_defenders",
-        "attacker_attacker_weight", "attacker_defender_weight",
-        "defender_defender_weight", "defender_attacker_weight",
-        "attacker_within_cross_ratio", "defender_within_cross_ratio", "cross_group_ratio",
-        "defender_apr_zero_fraction", "defender_apr_tentimes_fraction",
-        "defender_reply_fraction_to_attackers", "mean_defender_apr", "mean_attacker_dpr",
-        "anger_attacker_to_defender", "anger_defender_to_attacker",
-    ]
-
-    def stage_replynet(paths):
-        lexicon = _load_lexicon(config)
-        rows = []
-        skipped = 0
-        for record in mobilized:
-            comments = corpus.thread_comments.get(record.crosslink.target_post, [])
+        for record in self.mobilized:
+            if not record.attackers or not record.defenders:
+                continue
+            comments = self.corpus.thread_comments.get(record.crosslink.target_post, [])
             graph = build_reply_graph(comments, record.crosslink.target_post,
                                       record.attackers, record.defenders)
-            if not record.attackers or not record.defenders:
-                skipped += 1
-                continue
             echo = echo_metrics(graph, alpha=config.alpha, tol=config.pagerank_tol)
             apr = group_pagerank(graph, "attackers", alpha=config.alpha,
                                  tol=config.pagerank_tol, max_iter=config.pagerank_max_iter).scores
@@ -371,240 +286,369 @@ def run_pipeline(config: Config) -> PipelineResult:
                 _clean(echo.cross_group_ratio),
                 echo.defender_apr_zero_fraction, echo.defender_apr_tentimes_fraction,
                 reply_frac, mean_dapr, mean_adpr,
-                anger_rate(comments, lexicon, record.attackers, record.defenders),
-                anger_rate(comments, lexicon, record.defenders, record.attackers),
+                anger_rate(comments, self.lexicon, record.attackers, record.defenders),
+                anger_rate(comments, self.lexicon, record.defenders, record.attackers),
             ])
-        _write_csv(paths[0], replynet_header, rows)
-        return {"rows": len(rows), "skipped": skipped}
+        return rows
 
-    run_stage("replynet", ["replynet.csv"], stage_replynet)
 
-    # impact
-    def stage_impact(paths):
-        impact_seed = substream_seed(config.seed, "impact")
-        outcomes = []
-        rows = []
-        per_id_metrics = {}
-        with open(replynet_path, "r", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                per_id_metrics[row["mobilization"]] = row
-        attacker_deltas, defender_deltas = [], []
-        attacker_pairs, defender_pairs = [], []
-        for record in mobilized:
-            impacts = impact_mod.mobilization_impacts(corpus, record, seed=impact_seed)
-            defenders = [i for i in impacts if i.role == "defender"]
-            attackers = [i for i in impacts if i.role == "attacker"]
-            attacker_deltas.extend(i.delta for i in attackers)
-            defender_deltas.extend(i.delta for i in defenders)
-            attacker_pairs.extend((i.delta, i.matched_delta) for i in attackers
-                                  if i.matched_delta is not None)
-            defender_pairs.extend((i.delta, i.matched_delta) for i in defenders
-                                  if i.matched_delta is not None)
-            if not defenders:
-                continue
-            outcome = impact_mod.defense_success(record, impacts)
-            outcomes.append(outcome)
-            mean = lambda xs: sum(xs) / len(xs) if xs else None
-            rows.append([
-                record.id, len(attackers), len(defenders),
-                mean([i.delta for i in attackers]), mean([i.delta for i in defenders]),
-                mean([i.matched_delta for i in attackers if i.matched_delta is not None]),
-                mean([i.matched_delta for i in defenders if i.matched_delta is not None]),
-                outcome.success_score, None,
-            ])
-        impact_mod.assign_deciles(outcomes)
-        decile_by_id = {o.mobilization_id: o.decile for o in outcomes}
-        for row in rows:
-            row[-1] = decile_by_id.get(row[0])
-        _write_csv(paths[0], [
-            "mobilization", "n_attackers", "n_defenders",
-            "mean_attacker_delta", "mean_defender_delta",
-            "mean_attacker_matched_delta", "mean_defender_matched_delta",
-            "success_score", "decile",
-        ], rows)
+REPLYNET_HEADER = [
+    "mobilization", "n_attackers", "n_defenders",
+    "attacker_attacker_weight", "attacker_defender_weight",
+    "defender_defender_weight", "defender_attacker_weight",
+    "attacker_within_cross_ratio", "defender_within_cross_ratio", "cross_group_ratio",
+    "defender_apr_zero_fraction", "defender_apr_tentimes_fraction",
+    "defender_reply_fraction_to_attackers", "mean_defender_apr", "mean_attacker_dpr",
+    "anger_attacker_to_defender", "anger_defender_to_attacker",
+]
+SERIES = [
+    ("series_reply_fraction.csv", "defender_reply_fraction_to_attackers"),
+    ("series_defender_apr.csv", "mean_defender_apr"),
+    ("series_attacker_dpr.csv", "mean_attacker_dpr"),
+    ("series_defender_anger.csv", "anger_defender_to_attacker"),
+]
 
-        series_specs = [
-            ("series_reply_fraction.csv", "defender_reply_fraction_to_attackers"),
-            ("series_defender_apr.csv", "mean_defender_apr"),
-            ("series_attacker_dpr.csv", "mean_attacker_dpr"),
-            ("series_defender_anger.csv", "anger_defender_to_attacker"),
-        ]
-        for filename, column in series_specs:
-            def metric(outcome, column=column):
-                row = per_id_metrics.get(outcome.mobilization_id)
-                if not row or not row.get(column):
-                    return 0.0
-                return float(row[column])
-            series = impact_mod.decile_series(outcomes, metric)
-            _write_csv(out / filename, ["success_score", column, "smoothed"],
-                       [[x, y, int(series.smoothed)] for x, y in series.points])
 
-        tests = {}
-        if attacker_deltas and defender_deltas:
-            u, p = impact_mod.mann_whitney_u(defender_deltas, attacker_deltas)
-            tests["defender_vs_attacker_delta_mwu"] = {"U": u, "p": p}
-        for name, pairs in (("attacker_delta_vs_matched_wilcoxon", attacker_pairs),
-                            ("defender_delta_vs_matched_wilcoxon", defender_pairs)):
-            try:
-                w, p = impact_mod.wilcoxon_signed_rank(pairs)
-                tests[name] = {"W": w, "p": p}
-            except ValueError:
-                tests[name] = None
-        _write_json(out / "stat_tests.json", tests)
-        return {"outcomes": len(outcomes)}
+def sentiment_rows(run: Run) -> list[dict]:
+    """Per cross-link: the sentiment model's label and P(negative), or
+    "unlabeled" when the config names no model."""
+    if not run.config.sentiment_model:
+        return [{"source_post": link.source_post, "label": "unlabeled", "p_negative": None}
+                for link in run.links]
+    model = load_forest(run.config.sentiment_model)
+    rows = []
+    for link in run.links:
+        label, p_neg = predict_sentiment(model, link, run.corpus, run.lexicon)
+        rows.append({"source_post": link.source_post, "label": label, "p_negative": p_neg})
+    return rows
 
-    run_stage("impact", [
-        "impact.csv", "stat_tests.json", "series_reply_fraction.csv",
-        "series_defender_apr.csv", "series_attacker_dpr.csv", "series_defender_anger.csv",
-    ], stage_impact)
 
-    # embed (optional)
-    if config.embed_enabled:
-        def stage_embed(paths):
-            seed = substream_seed(config.seed, "embed")
-            graph = embed_mod.build_bipartite(corpus)
-            table = embed_mod.train_embeddings(
-                graph, dim=config.embed_dim, negatives=config.embed_negatives,
-                epochs=config.embed_epochs, seed=seed,
-            )
-            embed_mod.save_vectors(out / "users.vec", table.users, table.user_vectors)
-            embed_mod.save_vectors(out / "communities.vec", table.communities, table.community_vectors)
-            word_graph = embed_mod.build_word_bipartite(corpus, max_vocab=config.vocab_size)
-            word_table = embed_mod.train_embeddings(
-                word_graph, dim=config.embed_dim, negatives=config.embed_negatives,
-                epochs=max(1, config.embed_epochs // 2),
-                seed=substream_seed(config.seed, "words"),
-            )
-            embed_mod.save_vectors(out / "words.vec", word_table.users, word_table.user_vectors)
-            final_loss = embed_mod.loss(graph, table, seed=seed,
-                                        sample_size=min(2000, graph.n_edges))
-            _write_json(out / "embed.json", {
-                "dim": config.embed_dim, "edges": graph.n_edges,
-                "users": len(table.users), "communities": len(table.communities),
-                "words": len(word_table.users), "loss": final_loss,
-            })
-            return {"edges": graph.n_edges}
+def lstm_dataset(run: Run, table, word_vectors) -> pred_mod.PredictionDataset:
+    """Every cross-link labelled by its verdict, split by the "split" substream."""
+    labels = {r.id: int(r.verdict == "mobilization") for r in run.records}
+    return pred_mod.build_dataset(run.corpus, run.links, labels, table, word_vectors,
+                                  seed=substream_seed(run.config.seed, "split"),
+                                  max_words=run.config.max_words)
 
-        run_stage("embed", ["users.vec", "communities.vec", "words.vec", "embed.json"], stage_embed)
 
-    # predict (optional)
-    if config.predict_enabled:
-        def stage_predict(paths):
-            import pickle
+def train_lstm(run: Run, table, word_vectors, model_path):
+    """Train the LSTM on ``lstm_dataset`` and save its checkpoint; returns
+    the dataset and the training result."""
+    config = run.config
+    dataset = lstm_dataset(run, table, word_vectors)
+    result = pred_mod.train(
+        dataset, init_params(table.dim, config.hidden_size, seed=substream_seed(config.seed, "lstm")),
+        lr=config.predict_lr, epochs=config.predict_epochs, seed=substream_seed(config.seed, "train"),
+    )
+    save_params(model_path, result.params, seed=config.seed, max_words=config.max_words,
+                log=result.log)
+    return dataset, result
 
-            lexicon = _load_lexicon(config)
-            user_vectors = embed_mod.load_vectors(out / "users.vec")
-            community_vectors = embed_mod.load_vectors(out / "communities.vec")
-            word_vectors = embed_mod.load_vectors(out / "words.vec")
-            names_u = sorted(user_vectors)
-            names_c = sorted(community_vectors)
-            table = embed_mod.EmbeddingTable(
-                users=names_u,
-                communities=names_c,
-                user_vectors=np.vstack([user_vectors[u] for u in names_u]),
-                community_vectors=np.vstack([community_vectors[c] for c in names_c]),
-                dim=config.embed_dim,
-                negatives=config.embed_negatives,
-            )
-            labels = {r.id: 1 if r.verdict == "mobilization" else 0 for r in records}
-            dataset = pred_mod.build_dataset(
-                corpus, links, labels, table, word_vectors,
-                seed=substream_seed(config.seed, "split"), max_words=config.max_words,
-            )
-            result = pred_mod.train(
-                dataset, init_params(config.embed_dim, config.hidden_size,
-                                     seed=substream_seed(config.seed, "lstm")),
-                lr=config.predict_lr, epochs=config.predict_epochs,
-                seed=substream_seed(config.seed, "train"),
-            )
-            with open(out / "lstm_model.pkl", "wb") as fh:
-                pickle.dump({
-                    "format": "intercom-lstm", "version": 1,
-                    "input_dim": result.params.input_dim, "hidden_dim": result.params.hidden_dim,
-                    "weights": result.params.weights, "seed": config.seed,
-                    "log": result.log,
-                }, fh)
 
-            tfidf_vectors = community_tfidf_vectors(corpus, config.vocab_size)
-            link_by_id = {l.source_post: l for l in links}
-            feats, uembs, cembs, hiddens, ys = [], [], [], [], []
-            test_scores, test_labels = [], []
-            split_of = {}
-            for name, idx in (("train", dataset.train_idx), ("val", dataset.val_idx),
-                              ("test", dataset.test_idx)):
-                for i in idx:
-                    split_of[i] = name
-            for i, link_id in enumerate(dataset.link_ids):
-                link = link_by_id[link_id]
-                seq = dataset.sequences[i]
-                score = pred_mod.predict_prob(seq, result.params)
-                if split_of.get(i) == "test":
-                    test_scores.append(score)
-                    test_labels.append(int(dataset.labels[i]))
-                feats.append(pred_mod.baseline_features(
-                    corpus, link, lexicon, tfidf_vectors=tfidf_vectors))
-                uembs.append(seq[0])
-                cembs.append((seq[1], seq[2]))
-                hiddens.append(mean_hidden(seq, result.params))
-                ys.append(int(dataset.labels[i]))
+def stage_ingest(run: Run) -> dict:
+    stats = run.corpus.stats
+    _write_json(run.out / "ingest.json", dataclasses.asdict(stats))
+    return {"posts": stats.posts, "comments": stats.comments}
 
-            def forest_auc(rows):
-                train_rows = [rows[i] for i in dataset.train_idx]
-                train_y = [ys[i] for i in dataset.train_idx]
-                if len(set(train_y)) < 2:
-                    return None
-                forest = train_forest(train_rows, train_y, trees=config.ensemble_trees,
-                                      seed=substream_seed(config.seed, "forest"))
-                test_rows = [rows[i] for i in dataset.test_idx]
-                test_y = [ys[i] for i in dataset.test_idx]
-                if len(set(test_y)) < 2:
-                    return None
-                proba = forest.predict_proba(test_rows)[:, forest.classes.index(1)]
-                return pred_mod.auc(proba, test_y)
 
-            lstm_auc = pred_mod.auc(test_scores, test_labels) if len(set(test_labels)) == 2 else None
-            baseline_auc = forest_auc(feats)
-            ensemble_rows = [pred_mod.ensemble_features(f, u, cs, ct, h)
-                             for f, u, (cs, ct), h in zip(feats, uembs, cembs, hiddens)]
-            ensemble_auc = forest_auc(ensemble_rows)
-            _write_json(out / "predict.json", {
-                "examples": len(ys),
-                "train": int(dataset.train_idx.size),
-                "val": int(dataset.val_idx.size),
-                "test": int(dataset.test_idx.size),
-                "backoff_count": dataset.backoff_count,
-                "best_val_auc": _clean(result.best_val_auc),
-                "lstm_test_auc": _clean(lstm_auc),
-                "baseline_test_auc": _clean(baseline_auc),
-                "ensemble_test_auc": _clean(ensemble_auc),
-            })
-            return {"examples": len(ys)}
+def stage_crosslinks(run: Run) -> dict:
+    _write_jsonl(run.out / "crosslinks.jsonl", [dataclasses.asdict(l) for l in run.links])
+    return {"links": len(run.links)}
 
-        run_stage("predict", ["predict.json", "lstm_model.pkl"], stage_predict)
 
-    # report
-    def stage_report(paths):
-        stage_info["report"] = {"cached": False, "outputs": ["manifest.json"]}
-        config_echo = {
-            k: v for k, v in dataclasses.asdict(config).items() if k not in _PATH_KEYS
-        }
-        files = {}
-        for p in sorted(out.iterdir()):
-            if p.name == "manifest.json" or p.is_dir():
-                continue
-            files[p.name] = _sha256(p)
-        manifest = {
-            "schema_version": SCHEMA_VERSION,
-            "config": config_echo,
-            "stages": {k: stage_info.get(k) for k in STAGE_ORDER if k in stage_info},
-            "files": files,
-        }
-        _write_json(paths[0], manifest)
+def stage_baseline(run: Run) -> dict:
+    _write_json(run.out / "baseline.json", run.baseline)
+    return {"value": run.baseline["value"]}
 
-    run_stage("report", ["manifest.json"], stage_report)
-    manifest = json.loads((out / "manifest.json").read_text())
-    validate_bundle(out)
-    return PipelineResult(output_dir=out, manifest=manifest, cache_hits=cache_hits)
+
+def stage_detect(run: Run) -> dict:
+    rows = [r.to_dict() for r in run.records]
+    alerts = [row for row in rows if row["verdict"] == "mobilization"]
+    _write_jsonl(run.out / "mobilizations.jsonl", rows)
+    # machine-readable alert feed: just the positive verdicts
+    _write_jsonl(run.out / "alerts.jsonl", alerts)
+    return {"records": len(rows), "mobilizations": len(alerts)}
+
+
+def stage_sentiment(run: Run) -> dict:
+    _write_jsonl(run.out / "sentiment.jsonl", sentiment_rows(run))
+    return {"labeled": bool(run.config.sentiment_model)}
+
+
+def stage_replynet(run: Run) -> dict:
+    rows = run.replynet_rows
+    _write_csv(run.out / "replynet.csv", REPLYNET_HEADER, rows)
+    return {"rows": len(rows), "skipped": len(run.mobilized) - len(rows)}
+
+
+def stage_impact(run: Run) -> dict:
+    impact_seed = substream_seed(run.config.seed, "impact")
+    per_id_metrics = {row[0]: dict(zip(REPLYNET_HEADER, row)) for row in run.replynet_rows}
+
+    def mean(xs):
+        return sum(xs) / len(xs) if xs else None
+
+    outcomes, rows = [], []
+    attacker_deltas, defender_deltas = [], []
+    attacker_pairs, defender_pairs = [], []
+    for record in run.mobilized:
+        impacts = impact_mod.mobilization_impacts(run.corpus, record, seed=impact_seed)
+        defenders = [i for i in impacts if i.role == "defender"]
+        attackers = [i for i in impacts if i.role == "attacker"]
+        attacker_deltas.extend(i.delta for i in attackers)
+        defender_deltas.extend(i.delta for i in defenders)
+        attacker_pairs.extend((i.delta, i.matched_delta) for i in attackers
+                              if i.matched_delta is not None)
+        defender_pairs.extend((i.delta, i.matched_delta) for i in defenders
+                              if i.matched_delta is not None)
+        if not defenders:
+            continue
+        outcome = impact_mod.defense_success(record, impacts)
+        outcomes.append(outcome)
+        rows.append([
+            record.id, len(attackers), len(defenders),
+            mean([i.delta for i in attackers]), mean([i.delta for i in defenders]),
+            mean([i.matched_delta for i in attackers if i.matched_delta is not None]),
+            mean([i.matched_delta for i in defenders if i.matched_delta is not None]),
+            outcome.success_score, None,
+        ])
+    impact_mod.assign_deciles(outcomes)
+    decile_by_id = {o.mobilization_id: o.decile for o in outcomes}
+    for row in rows:
+        row[-1] = decile_by_id.get(row[0])
+    _write_csv(run.out / "impact.csv", [
+        "mobilization", "n_attackers", "n_defenders",
+        "mean_attacker_delta", "mean_defender_delta",
+        "mean_attacker_matched_delta", "mean_defender_matched_delta",
+        "success_score", "decile",
+    ], rows)
+
+    for filename, column in SERIES:
+        def metric(outcome, column=column):
+            value = per_id_metrics.get(outcome.mobilization_id, {}).get(column)
+            return 0.0 if value is None else float(value)
+        series = impact_mod.decile_series(outcomes, metric)
+        _write_csv(run.out / filename, ["success_score", column, "smoothed"],
+                   [[x, y, int(series.smoothed)] for x, y in series.points])
+
+    tests = {}
+    if attacker_deltas and defender_deltas:
+        u, p = impact_mod.mann_whitney_u(defender_deltas, attacker_deltas)
+        tests["defender_vs_attacker_delta_mwu"] = {"U": u, "p": p}
+    for name, pairs in (("attacker_delta_vs_matched_wilcoxon", attacker_pairs),
+                        ("defender_delta_vs_matched_wilcoxon", defender_pairs)):
+        try:
+            w, p = impact_mod.wilcoxon_signed_rank(pairs)
+            tests[name] = {"W": w, "p": p}
+        except ValueError:
+            tests[name] = None
+    _write_json(run.out / "stat_tests.json", tests)
+    return {"outcomes": len(outcomes)}
+
+
+def stage_embed(run: Run) -> dict:
+    """User/community vectors and word vectors; ``intercom embed`` is this stage."""
+    config, out = run.config, run.out
+    seed = substream_seed(config.seed, "embed")
+    graph = embed_mod.build_bipartite(run.corpus)
+    table = embed_mod.train_embeddings(
+        graph, dim=config.embed_dim, negatives=config.embed_negatives,
+        epochs=config.embed_epochs, seed=seed,
+    )
+    embed_mod.save_vectors(out / "users.vec", table.users, table.user_vectors)
+    embed_mod.save_vectors(out / "communities.vec", table.communities, table.community_vectors)
+    word_graph = embed_mod.build_word_bipartite(run.corpus, max_vocab=config.vocab_size)
+    word_table = embed_mod.train_embeddings(
+        word_graph, dim=config.embed_dim, negatives=config.embed_negatives,
+        epochs=max(1, config.embed_epochs // 2), seed=substream_seed(config.seed, "words"),
+    )
+    embed_mod.save_vectors(out / "words.vec", word_table.users, word_table.user_vectors)
+    summary = {
+        "dim": config.embed_dim, "edges": graph.n_edges,
+        "users": len(table.users), "communities": len(table.communities),
+        "words": len(word_table.users),
+        "loss": embed_mod.loss(graph, table, seed=seed, sample_size=min(2000, graph.n_edges)),
+    }
+    _write_json(out / "embed.json", summary)
+    return {"edges": graph.n_edges}
+
+
+def stage_predict(run: Run) -> dict:
+    config, corpus = run.config, run.corpus
+    table, word_vectors = embed_mod.load_table(run.out)
+    dataset, result = train_lstm(run, table, word_vectors, run.out / "lstm_model.json")
+
+    tfidf_vectors = community_tfidf_vectors(corpus, config.vocab_size)
+    link_by_id = {l.source_post: l for l in run.links}
+    test = set(dataset.test_idx.tolist())
+    feats, uembs, cembs, hiddens, ys = [], [], [], [], []
+    test_scores, test_labels = [], []
+    for i, link_id in enumerate(dataset.link_ids):
+        seq = dataset.sequences[i]
+        score = pred_mod.predict_prob(seq, result.params)
+        if i in test:
+            test_scores.append(score)
+            test_labels.append(int(dataset.labels[i]))
+        feats.append(pred_mod.baseline_features(
+            corpus, link_by_id[link_id], run.lexicon, tfidf_vectors=tfidf_vectors))
+        uembs.append(seq[0])
+        cembs.append((seq[1], seq[2]))
+        hiddens.append(mean_hidden(seq, result.params))
+        ys.append(int(dataset.labels[i]))
+
+    def forest_auc(rows):
+        train_y = [ys[i] for i in dataset.train_idx]
+        if len(set(train_y)) < 2:
+            return None
+        forest = train_forest([rows[i] for i in dataset.train_idx], train_y,
+                              trees=config.ensemble_trees, seed=substream_seed(config.seed, "forest"))
+        test_y = [ys[i] for i in dataset.test_idx]
+        if len(set(test_y)) < 2:
+            return None
+        proba = forest.predict_proba([rows[i] for i in dataset.test_idx])[:, forest.classes.index(1)]
+        return pred_mod.auc(proba, test_y)
+
+    lstm_auc = pred_mod.auc(test_scores, test_labels) if len(set(test_labels)) == 2 else None
+    baseline_auc = forest_auc(feats)
+    ensemble_rows = [pred_mod.ensemble_features(f, u, cs, ct, h)
+                     for f, u, (cs, ct), h in zip(feats, uembs, cembs, hiddens)]
+    _write_json(run.out / "predict.json", {
+        "examples": len(ys),
+        "train": int(dataset.train_idx.size),
+        "val": int(dataset.val_idx.size),
+        "test": int(dataset.test_idx.size),
+        "backoff_count": dataset.backoff_count,
+        "best_val_auc": _clean(result.best_val_auc),
+        "lstm_test_auc": _clean(lstm_auc),
+        "baseline_test_auc": _clean(baseline_auc),
+        "ensemble_test_auc": _clean(forest_auc(ensemble_rows)),
+    })
+    return {"examples": len(ys)}
+
+
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    keys: tuple[str, ...]  # Config fields the stage reads
+    upstream: tuple[str, ...]  # stages whose values it uses
+    outputs: tuple[str, ...]  # bundle files it writes
+    fn: Callable[[Run], dict]
+    enabled_by: str = ""  # Config flag that switches the stage on; empty: always on
+
+
+STAGES = {stage.name: stage for stage in [
+    Stage("ingest", ("corpus",), (), ("ingest.json",), stage_ingest),
+    Stage("crosslinks", ("host_allowlist", "window_hours"), ("ingest",),
+          ("crosslinks.jsonl",), stage_crosslinks),
+    Stage("baseline", ("window_hours", "baseline", "baseline_stat", "default_baseline"),
+          ("ingest", "crosslinks"), ("baseline.json",), stage_baseline),
+    Stage("detect", ("window_hours",), ("ingest", "crosslinks", "baseline"),
+          ("mobilizations.jsonl", "alerts.jsonl"), stage_detect),
+    Stage("sentiment", ("lexicon_dir", "sentiment_model"), ("ingest", "crosslinks"),
+          ("sentiment.jsonl",), stage_sentiment),
+    Stage("replynet", ("lexicon_dir", "alpha", "pagerank_tol", "pagerank_max_iter"),
+          ("ingest", "detect"), ("replynet.csv",), stage_replynet),
+    Stage("impact", ("seed",), ("ingest", "detect", "replynet"),
+          ("impact.csv", "stat_tests.json") + tuple(name for name, _ in SERIES), stage_impact),
+    Stage("embed", ("embed_dim", "embed_negatives", "embed_epochs", "vocab_size", "seed"),
+          ("ingest",), ("users.vec", "communities.vec", "words.vec", "embed.json"),
+          stage_embed, enabled_by="embed_enabled"),
+    Stage("predict", ("lexicon_dir", "hidden_size", "predict_epochs", "predict_lr", "max_words",
+                      "ensemble_trees", "vocab_size", "seed"),
+          ("ingest", "crosslinks", "detect", "embed"), ("predict.json", "lstm_model.json"),
+          stage_predict, enabled_by="predict_enabled"),
+]}
+
+
+def _input_digests(run: Run) -> dict[str, str]:
+    """Content digests that stand for the input paths in stage keys."""
+    config = run.config
+    try:
+        corpus = _sha256(Path(config.corpus))
+    except OSError as exc:
+        raise CorpusError(f"cannot read event log {config.corpus}: {exc}") from exc
+    words = {category: sorted(ws) for category, ws in run.lexicon.categories.items()}
+    lexicon = hashlib.sha256(json.dumps(words, sort_keys=True).encode("utf-8")).hexdigest()
+    model = _sha256(Path(config.sentiment_model)) if config.sentiment_model else ""
+    return {"corpus": corpus, "lexicon_dir": lexicon, "sentiment_model": model}
+
+
+def _stage_key(stage: Stage, config: Config, digests: dict, keys: dict) -> str:
+    material = {
+        "stage": stage.name,
+        "config": {k: digests.get(k, getattr(config, k)) for k in stage.keys},
+        "upstream": {name: keys[name] for name in stage.upstream},
+    }
+    return hashlib.sha256(json.dumps(material, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _previous_manifest(text: str) -> dict:
+    try:
+        manifest = json.loads(text)
+    except ValueError:
+        return {}
+    if not isinstance(manifest, dict) or manifest.get("schema_version") != SCHEMA_VERSION:
+        return {}
+    return manifest
+
+
+def run_pipeline(config: Config) -> PipelineResult:
+    """Run the stages of ``STAGES`` in STAGE_ORDER, then write the manifest
+    (the report stage).
+
+    A stage's key hashes its name, its config keys (input paths by content)
+    and its upstream stages' keys. A stage is reused when its key equals the
+    one in the bundle's previous manifest and its outputs still have the
+    recorded digests; otherwise it runs. A stage failure halts the pipeline
+    with the stage name while earlier outputs stay on disk.
+    """
+    config.validate()
+    if not config.corpus:
+        raise ConfigError("config.corpus is required")
+    if not config.output_dir:
+        raise ConfigError("config.output_dir is required")
+    run = Run(config)
+    run.out.mkdir(parents=True, exist_ok=True)
+    manifest_path = run.out / "manifest.json"
+    old_text = manifest_path.read_text(encoding="utf-8") if manifest_path.is_file() else ""
+    old = _previous_manifest(old_text)
+    old_stages, old_files = old.get("stages", {}), old.get("files", {})
+    digests = _input_digests(run)
+    keys, stages, files, cache_hits = {}, {}, {}, []
+    for name in STAGE_ORDER[:-1]:  # the last stage, report, is the manifest written below
+        stage = STAGES[name]
+        if stage.enabled_by and not getattr(config, stage.enabled_by):
+            continue
+        keys[name] = _stage_key(stage, config, digests, keys)
+        previous = old_stages.get(name) or {}
+        if previous.get("key") == keys[name] and all(
+            (run.out / f).is_file() and _sha256(run.out / f) == old_files.get(f) for f in stage.outputs
+        ):
+            cache_hits.append(name)
+            stages[name] = previous
+            files.update({f: old_files[f] for f in stage.outputs})
+            continue
+        try:
+            info = stage.fn(run)
+        except Exception as exc:  # noqa: BLE001 - halt with the stage name
+            raise StageError(name, exc) from exc
+        stages[name] = {"key": keys[name], "outputs": list(stage.outputs), **info}
+        files.update({f: _sha256(run.out / f) for f in stage.outputs})
+
+    stages["report"] = {"outputs": ["manifest.json"]}
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "config": {k: v for k, v in dataclasses.asdict(config).items() if k not in _PATH_KEYS},
+        "stages": stages,
+        "files": files,
+    }
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    if text == old_text:
+        cache_hits.append("report")
+    else:
+        manifest_path.write_text(text, encoding="utf-8")
+    validate_bundle(run.out)
+    return PipelineResult(output_dir=run.out, manifest=manifest, cache_hits=cache_hits)
 
 
 def validate_bundle(output_dir) -> None:

@@ -83,18 +83,22 @@ def assemble_sequence(
     user_table: EmbeddingTable,
     word_vectors: dict[str, np.ndarray],
     max_words: int = MAX_WORDS,
+    author_vector: np.ndarray | None = None,
 ) -> np.ndarray:
     """Socially-primed input: [author, source community, target community]
     embeddings followed by the post's word vectors. Out-of-vocabulary tokens
-    map to zero vectors; a missing user or community embedding raises."""
-    if not user_table.has_user(link.author):
-        raise MissingEmbeddingError(f"no embedding for user {link.author!r}")
+    map to zero vectors; a missing user or community embedding raises.
+    ``author_vector``, when given, stands in for the author's embedding."""
+    if author_vector is None:
+        if not user_table.has_user(link.author):
+            raise MissingEmbeddingError(f"no embedding for user {link.author!r}")
+        author_vector = user_table.user_vector(link.author)
     for community in (link.source_community, link.target_community):
         if not user_table.has_community(community):
             raise MissingEmbeddingError(f"no embedding for community {community!r}")
     dim = user_table.dim
     rows = [
-        user_table.user_vector(link.author),
+        author_vector,
         user_table.community_vector(link.source_community),
         user_table.community_vector(link.target_community),
     ]
@@ -142,22 +146,10 @@ def build_dataset(
     for link in links:
         if link.source_post not in labels:
             continue
-        try:
-            seq = assemble_sequence(link, corpus, user_table, word_vectors, max_words=max_words)
-        except MissingEmbeddingError as exc:
-            if "community" in str(exc):
-                raise
-            backoff += 1
-            rows = [
-                mean_user,
-                user_table.community_vector(link.source_community),
-                user_table.community_vector(link.target_community),
-            ]
-            for tok in tokenize(corpus.posts[link.source_post].body)[:max_words]:
-                vec = word_vectors.get(tok)
-                rows.append(vec if vec is not None else np.zeros(user_table.dim))
-            seq = np.vstack(rows)
-        sequences.append(seq)
+        author = None if user_table.has_user(link.author) else mean_user
+        backoff += author is not None
+        sequences.append(assemble_sequence(link, corpus, user_table, word_vectors,
+                                           max_words=max_words, author_vector=author))
         ys.append(labels[link.source_post])
         ids.append(link.source_post)
     if backoff:

@@ -39,10 +39,10 @@ def test_ingest_and_crosslinks(synth, tmp_path, capsys):
     assert main(["ingest", events_path, "--index-out", str(index)]) == 0
     out = capsys.readouterr().out
     assert "rejected=0" in out
-    assert (index / "corpus.pkl").exists()
+    assert (index / "stats.json").exists()
 
     links_file = tmp_path / "links.jsonl"
-    assert main(["crosslinks", "--corpus", str(index), "--out", str(links_file)]) == 0
+    assert main(["crosslinks", "--corpus", events_path, "--out", str(links_file)]) == 0
     links = [json.loads(line) for line in links_file.read_text().splitlines()]
     assert {l["source_post"] for l in links} == {m["source_post"] for m in manifest["links"]}
 
@@ -104,13 +104,13 @@ def test_embed_and_predict_commands(synth, tmp_path, capsys):
     events_path, _ = synth
     emb_dir = tmp_path / "emb"
     assert main(["embed", "--corpus", events_path, "--out", str(emb_dir),
-                 "--dim", "8", "--epochs", "3", "--with-words"]) == 0
+                 "--dim", "8", "--epochs", "3"]) == 0
     for name in ("users.vec", "communities.vec", "words.vec"):
         assert (emb_dir / name).exists()
 
     model_file = tmp_path / "lstm.pkl"
     assert main(["predict", "train", "--corpus", events_path, "--embeddings", str(emb_dir),
-                 "--model", str(model_file), "--dim", "8", "--hidden", "4",
+                 "--model", str(model_file), "--hidden", "4",
                  "--epochs", "2"]) == 0
     assert model_file.exists()
 
@@ -137,3 +137,34 @@ def test_impact_command(synth, tmp_path):
     assert main(["impact", "--corpus", events_path, "--out", str(out_dir)]) == 0
     assert (out_dir / "impact.csv").exists()
     assert (out_dir / "stat_tests.json").exists()
+
+
+def test_cli_embed_and_predict_match_report(tmp_path, capsys):
+    spec = SynthSpec(n_communities=4, n_crosslinks=80, background_posts_per_community=10,
+                     background_comments_per_user=6, seed=2)
+    events_path, _ = generate_corpus(spec, tmp_path / "synth")
+    events_path = str(events_path)
+    bundle = tmp_path / "bundle"
+    settings = ["embed_enabled=true", "predict_enabled=true", "embed_dim=8", "embed_epochs=3",
+                "embed_negatives=3", "hidden_size=4", "predict_epochs=2", "predict_lr=0.02",
+                "ensemble_trees=5", "seed=5"]
+    assert main(["report", "--corpus", events_path, "--out", str(bundle)]
+                + [arg for kv in settings for arg in ("--set", kv)]) == 0
+
+    emb_dir = tmp_path / "emb"
+    assert main(["embed", "--corpus", events_path, "--out", str(emb_dir), "--dim", "8",
+                 "--epochs", "3", "--negatives", "3", "--seed", "5"]) == 0
+    for name in ("users.vec", "communities.vec", "words.vec"):
+        assert (emb_dir / name).read_bytes() == (bundle / name).read_bytes(), name
+    model_file = tmp_path / "lstm.json"
+    assert main(["predict", "train", "--corpus", events_path, "--embeddings", str(emb_dir),
+                 "--model", str(model_file), "--hidden", "4", "--epochs", "2", "--lr", "0.02",
+                 "--seed", "5"]) == 0
+    assert model_file.read_bytes() == (bundle / "lstm_model.json").read_bytes()
+
+    capsys.readouterr()
+    assert main(["predict", "eval", "--corpus", events_path, "--embeddings", str(bundle),
+                 "--model", str(bundle / "lstm_model.json")]) == 0
+    predict = json.loads((bundle / "predict.json").read_text())
+    assert capsys.readouterr().out == (
+        f"test AUC = {predict['lstm_test_auc']:.4f} on {predict['test']} examples\n")

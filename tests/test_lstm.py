@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,10 +10,12 @@ from intercom.lstm import (
     finite_difference_gradients,
     gradient_check,
     init_params,
+    load_params,
     lstm_forward,
     max_relative_error,
     mean_hidden,
     predict_prob,
+    save_params,
 )
 
 
@@ -173,3 +176,30 @@ def test_params_copy_independent():
     clone = params.copy()
     clone.weights["theta"][0] += 1.0
     assert params.weights["theta"][0] != clone.weights["theta"][0]
+
+
+def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
+    params = init_params(3, 4, seed=7)
+    path = tmp_path / "lstm.json"
+    log = [{"epoch": 1, "train_loss": 0.1 + 0.2, "val_auc": None}]
+    save_params(path, params, seed=7, max_words=12, log=log)
+    loaded, checkpoint = load_params(path)
+    assert (loaded.input_dim, loaded.hidden_dim) == (3, 4)
+    assert all(np.array_equal(loaded.weights[k], params.weights[k]) for k in params.weights)
+    assert (checkpoint["seed"], checkpoint["max_words"], checkpoint["log"]) == (7, 12, log)
+
+
+def test_checkpoint_load_rejects_bad_files(tmp_path):
+    path = tmp_path / "lstm.json"
+    save_params(path, init_params(3, 4), seed=0, max_words=5, log=[])
+    good = json.loads(path.read_text())
+    bad_cases = [
+        {**good, "format": "something-else"},
+        {**good, "version": 99},
+        {**good, "hidden_dim": 5},
+        {**good, "weights": {k: v for k, v in good["weights"].items() if k != "theta"}},
+    ]
+    for case in bad_cases:
+        path.write_text(json.dumps(case))
+        with pytest.raises(ValueError):
+            load_params(path)

@@ -1,9 +1,12 @@
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
+import intercom
 from intercom.pipeline import (
+    STAGES,
     Config,
     ConfigError,
     apply_overrides,
@@ -89,7 +92,7 @@ def test_pipeline_full_run(synth_corpus, tmp_path):
     for name in ("ingest.json", "crosslinks.jsonl", "baseline.json", "mobilizations.jsonl",
                  "alerts.jsonl", "sentiment.jsonl", "replynet.csv", "impact.csv",
                  "stat_tests.json", "users.vec", "communities.vec", "words.vec",
-                 "predict.json", "lstm_model.pkl", "manifest.json"):
+                 "predict.json", "lstm_model.json", "manifest.json"):
         assert (out / name).exists(), name
     validate_bundle(out)
 
@@ -147,3 +150,70 @@ def test_validate_bundle_detects_tampering(synth_corpus, tmp_path):
     (out / "baseline.json").write_text("{}")
     with pytest.raises(ValueError, match="hash mismatch"):
         validate_bundle(out)
+
+
+def test_pipeline_rerun_with_changed_config_reruns_downstream(synth_corpus, tmp_path):
+    events_path, _ = synth_corpus
+    out = tmp_path / "run"
+    run_pipeline(Config(corpus=str(events_path), output_dir=str(out), seed=3))
+    changed = dict(corpus=str(events_path), seed=3, window_hours=3.0, baseline="2.5")
+    rerun = run_pipeline(Config(output_dir=str(out), **changed))
+    # every stage reads the window or sits downstream of crosslinks/baseline
+    assert rerun.cache_hits == ["ingest"]
+    assert json.loads((out / "baseline.json").read_text())["mode"] == "fixed"
+    run_pipeline(Config(output_dir=str(tmp_path / "fresh"), **changed))
+    assert bundle_bytes(out) == bundle_bytes(tmp_path / "fresh")
+
+
+def test_pipeline_rerun_with_changed_corpus_misses_every_stage(synth_corpus, tmp_path):
+    events_path, _ = synth_corpus
+    corpus = tmp_path / "events.jsonl"
+    corpus.write_bytes(Path(events_path).read_bytes())
+    out = tmp_path / "run"
+    run_pipeline(Config(corpus=str(corpus), output_dir=str(out), seed=3))
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"kind": "post", "id": "late", "author": "u_late",
+                             "community": "c_late", "timestamp": 2e9, "body": "hi"}) + "\n")
+    rerun = run_pipeline(Config(corpus=str(corpus), output_dir=str(out), seed=3))
+    assert rerun.cache_hits == []
+    run_pipeline(Config(corpus=str(corpus), output_dir=str(tmp_path / "fresh"), seed=3))
+    assert bundle_bytes(out) == bundle_bytes(tmp_path / "fresh")
+
+
+def test_pipeline_rerun_with_changed_lexicon_reruns_its_readers(synth_corpus, tmp_path):
+    events_path, _ = synth_corpus
+    lexicon = tmp_path / "lexicon"
+    lexicon.mkdir()
+    for path in (Path(intercom.__file__).parent / "data" / "lexicons").glob("*.txt"):
+        (lexicon / path.name).write_bytes(path.read_bytes())
+    config = dict(corpus=str(events_path), output_dir=str(tmp_path / "run"),
+                  lexicon_dir=str(lexicon), seed=3)
+    run_pipeline(Config(**config))
+    with open(lexicon / "anger.txt", "a", encoding="utf-8") as fh:
+        fh.write("grumpy\n")
+    rerun = run_pipeline(Config(**config))
+    assert rerun.cache_hits == ["ingest", "crosslinks", "baseline", "detect"]
+
+
+def test_manifest_hashes_only_declared_outputs(synth_corpus, tmp_path):
+    events_path, _ = synth_corpus
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("scratch\n")
+    result = run_pipeline(Config(corpus=str(events_path), output_dir=str(out), seed=3))
+    declared = {f for stage in STAGES.values() if not stage.enabled_by for f in stage.outputs}
+    assert set(result.manifest["files"]) == declared
+    (out / "notes.txt").write_text("edited\n")
+    validate_bundle(out)
+
+
+def test_only_the_forest_module_imports_pickle():
+    package = Path(intercom.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "pickle" in names:
+                importers.add(path.name)
+    assert importers == {"forest.py"}
