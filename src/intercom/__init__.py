@@ -15,7 +15,7 @@ from .sentiment import (
 )
 from .forest import Forest, train_forest
 from .embed import build_bipartite, nearest_communities, train_embeddings
-from .predictor import assemble_sequence, auc, baseline_features, ensemble_train, train
+from .predictor import assemble_sequence, auc, baseline_features, train
 from .lstm import gradient_check, init_params, lstm_forward, predict_prob
 from .synth import SynthSpec, generate_corpus
 from .pipeline import Config, run_pipeline

@@ -1,26 +1,19 @@
 """Bagged decision-tree ensemble with per-node feature subsampling."""
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import read_checkpoint, write_checkpoint
+
 FOREST_FORMAT = "intercom-forest"
-FOREST_VERSION = 1
+FOREST_VERSION = 2
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
 class SchemaError(ValueError):
     """Feature schema does not match the one the model was trained with."""
-
-
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    proba: np.ndarray | None = None  # leaf class-probability estimates
 
 
 def _best_split(X, y_codes, idx, n_classes, features):
@@ -55,51 +48,46 @@ def _best_split(X, y_codes, idx, n_classes, features):
     return best
 
 
-def _grow_tree(X, y_codes, idx, n_classes, mtry, rng) -> _Node:
-    root = _Node()
+def _grow_tree(X, y_codes, idx, n_classes, mtry, rng, nodes: list) -> int:
+    """Append one tree to ``nodes``, rows of (feature, threshold, left, right,
+    value), and return its root. A child is numbered after its parent."""
+    root = len(nodes)
+    nodes.append([-1, 0.0, -1, -1, np.zeros(n_classes)])
     stack = [(root, idx)]
     n_features = X.shape[1]
     while stack:
         node, node_idx = stack.pop()
+        row = nodes[node]
         counts = np.bincount(y_codes[node_idx], minlength=n_classes)
         if node_idx.size < 2 or np.count_nonzero(counts) == 1:
-            node.proba = counts / counts.sum()
+            row[4] = counts / counts.sum()
             continue
         features = rng.choice(n_features, size=mtry, replace=False)
         split = _best_split(X, y_codes, node_idx, n_classes, features)
         if split is None:
-            node.proba = counts / counts.sum()
+            row[4] = counts / counts.sum()
             continue
-        _, node.feature, node.threshold = split
-        mask = X[node_idx, node.feature] < node.threshold
-        node.left, node.right = _Node(), _Node()
-        stack.append((node.left, node_idx[mask]))
-        stack.append((node.right, node_idx[~mask]))
+        _, feature, threshold = split
+        mask = X[node_idx, feature] < threshold
+        row[:4] = feature, threshold, len(nodes), len(nodes) + 1
+        nodes += [[-1, 0.0, -1, -1, np.zeros(n_classes)] for _ in range(2)]
+        stack.append((row[2], node_idx[mask]))
+        stack.append((row[3], node_idx[~mask]))
     return root
-
-
-def _tree_proba(root: _Node, X: np.ndarray) -> np.ndarray:
-    n = X.shape[0]
-    out = None
-    stack = [(root, np.arange(n))]
-    while stack:
-        node, idx = stack.pop()
-        if node.proba is not None:
-            if out is None:
-                out = np.zeros((n, node.proba.size))
-            out[idx] = node.proba
-            continue
-        mask = X[idx, node.feature] < node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
 
 
 @dataclass
 class Forest:
-    """Trained ensemble; axis-aligned trees over a fixed feature schema."""
+    """Axis-aligned trees over a fixed feature schema, all in one set of node
+    arrays: ``feature`` (-1 at a leaf), ``threshold``, ``left``/``right`` (node
+    indices), ``value`` (nodes x classes leaf probabilities), one root per tree."""
 
-    trees: list[_Node]
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
     schema: tuple[str, ...]
     classes: tuple
     seed: int
@@ -107,65 +95,84 @@ class Forest:
     metadata: dict = field(default_factory=dict)
 
     def _to_matrix(self, X) -> np.ndarray:
-        if isinstance(X, dict):
-            X = [X]
-        if isinstance(X, np.ndarray):
-            if X.ndim == 1:
-                X = X[None, :]
-            if X.shape[1] != len(self.schema):
-                raise SchemaError(
-                    f"expected {len(self.schema)} features, got {X.shape[1]}"
-                )
-            return np.asarray(X, dtype=np.float64)
-        rows = []
-        for fv in X:
-            if tuple(fv.keys()) != self.schema:
-                raise SchemaError("feature vector keys do not match the trained schema")
-            rows.append([fv[k] for k in self.schema])
-        return np.asarray(rows, dtype=np.float64)
+        if not isinstance(X, np.ndarray):
+            return _matrix([X] if isinstance(X, dict) else X, self.schema,
+                           "feature vector keys do not match the trained schema")
+        mat = np.asarray(np.atleast_2d(X), dtype=np.float64)
+        if mat.shape[1] != len(self.schema):
+            raise SchemaError(f"expected {len(self.schema)} features, got {mat.shape[1]}")
+        return mat
+
+    def leaves(self, mat: np.ndarray) -> np.ndarray:
+        """(rows x trees) leaf reached by each row in each tree; every tree
+        descends at once, one level per step."""
+        node = np.tile(self.roots, (mat.shape[0], 1))
+        rows = np.arange(mat.shape[0])[:, None]
+        while True:
+            feature = self.feature[node]
+            if (feature < 0).all():
+                return node
+            go_left = mat[rows, np.maximum(feature, 0)] < self.threshold[node]
+            node = np.where(feature < 0, node, np.where(go_left, self.left[node], self.right[node]))
 
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities, rows aligned with ``self.classes``."""
-        mat = self._to_matrix(X)
-        acc = np.zeros((mat.shape[0], len(self.classes)))
-        for tree in self.trees:
-            acc += _tree_proba(tree, mat)
-        return acc / len(self.trees)
+        votes = self.value[self.leaves(self._to_matrix(X))]
+        # a running total adds the trees in order; a pairwise sum rounds differently
+        return np.cumsum(votes, axis=1)[:, -1] / self.roots.size
 
     def predict(self, X) -> list:
-        proba = self.predict_proba(X)
-        return [self.classes[i] for i in np.argmax(proba, axis=1)]
+        return [self.classes[i] for i in np.argmax(self.predict_proba(X), axis=1)]
 
     def save(self, path) -> None:
-        payload = {
-            "format": FOREST_FORMAT,
-            "version": FOREST_VERSION,
-            "forest": self,
-        }
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh)
+        write_checkpoint(path, FOREST_FORMAT, FOREST_VERSION, {
+            **{k: getattr(self, k).tolist() for k in NODE_ARRAYS + ("roots",)},
+            "schema": list(self.schema), "classes": np.asarray(self.classes).tolist(),
+            "seed": int(self.seed), "oob_accuracy": self.oob_accuracy, "metadata": self.metadata})
 
 
 def load_forest(path) -> Forest:
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if not isinstance(payload, dict) or payload.get("format") != FOREST_FORMAT:
-        raise ValueError(f"{path} is not a forest model file")
-    if payload.get("version") != FOREST_VERSION:
-        raise ValueError(f"unsupported forest version {payload.get('version')}")
-    return payload["forest"]
+    """Read a ``save`` checkpoint. The file is outside input, so the node
+    arrays are checked to form trees in which every descent ends at a leaf."""
+    checkpoint = read_checkpoint(path, FOREST_FORMAT, FOREST_VERSION)
+    try:
+        arrays = {k: np.asarray(checkpoint[k], dtype=np.float64 if k in ("threshold", "value") else np.intp)
+                  for k in NODE_ARRAYS + ("roots",)}
+        schema, classes = tuple(checkpoint["schema"]), tuple(checkpoint["classes"])
+        fields = {k: checkpoint[k] for k in ("seed", "oob_accuracy", "metadata")}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: malformed forest checkpoint ({exc})") from None
+    feature, left, right, roots = (arrays[k] for k in ("feature", "left", "right", "roots"))
+    n, own, bad = feature.size, np.arange(feature.size), f"{path}: malformed forest checkpoint: "
+    if not (all(isinstance(s, str) for s in schema) and all(type(c) in (str, int) for c in classes)):
+        raise ValueError(bad + "schema names must be strings and classes strings or ints")
+    if not (all(arrays[k].shape == (n,) for k in NODE_ARRAYS[:4]) and roots.ndim == 1 and roots.size
+            and arrays["value"].shape == (n, len(classes))):
+        raise ValueError(bad + f"node arrays must all have {n} rows, value one column per class, and roots a tree")
+    if not ((feature >= -1) & (feature < len(schema))).all():
+        raise ValueError(bad + "a feature index outside the schema")
+    if not np.where(feature >= 0, (left > own) & (left < n) & (right > own) & (right < n),
+                    (left == -1) & (right == -1)).all():
+        raise ValueError(bad + "a child index not after its node or outside the forest")
+    if not ((roots >= 0) & (roots < n)).all():
+        raise ValueError(bad + "a root index outside the forest")
+    return Forest(**arrays, schema=schema, classes=classes, **fields)
+
+
+def _matrix(X, schema: tuple[str, ...], mismatch: str) -> np.ndarray:
+    rows = []
+    for fv in X:
+        if tuple(fv.keys()) != schema:
+            raise SchemaError(mismatch)
+        rows.append([fv[k] for k in schema])
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _validate_features(X) -> tuple[np.ndarray, tuple[str, ...]]:
     if len(X) == 0:
         raise ValueError("empty training set")
     schema = tuple(X[0].keys())
-    rows = []
-    for fv in X:
-        if tuple(fv.keys()) != schema:
-            raise SchemaError("inconsistent feature schemas in training set")
-        rows.append([fv[k] for k in schema])
-    mat = np.asarray(rows, dtype=np.float64)
+    mat = _matrix(X, schema, "inconsistent feature schemas in training set")
     if not np.isfinite(mat).all():
         raise ValueError("feature matrix contains NaN or inf")
     return mat, schema
@@ -181,6 +188,8 @@ def train_forest(X, y, trees: int = 400, seed: int = 0) -> Forest:
         raise ValueError("X and y length mismatch")
     if n < 2:
         raise ValueError("need at least 2 training samples")
+    if trees < 1:
+        raise ValueError("need at least one tree")
     classes = tuple(sorted(set(y)))
     if len(classes) < 2:
         raise ValueError("training labels contain a single class")
@@ -188,29 +197,21 @@ def train_forest(X, y, trees: int = 400, seed: int = 0) -> Forest:
     y_codes = np.asarray([code[v] for v in y], dtype=np.intp)
     mtry = max(1, int(np.sqrt(n_feat)))
 
-    grown = []
-    oob_votes = np.zeros((n, len(classes)))
-    oob_seen = np.zeros(n, dtype=bool)
+    nodes, roots, boots = [], [], []
     for seq in np.random.SeedSequence(seed).spawn(trees):
         rng = np.random.default_rng(seq)
-        boot = rng.integers(0, n, size=n)
-        tree = _grow_tree(mat, y_codes, boot, len(classes), mtry, rng)
-        grown.append(tree)
-        oob = np.setdiff1d(np.arange(n), boot, assume_unique=False)
-        if oob.size:
-            oob_votes[oob] += _tree_proba(tree, mat[oob])
-            oob_seen[oob] = True
+        boots.append(rng.integers(0, n, size=n))
+        roots.append(_grow_tree(mat, y_codes, boots[-1], len(classes), mtry, rng, nodes))
+    forest = Forest(*(np.array(column) for column in zip(*nodes)), roots=np.array(roots),
+                    schema=schema, classes=classes, seed=seed,
+                    metadata={"n_samples": n, "n_trees": trees, "mtry": mtry})
 
-    oob_accuracy = None
+    # each row's votes from the trees whose bootstrap left it out, added in tree order
+    in_bag = np.zeros((n, trees), dtype=bool)
+    in_bag[np.array(boots), np.arange(trees)[:, None]] = True
+    votes = np.where(in_bag[:, :, None], 0.0, forest.value[forest.leaves(mat)])
+    oob_seen = ~in_bag.all(axis=1)
     if oob_seen.any():
-        pred = np.argmax(oob_votes[oob_seen], axis=1)
-        oob_accuracy = float(np.mean(pred == y_codes[oob_seen]))
-
-    return Forest(
-        trees=grown,
-        schema=schema,
-        classes=classes,
-        seed=seed,
-        oob_accuracy=oob_accuracy,
-        metadata={"n_samples": n, "n_trees": trees, "mtry": mtry},
-    )
+        pred = np.argmax(np.cumsum(votes, axis=1)[oob_seen, -1], axis=1)
+        forest.oob_accuracy = float(np.mean(pred == y_codes[oob_seen]))
+    return forest

@@ -1,10 +1,11 @@
 """Minimal LSTM classifier: forward pass, full BPTT, and gradient checking."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .checkpoint import read_checkpoint, write_checkpoint
 
 GATES = ("i", "f", "o", "g")
 PARAM_KEYS = tuple(f"{kind}_{gate}" for gate in GATES for kind in ("w", "u", "b")) + ("theta",)
@@ -52,28 +53,17 @@ def init_params(input_dim: int, hidden_dim: int = 64, seed: int = 0) -> LSTMPara
 
 
 def save_params(path, params: LSTMParams, seed: int, max_words: int, log: list[dict]) -> None:
-    """JSON checkpoint: dimensions, seed, max_words, training log and weights.
-    Floats are written with repr, so the weights load back bit-exact."""
-    checkpoint = {
-        "format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+    """JSON checkpoint of the dimensions, seed, max_words, training log and weights."""
+    write_checkpoint(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, {
         "input_dim": params.input_dim, "hidden_dim": params.hidden_dim,
         "seed": seed, "max_words": max_words, "log": log,
-        "weights": {k: v.tolist() for k, v in params.weights.items()},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint, fh, sort_keys=True)
-        fh.write("\n")
+        "weights": {k: v.tolist() for k, v in params.weights.items()}})
 
 
 def load_params(path) -> tuple[LSTMParams, dict]:
     """Read a ``save_params`` checkpoint, checking its format, version and
     weight shapes; returns the params and the checkpoint's other fields."""
-    with open(path, "r", encoding="utf-8") as fh:
-        checkpoint = json.load(fh)
-    if not isinstance(checkpoint, dict) or checkpoint.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path} is not an LSTM checkpoint")
-    if checkpoint.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported LSTM checkpoint version {checkpoint.get('version')}")
+    checkpoint = read_checkpoint(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     d, h = checkpoint.get("input_dim"), checkpoint.get("hidden_dim")
     raw = checkpoint.pop("weights", None)
     if not (isinstance(d, int) and isinstance(h, int) and d >= 1 and h >= 1

@@ -269,9 +269,9 @@ class Run:
             comments = self.corpus.thread_comments.get(record.crosslink.target_post, [])
             graph = build_reply_graph(comments, record.crosslink.target_post,
                                       record.attackers, record.defenders)
-            echo = echo_metrics(graph, alpha=config.alpha, tol=config.pagerank_tol)
             apr = group_pagerank(graph, "attackers", alpha=config.alpha,
                                  tol=config.pagerank_tol, max_iter=config.pagerank_max_iter).scores
+            echo = echo_metrics(graph, apr)
             dpr = group_pagerank(graph, "defenders", alpha=config.alpha,
                                  tol=config.pagerank_tol, max_iter=config.pagerank_max_iter).scores
             defender_out = sum(w for (i, _j), w in graph.edges.items() if i in record.defenders)

@@ -8,7 +8,6 @@ import numpy as np
 
 from .corpus import Corpus, CrossLink
 from .embed import EmbeddingTable
-from .forest import Forest, train_forest
 from .lstm import LSTMParams, bptt, mean_hidden, predict_prob  # noqa: F401
 from .sentiment import Lexicon, extract_text_features, sparse_cosine, tfidf_similarity, tokenize
 
@@ -277,20 +276,3 @@ def ensemble_features(
             row[f"{prefix}_{i}"] = float(val)
     return row
 
-
-def ensemble_train(
-    features: list[dict[str, float]],
-    user_embs: list[np.ndarray],
-    comm_embs: list[tuple[np.ndarray, np.ndarray]],
-    mean_hiddens: list[np.ndarray],
-    labels,
-    trees: int = 500,
-    seed: int = 0,
-) -> Forest:
-    """Forest over hand-crafted features + user/community embeddings + the
-    LSTM's average hidden state."""
-    rows = [
-        ensemble_features(f, u, cs, ct, h)
-        for f, u, (cs, ct), h in zip(features, user_embs, comm_embs, mean_hiddens)
-    ]
-    return train_forest(rows, list(labels), trees=trees, seed=seed)

@@ -183,9 +183,10 @@ def _ratio(num: float, den: float) -> float | None:
     return num / den if den else None
 
 
-def echo_metrics(graph: ReplyGraph, alpha: float = TELEPORT_PROB, tol: float = 1e-10) -> EchoReport:
+def echo_metrics(graph: ReplyGraph, apr: dict[str, float] | None = None) -> EchoReport:
     """Within- vs cross-group interaction totals plus the skew of defenders'
-    attacker-teleport PageRank scores.
+    attacker-teleport PageRank scores ``apr``, computed with the default
+    alpha and tol when not given.
 
     The zero-score fraction counts defenders whose A-PageRank sits exactly at
     the no-inflow floor of 0 (a defender outside the teleport set receives
@@ -202,7 +203,8 @@ def echo_metrics(graph: ReplyGraph, alpha: float = TELEPORT_PROB, tol: float = 1
     da = graph.weight_between(GROUP_DEFENDER, GROUP_ATTACKER)
     cross = ad + da
 
-    apr = group_pagerank(graph, "attackers", alpha=alpha, tol=tol).scores
+    if apr is None:
+        apr = group_pagerank(graph, "attackers").scores
     pooled = [apr[u] for u in sorted(attackers | defenders)]
     mean_score = sum(pooled) / len(pooled)
     defender_scores = [apr[u] for u in sorted(defenders)]

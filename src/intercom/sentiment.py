@@ -9,7 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import Corpus, CrossLink
-from .forest import Forest, SchemaError, load_forest, train_forest  # noqa: F401
+from .forest import Forest, SchemaError
 
 log = logging.getLogger(__name__)
 

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 
@@ -38,6 +39,23 @@ def write_events(path, events):
                 record["thread_id"] = event.thread_id
                 record["parent_id"] = event.parent_id
             fh.write(json.dumps(record) + "\n")
+    return path
+
+
+class _CreateFile:
+    """Unpickling this calls ``open(path, "w")``, which creates the file."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def write_canary_pickle(path, canary):
+    """A version-1 style forest pickle that creates ``canary`` if unpickled."""
+    with open(path, "wb") as fh:
+        pickle.dump({"format": "intercom-forest", "version": 1, "forest": _CreateFile(canary)}, fh)
     return path
 
 

@@ -5,6 +5,8 @@ import pytest
 from intercom.cli import main
 from intercom.synth import SynthSpec, generate_corpus
 
+from conftest import write_canary_pickle
+
 
 @pytest.fixture(scope="module")
 def synth(tmp_path_factory):
@@ -98,6 +100,15 @@ def test_sentiment_train_and_predict(synth, tmp_path, capsys):
     by_source = {m["source_post"]: m["sentiment"] for m in manifest["links"]}
     agreement = sum(1 for r in rows if r["label"] == by_source[r["source_post"]])
     assert agreement / len(rows) >= 0.75  # lexicon-separable bodies
+
+
+def test_sentiment_predict_rejects_a_pickled_model_unread(synth, tmp_path, capsys):
+    events_path, _ = synth
+    canary = tmp_path / "canary"
+    model = write_canary_pickle(tmp_path / "model.pkl", canary)
+    assert main(["sentiment", "predict", "--corpus", events_path, "--model", str(model),
+                 "--out", str(tmp_path / "sentiment.jsonl")]) == 2
+    assert not canary.exists()
 
 
 def test_embed_and_predict_commands(synth, tmp_path, capsys):

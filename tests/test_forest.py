@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from intercom.forest import SchemaError, load_forest, train_forest
+from intercom.predictor import ensemble_features
+from intercom.sentiment import builtin_lexicon, extract_text_features
 
 
 def _separable(n, seed, noise=0.0):
@@ -111,5 +115,99 @@ def test_load_rejects_garbage(tmp_path):
 
     with open(path, "wb") as fh:
         pickle.dump({"something": "else"}, fh)
+    with pytest.raises(ValueError):
+        load_forest(path)
+
+
+def _assert_roundtrip(forest, rows, path):
+    forest.save(path)
+    loaded = load_forest(path)
+    assert (loaded.schema, loaded.classes) == (forest.schema, forest.classes)
+    assert np.array_equal(loaded.predict_proba(rows), forest.predict_proba(rows))
+    return loaded
+
+
+def test_roundtrip_sentiment_schema_with_string_classes(tmp_path):
+    lexicon = builtin_lexicon()
+    rng = np.random.default_rng(11)
+    X, y = [], []
+    for i in range(120):
+        negative = i % 2 == 0
+        words = ["hate" if negative and rng.random() < 0.5 else "calm" for _ in range(8)]
+        X.append(extract_text_features(" ".join(words) + "!" * int(rng.integers(0, 3)), lexicon))
+        y.append("negative" if negative else "neutral")
+    forest = train_forest(X, y, trees=25, seed=2)
+    loaded = _assert_roundtrip(forest, X, tmp_path / "sentiment_model.pkl")
+    assert loaded.classes == ("negative", "neutral")
+    assert loaded.oob_accuracy == forest.oob_accuracy
+
+
+def test_roundtrip_ensemble_rows_with_0_1_classes(tmp_path):
+    rng = np.random.default_rng(12)
+    rows = [ensemble_features({"f0": float(rng.normal())}, rng.normal(size=3),
+                              rng.normal(size=3), rng.normal(size=3), rng.normal(size=2))
+            for _ in range(90)]
+    labels = np.array([int(r["f0"] + r["hid_0"] > 0) for r in rows])  # numpy ints save as JSON ints
+    forest = train_forest(rows, labels, trees=30, seed=5)
+    assert _assert_roundtrip(forest, rows, tmp_path / "ensemble.json").classes == (0, 1)
+
+
+def test_predict_proba_equals_a_walk_of_one_tree_at_a_time():
+    X, y = _separable(200, seed=10, noise=0.2)
+    forest = train_forest(X, y, trees=15, seed=1)
+    mat = np.array([[fv[k] for k in forest.schema] for fv in X[:40]])
+    expected = np.zeros((40, 2))
+    for root in forest.roots:  # trees added in order, as the array descent must
+        for i, row in enumerate(mat):
+            node = root
+            while forest.feature[node] >= 0:
+                go_left = row[forest.feature[node]] < forest.threshold[node]
+                node = forest.left[node] if go_left else forest.right[node]
+            expected[i] += forest.value[node]
+    assert np.array_equal(forest.predict_proba(mat), expected / 15)
+
+
+def test_children_come_after_their_parent():
+    X, y = _separable(120, seed=8, noise=0.1)
+    forest = train_forest(X, y, trees=12, seed=0)
+    inner = np.nonzero(forest.feature >= 0)[0]
+    assert inner.size and np.all(forest.left[inner] > inner) and np.all(forest.right[inner] > inner)
+    assert forest.roots.size == 12
+
+
+@pytest.fixture
+def checkpoint(tmp_path):
+    X, y = _separable(60, seed=9, noise=0.1)
+    path = tmp_path / "model.json"
+    train_forest(X, y, trees=3, seed=0).save(path)
+    return path, json.loads(path.read_text())
+
+
+def _inner_node(good):
+    return next(i for i, f in enumerate(good["feature"]) if f >= 0)
+
+
+@pytest.mark.parametrize("craft", [
+    lambda g: {**g, "version": 1},
+    lambda g: {**g, "format": "intercom-lstm"},
+    lambda g: {**g, "left": [i if i == -1 else 0 for i in g["left"]]},  # child before its node
+    lambda g: {**g, "right": [i if i == -1 else len(g["right"]) for i in g["right"]]},
+    lambda g: {**g, "left": [-1 if i == _inner_node(g) else x for i, x in enumerate(g["left"])]},
+    lambda g: {**g, "feature": [len(g["schema"]) if f >= 0 else f for f in g["feature"]]},
+    lambda g: {**g, "feature": [-2 if f >= 0 else f for f in g["feature"]]},
+    lambda g: {**g, "value": [row + [0.0] for row in g["value"]]},
+    lambda g: {**g, "value": g["value"][:-1]},
+    lambda g: {**g, "threshold": g["threshold"][:-1]},
+    lambda g: {**g, "roots": [len(g["feature"])]},
+    lambda g: {**g, "roots": []},
+    lambda g: {**g, "classes": [True, False]},
+    lambda g: {**g, "classes": [0.0, 1.0]},
+    lambda g: {k: v for k, v in g.items() if k != "value"},
+], ids=["version-1", "other-format", "child-before-node", "child-past-end", "inner-node-missing-child",
+        "feature-past-schema", "feature-below-leaf", "value-extra-class", "value-missing-row",
+        "threshold-short", "root-past-end", "no-roots", "bool-classes", "float-classes", "no-value"])
+def test_load_rejects_crafted_checkpoints(checkpoint, craft):
+    path, good = checkpoint
+    path.write_text(json.dumps(craft(good)))
     with pytest.raises(ValueError):
         load_forest(path)

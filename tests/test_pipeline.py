@@ -5,10 +5,13 @@ from pathlib import Path
 import pytest
 
 import intercom
+from intercom import pipeline, replynet
 from intercom.pipeline import (
     STAGES,
     Config,
     ConfigError,
+    Run,
+    StageError,
     apply_overrides,
     load_config,
     run_pipeline,
@@ -17,7 +20,7 @@ from intercom.pipeline import (
 )
 from intercom.synth import SynthSpec, generate_corpus
 
-from conftest import write_events
+from conftest import write_canary_pickle, write_events
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +210,7 @@ def test_manifest_hashes_only_declared_outputs(synth_corpus, tmp_path):
     validate_bundle(out)
 
 
-def test_only_the_forest_module_imports_pickle():
+def test_no_module_imports_pickle():
     package = Path(intercom.__file__).parent
     importers = set()
     for path in package.glob("*.py"):
@@ -216,4 +219,34 @@ def test_only_the_forest_module_imports_pickle():
                      else [node.module] if isinstance(node, ast.ImportFrom) else [])
             if "pickle" in names:
                 importers.add(path.name)
-    assert importers == {"forest.py"}
+    assert importers == set()
+
+
+def test_pickled_sentiment_model_is_rejected_unread(synth_corpus, tmp_path):
+    events_path, _ = synth_corpus
+    canary = tmp_path / "canary"
+    model = write_canary_pickle(tmp_path / "sentiment_model.pkl", canary)
+    with pytest.raises(StageError) as info:
+        run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "run"),
+                            sentiment_model=str(model)))
+    assert info.value.stage == "sentiment"
+    assert isinstance(info.value.cause, ValueError)
+    assert not canary.exists()
+
+
+def test_replynet_runs_two_pageranks_per_mobilization_with_the_config(synth_corpus, tmp_path, monkeypatch):
+    events_path, _ = synth_corpus
+    calls = []
+
+    def counting(graph, teleport_set="all", **kwargs):
+        calls.append(kwargs)
+        return original(graph, teleport_set, **kwargs)
+
+    original = replynet.group_pagerank
+    monkeypatch.setattr(replynet, "group_pagerank", counting)
+    monkeypatch.setattr(pipeline, "group_pagerank", counting)
+    config = Config(corpus=str(events_path), output_dir=str(tmp_path), alpha=0.3,
+                    pagerank_tol=1e-9, pagerank_max_iter=5000)
+    rows = Run(config).replynet_rows
+    assert rows and len(calls) == 2 * len(rows)
+    assert all(kw == {"alpha": 0.3, "tol": 1e-9, "max_iter": 5000} for kw in calls)

@@ -5,6 +5,7 @@ import pytest
 
 from intercom.corpus import extract_crosslinks
 from intercom.embed import EmbeddingTable
+from intercom.forest import train_forest
 from intercom.lstm import init_params
 from intercom.predictor import (
     MissingEmbeddingError,
@@ -14,7 +15,6 @@ from intercom.predictor import (
     auc,
     baseline_features,
     build_dataset,
-    ensemble_train,
     ensemble_features,
     predict_prob,
     split_indices,
@@ -271,18 +271,15 @@ def test_ensemble_beats_or_matches_components():
     comm_embs = [(rng.normal(size=dim), rng.normal(size=dim)) for _ in range(n)]
     hiddens = [np.full(4, labels[i] + rng.normal(0, 0.4)) for i in range(n)]
     split = 180
-    forest = ensemble_train(features[:split], user_embs[:split], comm_embs[:split],
-                            hiddens[:split], labels[:split].tolist(), trees=60, seed=0)
+    # rows built as the predict stage builds them
     rows = [ensemble_features(f, u, cs, ct, h)
-            for f, u, (cs, ct), h in zip(features[split:], user_embs[split:],
-                                         comm_embs[split:], hiddens[split:])]
-    proba = forest.predict_proba(rows)[:, forest.classes.index(1)]
+            for f, u, (cs, ct), h in zip(features, user_embs, comm_embs, hiddens)]
+    forest = train_forest(rows[:split], labels[:split].tolist(), trees=60, seed=0)
+    proba = forest.predict_proba(rows[split:])[:, forest.classes.index(1)]
     ensemble_auc = auc(proba, labels[split:])
 
-    feature_forest = ensemble_train(
-        features[:split], [np.zeros(1)] * split, [(np.zeros(1), np.zeros(1))] * split,
-        [np.zeros(1)] * split, labels[:split].tolist(), trees=60, seed=0)
     feature_rows = [ensemble_features(f, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1))
-                    for f in features[split:]]
-    feature_auc = auc(feature_forest.predict_proba(feature_rows)[:, 1], labels[split:])
+                    for f in features]
+    feature_forest = train_forest(feature_rows[:split], labels[:split].tolist(), trees=60, seed=0)
+    feature_auc = auc(feature_forest.predict_proba(feature_rows[split:])[:, 1], labels[split:])
     assert ensemble_auc >= feature_auc - 0.02
