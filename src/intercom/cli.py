@@ -236,6 +236,12 @@ def cmd_report(args) -> int:
         overrides["output_dir"] = args.out
     apply_overrides(config, overrides)
     result = run_pipeline(config)
+    if args.verbose:
+        for name, info in result.manifest["stages"].items():
+            counters = " ".join(f"{key}={value}" for key, value in sorted(info.items())
+                                if key not in ("key", "outputs"))
+            state = "hit" if name in result.cache_hits else "ran"
+            print(f"stage {name}: {state} {counters}".rstrip(), file=sys.stderr)
     cached = f" (cache hits: {', '.join(result.cache_hits)})" if result.cache_hits else ""
     print(f"report bundle in {result.output_dir}{cached}")
     return EXIT_OK
@@ -342,6 +348,8 @@ def build_parser() -> _Parser:
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--corpus")
     p.add_argument("--out")
+    p.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS,
+                   help="also print one line per stage to stderr: hit or ran, and its counters")
     p.set_defaults(fn=cmd_report)
 
     return parser

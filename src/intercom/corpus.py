@@ -4,7 +4,8 @@ from __future__ import annotations
 import json
 import logging
 import re
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 log = logging.getLogger(__name__)
@@ -61,10 +62,14 @@ class LoadStats:
 
 @dataclass
 class Corpus:
-    """Immutable indexed view of an event log.
+    """Indexed view of an event log.
 
-    All indexes are built once at load time; every read operation is pure,
-    so concurrent reads are safe.
+    ``build_indexes`` builds the dict and list indexes below; ``load_events``
+    calls it once. The per-community comment timeline that ``members`` reads
+    (``comment_timeline``) is built on its first use and dropped by every
+    later ``build_indexes``, so loading does not pay for it and it never
+    outlives the events it was built from. Reads do not modify the indexes,
+    except that the first timeline read builds the timeline.
     """
 
     posts: dict[str, Event] = field(default_factory=dict)
@@ -82,6 +87,10 @@ class Corpus:
     # user -> posts authored, time-ordered
     user_posts: dict[str, list[Event]] = field(default_factory=dict)
     stats: LoadStats = field(default_factory=LoadStats)
+    # community -> (comment timestamps, time-ordered, and each comment's
+    # author); built lazily by comment_timeline()
+    _timeline: dict[str, tuple[array, list[str]]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def communities(self) -> list[str]:
@@ -125,6 +134,21 @@ class Corpus:
 
         self.stats.posts = len(self.posts)
         self.stats.comments = len(self.comments)
+        self._timeline = None
+
+    def comment_timeline(self, community: str) -> tuple[array, list[str]] | None:
+        """The community's comment timestamps in time order and the author of
+        each comment, or None for a community without comments."""
+        if self._timeline is None:
+            timeline: dict[str, tuple[array, list[str]]] = {}
+            for c in self.comments_by_time:
+                entry = timeline.get(c.community)
+                if entry is None:
+                    entry = timeline[c.community] = (array("d"), [])
+                entry[0].append(c.timestamp)
+                entry[1].append(c.author)
+            self._timeline = timeline
+        return self._timeline.get(community)
 
 
 _REQUIRED = ("kind", "id", "author", "community", "timestamp")
@@ -265,28 +289,50 @@ def remove_overlapping(links: list[CrossLink], window_hours: float = 12.0) -> li
     return kept
 
 
-def _has_time_in(times: list[float], lo: float, hi: float) -> bool:
-    i = bisect_left(times, lo)
-    return i < len(times) and times[i] < hi
-
-
 def members(corpus: Corpus, community: str, day: float, excluded: str | None = None) -> set[str]:
     """Users with >=1 comment in ``community`` during [day-30d, day) and none
     in ``excluded`` during the same window."""
-    by_user = corpus.comment_times.get(community)
-    if by_user is None:
+    timeline = corpus.comment_timeline(community)
+    if timeline is None:
         log.warning("members(): unknown community %r", community)
         return set()
     lo, hi = day - MEMBER_WINDOW_DAYS * DAY, day
-    found = {u for u, times in by_user.items() if _has_time_in(times, lo, hi)}
-    if excluded is not None and found:
-        other = corpus.comment_times.get(excluded, {})
-        found = {u for u in found if not _has_time_in(other.get(u, []), lo, hi)}
+    times, authors = timeline
+    found = set(authors[bisect_left(times, lo):bisect_left(times, hi)])
+    other = corpus.comment_timeline(excluded) if excluded is not None and found else None
+    if other is not None:
+        times, authors = other
+        found.difference_update(authors[bisect_left(times, lo):bisect_left(times, hi)])
     return found
 
 
 def _count_in(times: list[float], lo: float, hi: float) -> int:
     return bisect_left(times, hi) - bisect_left(times, lo)
+
+
+def gap_band(times, i: int, j: int, t0: float, gap: float) -> tuple[int, int]:
+    """The index range [a, b) of the sorted ``times[i:j]`` with ``abs(t - t0)
+    < gap``.
+
+    ``t - t0`` is computed as a scan computes it. Rounding never decreases
+    it as ``t`` grows, so the band is one contiguous range and bisect on
+    that key finds exactly the timestamps a scan would exclude.
+    """
+    def offset(t):
+        return t - t0
+
+    a = bisect_right(times, -gap, i, j, key=offset)
+    return a, bisect_left(times, gap, a, j, key=offset)
+
+
+def count_beyond_gap(times, lo: float, hi: float, t0: float, gap: float) -> int:
+    """How many of the sorted ``times`` lie in [lo, hi) with ``abs(t - t0) >=
+    gap``, by bisect."""
+    i, j = bisect_left(times, lo), bisect_left(times, hi)
+    if i >= j:  # an empty window, or lo > hi
+        return 0
+    a, b = gap_band(times, i, j, t0, gap)
+    return (j - i) - (b - a)
 
 
 def user_activity(corpus: Corpus, user: str, community: str, window: tuple[float, float]):

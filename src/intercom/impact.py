@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .corpus import DAY, Corpus
-from .matching import HISTORY_GAP_DAYS, NoMatchError, matched_user
+from .corpus import DAY, Corpus, count_beyond_gap
+from .matching import HISTORY_GAP_DAYS, NoMatchError, match_pool, matched_user
 from .mobilization import MobilizationRecord
 
 log = logging.getLogger(__name__)
@@ -49,10 +49,8 @@ class DefenseOutcome:
 
 def _window_fraction(corpus: Corpus, user: str, community: str, lo: float, hi: float, t0: float):
     gap = HISTORY_GAP_DAYS * DAY
-    all_times = corpus.user_comment_times.get(user, [])
-    comm_times = corpus.comment_times.get(community, {}).get(user, [])
-    total = sum(1 for t in all_times if lo <= t < hi and abs(t - t0) >= gap)
-    in_comm = sum(1 for t in comm_times if lo <= t < hi and abs(t - t0) >= gap)
+    total = count_beyond_gap(corpus.user_comment_times.get(user, []), lo, hi, t0, gap)
+    in_comm = count_beyond_gap(corpus.comment_times.get(community, {}).get(user, []), lo, hi, t0, gap)
     return (in_comm / total if total else 0.0), total
 
 
@@ -81,18 +79,22 @@ def activity_delta(corpus: Corpus, user: str, community: str, t0: float) -> Acti
 
 def mobilization_impacts(corpus: Corpus, record: MobilizationRecord, seed: int = 0) -> list[ImpactRecord]:
     """Activity deltas in the target community for every attacker and
-    defender, paired with their matched users' deltas."""
+    defender, paired with their matched users' deltas (``matched_delta`` is
+    None for a user with no matched user)."""
     link = record.crosslink
     impacts = []
     for role, users, home in (
         ("attacker", record.attackers, link.source_community),
         ("defender", record.defenders, link.target_community),
     ):
+        if not users:
+            continue
+        pool = match_pool(corpus, link, home)
         for user in sorted(users):
             own = activity_delta(corpus, user, link.target_community, link.t0)
             matched_delta = None
             try:
-                pair = matched_user(corpus, link, user, home, seed=seed)
+                pair = matched_user(corpus, link, user, home, seed=seed, pool=pool)
                 matched_delta = activity_delta(corpus, pair.match_id, link.target_community, link.t0).delta
             except NoMatchError:
                 log.debug("no matched user for %s in %s", user, home)

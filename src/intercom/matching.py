@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import DAY, Corpus, CrossLink, day_start, members
+from .corpus import DAY, Corpus, CrossLink, Event, count_beyond_gap, day_start, gap_band, members
 
 HISTORY_GAP_DAYS = 3  # events within +/-3 days of the cross-link are ignored
 
@@ -28,20 +30,44 @@ def crosslink_involved_posts(links: list[CrossLink]) -> set[str]:
     return involved
 
 
-def matched_post(corpus: Corpus, links: list[CrossLink], post_id: str) -> MatchedPair:
+def _timestamp(event: Event) -> float:
+    return event.timestamp
+
+
+def matched_post(
+    corpus: Corpus,
+    links: list[CrossLink],
+    post_id: str,
+    involved: set[str] | None = None,
+) -> MatchedPair:
     """Nearest-in-time post from the same community with no cross-link
-    involvement; ties broken toward the earlier post."""
+    involvement; ties broken toward the earlier post, then the smaller id.
+
+    ``involved`` is ``crosslink_involved_posts(links)``, computed here when
+    not given; callers matching many posts pass it once.
+    """
     post = corpus.posts.get(post_id)
     if post is None:
         raise KeyError(f"unknown post {post_id!r}")
-    involved = crosslink_involved_posts(links)
+    if involved is None:
+        involved = crosslink_involved_posts(links)
+    posts = corpus.community_posts.get(post.community, [])
+    start = bisect_left(posts, post.timestamp, key=_timestamp)
+    # Walk outward from the post's time on each side. The distance never
+    # shrinks along a side, so a side ends at the first candidate farther
+    # than the best so far; candidates at the best distance are all compared.
     best = None
-    for cand in corpus.community_posts.get(post.community, []):
-        if cand.id == post_id or cand.id in involved:
-            continue
-        key = (abs(cand.timestamp - post.timestamp), cand.timestamp, cand.id)
-        if best is None or key < best[0]:
-            best = (key, cand)
+    for side in (range(start, len(posts)), range(start - 1, -1, -1)):
+        for k in side:
+            cand = posts[k]
+            distance = abs(cand.timestamp - post.timestamp)
+            if best is not None and distance > best[0][0]:
+                break
+            if cand.id == post_id or cand.id in involved:
+                continue
+            key = (distance, cand.timestamp, cand.id)
+            if best is None or key < best[0]:
+                best = (key, cand)
     if best is None:
         raise NoMatchError(f"no eligible matched post for {post_id!r}")
     return MatchedPair(subject_id=post_id, match_id=best[1].id, match_distance=best[0][0])
@@ -50,24 +76,31 @@ def matched_post(corpus: Corpus, links: list[CrossLink], post_id: str) -> Matche
 def _history_count(corpus: Corpus, user: str, community: str, day: float, t0: float) -> int:
     """Comments by user in community during [day-30d, day), ignoring events
     within +/-3 days of t0."""
-    gap = HISTORY_GAP_DAYS * DAY
     times = corpus.comment_times.get(community, {}).get(user, [])
-    lo, hi = day - 30 * DAY, day
-    return sum(1 for t in times if lo <= t < hi and abs(t - t0) >= gap)
+    return count_beyond_gap(times, day - 30 * DAY, day, t0, HISTORY_GAP_DAYS * DAY)
 
 
-def matched_user(
-    corpus: Corpus,
-    link: CrossLink,
-    user: str,
-    community: str,
-    seed: int = 0,
-) -> MatchedPair:
-    """Same-community member with the closest 30-day comment count who did not
-    comment in the cross-linked target thread; ties broken by seeded choice.
+def _history_counts(corpus: Corpus, community: str, day: float, t0: float) -> Counter:
+    """``_history_count`` of every user at once, from the community's
+    comment timeline."""
+    timeline = corpus.comment_timeline(community)
+    if timeline is None:
+        return Counter()
+    times, authors = timeline
+    i, j = bisect_left(times, day - 30 * DAY), bisect_left(times, day)
+    a, b = gap_band(times, i, j, t0, HISTORY_GAP_DAYS * DAY)
+    counts = Counter(authors[i:a])
+    counts.update(authors[b:j])
+    return counts
 
-    ``community`` must be the link's source or target community; the
-    membership exclusion uses the counterpart.
+
+def match_pool(corpus: Corpus, link: CrossLink, community: str) -> dict[str, int]:
+    """The users ``matched_user`` picks from for one side of a cross-link,
+    each with their 30-day comment count (``_history_count``): members of
+    ``community`` on the link's day who are not members of the counterpart
+    community and did not comment in the target thread.
+
+    ``community`` must be the link's source or target community.
     """
     if community == link.source_community:
         counterpart = link.target_community
@@ -77,14 +110,41 @@ def matched_user(
         raise ValueError(f"{community!r} is not a side of the cross-link")
     day = day_start(link.t0)
     pool = members(corpus, community, day, counterpart)
-    thread_users = {c.author for c in corpus.thread_comments.get(link.target_post, [])}
-    pool -= thread_users
-    pool.discard(user)
-    if not pool:
+    pool.difference_update(c.author for c in corpus.thread_comments.get(link.target_post, []))
+    counts = _history_counts(corpus, community, day, link.t0)
+    return {u: counts[u] for u in pool}
+
+
+def matched_user(
+    corpus: Corpus,
+    link: CrossLink,
+    user: str,
+    community: str,
+    seed: int = 0,
+    pool: dict[str, int] | None = None,
+) -> MatchedPair:
+    """Same-community member with the closest 30-day comment count who did not
+    comment in the cross-linked target thread; ties broken by seeded choice.
+
+    ``community`` must be the link's source or target community; the
+    membership exclusion uses the counterpart. ``pool`` is
+    ``match_pool(corpus, link, community)``, computed here when not given;
+    callers matching many users of one side pass it once.
+    """
+    if pool is None:
+        pool = match_pool(corpus, link, community)
+    subject_count = _history_count(corpus, user, community, day_start(link.t0), link.t0)
+    best, tied = None, []
+    for u, count in pool.items():
+        if u == user:
+            continue
+        distance = abs(count - subject_count)
+        if best is None or distance < best:
+            best, tied = distance, [u]
+        elif distance == best:
+            tied.append(u)
+    if best is None:
         raise NoMatchError(f"no eligible matched user for {user!r} in {community!r}")
-    subject_count = _history_count(corpus, user, community, day, link.t0)
-    dist = {u: abs(_history_count(corpus, u, community, day, link.t0) - subject_count) for u in pool}
-    best = min(dist.values())
-    tied = sorted(u for u, d in dist.items() if d == best)
+    tied.sort()
     pick = tied[0] if len(tied) == 1 else random.Random(seed).choice(tied)
     return MatchedPair(subject_id=user, match_id=pick, match_distance=float(best))

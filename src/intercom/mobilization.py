@@ -6,7 +6,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, CrossLink, day_start, members
-from .matching import NoMatchError, matched_post
+from .matching import NoMatchError, crosslink_involved_posts, matched_post
 
 log = logging.getLogger(__name__)
 
@@ -118,24 +118,40 @@ def baseline_ratio(
     links: list[CrossLink],
     window_hours: float = DEFAULT_WINDOW_HOURS,
     stat: str = "mean",
+    involved: set[str] | None = None,
+    counts: dict[str, int] | None = None,
 ) -> float:
     """Mean (or median) smoothed after/before ratio of source-member comments
-    on matched threads, over pairs with pre-count difference < 5."""
+    on matched threads, over pairs with pre-count difference < 5.
+
+    ``involved`` is ``crosslink_involved_posts(links)``, computed here when
+    not given. A ``counts`` dict receives how many links gave an eligible
+    pair (``eligible_pairs``), had no matched post (``no_matched_post``) or
+    were skipped for their pre-count difference (``precount_skipped``); it
+    is filled in before a BaselineError is raised.
+    """
     if stat not in ("mean", "median"):
         raise ValueError(f"stat must be mean or median, got {stat!r}")
+    if involved is None:
+        involved = crosslink_involved_posts(links)
     window_s = window_hours * 3600.0
     ratios = []
+    no_match = skipped = 0
     for link in links:
         try:
-            match = matched_post(corpus, links, link.target_post)
+            match = matched_post(corpus, links, link.target_post, involved=involved)
         except NoMatchError:
+            no_match += 1
             continue
         mem = members(corpus, link.source_community, day_start(link.t0), link.target_community)
         target_before, _ = _thread_counts_by(corpus, link.target_post, mem, link.t0, window_s)
         m_before, m_after = _thread_counts_by(corpus, match.match_id, mem, link.t0, window_s)
         if abs(target_before - m_before) >= MAX_PRECOUNT_DIFF:
+            skipped += 1
             continue
         ratios.append(smoothed_ratio(m_before, m_after))
+    if counts is not None:
+        counts.update(eligible_pairs=len(ratios), no_matched_post=no_match, precount_skipped=skipped)
     if not ratios:
         raise BaselineError(
             "no eligible matched pairs for the null model; "
@@ -150,12 +166,15 @@ def detect(
     baseline: float,
     links: list[CrossLink] | None = None,
     window_hours: float = DEFAULT_WINDOW_HOURS,
+    involved: set[str] | None = None,
 ) -> MobilizationRecord:
     """Classify one cross-link against the baseline rate.
 
     Attackers are source members and defenders target members who comment on
     the target thread in [t0, t0+w). When the full link list is supplied the
-    matched-thread counts are filled in as well.
+    matched-thread counts are filled in as well (None when the target has no
+    matched post); ``involved`` is that list's ``crosslink_involved_posts``,
+    computed per call when not given.
     """
     if baseline <= 0:
         raise ValueError("baseline must be positive")
@@ -178,7 +197,7 @@ def detect(
     matched_before = matched_after = None
     if links is not None:
         try:
-            match = matched_post(corpus, links, link.target_post)
+            match = matched_post(corpus, links, link.target_post, involved=involved)
             matched_before, matched_after = _thread_counts_by(
                 corpus, match.match_id, source_members, link.t0, window_s
             )

@@ -21,6 +21,7 @@ from . import predictor as pred_mod
 from .corpus import CorpusError, CrossLink, extract_crosslinks, load_events
 from .forest import load_forest, train_forest
 from .lstm import init_params, mean_hidden, save_params
+from .matching import crosslink_involved_posts
 from .mobilization import BaselineError, MobilizationRecord, baseline_ratio, detect
 from .replynet import build_reply_graph, echo_metrics, group_pagerank, anger_rate
 from .sentiment import builtin_lexicon, community_tfidf_vectors, load_lexicon, predict_sentiment
@@ -193,6 +194,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in row])
 
 
+def _read_jsonl(path: Path) -> list:
+    with open(path, "r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -210,13 +216,20 @@ class PipelineResult:
 
 class Run:
     """The values the stages share, each computed from the config on first
-    use. The CLI commands use the same values. When a stage re-runs while an
-    upstream stage hit the cache, the upstream value is recomputed in memory;
-    only the embeddings travel through the bundle (``embed.load_table``)."""
+    use. The CLI commands use the same values.
+
+    ``run_pipeline`` lists every stage that hits the cache in ``hits``. The
+    links, the baseline and the detect records of a stage that hit are read
+    back from its outputs, whose digests ``run_pipeline`` has checked. The
+    embeddings are always read from the bundle (``embed.load_table``); the
+    reply-network rows are recomputed."""
 
     def __init__(self, config: Config):
         self.config = config
         self.out = Path(config.output_dir)
+        self.hits: list[str] = []
+        # baseline_ratio's pair counts, filled in when the baseline is measured
+        self.baseline_pairs: dict[str, int] = {}
 
     @cached_property
     def corpus(self):
@@ -228,20 +241,30 @@ class Run:
 
     @cached_property
     def links(self) -> list[CrossLink]:
+        if "crosslinks" in self.hits:
+            return [CrossLink(**row) for row in _read_jsonl(self.out / "crosslinks.jsonl")]
         return extract_crosslinks(self.corpus, host_allowlist=self.config.hosts(),
                                   window_hours=self.config.window_hours)
+
+    @cached_property
+    def involved(self) -> set[str]:
+        """The posts at either end of a cross-link, which no matched post is."""
+        return crosslink_involved_posts(self.links)
 
     @cached_property
     def baseline(self) -> dict:
         """The null-model rate: fixed by the config, measured on matched
         pairs, or the default when no pair is eligible (``fallback``)."""
+        if "baseline" in self.hits:
+            return json.loads((self.out / "baseline.json").read_text(encoding="utf-8"))
         config = self.config
         if config.baseline != "auto":
             value, mode = float(config.baseline), "fixed"
         else:
             try:
                 value = baseline_ratio(self.corpus, self.links, window_hours=config.window_hours,
-                                       stat=config.baseline_stat)
+                                       stat=config.baseline_stat, involved=self.involved,
+                                       counts=self.baseline_pairs)
                 mode = "auto"
             except BaselineError:
                 value, mode = config.default_baseline, "default"
@@ -251,8 +274,12 @@ class Run:
 
     @cached_property
     def records(self) -> list[MobilizationRecord]:
+        if "detect" in self.hits:
+            return [MobilizationRecord.from_dict(row)
+                    for row in _read_jsonl(self.out / "mobilizations.jsonl")]
         return [detect(self.corpus, link, self.baseline["value"], links=self.links,
-                       window_hours=self.config.window_hours) for link in self.links]
+                       window_hours=self.config.window_hours, involved=self.involved)
+                for link in self.links]
 
     @cached_property
     def mobilized(self) -> list[MobilizationRecord]:
@@ -358,7 +385,7 @@ def stage_crosslinks(run: Run) -> dict:
 
 def stage_baseline(run: Run) -> dict:
     _write_json(run.out / "baseline.json", run.baseline)
-    return {"value": run.baseline["value"]}
+    return {"value": run.baseline["value"], **run.baseline_pairs}
 
 
 def stage_detect(run: Run) -> dict:
@@ -367,7 +394,8 @@ def stage_detect(run: Run) -> dict:
     _write_jsonl(run.out / "mobilizations.jsonl", rows)
     # machine-readable alert feed: just the positive verdicts
     _write_jsonl(run.out / "alerts.jsonl", alerts)
-    return {"records": len(rows), "mobilizations": len(alerts)}
+    return {"records": len(rows), "mobilizations": len(alerts),
+            "no_matched_thread": sum(1 for r in run.records if r.matched_before is None)}
 
 
 def stage_sentiment(run: Run) -> dict:
@@ -391,8 +419,12 @@ def stage_impact(run: Run) -> dict:
     outcomes, rows = [], []
     attacker_deltas, defender_deltas = [], []
     attacker_pairs, defender_pairs = [], []
+    counts = {"no_matched_attacker": 0, "no_matched_defender": 0, "low_support": 0}
     for record in run.mobilized:
         impacts = impact_mod.mobilization_impacts(run.corpus, record, seed=impact_seed)
+        for i in impacts:
+            counts[f"no_matched_{i.role}"] += i.matched_delta is None
+            counts["low_support"] += i.low_support
         defenders = [i for i in impacts if i.role == "defender"]
         attackers = [i for i in impacts if i.role == "attacker"]
         attacker_deltas.extend(i.delta for i in attackers)
@@ -443,7 +475,7 @@ def stage_impact(run: Run) -> dict:
         except ValueError:
             tests[name] = None
     _write_json(run.out / "stat_tests.json", tests)
-    return {"outcomes": len(outcomes)}
+    return {"outcomes": len(outcomes), **counts}
 
 
 def stage_embed(run: Run) -> dict:
@@ -614,7 +646,7 @@ def run_pipeline(config: Config) -> PipelineResult:
     old = _previous_manifest(old_text)
     old_stages, old_files = old.get("stages", {}), old.get("files", {})
     digests = _input_digests(run)
-    keys, stages, files, cache_hits = {}, {}, {}, []
+    keys, stages, files, cache_hits = {}, {}, {}, run.hits
     for name in STAGE_ORDER[:-1]:  # the last stage, report, is the manifest written below
         stage = STAGES[name]
         if stage.enabled_by and not getattr(config, stage.enabled_by):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from intercom.cli import main
+from intercom.pipeline import STAGE_ORDER
 from intercom.synth import SynthSpec, generate_corpus
 
 from conftest import write_canary_pickle
@@ -140,6 +141,39 @@ def test_report_command(synth, tmp_path, capsys):
     assert main(["report", "--config", str(config_file), "--corpus", events_path,
                  "--out", str(out_dir)]) == 0
     assert (out_dir / "manifest.json").exists()
+
+
+def test_report_verbose_prints_one_line_per_stage(synth, tmp_path, capsys):
+    events_path, _ = synth
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main(["report", "--corpus", events_path, "--out", str(quiet)]) == 0
+    quiet_out = capsys.readouterr().out
+    assert main(["report", "-v", "--corpus", events_path, "--out", str(loud)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == quiet_out.replace(str(quiet), str(loud))
+    assert {p.name: p.read_bytes() for p in quiet.iterdir()} == \
+        {p.name: p.read_bytes() for p in loud.iterdir()}
+
+    stages = json.loads((loud / "manifest.json").read_text())["stages"]
+    lines = [line for line in captured.err.splitlines() if line.startswith("stage ")]
+    assert [line.split(":")[0] for line in lines] == \
+        [f"stage {name}" for name in STAGE_ORDER if name in stages]
+    assert all(line.split(": ")[1].startswith("ran") for line in lines)
+    by_stage = {line.split(":")[0][len("stage "):]: line for line in lines}
+    baseline = stages["baseline"]
+    assert by_stage["baseline"] == (
+        f"stage baseline: ran eligible_pairs={baseline['eligible_pairs']} "
+        f"no_matched_post={baseline['no_matched_post']} "
+        f"precount_skipped={baseline['precount_skipped']} value={baseline['value']}")
+    assert f"no_matched_thread={stages['detect']['no_matched_thread']}" in by_stage["detect"]
+    assert f"low_support={stages['impact']['low_support']}" in by_stage["impact"]
+    assert by_stage["report"] == "stage report: ran"
+
+    # the flag also works before the command; a re-run hits every stage
+    assert main(["-v", "report", "--corpus", events_path, "--out", str(loud)]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("stage ")]
+    assert len(lines) == len(stages)
+    assert all(line.split(": ")[1].startswith("hit") for line in lines)
 
 
 def test_impact_command(synth, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 
 import pytest
@@ -214,6 +215,41 @@ def test_members_window_and_exclusion():
     assert members(corpus, "C", d, "D") == {"u_in"}
     assert members(corpus, "C", d) == {"u_in", "u_both"}
     assert members(corpus, "nowhere", d, "D") == set()
+
+
+def test_members_sees_events_added_after_an_earlier_call():
+    # the membership timeline is built on first use; rebuilding the indexes
+    # must drop it
+    d = BASE + 60 * DAY
+    corpus = corpus_from([
+        post("p1", "x", "C", BASE),
+        post("p2", "x", "D", BASE),
+        comment("c1", "u1", "C", d - 5 * DAY, "p1"),
+    ])
+    assert members(corpus, "C", d, "D") == {"u1"}
+    assert members(corpus, "E", d) == set()
+    corpus.add(comment("c2", "u2", "C", d - 6 * DAY, "p1"))
+    corpus.add(comment("c3", "u1", "D", d - 7 * DAY, "p2"))
+    corpus.add(post("p3", "x", "E", BASE))
+    corpus.add(comment("c4", "u3", "E", d - DAY, "p3"))
+    corpus.build_indexes()
+    assert members(corpus, "C", d) == {"u1", "u2"}
+    assert members(corpus, "C", d, "D") == {"u2"}
+    assert members(corpus, "E", d) == {"u3"}
+
+
+def test_members_unknown_community_warns(caplog):
+    d = BASE + 60 * DAY
+    corpus = corpus_from([post("p1", "x", "C", BASE), comment("c1", "u1", "C", d - DAY, "p1")])
+    with caplog.at_level(logging.WARNING, logger="intercom.corpus"):
+        assert members(corpus, "nowhere", d) == set()
+        assert members(corpus, "nowhere", d, "C") == set()
+    assert caplog.text.count("members(): unknown community 'nowhere'") == 2
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="intercom.corpus"):
+        # an unknown excluded community excludes nobody, silently
+        assert members(corpus, "C", d, "nowhere") == {"u1"}
+    assert caplog.text == ""
 
 
 def test_members_mutually_exclusive():

@@ -20,7 +20,7 @@ from intercom.pipeline import (
 )
 from intercom.synth import SynthSpec, generate_corpus
 
-from conftest import write_canary_pickle, write_events
+from conftest import BASE, DAY, HOUR, comment, post, write_canary_pickle, write_events
 
 
 @pytest.fixture(scope="module")
@@ -250,3 +250,95 @@ def test_replynet_runs_two_pageranks_per_mobilization_with_the_config(synth_corp
     rows = Run(config).replynet_rows
     assert rows and len(calls) == 2 * len(rows)
     assert all(kw == {"alpha": 0.3, "tol": 1e-9, "max_iter": 5000} for kw in calls)
+
+
+def test_rerun_reads_cached_links_baseline_and_records_back(synth_corpus, tmp_path, monkeypatch):
+    events_path, _ = synth_corpus
+    out = tmp_path / "run"
+    run_pipeline(Config(corpus=str(events_path), output_dir=str(out), seed=3))
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("extract_crosslinks", "baseline_ratio", "detect"):
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    changed = dict(corpus=str(events_path), seed=3, alpha=0.3)
+    rerun = run_pipeline(Config(output_dir=str(out), **changed))
+    assert rerun.cache_hits == ["ingest", "crosslinks", "baseline", "detect", "sentiment"]
+    assert calls == []
+    run_pipeline(Config(output_dir=str(tmp_path / "fresh"), **changed))
+    assert sorted(set(calls)) == ["baseline_ratio", "detect", "extract_crosslinks"]
+    assert bundle_bytes(out) == bundle_bytes(tmp_path / "fresh")
+
+
+def _fallback_corpus():
+    """Three cross-links from community A, one per fallback of the null model.
+
+    * pa1 -> pb1 (B): a mobilization. Its matched post pb2 gives the one
+      eligible baseline pair (pre-counts 2 and 0, ratio 1.0). Attackers
+      a1..a5 all commented in the thread, so none has a matched user;
+      defenders b1, b2 are matched among s1..s6 (B members, not in the
+      thread). a1, a2 and b1 comment 5-6 days after t0; the other 4 impact
+      records have no comment in the after window (low support).
+    * pa2 -> pc1: pc1 is the only post of C, so the link has no matched
+      post and no matched thread.
+    * pa3 -> pb3, 20 days earlier: s1..s6 make 6 pre-window comments on pb3
+      and none on its matched post pb4, so the pair is skipped for its
+      pre-count difference.
+    """
+    t0 = BASE + 50 * DAY + 15 * HOUR
+    t3 = t0 - 20 * DAY
+    events = [
+        post("pa0", "author0", "A", BASE + 10 * DAY),
+        post("pb0", "author0", "B", BASE + 10 * DAY + HOUR),
+        post("pb1", "target_author", "B", t0 - 14 * HOUR),
+        post("pb2", "target_author", "B", t0 - 14 * HOUR + 600),
+        post("pa1", "linker", "A", t0, body="r/B/comments/pb1"),
+        post("pc1", "c_author", "C", t0 - 10 * HOUR),
+        post("pa2", "linker", "A", t0 + 60, body="r/C/comments/pc1"),
+        post("pb3", "target_author", "B", t3 - 14 * HOUR),
+        post("pb4", "target_author", "B", t3 - 14 * HOUR + 300),
+        post("pa3", "linker", "A", t3, body="r/B/comments/pb3"),
+    ]
+    for i in range(1, 6):
+        events.append(comment(f"m{i}", f"a{i}", "A", t0 - 10 * DAY + i, "pa0"))
+    for i in (1, 2):
+        events.append(comment(f"d{i}", f"b{i}", "B", t0 - 9 * DAY + i, "pb0"))
+    events.append(comment("pre1", "a1", "B", t0 - 2 * HOUR, "pb1"))
+    events.append(comment("pre2", "a2", "B", t0 - 1 * HOUR, "pb1"))
+    for k in range(9):
+        events.append(comment(f"aft{k}", f"a{1 + k % 5}", "B", t0 + 600 + k * 60, "pb1"))
+    events.append(comment("def1", "b1", "B", t0 + 3600, "pb1", parent_id="aft0"))
+    events.append(comment("def2", "b2", "B", t0 + 4000, "pb1"))
+    for user, days in (("a1", 5), ("a2", 5), ("b1", 6)):
+        events.append(comment(f"late_{user}", user, "B", t0 + days * DAY, "pb0"))
+    for i in range(1, 7):
+        events.append(comment(f"s_home{i}", f"s{i}", "A", BASE + 15 * DAY + i, "pa0"))
+        events.append(comment(f"s_pre{i}", f"s{i}", "B", t3 - HOUR + i, "pb3"))
+    return events
+
+
+def test_stage_info_counts_every_fallback(tmp_path):
+    events_path = write_events(tmp_path / "events.jsonl", _fallback_corpus())
+    result = run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "run")))
+    stages = result.manifest["stages"]
+    assert stages["crosslinks"]["links"] == 3
+    assert {k: stages["baseline"][k] for k in
+            ("value", "eligible_pairs", "no_matched_post", "precount_skipped")} == {
+        "value": 1.0, "eligible_pairs": 1, "no_matched_post": 1, "precount_skipped": 1}
+    assert {k: stages["detect"][k] for k in ("records", "mobilizations", "no_matched_thread")} == {
+        "records": 3, "mobilizations": 1, "no_matched_thread": 1}
+    assert {k: stages["impact"][k] for k in
+            ("outcomes", "no_matched_attacker", "no_matched_defender", "low_support")} == {
+        "outcomes": 1, "no_matched_attacker": 5, "no_matched_defender": 0, "low_support": 4}
+
+
+def test_fixed_baseline_has_no_pair_counts(synth_corpus, tmp_path):
+    events_path, _ = synth_corpus
+    result = run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "run"),
+                                 baseline="1.6"))
+    assert set(result.manifest["stages"]["baseline"]) == {"key", "outputs", "value"}
