@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -164,7 +165,8 @@ def _parse_record(obj: dict) -> Event | None:
     if kind not in ("post", "comment"):
         return None
     ts = obj["timestamp"]
-    if not isinstance(ts, (int, float)) or ts < 0:
+    # json also gives true, NaN, Infinity and ints past the float range
+    if isinstance(ts, bool) or not isinstance(ts, (int, float)) or not 0 <= ts <= sys.float_info.max:
         return None
     thread_id = obj.get("thread_id")
     parent_id = obj.get("parent_id")

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus
+from .lstm import _sigmoid
 
 NEGATIVE_SAMPLES = 5
 EMBED_DIM = 300
@@ -121,10 +122,6 @@ class EmbeddingTable:
 
     def has_community(self, community: str) -> bool:
         return community in self._cix
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
 
 def edge_loss(u: np.ndarray, c_pos: np.ndarray, c_negs: np.ndarray) -> float:

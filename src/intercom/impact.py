@@ -177,7 +177,8 @@ def decile_series(
     return SuccessSeries(points=list(zip(xs, moving_average(ys, window))), smoothed=True)
 
 
-def _midranks(values) -> list[float]:
+def midranks(values) -> list[float]:
+    """1-based ranks of ``values``, ties given the mean of their positions."""
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
     i = 0
@@ -215,7 +216,7 @@ def mann_whitney_u(a, b, exact_max: int = MWU_EXACT_MAX) -> tuple[float, float]:
     if n1 == 0 or n2 == 0:
         raise ValueError("both samples must be non-empty")
     pooled = a + b
-    ranks = _midranks(pooled)
+    ranks = midranks(pooled)
     r1 = sum(ranks[:n1])
     u = r1 - n1 * (n1 + 1) / 2.0
     mu = n1 * n2 / 2.0
@@ -254,7 +255,7 @@ def wilcoxon_signed_rank(pairs, exact_max: int = WILCOXON_EXACT_MAX) -> tuple[fl
     n = len(diffs)
     if n == 0:
         raise ValueError("all differences are zero")
-    abs_ranks = _midranks([abs(d) for d in diffs])
+    abs_ranks = midranks([abs(d) for d in diffs])
     w = sum(r for r, d in zip(abs_ranks, diffs) if d > 0)
     mu = n * (n + 1) / 4.0
 

@@ -7,10 +7,10 @@ import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
 
-GATES = ("i", "f", "o", "g")
-PARAM_KEYS = tuple(f"{kind}_{gate}" for gate in GATES for kind in ("w", "u", "b")) + ("theta",)
+GATES = ("i", "f", "o", "g")  # order of the gate blocks in w, u and b
+PARAM_KEYS = ("w", "u", "b", "theta")
 CHECKPOINT_FORMAT = "intercom-lstm"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class NanError(FloatingPointError):
@@ -21,7 +21,11 @@ class NanError(FloatingPointError):
 
 @dataclass
 class LSTMParams:
-    """Canonical no-peephole cell plus a logistic readout over the mean state."""
+    """Canonical no-peephole cell plus a logistic readout over the mean state.
+
+    The gates are stacked in ``GATES`` order, one block of ``hidden_dim``
+    rows each: ``w`` (4h x d) and ``u`` (4h x h) are the input and recurrent
+    weights, ``b`` (4h) the biases and ``theta`` (h) the readout."""
 
     input_dim: int
     hidden_dim: int
@@ -39,16 +43,17 @@ class LSTMParams:
 
 
 def init_params(input_dim: int, hidden_dim: int = 64, seed: int = 0) -> LSTMParams:
-    """Uniform +/-1/sqrt(h) weights; forget-gate bias starts at 1.0 so early
-    training does not wash out the cell state."""
+    """Uniform +/-1/sqrt(h) weights, drawn gate by gate (w then u); the
+    forget-gate bias starts at 1.0 so early training does not wash out the
+    cell state."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(hidden_dim)
-    weights: dict[str, np.ndarray] = {}
-    for gate in GATES:
-        weights[f"w_{gate}"] = rng.uniform(-scale, scale, size=(hidden_dim, input_dim))
-        weights[f"u_{gate}"] = rng.uniform(-scale, scale, size=(hidden_dim, hidden_dim))
-        weights[f"b_{gate}"] = np.ones(hidden_dim) if gate == "f" else np.zeros(hidden_dim)
-    weights["theta"] = rng.uniform(-scale, scale, size=hidden_dim)
+    blocks = [(rng.uniform(-scale, scale, size=(hidden_dim, input_dim)),
+               rng.uniform(-scale, scale, size=(hidden_dim, hidden_dim))) for _ in GATES]
+    b = np.zeros(4 * hidden_dim)
+    b[hidden_dim:2 * hidden_dim] = 1.0
+    weights = {"w": np.vstack([w for w, _ in blocks]), "u": np.vstack([u for _, u in blocks]),
+               "b": b, "theta": rng.uniform(-scale, scale, size=hidden_dim)}
     return LSTMParams(input_dim=input_dim, hidden_dim=hidden_dim, weights=weights)
 
 
@@ -69,9 +74,7 @@ def load_params(path) -> tuple[LSTMParams, dict]:
     if not (isinstance(d, int) and isinstance(h, int) and d >= 1 and h >= 1
             and isinstance(raw, dict) and sorted(raw) == sorted(PARAM_KEYS)):
         raise ValueError(f"{path}: malformed LSTM checkpoint")
-    shapes = {"theta": (h,)}
-    for gate in GATES:
-        shapes.update({f"w_{gate}": (h, d), f"u_{gate}": (h, h), f"b_{gate}": (h,)})
+    shapes = {"w": (4 * h, d), "u": (4 * h, h), "b": (4 * h,), "theta": (h,)}
     weights = {k: np.asarray(raw[k], dtype=np.float64) for k in PARAM_KEYS}
     if any(weights[k].shape != shapes[k] for k in PARAM_KEYS):
         raise ValueError(f"{path}: weights do not fit an LSTM of input {d} and hidden size {h}")
@@ -97,10 +100,9 @@ def lstm_forward(seq: np.ndarray, params: LSTMParams, with_cache: bool = False):
     cache = []
     for t in range(T):
         x = seq[t]
-        gi = _sigmoid(w["w_i"] @ x + w["u_i"] @ h + w["b_i"])
-        gf = _sigmoid(w["w_f"] @ x + w["u_f"] @ h + w["b_f"])
-        go = _sigmoid(w["w_o"] @ x + w["u_o"] @ h + w["b_o"])
-        gg = np.tanh(w["w_g"] @ x + w["u_g"] @ h + w["b_g"])
+        z = w["w"] @ x + w["u"] @ h + w["b"]
+        gi, gf, go = _sigmoid(z[:3 * hdim]).reshape(3, hdim)
+        gg = np.tanh(z[3 * hdim:])
         c_new = gf * c + gi * gg
         tanh_c = np.tanh(c_new)
         h_new = go * tanh_c
@@ -119,9 +121,14 @@ def mean_hidden(seq: np.ndarray, params: LSTMParams) -> np.ndarray:
     return lstm_forward(seq, params).mean(axis=0)
 
 
+def readout(hbar: np.ndarray, params: LSTMParams) -> float:
+    """Mobilization probability from a mean hidden state."""
+    return float(_sigmoid(params.weights["theta"] @ hbar))
+
+
 def predict_prob(seq: np.ndarray, params: LSTMParams) -> float:
     """Mobilization probability: logistic readout of the mean hidden state."""
-    return float(_sigmoid(params.weights["theta"] @ mean_hidden(seq, params)))
+    return readout(mean_hidden(seq, params), params)
 
 
 def example_loss(seq: np.ndarray, label: int, params: LSTMParams) -> float:
@@ -137,14 +144,14 @@ def bptt(seq: np.ndarray, label: int, params: LSTMParams):
     T = hs.shape[0]
     w = params.weights
     hbar = hs.mean(axis=0)
-    y = float(_sigmoid(w["theta"] @ hbar))
+    y = readout(hbar, params)
     y_safe = min(max(y, 1e-12), 1.0 - 1e-12)
     loss = -(label * np.log(y_safe) + (1 - label) * np.log(1.0 - y_safe))
 
     grads = params.zeros_like()
-    dz = y - label  # d loss / d (theta . hbar)
-    grads["theta"] = dz * hbar
-    dh_pool = dz * w["theta"] / T
+    dlogit = y - label  # d loss / d (theta . hbar)
+    grads["theta"] = dlogit * hbar
+    dh_pool = dlogit * w["theta"] / T
 
     dh_carry = np.zeros(params.hidden_dim)
     dc_carry = np.zeros(params.hidden_dim)
@@ -156,17 +163,12 @@ def bptt(seq: np.ndarray, label: int, params: LSTMParams):
         di = dc * gg
         dg = dc * gi
         df = dc * c_prev
-        dz_i = di * gi * (1.0 - gi)
-        dz_f = df * gf * (1.0 - gf)
-        dz_o = do * go * (1.0 - go)
-        dz_g = dg * (1.0 - gg**2)
-        for gate, dzg in (("i", dz_i), ("f", dz_f), ("o", dz_o), ("g", dz_g)):
-            grads[f"w_{gate}"] += np.outer(dzg, x)
-            grads[f"u_{gate}"] += np.outer(dzg, h_prev)
-            grads[f"b_{gate}"] += dzg
-        dh_carry = (
-            w["u_i"].T @ dz_i + w["u_f"].T @ dz_f + w["u_o"].T @ dz_o + w["u_g"].T @ dz_g
-        )
+        dz = np.concatenate([di * gi * (1.0 - gi), df * gf * (1.0 - gf),
+                             do * go * (1.0 - go), dg * (1.0 - gg**2)])
+        grads["w"] += np.outer(dz, x)
+        grads["u"] += np.outer(dz, h_prev)
+        grads["b"] += dz
+        dh_carry = w["u"].T @ dz
         dc_carry = dc * gf
     return loss, grads, y
 

@@ -20,7 +20,7 @@ from . import impact as impact_mod
 from . import predictor as pred_mod
 from .corpus import CorpusError, CrossLink, extract_crosslinks, load_events
 from .forest import load_forest, train_forest
-from .lstm import init_params, mean_hidden, save_params
+from .lstm import init_params, mean_hidden, readout, save_params
 from .matching import crosslink_involved_posts
 from .mobilization import BaselineError, MobilizationRecord, baseline_ratio, detect
 from .replynet import build_reply_graph, echo_metrics, group_pagerank, anger_rate
@@ -219,10 +219,10 @@ class Run:
     use. The CLI commands use the same values.
 
     ``run_pipeline`` lists every stage that hits the cache in ``hits``. The
-    links, the baseline and the detect records of a stage that hit are read
-    back from its outputs, whose digests ``run_pipeline`` has checked. The
-    embeddings are always read from the bundle (``embed.load_table``); the
-    reply-network rows are recomputed."""
+    links, the baseline, the detect records and the reply-network rows of a
+    stage that hit are read back from its outputs, whose digests
+    ``run_pipeline`` has checked. The embeddings are always read from the
+    bundle (``embed.load_table``)."""
 
     def __init__(self, config: Config):
         self.config = config
@@ -288,6 +288,10 @@ class Run:
     @cached_property
     def replynet_rows(self) -> list[list]:
         """One REPLYNET_HEADER row per mobilization with both attackers and defenders."""
+        if "replynet" in self.hits:
+            with open(self.out / "replynet.csv", "r", encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            return [[row[0], *(None if v == "" else float(v) for v in row[1:])] for row in rows]
         config = self.config
         rows = []
         for record in self.mobilized:
@@ -512,21 +516,14 @@ def stage_predict(run: Run) -> dict:
 
     tfidf_vectors = community_tfidf_vectors(corpus, config.vocab_size)
     link_by_id = {l.source_post: l for l in run.links}
-    test = set(dataset.test_idx.tolist())
-    feats, uembs, cembs, hiddens, ys = [], [], [], [], []
-    test_scores, test_labels = [], []
-    for i, link_id in enumerate(dataset.link_ids):
-        seq = dataset.sequences[i]
-        score = pred_mod.predict_prob(seq, result.params)
-        if i in test:
-            test_scores.append(score)
-            test_labels.append(int(dataset.labels[i]))
+    ys = dataset.labels.tolist()
+    test_y = [ys[i] for i in dataset.test_idx]
+    feats, hiddens, scores = [], [], []
+    for link_id, seq in zip(dataset.link_ids, dataset.sequences):
+        hiddens.append(mean_hidden(seq, result.params))
+        scores.append(readout(hiddens[-1], result.params))
         feats.append(pred_mod.baseline_features(
             corpus, link_by_id[link_id], run.lexicon, tfidf_vectors=tfidf_vectors))
-        uembs.append(seq[0])
-        cembs.append((seq[1], seq[2]))
-        hiddens.append(mean_hidden(seq, result.params))
-        ys.append(int(dataset.labels[i]))
 
     def forest_auc(rows):
         train_y = [ys[i] for i in dataset.train_idx]
@@ -534,16 +531,16 @@ def stage_predict(run: Run) -> dict:
             return None
         forest = train_forest([rows[i] for i in dataset.train_idx], train_y,
                               trees=config.ensemble_trees, seed=substream_seed(config.seed, "forest"))
-        test_y = [ys[i] for i in dataset.test_idx]
         if len(set(test_y)) < 2:
             return None
         proba = forest.predict_proba([rows[i] for i in dataset.test_idx])[:, forest.classes.index(1)]
         return pred_mod.auc(proba, test_y)
 
-    lstm_auc = pred_mod.auc(test_scores, test_labels) if len(set(test_labels)) == 2 else None
+    lstm_auc = (pred_mod.auc([scores[i] for i in dataset.test_idx], test_y)
+                if len(set(test_y)) == 2 else None)
     baseline_auc = forest_auc(feats)
-    ensemble_rows = [pred_mod.ensemble_features(f, u, cs, ct, h)
-                     for f, u, (cs, ct), h in zip(feats, uembs, cembs, hiddens)]
+    ensemble_rows = [pred_mod.ensemble_features(f, seq[0], seq[1], seq[2], h)
+                     for f, seq, h in zip(feats, dataset.sequences, hiddens)]
     _write_json(run.out / "predict.json", {
         "examples": len(ys),
         "train": int(dataset.train_idx.size),

@@ -8,6 +8,7 @@ import numpy as np
 
 from .corpus import Corpus, CrossLink
 from .embed import EmbeddingTable
+from .impact import midranks
 from .lstm import LSTMParams, bptt, mean_hidden, predict_prob  # noqa: F401
 from .sentiment import Lexicon, extract_text_features, sparse_cosine, tfidf_similarity, tokenize
 
@@ -175,16 +176,7 @@ def auc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both positive and negative labels")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    sorted_scores = scores[order]
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
-        i = j + 1
+    ranks = np.asarray(midranks(scores.tolist()))
     r_pos = float(ranks[pos].sum())
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

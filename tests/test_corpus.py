@@ -64,6 +64,19 @@ def test_load_malformed_and_unknown_fields(tmp_path):
     assert corpus.stats.rejected == 3
 
 
+def test_load_rejects_non_finite_and_bool_timestamps(tmp_path):
+    path = tmp_path / "events.jsonl"
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"kind": "post", "id": "p0", "author": "u", "community": "A",
+                             "timestamp": BASE}) + "\n")
+        for i, raw in enumerate(("NaN", "Infinity", "-Infinity", "true", "false", "1" + "0" * 400)):
+            fh.write('{"kind": "post", "id": "p%d", "author": "u", "community": "A", '
+                     '"timestamp": %s}\n' % (i + 1, raw))
+    corpus = load_events(path)
+    assert list(corpus.posts) == ["p0"]
+    assert corpus.stats.rejected == 6
+
+
 def test_load_unreadable_file(tmp_path):
     with pytest.raises(CorpusError):
         load_events(tmp_path / "missing.jsonl")

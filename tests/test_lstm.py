@@ -34,14 +34,10 @@ def scalar_reference_forward(seq, params):
         x = seq[t]
         h_new, c_new = [0.0] * h, [0.0] * h
         for r in range(h):
-            zi = sum(w["w_i"][r][k] * x[k] for k in range(d)) \
-                + sum(w["u_i"][r][k] * h_prev[k] for k in range(h)) + w["b_i"][r]
-            zf = sum(w["w_f"][r][k] * x[k] for k in range(d)) \
-                + sum(w["u_f"][r][k] * h_prev[k] for k in range(h)) + w["b_f"][r]
-            zo = sum(w["w_o"][r][k] * x[k] for k in range(d)) \
-                + sum(w["u_o"][r][k] * h_prev[k] for k in range(h)) + w["b_o"][r]
-            zg = sum(w["w_g"][r][k] * x[k] for k in range(d)) \
-                + sum(w["u_g"][r][k] * h_prev[k] for k in range(h)) + w["b_g"][r]
+            zi, zf, zo, zg = (
+                sum(w["w"][k * h + r][j] * x[j] for j in range(d))
+                + sum(w["u"][k * h + r][j] * h_prev[j] for j in range(h)) + w["b"][k * h + r]
+                for k in range(4))
             c_new[r] = sig(zf) * c_prev[r] + sig(zi) * math.tanh(zg)
             h_new[r] = sig(zo) * math.tanh(c_new[r])
         hs.append(list(h_new))
@@ -107,10 +103,10 @@ def test_hidden_permutation_invariance():
     y = predict_prob(seq, params)
     perm = rng.permutation(5)
     permuted = params.copy()
-    for gate in "ifog":
-        permuted.weights[f"w_{gate}"] = params.weights[f"w_{gate}"][perm]
-        permuted.weights[f"u_{gate}"] = params.weights[f"u_{gate}"][perm][:, perm]
-        permuted.weights[f"b_{gate}"] = params.weights[f"b_{gate}"][perm]
+    rows = np.concatenate([k * 5 + perm for k in range(4)])  # perm within each gate block
+    permuted.weights["w"] = params.weights["w"][rows]
+    permuted.weights["u"] = params.weights["u"][rows][:, perm]
+    permuted.weights["b"] = params.weights["b"][rows]
     permuted.weights["theta"] = params.weights["theta"][perm]
     assert predict_prob(seq, permuted) == pytest.approx(y, abs=1e-14)
 
@@ -161,7 +157,7 @@ def test_corrupted_forget_gate_detected():
     _, analytic, _ = bptt(seq, 1, params)
     numeric = finite_difference_gradients(seq, 1, params)
     assert max_relative_error(analytic, numeric) < 1e-4
-    analytic["w_f"] = analytic["w_f"] + 0.05
+    analytic["w"][3:6] = analytic["w"][3:6] + 0.05  # the forget-gate block, rows h:2h
     assert max_relative_error(analytic, numeric) > 1e-2
 
 
@@ -203,3 +199,34 @@ def test_checkpoint_load_rejects_bad_files(tmp_path):
         path.write_text(json.dumps(case))
         with pytest.raises(ValueError):
             load_params(path)
+
+
+def test_init_params_stacks_the_per_gate_draws():
+    d, h, seed = 3, 4, 12
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / np.sqrt(h)
+    ws, us = [], []
+    for _gate in "ifog":
+        ws.append(rng.uniform(-scale, scale, size=(h, d)))
+        us.append(rng.uniform(-scale, scale, size=(h, h)))
+    theta = rng.uniform(-scale, scale, size=h)
+    params = init_params(d, h, seed=seed)
+    assert sorted(params.weights) == ["b", "theta", "u", "w"]
+    assert np.array_equal(params.weights["w"], np.vstack(ws))
+    assert np.array_equal(params.weights["u"], np.vstack(us))
+    assert np.array_equal(params.weights["b"], np.concatenate([np.zeros(h), np.ones(h), np.zeros(2 * h)]))
+    assert np.array_equal(params.weights["theta"], theta)
+
+
+def test_checkpoint_load_rejects_a_version_1_per_gate_file(tmp_path):
+    d, h = 3, 4
+    weights = {"theta": [0.0] * h}
+    for gate in "ifog":
+        weights.update({f"w_{gate}": [[0.0] * d] * h, f"u_{gate}": [[0.0] * h] * h,
+                        f"b_{gate}": [0.0] * h})
+    path = tmp_path / "lstm.json"
+    path.write_text(json.dumps({"format": "intercom-lstm", "version": 1, "input_dim": d,
+                                "hidden_dim": h, "seed": 0, "max_words": 5, "log": [],
+                                "weights": weights}))
+    with pytest.raises(ValueError, match="version"):
+        load_params(path)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import intercom
-from intercom import pipeline, replynet
+from intercom import lstm, pipeline, replynet
 from intercom.pipeline import (
     STAGES,
     Config,
@@ -342,3 +342,49 @@ def test_fixed_baseline_has_no_pair_counts(synth_corpus, tmp_path):
     result = run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "run"),
                                  baseline="1.6"))
     assert set(result.manifest["stages"]["baseline"]) == {"key", "outputs", "value"}
+
+
+def test_seed_only_rerun_reads_cached_replynet_rows_back(synth_corpus, tmp_path, monkeypatch):
+    events_path, _ = synth_corpus
+    out = tmp_path / "run"
+    run_pipeline(Config(corpus=str(events_path), output_dir=str(out), seed=3))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = pipeline.group_pagerank
+    monkeypatch.setattr(pipeline, "group_pagerank", counting)
+    rerun = run_pipeline(Config(corpus=str(events_path), output_dir=str(out), seed=4))
+    assert "replynet" in rerun.cache_hits and "impact" not in rerun.cache_hits
+    assert calls == []
+    run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "fresh"), seed=4))
+    assert calls
+    assert bundle_bytes(out) == bundle_bytes(tmp_path / "fresh")
+
+
+def test_predict_stage_runs_one_lstm_forward_per_link(synth_corpus, tmp_path, monkeypatch):
+    events_path, _ = synth_corpus
+    config = Config(corpus=str(events_path), output_dir=str(tmp_path), embed_enabled=True,
+                    predict_enabled=True, embed_dim=8, embed_epochs=2, hidden_size=6,
+                    predict_epochs=1, ensemble_trees=5, seed=3)
+    run = Run(config)
+    pipeline.stage_embed(run)
+    forwards, datasets = [], []
+
+    def counting_forward(*args, **kwargs):
+        forwards.append(args)
+        return original_forward(*args, **kwargs)
+
+    def train_then_count(*args, **kwargs):
+        dataset, result = original_train(*args, **kwargs)
+        datasets.append(dataset)
+        forwards.clear()  # count only the forwards after training
+        return dataset, result
+
+    original_forward, original_train = lstm.lstm_forward, pipeline.train_lstm
+    monkeypatch.setattr(lstm, "lstm_forward", counting_forward)
+    monkeypatch.setattr(pipeline, "train_lstm", train_then_count)
+    pipeline.stage_predict(run)
+    assert len(forwards) == len(datasets[0].link_ids) > 0
