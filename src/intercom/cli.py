@@ -14,8 +14,9 @@ from .corpus import CorpusError, load_events
 from .forest import train_forest
 from .lstm import load_params
 from .matching import NoMatchError, matched_post
-from .mobilization import BaselineError, detect
+from .mobilization import BaselineError
 from .pipeline import (
+    REPLYNET_HEADER,
     Config,
     ConfigError,
     Run,
@@ -28,7 +29,6 @@ from .pipeline import (
     stage_embed,
     train_lstm,
 )
-from .replynet import build_reply_graph, echo_metrics
 from .sentiment import crosslink_features
 from .synth import SynthError, SynthSpec, generate_corpus
 
@@ -50,14 +50,31 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _run(args, **fields) -> Run:
-    """The pipeline's values for the corpus options, plus ``fields``."""
-    if hasattr(args, "baseline"):
-        fields.update(baseline=args.baseline, baseline_stat=args.stat)
-    config = Config(corpus=args.corpus, host_allowlist=args.hosts,
-                    window_hours=args.window_hours, **fields)
+class UsageError(Exception):
+    pass
+
+
+def _setting(text: str) -> tuple[str, str]:
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    return key, value
+
+
+def _config(args, **fixed) -> Config:
+    """The config file, then ``--set``, then the path flags, then ``fixed``."""
+    config = load_config(args.config) if args.config else Config()
+    overrides = dict(args.set)
+    for key in ("corpus", "output_dir"):
+        if getattr(args, key, None):
+            overrides[key] = getattr(args, key)
+    apply_overrides(config, overrides)
+    for key, value in fixed.items():
+        setattr(config, key, value)
     config.validate()
-    return Run(config)
+    if not config.corpus:
+        raise UsageError("no corpus: pass --corpus, or set corpus in --config or --set")
+    return config
 
 
 def _emit(path: str | None, lines) -> None:
@@ -87,14 +104,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_crosslinks(args) -> int:
-    links = _run(args).links
+    links = Run(_config(args)).links
     _emit(args.out, _jsonl(dataclasses.asdict(link) for link in links))
     print(f"extracted {len(links)} cross-links", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_detect(args) -> int:
-    run = _run(args)
+    run = Run(_config(args))
     rows = [record.to_dict() for record in run.records]
     _emit(args.out, _jsonl(rows))
     n_mob = sum(1 for row in rows if row["verdict"] == "mobilization")
@@ -104,14 +121,14 @@ def cmd_detect(args) -> int:
 
 
 def cmd_match(args) -> int:
-    run = _run(args)
+    run = Run(_config(args))
     pair = matched_post(run.corpus, run.links, args.post)
     print(json.dumps(dataclasses.asdict(pair), sort_keys=True, indent=2))
     return EXIT_OK
 
 
 def cmd_sentiment(args) -> int:
-    run = _run(args, lexicon_dir=args.lexicon_dir or "", sentiment_model=args.model)
+    run = Run(_config(args, sentiment_model=args.model))
     if args.action == "predict":
         _emit(args.out, _jsonl(sentiment_rows(run)))
         return EXIT_OK
@@ -130,46 +147,30 @@ def cmd_sentiment(args) -> int:
             y.append(labels[link.source_post])
     if not X:
         raise ValueError("no labeled cross-links found")
-    forest = train_forest(X, y, trees=args.trees, seed=args.seed)
+    forest = train_forest(X, y, trees=args.trees, seed=run.config.seed)
     forest.save(args.model)
     print(f"trained on {len(X)} examples, oob_accuracy={forest.oob_accuracy}")
     return EXIT_OK
 
 
 def cmd_replynet(args) -> int:
-    run = _run(args)
-    by_id = {l.source_post: l for l in run.links}
+    run = Run(_config(args))
+    by_id = {record.id: record for record in run.records}
     if args.mobilization not in by_id:
         raise KeyError(f"no cross-link with source post {args.mobilization!r}")
-    link = by_id[args.mobilization]
-    record = detect(run.corpus, link, run.baseline["value"], window_hours=args.window_hours)
-    comments = run.corpus.thread_comments.get(link.target_post, [])
-    graph = build_reply_graph(comments, link.target_post, record.attackers, record.defenders)
+    graph, row = run.replynet(by_id[args.mobilization])
     _emit(args.out, [f"{src} {dst} {weight} {graph.nodes[src]} {graph.nodes[dst]}"
                      for (src, dst), weight in sorted(graph.edges.items())])
-    if record.attackers and record.defenders:
-        echo = echo_metrics(graph)
-        print(json.dumps(dataclasses.asdict(echo), sort_keys=True, indent=2, default=str),
-              file=sys.stderr)
+    if row is None:
+        print("no attackers or no defenders; no reply-network row", file=sys.stderr)
     else:
-        print("verdict is not a two-sided mobilization; no echo metrics", file=sys.stderr)
-    return EXIT_OK
-
-
-def cmd_impact(args) -> int:
-    config = Config(corpus=args.corpus, output_dir=args.out, seed=args.seed,
-                    baseline=args.baseline, window_hours=args.window_hours)
-    result = run_pipeline(config)
-    print(f"impact outputs in {result.output_dir}")
+        print(json.dumps(dict(zip(REPLYNET_HEADER, row)), sort_keys=True, indent=2),
+              file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_embed(args) -> int:
-    config = Config(corpus=args.corpus, output_dir=args.out, embed_dim=args.dim,
-                    embed_epochs=args.epochs, embed_negatives=args.negatives,
-                    vocab_size=args.vocab_size, seed=args.seed)
-    config.validate()
-    run = Run(config)
+    run = Run(_config(args))
     run.out.mkdir(parents=True, exist_ok=True)
     stage_embed(run)
     print((run.out / "embed.json").read_text(encoding="utf-8"), end="")
@@ -179,25 +180,18 @@ def cmd_embed(args) -> int:
 def cmd_predict(args) -> int:
     table, word_vectors = embed_mod.load_table(args.embeddings)
     if args.action == "train":
-        run = _run(args, hidden_size=args.hidden, predict_epochs=args.epochs,
-                   predict_lr=args.lr, max_words=args.max_words, seed=args.seed)
-        _, result = train_lstm(run, table, word_vectors, args.model)
+        _, result = train_lstm(Run(_config(args)), table, word_vectors, args.model)
         print(f"trained; best val AUC = {result.best_val_auc}")
         return EXIT_OK
 
     params, checkpoint = load_params(args.model)
-    run = _run(args, max_words=checkpoint["max_words"], seed=checkpoint["seed"])
+    run = Run(_config(args, max_words=checkpoint["max_words"], seed=checkpoint["seed"]))
     if args.action == "score":
-        rows = []
-        for link in run.links:
-            try:
-                seq = pred_mod.assemble_sequence(link, run.corpus, table, word_vectors,
-                                                 max_words=run.config.max_words)
-            except pred_mod.MissingEmbeddingError:
-                continue
-            rows.append({"source_post": link.source_post,
-                         "p_mobilization": pred_mod.predict_prob(seq, params)})
-        _emit(args.out, _jsonl(rows))
+        sequences, _ = pred_mod.assemble_sequences(run.corpus, run.links, table, word_vectors,
+                                                   max_words=run.config.max_words)
+        _emit(args.out, _jsonl({"source_post": link.source_post,
+                                "p_mobilization": pred_mod.predict_prob(seq, params)}
+                               for link, seq in zip(run.links, sequences)))
         return EXIT_OK
 
     # eval: rebuild the training run's dataset and split and report test AUC
@@ -228,14 +222,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    config = load_config(args.config) if args.config else Config()
-    overrides = dict(kv.split("=", 1) for kv in args.set)
-    if args.corpus:
-        overrides["corpus"] = args.corpus
-    if args.out:
-        overrides["output_dir"] = args.out
-    apply_overrides(config, overrides)
-    result = run_pipeline(config)
+    result = run_pipeline(_config(args))
     if args.verbose:
         for name, info in result.manifest["stages"].items():
             counters = " ".join(f"{key}={value}" for key, value in sorted(info.items())
@@ -247,88 +234,56 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _add_corpus_opts(p, baseline: bool = False):
-    p.add_argument("--corpus", required=True, help="event log .jsonl")
-    p.add_argument("--hosts", default="", help="comma-separated cross-link host allowlist")
-    p.add_argument("--window-hours", type=float, default=12.0, dest="window_hours")
-    if baseline:
-        p.add_argument("--baseline", default="auto", help="'auto' or a positive number")
-        p.add_argument("--stat", choices=("mean", "median"), default="mean")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="intercom",
                      description="Intercommunity mobilization detection and prediction toolkit")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every analysis command reads its Config the same way (``_config``)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="key = value config file")
+    shared.add_argument("--set", action="append", default=[], type=_setting, metavar="KEY=VALUE",
+                        help="config value; wins over the file (repeatable)")
+    shared.add_argument("--corpus", help="event log .jsonl; wins over the config's corpus")
+
+    def analysis(name, fn, help):
+        p = sub.add_parser(name, help=help, parents=[shared])
+        p.set_defaults(fn=fn)
+        return p
 
     p = sub.add_parser("ingest", help="parse an event log and write its load statistics")
     p.add_argument("path")
     p.add_argument("--index-out", required=True, dest="index_out")
     p.set_defaults(fn=cmd_ingest)
 
-    p = sub.add_parser("crosslinks", help="extract cross-community links")
-    _add_corpus_opts(p)
+    p = analysis("crosslinks", cmd_crosslinks, "extract cross-community links")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_crosslinks)
 
-    p = sub.add_parser("detect", help="classify cross-links against the null model")
-    _add_corpus_opts(p, baseline=True)
+    p = analysis("detect", cmd_detect, "classify cross-links against the null model")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_detect)
 
-    p = sub.add_parser("match", help="debug: nearest cross-link-free post")
-    _add_corpus_opts(p)
+    p = analysis("match", cmd_match, "debug: nearest cross-link-free post")
     p.add_argument("--post", required=True)
-    p.set_defaults(fn=cmd_match)
 
-    p = sub.add_parser("sentiment", help="train or apply the sentiment classifier")
+    p = analysis("sentiment", cmd_sentiment, "train or apply the sentiment classifier")
     p.add_argument("action", choices=("train", "predict"))
-    _add_corpus_opts(p)
     p.add_argument("--model", required=True)
     p.add_argument("--labels", help="CSV of source_post,label (train)")
-    p.add_argument("--lexicon-dir", dest="lexicon_dir")
     p.add_argument("--trees", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_sentiment)
 
-    p = sub.add_parser("replynet", help="reply graph and echo metrics for one mobilization")
-    _add_corpus_opts(p, baseline=True)
+    p = analysis("replynet", cmd_replynet, "reply graph and echo metrics for one mobilization")
     p.add_argument("--mobilization", required=True, help="source post id of the cross-link")
     p.add_argument("--out", help="edge list output (src dst weight groups)")
-    p.set_defaults(fn=cmd_replynet)
 
-    p = sub.add_parser("impact", help="activity deltas, defense success, series")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--baseline", default="auto")
-    p.add_argument("--window-hours", type=float, default=12.0, dest="window_hours")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_impact)
+    p = analysis("embed", cmd_embed, "train user, community and word embeddings")
+    p.add_argument("--out", required=True, dest="output_dir")
 
-    p = sub.add_parser("embed", help="train user, community and word embeddings")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--vocab-size", type=int, default=10000, dest="vocab_size")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_embed)
-
-    p = sub.add_parser("predict", help="train/eval/score the mobilization predictor")
+    p = analysis("predict", cmd_predict, "train/eval/score the mobilization predictor")
     p.add_argument("action", choices=("train", "eval", "score"))
-    _add_corpus_opts(p, baseline=True)
     p.add_argument("--embeddings", required=True, help="dir with users/communities/words .vec")
     p.add_argument("--model", required=True)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--max-words", type=int, default=50, dest="max_words")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with planted mobilizations")
     p.add_argument("--out", required=True)
@@ -343,24 +298,23 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("report", help="run the full pipeline and emit the report bundle")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--corpus")
-    p.add_argument("--out")
+    p = analysis("report", cmd_report, "run the full pipeline and emit the report bundle")
+    p.add_argument("--out", dest="output_dir")
     p.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS,
                    help="also print one line per stage to stderr: hit or ran, and its counters")
-    p.set_defaults(fn=cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA if isinstance(exc.cause, DATA_ERRORS) else EXIT_INTERNAL

@@ -22,8 +22,8 @@ from .corpus import CorpusError, CrossLink, extract_crosslinks, load_events
 from .forest import load_forest, train_forest
 from .lstm import init_params, mean_hidden, readout, save_params
 from .matching import crosslink_involved_posts
-from .mobilization import BaselineError, MobilizationRecord, baseline_ratio, detect
-from .replynet import build_reply_graph, echo_metrics, group_pagerank, anger_rate
+from .mobilization import DEFAULT_BASELINE, BaselineError, MobilizationRecord, baseline_ratio, detect
+from .replynet import ReplyGraph, anger_rate, build_reply_graph, echo_metrics, group_pagerank
 from .sentiment import builtin_lexicon, community_tfidf_vectors, load_lexicon, predict_sentiment
 
 log = logging.getLogger(__name__)
@@ -60,7 +60,6 @@ class Config:
     window_hours: float = 12.0
     baseline: str = "auto"  # "auto" or a positive float literal
     baseline_stat: str = "mean"
-    default_baseline: float = 1.6
     alpha: float = 0.25
     pagerank_tol: float = 1e-10
     pagerank_max_iter: int = 10000
@@ -92,7 +91,6 @@ class Config:
             (self.predict_lr > 0, "predict_lr must be positive"),
             (self.max_words >= 0, "max_words must be >= 0"),
             (self.ensemble_trees >= 1, "ensemble_trees must be >= 1"),
-            (self.default_baseline > 0, "default_baseline must be positive"),
             (self.baseline_stat in ("mean", "median"), "baseline_stat must be mean or median"),
         ]
         for ok, message in checks:
@@ -267,7 +265,7 @@ class Run:
                                        counts=self.baseline_pairs)
                 mode = "auto"
             except BaselineError:
-                value, mode = config.default_baseline, "default"
+                value, mode = DEFAULT_BASELINE, "default"
                 log.warning("no eligible matched pairs; using default baseline %.3f", value)
         return {"value": value, "mode": mode, "stat": config.baseline_stat,
                 "fallback": mode == "default"}
@@ -292,35 +290,38 @@ class Run:
             with open(self.out / "replynet.csv", "r", encoding="utf-8", newline="") as fh:
                 rows = list(csv.reader(fh))[1:]
             return [[row[0], *(None if v == "" else float(v) for v in row[1:])] for row in rows]
+        return [self.replynet(record)[1] for record in self.mobilized
+                if record.attackers and record.defenders]
+
+    def replynet(self, record: MobilizationRecord) -> tuple[ReplyGraph, list | None]:
+        """The reply graph of the record's target thread, and its
+        REPLYNET_HEADER row when it has both attackers and defenders."""
         config = self.config
-        rows = []
-        for record in self.mobilized:
-            if not record.attackers or not record.defenders:
-                continue
-            comments = self.corpus.thread_comments.get(record.crosslink.target_post, [])
-            graph = build_reply_graph(comments, record.crosslink.target_post,
-                                      record.attackers, record.defenders)
-            apr = group_pagerank(graph, "attackers", alpha=config.alpha,
-                                 tol=config.pagerank_tol, max_iter=config.pagerank_max_iter).scores
-            echo = echo_metrics(graph, apr)
-            dpr = group_pagerank(graph, "defenders", alpha=config.alpha,
-                                 tol=config.pagerank_tol, max_iter=config.pagerank_max_iter).scores
-            defender_out = sum(w for (i, _j), w in graph.edges.items() if i in record.defenders)
-            reply_frac = (echo.defender_attacker_weight / defender_out) if defender_out else 0.0
-            mean_dapr = sum(apr[u] for u in sorted(record.defenders)) / len(record.defenders)
-            mean_adpr = sum(dpr[u] for u in sorted(record.attackers)) / len(record.attackers)
-            rows.append([
-                record.id, echo.n_attackers, echo.n_defenders,
-                echo.attacker_attacker_weight, echo.attacker_defender_weight,
-                echo.defender_defender_weight, echo.defender_attacker_weight,
-                _clean(echo.attacker_within_cross_ratio), _clean(echo.defender_within_cross_ratio),
-                _clean(echo.cross_group_ratio),
-                echo.defender_apr_zero_fraction, echo.defender_apr_tentimes_fraction,
-                reply_frac, mean_dapr, mean_adpr,
-                anger_rate(comments, self.lexicon, record.attackers, record.defenders),
-                anger_rate(comments, self.lexicon, record.defenders, record.attackers),
-            ])
-        return rows
+        comments = self.corpus.thread_comments.get(record.crosslink.target_post, [])
+        graph = build_reply_graph(comments, record.crosslink.target_post,
+                                  record.attackers, record.defenders)
+        if not record.attackers or not record.defenders:
+            return graph, None
+        apr = group_pagerank(graph, "attackers", alpha=config.alpha,
+                             tol=config.pagerank_tol, max_iter=config.pagerank_max_iter).scores
+        echo = echo_metrics(graph, apr)
+        dpr = group_pagerank(graph, "defenders", alpha=config.alpha,
+                             tol=config.pagerank_tol, max_iter=config.pagerank_max_iter).scores
+        defender_out = sum(w for (i, _j), w in graph.edges.items() if i in record.defenders)
+        reply_frac = (echo.defender_attacker_weight / defender_out) if defender_out else 0.0
+        mean_dapr = sum(apr[u] for u in sorted(record.defenders)) / len(record.defenders)
+        mean_adpr = sum(dpr[u] for u in sorted(record.attackers)) / len(record.attackers)
+        return graph, [
+            record.id, echo.n_attackers, echo.n_defenders,
+            echo.attacker_attacker_weight, echo.attacker_defender_weight,
+            echo.defender_defender_weight, echo.defender_attacker_weight,
+            _clean(echo.attacker_within_cross_ratio), _clean(echo.defender_within_cross_ratio),
+            _clean(echo.cross_group_ratio),
+            echo.defender_apr_zero_fraction, echo.defender_apr_tentimes_fraction,
+            reply_frac, mean_dapr, mean_adpr,
+            anger_rate(comments, self.lexicon, record.attackers, record.defenders),
+            anger_rate(comments, self.lexicon, record.defenders, record.attackers),
+        ]
 
 
 REPLYNET_HEADER = [
@@ -563,13 +564,14 @@ class Stage:
     outputs: tuple[str, ...]  # bundle files it writes
     fn: Callable[[Run], dict]
     enabled_by: str = ""  # Config flag that switches the stage on; empty: always on
+    version: int = 1  # raise when the stage's outputs change for the same inputs
 
 
 STAGES = {stage.name: stage for stage in [
     Stage("ingest", ("corpus",), (), ("ingest.json",), stage_ingest),
     Stage("crosslinks", ("host_allowlist", "window_hours"), ("ingest",),
           ("crosslinks.jsonl",), stage_crosslinks),
-    Stage("baseline", ("window_hours", "baseline", "baseline_stat", "default_baseline"),
+    Stage("baseline", ("window_hours", "baseline", "baseline_stat"),
           ("ingest", "crosslinks"), ("baseline.json",), stage_baseline),
     Stage("detect", ("window_hours",), ("ingest", "crosslinks", "baseline"),
           ("mobilizations.jsonl", "alerts.jsonl"), stage_detect),
@@ -605,6 +607,7 @@ def _input_digests(run: Run) -> dict[str, str]:
 def _stage_key(stage: Stage, config: Config, digests: dict, keys: dict) -> str:
     material = {
         "stage": stage.name,
+        "version": stage.version,
         "config": {k: digests.get(k, getattr(config, k)) for k in stage.keys},
         "upstream": {name: keys[name] for name in stage.upstream},
     }
@@ -625,10 +628,10 @@ def run_pipeline(config: Config) -> PipelineResult:
     """Run the stages of ``STAGES`` in STAGE_ORDER, then write the manifest
     (the report stage).
 
-    A stage's key hashes its name, its config keys (input paths by content)
-    and its upstream stages' keys. A stage is reused when its key equals the
-    one in the bundle's previous manifest and its outputs still have the
-    recorded digests; otherwise it runs. A stage failure halts the pipeline
+    A stage's key hashes its name, its version, its config keys (input paths
+    by content) and its upstream stages' keys. A stage is reused when its key
+    equals the one in the bundle's previous manifest and its outputs still
+    have the recorded digests; otherwise it runs. A stage failure halts the pipeline
     with the stage name while earlier outputs stay on disk.
     """
     config.validate()

@@ -29,7 +29,6 @@ def baseline_features(
     corpus: Corpus,
     link: CrossLink,
     lexicon: Lexicon,
-    embeddings: EmbeddingTable | None = None,
     vocab_size: int = 10000,
     tfidf_vectors: dict[str, dict[str, float]] | None = None,
 ) -> dict[str, float]:
@@ -66,14 +65,6 @@ def baseline_features(
         features["tfidf_similarity"] = tfidf_similarity(
             corpus, link.source_community, link.target_community, vocab_size=vocab_size
         )
-    if embeddings is not None:
-        if embeddings.has_community(link.source_community) and embeddings.has_community(link.target_community):
-            s = embeddings.community_vector(link.source_community)
-            t = embeddings.community_vector(link.target_community)
-            ns, nt = np.linalg.norm(s), np.linalg.norm(t)
-            features["emb_community_cosine"] = float(s @ t / (ns * nt)) if ns > 0 and nt > 0 else 0.0
-        else:
-            features["emb_community_cosine"] = 0.0
     return features
 
 
@@ -108,6 +99,27 @@ def assemble_sequence(
     return np.vstack(rows)
 
 
+def assemble_sequences(
+    corpus: Corpus,
+    links: list[CrossLink],
+    user_table: EmbeddingTable,
+    word_vectors: dict[str, np.ndarray],
+    max_words: int = MAX_WORDS,
+) -> tuple[list[np.ndarray], int]:
+    """One sequence per link, and the number of links whose author has no
+    embedding and backs off to the mean user vector (logged as a warning)."""
+    mean_user = user_table.user_vectors.mean(axis=0)
+    sequences, backoff = [], 0
+    for link in links:
+        author = None if user_table.has_user(link.author) else mean_user
+        backoff += author is not None
+        sequences.append(assemble_sequence(link, corpus, user_table, word_vectors,
+                                           max_words=max_words, author_vector=author))
+    if backoff:
+        log.warning("%d links used the mean user vector (missing user embeddings)", backoff)
+    return sequences, backoff
+
+
 @dataclass
 class PredictionDataset:
     sequences: list[np.ndarray]
@@ -138,30 +150,17 @@ def build_dataset(
     seed: int = 0,
     max_words: int = MAX_WORDS,
 ) -> PredictionDataset:
-    """Assemble sequences for every labeled link; users without embeddings
-    back off to the mean user vector (counted in backoff_count)."""
-    mean_user = user_table.user_vectors.mean(axis=0)
-    sequences, ys, ids = [], [], []
-    backoff = 0
-    for link in links:
-        if link.source_post not in labels:
-            continue
-        author = None if user_table.has_user(link.author) else mean_user
-        backoff += author is not None
-        sequences.append(assemble_sequence(link, corpus, user_table, word_vectors,
-                                           max_words=max_words, author_vector=author))
-        ys.append(labels[link.source_post])
-        ids.append(link.source_post)
-    if backoff:
-        log.warning("%d links used the mean user vector (missing user embeddings)", backoff)
+    """Assemble sequences for every labeled link (``assemble_sequences``)."""
+    links = [link for link in links if link.source_post in labels]
+    sequences, backoff = assemble_sequences(corpus, links, user_table, word_vectors, max_words)
     train_idx, val_idx, test_idx = split_indices(len(sequences), seed)
     return PredictionDataset(
         sequences=sequences,
-        labels=np.asarray(ys, dtype=np.intp),
+        labels=np.asarray([labels[link.source_post] for link in links], dtype=np.intp),
         train_idx=train_idx,
         val_idx=val_idx,
         test_idx=test_idx,
-        link_ids=ids,
+        link_ids=[link.source_post for link in links],
         backoff_count=backoff,
     )
 

@@ -1,9 +1,12 @@
+import argparse
+import csv
+import dataclasses
 import json
 
 import pytest
 
-from intercom.cli import main
-from intercom.pipeline import STAGE_ORDER
+from intercom.cli import build_parser, main
+from intercom.pipeline import REPLYNET_HEADER, STAGE_ORDER, Config
 from intercom.synth import SynthSpec, generate_corpus
 
 from conftest import write_canary_pickle
@@ -22,6 +25,23 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["detect"])  # missing --corpus
     assert exit_info.value.code == 1
+
+
+def test_set_without_equals_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", "--set", "seed"])
+    assert exit_info.value.code == 1
+    assert "argument --set: expected KEY=VALUE, got 'seed'" in capsys.readouterr().err
+
+
+def test_no_analysis_command_declares_a_config_field_flag():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert "impact" not in sub.choices
+    fields = {f.name for f in dataclasses.fields(Config)} - {"corpus", "output_dir"}
+    for name, p in sub.choices.items():
+        if name == "synth":  # its flags set SynthSpec fields
+            continue
+        assert not {action.dest for action in p._actions} & fields, name
 
 
 def test_data_error_exit_code(capsys):
@@ -53,11 +73,17 @@ def test_ingest_and_crosslinks(synth, tmp_path, capsys):
 def test_detect_command(synth, tmp_path, capsys):
     events_path, manifest = synth
     out_file = tmp_path / "mob.jsonl"
-    assert main(["detect", "--corpus", events_path, "--baseline", "auto",
+    assert main(["detect", "--corpus", events_path, "--set", "baseline=auto",
                  "--out", str(out_file)]) == 0
     records = [json.loads(line) for line in out_file.read_text().splitlines()]
     detected = sum(1 for r in records if r["verdict"] == "mobilization")
     assert detected == manifest["counts"]["mobilizations"]
+
+
+def test_detect_takes_a_fixed_baseline_from_set(synth, capsys):
+    events_path, _ = synth
+    assert main(["detect", "--corpus", events_path, "--set", "baseline=2.5"]) == 0
+    assert "baseline=2.5000 (fixed)" in capsys.readouterr().err
 
 
 def test_match_command(synth, capsys):
@@ -80,6 +106,26 @@ def test_replynet_command(synth, tmp_path, capsys):
     parts = lines[0].split()
     assert len(parts) == 5
     assert parts[3] in ("attacker", "defender", "other")
+
+
+def test_replynet_row_matches_the_report_bundle(synth, tmp_path, capsys):
+    events_path, _ = synth
+    bundle = tmp_path / "bundle"
+    assert main(["report", "--corpus", events_path, "--out", str(bundle),
+                 "--set", "alpha=0.5"]) == 0
+    with open(bundle / "replynet.csv", newline="") as fh:
+        header, first, *_ = csv.reader(fh)
+    assert header == REPLYNET_HEADER
+    expected = dict(zip(header, [first[0], *(None if v == "" else float(v) for v in first[1:])]))
+    capsys.readouterr()
+
+    def replynet_row(*sets):
+        assert main(["replynet", "--corpus", events_path, "--mobilization", first[0],
+                     "--out", str(tmp_path / "edges.txt"), *sets]) == 0
+        return json.loads(capsys.readouterr().err)
+
+    assert replynet_row("--set", "alpha=0.5") == expected
+    assert replynet_row()["mean_defender_apr"] != expected["mean_defender_apr"]
 
 
 def test_sentiment_train_and_predict(synth, tmp_path, capsys):
@@ -116,14 +162,14 @@ def test_embed_and_predict_commands(synth, tmp_path, capsys):
     events_path, _ = synth
     emb_dir = tmp_path / "emb"
     assert main(["embed", "--corpus", events_path, "--out", str(emb_dir),
-                 "--dim", "8", "--epochs", "3"]) == 0
+                 "--set", "embed_dim=8", "--set", "embed_epochs=3"]) == 0
     for name in ("users.vec", "communities.vec", "words.vec"):
         assert (emb_dir / name).exists()
 
     model_file = tmp_path / "lstm.pkl"
     assert main(["predict", "train", "--corpus", events_path, "--embeddings", str(emb_dir),
-                 "--model", str(model_file), "--hidden", "4",
-                 "--epochs", "2"]) == 0
+                 "--model", str(model_file), "--set", "hidden_size=4",
+                 "--set", "predict_epochs=2"]) == 0
     assert model_file.exists()
 
     scores_file = tmp_path / "scores.jsonl"
@@ -131,6 +177,33 @@ def test_embed_and_predict_commands(synth, tmp_path, capsys):
                  "--model", str(model_file), "--out", str(scores_file)]) == 0
     rows = [json.loads(line) for line in scores_file.read_text().splitlines()]
     assert rows and all(0.0 < r["p_mobilization"] < 1.0 for r in rows)
+
+
+def test_predict_score_backs_off_for_an_author_without_a_vector(synth, tmp_path, caplog):
+    events_path, _ = synth
+    emb_dir, model_file = tmp_path / "emb", tmp_path / "lstm.json"
+    sets = ["--set", "embed_dim=4", "--set", "embed_epochs=2", "--set", "hidden_size=4",
+            "--set", "predict_epochs=1"]
+    assert main(["embed", "--corpus", events_path, "--out", str(emb_dir)] + sets) == 0
+    assert main(["predict", "train", "--corpus", events_path, "--embeddings", str(emb_dir),
+                 "--model", str(model_file)] + sets) == 0
+    links_file = tmp_path / "links.jsonl"
+    assert main(["crosslinks", "--corpus", events_path, "--out", str(links_file)]) == 0
+    links = [json.loads(line) for line in links_file.read_text().splitlines()]
+    author = links[0]["author"]
+    header, *rows = (emb_dir / "users.vec").read_text().splitlines()
+    kept = [row for row in rows if row.split()[0] != author]
+    count, dim = header.split()
+    (emb_dir / "users.vec").write_text("\n".join([f"{int(count) - 1} {dim}", *kept]) + "\n")
+
+    scores_file = tmp_path / "scores.jsonl"
+    caplog.clear()
+    assert main(["predict", "score", "--corpus", events_path, "--embeddings", str(emb_dir),
+                 "--model", str(model_file), "--out", str(scores_file)]) == 0
+    rows = [json.loads(line) for line in scores_file.read_text().splitlines()]
+    assert [r["source_post"] for r in rows] == [l["source_post"] for l in links]
+    n_backoff = sum(1 for l in links if l["author"] == author)
+    assert f"{n_backoff} links used the mean user vector" in caplog.text
 
 
 def test_report_command(synth, tmp_path, capsys):
@@ -179,7 +252,7 @@ def test_report_verbose_prints_one_line_per_stage(synth, tmp_path, capsys):
 def test_impact_command(synth, tmp_path):
     events_path, _ = synth
     out_dir = tmp_path / "impact"
-    assert main(["impact", "--corpus", events_path, "--out", str(out_dir)]) == 0
+    assert main(["report", "--corpus", events_path, "--out", str(out_dir)]) == 0
     assert (out_dir / "impact.csv").exists()
     assert (out_dir / "stat_tests.json").exists()
 
@@ -193,18 +266,16 @@ def test_cli_embed_and_predict_match_report(tmp_path, capsys):
     settings = ["embed_enabled=true", "predict_enabled=true", "embed_dim=8", "embed_epochs=3",
                 "embed_negatives=3", "hidden_size=4", "predict_epochs=2", "predict_lr=0.02",
                 "ensemble_trees=5", "seed=5"]
-    assert main(["report", "--corpus", events_path, "--out", str(bundle)]
-                + [arg for kv in settings for arg in ("--set", kv)]) == 0
+    sets = [arg for kv in settings for arg in ("--set", kv)]
+    assert main(["report", "--corpus", events_path, "--out", str(bundle)] + sets) == 0
 
     emb_dir = tmp_path / "emb"
-    assert main(["embed", "--corpus", events_path, "--out", str(emb_dir), "--dim", "8",
-                 "--epochs", "3", "--negatives", "3", "--seed", "5"]) == 0
+    assert main(["embed", "--corpus", events_path, "--out", str(emb_dir)] + sets) == 0
     for name in ("users.vec", "communities.vec", "words.vec"):
         assert (emb_dir / name).read_bytes() == (bundle / name).read_bytes(), name
     model_file = tmp_path / "lstm.json"
     assert main(["predict", "train", "--corpus", events_path, "--embeddings", str(emb_dir),
-                 "--model", str(model_file), "--hidden", "4", "--epochs", "2", "--lr", "0.02",
-                 "--seed", "5"]) == 0
+                 "--model", str(model_file)] + sets) == 0
     assert model_file.read_bytes() == (bundle / "lstm_model.json").read_bytes()
 
     capsys.readouterr()

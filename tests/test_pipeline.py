@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
@@ -196,6 +197,19 @@ def test_pipeline_rerun_with_changed_lexicon_reruns_its_readers(synth_corpus, tm
         fh.write("grumpy\n")
     rerun = run_pipeline(Config(**config))
     assert rerun.cache_hits == ["ingest", "crosslinks", "baseline", "detect"]
+
+
+def test_raised_stage_version_reruns_it_and_downstream(synth_corpus, tmp_path, monkeypatch):
+    events_path, _ = synth_corpus
+    config = dict(corpus=str(events_path), seed=3)
+    out = tmp_path / "run"
+    run_pipeline(Config(output_dir=str(out), **config))
+    monkeypatch.setitem(STAGES, "detect", dataclasses.replace(STAGES["detect"], version=2))
+    rerun = run_pipeline(Config(output_dir=str(out), **config))
+    # replynet and impact read the records; sentiment does not
+    assert rerun.cache_hits == ["ingest", "crosslinks", "baseline", "sentiment"]
+    run_pipeline(Config(output_dir=str(tmp_path / "fresh"), **config))
+    assert bundle_bytes(out) == bundle_bytes(tmp_path / "fresh")
 
 
 def test_manifest_hashes_only_declared_outputs(synth_corpus, tmp_path):
