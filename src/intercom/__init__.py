@@ -1,6 +1,7 @@
 """Intercommunity mobilization detection, analysis, and prediction."""
 
-from .corpus import Corpus, CrossLink, Event, extract_crosslinks, load_events, members, user_activity
+from .corpus import (Corpus, CrossLink, Event, extract_crosslinks, index_events, load_events,
+                     members, user_activity)
 from .matching import MatchedPair, NoMatchError, matched_post, matched_user
 from .mobilization import MobilizationRecord, baseline_ratio, detect, window_counts
 from .replynet import ReplyGraph, build_reply_graph, echo_metrics, group_pagerank

@@ -8,6 +8,8 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 log = logging.getLogger(__name__)
 
@@ -63,20 +65,18 @@ class LoadStats:
 
 @dataclass
 class Corpus:
-    """Indexed view of an event log.
+    """Indexed view of an event log, built once by ``index_events``.
 
-    ``build_indexes`` builds the dict and list indexes below; ``load_events``
-    calls it once. The per-community comment timeline that ``members`` reads
-    (``comment_timeline``) is built on its first use and dropped by every
-    later ``build_indexes``, so loading does not pay for it and it never
-    outlives the events it was built from. Reads do not modify the indexes,
-    except that the first timeline read builds the timeline.
+    ``posts`` and ``comments`` map ids to events in input order; comments
+    whose thread is not a post are not indexed. The lists below are ordered
+    by ``(timestamp, id)``. Nothing here changes after ``index_events``
+    returns.
     """
 
-    posts: dict[str, Event] = field(default_factory=dict)
-    comments: dict[str, Event] = field(default_factory=dict)
+    posts: dict[str, Event]
+    comments: dict[str, Event]
+    stats: LoadStats
     posts_by_time: list[Event] = field(default_factory=list)
-    comments_by_time: list[Event] = field(default_factory=list)
     # post id -> comments in the thread, time-ordered
     thread_comments: dict[str, list[Event]] = field(default_factory=dict)
     # community -> posts, time-ordered
@@ -87,69 +87,48 @@ class Corpus:
     user_comment_times: dict[str, list[float]] = field(default_factory=dict)
     # user -> posts authored, time-ordered
     user_posts: dict[str, list[Event]] = field(default_factory=dict)
-    stats: LoadStats = field(default_factory=LoadStats)
-    # community -> (comment timestamps, time-ordered, and each comment's
-    # author); built lazily by comment_timeline()
-    _timeline: dict[str, tuple[array, list[str]]] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    # community -> (its comment timestamps, time-ordered, and each comment's
+    # author); communities without comments are absent
+    timelines: dict[str, tuple[array, list[str]]] = field(default_factory=dict)
 
-    @property
-    def communities(self) -> list[str]:
-        names = set(self.community_posts) | set(self.comment_times)
-        return sorted(names)
 
-    def add(self, event: Event) -> None:
-        if event.kind == "post":
-            self.posts[event.id] = event
-        else:
-            self.comments[event.id] = event
+def index_events(events, stats: LoadStats | None = None) -> Corpus:
+    """Index posts and comments in one pass over them in ``(timestamp, id)``
+    order.
 
-    def build_indexes(self) -> None:
-        """(Re)build all derived indexes; drops comments with unknown thread ids."""
-        order = lambda e: (e.timestamp, e.id)
-        self.posts_by_time = sorted(self.posts.values(), key=order)
+    A later event replaces an earlier one of the same kind and id. Comments
+    whose thread is not a post are dropped and counted in
+    ``stats.dangling_comments``.
+    """
+    stats = stats if stats is not None else LoadStats()
+    posts: dict[str, Event] = {}
+    comments: dict[str, Event] = {}
+    for event in events:
+        (posts if event.kind == "post" else comments)[event.id] = event
+    dangling = [cid for cid, c in comments.items() if c.thread_id not in posts]
+    for cid in dangling:
+        del comments[cid]
+    if dangling:
+        stats.dangling_comments += len(dangling)
+        log.warning("dropped %d comments with unknown thread ids", len(dangling))
+    stats.posts, stats.comments = len(posts), len(comments)
 
-        kept = {}
-        for cid, c in self.comments.items():
-            if c.thread_id in self.posts:
-                kept[cid] = c
-            else:
-                self.stats.dangling_comments += 1
-        if self.stats.dangling_comments:
-            log.warning("dropped %d comments with unknown thread ids", self.stats.dangling_comments)
-        self.comments = kept
-        self.comments_by_time = sorted(self.comments.values(), key=order)
-
-        self.thread_comments = {}
-        self.community_posts = {}
-        self.comment_times = {}
-        self.user_comment_times = {}
-        self.user_posts = {}
-        for p in self.posts_by_time:
-            self.community_posts.setdefault(p.community, []).append(p)
-            self.user_posts.setdefault(p.author, []).append(p)
-        for c in self.comments_by_time:
-            self.thread_comments.setdefault(c.thread_id, []).append(c)
-            self.comment_times.setdefault(c.community, {}).setdefault(c.author, []).append(c.timestamp)
-            self.user_comment_times.setdefault(c.author, []).append(c.timestamp)
-
-        self.stats.posts = len(self.posts)
-        self.stats.comments = len(self.comments)
-        self._timeline = None
-
-    def comment_timeline(self, community: str) -> tuple[array, list[str]] | None:
-        """The community's comment timestamps in time order and the author of
-        each comment, or None for a community without comments."""
-        if self._timeline is None:
-            timeline: dict[str, tuple[array, list[str]]] = {}
-            for c in self.comments_by_time:
-                entry = timeline.get(c.community)
-                if entry is None:
-                    entry = timeline[c.community] = (array("d"), [])
-                entry[0].append(c.timestamp)
-                entry[1].append(c.author)
-            self._timeline = timeline
-        return self._timeline.get(community)
+    corpus = Corpus(posts, comments, stats)
+    for e in sorted(chain(posts.values(), comments.values()), key=attrgetter("timestamp", "id")):
+        if e.kind == "post":
+            corpus.posts_by_time.append(e)
+            corpus.community_posts.setdefault(e.community, []).append(e)
+            corpus.user_posts.setdefault(e.author, []).append(e)
+            continue
+        corpus.thread_comments.setdefault(e.thread_id, []).append(e)
+        corpus.comment_times.setdefault(e.community, {}).setdefault(e.author, []).append(e.timestamp)
+        corpus.user_comment_times.setdefault(e.author, []).append(e.timestamp)
+        timeline = corpus.timelines.get(e.community)
+        if timeline is None:
+            timeline = corpus.timelines[e.community] = (array("d"), [])
+        timeline[0].append(e.timestamp)
+        timeline[1].append(e.author)
+    return corpus
 
 
 _REQUIRED = ("kind", "id", "author", "community", "timestamp")
@@ -193,7 +172,9 @@ def load_events(path) -> Corpus:
     Malformed lines are skipped and counted in ``corpus.stats.rejected``;
     an unreadable file raises CorpusError.
     """
-    corpus = Corpus()
+    stats = LoadStats()
+    posts: dict[str, Event] = {}
+    comments: dict[str, Event] = {}
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -203,24 +184,26 @@ def load_events(path) -> Corpus:
             line = line.strip()
             if not line:
                 continue
-            corpus.stats.lines += 1
+            stats.lines += 1
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError:
-                corpus.stats.rejected += 1
+                stats.rejected += 1
                 continue
             event = _parse_record(obj)
             if event is None:
-                corpus.stats.rejected += 1
+                stats.rejected += 1
                 continue
-            store = corpus.posts if event.kind == "post" else corpus.comments
+            store = posts if event.kind == "post" else comments
             if event.id in store:  # ids are unique per kind
-                corpus.stats.rejected += 1
+                stats.rejected += 1
                 continue
-            corpus.add(event)
-    corpus.build_indexes()
-    if corpus.stats.rejected:
-        log.warning("skipped %d malformed lines in %s", corpus.stats.rejected, path)
+            store[event.id] = event
+    events = [*posts.values(), *comments.values()]
+    del posts, comments  # free them: index_events keys the events again
+    corpus = index_events(events, stats)
+    if stats.rejected:
+        log.warning("skipped %d malformed lines in %s", stats.rejected, path)
     return corpus
 
 
@@ -234,14 +217,17 @@ def extract_crosslinks(
     host_allowlist=None,
     remove_overlaps: bool = True,
     window_hours: float = 12.0,
+    counts: dict[str, int] | None = None,
 ) -> list[CrossLink]:
     """Extract cross-community links from post bodies, sorted by t0.
 
     At most one link per source post (the first permalink that resolves to an
-    existing post in a different community). Links to unknown posts are
-    dropped and counted. When ``remove_overlaps`` is set, links sharing a
-    target post whose +/-window analysis intervals intersect are reduced to
-    the earliest one.
+    existing post in a different community). Permalinks to unknown posts are
+    dropped. When ``remove_overlaps`` is set, links sharing a target post
+    whose +/-window analysis intervals intersect are reduced to the earliest
+    one. A ``counts`` dict receives how many permalinks named an unknown post
+    (``unknown_target``) and how many links the overlap rule removed
+    (``overlap_removed``).
     """
     allow = {h.lower() for h in host_allowlist} if host_allowlist else None
     links: list[CrossLink] = []
@@ -271,8 +257,11 @@ def extract_crosslinks(
     if dropped_unknown:
         log.warning("dropped %d cross-links to nonexistent target posts", dropped_unknown)
     links.sort(key=lambda l: (l.t0, l.source_post))
+    found = len(links)
     if remove_overlaps:
         links = remove_overlapping(links, window_hours=window_hours)
+    if counts is not None:
+        counts.update(unknown_target=dropped_unknown, overlap_removed=found - len(links))
     return links
 
 
@@ -294,14 +283,14 @@ def remove_overlapping(links: list[CrossLink], window_hours: float = 12.0) -> li
 def members(corpus: Corpus, community: str, day: float, excluded: str | None = None) -> set[str]:
     """Users with >=1 comment in ``community`` during [day-30d, day) and none
     in ``excluded`` during the same window."""
-    timeline = corpus.comment_timeline(community)
+    timeline = corpus.timelines.get(community)
     if timeline is None:
         log.warning("members(): unknown community %r", community)
         return set()
     lo, hi = day - MEMBER_WINDOW_DAYS * DAY, day
     times, authors = timeline
     found = set(authors[bisect_left(times, lo):bisect_left(times, hi)])
-    other = corpus.comment_timeline(excluded) if excluded is not None and found else None
+    other = corpus.timelines.get(excluded) if excluded is not None and found else None
     if other is not None:
         times, authors = other
         found.difference_update(authors[bisect_left(times, lo):bisect_left(times, hi)])

@@ -83,7 +83,7 @@ def _history_count(corpus: Corpus, user: str, community: str, day: float, t0: fl
 def _history_counts(corpus: Corpus, community: str, day: float, t0: float) -> Counter:
     """``_history_count`` of every user at once, from the community's
     comment timeline."""
-    timeline = corpus.comment_timeline(community)
+    timeline = corpus.timelines.get(community)
     if timeline is None:
         return Counter()
     times, authors = timeline

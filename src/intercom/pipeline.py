@@ -77,6 +77,15 @@ class Config:
     seed: int = 0
 
     def validate(self) -> None:
+        numbers = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.type == "float"}
+        if self.baseline != "auto":
+            try:
+                numbers["baseline"] = float(self.baseline)
+            except ValueError:
+                raise ConfigError("baseline must be 'auto' or a number") from None
+        for name, value in numbers.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
         checks = [
             (0 < self.window_hours <= 24 * 14, "window_hours must be in (0, 336]"),
             (0 < self.alpha < 1, "alpha must be in (0, 1)"),
@@ -92,17 +101,11 @@ class Config:
             (self.max_words >= 0, "max_words must be >= 0"),
             (self.ensemble_trees >= 1, "ensemble_trees must be >= 1"),
             (self.baseline_stat in ("mean", "median"), "baseline_stat must be mean or median"),
+            (numbers.get("baseline", 1.0) > 0, "baseline must be positive"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        if self.baseline != "auto":
-            try:
-                value = float(self.baseline)
-            except ValueError:
-                raise ConfigError("baseline must be 'auto' or a number") from None
-            if value <= 0:
-                raise ConfigError("baseline must be positive")
         if self.predict_enabled and not self.embed_enabled:
             raise ConfigError("predict_enabled requires embed_enabled")
 
@@ -226,6 +229,8 @@ class Run:
         self.config = config
         self.out = Path(config.output_dir)
         self.hits: list[str] = []
+        # extract_crosslinks' drop counts, filled in when the links are extracted
+        self.crosslink_drops: dict[str, int] = {}
         # baseline_ratio's pair counts, filled in when the baseline is measured
         self.baseline_pairs: dict[str, int] = {}
 
@@ -242,7 +247,8 @@ class Run:
         if "crosslinks" in self.hits:
             return [CrossLink(**row) for row in _read_jsonl(self.out / "crosslinks.jsonl")]
         return extract_crosslinks(self.corpus, host_allowlist=self.config.hosts(),
-                                  window_hours=self.config.window_hours)
+                                  window_hours=self.config.window_hours,
+                                  counts=self.crosslink_drops)
 
     @cached_property
     def involved(self) -> set[str]:
@@ -385,7 +391,7 @@ def stage_ingest(run: Run) -> dict:
 
 def stage_crosslinks(run: Run) -> dict:
     _write_jsonl(run.out / "crosslinks.jsonl", [dataclasses.asdict(l) for l in run.links])
-    return {"links": len(run.links)}
+    return {"links": len(run.links), **run.crosslink_drops}
 
 
 def stage_baseline(run: Run) -> dict:

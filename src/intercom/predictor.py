@@ -10,7 +10,7 @@ from .corpus import Corpus, CrossLink
 from .embed import EmbeddingTable
 from .impact import midranks
 from .lstm import LSTMParams, bptt, mean_hidden, predict_prob  # noqa: F401
-from .sentiment import Lexicon, extract_text_features, sparse_cosine, tfidf_similarity, tokenize
+from .sentiment import Lexicon, extract_text_features, sparse_cosine, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -29,13 +29,13 @@ def baseline_features(
     corpus: Corpus,
     link: CrossLink,
     lexicon: Lexicon,
-    vocab_size: int = 10000,
-    tfidf_vectors: dict[str, dict[str, float]] | None = None,
+    tfidf_vectors: dict[str, dict[str, float]],
 ) -> dict[str, float]:
     """Hand-crafted features for one cross-link: source-post text statistics,
     author activity and averaged history features, and source/target tf-idf
     similarity. Authors with no prior posts get zeroed history features with
-    hist_support = 0 as the flag."""
+    hist_support = 0 as the flag. ``tfidf_vectors`` is
+    ``community_tfidf_vectors(corpus)``, computed once for all links."""
     post = corpus.posts[link.source_post]
     features = {f"post_{k}": v for k, v in extract_text_features(post.body, lexicon).items()}
 
@@ -56,15 +56,10 @@ def baseline_features(
         features[f"hist_{k}"] = sums[k] / n_hist if n_hist else 0.0
     features["hist_support"] = float(n_hist)
 
-    if tfidf_vectors is not None:
-        features["tfidf_similarity"] = sparse_cosine(
-            tfidf_vectors.get(link.source_community, {}),
-            tfidf_vectors.get(link.target_community, {}),
-        )
-    else:
-        features["tfidf_similarity"] = tfidf_similarity(
-            corpus, link.source_community, link.target_community, vocab_size=vocab_size
-        )
+    features["tfidf_similarity"] = sparse_cosine(
+        tfidf_vectors.get(link.source_community, {}),
+        tfidf_vectors.get(link.target_community, {}),
+    )
     return features
 
 

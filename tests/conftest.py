@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from intercom.corpus import Corpus, Event
+from intercom.corpus import Event, index_events
 
 DAY = 86400.0
 HOUR = 3600.0
@@ -22,11 +22,7 @@ def comment(cid, author, community, ts, thread_id, parent_id=None, body=""):
 
 
 def corpus_from(events):
-    corpus = Corpus()
-    for event in events:
-        corpus.add(event)
-    corpus.build_indexes()
-    return corpus
+    return index_events(events)
 
 
 def write_events(path, events):

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +239,11 @@ def test_report_verbose_prints_one_line_per_stage(synth, tmp_path, capsys):
         f"stage baseline: ran eligible_pairs={baseline['eligible_pairs']} "
         f"no_matched_post={baseline['no_matched_post']} "
         f"precount_skipped={baseline['precount_skipped']} value={baseline['value']}")
+    crosslinks = stages["crosslinks"]
+    assert by_stage["crosslinks"] == (
+        f"stage crosslinks: ran links={crosslinks['links']} "
+        f"overlap_removed={crosslinks['overlap_removed']} "
+        f"unknown_target={crosslinks['unknown_target']}")
     assert f"no_matched_thread={stages['detect']['no_matched_thread']}" in by_stage["detect"]
     assert f"low_support={stages['impact']['low_support']}" in by_stage["impact"]
     assert by_stage["report"] == "stage report: ran"
@@ -247,6 +253,31 @@ def test_report_verbose_prints_one_line_per_stage(synth, tmp_path, capsys):
     lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("stage ")]
     assert len(lines) == len(stages)
     assert all(line.split(": ")[1].startswith("hit") for line in lines)
+
+
+@pytest.mark.parametrize("setting", ["baseline=nan", "baseline=inf", "pagerank_tol=inf"])
+def test_report_rejects_a_non_finite_number(synth, tmp_path, capsys, setting):
+    events_path, _ = synth
+    out_dir = tmp_path / "bundle"
+    assert main(["report", "--corpus", events_path, "--out", str(out_dir),
+                 "--set", setting]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_readme_cli_lines_parse():
+    # every command line of the README's CLI block names real commands and flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    lines = [words for words in lines if words and words[0] == "intercom"]
+    assert len(lines) >= 14
+    parser = build_parser()
+    fields = {f.name for f in dataclasses.fields(Config)}
+    for words in lines:
+        args = parser.parse_args(words[1:])
+        assert callable(args.fn), words
+        assert {key for key, _ in getattr(args, "set", [])} <= fields, words
 
 
 def test_impact_command(synth, tmp_path):

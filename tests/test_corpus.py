@@ -165,6 +165,28 @@ def test_crosslink_one_per_source_post():
     assert links[0].target_post == "x1"
 
 
+def test_crosslink_counts_unknown_targets_and_overlap_removals():
+    # s1 names two unknown posts before t1; s2 names one; s3 and s4 link t1
+    # within s1's window, s5 links t1 a day later and t2 is linked once
+    corpus = corpus_from([
+        post("t1", "bob", "B", BASE),
+        post("t2", "bob", "C", BASE),
+        post("s1", "u", "A", BASE + 30 * HOUR,
+             body="r/B/comments/gone r/B/comments/nope r/B/comments/t1"),
+        post("s2", "u", "A", BASE + 31 * HOUR, body="r/C/comments/gone r/C/comments/t2"),
+        post("s3", "u", "A", BASE + 32 * HOUR, body="r/B/comments/t1"),
+        post("s4", "u", "A", BASE + 40 * HOUR, body="r/B/comments/t1"),
+        post("s5", "u", "A", BASE + 54 * HOUR, body="r/B/comments/t1"),
+    ])
+    counts = {}
+    links = extract_crosslinks(corpus, counts=counts)
+    assert [l.source_post for l in links] == ["s1", "s2", "s5"]
+    assert counts == {"unknown_target": 3, "overlap_removed": 2}
+    counts = {}
+    assert len(extract_crosslinks(corpus, remove_overlaps=False, counts=counts)) == 5
+    assert counts == {"unknown_target": 3, "overlap_removed": 0}
+
+
 def test_overlap_removal_keeps_earlier():
     # two links to the same target 1 h apart: windows intersect, earlier kept
     corpus = corpus_from([
@@ -228,27 +250,6 @@ def test_members_window_and_exclusion():
     assert members(corpus, "C", d, "D") == {"u_in"}
     assert members(corpus, "C", d) == {"u_in", "u_both"}
     assert members(corpus, "nowhere", d, "D") == set()
-
-
-def test_members_sees_events_added_after_an_earlier_call():
-    # the membership timeline is built on first use; rebuilding the indexes
-    # must drop it
-    d = BASE + 60 * DAY
-    corpus = corpus_from([
-        post("p1", "x", "C", BASE),
-        post("p2", "x", "D", BASE),
-        comment("c1", "u1", "C", d - 5 * DAY, "p1"),
-    ])
-    assert members(corpus, "C", d, "D") == {"u1"}
-    assert members(corpus, "E", d) == set()
-    corpus.add(comment("c2", "u2", "C", d - 6 * DAY, "p1"))
-    corpus.add(comment("c3", "u1", "D", d - 7 * DAY, "p2"))
-    corpus.add(post("p3", "x", "E", BASE))
-    corpus.add(comment("c4", "u3", "E", d - DAY, "p3"))
-    corpus.build_indexes()
-    assert members(corpus, "C", d) == {"u1", "u2"}
-    assert members(corpus, "C", d, "D") == {"u2"}
-    assert members(corpus, "E", d) == {"u3"}
 
 
 def test_members_unknown_community_warns(caplog):

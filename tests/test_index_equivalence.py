@@ -1,5 +1,6 @@
 """The indexed membership and matching lookups against the linear scans they
-replaced, kept here as oracles, on random small corpora.
+replaced, and ``index_events`` against the two-pass indexing it replaced,
+kept here as oracles, on random small corpora.
 
 Timestamps are drawn mostly from the edges the lookups compare against: day
 boundaries, the ends of the 30-day window, t0 +/- 3 days, and the floats
@@ -7,6 +8,7 @@ next to each.
 """
 import math
 import random
+from array import array
 from itertools import count
 
 import pytest
@@ -14,7 +16,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from intercom.corpus import DAY, CrossLink, count_beyond_gap, day_start, members  # noqa: E402
+from intercom.corpus import (  # noqa: E402
+    DAY,
+    CrossLink,
+    LoadStats,
+    count_beyond_gap,
+    day_start,
+    index_events,
+    members,
+)
 from intercom.impact import _window_fraction, activity_delta  # noqa: E402
 from intercom.matching import (  # noqa: E402
     NoMatchError,
@@ -101,6 +111,72 @@ def scan_matched_post(corpus, links, post_id):
     return best[1].id, best[0][0]
 
 
+class TwoPassCorpus:
+    """The indexing ``index_events`` replaced: ``add`` every event, then
+    ``build_indexes``; the comment timeline is built on its first read."""
+
+    def __init__(self):
+        self.posts, self.comments = {}, {}
+        self.stats = LoadStats()
+        self._timeline = None
+
+    def add(self, event):
+        if event.kind == "post":
+            self.posts[event.id] = event
+        else:
+            self.comments[event.id] = event
+
+    def build_indexes(self):
+        order = lambda e: (e.timestamp, e.id)  # noqa: E731
+        self.posts_by_time = sorted(self.posts.values(), key=order)
+
+        kept = {}
+        for cid, c in self.comments.items():
+            if c.thread_id in self.posts:
+                kept[cid] = c
+            else:
+                self.stats.dangling_comments += 1
+        self.comments = kept
+        self.comments_by_time = sorted(self.comments.values(), key=order)
+
+        self.thread_comments = {}
+        self.community_posts = {}
+        self.comment_times = {}
+        self.user_comment_times = {}
+        self.user_posts = {}
+        for p in self.posts_by_time:
+            self.community_posts.setdefault(p.community, []).append(p)
+            self.user_posts.setdefault(p.author, []).append(p)
+        for c in self.comments_by_time:
+            self.thread_comments.setdefault(c.thread_id, []).append(c)
+            self.comment_times.setdefault(c.community, {}).setdefault(c.author, []).append(c.timestamp)
+            self.user_comment_times.setdefault(c.author, []).append(c.timestamp)
+
+        self.stats.posts = len(self.posts)
+        self.stats.comments = len(self.comments)
+        self._timeline = None
+
+    def comment_timeline(self, community):
+        if self._timeline is None:
+            timeline = {}
+            for c in self.comments_by_time:
+                entry = timeline.get(c.community)
+                if entry is None:
+                    entry = timeline[c.community] = (array("d"), [])
+                entry[0].append(c.timestamp)
+                entry[1].append(c.author)
+            self._timeline = timeline
+        return self._timeline.get(community)
+
+
+def two_pass(events):
+    corpus = TwoPassCorpus()
+    for event in events:
+        corpus.add(event)
+    corpus.build_indexes()
+    return corpus
+
+
 def outcome(fn, *args, **kwargs):
     """A call's result, or the type of the exception it raised."""
     try:
@@ -121,8 +197,8 @@ def edges(t0):
 
 
 @st.composite
-def corpora(draw):
-    """A corpus on communities A-C, a cross-link from A to a B post created
+def drawn_events(draw):
+    """Events on communities A-C, a cross-link from A to a B post created
     on DAY0, and the link's t0."""
     t0 = DAY0 + draw(st.sampled_from([0.0, 1.0, 15 * HOUR, DAY - 1.0]))
     times = st.one_of(st.sampled_from(edges(t0)),
@@ -142,7 +218,12 @@ def corpora(draw):
     events.append(post("source", "linker", "A", t0, body="r/B/comments/target"))
     link = CrossLink(source_post="source", target_post="target", source_community="A",
                      target_community="B", t0=t0, author="linker")
-    return corpus_from(events), link, t0
+    return events, link, t0
+
+
+def corpora():
+    """A corpus of ``drawn_events``, the cross-link and its t0."""
+    return drawn_events().map(lambda drawn: (corpus_from(drawn[0]), *drawn[1:]))
 
 
 # -- equivalence -------------------------------------------------------------
@@ -246,3 +327,54 @@ def test_count_beyond_gap_equals_scan_on_any_floats(times, lo, hi, t0, gap):
     times.sort()
     expected = sum(1 for t in times if lo <= t < hi and abs(t - t0) >= gap)
     assert count_beyond_gap(times, lo, hi, t0, gap) == expected
+
+
+def ordered(value):
+    """``value`` with every dict turned into its list of items, so that
+    comparing two values also compares the order of their keys."""
+    if isinstance(value, dict):
+        return [(k, ordered(v)) for k, v in value.items()]
+    if isinstance(value, tuple):
+        return tuple(ordered(v) for v in value)
+    return value
+
+
+@st.composite
+def event_logs(draw):
+    """``drawn_events`` in any order, plus comments whose thread is not a
+    post, ids shared by a post and a comment at the same time, and events
+    that replace an earlier one of the same kind and id."""
+    events, _link, t0 = draw(drawn_events())
+    times = st.sampled_from(edges(t0))
+    for k in range(draw(st.integers(0, 3))):
+        events.append(comment(f"dangling{k}", draw(st.sampled_from(USERS)),
+                              draw(st.sampled_from(COMMUNITIES)), draw(times),
+                              draw(st.sampled_from(["ghost", "c0"]))))
+    posts = [e for e in events if e.kind == "post"]
+    comments = [e for e in events if e.kind == "comment"]
+    for c in draw(st.lists(st.sampled_from(comments), max_size=2)) if comments else []:
+        events.append(post(c.id, c.author, draw(st.sampled_from(COMMUNITIES)), c.timestamp))
+    for p in draw(st.lists(st.sampled_from(posts), max_size=2)):
+        events.append(comment(p.id, draw(st.sampled_from(USERS)), p.community, p.timestamp, p.id))
+    for e in draw(st.lists(st.sampled_from(events), max_size=3)):
+        replacement = (post(e.id, "again", e.community, draw(times)) if e.kind == "post" else
+                       comment(e.id, "again", e.community, draw(times), e.thread_id))
+        events.append(replacement)
+    return draw(st.permutations(events))
+
+
+INDEXES = ("posts", "comments", "posts_by_time", "thread_comments", "community_posts",
+           "comment_times", "user_comment_times", "user_posts", "stats")
+
+
+@EXAMPLES
+@given(event_logs())
+def test_index_events_equals_two_pass_indexing(events):
+    corpus, expected = index_events(events), two_pass(events)
+    for name in INDEXES:
+        assert ordered(getattr(corpus, name)) == ordered(getattr(expected, name)), name
+    communities = {e.community for e in events} | {"Z"}
+    for community in sorted(communities):
+        assert corpus.timelines.get(community) == expected.comment_timeline(community)
+    assert ordered(corpus.timelines) == ordered(expected._timeline)
+    assert all(times.typecode == "d" for times, _authors in corpus.timelines.values())

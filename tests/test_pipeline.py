@@ -78,6 +78,17 @@ def test_config_validation():
     Config(baseline="1.6").validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("baseline", "nan"), ("baseline", "inf"), ("baseline", "-inf"),
+    ("window_hours", float("nan")), ("alpha", float("nan")),
+    ("pagerank_tol", float("inf")), ("pagerank_tol", float("nan")),
+    ("predict_lr", float("inf")), ("predict_lr", float("nan")),
+])
+def test_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        Config(**{field: value}).validate()
+
+
 def test_substream_seeds_stable_and_distinct():
     a = substream_seed(0, "impact")
     assert a == substream_seed(0, "impact")

@@ -20,6 +20,7 @@ from intercom.predictor import (
     split_indices,
     train,
 )
+from intercom.sentiment import community_tfidf_vectors
 
 from conftest import BASE, corpus_from, post
 
@@ -137,7 +138,7 @@ def test_baseline_features_no_history():
     from intercom.sentiment import Lexicon
 
     lexicon = Lexicon(name="t", categories={"anger": {"hate"}})
-    fv = baseline_features(corpus, link, lexicon)
+    fv = baseline_features(corpus, link, lexicon, community_tfidf_vectors(corpus))
     assert fv["author_post_count"] == 0.0
     assert fv["author_frac_posts_target"] == 0.0
     assert fv["hist_support"] == 0.0
@@ -159,7 +160,7 @@ def test_baseline_features_hand_computed():
     corpus = corpus_from(events)
     link = extract_crosslinks(corpus)[0]
     lexicon = Lexicon(name="t", categories={"anger": {"hate"}})
-    fv = baseline_features(corpus, link, lexicon)
+    fv = baseline_features(corpus, link, lexicon, community_tfidf_vectors(corpus))
     assert fv["author_post_count"] == 4.0
     assert fv["author_frac_posts_target"] == pytest.approx(0.5)
     assert fv["author_frac_posts_source"] == pytest.approx(0.25)
@@ -183,7 +184,7 @@ def test_baseline_features_identical_communities_tfidf():
     from intercom.sentiment import Lexicon
 
     lexicon = Lexicon(name="t", categories={"anger": {"hate"}})
-    fv = baseline_features(corpus, link, lexicon)
+    fv = baseline_features(corpus, link, lexicon, community_tfidf_vectors(corpus))
     assert fv["tfidf_similarity"] == pytest.approx(1.0)
 
 
