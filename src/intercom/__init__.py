@@ -3,7 +3,7 @@
 from .corpus import (Corpus, CrossLink, Event, extract_crosslinks, index_events, load_events,
                      members, user_activity)
 from .matching import MatchedPair, NoMatchError, matched_post, matched_user
-from .mobilization import MobilizationRecord, baseline_ratio, detect, window_counts
+from .mobilization import MobilizationRecord, baseline_ratio, detect, measure
 from .replynet import ReplyGraph, build_reply_graph, echo_metrics, group_pagerank
 from .impact import activity_delta, defense_success, mann_whitney_u, wilcoxon_signed_rank
 from .sentiment import (

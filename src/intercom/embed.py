@@ -8,6 +8,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .lstm import _sigmoid
+from .sentiment import tokenize, top_vocabulary
 
 NEGATIVE_SAMPLES = 5
 EMBED_DIM = 300
@@ -66,16 +67,9 @@ def build_word_bipartite(corpus: Corpus, max_vocab: int | None = None) -> Bipart
     same space as the community vectors (desk-scale substitute for external
     pretrained word vectors).
     """
-    from .sentiment import tokenize
-
-    counts: dict[str, int] = {}
-    for post in corpus.posts_by_time:
-        for tok in tokenize(post.body):
-            counts[tok] = counts.get(tok, 0) + 1
     vocab = None
     if max_vocab is not None:
-        top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:max_vocab]
-        vocab = {w for w, _ in top}
+        vocab = top_vocabulary((tokenize(post.body) for post in corpus.posts_by_time), max_vocab)
 
     words: list[str] = []
     communities: list[str] = []

@@ -104,54 +104,82 @@ def _thread_counts_by(corpus: Corpus, post_id: str, users: set[str], t0: float, 
     return before, after
 
 
-def window_counts(
-    corpus: Corpus, link: CrossLink, window_hours: float = DEFAULT_WINDOW_HOURS
-) -> tuple[int, int]:
-    """Comments by source members on the target thread in the half-open
-    windows [t0-w, t0) and [t0, t0+w)."""
-    mem = members(corpus, link.source_community, day_start(link.t0), link.target_community)
-    return _thread_counts_by(corpus, link.target_post, mem, link.t0, window_hours * 3600.0)
+@dataclass(frozen=True)
+class LinkCounts:
+    """The null model's measurement of one cross-link: source-member comments
+    on the target thread in [t0-w, t0) and [t0, t0+w), the attackers and
+    defenders of [t0, t0+w), and the same source members' counts on the
+    matched thread (None when the target has no matched post)."""
+
+    link: CrossLink
+    before: int
+    after: int
+    attackers: set[str]
+    defenders: set[str]
+    matched_before: int | None
+    matched_after: int | None
+
+
+def measure(
+    corpus: Corpus, links: list[CrossLink], window_hours: float = DEFAULT_WINDOW_HOURS
+) -> list[LinkCounts]:
+    """Count every cross-link once, in link order, for ``baseline_ratio``
+    and ``detect``.
+
+    Attackers are source members and defenders target members who comment on
+    the target thread in [t0, t0+w). The matched thread is ``matched_post``
+    among posts of no cross-link in ``links``.
+    """
+    window_s = window_hours * 3600.0
+    involved = crosslink_involved_posts(links)
+    measured = []
+    for link in links:
+        t0, day = link.t0, day_start(link.t0)
+        source_members = members(corpus, link.source_community, day, link.target_community)
+        target_members = members(corpus, link.target_community, day, link.source_community)
+        before = after = 0
+        attackers, defenders = set(), set()
+        for c in corpus.thread_comments.get(link.target_post, []):
+            if t0 - window_s <= c.timestamp < t0:
+                if c.author in source_members:
+                    before += 1
+            elif t0 <= c.timestamp < t0 + window_s:
+                if c.author in source_members:
+                    after += 1
+                    attackers.add(c.author)
+                elif c.author in target_members:
+                    defenders.add(c.author)
+        try:
+            match = matched_post(corpus, links, link.target_post, involved=involved)
+            matched_before, matched_after = _thread_counts_by(
+                corpus, match.match_id, source_members, t0, window_s)
+        except NoMatchError:
+            log.debug("no matched thread for %s", link.target_post)
+            matched_before = matched_after = None
+        measured.append(LinkCounts(link, before, after, attackers, defenders,
+                                   matched_before, matched_after))
+    return measured
 
 
 def baseline_ratio(
-    corpus: Corpus,
-    links: list[CrossLink],
-    window_hours: float = DEFAULT_WINDOW_HOURS,
-    stat: str = "mean",
-    involved: set[str] | None = None,
-    counts: dict[str, int] | None = None,
+    measured: list[LinkCounts], stat: str = "mean", counts: dict[str, int] | None = None
 ) -> float:
     """Mean (or median) smoothed after/before ratio of source-member comments
     on matched threads, over pairs with pre-count difference < 5.
 
-    ``involved`` is ``crosslink_involved_posts(links)``, computed here when
-    not given. A ``counts`` dict receives how many links gave an eligible
-    pair (``eligible_pairs``), had no matched post (``no_matched_post``) or
-    were skipped for their pre-count difference (``precount_skipped``); it
-    is filled in before a BaselineError is raised.
+    A ``counts`` dict receives how many links gave an eligible pair
+    (``eligible_pairs``), had no matched post (``no_matched_post``) or were
+    skipped for their pre-count difference (``precount_skipped``); it is
+    filled in before a BaselineError is raised.
     """
     if stat not in ("mean", "median"):
         raise ValueError(f"stat must be mean or median, got {stat!r}")
-    if involved is None:
-        involved = crosslink_involved_posts(links)
-    window_s = window_hours * 3600.0
-    ratios = []
-    no_match = skipped = 0
-    for link in links:
-        try:
-            match = matched_post(corpus, links, link.target_post, involved=involved)
-        except NoMatchError:
-            no_match += 1
-            continue
-        mem = members(corpus, link.source_community, day_start(link.t0), link.target_community)
-        target_before, _ = _thread_counts_by(corpus, link.target_post, mem, link.t0, window_s)
-        m_before, m_after = _thread_counts_by(corpus, match.match_id, mem, link.t0, window_s)
-        if abs(target_before - m_before) >= MAX_PRECOUNT_DIFF:
-            skipped += 1
-            continue
-        ratios.append(smoothed_ratio(m_before, m_after))
+    paired = [m for m in measured if m.matched_before is not None]
+    ratios = [smoothed_ratio(m.matched_before, m.matched_after) for m in paired
+              if abs(m.before - m.matched_before) < MAX_PRECOUNT_DIFF]
     if counts is not None:
-        counts.update(eligible_pairs=len(ratios), no_matched_post=no_match, precount_skipped=skipped)
+        counts.update(eligible_pairs=len(ratios), no_matched_post=len(measured) - len(paired),
+                      precount_skipped=len(paired) - len(ratios))
     if not ratios:
         raise BaselineError(
             "no eligible matched pairs for the null model; "
@@ -160,59 +188,20 @@ def baseline_ratio(
     return statistics.mean(ratios) if stat == "mean" else statistics.median(ratios)
 
 
-def detect(
-    corpus: Corpus,
-    link: CrossLink,
-    baseline: float,
-    links: list[CrossLink] | None = None,
-    window_hours: float = DEFAULT_WINDOW_HOURS,
-    involved: set[str] | None = None,
-) -> MobilizationRecord:
-    """Classify one cross-link against the baseline rate.
-
-    Attackers are source members and defenders target members who comment on
-    the target thread in [t0, t0+w). When the full link list is supplied the
-    matched-thread counts are filled in as well (None when the target has no
-    matched post); ``involved`` is that list's ``crosslink_involved_posts``,
-    computed per call when not given.
-    """
+def detect(counts: LinkCounts, baseline: float) -> MobilizationRecord:
+    """Classify one measured cross-link against the baseline rate."""
     if baseline <= 0:
         raise ValueError("baseline must be positive")
-    window_s = window_hours * 3600.0
-    day = day_start(link.t0)
-    source_members = members(corpus, link.source_community, day, link.target_community)
-    target_members = members(corpus, link.target_community, day, link.source_community)
-
-    before, after = _thread_counts_by(corpus, link.target_post, source_members, link.t0, window_s)
-    ratio = smoothed_ratio(before, after)
-
-    attackers, defenders = set(), set()
-    for c in corpus.thread_comments.get(link.target_post, []):
-        if link.t0 <= c.timestamp < link.t0 + window_s:
-            if c.author in source_members:
-                attackers.add(c.author)
-            elif c.author in target_members:
-                defenders.add(c.author)
-
-    matched_before = matched_after = None
-    if links is not None:
-        try:
-            match = matched_post(corpus, links, link.target_post, involved=involved)
-            matched_before, matched_after = _thread_counts_by(
-                corpus, match.match_id, source_members, link.t0, window_s
-            )
-        except NoMatchError:
-            log.debug("no matched thread for %s", link.target_post)
-
+    ratio = smoothed_ratio(counts.before, counts.after)
     return MobilizationRecord(
-        crosslink=link,
-        before_count=before,
-        after_count=after,
+        crosslink=counts.link,
+        before_count=counts.before,
+        after_count=counts.after,
         ratio=ratio,
         baseline=baseline,
         verdict="mobilization" if ratio > baseline else "none",
-        attackers=attackers,
-        defenders=defenders,
-        matched_before=matched_before,
-        matched_after=matched_after,
+        attackers=counts.attackers,
+        defenders=counts.defenders,
+        matched_before=counts.matched_before,
+        matched_after=counts.matched_after,
     )

@@ -21,8 +21,8 @@ from . import predictor as pred_mod
 from .corpus import CorpusError, CrossLink, extract_crosslinks, load_events
 from .forest import load_forest, train_forest
 from .lstm import init_params, mean_hidden, readout, save_params
-from .matching import crosslink_involved_posts
-from .mobilization import DEFAULT_BASELINE, BaselineError, MobilizationRecord, baseline_ratio, detect
+from .mobilization import (DEFAULT_BASELINE, BaselineError, LinkCounts, MobilizationRecord,
+                           baseline_ratio, detect, measure)
 from .replynet import ReplyGraph, anger_rate, build_reply_graph, echo_metrics, group_pagerank
 from .sentiment import builtin_lexicon, community_tfidf_vectors, load_lexicon, predict_sentiment
 
@@ -100,6 +100,7 @@ class Config:
             (self.predict_lr > 0, "predict_lr must be positive"),
             (self.max_words >= 0, "max_words must be >= 0"),
             (self.ensemble_trees >= 1, "ensemble_trees must be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
             (self.baseline_stat in ("mean", "median"), "baseline_stat must be mean or median"),
             (numbers.get("baseline", 1.0) > 0, "baseline must be positive"),
         ]
@@ -165,7 +166,7 @@ def apply_overrides(config: Config, overrides: dict[str, str]) -> Config:
 
 def substream_seed(root: int, name: str) -> int:
     """Named, reproducible child seed of the root seed."""
-    seq = np.random.SeedSequence([root & 0xFFFFFFFF, zlib.crc32(name.encode("utf-8"))])
+    seq = np.random.SeedSequence([root, zlib.crc32(name.encode("utf-8"))])
     return int(seq.generate_state(1)[0])
 
 
@@ -251,9 +252,10 @@ class Run:
                                   counts=self.crosslink_drops)
 
     @cached_property
-    def involved(self) -> set[str]:
-        """The posts at either end of a cross-link, which no matched post is."""
-        return crosslink_involved_posts(self.links)
+    def measured(self) -> list[LinkCounts]:
+        """The null model's window counts of every link, which the baseline
+        and the detect records both read."""
+        return measure(self.corpus, self.links, window_hours=self.config.window_hours)
 
     @cached_property
     def baseline(self) -> dict:
@@ -266,8 +268,7 @@ class Run:
             value, mode = float(config.baseline), "fixed"
         else:
             try:
-                value = baseline_ratio(self.corpus, self.links, window_hours=config.window_hours,
-                                       stat=config.baseline_stat, involved=self.involved,
+                value = baseline_ratio(self.measured, stat=config.baseline_stat,
                                        counts=self.baseline_pairs)
                 mode = "auto"
             except BaselineError:
@@ -281,9 +282,7 @@ class Run:
         if "detect" in self.hits:
             return [MobilizationRecord.from_dict(row)
                     for row in _read_jsonl(self.out / "mobilizations.jsonl")]
-        return [detect(self.corpus, link, self.baseline["value"], links=self.links,
-                       window_hours=self.config.window_hours, involved=self.involved)
-                for link in self.links]
+        return [detect(counts, self.baseline["value"]) for counts in self.measured]
 
     @cached_property
     def mobilized(self) -> list[MobilizationRecord]:
@@ -621,11 +620,17 @@ def _stage_key(stage: Stage, config: Config, digests: dict, keys: dict) -> str:
 
 
 def _previous_manifest(text: str) -> dict:
+    """The bundle's previous manifest, or {} when it is missing, of another
+    schema or malformed, so that every stage runs."""
     try:
         manifest = json.loads(text)
     except ValueError:
         return {}
     if not isinstance(manifest, dict) or manifest.get("schema_version") != SCHEMA_VERSION:
+        return {}
+    stages, files = manifest.get("stages"), manifest.get("files")
+    if not (isinstance(stages, dict) and isinstance(files, dict)
+            and all(isinstance(info, dict) for info in stages.values())):
         return {}
     return manifest
 

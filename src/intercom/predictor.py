@@ -9,7 +9,7 @@ import numpy as np
 from .corpus import Corpus, CrossLink
 from .embed import EmbeddingTable
 from .impact import midranks
-from .lstm import LSTMParams, bptt, mean_hidden, predict_prob  # noqa: F401
+from .lstm import LSTMParams, bptt, predict_prob
 from .sentiment import Lexicon, extract_text_features, sparse_cosine, tokenize
 
 log = logging.getLogger(__name__)

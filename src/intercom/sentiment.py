@@ -4,6 +4,8 @@ from __future__ import annotations
 import logging
 import math
 import re
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -144,6 +146,15 @@ def _community_tokens(corpus: Corpus) -> dict[str, list[str]]:
     return docs
 
 
+def top_vocabulary(docs: Iterable[list[str]], size: int) -> set[str]:
+    """The ``size`` most frequent tokens of ``docs``, ties broken toward the
+    smaller token."""
+    total = Counter()
+    for tokens in docs:
+        total.update(tokens)
+    return {w for w, _ in sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))[:size]}
+
+
 def community_tfidf_vectors(corpus: Corpus, vocab_size: int = 10000) -> dict[str, dict[str, float]]:
     """tf-idf vector per community over the top-``vocab_size`` corpus words.
 
@@ -151,16 +162,10 @@ def community_tfidf_vectors(corpus: Corpus, vocab_size: int = 10000) -> dict[str
     community documents.
     """
     docs = _community_tokens(corpus)
-    total: dict[str, int] = {}
-    df: dict[str, int] = {}
+    df = Counter()
     for tokens in docs.values():
-        seen = set()
-        for t in tokens:
-            total[t] = total.get(t, 0) + 1
-            seen.add(t)
-        for t in seen:
-            df[t] = df.get(t, 0) + 1
-    vocab = set(w for w, _ in sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))[:vocab_size])
+        df.update(set(tokens))
+    vocab = top_vocabulary(docs.values(), vocab_size)
     n_docs = len(docs)
     vectors = {}
     for community, tokens in docs.items():

@@ -17,7 +17,7 @@ from intercom.embed import edge_gradients, edge_loss, train_embeddings
 from intercom.forest import train_forest
 from intercom.impact import mann_whitney_u, wilcoxon_signed_rank
 from intercom.lstm import gradient_check, init_params, lstm_forward
-from intercom.mobilization import baseline_ratio, detect
+from intercom.mobilization import baseline_ratio, detect, measure
 from intercom.pipeline import Config, run_pipeline
 from intercom.predictor import PredictionDataset, auc, predict_prob, split_indices, train
 from intercom.replynet import group_pagerank
@@ -44,14 +44,14 @@ def test_criterion_1_null_model_detector(tmp_path):
     links = extract_crosslinks(corpus)
     assert len(links) == len(manifest["links"])
 
-    baseline = baseline_ratio(corpus, links)
+    baseline = baseline_ratio(measured := measure(corpus, links))
     assert baseline == pytest.approx(1.6, abs=0.1)
 
     by_source = {m["source_post"]: m for m in manifest["links"]}
     planted_hot = planted_quiet = hits = false_alarms = 0
     for link in links:
         planted = by_source[link.source_post]
-        record = detect(corpus, link, baseline)
+        record = detect(measured[links.index(link)], baseline)
         # planted smoothed ratios: 3.2 = 2x baseline, 0.8 = baseline/2
         if planted["mobilization"]:
             planted_hot += 1

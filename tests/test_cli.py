@@ -265,6 +265,30 @@ def test_report_rejects_a_non_finite_number(synth, tmp_path, capsys, setting):
     assert not out_dir.exists()
 
 
+def test_report_rejects_a_negative_seed(synth, tmp_path, capsys):
+    events_path, _ = synth
+    out_dir = tmp_path / "bundle"
+    assert main(["report", "--corpus", events_path, "--out", str(out_dir),
+                 "--set", "seed=-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("malformed", [{"stages": []}, {"files": []}, {"stages": {"ingest": "x"}}])
+def test_report_reruns_every_stage_over_a_malformed_manifest(synth, tmp_path, capsys, malformed):
+    events_path, _ = synth
+    fresh, out_dir = tmp_path / "fresh", tmp_path / "bundle"
+    assert main(["report", "--corpus", events_path, "--out", str(fresh)]) == 0
+    assert main(["report", "--corpus", events_path, "--out", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    (out_dir / "manifest.json").write_text(json.dumps({**manifest, **malformed}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--corpus", events_path, "--out", str(out_dir)]) == 0
+    assert "cache hits" not in capsys.readouterr().out
+    assert ({p.name: p.read_bytes() for p in out_dir.iterdir()}
+            == {p.name: p.read_bytes() for p in fresh.iterdir()})
+
+
 def test_readme_cli_lines_parse():
     # every command line of the README's CLI block names real commands and flags
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -328,11 +328,11 @@ def test_wilcoxon_normal_approximation_path():
 
 def test_mobilization_impacts_roles(two_community_corpus):
     from intercom.corpus import extract_crosslinks
-    from intercom.mobilization import detect
+    from intercom.mobilization import detect, measure
 
     corpus, _ = two_community_corpus
     links = extract_crosslinks(corpus)
-    record = detect(corpus, links[0], 1.6)
+    record = detect(measure(corpus, links)[0], 1.6)
     impacts = mobilization_impacts(corpus, record)
     roles = {(i.user, i.role) for i in impacts}
     assert {(f"a{i}", "attacker") for i in range(1, 6)} <= roles

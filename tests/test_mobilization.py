@@ -6,8 +6,8 @@ from intercom.mobilization import (
     MobilizationRecord,
     baseline_ratio,
     detect,
+    measure,
     smoothed_ratio,
-    window_counts,
 )
 
 from conftest import BASE, DAY, HOUR, comment, corpus_from, post
@@ -17,7 +17,8 @@ def test_window_counts_planted_fixture(two_community_corpus):
     # fixture plants exactly 2 source-member comments before t0 and 9 after
     corpus, t0 = two_community_corpus
     link = extract_crosslinks(corpus)[0]
-    assert window_counts(corpus, link) == (2, 9)
+    [counts] = measure(corpus, [link])
+    assert (counts.before, counts.after) == (2, 9)
 
 
 def test_window_counts_no_activity():
@@ -27,7 +28,8 @@ def test_window_counts_no_activity():
         post("src", "alice", "A", t0, body="r/B/comments/tgt"),
     ])
     link = extract_crosslinks(corpus)[0]
-    assert window_counts(corpus, link) == (0, 0)
+    [counts] = measure(corpus, [link])
+    assert (counts.before, counts.after) == (0, 0)
 
 
 def test_window_counts_half_open_at_t0():
@@ -41,7 +43,8 @@ def test_window_counts_half_open_at_t0():
     ]
     corpus = corpus_from(events)
     link = extract_crosslinks(corpus)[0]
-    assert window_counts(corpus, link) == (0, 1)
+    [counts] = measure(corpus, [link])
+    assert (counts.before, counts.after) == (0, 1)
 
 
 def test_smoothed_ratio():
@@ -72,22 +75,22 @@ def _baseline_corpus(matched_counts):
 def test_baseline_identity_ratio():
     corpus = _baseline_corpus([(1, 1), (1, 1)])
     links = extract_crosslinks(corpus)
-    assert baseline_ratio(corpus, links) == pytest.approx(1.0)
+    assert baseline_ratio(measure(corpus, links)) == pytest.approx(1.0)
 
 
 def test_baseline_mean_of_ratios():
     # smoothed matched ratios {1.0, 3.0} -> mean 2.0
     corpus = _baseline_corpus([(0, 0), (0, 2)])
     links = extract_crosslinks(corpus)
-    assert baseline_ratio(corpus, links) == pytest.approx(2.0)
-    assert baseline_ratio(corpus, links, stat="median") == pytest.approx(2.0)
+    assert baseline_ratio(measure(corpus, links)) == pytest.approx(2.0)
+    assert baseline_ratio(measure(corpus, links), stat="median") == pytest.approx(2.0)
 
 
 def test_baseline_restricts_on_precount_difference():
     # target pre-count 0 vs matched pre-count 5: pair excluded
     corpus = _baseline_corpus([(5, 3), (0, 2)])
     links = extract_crosslinks(corpus)
-    assert baseline_ratio(corpus, links) == pytest.approx(3.0)
+    assert baseline_ratio(measure(corpus, links)) == pytest.approx(3.0)
 
 
 def test_baseline_no_pairs_error():
@@ -97,13 +100,13 @@ def test_baseline_no_pairs_error():
     ])
     links = extract_crosslinks(corpus)
     with pytest.raises(BaselineError, match="1.6"):
-        baseline_ratio(corpus, links)
+        baseline_ratio(measure(corpus, links))
 
 
 def test_detect_mobilization_fixture(two_community_corpus):
     corpus, t0 = two_community_corpus
     links = extract_crosslinks(corpus)
-    record = detect(corpus, links[0], 1.6, links=links)
+    record = detect(measure(corpus, links)[0], 1.6)
     assert record.ratio == pytest.approx(10 / 3)
     assert record.verdict == "mobilization"
     assert record.attackers == {"a1", "a2", "a3", "a4", "a5"}
@@ -119,7 +122,7 @@ def test_detect_no_activity_none():
         post("tgt", "bob", "B", t0 - DAY),
         post("src", "alice", "A", t0, body="r/B/comments/tgt"),
     ])
-    record = detect(corpus, extract_crosslinks(corpus)[0], 1.6)
+    record = detect(measure(corpus, extract_crosslinks(corpus))[0], 1.6)
     assert record.ratio == 1.0
     assert record.verdict == "none"
     assert record.attackers == set() and record.defenders == set()
@@ -129,7 +132,7 @@ def test_detect_requires_positive_baseline(two_community_corpus):
     corpus, _ = two_community_corpus
     link = extract_crosslinks(corpus)[0]
     with pytest.raises(ValueError):
-        detect(corpus, link, 0.0)
+        detect(measure(corpus, [link])[0], 0.0)
 
 
 def test_detect_monotone_in_after_count():
@@ -147,7 +150,7 @@ def test_detect_monotone_in_after_count():
         for k in range(n_after):
             events.append(comment(f"aft{k}", "a1", "B", t0 + 60 + k, "tgt"))
         corpus = corpus_from(events)
-        record = detect(corpus, extract_crosslinks(corpus)[0], 1.6)
+        record = detect(measure(corpus, extract_crosslinks(corpus))[0], 1.6)
         if last_verdict == "mobilization":
             assert record.verdict == "mobilization"
         last_verdict = record.verdict
@@ -157,6 +160,6 @@ def test_detect_monotone_in_after_count():
 def test_record_roundtrip(two_community_corpus):
     corpus, _ = two_community_corpus
     links = extract_crosslinks(corpus)
-    record = detect(corpus, links[0], 1.6, links=links)
+    record = detect(measure(corpus, links)[0], 1.6)
     clone = MobilizationRecord.from_dict(record.to_dict())
     assert clone.to_dict() == record.to_dict()

@@ -96,6 +96,17 @@ def test_substream_seeds_stable_and_distinct():
     assert a != substream_seed(1, "impact")
 
 
+def test_substream_seeds_do_not_alias_across_2_32():
+    for name in ("impact", "embed"):
+        assert substream_seed(0, name) != substream_seed(2**32, name)
+        assert substream_seed(7, name) != substream_seed(7 + 2**32, name)
+
+
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        Config(seed=-1).validate()
+
+
 def test_pipeline_full_run(synth_corpus, tmp_path):
     events_path, manifest = synth_corpus
     config = Config(corpus=str(events_path), output_dir=str(tmp_path / "run"),

@@ -12,6 +12,7 @@ from intercom.sentiment import (
     strip_shared_words,
     tfidf_similarity,
     tokenize,
+    top_vocabulary,
 )
 from intercom.forest import train_forest
 
@@ -21,6 +22,13 @@ from conftest import BASE, corpus_from, post
 @pytest.fixture
 def lexicon():
     return Lexicon(name="test", categories={"anger": {"hate"}, "positive": {"joy"}})
+
+
+def test_top_vocabulary_ranks_by_count_then_token():
+    docs = [["b", "a", "c"], ["c", "b"], ["d"]]
+    assert top_vocabulary(docs, 2) == {"b", "c"}
+    assert top_vocabulary(docs, 3) == {"a", "b", "c"}
+    assert top_vocabulary(iter(docs), 10) == {"a", "b", "c", "d"}
 
 
 def test_strip_shared_words():

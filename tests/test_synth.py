@@ -1,7 +1,7 @@
 import pytest
 
 from intercom.corpus import extract_crosslinks, load_events
-from intercom.mobilization import baseline_ratio, detect
+from intercom.mobilization import baseline_ratio, detect, measure
 from intercom.sentiment import extract_text_features, builtin_lexicon
 from intercom.synth import SynthError, SynthSpec, generate_corpus, generate_sentiment_examples
 
@@ -70,9 +70,9 @@ def test_detector_counts_match_manifest(tmp_path):
     links = extract_crosslinks(corpus)
     by_source = {m["source_post"]: m for m in manifest["links"]}
     baseline = manifest["planted_matched_ratio"]
-    for link in links:
+    for link, counts in zip(links, measure(corpus, links)):
         planted = by_source[link.source_post]
-        record = detect(corpus, link, baseline, links=links)
+        record = detect(counts, baseline)
         assert (record.before_count, record.after_count) == (
             planted["before_count"], planted["after_count"])
         assert record.ratio == pytest.approx(planted["planted_ratio"])
@@ -88,11 +88,11 @@ def test_baseline_recovered_and_verdicts_match(tmp_path):
     events_path, manifest = generate_corpus(spec, tmp_path)
     corpus = load_events(events_path)
     links = extract_crosslinks(corpus)
-    baseline = baseline_ratio(corpus, links)
+    baseline = baseline_ratio(measured := measure(corpus, links))
     assert baseline == pytest.approx(manifest["planted_matched_ratio"], abs=0.1)
     by_source = {m["source_post"]: m for m in manifest["links"]}
-    for link in links:
-        record = detect(corpus, link, baseline)
+    for link, counts in zip(links, measured):
+        record = detect(counts, baseline)
         assert (record.verdict == "mobilization") == by_source[link.source_post]["mobilization"]
 
 
