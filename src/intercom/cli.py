@@ -229,6 +229,15 @@ def cmd_report(args) -> int:
                                 if key not in ("key", "outputs"))
             state = "hit" if name in result.cache_hits else "ran"
             print(f"stage {name}: {state} {counters}".rstrip(), file=sys.stderr)
+        # the learning stages' convergence, read back from their bundle files
+        if "embed" in result.manifest["stages"]:
+            summary = json.loads((result.output_dir / "embed.json").read_text(encoding="utf-8"))
+            print(f"embed loss={summary['loss']}", file=sys.stderr)
+        if "predict" in result.manifest["stages"]:
+            _, checkpoint = load_params(result.output_dir / "lstm_model.json")
+            for entry in checkpoint["log"]:
+                print(f"lstm epoch {entry['epoch']}: train_loss={entry['train_loss']} "
+                      f"val_auc={entry['val_auc']}", file=sys.stderr)
     cached = f" (cache hits: {', '.join(result.cache_hits)})" if result.cache_hits else ""
     print(f"report bundle in {result.output_dir}{cached}")
     return EXIT_OK
@@ -301,7 +310,8 @@ def build_parser() -> _Parser:
     p = analysis("report", cmd_report, "run the full pipeline and emit the report bundle")
     p.add_argument("--out", dest="output_dir")
     p.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS,
-                   help="also print one line per stage to stderr: hit or ran, and its counters")
+                   help="also print to stderr one line per stage (hit or ran, and its counters), "
+                        "the embed loss and the LSTM's per-epoch log")
 
     return parser
 

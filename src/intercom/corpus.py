@@ -154,11 +154,16 @@ def _parse_record(obj: dict) -> Event | None:
     body = obj.get("body", "")
     if not isinstance(body, str):
         return None
+    author, community = str(obj["author"]), str(obj["community"])
+    # user and community names are written one per vector-file line, split on
+    # whitespace; Reddit's names never contain any
+    if author.split() != [author] or community.split() != [community]:
+        return None
     return Event(
         kind=kind,
         id=str(obj["id"]),
-        author=str(obj["author"]),
-        community=str(obj["community"]),
+        author=author,
+        community=community,
         timestamp=float(ts),
         body=body,
         thread_id=str(thread_id) if kind == "comment" else None,

@@ -142,6 +142,12 @@ def edge_gradients(u: np.ndarray, c_pos: np.ndarray, c_negs: np.ndarray):
     return du, dc_pos, dc_negs
 
 
+def _scalar_sigmoid(x: float):
+    # lstm._sigmoid's value for one float without np.clip's overhead; np.exp,
+    # not math.exp, which differs from it in the last ulp on some arguments
+    return 1.0 / (1.0 + np.exp(-min(max(x, -500.0), 500.0)))
+
+
 def train_embeddings(
     graph: BipartiteMultigraph,
     dim: int = EMBED_DIM,
@@ -162,22 +168,26 @@ def train_embeddings(
 
     total_steps = epochs * graph.n_edges
     step = 0
+    edges = graph.edges.tolist()
     for _ in range(epochs):
-        order = rng.permutation(graph.n_edges)
-        for e in order:
+        order = rng.permutation(graph.n_edges).tolist()
+        # one draw per epoch gives the same values as one draw of ``negatives`` per edge
+        draws = (rng.integers(0, n_comms, size=(graph.n_edges, negatives)).tolist()
+                 if negatives else [()] * graph.n_edges)
+        for e, negs in zip(order, draws):
             lr = lr_start - (lr_start - lr_end) * (step / max(1, total_steps - 1))
-            ui, ci = int(graph.edges[e, 0]), int(graph.edges[e, 1])
-            u = U[ui]
-            negs = rng.integers(0, n_comms, size=negatives) if negatives else np.empty(0, dtype=np.intp)
+            ui, ci = edges[e]
+            u, c = U[ui], C[ci]  # views: the updates below write U and C in place
 
-            g_pos = _sigmoid(float(u @ C[ci])) - 1.0
-            du = g_pos * C[ci]
-            C[ci] -= lr * g_pos * u
+            g_pos = _scalar_sigmoid(float(u @ c)) - 1.0
+            du = g_pos * c
+            c -= lr * g_pos * u
             for nk in negs:
-                g = _sigmoid(float(u @ C[nk]))
-                du += g * C[nk]
-                C[nk] -= lr * g * u
-            U[ui] -= lr * du
+                neg = C[nk]
+                g = _scalar_sigmoid(float(u @ neg))
+                du += g * neg
+                neg -= lr * g * u
+            u -= lr * du
             step += 1
         if not (np.isfinite(U).all() and np.isfinite(C).all()):
             raise FloatingPointError(

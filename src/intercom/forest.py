@@ -20,31 +20,27 @@ def _best_split(X, y_codes, idx, n_classes, features):
     """Best (impurity gain, feature, threshold) over the candidate features.
 
     Maximizes sum(left_counts^2)/|left| + sum(right_counts^2)/|right|, which
-    is equivalent to minimizing weighted Gini impurity.
+    is equivalent to minimizing weighted Gini impurity. Every candidate is
+    scored in one pass; the class counts are whole numbers, so each score is
+    exact whatever order numpy adds them in.
     """
     n = idx.size
     total = np.bincount(y_codes[idx], minlength=n_classes).astype(np.float64)
     base = float(np.dot(total, total)) / n
+    vals = X[idx[:, None], features]  # n x m
+    order = np.argsort(vals, axis=0, kind="stable")
+    sv = np.take_along_axis(vals, order, axis=0)
+    # cut k puts the first k + 1 sorted rows left; only cuts between unequal values count
+    left = np.cumsum(np.eye(n_classes)[y_codes[idx][order[:-1]]], axis=0)  # (n-1) x m x classes
+    right = total - left
+    left_n = np.arange(1.0, n)[:, None]
+    score = (left * left).sum(axis=2) / left_n + (right * right).sum(axis=2) / (n - left_n)
+    score[~(sv[:-1] < sv[1:])] = -np.inf
     best = None
-    for f in features:
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        cut = np.nonzero(sv[:-1] < sv[1:])[0]
-        if cut.size == 0:
-            continue
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), y_codes[idx][order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left = cum[cut]
-        right = total - left
-        left_n = (cut + 1).astype(np.float64)
-        right_n = n - left_n
-        score = (left * left).sum(axis=1) / left_n + (right * right).sum(axis=1) / right_n
-        k = int(np.argmax(score))
-        if score[k] > base + 1e-12 and (best is None or score[k] > best[0] + 1e-12):
-            pos = cut[k]
-            best = (float(score[k]), f, float((sv[pos] + sv[pos + 1]) / 2.0))
+    for j, k in enumerate(np.argmax(score, axis=0).tolist()):
+        s = score[k, j]
+        if s > base + 1e-12 and (best is None or s > best[0] + 1e-12):
+            best = (float(s), features[j], float((sv[k, j] + sv[k + 1, j]) / 2.0))
     return best
 
 

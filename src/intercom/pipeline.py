@@ -234,6 +234,8 @@ class Run:
         self.crosslink_drops: dict[str, int] = {}
         # baseline_ratio's pair counts, filled in when the baseline is measured
         self.baseline_pairs: dict[str, int] = {}
+        # power iterations of each group_pagerank call, in call order
+        self.pagerank_iterations: list[int] = []
 
     @cached_property
     def corpus(self):
@@ -307,11 +309,12 @@ class Run:
                                   record.attackers, record.defenders)
         if not record.attackers or not record.defenders:
             return graph, None
-        apr = group_pagerank(graph, "attackers", alpha=config.alpha,
-                             tol=config.pagerank_tol, max_iter=config.pagerank_max_iter).scores
+        ranks = [group_pagerank(graph, group, alpha=config.alpha, tol=config.pagerank_tol,
+                                max_iter=config.pagerank_max_iter)
+                 for group in ("attackers", "defenders")]
+        self.pagerank_iterations += [rank.iterations for rank in ranks]
+        apr, dpr = ranks[0].scores, ranks[1].scores
         echo = echo_metrics(graph, apr)
-        dpr = group_pagerank(graph, "defenders", alpha=config.alpha,
-                             tol=config.pagerank_tol, max_iter=config.pagerank_max_iter).scores
         defender_out = sum(w for (i, _j), w in graph.edges.items() if i in record.defenders)
         reply_frac = (echo.defender_attacker_weight / defender_out) if defender_out else 0.0
         mean_dapr = sum(apr[u] for u in sorted(record.defenders)) / len(record.defenders)
@@ -416,7 +419,10 @@ def stage_sentiment(run: Run) -> dict:
 def stage_replynet(run: Run) -> dict:
     rows = run.replynet_rows
     _write_csv(run.out / "replynet.csv", REPLYNET_HEADER, rows)
-    return {"rows": len(rows), "skipped": len(run.mobilized) - len(rows)}
+    iterations = run.pagerank_iterations
+    return {"rows": len(rows), "skipped": len(run.mobilized) - len(rows),
+            "pagerank_iterations_max": max(iterations, default=None),
+            "pagerank_iterations_mean": sum(iterations) / len(iterations) if iterations else None}
 
 
 def stage_impact(run: Run) -> dict:

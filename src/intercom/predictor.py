@@ -9,7 +9,7 @@ import numpy as np
 from .corpus import Corpus, CrossLink
 from .embed import EmbeddingTable
 from .impact import midranks
-from .lstm import LSTMParams, bptt, predict_prob
+from .lstm import LSTMParams, bptt, example_loss, predict_prob
 from .sentiment import Lexicon, extract_text_features, sparse_cosine, tokenize
 
 log = logging.getLogger(__name__)
@@ -214,8 +214,9 @@ def train(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     adam_t = 0
 
+    # a forward pass gives the same loss as bptt(...)[0] without the gradients
     initial_loss = float(
-        np.mean([bptt(dataset.sequences[i], int(dataset.labels[i]), params)[0] for i in train_idx])
+        np.mean([example_loss(dataset.sequences[i], int(dataset.labels[i]), params) for i in train_idx])
     )
     history: list[dict] = []
     best = params.copy()

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from intercom import embed as embed_mod
 from intercom.cli import build_parser, main
-from intercom.pipeline import REPLYNET_HEADER, STAGE_ORDER, Config
+from intercom.pipeline import REPLYNET_HEADER, STAGE_ORDER, Config, Run, substream_seed, train_lstm
 from intercom.synth import SynthSpec, generate_corpus
 
 from conftest import write_canary_pickle
@@ -310,6 +311,35 @@ def test_impact_command(synth, tmp_path):
     assert main(["report", "--corpus", events_path, "--out", str(out_dir)]) == 0
     assert (out_dir / "impact.csv").exists()
     assert (out_dir / "stat_tests.json").exists()
+
+
+def test_report_verbose_prints_the_embed_loss_and_the_lstm_log(tmp_path, capsys):
+    spec = SynthSpec(n_communities=4, n_crosslinks=40, background_posts_per_community=10,
+                     background_comments_per_user=6, seed=2)
+    events_path, _ = generate_corpus(spec, tmp_path / "synth")
+    out = tmp_path / "bundle"
+    settings = {"embed_enabled": True, "predict_enabled": True, "embed_dim": 8, "embed_epochs": 3,
+                "embed_negatives": 3, "hidden_size": 4, "predict_epochs": 3, "seed": 5}
+    sets = [arg for k, v in settings.items() for arg in ("--set", f"{k}={v}")]
+    assert main(["report", "-v", "--corpus", str(events_path), "--out", str(out)] + sets) == 0
+    learned = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith(("embed ", "lstm "))]
+
+    run = Run(Config(corpus=str(events_path), output_dir=str(tmp_path / "direct"), **settings))
+    graph, seed = embed_mod.build_bipartite(run.corpus), substream_seed(5, "embed")
+    table = embed_mod.train_embeddings(graph, dim=8, negatives=3, epochs=3, seed=seed)
+    loss = embed_mod.loss(graph, table, seed=seed, sample_size=min(2000, graph.n_edges))
+    _, result = train_lstm(run, *embed_mod.load_table(out), tmp_path / "lstm.json")
+    assert len(result.log) == 3 and any(entry["val_auc"] is not None for entry in result.log)
+    assert learned == [f"embed loss={loss}"] + [
+        f"lstm epoch {entry['epoch']}: train_loss={entry['train_loss']} val_auc={entry['val_auc']}"
+        for entry in result.log]
+
+    # a re-run reuses every stage and reads the same values back from the bundle
+    assert main(["report", "-v", "--corpus", str(events_path), "--out", str(out)] + sets) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert all(line.split(": ")[1].startswith("hit") for line in err if line.startswith("stage "))
+    assert [line for line in err if line.startswith(("embed ", "lstm "))] == learned
 
 
 def test_cli_embed_and_predict_match_report(tmp_path, capsys):

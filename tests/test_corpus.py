@@ -77,6 +77,23 @@ def test_load_rejects_non_finite_and_bool_timestamps(tmp_path):
     assert corpus.stats.rejected == 6
 
 
+def test_load_rejects_empty_names_and_names_with_whitespace(tmp_path):
+    path = tmp_path / "events.jsonl"
+    bad = [("a b", "A"), ("", "A"), ("u\t", "A"), ("\u00a0u", "A"), ("u", "A B"), ("u", ""),
+           ("u", " A"), ("u", "A\n")]
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"kind": "post", "id": "p0", "author": "u_1", "community": "A-b",
+                             "timestamp": BASE}) + "\n")
+        for i, (author, community) in enumerate(bad):
+            fh.write(json.dumps({"kind": "post", "id": f"p{i + 1}", "author": author,
+                                 "community": community, "timestamp": BASE}) + "\n")
+        fh.write(json.dumps({"kind": "comment", "id": "c1", "author": "x y", "community": "A-b",
+                             "timestamp": BASE + 1, "thread_id": "p0", "parent_id": "p0"}) + "\n")
+    corpus = load_events(path)
+    assert list(corpus.posts) == ["p0"] and corpus.comments == {}
+    assert corpus.stats.rejected == len(bad) + 1
+
+
 def test_load_unreadable_file(tmp_path):
     with pytest.raises(CorpusError):
         load_events(tmp_path / "missing.jsonl")

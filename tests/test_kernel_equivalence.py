@@ -1,0 +1,259 @@
+"""The learning kernels against the loops they replaced, kept here as
+oracles: the per-feature split search of the forest, the per-edge SGD loop
+of the embedding trainer, and the LSTM trainer whose initial loss ran full
+BPTT. Each comparison is exact: the arithmetic of every kept value is the
+same, so the results must be equal bit for bit.
+"""
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from intercom import forest as forest_mod  # noqa: E402
+from intercom import predictor  # noqa: E402
+from intercom.embed import BipartiteMultigraph, train_embeddings  # noqa: E402
+from intercom.forest import NODE_ARRAYS, _best_split, train_forest  # noqa: E402
+from intercom.lstm import _sigmoid, bptt, example_loss, init_params  # noqa: E402
+from intercom.predictor import PredictionDataset  # noqa: E402
+
+EXAMPLES = settings(max_examples=150, deadline=None)
+
+
+# -- the loops the kernels replaced -------------------------------------------
+
+def loop_best_split(X, y_codes, idx, n_classes, features):
+    n = idx.size
+    total = np.bincount(y_codes[idx], minlength=n_classes).astype(np.float64)
+    base = float(np.dot(total, total)) / n
+    best = None
+    for f in features:
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        cut = np.nonzero(sv[:-1] < sv[1:])[0]
+        if cut.size == 0:
+            continue
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), y_codes[idx][order]] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        left = cum[cut]
+        right = total - left
+        left_n = (cut + 1).astype(np.float64)
+        right_n = n - left_n
+        score = (left * left).sum(axis=1) / left_n + (right * right).sum(axis=1) / right_n
+        k = int(np.argmax(score))
+        if score[k] > base + 1e-12 and (best is None or score[k] > best[0] + 1e-12):
+            pos = cut[k]
+            best = (float(score[k]), f, float((sv[pos] + sv[pos + 1]) / 2.0))
+    return best
+
+
+def loop_train_embeddings(graph, dim, negatives, epochs, lr_start=0.025, lr_end=1e-4, seed=0):
+    rng = np.random.default_rng(seed)
+    n_users, n_comms = len(graph.users), len(graph.communities)
+    U = rng.uniform(-0.5 / dim, 0.5 / dim, size=(n_users, dim))
+    C = rng.uniform(-0.5 / dim, 0.5 / dim, size=(n_comms, dim))
+    total_steps = epochs * graph.n_edges
+    step = 0
+    for _ in range(epochs):
+        order = rng.permutation(graph.n_edges)
+        for e in order:
+            lr = lr_start - (lr_start - lr_end) * (step / max(1, total_steps - 1))
+            ui, ci = int(graph.edges[e, 0]), int(graph.edges[e, 1])
+            u = U[ui]
+            negs = rng.integers(0, n_comms, size=negatives) if negatives else np.empty(0, dtype=np.intp)
+            g_pos = _sigmoid(float(u @ C[ci])) - 1.0
+            du = g_pos * C[ci]
+            C[ci] -= lr * g_pos * u
+            for nk in negs:
+                g = _sigmoid(float(u @ C[nk]))
+                du += g * C[nk]
+                C[nk] -= lr * g * u
+            U[ui] -= lr * du
+            step += 1
+    return U, C
+
+
+def loop_train(dataset, params_init, lr=0.01, epochs=20, seed=0):
+    """``predictor.train`` with its initial loss from full BPTT; returns
+    (params, log, best_val_auc, initial_loss)."""
+    train_idx = dataset.train_idx
+    params = params_init.copy()
+    rng = np.random.default_rng(seed)
+    m, v = params.zeros_like(), params.zeros_like()
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    adam_t = 0
+    initial_loss = float(
+        np.mean([bptt(dataset.sequences[i], int(dataset.labels[i]), params)[0] for i in train_idx]))
+    history, best, best_auc = [], params.copy(), None
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(train_idx)
+        total = 0.0
+        for i in order:
+            loss, grads, _ = bptt(dataset.sequences[i], int(dataset.labels[i]), params)
+            total += loss
+            adam_t += 1
+            for key in params.weights:
+                g = grads[key]
+                m[key] = beta1 * m[key] + (1 - beta1) * g
+                v[key] = beta2 * v[key] + (1 - beta2) * g * g
+                m_hat = m[key] / (1 - beta1**adam_t)
+                v_hat = v[key] / (1 - beta2**adam_t)
+                params.weights[key] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        val_auc = predictor._dataset_auc(dataset, params, dataset.val_idx)
+        history.append({"epoch": epoch, "train_loss": total / order.size, "val_auc": val_auc})
+        if val_auc is None or best_auc is None or val_auc > best_auc:
+            best = params.copy()
+            if val_auc is not None:
+                best_auc = val_auc
+    return best, history, best_auc, initial_loss
+
+
+# -- forest splits ------------------------------------------------------------
+
+@st.composite
+def split_problems(draw):
+    """A node of a forest: rows drawn with repeats from a small matrix whose
+    columns take few distinct values (ties), some of them constant."""
+    n_rows = draw(st.integers(2, 12))
+    n_features = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(2, 3))
+    levels = st.sampled_from([-1.5, 0.0, 0.25, 1.0, 2.0])
+    columns = [draw(st.lists(levels, min_size=n_rows, max_size=n_rows)) for _ in range(n_features)]
+    for j in draw(st.sets(st.integers(0, n_features - 1))):
+        columns[j] = [columns[j][0]] * n_rows  # constant column
+    X = np.array(columns, dtype=np.float64).T
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows, max_size=n_rows)),
+                 dtype=np.intp)
+    idx = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=2, max_size=2 * n_rows)),
+                   dtype=np.intp)
+    mtry = draw(st.integers(1, n_features))
+    features = np.array(draw(st.permutations(range(n_features)))[:mtry], dtype=np.intp)
+    return X, y, idx, n_classes, features
+
+
+@EXAMPLES
+@given(split_problems())
+def test_best_split_equals_the_per_feature_loop(problem):
+    assert _best_split(*problem) == loop_best_split(*problem)
+
+
+def test_best_split_on_two_rows_constant_columns_and_all_features():
+    X = np.array([[0.0, 3.0, 1.0], [0.0, 3.0, 2.0]])
+    y = np.array([0, 1], dtype=np.intp)
+    idx = np.array([0, 1], dtype=np.intp)
+    for features in ([0], [1], [0, 1], [2], [0, 1, 2], [2, 1, 0]):
+        features = np.array(features, dtype=np.intp)
+        assert _best_split(X, y, idx, 2, features) == loop_best_split(X, y, idx, 2, features)
+    assert _best_split(X, y, idx, 2, np.array([0, 2, 1])) == (2.0, 2, 1.5)
+    assert _best_split(X, y, idx, 2, np.array([0, 1])) is None
+
+
+def forest_arrays(forest):
+    return {k: getattr(forest, k) for k in NODE_ARRAYS + ("roots",)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_forest_grows_the_same_trees_as_with_the_per_feature_loop(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    n = 2 if seed == 0 else int(rng.integers(3, 40))
+    n_features = int(rng.integers(1, 10))
+    n_classes = 2 + seed % 2
+    X = rng.integers(0, 4, size=(n, n_features)).astype(np.float64)
+    X[:, 0] = 1.0  # a constant column
+    if n_features > 1:
+        X[:, 1] = rng.normal(size=n)
+    labels = [f"c{v}" for v in rng.integers(0, n_classes, size=n)]
+    labels[:2] = ["c0", "c1"]
+    rows = [{f"x{j}": float(v) for j, v in enumerate(row)} for row in X]
+
+    fast = train_forest(rows, labels, trees=15, seed=seed)
+    monkeypatch.setattr(forest_mod, "_best_split", loop_best_split)
+    slow = train_forest(rows, labels, trees=15, seed=seed)
+    for key, array in forest_arrays(fast).items():
+        assert array.dtype == forest_arrays(slow)[key].dtype
+        assert array.tobytes() == forest_arrays(slow)[key].tobytes(), key
+    assert fast.oob_accuracy == slow.oob_accuracy
+
+
+# -- embedding SGD ------------------------------------------------------------
+
+@st.composite
+def multigraphs(draw):
+    n_users = draw(st.integers(1, 5))
+    n_comms = draw(st.integers(1, 4))
+    edges = draw(st.lists(st.tuples(st.integers(0, n_users - 1), st.integers(0, n_comms - 1)),
+                          min_size=1, max_size=25))
+    return BipartiteMultigraph(users=[f"u{i}" for i in range(n_users)],
+                               communities=[f"c{i}" for i in range(n_comms)],
+                               edges=np.array(edges, dtype=np.intp))
+
+
+def assert_trainers_agree(graph, dim, negatives, epochs, seed):
+    table = train_embeddings(graph, dim=dim, negatives=negatives, epochs=epochs, seed=seed)
+    U, C = loop_train_embeddings(graph, dim, negatives, epochs, seed=seed)
+    assert table.user_vectors.tobytes() == U.tobytes()
+    assert table.community_vectors.tobytes() == C.tobytes()
+
+
+@EXAMPLES
+@given(multigraphs(), st.integers(1, 6), st.integers(0, 6), st.integers(1, 3), st.integers(0, 2**32))
+def test_embeddings_equal_the_per_edge_loop(graph, dim, negatives, epochs, seed):
+    assert_trainers_agree(graph, dim, negatives, epochs, seed)
+
+
+@pytest.mark.parametrize("n_comms, negatives, epochs", [(1, 5, 3), (2, 0, 2), (3, 8, 4), (5, 5, 2)])
+def test_embeddings_equal_the_per_edge_loop_on_a_fixed_multigraph(n_comms, negatives, epochs):
+    rng = np.random.default_rng(n_comms)
+    edges = np.stack([rng.integers(0, 6, size=60), rng.integers(0, n_comms, size=60)], axis=1)
+    graph = BipartiteMultigraph(users=[f"u{i}" for i in range(6)],
+                                communities=[f"c{i}" for i in range(n_comms)], edges=edges)
+    assert_trainers_agree(graph, 7, negatives, epochs, seed=11)
+
+
+def test_one_batched_negative_draw_equals_one_draw_per_edge():
+    for n_comms, size, negatives in ((1, 9, 5), (3, 40, 5), (7, 33, 3), (2**31 + 5, 10, 2)):
+        batched, per_edge = np.random.default_rng(4), np.random.default_rng(4)
+        draws = batched.integers(0, n_comms, size=(size, negatives))
+        assert draws.tolist() == [per_edge.integers(0, n_comms, size=negatives).tolist()
+                                  for _ in range(size)]
+        # and the stream goes on in the same place, the buffered half-words included
+        assert batched.integers(0, n_comms, size=3).tolist() == per_edge.integers(0, n_comms, size=3).tolist()
+        assert batched.random() == per_edge.random()
+
+
+# -- LSTM training ------------------------------------------------------------
+
+def small_dataset(seed, n=12, input_dim=3):
+    rng = np.random.default_rng(seed)
+    sequences = [rng.normal(size=(int(rng.integers(1, 6)), input_dim)) for _ in range(n)]
+    labels = np.array([i % 2 for i in range(n)], dtype=np.intp)
+    order = rng.permutation(n)
+    return PredictionDataset(sequences=sequences, labels=labels, train_idx=order[:8],
+                             val_idx=order[8:10], test_idx=order[10:])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_train_makes_one_bptt_call_per_example_and_epoch(seed, monkeypatch):
+    dataset = small_dataset(seed)
+    params = init_params(3, hidden_dim=4, seed=seed)
+    best, log, best_auc, initial_loss = loop_train(dataset, params, lr=0.05, epochs=3, seed=seed)
+    assert initial_loss == float(np.mean([example_loss(dataset.sequences[i], int(dataset.labels[i]),
+                                                       params) for i in dataset.train_idx]))
+    for seq, label in zip(dataset.sequences, dataset.labels):
+        assert example_loss(seq, int(label), params) == bptt(seq, int(label), params)[0]
+
+    calls = []
+
+    def counting_bptt(*args, **kwargs):
+        calls.append(args)
+        return bptt(*args, **kwargs)
+
+    monkeypatch.setattr(predictor, "bptt", counting_bptt)
+    result = predictor.train(dataset, params, lr=0.05, epochs=3, seed=seed)
+    assert len(calls) == dataset.train_idx.size * 3
+    assert result.log == log
+    assert result.best_val_auc == best_auc
+    for key, array in result.params.weights.items():
+        assert array.tobytes() == best.weights[key].tobytes()

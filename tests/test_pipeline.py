@@ -7,6 +7,7 @@ import pytest
 
 import intercom
 from intercom import lstm, pipeline, replynet
+from intercom.embed import load_vectors
 from intercom.pipeline import (
     STAGES,
     Config,
@@ -371,6 +372,48 @@ def test_stage_info_counts_every_fallback(tmp_path):
     assert {k: stages["impact"][k] for k in
             ("outcomes", "no_matched_attacker", "no_matched_defender", "low_support")} == {
         "outcomes": 1, "no_matched_attacker": 5, "no_matched_defender": 0, "low_support": 4}
+
+
+def test_replynet_stage_counts_pagerank_iterations(synth_corpus, tmp_path):
+    events_path, _ = synth_corpus
+    config = Config(corpus=str(events_path), output_dir=str(tmp_path / "run"))
+    info = run_pipeline(config).manifest["stages"]["replynet"]
+    run, iterations = Run(config), []
+    for record in run.mobilized:
+        if record.attackers and record.defenders:
+            graph = replynet.build_reply_graph(
+                run.corpus.thread_comments.get(record.crosslink.target_post, []),
+                record.crosslink.target_post, record.attackers, record.defenders)
+            iterations += [replynet.group_pagerank(graph, group, alpha=config.alpha,
+                                                   tol=config.pagerank_tol,
+                                                   max_iter=config.pagerank_max_iter).iterations
+                           for group in ("attackers", "defenders")]
+    assert len(iterations) == 2 * info["rows"] > 0
+    assert info["pagerank_iterations_max"] == max(iterations)
+    assert info["pagerank_iterations_mean"] == sum(iterations) / len(iterations)
+
+    none_ran = run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "none"),
+                                   baseline="1000")).manifest["stages"]["replynet"]
+    assert none_ran["rows"] == 0
+    assert none_ran["pagerank_iterations_max"] is None
+    assert none_ran["pagerank_iterations_mean"] is None
+
+
+def test_a_name_with_whitespace_is_rejected_and_embed_and_predict_run(synth_corpus, tmp_path):
+    events_path, _ = synth_corpus
+    records = [json.loads(line) for line in Path(events_path).read_text().splitlines()]
+    renamed = next(r for r in records if r["kind"] == "post")
+    renamed["author"] = "a b"
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "run"
+    run_pipeline(Config(corpus=str(path), output_dir=str(out), embed_enabled=True,
+                        predict_enabled=True, embed_dim=8, embed_epochs=2, hidden_size=4,
+                        predict_epochs=1, ensemble_trees=5, seed=3))
+    assert json.loads((out / "ingest.json").read_text())["rejected"] == 1
+    users = load_vectors(out / "users.vec")
+    assert "a b" not in users and "a" not in users
+    assert json.loads((out / "predict.json").read_text())["examples"] > 0
 
 
 def test_fixed_baseline_has_no_pair_counts(synth_corpus, tmp_path):
