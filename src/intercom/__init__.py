@@ -1,5 +1,7 @@
 """Intercommunity mobilization detection, analysis, and prediction."""
 
+__version__ = "0.1.0"  # set before the imports: the pipeline's run record reads it
+
 from .corpus import (Corpus, CrossLink, Event, extract_crosslinks, index_events, load_events,
                      members, user_activity)
 from .matching import MatchedPair, NoMatchError, matched_post, matched_user
@@ -20,5 +22,3 @@ from .predictor import assemble_sequence, auc, baseline_features, train
 from .lstm import gradient_check, init_params, lstm_forward, predict_prob
 from .synth import SynthSpec, generate_corpus
 from .pipeline import Config, run_pipeline
-
-__version__ = "0.1.0"

@@ -1,7 +1,9 @@
 """Event-log parsing, indexing, cross-link extraction, and community membership."""
 from __future__ import annotations
 
+import gc
 import json
+import json.scanner
 import logging
 import re
 import sys
@@ -10,6 +12,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -28,8 +31,7 @@ class CorpusError(Exception):
     """Unrecoverable problem with an event-log file."""
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One post or comment from the event log."""
 
     kind: str  # "post" | "comment"
@@ -100,11 +102,15 @@ def index_events(events, stats: LoadStats | None = None) -> Corpus:
     whose thread is not a post are dropped and counted in
     ``stats.dangling_comments``.
     """
-    stats = stats if stats is not None else LoadStats()
     posts: dict[str, Event] = {}
     comments: dict[str, Event] = {}
     for event in events:
         (posts if event.kind == "post" else comments)[event.id] = event
+    return _index(posts, comments, stats if stats is not None else LoadStats())
+
+
+def _index(posts: dict[str, Event], comments: dict[str, Event], stats: LoadStats) -> Corpus:
+    """``index_events`` on posts and comments already keyed by id."""
     dangling = [cid for cid, c in comments.items() if c.thread_id not in posts]
     for cid in dangling:
         del comments[cid]
@@ -114,102 +120,153 @@ def index_events(events, stats: LoadStats | None = None) -> Corpus:
     stats.posts, stats.comments = len(posts), len(comments)
 
     corpus = Corpus(posts, comments, stats)
+    posts_by_time, community_posts, user_posts = (
+        corpus.posts_by_time, corpus.community_posts, corpus.user_posts)
+    thread_comments, comment_times, user_comment_times, timelines = (
+        corpus.thread_comments, corpus.comment_times, corpus.user_comment_times, corpus.timelines)
+    # one sort on the (timestamp, id) key: a log written in about time order
+    # is nearly sorted on it already, which a first sort by id would undo
     for e in sorted(chain(posts.values(), comments.values()), key=attrgetter("timestamp", "id")):
-        if e.kind == "post":
-            corpus.posts_by_time.append(e)
-            corpus.community_posts.setdefault(e.community, []).append(e)
-            corpus.user_posts.setdefault(e.author, []).append(e)
+        kind, _id, author, community, ts, _body, thread_id, _parent_id = e
+        if kind == "post":
+            posts_by_time.append(e)
+            community_posts.setdefault(community, []).append(e)
+            user_posts.setdefault(author, []).append(e)
             continue
-        corpus.thread_comments.setdefault(e.thread_id, []).append(e)
-        corpus.comment_times.setdefault(e.community, {}).setdefault(e.author, []).append(e.timestamp)
-        corpus.user_comment_times.setdefault(e.author, []).append(e.timestamp)
-        timeline = corpus.timelines.get(e.community)
+        thread_comments.setdefault(thread_id, []).append(e)
+        comment_times.setdefault(community, {}).setdefault(author, []).append(ts)
+        user_comment_times.setdefault(author, []).append(ts)
+        timeline = timelines.get(community)
         if timeline is None:
-            timeline = corpus.timelines[e.community] = (array("d"), [])
-        timeline[0].append(e.timestamp)
-        timeline[1].append(e.author)
+            timeline = timelines[community] = (array("d"), [])
+        timeline[0].append(ts)
+        timeline[1].append(author)
     return corpus
 
 
-_REQUIRED = ("kind", "id", "author", "community", "timestamp")
+_MAX_TIMESTAMP = sys.float_info.max
 
 
-def _parse_record(obj: dict) -> Event | None:
-    if not isinstance(obj, dict):
+def _id(value) -> str | None:
+    """An id as a str: a JSON string as it is, a non-bool integer in
+    decimal; None for any other value."""
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
+    return None
+
+
+def _name(value, names: dict[str, str]) -> str | None:
+    """An author or community name as a str, or None when ``value`` is not
+    a string or a non-bool integer, or is empty or contains whitespace.
+
+    User and community names are written one per vector-file line, split on
+    whitespace; Reddit's names never contain any. ``names`` maps each name
+    that passed to itself, so a repeated name is one lookup and every event
+    shares one string per name.
+    """
+    if type(value) is int:
+        value = str(value)
+    elif type(value) is not str:
         return None
-    for key in _REQUIRED:
-        if obj.get(key) is None:
-            return None
-    kind = obj["kind"]
-    if kind not in ("post", "comment"):
+    name = names.get(value)
+    if name is None and value.split() == [value]:
+        name = names[value] = value
+    return name
+
+
+def _parse_record(obj, names: dict[str, str]) -> Event | None:
+    """The event a decoded line holds, or None when the line is malformed."""
+    if type(obj) is not dict:
         return None
-    ts = obj["timestamp"]
+    get = obj.get
+    kind, ts, body = get("kind"), get("timestamp"), get("body", "")
     # json also gives true, NaN, Infinity and ints past the float range
-    if isinstance(ts, bool) or not isinstance(ts, (int, float)) or not 0 <= ts <= sys.float_info.max:
+    if (kind != "post" and kind != "comment" or type(body) is not str
+            or type(ts) is not float and type(ts) is not int or not 0 <= ts <= _MAX_TIMESTAMP):
         return None
-    thread_id = obj.get("thread_id")
-    parent_id = obj.get("parent_id")
-    if kind == "comment" and (thread_id is None or parent_id is None):
+    ident = _id(get("id"))
+    author, community = _name(get("author"), names), _name(get("community"), names)
+    if ident is None or author is None or community is None:
         return None
-    body = obj.get("body", "")
-    if not isinstance(body, str):
+    if kind == "post":
+        return Event("post", ident, author, community, float(ts), body)
+    thread_id, parent_id = _id(get("thread_id")), _id(get("parent_id"))
+    if thread_id is None or parent_id is None:
         return None
-    author, community = str(obj["author"]), str(obj["community"])
-    # user and community names are written one per vector-file line, split on
-    # whitespace; Reddit's names never contain any
-    if author.split() != [author] or community.split() != [community]:
-        return None
-    return Event(
-        kind=kind,
-        id=str(obj["id"]),
-        author=author,
-        community=community,
-        timestamp=float(ts),
-        body=body,
-        thread_id=str(thread_id) if kind == "comment" else None,
-        parent_id=str(parent_id) if kind == "comment" else None,
-    )
+    return Event("comment", ident, author, community, float(ts), body, thread_id, parent_id)
 
 
 def load_events(path) -> Corpus:
     """Load a line-delimited JSON event log into an indexed Corpus.
 
-    Malformed lines are skipped and counted in ``corpus.stats.rejected``;
-    an unreadable file raises CorpusError.
+    Each line is one JSON object in UTF-8. A line that is not valid UTF-8,
+    is not one JSON value or is not a valid record, or that repeats the id
+    of an earlier event of its kind, is skipped and counted in
+    ``corpus.stats.rejected``; an unreadable file raises CorpusError. The
+    cyclic garbage collector is paused while the Corpus is built and then
+    restored to its previous state.
     """
-    stats = LoadStats()
-    posts: dict[str, Event] = {}
-    comments: dict[str, Event] = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        # an undecodable byte becomes a lone surrogate, which rejects its line
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise CorpusError(f"cannot read event log {path}: {exc}") from exc
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            stats.lines += 1
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                stats.rejected += 1
-                continue
-            event = _parse_record(obj)
-            if event is None:
-                stats.rejected += 1
-                continue
-            store = posts if event.kind == "post" else comments
-            if event.id in store:  # ids are unique per kind
-                stats.rejected += 1
-                continue
-            store[event.id] = event
-    events = [*posts.values(), *comments.values()]
-    del posts, comments  # free them: index_events keys the events again
-    corpus = index_events(events, stats)
+    collecting = gc.isenabled()
+    # every line allocates containers and keeps one, its event; none is in a
+    # cycle, so collections during the load would traverse the growing
+    # corpus for nothing
+    gc.disable()
+    try:
+        with fh:
+            posts, comments, stats = _read_events(fh)
+        corpus = _index(posts, comments, stats)
+    finally:
+        if collecting:
+            gc.enable()
     if stats.rejected:
         log.warning("skipped %d malformed lines in %s", stats.rejected, path)
     return corpus
+
+
+def _read_events(lines) -> tuple[dict[str, Event], dict[str, Event], LoadStats]:
+    """The posts and comments of an event log's lines, each keyed by id in
+    input order, and the log's line counts."""
+    scan = json.scanner.make_scanner(json.JSONDecoder())
+    names: dict[str, str] = {}
+    posts: dict[str, Event] = {}
+    comments: dict[str, Event] = {}
+    n_lines = rejected = 0
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        n_lines += 1
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                rejected += 1
+                continue
+        # StopIteration: no JSON value starts the line; ValueError: a
+        # malformed one, or an integer past the interpreter's digit limit;
+        # RecursionError: nesting past its recursion limit
+        try:
+            obj, end = scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            rejected += 1
+            continue
+        event = _parse_record(obj, names) if end == len(line) else None
+        if event is None:
+            rejected += 1
+            continue
+        store = posts if event.kind == "post" else comments
+        if event.id in store:  # ids are unique per kind
+            rejected += 1
+            continue
+        store[event.id] = event
+    return posts, comments, LoadStats(lines=n_lines, rejected=rejected)
 
 
 def day_start(ts: float) -> float:

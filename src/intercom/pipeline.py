@@ -7,6 +7,10 @@ import hashlib
 import json
 import logging
 import math
+import platform
+import resource
+import sys
+import time
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -15,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from . import embed as embed_mod
 from . import impact as impact_mod
 from . import predictor as pred_mod
@@ -33,6 +38,8 @@ STAGE_ORDER = [
     "ingest", "crosslinks", "baseline", "detect", "sentiment",
     "replynet", "impact", "embed", "predict", "report",
 ]
+# the run record: written next to the manifest, outside its files
+RUN_RECORD = "run.json"
 # path-valued keys are excluded from the manifest echo so bundles written to
 # different directories stay byte-identical; in stage keys the input paths
 # stand for the content of the files they name
@@ -579,7 +586,9 @@ class Stage:
 
 
 STAGES = {stage.name: stage for stage in [
-    Stage("ingest", ("corpus",), (), ("ingest.json",), stage_ingest),
+    # version 2: a line that is not UTF-8, and an id or name that is not a
+    # string or an integer, are rejected
+    Stage("ingest", ("corpus",), (), ("ingest.json",), stage_ingest, version=2),
     Stage("crosslinks", ("host_allowlist", "window_hours"), ("ingest",),
           ("crosslinks.jsonl",), stage_crosslinks),
     Stage("baseline", ("window_hours", "baseline", "baseline_stat"),
@@ -664,10 +673,12 @@ def run_pipeline(config: Config) -> PipelineResult:
     old_stages, old_files = old.get("stages", {}), old.get("files", {})
     digests = _input_digests(run)
     keys, stages, files, cache_hits = {}, {}, {}, run.hits
+    timings = {}
     for name in STAGE_ORDER[:-1]:  # the last stage, report, is the manifest written below
         stage = STAGES[name]
         if stage.enabled_by and not getattr(config, stage.enabled_by):
             continue
+        clock = _Clock()
         keys[name] = _stage_key(stage, config, digests, keys)
         previous = old_stages.get(name) or {}
         if previous.get("key") == keys[name] and all(
@@ -676,14 +687,16 @@ def run_pipeline(config: Config) -> PipelineResult:
             cache_hits.append(name)
             stages[name] = previous
             files.update({f: old_files[f] for f in stage.outputs})
-            continue
-        try:
-            info = stage.fn(run)
-        except Exception as exc:  # noqa: BLE001 - halt with the stage name
-            raise StageError(name, exc) from exc
-        stages[name] = {"key": keys[name], "outputs": list(stage.outputs), **info}
-        files.update({f: _sha256(run.out / f) for f in stage.outputs})
+        else:
+            try:
+                info = stage.fn(run)
+            except Exception as exc:  # noqa: BLE001 - halt with the stage name
+                raise StageError(name, exc) from exc
+            stages[name] = {"key": keys[name], "outputs": list(stage.outputs), **info}
+            files.update({f: _sha256(run.out / f) for f in stage.outputs})
+        timings[name] = clock.timing(name in cache_hits)
 
+    clock = _Clock()
     stages["report"] = {"outputs": ["manifest.json"]}
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -697,7 +710,33 @@ def run_pipeline(config: Config) -> PipelineResult:
     else:
         manifest_path.write_text(text, encoding="utf-8")
     validate_bundle(run.out)
+    timings["report"] = clock.timing("report" in cache_hits)
+    _write_json(run.out / RUN_RECORD, _run_record(timings))
     return PipelineResult(output_dir=run.out, manifest=manifest, cache_hits=cache_hits)
+
+
+class _Clock:
+    """Wall and CPU time since it was made."""
+
+    def __init__(self):
+        self.wall, self.cpu = time.perf_counter(), time.process_time()
+
+    def timing(self, hit: bool) -> dict:
+        return {"hit": hit, "wall_s": time.perf_counter() - self.wall,
+                "cpu_s": time.process_time() - self.cpu}
+
+
+def _run_record(timings: dict) -> dict:
+    """The run record: per stage whether it hit the cache and its wall and
+    CPU time (``timings``), the process's peak RSS and the versions that
+    ran. It changes from run to run, so it stays out of the manifest."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
+    return {
+        "stages": timings,
+        "peak_rss_mb": peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0),
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "intercom": __version__},
+    }
 
 
 def validate_bundle(output_dir) -> None:

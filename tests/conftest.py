@@ -25,16 +25,20 @@ def corpus_from(events):
     return index_events(events)
 
 
+def record(event):
+    """The event as the dict of its log line."""
+    row = {"kind": event.kind, "id": event.id, "author": event.author,
+           "community": event.community, "timestamp": event.timestamp, "body": event.body}
+    if event.kind == "comment":
+        row["thread_id"] = event.thread_id
+        row["parent_id"] = event.parent_id
+    return row
+
+
 def write_events(path, events):
     with open(path, "w", encoding="utf-8") as fh:
         for event in events:
-            record = {"kind": event.kind, "id": event.id, "author": event.author,
-                      "community": event.community, "timestamp": event.timestamp,
-                      "body": event.body}
-            if event.kind == "comment":
-                record["thread_id"] = event.thread_id
-                record["parent_id"] = event.parent_id
-            fh.write(json.dumps(record) + "\n")
+            fh.write(json.dumps(record(event)) + "\n")
     return path
 
 

@@ -18,7 +18,7 @@ from intercom.forest import train_forest
 from intercom.impact import mann_whitney_u, wilcoxon_signed_rank
 from intercom.lstm import gradient_check, init_params, lstm_forward
 from intercom.mobilization import baseline_ratio, detect, measure
-from intercom.pipeline import Config, run_pipeline
+from intercom.pipeline import RUN_RECORD, Config, run_pipeline
 from intercom.predictor import PredictionDataset, auc, predict_prob, split_indices, train
 from intercom.replynet import group_pagerank
 from intercom.sentiment import Lexicon, builtin_lexicon, extract_text_features, strip_shared_words
@@ -335,8 +335,9 @@ def test_criterion_8_pipeline_reproducibility(tmp_path):
                         embed_dim=8, embed_epochs=4, hidden_size=6, predict_epochs=2,
                         ensemble_trees=10, seed=13)
         run_pipeline(config)
-        bundles.append({p.name: p.read_bytes()
-                        for p in sorted((tmp_path / name).iterdir()) if p.is_file()})
+        # every file but the run record, whose timings change from run to run
+        bundles.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())
+                        if p.is_file() and p.name != RUN_RECORD})
     assert bundles[0].keys() == bundles[1].keys()
     differing = [name for name in bundles[0] if bundles[0][name] != bundles[1][name]]
     assert differing == []

@@ -8,7 +8,8 @@ import pytest
 
 from intercom import embed as embed_mod
 from intercom.cli import build_parser, main
-from intercom.pipeline import REPLYNET_HEADER, STAGE_ORDER, Config, Run, substream_seed, train_lstm
+from intercom.pipeline import (REPLYNET_HEADER, RUN_RECORD, STAGE_ORDER, Config, Run, substream_seed,
+                               train_lstm)
 from intercom.synth import SynthSpec, generate_corpus
 
 from conftest import write_canary_pickle
@@ -226,8 +227,8 @@ def test_report_verbose_prints_one_line_per_stage(synth, tmp_path, capsys):
     assert main(["report", "-v", "--corpus", events_path, "--out", str(loud)]) == 0
     captured = capsys.readouterr()
     assert captured.out == quiet_out.replace(str(quiet), str(loud))
-    assert {p.name: p.read_bytes() for p in quiet.iterdir()} == \
-        {p.name: p.read_bytes() for p in loud.iterdir()}
+    assert {p.name: p.read_bytes() for p in quiet.iterdir() if p.name != RUN_RECORD} == \
+        {p.name: p.read_bytes() for p in loud.iterdir() if p.name != RUN_RECORD}
 
     stages = json.loads((loud / "manifest.json").read_text())["stages"]
     lines = [line for line in captured.err.splitlines() if line.startswith("stage ")]
@@ -286,8 +287,8 @@ def test_report_reruns_every_stage_over_a_malformed_manifest(synth, tmp_path, ca
     capsys.readouterr()
     assert main(["report", "--corpus", events_path, "--out", str(out_dir)]) == 0
     assert "cache hits" not in capsys.readouterr().out
-    assert ({p.name: p.read_bytes() for p in out_dir.iterdir()}
-            == {p.name: p.read_bytes() for p in fresh.iterdir()})
+    assert ({p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != RUN_RECORD}
+            == {p.name: p.read_bytes() for p in fresh.iterdir() if p.name != RUN_RECORD})
 
 
 def test_readme_cli_lines_parse():

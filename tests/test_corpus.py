@@ -1,9 +1,11 @@
+import gc
 import json
 import logging
 import random
 
 import pytest
 
+from intercom import corpus as corpus_mod
 from intercom.corpus import (
     CorpusError,
     day_start,
@@ -92,6 +94,97 @@ def test_load_rejects_empty_names_and_names_with_whitespace(tmp_path):
     corpus = load_events(path)
     assert list(corpus.posts) == ["p0"] and corpus.comments == {}
     assert corpus.stats.rejected == len(bad) + 1
+
+
+def test_load_rejects_only_the_lines_that_are_not_utf8(tmp_path):
+    path = tmp_path / "events.jsonl"
+    row = {"kind": "post", "author": "u", "community": "A", "timestamp": BASE}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps({**row, "id": "p0"}).encode("utf-8") + b"\n")
+        fh.write(b'{"kind": "post", "id": "p1", "author": "u", "community": "A", '
+                 b'"timestamp": 1, "body": "\xff"}\n')
+        # a UTF-16 surrogate encoded in three bytes is not UTF-8 either
+        fh.write(b'{"kind": "post", "id": "p2", "author": "u", "community": "A", '
+                 b'"timestamp": 1, "body": "\xed\xa0\x80"}\r\n')
+        fh.write(b"\x80\xfe\r")  # a lone carriage return still ends a line
+        fh.write(json.dumps({**row, "id": "p3", "body": "caf\u00e9 \u2603"},
+                            ensure_ascii=False).encode("utf-8") + b"\n")
+    corpus = load_events(path)
+    assert list(corpus.posts) == ["p0", "p3"]
+    assert corpus.posts["p3"].body == "caf\u00e9 \u2603"
+    assert (corpus.stats.lines, corpus.stats.rejected) == (5, 3)
+
+
+def test_load_rejects_ids_and_names_that_are_not_strings_or_integers(tmp_path):
+    path = tmp_path / "events.jsonl"
+    post_row = {"kind": "post", "id": "p0", "author": "u", "community": "A", "timestamp": BASE}
+    comment_row = {**post_row, "kind": "comment", "id": "c0", "thread_id": "p0", "parent_id": "p0"}
+    rows = [post_row, comment_row,
+            # integers stand for their decimal string, as before
+            {**post_row, "id": 7, "author": 42, "community": -3},
+            {**comment_row, "id": 8, "thread_id": 7, "parent_id": 7},
+            # a post's thread_id and parent_id are ignored
+            {**post_row, "id": "p9", "thread_id": {}, "parent_id": 1.5}]
+    bad_values = [{}, [], ["p0"], True, False, 1.5, 1e400, 0.0]
+    bad = [{**post_row, "id": f"x{i}", key: value}
+           for key in ("id", "author", "community") for i, value in enumerate(bad_values)]
+    bad += [{**comment_row, "id": f"y{i}", key: value}
+            for key in ("thread_id", "parent_id") for i, value in enumerate(bad_values)]
+    with open(path, "w") as fh:
+        for row in rows + bad:
+            fh.write(json.dumps(row) + "\n")
+    corpus = load_events(path)
+    assert list(corpus.posts) == ["p0", "7", "p9"]
+    assert list(corpus.comments) == ["c0", "8"]
+    assert corpus.posts["7"][1:4] == ("7", "42", "-3")
+    assert corpus.comments["8"].thread_id == corpus.comments["8"].parent_id == "7"
+    assert corpus.posts["p9"].thread_id is None
+    assert (corpus.stats.lines, corpus.stats.rejected) == (len(rows) + len(bad), len(bad))
+    assert corpus.stats.dangling_comments == 0
+    # one string per name, shared by every event that names it
+    assert corpus.posts["p9"].author is corpus.comments["c0"].author
+
+
+def test_load_rejects_lines_json_cannot_decode_into_values(tmp_path):
+    path = tmp_path / "events.jsonl"
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"kind": "post", "id": "p0", "author": "u", "community": "A",
+                             "timestamp": BASE}) + "\n")
+        # an integer past the interpreter's digit limit, and nesting past its
+        # recursion limit
+        fh.write('{"kind": "post", "id": "p1", "author": "u", "community": "A", '
+                 '"timestamp": %s}\n' % ("1" * 5000))
+        fh.write('{"kind": "post", "id": "p2", "author": "u", "community": "A", '
+                 '"timestamp": 1, "x": %s}\n' % ("[" * 100000 + "]" * 100000))
+    corpus = load_events(path)
+    assert list(corpus.posts) == ["p0"]
+    assert corpus.stats.rejected == 2
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled):
+    path = write_events(tmp_path / "events.jsonl", [post("p1", "u1", "A", BASE)])
+    during = []
+
+    def failing_index(*args):
+        during.append(gc.isenabled())
+        raise RuntimeError("index failed")
+
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        load_events(path)
+        assert gc.isenabled() is enabled
+        with pytest.raises(CorpusError):
+            load_events(tmp_path / "missing.jsonl")
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(corpus_mod, "_index", failing_index)
+        with pytest.raises(RuntimeError, match="index failed"):
+            load_events(path)
+        assert gc.isenabled() is enabled
+        assert during == [False]  # paused while the Corpus is built
+    finally:
+        gc.enable() if was_enabled else gc.disable()
 
 
 def test_load_unreadable_file(tmp_path):

@@ -1,13 +1,17 @@
 """The indexed membership and matching lookups against the linear scans they
-replaced, and ``index_events`` against the two-pass indexing it replaced,
-kept here as oracles, on random small corpora.
+replaced, ``index_events`` against the two-pass indexing it replaced, and
+``load_events`` against the ``json.loads`` loader it replaced, kept here as
+oracles, on random small corpora.
 
 Timestamps are drawn mostly from the edges the lookups compare against: day
 boundaries, the ends of the 30-day window, t0 +/- 3 days, and the floats
 next to each.
 """
+import json
 import math
 import random
+import sys
+import tempfile
 from array import array
 from itertools import count
 
@@ -19,10 +23,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from intercom.corpus import (  # noqa: E402
     DAY,
     CrossLink,
+    Event,
     LoadStats,
     count_beyond_gap,
     day_start,
     index_events,
+    load_events,
     members,
 )
 from intercom.impact import _window_fraction, activity_delta  # noqa: E402
@@ -34,7 +40,7 @@ from intercom.matching import (  # noqa: E402
     matched_user,
 )
 
-from conftest import BASE, HOUR, comment, corpus_from, post  # noqa: E402
+from conftest import BASE, HOUR, comment, corpus_from, post, record  # noqa: E402
 
 GAP = 3 * DAY
 COMMUNITIES = ["A", "B", "C"]
@@ -378,3 +384,155 @@ def test_index_events_equals_two_pass_indexing(events):
         assert corpus.timelines.get(community) == expected.comment_timeline(community)
     assert ordered(corpus.timelines) == ordered(expected._timeline)
     assert all(times.typecode == "d" for times, _authors in corpus.timelines.values())
+
+
+# -- the loader load_events replaced -----------------------------------------
+
+_REQUIRED = ("kind", "id", "author", "community", "timestamp")
+
+
+def oracle_parse_record(obj: dict) -> Event | None:
+    if not isinstance(obj, dict):
+        return None
+    for key in _REQUIRED:
+        if obj.get(key) is None:
+            return None
+    kind = obj["kind"]
+    if kind not in ("post", "comment"):
+        return None
+    ts = obj["timestamp"]
+    if isinstance(ts, bool) or not isinstance(ts, (int, float)) or not 0 <= ts <= sys.float_info.max:
+        return None
+    thread_id = obj.get("thread_id")
+    parent_id = obj.get("parent_id")
+    if kind == "comment" and (thread_id is None or parent_id is None):
+        return None
+    body = obj.get("body", "")
+    if not isinstance(body, str):
+        return None
+    author, community = str(obj["author"]), str(obj["community"])
+    if author.split() != [author] or community.split() != [community]:
+        return None
+    return Event(
+        kind=kind,
+        id=str(obj["id"]),
+        author=author,
+        community=community,
+        timestamp=float(ts),
+        body=body,
+        thread_id=str(thread_id) if kind == "comment" else None,
+        parent_id=str(parent_id) if kind == "comment" else None,
+    )
+
+
+def oracle_load_events(path):
+    """A ``TwoPassCorpus`` of the log as the ``json.loads`` loader read it."""
+    stats = LoadStats()
+    posts, comments = {}, {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            stats.lines += 1
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                stats.rejected += 1
+                continue
+            event = oracle_parse_record(obj)
+            if event is None:
+                stats.rejected += 1
+                continue
+            store = posts if event.kind == "post" else comments
+            if event.id in store:
+                stats.rejected += 1
+                continue
+            store[event.id] = event
+    corpus = two_pass([*posts.values(), *comments.values()])
+    corpus.stats.lines, corpus.stats.rejected = stats.lines, stats.rejected
+    return corpus
+
+
+RAW = "@raw@"  # a value that json.dumps writes as the string below it replaces
+RAW_TIMESTAMPS = ["NaN", "Infinity", "-Infinity", "true", "false", "null", "-1", "-0.0", '"5"',
+                  "1" + "0" * 400, "1e400", "[1]", "{}"]
+BAD_NAMES = ["a b", "", " u", "u\t", "u\n", "\u00a0u", "\u2028u"]
+FIELDS = list(_REQUIRED) + ["thread_id", "parent_id", "body"]
+GARBAGE = ["{not json", "[]", "1", '"post"', "null", "true", "{}", "{", '{"kind": "post"',
+           "\ufeff{}", "[{}]", "1 2", "NaN"]
+
+
+@st.composite
+def changed_line(draw, event):
+    """The event's log line, valid or made malformed in one of the ways a
+    loader must reject."""
+    row = record(event)
+    how = draw(st.sampled_from(["keep", "keep", "keep", "int timestamp", "raw timestamp",
+                                "drop", "null", "bad name", "int id", "body", "kind",
+                                "trailing", "bom", "truncate", "non-ascii", "padded"]))
+    raw = None
+    if how == "int timestamp":
+        row["timestamp"] = int(row["timestamp"])
+    elif how == "raw timestamp":
+        row["timestamp"], raw = RAW, draw(st.sampled_from(RAW_TIMESTAMPS))
+    elif how in ("drop", "null"):
+        key = draw(st.sampled_from(FIELDS))
+        if how == "drop":
+            row.pop(key, None)
+        else:
+            row[key] = None
+    elif how == "bad name":
+        row[draw(st.sampled_from(["author", "community"]))] = draw(st.sampled_from(BAD_NAMES))
+    elif how == "int id":
+        key = draw(st.sampled_from(["id", "author", "community", "thread_id", "parent_id"]))
+        row[key] = draw(st.integers(-5, 5) | st.integers(10**18, 10**40))
+    elif how == "body":
+        row["body"] = draw(st.sampled_from([5, ["x"], {}, True]))
+    elif how == "kind":
+        row["kind"] = draw(st.sampled_from(["vote", "Post", "", 1, ["post"]]))
+    elif how == "non-ascii":
+        row["body"] = draw(st.sampled_from(["caf\u00e9", "\u2603 snow", "\U0001f600", "\u00a0"]))
+    line = json.dumps(row, ensure_ascii=draw(st.booleans()))
+    if raw is not None:
+        line = line.replace(f'"{RAW}"', raw)
+    if how == "trailing":
+        line += draw(st.sampled_from([" x", "{}", ",", " 1", "]", "}"]))
+    elif how == "bom":
+        line = "\ufeff" + line
+    elif how == "truncate":
+        line = line[:draw(st.integers(1, len(line) - 1))]
+    elif how == "padded":
+        line = draw(st.sampled_from([" ", "\t", "\u00a0", "\u3000"])) + line + " \f"
+    return line
+
+
+@st.composite
+def raw_logs(draw):
+    """The text of an event log: ``drawn_events``, each line valid or made
+    malformed, with repeated ids, lines that are no event at all and blank
+    lines, in any order and with any line ending."""
+    events, _link, t0 = draw(drawn_events())
+    lines = [draw(changed_line(e)) for e in events]
+    for e in draw(st.lists(st.sampled_from(events), max_size=4)):  # repeated ids
+        again = e._replace(author="again", timestamp=draw(st.sampled_from(edges(t0))))
+        lines.append(draw(changed_line(again)))
+    lines += draw(st.lists(st.sampled_from(GARBAGE + ["", "   "]), max_size=4))
+    lines = draw(st.permutations(lines))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                            max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+@EXAMPLES
+@given(raw_logs())
+def test_load_events_equals_the_json_loads_loader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/events.jsonl"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        corpus, expected = load_events(path), oracle_load_events(path)
+    for name in INDEXES:
+        assert ordered(getattr(corpus, name)) == ordered(getattr(expected, name)), name
+    expected.comment_timeline("Z")  # builds every community's timeline
+    assert ordered(corpus.timelines) == ordered(expected._timeline)

@@ -1,14 +1,17 @@
 import ast
 import dataclasses
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import intercom
 from intercom import lstm, pipeline, replynet
 from intercom.embed import load_vectors
 from intercom.pipeline import (
+    RUN_RECORD,
     STAGES,
     Config,
     ConfigError,
@@ -35,7 +38,10 @@ def synth_corpus(tmp_path_factory):
 
 
 def bundle_bytes(path: Path) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in sorted(path.iterdir()) if p.is_file()}
+    """Every file of the bundle directory but the run record, whose timings
+    change from run to run."""
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())
+            if p.is_file() and p.name != RUN_RECORD}
 
 
 def test_config_file_and_overrides(tmp_path):
@@ -152,6 +158,34 @@ def test_pipeline_reproducible_across_directories(synth_corpus, tmp_path):
         run_pipeline(config)
         runs.append(bundle_bytes(tmp_path / name))
     assert runs[0] == runs[1]
+
+
+def test_report_writes_a_run_record_outside_the_manifest(synth_corpus, tmp_path):
+    events_path, _ = synth_corpus
+
+    def report(name):
+        result = run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / name)))
+        out = tmp_path / name
+        return result, (out / "manifest.json").read_bytes(), json.loads((out / RUN_RECORD).read_text())
+
+    versions = {"python": platform.python_version(), "numpy": np.__version__,
+                "intercom": intercom.__version__}
+    one, two = report("one"), report("two")
+    assert one[1] == two[1] and bundle_bytes(tmp_path / "one") == bundle_bytes(tmp_path / "two")
+    for result, _manifest, record in (one, two):
+        assert RUN_RECORD not in result.manifest["files"]
+        assert set(record["stages"]) == set(result.manifest["stages"])
+        assert "report" in record["stages"] and "embed" not in record["stages"]
+        for timing in record["stages"].values():
+            assert timing["hit"] is False
+            assert timing["wall_s"] >= 0 and timing["cpu_s"] >= 0
+        assert record["peak_rss_mb"] > 1
+        assert record["versions"] == versions
+
+    rerun, manifest, record = report("two")
+    assert set(rerun.cache_hits) == set(record["stages"]) == set(rerun.manifest["stages"])
+    assert all(timing["hit"] for timing in record["stages"].values())
+    assert manifest == two[1]
 
 
 def test_pipeline_empty_corpus(tmp_path):
