@@ -207,7 +207,7 @@ def cmd_predict(args) -> int:
 def cmd_synth(args) -> int:
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = SynthSpec(**json.load(fh))
+            spec = SynthSpec.from_json(json.load(fh))
     else:
         spec = SynthSpec()
     for name in ("n_communities", "n_crosslinks", "seed", "days",

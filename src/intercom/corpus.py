@@ -71,7 +71,10 @@ class Corpus:
 
     ``posts`` and ``comments`` map ids to events in input order; comments
     whose thread is not a post are not indexed. The lists below are ordered
-    by ``(timestamp, id)``. Nothing here changes after ``index_events``
+    by ``(timestamp, id)``. Comment activity is indexed twice, per community
+    (``timelines``) and per user (``user_timelines``); membership, matching
+    histories and activity fractions all count a window of one of them
+    through ``window_keys``. Nothing here changes after ``index_events``
     returns.
     """
 
@@ -83,15 +86,14 @@ class Corpus:
     thread_comments: dict[str, list[Event]] = field(default_factory=dict)
     # community -> posts, time-ordered
     community_posts: dict[str, list[Event]] = field(default_factory=dict)
-    # community -> user -> sorted comment timestamps
-    comment_times: dict[str, dict[str, list[float]]] = field(default_factory=dict)
-    # user -> sorted timestamps of all comments, any community
-    user_comment_times: dict[str, list[float]] = field(default_factory=dict)
     # user -> posts authored, time-ordered
     user_posts: dict[str, list[Event]] = field(default_factory=dict)
     # community -> (its comment timestamps, time-ordered, and each comment's
     # author); communities without comments are absent
     timelines: dict[str, tuple[array, list[str]]] = field(default_factory=dict)
+    # user -> (their comment timestamps, time-ordered, and each comment's
+    # community); users without comments are absent
+    user_timelines: dict[str, tuple[array, list[str]]] = field(default_factory=dict)
 
 
 def index_events(events, stats: LoadStats | None = None) -> Corpus:
@@ -122,8 +124,8 @@ def _index(posts: dict[str, Event], comments: dict[str, Event], stats: LoadStats
     corpus = Corpus(posts, comments, stats)
     posts_by_time, community_posts, user_posts = (
         corpus.posts_by_time, corpus.community_posts, corpus.user_posts)
-    thread_comments, comment_times, user_comment_times, timelines = (
-        corpus.thread_comments, corpus.comment_times, corpus.user_comment_times, corpus.timelines)
+    thread_comments, timelines, user_timelines = (
+        corpus.thread_comments, corpus.timelines, corpus.user_timelines)
     # one sort on the (timestamp, id) key: a log written in about time order
     # is nearly sorted on it already, which a first sort by id would undo
     for e in sorted(chain(posts.values(), comments.values()), key=attrgetter("timestamp", "id")):
@@ -134,13 +136,16 @@ def _index(posts: dict[str, Event], comments: dict[str, Event], stats: LoadStats
             user_posts.setdefault(author, []).append(e)
             continue
         thread_comments.setdefault(thread_id, []).append(e)
-        comment_times.setdefault(community, {}).setdefault(author, []).append(ts)
-        user_comment_times.setdefault(author, []).append(ts)
         timeline = timelines.get(community)
         if timeline is None:
             timeline = timelines[community] = (array("d"), [])
         timeline[0].append(ts)
         timeline[1].append(author)
+        timeline = user_timelines.get(author)
+        if timeline is None:
+            timeline = user_timelines[author] = (array("d"), [])
+        timeline[0].append(ts)
+        timeline[1].append(community)
     return corpus
 
 
@@ -342,6 +347,32 @@ def remove_overlapping(links: list[CrossLink], window_hours: float = 12.0) -> li
     return kept
 
 
+def window_keys(timeline, lo: float, hi: float, t0: float = 0.0, gap: float = 0.0) -> list[str]:
+    """The keys of the entries of ``timeline`` with a time in [lo, hi) and
+    ``abs(t - t0) >= gap``, in time order.
+
+    ``timeline`` is a ``(times, keys)`` pair of ``Corpus.timelines`` or
+    ``Corpus.user_timelines``, or None for no entries.
+    """
+    if timeline is None:
+        return []
+    times, keys = timeline
+    i, j = bisect_left(times, lo), bisect_left(times, hi)
+    if gap <= 0.0 or i >= j:  # no gap to leave out, or an empty window
+        return keys[i:j]
+
+    # ``t - t0`` is computed as a scan computes it. Rounding never decreases
+    # it as ``t`` grows, so the entries within the gap are one contiguous
+    # range [a, b), and bisect on that key finds exactly the ones a scan
+    # would leave out.
+    def offset(t):
+        return t - t0
+
+    a = bisect_right(times, -gap, i, j, key=offset)
+    b = bisect_left(times, gap, a, j, key=offset)
+    return keys[i:a] + keys[b:j]
+
+
 def members(corpus: Corpus, community: str, day: float, excluded: str | None = None) -> set[str]:
     """Users with >=1 comment in ``community`` during [day-30d, day) and none
     in ``excluded`` during the same window."""
@@ -350,42 +381,10 @@ def members(corpus: Corpus, community: str, day: float, excluded: str | None = N
         log.warning("members(): unknown community %r", community)
         return set()
     lo, hi = day - MEMBER_WINDOW_DAYS * DAY, day
-    times, authors = timeline
-    found = set(authors[bisect_left(times, lo):bisect_left(times, hi)])
-    other = corpus.timelines.get(excluded) if excluded is not None and found else None
-    if other is not None:
-        times, authors = other
-        found.difference_update(authors[bisect_left(times, lo):bisect_left(times, hi)])
+    found = set(window_keys(timeline, lo, hi))
+    if excluded is not None and found:
+        found.difference_update(window_keys(corpus.timelines.get(excluded), lo, hi))
     return found
-
-
-def _count_in(times: list[float], lo: float, hi: float) -> int:
-    return bisect_left(times, hi) - bisect_left(times, lo)
-
-
-def gap_band(times, i: int, j: int, t0: float, gap: float) -> tuple[int, int]:
-    """The index range [a, b) of the sorted ``times[i:j]`` with ``abs(t - t0)
-    < gap``.
-
-    ``t - t0`` is computed as a scan computes it. Rounding never decreases
-    it as ``t`` grows, so the band is one contiguous range and bisect on
-    that key finds exactly the timestamps a scan would exclude.
-    """
-    def offset(t):
-        return t - t0
-
-    a = bisect_right(times, -gap, i, j, key=offset)
-    return a, bisect_left(times, gap, a, j, key=offset)
-
-
-def count_beyond_gap(times, lo: float, hi: float, t0: float, gap: float) -> int:
-    """How many of the sorted ``times`` lie in [lo, hi) with ``abs(t - t0) >=
-    gap``, by bisect."""
-    i, j = bisect_left(times, lo), bisect_left(times, hi)
-    if i >= j:  # an empty window, or lo > hi
-        return 0
-    a, b = gap_band(times, i, j, t0, gap)
-    return (j - i) - (b - a)
 
 
 def user_activity(corpus: Corpus, user: str, community: str, window: tuple[float, float]):
@@ -393,7 +392,7 @@ def user_activity(corpus: Corpus, user: str, community: str, window: tuple[float
     t1, t2 = window
     if not t1 < t2:
         raise ValueError(f"bad window: [{t1}, {t2})")
-    total = _count_in(corpus.user_comment_times.get(user, []), t1, t2)
-    in_comm = _count_in(corpus.comment_times.get(community, {}).get(user, []), t1, t2)
+    communities = window_keys(corpus.user_timelines.get(user), t1, t2)
+    total, in_comm = len(communities), communities.count(community)
     fraction = in_comm / total if total else 0.0
     return in_comm, total, fraction

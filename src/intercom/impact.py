@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .corpus import DAY, Corpus, count_beyond_gap
+from .corpus import DAY, Corpus, window_keys
 from .matching import HISTORY_GAP_DAYS, NoMatchError, match_pool, matched_user
 from .mobilization import MobilizationRecord
 
@@ -48,10 +48,9 @@ class DefenseOutcome:
 
 
 def _window_fraction(corpus: Corpus, user: str, community: str, lo: float, hi: float, t0: float):
-    gap = HISTORY_GAP_DAYS * DAY
-    total = count_beyond_gap(corpus.user_comment_times.get(user, []), lo, hi, t0, gap)
-    in_comm = count_beyond_gap(corpus.comment_times.get(community, {}).get(user, []), lo, hi, t0, gap)
-    return (in_comm / total if total else 0.0), total
+    communities = window_keys(corpus.user_timelines.get(user), lo, hi, t0, HISTORY_GAP_DAYS * DAY)
+    total = len(communities)
+    return (communities.count(community) / total if total else 0.0), total
 
 
 def activity_delta(corpus: Corpus, user: str, community: str, t0: float) -> ActivityDelta:

@@ -65,13 +65,20 @@ def save_params(path, params: LSTMParams, seed: int, max_words: int, log: list[d
         "weights": {k: v.tolist() for k, v in params.weights.items()}})
 
 
+def _is_count(value, least: int) -> bool:
+    """Whether ``value`` is an int, not a bool, of at least ``least``."""
+    return type(value) is int and value >= least
+
+
 def load_params(path) -> tuple[LSTMParams, dict]:
-    """Read a ``save_params`` checkpoint, checking its format, version and
-    weight shapes; returns the params and the checkpoint's other fields."""
+    """Read a ``save_params`` checkpoint, checking its format, version,
+    dimensions, seed, max_words and weight shapes; returns the params and
+    the checkpoint's other fields."""
     checkpoint = read_checkpoint(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     d, h = checkpoint.get("input_dim"), checkpoint.get("hidden_dim")
     raw = checkpoint.pop("weights", None)
-    if not (isinstance(d, int) and isinstance(h, int) and d >= 1 and h >= 1
+    if not (_is_count(d, 1) and _is_count(h, 1) and _is_count(checkpoint.get("seed"), 0)
+            and _is_count(checkpoint.get("max_words"), 0)
             and isinstance(raw, dict) and sorted(raw) == sorted(PARAM_KEYS)):
         raise ValueError(f"{path}: malformed LSTM checkpoint")
     shapes = {"w": (4 * h, d), "u": (4 * h, h), "b": (4 * h,), "theta": (h,)}

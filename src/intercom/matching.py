@@ -6,7 +6,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import DAY, Corpus, CrossLink, Event, count_beyond_gap, day_start, gap_band, members
+from .corpus import DAY, MEMBER_WINDOW_DAYS, Corpus, CrossLink, Event, day_start, members, window_keys
 
 HISTORY_GAP_DAYS = 3  # events within +/-3 days of the cross-link are ignored
 
@@ -76,22 +76,19 @@ def matched_post(
 def _history_count(corpus: Corpus, user: str, community: str, day: float, t0: float) -> int:
     """Comments by user in community during [day-30d, day), ignoring events
     within +/-3 days of t0."""
-    times = corpus.comment_times.get(community, {}).get(user, [])
-    return count_beyond_gap(times, day - 30 * DAY, day, t0, HISTORY_GAP_DAYS * DAY)
+    return _history(corpus.user_timelines.get(user), day, t0).count(community)
 
 
 def _history_counts(corpus: Corpus, community: str, day: float, t0: float) -> Counter:
     """``_history_count`` of every user at once, from the community's
     comment timeline."""
-    timeline = corpus.timelines.get(community)
-    if timeline is None:
-        return Counter()
-    times, authors = timeline
-    i, j = bisect_left(times, day - 30 * DAY), bisect_left(times, day)
-    a, b = gap_band(times, i, j, t0, HISTORY_GAP_DAYS * DAY)
-    counts = Counter(authors[i:a])
-    counts.update(authors[b:j])
-    return counts
+    return Counter(_history(corpus.timelines.get(community), day, t0))
+
+
+def _history(timeline, day: float, t0: float) -> list[str]:
+    """``window_keys`` of a timeline over the history window of a link
+    created at ``t0`` on ``day``."""
+    return window_keys(timeline, day - MEMBER_WINDOW_DAYS * DAY, day, t0, HISTORY_GAP_DAYS * DAY)
 
 
 def match_pool(corpus: Corpus, link: CrossLink, community: str) -> dict[str, int]:

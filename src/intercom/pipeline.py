@@ -34,10 +34,6 @@ from .sentiment import builtin_lexicon, community_tfidf_vectors, load_lexicon, p
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 2
-STAGE_ORDER = [
-    "ingest", "crosslinks", "baseline", "detect", "sentiment",
-    "replynet", "impact", "embed", "predict", "report",
-]
 # the run record: written next to the manifest, outside its files
 RUN_RECORD = "run.json"
 # path-valued keys are excluded from the manifest echo so bundles written to
@@ -609,6 +605,8 @@ STAGES = {stage.name: stage for stage in [
           ("ingest", "crosslinks", "detect", "embed"), ("predict.json", "lstm_model.json"),
           stage_predict, enabled_by="predict_enabled"),
 ]}
+# the stages in run order; the last, report, writes the manifest
+STAGE_ORDER = [*STAGES, "report"]
 
 
 def _input_digests(run: Run) -> dict[str, str]:
@@ -651,7 +649,7 @@ def _previous_manifest(text: str) -> dict:
 
 
 def run_pipeline(config: Config) -> PipelineResult:
-    """Run the stages of ``STAGES`` in STAGE_ORDER, then write the manifest
+    """Run the stages of ``STAGES`` in their order, then write the manifest
     (the report stage).
 
     A stage's key hashes its name, its version, its config keys (input paths
@@ -674,8 +672,8 @@ def run_pipeline(config: Config) -> PipelineResult:
     digests = _input_digests(run)
     keys, stages, files, cache_hits = {}, {}, {}, run.hits
     timings = {}
-    for name in STAGE_ORDER[:-1]:  # the last stage, report, is the manifest written below
-        stage = STAGES[name]
+    for stage in STAGES.values():
+        name = stage.name
         if stage.enabled_by and not getattr(config, stage.enabled_by):
             continue
         clock = _Clock()

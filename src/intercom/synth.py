@@ -4,7 +4,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,15 @@ class SynthError(ValueError):
     pass
 
 
+# the values a spec file may give a SynthSpec field, by its annotation; a
+# bool is not a number here
+_SPEC_VALUES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) is int or type(v) is float, "a number"),
+    "int | None": (lambda v: v is None or type(v) is int, "an integer or null"),
+}
+
+
 @dataclass
 class SynthSpec:
     n_communities: int = 12
@@ -54,6 +63,22 @@ class SynthSpec:
     days: int = 120
     first_link_day: int = 40
     seed: int = 0
+
+    @classmethod
+    def from_json(cls, obj) -> SynthSpec:
+        """The spec a decoded JSON spec file holds: an object of SynthSpec
+        fields. Raises SynthError naming a field that is unknown or holds a
+        value of the wrong type."""
+        if type(obj) is not dict:
+            raise SynthError("a synth spec must be a JSON object of SynthSpec fields")
+        annotations = {f.name: f.type for f in fields(cls)}
+        for name, value in obj.items():
+            if name not in annotations:
+                raise SynthError(f"unknown synth spec field {name!r}")
+            accepts, expected = _SPEC_VALUES[annotations[name]]
+            if not accepts(value):
+                raise SynthError(f"synth spec field {name!r} must be {expected}, not {value!r}")
+        return cls(**obj)
 
     def validate(self) -> None:
         if self.n_communities < 2:

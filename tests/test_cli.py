@@ -59,6 +59,32 @@ def test_synth_command(tmp_path, capsys):
     assert (tmp_path / "s/manifest.json").exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ([1, 2], "a synth spec must be a JSON object"),
+    ({"nope": 1}, "unknown synth spec field 'nope'"),
+    ({"n_crosslinks": "x"}, "'n_crosslinks' must be an integer, not 'x'"),
+    ({"seed": True}, "'seed' must be an integer, not True"),
+    ({"burst_ratio": "2"}, "'burst_ratio' must be a number, not '2'"),
+    ({"users_per_community": 2.5}, "'users_per_community' must be an integer or null, not 2.5"),
+])
+def test_synth_rejects_a_malformed_spec_file(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["synth", "--out", str(tmp_path / "s"), "--spec", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_synth_reads_a_spec_file(tmp_path, capsys):
+    # every field, an int for a float one
+    path = tmp_path / "spec.json"
+    spec = {**dataclasses.asdict(SynthSpec(n_communities=4, n_crosslinks=4)), "burst_ratio": 3}
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["synth", "--out", str(tmp_path / "s"), "--spec", str(path)]) == 0
+    manifest = json.loads((tmp_path / "s/manifest.json").read_text(encoding="utf-8"))
+    assert {k: manifest["spec"][k] for k in spec} == spec
+
+
 def test_ingest_and_crosslinks(synth, tmp_path, capsys):
     events_path, manifest = synth
     index = tmp_path / "index"

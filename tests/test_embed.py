@@ -98,6 +98,33 @@ def test_edge_gradients_match_finite_differences():
     assert worst < 1e-6
 
 
+def test_one_training_step_follows_edge_gradients():
+    # replay the trainer's draws for one edge and one epoch, whose single
+    # step has rate lr_start; only seeds whose negatives are distinct and
+    # miss the positive, so that no vector is updated twice in the step
+    dim, n_comms, negatives, lr, pos = 8, 100, 5, 0.025, 7
+    graph = graph_from_edges(1, n_comms, [(0, pos)])
+    checked = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        U = rng.uniform(-0.5 / dim, 0.5 / dim, size=(1, dim))
+        C = rng.uniform(-0.5 / dim, 0.5 / dim, size=(n_comms, dim))
+        rng.permutation(1)
+        negs = rng.integers(0, n_comms, size=negatives).tolist()
+        if len(set(negs)) < negatives or pos in negs:
+            continue
+        du, dc_pos, dc_negs = edge_gradients(U[0], C[pos], C[negs])
+        U[0] -= lr * du
+        C[pos] -= lr * dc_pos
+        C[negs] -= lr * dc_negs
+        table = train_embeddings(graph, dim=dim, negatives=negatives, epochs=1, lr_start=lr,
+                                 seed=seed)
+        assert np.allclose(table.user_vectors, U, rtol=1e-13, atol=0), seed
+        assert np.allclose(table.community_vectors, C, rtol=1e-13, atol=0), seed
+        checked += 1
+    assert checked >= 30
+
+
 def test_zero_vector_loss_closed_form():
     graph = graph_from_edges(2, 3, [(0, 0), (1, 1), (0, 2)])
     from intercom.embed import EmbeddingTable

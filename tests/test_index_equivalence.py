@@ -25,11 +25,11 @@ from intercom.corpus import (  # noqa: E402
     CrossLink,
     Event,
     LoadStats,
-    count_beyond_gap,
     day_start,
     index_events,
     load_events,
     members,
+    window_keys,
 )
 from intercom.impact import _window_fraction, activity_delta  # noqa: E402
 from intercom.matching import (  # noqa: E402
@@ -50,34 +50,31 @@ EXAMPLES = settings(max_examples=150, deadline=None)
 
 
 # -- the scans the indexes replaced ------------------------------------------
+# They read only ``corpus.comments``, none of the indexes under test.
 
-def scan_has_time_in(times, lo, hi):
-    return any(lo <= t < hi for t in times)
+def scan_comments(corpus, lo, hi, t0=0.0, gap=0.0, user=None, community=None):
+    """The comments in [lo, hi) with ``abs(t - t0) >= gap``, of ``user``
+    and in ``community`` when given."""
+    return [c for c in corpus.comments.values()
+            if lo <= c.timestamp < hi and abs(c.timestamp - t0) >= gap
+            and user in (None, c.author) and community in (None, c.community)]
 
 
 def scan_members(corpus, community, day, excluded=None):
-    by_user = corpus.comment_times.get(community)
-    if by_user is None:
-        return set()
     lo, hi = day - 30 * DAY, day
-    found = {u for u, times in by_user.items() if scan_has_time_in(times, lo, hi)}
+    found = {c.author for c in scan_comments(corpus, lo, hi, community=community)}
     if excluded is not None and found:
-        other = corpus.comment_times.get(excluded, {})
-        found = {u for u in found if not scan_has_time_in(other.get(u, []), lo, hi)}
+        found -= {c.author for c in scan_comments(corpus, lo, hi, community=excluded)}
     return found
 
 
 def scan_history_count(corpus, user, community, day, t0):
-    times = corpus.comment_times.get(community, {}).get(user, [])
-    lo, hi = day - 30 * DAY, day
-    return sum(1 for t in times if lo <= t < hi and abs(t - t0) >= GAP)
+    return len(scan_comments(corpus, day - 30 * DAY, day, t0, GAP, user, community))
 
 
 def scan_window_fraction(corpus, user, community, lo, hi, t0):
-    all_times = corpus.user_comment_times.get(user, [])
-    comm_times = corpus.comment_times.get(community, {}).get(user, [])
-    total = sum(1 for t in all_times if lo <= t < hi and abs(t - t0) >= GAP)
-    in_comm = sum(1 for t in comm_times if lo <= t < hi and abs(t - t0) >= GAP)
+    total = len(scan_comments(corpus, lo, hi, t0, GAP, user))
+    in_comm = len(scan_comments(corpus, lo, hi, t0, GAP, user, community))
     return (in_comm / total if total else 0.0), total
 
 
@@ -119,7 +116,8 @@ def scan_matched_post(corpus, links, post_id):
 
 class TwoPassCorpus:
     """The indexing ``index_events`` replaced: ``add`` every event, then
-    ``build_indexes``; the comment timeline is built on its first read."""
+    ``build_indexes``; the community comment timelines are built on their
+    first read."""
 
     def __init__(self):
         self.posts, self.comments = {}, {}
@@ -147,16 +145,16 @@ class TwoPassCorpus:
 
         self.thread_comments = {}
         self.community_posts = {}
-        self.comment_times = {}
-        self.user_comment_times = {}
         self.user_posts = {}
+        self.user_timelines = {}
         for p in self.posts_by_time:
             self.community_posts.setdefault(p.community, []).append(p)
             self.user_posts.setdefault(p.author, []).append(p)
         for c in self.comments_by_time:
             self.thread_comments.setdefault(c.thread_id, []).append(c)
-            self.comment_times.setdefault(c.community, {}).setdefault(c.author, []).append(c.timestamp)
-            self.user_comment_times.setdefault(c.author, []).append(c.timestamp)
+            entry = self.user_timelines.setdefault(c.author, (array("d"), []))
+            entry[0].append(c.timestamp)
+            entry[1].append(c.community)
 
         self.stats.posts = len(self.posts)
         self.stats.comments = len(self.comments)
@@ -328,11 +326,14 @@ def test_matched_post_equals_scan(times, data):
        st.floats(allow_nan=False, allow_infinity=False),
        st.floats(allow_nan=False, allow_infinity=False),
        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False, exclude_min=True))
-def test_count_beyond_gap_equals_scan_on_any_floats(times, lo, hi, t0, gap):
+def test_window_keys_equals_scan_on_any_floats(times, lo, hi, t0, gap):
     # rounding of t - t0 at any magnitude
     times.sort()
-    expected = sum(1 for t in times if lo <= t < hi and abs(t - t0) >= gap)
-    assert count_beyond_gap(times, lo, hi, t0, gap) == expected
+    keys = [f"k{i}" for i in range(len(times))]
+    expected = [k for k, t in zip(keys, times) if lo <= t < hi and abs(t - t0) >= gap]
+    assert window_keys((array("d", times), keys), lo, hi, t0, gap) == expected
+    assert window_keys((array("d", times), keys), lo, hi) == \
+        [k for k, t in zip(keys, times) if lo <= t < hi]
 
 
 def ordered(value):
@@ -370,7 +371,7 @@ def event_logs(draw):
 
 
 INDEXES = ("posts", "comments", "posts_by_time", "thread_comments", "community_posts",
-           "comment_times", "user_comment_times", "user_posts", "stats")
+           "user_posts", "user_timelines", "stats")
 
 
 @EXAMPLES

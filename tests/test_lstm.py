@@ -201,6 +201,25 @@ def test_checkpoint_load_rejects_bad_files(tmp_path):
             load_params(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", None), ("seed", True), ("seed", -1), ("seed", 1.0), ("seed", "0"),
+    ("max_words", None), ("max_words", "x"), ("max_words", 2.5), ("max_words", -1),
+    ("max_words", False), ("input_dim", True), ("hidden_dim", 4.0),
+])
+def test_checkpoint_load_rejects_a_seed_or_size_that_is_not_a_count(tmp_path, field, value):
+    # predict eval/score copy seed and max_words into their Config
+    path = tmp_path / "lstm.json"
+    save_params(path, init_params(3, 4), seed=0, max_words=5, log=[])
+    case = json.loads(path.read_text())
+    if value is None:
+        del case[field]
+    else:
+        case[field] = value
+    path.write_text(json.dumps(case))
+    with pytest.raises(ValueError, match="malformed LSTM checkpoint"):
+        load_params(path)
+
+
 def test_init_params_stacks_the_per_gate_draws():
     d, h, seed = 3, 4, 12
     rng = np.random.default_rng(seed)

@@ -293,6 +293,26 @@ def test_no_module_imports_pickle():
     assert importers == set()
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports names only to re-export them
+    package = Path(intercom.__file__).parent
+    unused = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused.update(f"{path.name}: {name}" for name in imported - used)
+    assert unused == set()
+
+
 def test_pickled_sentiment_model_is_rejected_unread(synth_corpus, tmp_path):
     events_path, _ = synth_corpus
     canary = tmp_path / "canary"
