@@ -237,7 +237,8 @@ class Run:
         self.crosslink_drops: dict[str, int] = {}
         # baseline_ratio's pair counts, filled in when the baseline is measured
         self.baseline_pairs: dict[str, int] = {}
-        # power iterations of each group_pagerank call, in call order
+        # power iterations of every PageRank the replynet rows ran: the
+        # attacker-teleport ones in record order, then the defender-teleport ones
         self.pagerank_iterations: list[int] = []
 
     @cached_property
@@ -300,39 +301,53 @@ class Run:
             with open(self.out / "replynet.csv", "r", encoding="utf-8", newline="") as fh:
                 rows = list(csv.reader(fh))[1:]
             return [[row[0], *(None if v == "" else float(v) for v in row[1:])] for row in rows]
-        return [self.replynet(record)[1] for record in self.mobilized
-                if record.attackers and record.defenders]
+        records = [record for record in self.mobilized if record.attackers and record.defenders]
+        return self._replynet_rows(records, [self._reply_graph(record) for record in records])
 
     def replynet(self, record: MobilizationRecord) -> tuple[ReplyGraph, list | None]:
         """The reply graph of the record's target thread, and its
         REPLYNET_HEADER row when it has both attackers and defenders."""
-        config = self.config
-        comments = self.corpus.thread_comments.get(record.crosslink.target_post, [])
-        graph = build_reply_graph(comments, record.crosslink.target_post,
-                                  record.attackers, record.defenders)
+        graph = self._reply_graph(record)
         if not record.attackers or not record.defenders:
             return graph, None
-        ranks = [group_pagerank(graph, group, alpha=config.alpha, tol=config.pagerank_tol,
+        return graph, self._replynet_rows([record], [graph])[0]
+
+    def _reply_graph(self, record: MobilizationRecord) -> ReplyGraph:
+        post = record.crosslink.target_post
+        return build_reply_graph(self.corpus.thread_comments.get(post, []), post,
+                                 record.attackers, record.defenders)
+
+    def _replynet_rows(self, records: list[MobilizationRecord],
+                       graphs: list[ReplyGraph]) -> list[list]:
+        """The REPLYNET_HEADER rows of records with both attackers and
+        defenders, from their reply graphs: one batched PageRank per
+        teleport set."""
+        config = self.config
+        ranks = [group_pagerank(graphs, group, alpha=config.alpha, tol=config.pagerank_tol,
                                 max_iter=config.pagerank_max_iter)
                  for group in ("attackers", "defenders")]
-        self.pagerank_iterations += [rank.iterations for rank in ranks]
-        apr, dpr = ranks[0].scores, ranks[1].scores
-        echo = echo_metrics(graph, apr)
-        defender_out = sum(w for (i, _j), w in graph.edges.items() if i in record.defenders)
-        reply_frac = (echo.defender_attacker_weight / defender_out) if defender_out else 0.0
-        mean_dapr = sum(apr[u] for u in sorted(record.defenders)) / len(record.defenders)
-        mean_adpr = sum(dpr[u] for u in sorted(record.attackers)) / len(record.attackers)
-        return graph, [
-            record.id, echo.n_attackers, echo.n_defenders,
-            echo.attacker_attacker_weight, echo.attacker_defender_weight,
-            echo.defender_defender_weight, echo.defender_attacker_weight,
-            _clean(echo.attacker_within_cross_ratio), _clean(echo.defender_within_cross_ratio),
-            _clean(echo.cross_group_ratio),
-            echo.defender_apr_zero_fraction, echo.defender_apr_tentimes_fraction,
-            reply_frac, mean_dapr, mean_adpr,
-            anger_rate(comments, self.lexicon, record.attackers, record.defenders),
-            anger_rate(comments, self.lexicon, record.defenders, record.attackers),
-        ]
+        self.pagerank_iterations += [rank.iterations for batch in ranks for rank in batch]
+        rows = []
+        for record, graph, a_rank, d_rank in zip(records, graphs, *ranks):
+            apr, dpr = a_rank.scores, d_rank.scores
+            comments = self.corpus.thread_comments.get(record.crosslink.target_post, [])
+            echo = echo_metrics(graph, apr)
+            defender_out = sum(w for (i, _j), w in graph.edges.items() if i in record.defenders)
+            reply_frac = (echo.defender_attacker_weight / defender_out) if defender_out else 0.0
+            mean_dapr = sum(apr[u] for u in sorted(record.defenders)) / len(record.defenders)
+            mean_adpr = sum(dpr[u] for u in sorted(record.attackers)) / len(record.attackers)
+            rows.append([
+                record.id, echo.n_attackers, echo.n_defenders,
+                echo.attacker_attacker_weight, echo.attacker_defender_weight,
+                echo.defender_defender_weight, echo.defender_attacker_weight,
+                _clean(echo.attacker_within_cross_ratio), _clean(echo.defender_within_cross_ratio),
+                _clean(echo.cross_group_ratio),
+                echo.defender_apr_zero_fraction, echo.defender_apr_tentimes_fraction,
+                reply_frac, mean_dapr, mean_adpr,
+                anger_rate(comments, self.lexicon, record.attackers, record.defenders),
+                anger_rate(comments, self.lexicon, record.defenders, record.attackers),
+            ])
+        return rows
 
 
 REPLYNET_HEADER = [

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,65 +105,128 @@ def _teleport_nodes(graph: ReplyGraph, teleport_set) -> set[str]:
     return set(teleport_set)
 
 
+class _Job(NamedTuple):
+    """One graph's PageRank inputs in its sorted node order."""
+
+    nodes: list[str]
+    src: list[int]
+    dst: list[int]
+    wgt: list[float]
+    out_weight: list[float]
+    teleport: list[int]
+    dangling: int
+
+
+def _job(graph: ReplyGraph, teleport_set) -> _Job:
+    nodes = sorted(graph.nodes)
+    if not nodes:
+        raise ValueError("empty graph")
+    teleport = _teleport_nodes(graph, teleport_set)
+    if not teleport:
+        raise ValueError(f"empty teleport set {teleport_set!r}")
+    unknown = teleport - graph.nodes.keys()
+    if unknown:
+        raise ValueError(f"teleport nodes not in graph: {sorted(unknown)}")
+    index = {u: i for i, u in enumerate(nodes)}
+    src = [index[i] for i, _j in graph.edges]
+    dst = [index[j] for _i, j in graph.edges]
+    out_weight = [0.0] * len(nodes)
+    for i, w in zip(src, graph.edges.values()):
+        out_weight[i] += w
+    return _Job(nodes, src, dst, list(graph.edges.values()), out_weight,
+                sorted(index[u] for u in teleport), out_weight.count(0.0))
+
+
+def _power_iterate(jobs: list[_Job], alpha: float, tol: float, max_iter: int):
+    """Iterate jobs of one node count n and one dangling count d as the rows
+    of a (G, n) array. Returns each row's scores and iteration count at the
+    step it converged, and the last step's L1 changes; a row that did not
+    converge in max_iter steps has iteration count 0."""
+    G, n = len(jobs), len(jobs[0].nodes)
+    # flat index of node i of row r: r * n + i
+    src = np.array([r * n + i for r, job in enumerate(jobs) for i in job.src], dtype=np.intp)
+    dst = np.array([r * n + j for r, job in enumerate(jobs) for j in job.dst], dtype=np.intp)
+    wgt = np.array([w for job in jobs for w in job.wgt], dtype=np.float64)
+    out_weight = np.array([w for job in jobs for w in job.out_weight])
+    dangling = out_weight == 0.0
+    safe_out_src = np.where(dangling, 1.0, out_weight)[src]
+    dangling_rows = np.flatnonzero(dangling).reshape(G, jobs[0].dangling)
+    v = np.zeros(G * n)
+    v[[r * n + i for r, job in enumerate(jobs) for i in job.teleport]] = [
+        1.0 / len(job.teleport) for job in jobs for _i in job.teleport]
+    v = v.reshape(G, n)
+    alpha_v = alpha * v
+
+    x = v.copy()
+    scores = np.empty((G, n))
+    iterations = np.zeros(G, dtype=np.intp)
+    for iteration in range(1, max_iter + 1):
+        flow = np.bincount(dst, weights=x.ravel()[src] * wgt / safe_out_src, minlength=G * n)
+        dangling_mass = x.ravel()[dangling_rows].sum(axis=1)
+        x_new = alpha_v + (1.0 - alpha) * (flow.reshape(G, n) + dangling_mass[:, None] * v)
+        delta = np.abs(x_new - x).sum(axis=1)
+        x = x_new
+        converged = (delta < tol) & (iterations == 0)
+        if converged.any():
+            scores[converged] = x[converged]
+            iterations[converged] = iteration
+            if iterations.all():
+                break
+    return scores, iterations, delta
+
+
 def group_pagerank(
-    graph: ReplyGraph,
+    graphs: ReplyGraph | Sequence[ReplyGraph],
     teleport_set="all",
     alpha: float = TELEPORT_PROB,
     tol: float = 1e-10,
     max_iter: int = 10000,
-) -> GroupPageRank:
+) -> GroupPageRank | list[GroupPageRank]:
     """Personalized PageRank with the restart distribution uniform over the
     teleport set.
 
     Dangling nodes redirect their mass to the teleport set (not uniformly to
     all nodes), preserving the walk-restarts-from-the-group semantics. alpha
-    is the teleport probability, i.e. damping factor 1-alpha.
+    is the teleport probability, i.e. damping factor 1-alpha. A graph
+    converges at the first step whose L1 change is below ``tol``; raises
+    ``ConvergenceError`` when one has not converged after ``max_iter`` steps.
+
+    Given one ReplyGraph, returns its GroupPageRank. Given a sequence of
+    graphs, each with the same teleport set, returns one result per graph in
+    input order; a single graph is a batch of one. The graphs are grouped by
+    (node count n, dangling-node count d), and each group runs its power
+    iteration as one (G, n) array. Every value is computed as it would be
+    for the graph alone, so the batch is exact: the flow is one ``bincount``
+    over the edges in edge order, the same additions as ``np.add.at`` into
+    zeros; the dangling mass gathers each row's d dangling scores into a
+    C-contiguous (G, d) array, and it and the L1 change are ``sum(axis=1)``,
+    which reduces every row as the 1-D sum of that row, with the same
+    pairwise grouping (so no row is padded). A row's scores and iteration
+    count are fixed at the step it converges.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    nodes = sorted(graph.nodes)
-    if not nodes:
-        raise ValueError("empty graph")
-    index = {u: i for i, u in enumerate(nodes)}
-    teleport = _teleport_nodes(graph, teleport_set)
-    if not teleport:
-        raise ValueError(f"empty teleport set {teleport_set!r}")
-    unknown = teleport - set(nodes)
-    if unknown:
-        raise ValueError(f"teleport nodes not in graph: {sorted(unknown)}")
-
-    n = len(nodes)
-    v = np.zeros(n)
-    for u in teleport:
-        v[index[u]] = 1.0 / len(teleport)
-
-    out_weight = np.zeros(n)
-    for (i, j), w in graph.edges.items():
-        out_weight[index[i]] += w
-    src = np.array([index[i] for (i, j) in graph.edges], dtype=np.intp)
-    dst = np.array([index[j] for (i, j) in graph.edges], dtype=np.intp)
-    wgt = np.array(list(graph.edges.values()), dtype=np.float64)
-    dangling = out_weight == 0.0
-    safe_out = np.where(dangling, 1.0, out_weight)
-
-    x = v.copy()
-    for iteration in range(1, max_iter + 1):
-        flow = np.zeros(n)
-        if src.size:
-            np.add.at(flow, dst, x[src] * wgt / safe_out[src])
-        dangling_mass = float(x[dangling].sum())
-        x_new = alpha * v + (1.0 - alpha) * (flow + dangling_mass * v)
-        delta = float(np.abs(x_new - x).sum())
-        x = x_new
-        if delta < tol:
-            label = teleport_set if isinstance(teleport_set, str) else "custom"
-            return GroupPageRank(
-                scores={u: float(x[index[u]]) for u in nodes},
-                teleport_set=label,
-                alpha=alpha,
-                iterations=iteration,
-            )
-    raise ConvergenceError(max_iter, delta)
+    single = isinstance(graphs, ReplyGraph)
+    jobs = [_job(graph, teleport_set) for graph in ([graphs] if single else graphs)]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, job in enumerate(jobs):
+        groups.setdefault((len(job.nodes), job.dangling), []).append(k)
+    results: list[GroupPageRank | None] = [None] * len(jobs)
+    unconverged = []
+    label = teleport_set if isinstance(teleport_set, str) else "custom"
+    for members in groups.values():
+        scores, iterations, delta = _power_iterate([jobs[k] for k in members], alpha, tol,
+                                                   max_iter)
+        for k, row, steps, last in zip(members, scores.tolist(), iterations.tolist(),
+                                       delta.tolist()):
+            if not steps:
+                unconverged.append((k, last))
+                continue
+            results[k] = GroupPageRank(scores=dict(zip(jobs[k].nodes, row)), teleport_set=label,
+                                       alpha=alpha, iterations=steps)
+    if unconverged:
+        raise ConvergenceError(max_iter, min(unconverged)[1])
+    return results[0] if single else results
 
 
 @dataclass

@@ -90,8 +90,13 @@ class SynthSpec:
         for name in ("burst_ratio", "quiet_ratio", "matched_ratio"):
             if getattr(self, name) <= 0:
                 raise SynthError(f"{name} must be > 0")
-        if not 0.0 <= self.mobilization_fraction <= 1.0:
-            raise SynthError("mobilization_fraction must be in [0, 1]")
+        for name in ("mobilization_fraction", "negative_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise SynthError(f"{name} must be in [0, 1]")
+        if self.days < 1:
+            raise SynthError("days must be >= 1")
+        if self.first_link_day < 0:
+            raise SynthError("first_link_day must be >= 0")
         if self.attackers_per_link == 0 and self._after_count(self.burst_ratio) > 0:
             raise SynthError("planted burst exceeds the attacker user pool")
 

@@ -75,6 +75,20 @@ def test_synth_rejects_a_malformed_spec_file(tmp_path, capsys, spec, message):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("negative_fraction", 5, "negative_fraction must be in [0, 1]"),
+    ("days", -5, "days must be >= 1"),
+    ("first_link_day", -100, "first_link_day must be >= 0"),
+])
+def test_synth_rejects_a_spec_field_out_of_range(tmp_path, capsys, field, value, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n_communities": 4, "n_crosslinks": 4, field: value}),
+                    encoding="utf-8")
+    assert main(["synth", "--out", str(tmp_path / "s"), "--spec", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_synth_reads_a_spec_file(tmp_path, capsys):
     # every field, an int for a float one
     path = tmp_path / "spec.json"

@@ -5,6 +5,8 @@ from itertools import combinations, product
 import pytest
 
 from intercom.impact import (
+    MWU_EXACT_MAX,
+    WILCOXON_EXACT_MAX,
     DefenseOutcome,
     ImpactRecord,
     activity_delta,
@@ -324,6 +326,63 @@ def test_wilcoxon_normal_approximation_path():
     pairs_shift = [(x + 3, y) for x, y in pairs]
     _, p_shift = wilcoxon_signed_rank(pairs_shift)
     assert p_shift < 1e-6
+
+
+# scipy as an independent oracle. The statistics are sums of midranks, so
+# they must be equal; the p-values come from the same distributions by
+# different arithmetic (integer counts against scipy's recursions, math.erfc
+# against scipy's ndtr), so they may differ in the last digits only.
+P_REL = 1e-9
+
+
+def test_mwu_matches_scipy_on_both_sides_of_the_exact_limit():
+    stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(5)
+    cases = [(1, 1), (10, 10), (1, MWU_EXACT_MAX - 1)]
+    cases += [(n1, rng.randint(1, MWU_EXACT_MAX - n1)) for n1 in rng.sample(range(1, 20), 8)]
+    for n1, n2 in cases:  # exact branch: tie-free samples
+        pooled = [v / 7 for v in rng.sample(range(1000), n1 + n2)]
+        a, b = pooled[:n1], pooled[n1:]
+        u, p = mann_whitney_u(a, b)
+        ref = stats.mannwhitneyu(a, b, alternative="two-sided", method="exact")
+        assert u == ref.statistic
+        assert p == pytest.approx(ref.pvalue, rel=P_REL)
+    for n1, n2 in [(1, MWU_EXACT_MAX), (11, 10), (30, 25), (5, 50), (40, 40)]:
+        for _ in range(3):  # asymptotic branch: ties, with both corrections
+            a = [rng.randint(0, 6) for _ in range(n1)]
+            b = [rng.randint(2, 8) for _ in range(n2)]
+            b[0] = 8  # at least two distinct values
+            u, p = mann_whitney_u(a, b)
+            ref = stats.mannwhitneyu(a, b, use_continuity=True, alternative="two-sided",
+                                     method="asymptotic")
+            assert u == ref.statistic
+            assert p == pytest.approx(ref.pvalue, rel=P_REL)
+
+
+def test_wilcoxon_matches_scipy_on_both_sides_of_the_exact_limit():
+    stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(6)
+    sizes = [1, 2, WILCOXON_EXACT_MAX] + rng.sample(range(3, WILCOXON_EXACT_MAX), 8)
+    for n in sizes:  # exact branch: distinct nonzero |differences|
+        diffs = [m * rng.choice((-1, 1)) / 4 for m in rng.sample(range(1, 200), n)]
+        pairs = [(1.0 + d, 1.0) for d in diffs]
+        w, p = wilcoxon_signed_rank(pairs)
+        x, y = [a for a, _b in pairs], [b for _a, b in pairs]
+        greater = stats.wilcoxon(x, y, zero_method="wilcox", alternative="greater", method="exact")
+        both = stats.wilcoxon(x, y, zero_method="wilcox", alternative="two-sided", method="exact")
+        assert w == greater.statistic
+        assert p == pytest.approx(both.pvalue, rel=P_REL)
+    for n in (WILCOXON_EXACT_MAX + 1, 30, 45, 60):
+        for _ in range(3):  # asymptotic branch: ties and zero differences
+            pairs = [(rng.randint(0, 6), rng.randint(0, 5)) for _ in range(n)]
+            k = rng.randint(0, WILCOXON_EXACT_MAX + 1)  # > 25 nonzero, skewed by k
+            pairs += [(9, 2)] * k + [(2, 9)] * (WILCOXON_EXACT_MAX + 1 - k)
+            x, y = [a for a, _b in pairs], [b for _a, b in pairs]
+            w, p = wilcoxon_signed_rank(pairs)
+            kwargs = dict(zero_method="wilcox", correction=True, method="asymptotic")
+            assert w == stats.wilcoxon(x, y, alternative="greater", **kwargs).statistic
+            assert p == pytest.approx(stats.wilcoxon(x, y, alternative="two-sided",
+                                                     **kwargs).pvalue, rel=P_REL)
 
 
 def test_mobilization_impacts_roles(two_community_corpus):

@@ -1,9 +1,12 @@
-"""The learning kernels against the loops they replaced, kept here as
-oracles: the per-feature split search of the forest, the per-edge SGD loop
-of the embedding trainer, and the LSTM trainer whose initial loss ran full
-BPTT. Each comparison is exact: the arithmetic of every kept value is the
-same, so the results must be equal bit for bit.
+"""The kernels against the loops they replaced, kept here as oracles: the
+per-feature split search of the forest, the per-edge SGD loop of the
+embedding trainer, the LSTM trainer whose initial loss ran full BPTT, and the
+one-graph-per-call power iteration of the group PageRank. Each comparison is
+exact: the arithmetic of every kept value is the same, so the results must be
+equal bit for bit.
 """
+import random
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,8 @@ from intercom.embed import BipartiteMultigraph, train_embeddings  # noqa: E402
 from intercom.forest import NODE_ARRAYS, _best_split, train_forest  # noqa: E402
 from intercom.lstm import _sigmoid, bptt, example_loss, init_params  # noqa: E402
 from intercom.predictor import PredictionDataset  # noqa: E402
+from intercom.replynet import (ConvergenceError, ReplyGraph, _teleport_nodes,  # noqa: E402
+                               group_pagerank)
 
 EXAMPLES = settings(max_examples=150, deadline=None)
 
@@ -108,6 +113,40 @@ def loop_train(dataset, params_init, lr=0.01, epochs=20, seed=0):
             if val_auc is not None:
                 best_auc = val_auc
     return best, history, best_auc, initial_loss
+
+
+def loop_group_pagerank(graph, teleport_set, alpha, tol, max_iter=10000):
+    """One graph's ``group_pagerank`` as one power-iteration loop; returns
+    (scores, iterations)."""
+    nodes = sorted(graph.nodes)
+    index = {u: i for i, u in enumerate(nodes)}
+    teleport = _teleport_nodes(graph, teleport_set)
+    n = len(nodes)
+    v = np.zeros(n)
+    for u in teleport:
+        v[index[u]] = 1.0 / len(teleport)
+
+    out_weight = np.zeros(n)
+    for (i, j), w in graph.edges.items():
+        out_weight[index[i]] += w
+    src = np.array([index[i] for (i, j) in graph.edges], dtype=np.intp)
+    dst = np.array([index[j] for (i, j) in graph.edges], dtype=np.intp)
+    wgt = np.array(list(graph.edges.values()), dtype=np.float64)
+    dangling = out_weight == 0.0
+    safe_out = np.where(dangling, 1.0, out_weight)
+
+    x = v.copy()
+    for iteration in range(1, max_iter + 1):
+        flow = np.zeros(n)
+        if src.size:
+            np.add.at(flow, dst, x[src] * wgt / safe_out[src])
+        dangling_mass = float(x[dangling].sum())
+        x_new = alpha * v + (1.0 - alpha) * (flow + dangling_mass * v)
+        delta = float(np.abs(x_new - x).sum())
+        x = x_new
+        if delta < tol:
+            return {u: float(x[index[u]]) for u in nodes}, iteration
+    raise ConvergenceError(max_iter, delta)
 
 
 # -- forest splits ------------------------------------------------------------
@@ -257,3 +296,61 @@ def test_train_makes_one_bptt_call_per_example_and_epoch(seed, monkeypatch):
     assert result.best_val_auc == best_auc
     for key, array in result.params.weights.items():
         assert array.tobytes() == best.weights[key].tobytes()
+
+
+# -- group PageRank -----------------------------------------------------------
+
+def reply_graph(rng, n, d, self_loops):
+    """n users u000.. with at least one attacker and one defender; the last d
+    have no out-edge, every other user has one or more. The edges are in
+    shuffled order."""
+    names = [f"u{i:03d}" for i in range(n)]
+    groups = ["attacker", "defender"] + [rng.choice(("attacker", "defender", "other"))
+                                         for _ in range(n - 2)]
+    rng.shuffle(groups)
+    edges = {}
+    for i in range(n - d):
+        for _ in range(rng.randint(1, 3)):
+            j = i if self_loops and rng.random() < 0.3 else rng.randrange(n)
+            edges[(names[i], names[j])] = edges.get((names[i], names[j]), 0) + rng.randint(1, 4)
+    items = list(edges.items())
+    rng.shuffle(items)
+    return ReplyGraph(nodes=dict(zip(names, groups)), edges=dict(items))
+
+
+def mixed_batch(rng):
+    """Families of graphs sharing a node and dangling count, one each of
+    n < 8, 8 <= n <= 128 and n > 128 plus random ones, and an edgeless
+    graph, in shuffled order."""
+    sizes = [rng.randint(2, 7), rng.randint(8, 128), rng.randint(129, 180)]
+    sizes += [rng.randint(2, 40) for _ in range(rng.randint(0, 3))]
+    edgeless = rng.randint(2, 9)
+    batch = [reply_graph(rng, edgeless, edgeless, self_loops=False)]
+    for k, n in enumerate(sizes):
+        d = rng.choice([0, 1, rng.randint(0, n - 1), n - 1])  # n - 1: all but one dangling
+        for _ in range(rng.randint(1, 4)):
+            batch.append(reply_graph(rng, n, d, self_loops=k % 2 == 0))
+    rng.shuffle(batch)
+    return batch
+
+
+def score_bytes(scores):
+    return list(scores), np.array(list(scores.values())).tobytes()
+
+
+TELEPORT_SETS = ("attackers", "defenders", "all", {"u000", "u001"})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.25, 0.1, 0.6]), st.sampled_from([1e-10, 1e-13]))
+def test_batched_group_pagerank_equals_the_per_graph_loop(seed, alpha, tol):
+    batch = mixed_batch(random.Random(seed))
+    for teleport in TELEPORT_SETS:
+        results = group_pagerank(batch, teleport, alpha=alpha, tol=tol)
+        assert len(results) == len(batch)
+        for graph, result in zip(batch, results):
+            scores, iterations = loop_group_pagerank(graph, teleport, alpha, tol)
+            assert result.iterations == iterations
+            assert score_bytes(result.scores) == score_bytes(scores)
+    single = group_pagerank(batch[0], "attackers", alpha=alpha, tol=tol)
+    assert single == group_pagerank(batch[:1], "attackers", alpha=alpha, tol=tol)[0]

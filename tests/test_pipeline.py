@@ -329,18 +329,32 @@ def test_replynet_runs_two_pageranks_per_mobilization_with_the_config(synth_corp
     events_path, _ = synth_corpus
     calls = []
 
-    def counting(graph, teleport_set="all", **kwargs):
-        calls.append(kwargs)
-        return original(graph, teleport_set, **kwargs)
+    def counting(graphs, teleport_set="all", **kwargs):
+        calls.append((len(graphs), teleport_set, kwargs))
+        return original(graphs, teleport_set, **kwargs)
 
     original = replynet.group_pagerank
     monkeypatch.setattr(replynet, "group_pagerank", counting)
     monkeypatch.setattr(pipeline, "group_pagerank", counting)
     config = Config(corpus=str(events_path), output_dir=str(tmp_path), alpha=0.3,
                     pagerank_tol=1e-9, pagerank_max_iter=5000)
-    rows = Run(config).replynet_rows
-    assert rows and len(calls) == 2 * len(rows)
-    assert all(kw == {"alpha": 0.3, "tol": 1e-9, "max_iter": 5000} for kw in calls)
+    run = Run(config)
+    rows = run.replynet_rows
+    eligible = [r.id for r in run.mobilized if r.attackers and r.defenders]
+    assert rows and [row[0] for row in rows] == eligible
+    # one batch per teleport set, each holding every eligible mobilization's graph
+    assert calls == [(len(eligible), group, {"alpha": 0.3, "tol": 1e-9, "max_iter": 5000})
+                     for group in ("attackers", "defenders")]
+
+
+def test_a_pagerank_that_cannot_converge_fails_the_replynet_stage(synth_corpus, tmp_path):
+    events_path, _ = synth_corpus
+    with pytest.raises(StageError) as info:
+        run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "run"),
+                            pagerank_max_iter=1))
+    assert info.value.stage == "replynet" and "'replynet'" in str(info.value)
+    assert isinstance(info.value.cause, replynet.ConvergenceError)
+    assert info.value.cause.iterations == 1
 
 
 def test_rerun_reads_cached_links_baseline_and_records_back(synth_corpus, tmp_path, monkeypatch):
@@ -493,7 +507,7 @@ def test_seed_only_rerun_reads_cached_replynet_rows_back(synth_corpus, tmp_path,
     assert "replynet" in rerun.cache_hits and "impact" not in rerun.cache_hits
     assert calls == []
     run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "fresh"), seed=4))
-    assert calls
+    assert [args[1] for args in calls] == ["attackers", "defenders"]
     assert bundle_bytes(out) == bundle_bytes(tmp_path / "fresh")
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from intercom.replynet import (
+    TELEPORT_PROB,
+    ConvergenceError,
     ReplyGraph,
     anger_rate,
     build_reply_graph,
@@ -241,6 +243,74 @@ def test_pagerank_explicit_teleport_set():
     graph = make_graph({"a": "other", "b": "other"}, {("a", "b"): 1})
     scores = group_pagerank(graph, {"a"}).scores
     assert scores["a"] > 0 and scores["b"] > 0
+
+
+def test_a_batch_that_cannot_converge_names_max_iter_and_its_first_graph():
+    # an edgeless graph is at its fixed point after one step; a graph with an
+    # edge out of the teleport set is not
+    edgeless = make_graph({"a": "attacker", "d": "defender"}, {})
+    first = make_graph({"a": "attacker", "d": "defender", "o": "other"}, {("a", "d"): 1})
+    second = make_graph({"a": "attacker", "d": "defender"}, {("a", "a"): 1, ("a", "d"): 1})
+    assert group_pagerank([edgeless], "attackers", max_iter=1)[0].iterations == 1
+    with pytest.raises(ConvergenceError) as single:
+        group_pagerank(first, "attackers", max_iter=1)
+    with pytest.raises(ConvergenceError) as batch:
+        group_pagerank([edgeless, first, second], "attackers", max_iter=1)
+    assert batch.value.iterations == 1
+    assert "did not converge in 1 steps" in str(batch.value)
+    assert str(batch.value) == str(single.value)
+    with pytest.raises(ConvergenceError) as later:
+        group_pagerank([second], "attackers", max_iter=1)
+    assert str(later.value) != str(single.value)
+
+
+def random_reply_graph(rng):
+    """2-40 users with at least one attacker and one defender; about a
+    third of them reply to no one (dangling)."""
+    n = rng.randint(2, 40)
+    names = [f"u{i:02d}" for i in range(n)]
+    groups = ["attacker", "defender"] + [rng.choice(("attacker", "defender", "other"))
+                                         for _ in range(n - 2)]
+    rng.shuffle(groups)
+    edges = {}
+    for i in rng.sample(names, k=rng.randint(0, (2 * n) // 3)):
+        for _ in range(rng.randint(1, 3)):
+            j = rng.choice(names)
+            edges[(i, j)] = edges.get((i, j), 0) + rng.randint(1, 4)
+    return make_graph(dict(zip(names, groups)), edges)
+
+
+# Both solvers iterate the same map, which contracts L1 distances by
+# 1 - alpha, so a result is within (1 - alpha) / alpha times its last L1 step
+# of the fixed point. Ours stops when that step is below PR_TOL, networkx's
+# when it is below n * NX_TOL. ROUNDING covers the float error of either
+# iteration, about n * 1e-16 per step.
+PR_TOL, NX_TOL, ROUNDING = 1e-12, 1e-13, 1e-12
+
+
+def networkx_bound(n, alpha=TELEPORT_PROB):
+    return (1 - alpha) / alpha * (PR_TOL + n * NX_TOL) + ROUNDING
+
+
+def test_group_pagerank_matches_networkx_single_and_batched():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    graphs = [random_reply_graph(rng) for _ in range(40)]
+    assert sum(len(g.nodes) - len({i for i, _j in g.edges}) for g in graphs) > 0  # dangling users
+    for teleport, group in (("attackers", "attacker"), ("defenders", "defender"), ("all", None)):
+        batch = group_pagerank(graphs, teleport, tol=PR_TOL)
+        for graph, batched in zip(graphs, batch):
+            members = [u for u, g in graph.nodes.items() if group in (None, g)]
+            v = {u: (1.0 / len(members) if u in members else 0.0) for u in graph.nodes}
+            digraph = nx.DiGraph()
+            digraph.add_nodes_from(graph.nodes)
+            digraph.add_weighted_edges_from((i, j, w) for (i, j), w in graph.edges.items())
+            expected = nx.pagerank(digraph, alpha=1 - TELEPORT_PROB, personalization=v,
+                                   dangling=v, weight="weight", tol=NX_TOL, max_iter=100000)
+            single = group_pagerank(graph, teleport, tol=PR_TOL)
+            for result in (single, batched):
+                distance = sum(abs(result.scores[u] - expected[u]) for u in graph.nodes)
+                assert distance <= networkx_bound(len(graph.nodes))
 
 
 def test_echo_metrics_attacker_only_edges():
