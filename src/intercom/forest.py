@@ -1,6 +1,35 @@
-"""Bagged decision-tree ensemble with per-node feature subsampling."""
+"""Bagged decision-tree ensemble with per-node feature subsampling.
+
+All trees of a forest grow together. Each step pops the next node of every
+tree whose stack is not empty, and one batched search (``_best_splits``)
+scores the splits of all those nodes. The forest is, bit for bit, the one
+that growing each tree alone, node by node, gives:
+
+- Each tree pops its own stack in LIFO order and draws a node's feature
+  subset from its own generator, so every generator makes the same draws in
+  the same order; the generators are independent, so interleaving the trees
+  changes nothing.
+- A node holds each distinct bootstrap row once, with its count as a weight.
+  Duplicates have equal values and never fall on two sides of a cut.
+- A cut is scored only between unequal values, where the class counts below
+  it are the counts of a multiset. So one integer sort per search, on
+  ``segment * n_rows + rank``, where ``rank`` is the row's rank in its
+  column, can order every (node, feature) segment, in any order within ties.
+- Class counts are whole numbers, and so are their cumsums and squared
+  sums in float64, whatever order they are added in. Every score,
+  sum(left^2)/|left| + sum(right^2)/|right|, is therefore the same double.
+- The first best cut per (node, feature) is a max and then a min per
+  segment, both exact. The 1e-12 tie rule across a node's features runs in
+  feature order.
+- Nodes are numbered per tree as their parent splits, and the trees are
+  concatenated in tree order.
+
+A search scores at most ``SPLIT_CHUNK`` rows x features at once, which bounds
+the memory a step takes.
+"""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,66 +39,180 @@ from .checkpoint import read_checkpoint, write_checkpoint
 FOREST_FORMAT = "intercom-forest"
 FOREST_VERSION = 2
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+# rows x features of the nodes one split search scores at once; a larger
+# node is searched alone
+SPLIT_CHUNK = 8192
 
 
 class SchemaError(ValueError):
     """Feature schema does not match the one the model was trained with."""
 
 
-def _best_split(X, y_codes, idx, n_classes, features):
-    """Best (impurity gain, feature, threshold) over the candidate features.
+def _column_ranks(X: np.ndarray) -> np.ndarray:
+    """Dense rank of every value within its column; equal values share one."""
+    order = np.argsort(X, axis=0, kind="stable")
+    sv = np.take_along_axis(X, order, axis=0)
+    dense = np.zeros(X.shape, dtype=np.int32 if X.shape[0] < 2**31 else np.intp)
+    np.cumsum(sv[1:] != sv[:-1], axis=0, out=dense[1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=0)
+    return ranks
 
-    Maximizes sum(left_counts^2)/|left| + sum(right_counts^2)/|right|, which
-    is equivalent to minimizing weighted Gini impurity. Every candidate is
-    scored in one pass; the class counts are whole numbers, so each score is
-    exact whatever order numpy adds them in.
+
+def _best_splits(X, ranks, y_codes, n_classes, rows, weights, sizes, features) -> list:
+    """Best (score, feature, threshold), or None, for each node of a batch.
+
+    Node i holds the next ``sizes[i]`` entries of ``rows``, each a distinct
+    row of ``X`` with its bootstrap count in ``weights``, and tries the
+    features ``features[i]``; ``ranks`` is ``_column_ranks(X)``. A split
+    maximizes sum(left_counts^2)/|left| + sum(right_counts^2)/|right|, which
+    is minimizing weighted Gini impurity, and must beat the node's own score
+    by 1e-12. Nodes are searched in chunks of at most ``SPLIT_CHUNK`` rows x
+    features.
     """
-    n = idx.size
-    total = np.bincount(y_codes[idx], minlength=n_classes).astype(np.float64)
-    base = float(np.dot(total, total)) / n
-    vals = X[idx[:, None], features]  # n x m
-    order = np.argsort(vals, axis=0, kind="stable")
-    sv = np.take_along_axis(vals, order, axis=0)
-    # cut k puts the first k + 1 sorted rows left; only cuts between unequal values count
-    left = np.cumsum(np.eye(n_classes)[y_codes[idx][order[:-1]]], axis=0)  # (n-1) x m x classes
-    right = total - left
-    left_n = np.arange(1.0, n)[:, None]
-    score = (left * left).sum(axis=2) / left_n + (right * right).sum(axis=2) / (n - left_n)
-    score[~(sv[:-1] < sv[1:])] = -np.inf
-    best = None
-    for j, k in enumerate(np.argmax(score, axis=0).tolist()):
-        s = score[k, j]
-        if s > base + 1e-12 and (best is None or s > best[0] + 1e-12):
-            best = (float(s), features[j], float((sv[k, j] + sv[k + 1, j]) / 2.0))
+    load = sizes * features.shape[1]
+    best, start, stop = [], 0, 0
+    while start < sizes.size:
+        end = start + max(1, int(np.searchsorted(np.cumsum(load[start:]), SPLIT_CHUNK, side="right")))
+        rows_end = stop + int(sizes[start:end].sum())
+        best += _search(X, ranks, y_codes, n_classes, rows[stop:rows_end], weights[stop:rows_end],
+                        sizes[start:end], features[start:end])
+        start, stop = end, rows_end
     return best
 
 
-def _grow_tree(X, y_codes, idx, n_classes, mtry, rng, nodes: list) -> int:
-    """Append one tree to ``nodes``, rows of (feature, threshold, left, right,
-    value), and return its root. A child is numbered after its parent."""
-    root = len(nodes)
-    nodes.append([-1, 0.0, -1, -1, np.zeros(n_classes)])
-    stack = [(root, idx)]
-    n_features = X.shape[1]
-    while stack:
-        node, node_idx = stack.pop()
-        row = nodes[node]
-        counts = np.bincount(y_codes[node_idx], minlength=n_classes)
-        if node_idx.size < 2 or np.count_nonzero(counts) == 1:
-            row[4] = counts / counts.sum()
-            continue
-        features = rng.choice(n_features, size=mtry, replace=False)
-        split = _best_split(X, y_codes, node_idx, n_classes, features)
-        if split is None:
-            row[4] = counts / counts.sum()
-            continue
-        _, feature, threshold = split
-        mask = X[node_idx, feature] < threshold
-        row[:4] = feature, threshold, len(nodes), len(nodes) + 1
-        nodes += [[-1, 0.0, -1, -1, np.zeros(n_classes)] for _ in range(2)]
-        stack.append((row[2], node_idx[mask]))
-        stack.append((row[3], node_idx[~mask]))
-    return root
+def _search(X, ranks, y_codes, n_classes, rows, weights, sizes, features) -> list:
+    """``_best_splits`` on one chunk, every node with at least one row."""
+    b, mtry = features.shape
+    n_rows, n_features = ranks.shape
+    # segment j * b + i holds node i's rows on its j-th feature, and entry
+    # j * rows.size + k is rows[k] on the j-th feature of its node
+    seg_size = np.tile(sizes, mtry)
+    seg_start = np.zeros(seg_size.size, dtype=np.intp)
+    np.cumsum(seg_size[:-1], out=seg_start[1:])
+    at = features[np.repeat(np.arange(b), sizes)] + (rows * n_features)[:, None]
+    key = ranks.take(at.T.ravel()) + np.repeat(np.arange(seg_size.size) * n_rows, seg_size)
+    order = np.argsort(key)
+    key = key[order]
+    order %= rows.size
+    sorted_rows, size = rows[order], key.size
+    # cum[c, e]: weight of class c among the first e sorted entries, over all
+    # segments; whole numbers, so every sum below is exact
+    cum = np.zeros((n_classes, size + 1))
+    y_sorted, w_sorted = y_codes[sorted_rows], weights[order]
+    for c in range(n_classes):
+        np.multiply(w_sorted, y_sorted == c, out=cum[c, 1:])
+    np.cumsum(cum, axis=1, out=cum)
+    below = cum[:, seg_start]
+    total = cum[:, seg_start + seg_size] - below
+    total_n = total.sum(axis=0)
+    base = (np.square(total[:, :b]).sum(axis=0) / total_n[:b]).tolist()
+    # a cut after sorted entry e puts it and what precedes it in its segment
+    # left; only cuts between unequal values of one segment count
+    left = cum[:, 1:]
+    left -= np.repeat(below, seg_size, axis=1)
+    right = np.repeat(total, seg_size, axis=1)
+    right -= left
+    left_n = left.sum(axis=0)
+    right_n = np.repeat(total_n, seg_size) - left_n
+    with np.errstate(divide="ignore", invalid="ignore"):  # a segment's last entry has no right side
+        score = np.square(left, out=left).sum(axis=0) / left_n
+        score += np.square(right, out=right).sum(axis=0) / right_n
+    cut = np.empty(size, dtype=bool)
+    np.not_equal(key[:-1], key[1:], out=cut[:-1])
+    cut[seg_start[1:] - 1] = cut[-1] = False
+    score[~cut] = -np.inf
+    top = np.maximum.reduceat(score, seg_start)
+    first = np.minimum.reduceat(np.where(score == np.repeat(top, seg_size), np.arange(size), size), seg_start)
+    seg_feature = features.T.ravel()
+    after = np.minimum(first + 1, size - 1)
+    threshold = ((X[sorted_rows[first], seg_feature] + X[sorted_rows[after], seg_feature]) / 2.0).tolist()
+    top, seg_feature = top.tolist(), seg_feature.tolist()
+    best = []
+    for i in range(b):
+        found = None
+        for s in range(i, mtry * b, b):
+            if top[s] > base[i] + 1e-12 and (found is None or top[s] > found[0] + 1e-12):
+                found = (top[s], seg_feature[s], threshold[s])
+        best.append(found)
+    return best
+
+
+def _grow(X, y_codes, n_classes, mtry, rngs, counts) -> tuple:
+    """Grow one tree per generator, tree t on the rows with nonzero
+    ``counts[t]`` weighted by those counts; return the node arrays and roots.
+
+    Every step pops the top node of each tree whose stack is not empty. A
+    node becomes a leaf with its class frequencies when it holds fewer than
+    2 samples or one class, or when no candidate feature splits it. A split
+    node's children are numbered next in its tree, and the left child is
+    pushed first.
+    """
+    ranks = _column_ranks(X)
+    stacks = [[(0, np.stack([rows, counts[t, rows]]))]
+              for t, rows in enumerate(np.nonzero(c)[0] for c in counts)]
+    n_nodes = [1] * len(rngs)
+    splits, leaves = [], []  # (tree, node, feature, threshold, left); (trees, nodes, values)
+    active = list(range(len(rngs)))
+    while active:
+        popped = [stacks[t].pop() for t in active]
+        ids = [node_id for node_id, _ in popped]
+        sizes = np.array([rw.shape[1] for _, rw in popped])
+        rw = np.concatenate([rw for _, rw in popped], axis=1)
+        node = np.repeat(np.arange(len(active)), sizes)
+        class_counts = np.bincount(node * n_classes + y_codes[rw[0]], weights=rw[1],
+                                   minlength=len(active) * n_classes)
+        class_counts = class_counts.astype(np.int64).reshape(len(active), n_classes)
+        n = class_counts.sum(axis=1)
+        is_leaf = (n < 2) | (np.count_nonzero(class_counts, axis=1) == 1)
+        grow = np.flatnonzero(~is_leaf)
+        split_at, split_feature, split_threshold = [], [], []
+        if grow.size:
+            features = np.array([rngs[active[i]].choice(X.shape[1], size=mtry, replace=False)
+                                 for i in grow.tolist()])
+            inner = rw[:, ~is_leaf[node]]
+            for i, best in zip(grow.tolist(), _best_splits(X, ranks, y_codes, n_classes, inner[0],
+                                                             inner[1], sizes[grow], features)):
+                if best is None:
+                    is_leaf[i] = True
+                else:
+                    split_at.append(i)
+                    split_feature.append(best[1])
+                    split_threshold.append(best[2])
+        leaf = np.flatnonzero(is_leaf)
+        leaves.append((np.array(active)[leaf], np.array(ids)[leaf], class_counts[leaf] / n[leaf, None]))
+        if split_at:
+            position = np.full(len(active), -1)
+            position[split_at] = np.arange(len(split_at))
+            at = position[node]
+            rw, at = rw[:, at >= 0], at[at >= 0]
+            go_left = X[rw[0], np.array(split_feature)[at]] < np.array(split_threshold)[at]
+            child = 2 * at + ~go_left  # split k's left child is 2k, its right 2k + 1
+            rw = rw[:, np.argsort(child)]
+            bounds = [0] + np.cumsum(np.bincount(child, minlength=2 * len(split_at))).tolist()
+            for k, i in enumerate(split_at):
+                t = active[i]
+                first = n_nodes[t]
+                n_nodes[t] += 2
+                splits.append((t, ids[i], split_feature[k], split_threshold[k], first))
+                stacks[t] += [(first, rw[:, bounds[2 * k]:bounds[2 * k + 1]]),
+                              (first + 1, rw[:, bounds[2 * k + 1]:bounds[2 * k + 2]])]
+        active = [t for t in active if stacks[t]]
+
+    roots = np.zeros(len(rngs), dtype=int)
+    np.cumsum(n_nodes[:-1], out=roots[1:])
+    total = int(roots[-1]) + n_nodes[-1]
+    feature, left, right = np.full(total, -1), np.full(total, -1), np.full(total, -1)
+    threshold, value = np.zeros(total), np.zeros((total, n_classes))
+    if splits:
+        tree, node_id, split_feature, split_threshold, first = (np.array(c) for c in zip(*splits))
+        at = roots[tree] + node_id
+        feature[at], threshold[at] = split_feature, split_threshold
+        left[at] = roots[tree] + first
+        right[at] = left[at] + 1
+    for tree, node_id, frequencies in leaves:
+        value[roots[tree] + node_id] = frequencies
+    return (feature, threshold, left, right, value), roots
 
 
 @dataclass
@@ -177,15 +320,26 @@ def _validate_features(X) -> tuple[np.ndarray, tuple[str, ...]]:
 def train_forest(X, y, trees: int = 400, seed: int = 0) -> Forest:
     """Fit a bagged forest: bootstrap per tree, sqrt(F) features per node,
     unlimited depth, leaf size 1. Out-of-bag accuracy is recorded when any
-    sample lands out of bag. Bit-reproducible for a fixed seed."""
+    sample lands out of bag. Bit-reproducible for a fixed seed.
+
+    Tree t draws its bootstrap and then its nodes' feature subsets from the
+    t-th child of ``SeedSequence(seed)``, so the first k trees of a forest do
+    not depend on how many trees it has. The trees grow together, one node
+    per tree per step (see the module docstring for why that gives the same
+    trees as growing them one at a time). Labels must be all strings or all
+    ints, the class types a saved forest keeps.
+    """
     mat, schema = _validate_features(X)
     n, n_feat = mat.shape
     if len(y) != n:
         raise ValueError("X and y length mismatch")
     if n < 2:
         raise ValueError("need at least 2 training samples")
-    if trees < 1:
-        raise ValueError("need at least one tree")
+    if isinstance(trees, bool) or not isinstance(trees, numbers.Integral) or trees < 1:
+        raise ValueError(f"trees must be an int >= 1, got {trees!r}")
+    if not (all(isinstance(v, str) for v in y)
+            or all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in y)):
+        raise ValueError("labels must be all strings or all ints (not bools or floats)")
     classes = tuple(sorted(set(y)))
     if len(classes) < 2:
         raise ValueError("training labels contain a single class")
@@ -193,18 +347,17 @@ def train_forest(X, y, trees: int = 400, seed: int = 0) -> Forest:
     y_codes = np.asarray([code[v] for v in y], dtype=np.intp)
     mtry = max(1, int(np.sqrt(n_feat)))
 
-    nodes, roots, boots = [], [], []
-    for seq in np.random.SeedSequence(seed).spawn(trees):
-        rng = np.random.default_rng(seq)
-        boots.append(rng.integers(0, n, size=n))
-        roots.append(_grow_tree(mat, y_codes, boots[-1], len(classes), mtry, rng, nodes))
-    forest = Forest(*(np.array(column) for column in zip(*nodes)), roots=np.array(roots),
-                    schema=schema, classes=classes, seed=seed,
+    trees = int(trees)
+    rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(trees)]
+    # counts[t, i]: how often tree t's bootstrap drew row i
+    counts = np.bincount(np.concatenate([rng.integers(0, n, size=n) + t * n for t, rng in enumerate(rngs)]),
+                         minlength=trees * n).reshape(trees, n)
+    arrays, roots = _grow(mat, y_codes, len(classes), mtry, rngs, counts)
+    forest = Forest(*arrays, roots=roots, schema=schema, classes=classes, seed=seed,
                     metadata={"n_samples": n, "n_trees": trees, "mtry": mtry})
 
     # each row's votes from the trees whose bootstrap left it out, added in tree order
-    in_bag = np.zeros((n, trees), dtype=bool)
-    in_bag[np.array(boots), np.arange(trees)[:, None]] = True
+    in_bag = counts.T > 0
     votes = np.where(in_bag[:, :, None], 0.0, forest.value[forest.leaves(mat)])
     oob_seen = ~in_bag.all(axis=1)
     if oob_seen.any():

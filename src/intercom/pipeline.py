@@ -53,6 +53,17 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+_TYPE_NAMES = {"int": "an int", "float": "a number", "bool": "a bool", "str": "a string"}
+
+
+def _has_type(value, kind: str) -> bool:
+    """Whether ``value`` fits a Config field declared ``kind``. Python counts
+    a bool as an int; here it fits only a bool field."""
+    if isinstance(value, bool):
+        return kind == "bool"
+    return isinstance(value, {"int": int, "float": (int, float), "bool": (), "str": str}[kind])
+
+
 @dataclass
 class Config:
     corpus: str = ""
@@ -80,6 +91,10 @@ class Config:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ConfigError(f"{f.name} must be {_TYPE_NAMES[f.type]}, got {value!r}")
         numbers = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.type == "float"}
         if self.baseline != "auto":
             try:

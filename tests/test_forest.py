@@ -57,6 +57,21 @@ def test_nan_rejected():
         train_forest([{"x": float("nan")}, {"x": 1.0}], [0, 1], trees=5, seed=0)
 
 
+@pytest.mark.parametrize("labels", [[0.0, 1.0] * 5, [False, True] * 5, ["neutral", 1] * 5],
+                         ids=["float", "bool", "str-and-int"])
+def test_labels_a_saved_forest_cannot_keep_are_rejected(labels):
+    X, _ = _separable(10, seed=0)
+    with pytest.raises(ValueError, match="labels must be all strings or all ints"):
+        train_forest(X, labels, trees=5, seed=0)
+
+
+@pytest.mark.parametrize("trees", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_tree_count_must_be_an_int(trees):
+    X, y = _separable(10, seed=0)
+    with pytest.raises(ValueError, match="trees must be an int >= 1"):
+        train_forest(X, y, trees=trees, seed=0)
+
+
 def test_schema_mismatch_rejected():
     X, y = _separable(50, seed=1)
     forest = train_forest(X, y, trees=5, seed=0)

@@ -1,9 +1,9 @@
 """The kernels against the loops they replaced, kept here as oracles: the
-per-feature split search of the forest, the per-edge SGD loop of the
-embedding trainer, the LSTM trainer whose initial loss ran full BPTT, and the
-one-graph-per-call power iteration of the group PageRank. Each comparison is
-exact: the arithmetic of every kept value is the same, so the results must be
-equal bit for bit.
+per-feature split search and the tree-at-a-time grower of the forest, the
+per-edge SGD loop of the embedding trainer, the LSTM trainer whose initial
+loss ran full BPTT, and the one-graph-per-call power iteration of the group
+PageRank. Each comparison is exact: the arithmetic of every kept value is
+the same, so the results must be equal bit for bit.
 """
 import random
 
@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from intercom import forest as forest_mod  # noqa: E402
 from intercom import predictor  # noqa: E402
 from intercom.embed import BipartiteMultigraph, train_embeddings  # noqa: E402
-from intercom.forest import NODE_ARRAYS, _best_split, train_forest  # noqa: E402
+from intercom.forest import (NODE_ARRAYS, Forest, _best_splits, _column_ranks,  # noqa: E402
+                            _validate_features, train_forest)
 from intercom.lstm import _sigmoid, bptt, example_loss, init_params  # noqa: E402
 from intercom.predictor import PredictionDataset  # noqa: E402
 from intercom.replynet import (ConvergenceError, ReplyGraph, _teleport_nodes,  # noqa: E402
@@ -52,6 +53,57 @@ def loop_best_split(X, y_codes, idx, n_classes, features):
             pos = cut[k]
             best = (float(score[k]), f, float((sv[pos] + sv[pos + 1]) / 2.0))
     return best
+
+
+def loop_grow_tree(X, y_codes, idx, n_classes, mtry, rng, nodes: list) -> int:
+    root = len(nodes)
+    nodes.append([-1, 0.0, -1, -1, np.zeros(n_classes)])
+    stack = [(root, idx)]
+    n_features = X.shape[1]
+    while stack:
+        node, node_idx = stack.pop()
+        row = nodes[node]
+        counts = np.bincount(y_codes[node_idx], minlength=n_classes)
+        if node_idx.size < 2 or np.count_nonzero(counts) == 1:
+            row[4] = counts / counts.sum()
+            continue
+        features = rng.choice(n_features, size=mtry, replace=False)
+        split = loop_best_split(X, y_codes, node_idx, n_classes, features)
+        if split is None:
+            row[4] = counts / counts.sum()
+            continue
+        _, feature, threshold = split
+        mask = X[node_idx, feature] < threshold
+        row[:4] = feature, threshold, len(nodes), len(nodes) + 1
+        nodes += [[-1, 0.0, -1, -1, np.zeros(n_classes)] for _ in range(2)]
+        stack.append((row[2], node_idx[mask]))
+        stack.append((row[3], node_idx[~mask]))
+    return root
+
+
+def loop_train_forest(X, y, trees, seed):
+    mat, schema = _validate_features(X)
+    n, n_feat = mat.shape
+    classes = tuple(sorted(set(y)))
+    code = {c: i for i, c in enumerate(classes)}
+    y_codes = np.asarray([code[v] for v in y], dtype=np.intp)
+    mtry = max(1, int(np.sqrt(n_feat)))
+    nodes, roots, boots = [], [], []
+    for seq in np.random.SeedSequence(seed).spawn(trees):
+        rng = np.random.default_rng(seq)
+        boots.append(rng.integers(0, n, size=n))
+        roots.append(loop_grow_tree(mat, y_codes, boots[-1], len(classes), mtry, rng, nodes))
+    forest = Forest(*(np.array(column) for column in zip(*nodes)), roots=np.array(roots),
+                    schema=schema, classes=classes, seed=seed,
+                    metadata={"n_samples": n, "n_trees": trees, "mtry": mtry})
+    in_bag = np.zeros((n, trees), dtype=bool)
+    in_bag[np.array(boots), np.arange(trees)[:, None]] = True
+    votes = np.where(in_bag[:, :, None], 0.0, forest.value[forest.leaves(mat)])
+    oob_seen = ~in_bag.all(axis=1)
+    if oob_seen.any():
+        pred = np.argmax(np.cumsum(votes, axis=1)[oob_seen, -1], axis=1)
+        forest.oob_accuracy = float(np.mean(pred == y_codes[oob_seen]))
+    return forest
 
 
 def loop_train_embeddings(graph, dim, negatives, epochs, lr_start=0.025, lr_end=1e-4, seed=0):
@@ -152,9 +204,11 @@ def loop_group_pagerank(graph, teleport_set, alpha, tol, max_iter=10000):
 # -- forest splits ------------------------------------------------------------
 
 @st.composite
-def split_problems(draw):
-    """A node of a forest: rows drawn with repeats from a small matrix whose
-    columns take few distinct values (ties), some of them constant."""
+def split_batches(draw):
+    """One step of the grower: nodes of a small matrix whose columns take few
+    distinct values (ties), some of them constant; each node a set of rows
+    drawn with repeats, all trying the same number of features; and a chunk
+    bound that falls inside the batch and below single nodes."""
     n_rows = draw(st.integers(2, 12))
     n_features = draw(st.integers(1, 6))
     n_classes = draw(st.integers(2, 3))
@@ -165,55 +219,128 @@ def split_problems(draw):
     X = np.array(columns, dtype=np.float64).T
     y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n_rows, max_size=n_rows)),
                  dtype=np.intp)
-    idx = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=2, max_size=2 * n_rows)),
-                   dtype=np.intp)
     mtry = draw(st.integers(1, n_features))
-    features = np.array(draw(st.permutations(range(n_features)))[:mtry], dtype=np.intp)
-    return X, y, idx, n_classes, features
+    nodes = []
+    for _ in range(draw(st.integers(1, 8))):
+        idx = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=2, max_size=2 * n_rows)),
+                       dtype=np.intp)
+        features = np.array(draw(st.permutations(range(n_features)))[:mtry], dtype=np.intp)
+        nodes.append((idx, features))
+    return X, y, n_classes, nodes, draw(st.integers(1, 64))
+
+
+def batched_best_splits(X, y, n_classes, nodes):
+    """``_best_splits`` on nodes given as loop_best_split takes them."""
+    distinct = [np.unique(idx, return_counts=True) for idx, _ in nodes]
+    return _best_splits(X, _column_ranks(X), y, n_classes,
+                        np.concatenate([rows for rows, _ in distinct]),
+                        np.concatenate([weights for _, weights in distinct]),
+                        np.array([rows.size for rows, _ in distinct]),
+                        np.array([features for _, features in nodes]))
 
 
 @EXAMPLES
-@given(split_problems())
-def test_best_split_equals_the_per_feature_loop(problem):
-    assert _best_split(*problem) == loop_best_split(*problem)
+@given(split_batches())
+def test_best_split_equals_the_per_feature_loop(batch):
+    X, y, n_classes, nodes, chunk = batch
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest_mod, "SPLIT_CHUNK", chunk)
+        batched = batched_best_splits(X, y, n_classes, nodes)
+    assert batched == [loop_best_split(X, y, idx, n_classes, features) for idx, features in nodes]
 
 
 def test_best_split_on_two_rows_constant_columns_and_all_features():
     X = np.array([[0.0, 3.0, 1.0], [0.0, 3.0, 2.0]])
     y = np.array([0, 1], dtype=np.intp)
     idx = np.array([0, 1], dtype=np.intp)
-    for features in ([0], [1], [0, 1], [2], [0, 1, 2], [2, 1, 0]):
+    orders = ([0], [1], [0, 1], [2], [0, 1, 2], [2, 1, 0])
+    for features in orders:
         features = np.array(features, dtype=np.intp)
-        assert _best_split(X, y, idx, 2, features) == loop_best_split(X, y, idx, 2, features)
-    assert _best_split(X, y, idx, 2, np.array([0, 2, 1])) == (2.0, 2, 1.5)
-    assert _best_split(X, y, idx, 2, np.array([0, 1])) is None
+        assert batched_best_splits(X, y, 2, [(idx, features)]) == [loop_best_split(X, y, idx, 2, features)]
+    nodes = [(idx, np.array(features, dtype=np.intp)) for features in ([0, 2, 1], [0, 1, 2], [1, 0, 2])]
+    assert batched_best_splits(X, y, 2, nodes) == [(2.0, 2, 1.5)] * 3
+    assert batched_best_splits(X, y, 2, [(idx, np.array([0, 1]))]) == [None]
+
+
+def test_a_later_feature_must_beat_the_best_by_more_than_1e_12():
+    # both features' best cuts score 16/3, as 1 + 26/6 and 2 + 20/6, which
+    # round to neighbouring doubles; the first feature tried keeps the split
+    X = np.array([[3, 1, 1, 3, 1, 0, 2, 2], [2, 2, 2, 3, 1, 3, 2, 0]], dtype=np.float64).T
+    y = np.array([0, 0, 1, 1, 1, 1, 1, 1], dtype=np.intp)
+    idx = np.arange(8)
+    for features, expected in (([0, 1], (5.333333333333333, 0, 2.5)), ([1, 0], (5.333333333333334, 1, 1.5))):
+        features = np.array(features)
+        assert loop_best_split(X, y, idx, 2, features) == expected
+        assert batched_best_splits(X, y, 2, [(idx, features)]) == [expected]
+
+
+def test_a_split_must_beat_its_node_by_more_than_1e_12():
+    # the only cut leaves 3:2 and 6:4, the node's own 9:6 mix; its score,
+    # 13/5 + 52/10, rounds one step above the node's 117/15
+    X = np.array([[0.0] * 5 + [1.0] * 10]).T
+    y = np.array([0, 0, 0, 1, 1] + [0] * 6 + [1] * 4, dtype=np.intp)
+    idx, features = np.arange(15), np.array([0])
+    assert 13 / 5 + 52 / 10 > 117 / 15
+    assert loop_best_split(X, y, idx, 2, features) is None
+    assert batched_best_splits(X, y, 2, [(idx, features)]) == [None]
 
 
 def forest_arrays(forest):
     return {k: getattr(forest, k) for k in NODE_ARRAYS + ("roots",)}
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_forest_grows_the_same_trees_as_with_the_per_feature_loop(seed, monkeypatch):
+def assert_same_forest(fast, slow):
+    for key, array in forest_arrays(fast).items():
+        assert array.dtype == forest_arrays(slow)[key].dtype
+        assert array.tobytes() == forest_arrays(slow)[key].tobytes(), key
+    assert fast.oob_accuracy == slow.oob_accuracy
+    assert fast.metadata == slow.metadata
+
+
+def forest_problem(seed, n, n_features, n_classes):
     rng = np.random.default_rng(seed)
-    n = 2 if seed == 0 else int(rng.integers(3, 40))
-    n_features = int(rng.integers(1, 10))
-    n_classes = 2 + seed % 2
     X = rng.integers(0, 4, size=(n, n_features)).astype(np.float64)
     X[:, 0] = 1.0  # a constant column
     if n_features > 1:
         X[:, 1] = rng.normal(size=n)
     labels = [f"c{v}" for v in rng.integers(0, n_classes, size=n)]
     labels[:2] = ["c0", "c1"]
-    rows = [{f"x{j}": float(v) for j, v in enumerate(row)} for row in X]
+    return [{f"x{j}": float(v) for j, v in enumerate(row)} for row in X], labels
 
-    fast = train_forest(rows, labels, trees=15, seed=seed)
-    monkeypatch.setattr(forest_mod, "_best_split", loop_best_split)
-    slow = train_forest(rows, labels, trees=15, seed=seed)
-    for key, array in forest_arrays(fast).items():
-        assert array.dtype == forest_arrays(slow)[key].dtype
-        assert array.tobytes() == forest_arrays(slow)[key].tobytes(), key
-    assert fast.oob_accuracy == slow.oob_accuracy
+
+@pytest.mark.parametrize("seed", range(6))
+def test_forest_grows_the_same_trees_as_with_the_per_feature_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = 2 if seed == 0 else int(rng.integers(3, 40))
+    rows, labels = forest_problem(seed, n, int(rng.integers(1, 10)), 2 + seed % 2)
+    assert_same_forest(train_forest(rows, labels, trees=15, seed=seed),
+                       loop_train_forest(rows, labels, trees=15, seed=seed))
+
+
+@pytest.mark.parametrize("chunk", [forest_mod.SPLIT_CHUNK, 64, 1])
+def test_forest_grows_the_same_trees_when_a_step_spans_chunks(chunk, monkeypatch):
+    # 300 rows and mtry 8: each root alone loads about 1,900 rows x features,
+    # so ten roots cross the default bound; 64 and 1 put most nodes alone
+    rows, labels = forest_problem(7, 300, 64, 3)
+    monkeypatch.setattr(forest_mod, "SPLIT_CHUNK", chunk)
+    assert_same_forest(train_forest(rows, labels, trees=10, seed=7),
+                       loop_train_forest(rows, labels, trees=10, seed=7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 11), st.integers(2, 40), st.integers(1, 9),
+       st.integers(0, 2**32 - 1))
+def test_the_first_k_trees_do_not_depend_on_the_tree_count(k, extra, n, n_features, seed):
+    """Tree t draws only from the t-th child of the seed, so a forest's first
+    k trees are the k-tree forest; a batch that leaks one tree's state into
+    another breaks this."""
+    rows, labels = forest_problem(seed, n, n_features, 2)
+    small = train_forest(rows, labels, trees=k, seed=seed)
+    large = train_forest(rows, labels, trees=k + extra, seed=seed)
+    end = large.roots[k] if extra else large.feature.size
+    assert small.roots.tobytes() == large.roots[:k].tobytes()
+    for key in NODE_ARRAYS:
+        assert getattr(small, key).tobytes() == getattr(large, key)[:end].tobytes(), key
 
 
 # -- embedding SGD ------------------------------------------------------------

@@ -114,6 +114,28 @@ def test_config_rejects_a_negative_seed():
         Config(seed=-1).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("ensemble_trees", 2.5), ("hidden_size", 2.5), ("seed", True),
+    ("pagerank_max_iter", "10"), ("alpha", True), ("window_hours", "12"),
+    ("embed_enabled", "yes"), ("predict_enabled", 1), ("corpus", 3), ("baseline", 1.6),
+])
+def test_config_rejects_a_value_of_another_type_than_its_field(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be an? "):
+        Config(**{field: value}).validate()
+
+
+def test_config_takes_an_int_for_a_float_field():
+    Config(window_hours=12, pagerank_tol=1, predict_lr=1).validate()
+
+
+def test_a_mistyped_config_fails_before_any_stage_runs(synth_corpus, tmp_path):
+    events_path, _ = synth_corpus
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="seed must be an int"):
+        run_pipeline(Config(corpus=str(events_path), output_dir=str(out), seed=1.5))
+    assert not out.exists()
+
+
 def test_pipeline_full_run(synth_corpus, tmp_path):
     events_path, manifest = synth_corpus
     config = Config(corpus=str(events_path), output_dir=str(tmp_path / "run"),
