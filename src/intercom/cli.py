@@ -6,11 +6,10 @@ import dataclasses
 import json
 import logging
 import sys
-from pathlib import Path
 
 from . import embed as embed_mod
 from . import predictor as pred_mod
-from .corpus import CorpusError, load_events
+from .corpus import CorpusError
 from .forest import train_forest
 from .lstm import load_params
 from .matching import NoMatchError, matched_post
@@ -93,13 +92,11 @@ def _jsonl(rows) -> list[str]:
 
 
 def cmd_ingest(args) -> int:
-    stats = load_events(args.path).stats
-    out = Path(args.index_out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(stats), fh, sort_keys=True, indent=2)
+    stats = Run(_config(args)).corpus.stats
+    # the bytes of the report bundle's ingest.json
+    _emit(args.out, [json.dumps(dataclasses.asdict(stats), sort_keys=True, indent=2)])
     print(f"lines={stats.lines} posts={stats.posts} comments={stats.comments} "
-          f"rejected={stats.rejected} dangling={stats.dangling_comments}")
+          f"rejected={stats.rejected} dangling={stats.dangling_comments}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -205,17 +202,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = SynthSpec.from_json(json.load(fh))
-    else:
-        spec = SynthSpec()
-    for name in ("n_communities", "n_crosslinks", "seed", "days",
-                 "mobilization_fraction", "burst_ratio", "quiet_ratio", "matched_ratio"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(spec, name, value)
-    events_path, manifest = generate_corpus(spec, args.out)
+    spec = load_config(args.config, SynthSpec) if args.config else SynthSpec()
+    events_path, manifest = generate_corpus(apply_overrides(spec, dict(args.set)), args.out)
     print(f"wrote {manifest['counts']['events']} events to {events_path} "
           f"({manifest['counts']['mobilizations']} planted mobilizations)")
     return EXIT_OK
@@ -248,11 +236,13 @@ def build_parser() -> _Parser:
                      description="Intercommunity mobilization detection and prediction toolkit")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    # every analysis command reads its Config the same way (``_config``)
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="key = value config file")
-    shared.add_argument("--set", action="append", default=[], type=_setting, metavar="KEY=VALUE",
-                        help="config value; wins over the file (repeatable)")
+    # every command reads its settings dataclass the same way: synth its
+    # SynthSpec, the analysis commands their Config (``_config``)
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--config", help="key = value settings file")
+    settings.add_argument("--set", action="append", default=[], type=_setting, metavar="KEY=VALUE",
+                          help="setting; wins over the file (repeatable)")
+    shared = argparse.ArgumentParser(add_help=False, parents=[settings])
     shared.add_argument("--corpus", help="event log .jsonl; wins over the config's corpus")
 
     def analysis(name, fn, help):
@@ -260,10 +250,8 @@ def build_parser() -> _Parser:
         p.set_defaults(fn=fn)
         return p
 
-    p = sub.add_parser("ingest", help="parse an event log and write its load statistics")
-    p.add_argument("path")
-    p.add_argument("--index-out", required=True, dest="index_out")
-    p.set_defaults(fn=cmd_ingest)
+    p = analysis("ingest", cmd_ingest, "parse an event log and write its load statistics")
+    p.add_argument("--out", help="the bundle's ingest.json (default: stdout)")
 
     p = analysis("crosslinks", cmd_crosslinks, "extract cross-community links")
     p.add_argument("--out")
@@ -294,17 +282,9 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus with planted mobilizations")
+    p = sub.add_parser("synth", help="generate a synthetic corpus with planted mobilizations",
+                       parents=[settings])
     p.add_argument("--out", required=True)
-    p.add_argument("--spec", help="JSON file of SynthSpec fields")
-    p.add_argument("--n-communities", type=int, dest="n_communities")
-    p.add_argument("--n-crosslinks", type=int, dest="n_crosslinks")
-    p.add_argument("--days", type=int)
-    p.add_argument("--mobilization-fraction", type=float, dest="mobilization_fraction")
-    p.add_argument("--burst-ratio", type=float, dest="burst_ratio")
-    p.add_argument("--quiet-ratio", type=float, dest="quiet_ratio")
-    p.add_argument("--matched-ratio", type=float, dest="matched_ratio")
-    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_synth)
 
     p = analysis("report", cmd_report, "run the full pipeline and emit the report bundle")

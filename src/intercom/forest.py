@@ -126,7 +126,12 @@ def _search(X, ranks, y_codes, n_classes, rows, weights, sizes, features) -> lis
     first = np.minimum.reduceat(np.where(score == np.repeat(top, seg_size), np.arange(size), size), seg_start)
     seg_feature = features.T.ravel()
     after = np.minimum(first + 1, size - 1)
-    threshold = ((X[sorted_rows[first], seg_feature] + X[sorted_rows[after], seg_feature]) / 2.0).tolist()
+    below_cut, above_cut = X[sorted_rows[first], seg_feature], X[sorted_rows[after], seg_feature]
+    with np.errstate(over="ignore"):
+        mid = (below_cut + above_cut) / 2.0
+    # the midpoint of neighbouring doubles can round down to the lower one
+    # (or overflow), and then ``x < threshold`` would not split them
+    threshold = np.where((below_cut < mid) & (mid <= above_cut), mid, above_cut).tolist()
     top, seg_feature = top.tolist(), seg_feature.tolist()
     best = []
     for i in range(b):

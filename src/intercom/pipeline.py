@@ -133,11 +133,9 @@ class Config:
         return items or None
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(Config)}
-
-
-def _coerce(name: str, raw: str):
-    kind = _FIELDS[name].type
+def _coerce(kind: str, name: str, raw: str):
+    """The value ``raw`` spells for a settings field declared ``kind``; an
+    ``int | None`` field takes ``none``."""
     raw = raw.strip()
     if kind == "bool":
         if raw.lower() in ("true", "1", "yes", "on"):
@@ -145,19 +143,23 @@ def _coerce(name: str, raw: str):
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
+    if kind == "int | None" and raw.lower() == "none":
+        return None
     try:
-        if kind == "int":
+        if kind in ("int", "int | None"):
             return int(raw)
         if kind == "float":
             return float(raw)
     except ValueError:
-        raise ConfigError(f"{name}: expected a number, got {raw!r}") from None
+        raise ConfigError(f"{name}: expected {'an integer' if 'int' in kind else 'a number'}, "
+                          f"got {raw!r}") from None
     return raw
 
 
-def load_config(path) -> Config:
-    """Key-value config file: ``key = value`` lines, # comments."""
-    config = Config()
+def load_config(path, cls=Config):
+    """The ``cls`` settings dataclass (Config, SynthSpec) a key-value file
+    gives: ``key = value`` lines, # comments, defaults for keys not given."""
+    settings = cls()
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             line = line.strip()
@@ -166,20 +168,22 @@ def load_config(path) -> Config:
             if "=" not in line:
                 raise ConfigError(f"{path}:{n}: expected 'key = value'")
             key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _FIELDS:
-                raise ConfigError(f"{path}:{n}: unknown config key {key!r}")
-            setattr(config, key, _coerce(key, raw))
-    return config
+            try:
+                apply_overrides(settings, {key.strip(): raw})
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{n}: {exc}") from None
+    return settings
 
 
-def apply_overrides(config: Config, overrides: dict[str, str]) -> Config:
-    """Flag overrides win over file values."""
+def apply_overrides(settings, overrides: dict[str, str]):
+    """Set fields of the settings dataclass ``settings`` from their text
+    values; flag overrides win over file values."""
+    kinds = {f.name: f.type for f in dataclasses.fields(settings)}
     for key, raw in overrides.items():
-        if key not in _FIELDS:
+        if key not in kinds:
             raise ConfigError(f"unknown config key {key!r}")
-        setattr(config, key, _coerce(key, raw))
-    return config
+        setattr(settings, key, _coerce(kinds[key], key, raw))
+    return settings
 
 
 def substream_seed(root: int, name: str) -> int:

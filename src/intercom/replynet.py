@@ -248,10 +248,9 @@ def _ratio(num: float, den: float) -> float | None:
     return num / den if den else None
 
 
-def echo_metrics(graph: ReplyGraph, apr: dict[str, float] | None = None) -> EchoReport:
+def echo_metrics(graph: ReplyGraph, apr: dict[str, float]) -> EchoReport:
     """Within- vs cross-group interaction totals plus the skew of defenders'
-    attacker-teleport PageRank scores ``apr``, computed with the default
-    alpha and tol when not given.
+    attacker-teleport PageRank scores ``apr``.
 
     The zero-score fraction counts defenders whose A-PageRank sits exactly at
     the no-inflow floor of 0 (a defender outside the teleport set receives
@@ -268,8 +267,6 @@ def echo_metrics(graph: ReplyGraph, apr: dict[str, float] | None = None) -> Echo
     da = graph.weight_between(GROUP_DEFENDER, GROUP_ATTACKER)
     cross = ad + da
 
-    if apr is None:
-        apr = group_pagerank(graph, "attackers").scores
     pooled = [apr[u] for u in sorted(attackers | defenders)]
     mean_score = sum(pooled) / len(pooled)
     defender_scores = [apr[u] for u in sorted(defenders)]

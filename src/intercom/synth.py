@@ -36,15 +36,6 @@ class SynthError(ValueError):
     pass
 
 
-# the values a spec file may give a SynthSpec field, by its annotation; a
-# bool is not a number here
-_SPEC_VALUES = {
-    "int": (lambda v: type(v) is int, "an integer"),
-    "float": (lambda v: type(v) is int or type(v) is float, "a number"),
-    "int | None": (lambda v: v is None or type(v) is int, "an integer or null"),
-}
-
-
 @dataclass
 class SynthSpec:
     n_communities: int = 12
@@ -64,23 +55,10 @@ class SynthSpec:
     first_link_day: int = 40
     seed: int = 0
 
-    @classmethod
-    def from_json(cls, obj) -> SynthSpec:
-        """The spec a decoded JSON spec file holds: an object of SynthSpec
-        fields. Raises SynthError naming a field that is unknown or holds a
-        value of the wrong type."""
-        if type(obj) is not dict:
-            raise SynthError("a synth spec must be a JSON object of SynthSpec fields")
-        annotations = {f.name: f.type for f in fields(cls)}
-        for name, value in obj.items():
-            if name not in annotations:
-                raise SynthError(f"unknown synth spec field {name!r}")
-            accepts, expected = _SPEC_VALUES[annotations[name]]
-            if not accepts(value):
-                raise SynthError(f"synth spec field {name!r} must be {expected}, not {value!r}")
-        return cls(**obj)
-
     def validate(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise SynthError(f"{f.name} must be finite")
         if self.n_communities < 2:
             raise SynthError("need at least 2 communities")
         for name in ("background_posts_per_community", "background_comments_per_user",
@@ -99,6 +77,7 @@ class SynthSpec:
             raise SynthError("first_link_day must be >= 0")
         if self.attackers_per_link == 0 and self._after_count(self.burst_ratio) > 0:
             raise SynthError("planted burst exceeds the attacker user pool")
+        self.pool_size()  # raises when users_per_community is too small
 
     def _after_count(self, ratio: float) -> int:
         return max(0, int(round(ratio * (self.pre_comments + 1))) - 1)

@@ -38,12 +38,13 @@ def test_set_without_equals_is_a_usage_error(capsys):
 
 
 def test_no_analysis_command_declares_a_config_field_flag():
+    # no command, synth included, declares a flag for a Config or SynthSpec
+    # field: settings come from --config and --set, bar the path flags
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert "impact" not in sub.choices
-    fields = {f.name for f in dataclasses.fields(Config)} - {"corpus", "output_dir"}
+    fields = {f.name for cls in (Config, SynthSpec) for f in dataclasses.fields(cls)}
+    fields -= {"corpus", "output_dir"}
     for name, p in sub.choices.items():
-        if name == "synth":  # its flags set SynthSpec fields
-            continue
         assert not {action.dest for action in p._actions} & fields, name
 
 
@@ -52,25 +53,35 @@ def test_data_error_exit_code(capsys):
 
 
 def test_synth_command(tmp_path, capsys):
-    code = main(["synth", "--out", str(tmp_path / "s"), "--n-communities", "4",
-                 "--n-crosslinks", "4", "--seed", "1"])
+    code = main(["synth", "--out", str(tmp_path / "s"), "--set", "n_communities=4",
+                 "--set", "n_crosslinks=4", "--set", "seed=1"])
     assert code == 0
-    assert (tmp_path / "s/events.jsonl").exists()
-    assert (tmp_path / "s/manifest.json").exists()
+    expected = tmp_path / "expected"
+    generate_corpus(SynthSpec(n_communities=4, n_crosslinks=4, seed=1), expected)
+    for name in ("events.jsonl", "manifest.json"):
+        assert (tmp_path / "s" / name).read_bytes() == (expected / name).read_bytes()
 
 
-@pytest.mark.parametrize("spec, message", [
-    ([1, 2], "a synth spec must be a JSON object"),
-    ({"nope": 1}, "unknown synth spec field 'nope'"),
-    ({"n_crosslinks": "x"}, "'n_crosslinks' must be an integer, not 'x'"),
-    ({"seed": True}, "'seed' must be an integer, not True"),
-    ({"burst_ratio": "2"}, "'burst_ratio' must be a number, not '2'"),
-    ({"users_per_community": 2.5}, "'users_per_community' must be an integer or null, not 2.5"),
-])
-def test_synth_rejects_a_malformed_spec_file(tmp_path, capsys, spec, message):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
-    assert main(["synth", "--out", str(tmp_path / "s"), "--spec", str(path)]) == 2
+MALFORMED_SETTINGS = {
+    "nope=1": "unknown config key 'nope'",
+    "n_crosslinks=x": "n_crosslinks: expected an integer, got 'x'",
+    "seed=true": "seed: expected an integer, got 'true'",
+    "users_per_community=2.5": "users_per_community: expected an integer, got '2.5'",
+}
+
+
+@pytest.mark.parametrize("setting", MALFORMED_SETTINGS)
+@pytest.mark.parametrize("source", ["set", "config"])
+def test_synth_rejects_a_malformed_setting(tmp_path, capsys, setting, source):
+    message = MALFORMED_SETTINGS[setting]
+    if source == "set":
+        args = ["--set", setting]
+    else:
+        path = tmp_path / "synth.conf"
+        path.write_text(f"n_communities = 4\n{setting.replace('=', ' = ')}\n", encoding="utf-8")
+        args = ["--config", str(path)]
+        message = f"{path}:2: {message}"
+    assert main(["synth", "--out", str(tmp_path / "s"), *args]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
 
@@ -79,33 +90,39 @@ def test_synth_rejects_a_malformed_spec_file(tmp_path, capsys, spec, message):
     ("negative_fraction", 5, "negative_fraction must be in [0, 1]"),
     ("days", -5, "days must be >= 1"),
     ("first_link_day", -100, "first_link_day must be >= 0"),
+    ("users_per_community", 3, "users_per_community=3 too small"),
+    ("burst_ratio", "inf", "burst_ratio must be finite"),
+    ("matched_ratio", "nan", "matched_ratio must be finite"),
 ])
 def test_synth_rejects_a_spec_field_out_of_range(tmp_path, capsys, field, value, message):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"n_communities": 4, "n_crosslinks": 4, field: value}),
-                    encoding="utf-8")
-    assert main(["synth", "--out", str(tmp_path / "s"), "--spec", str(path)]) == 2
+    assert main(["synth", "--out", str(tmp_path / "s"), "--set", "n_communities=4",
+                 "--set", "n_crosslinks=4", "--set", f"{field}={value}"]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
 
 
 def test_synth_reads_a_spec_file(tmp_path, capsys):
-    # every field, an int for a float one
-    path = tmp_path / "spec.json"
+    # every field, users_per_community spelled none and an int for a float one
     spec = {**dataclasses.asdict(SynthSpec(n_communities=4, n_crosslinks=4)), "burst_ratio": 3}
-    path.write_text(json.dumps(spec), encoding="utf-8")
-    assert main(["synth", "--out", str(tmp_path / "s"), "--spec", str(path)]) == 0
+    assert spec["users_per_community"] is None
+    path = tmp_path / "synth.conf"
+    path.write_text("".join(f"{key} = {'none' if value is None else value}\n"
+                            for key, value in spec.items()), encoding="utf-8")
+    assert main(["synth", "--out", str(tmp_path / "s"), "--config", str(path)]) == 0
     manifest = json.loads((tmp_path / "s/manifest.json").read_text(encoding="utf-8"))
-    assert {k: manifest["spec"][k] for k in spec} == spec
+    assert manifest["spec"] == spec
 
 
 def test_ingest_and_crosslinks(synth, tmp_path, capsys):
     events_path, manifest = synth
-    index = tmp_path / "index"
-    assert main(["ingest", events_path, "--index-out", str(index)]) == 0
-    out = capsys.readouterr().out
-    assert "rejected=0" in out
-    assert (index / "stats.json").exists()
+    stats = tmp_path / "ingest.json"
+    assert main(["ingest", "--corpus", events_path, "--out", str(stats)]) == 0
+    captured = capsys.readouterr()
+    assert "rejected=0" in captured.err and captured.out == ""
+    assert main(["ingest", "--corpus", events_path]) == 0
+    assert capsys.readouterr().out == stats.read_text(encoding="utf-8")
+    assert main(["report", "--corpus", events_path, "--out", str(tmp_path / "bundle")]) == 0
+    assert stats.read_bytes() == (tmp_path / "bundle/ingest.json").read_bytes()
 
     links_file = tmp_path / "links.jsonl"
     assert main(["crosslinks", "--corpus", events_path, "--out", str(links_file)]) == 0
@@ -339,11 +356,11 @@ def test_readme_cli_lines_parse():
     lines = [words for words in lines if words and words[0] == "intercom"]
     assert len(lines) >= 14
     parser = build_parser()
-    fields = {f.name for f in dataclasses.fields(Config)}
     for words in lines:
         args = parser.parse_args(words[1:])
         assert callable(args.fn), words
-        assert {key for key, _ in getattr(args, "set", [])} <= fields, words
+        settings = SynthSpec if words[1] == "synth" else Config
+        assert {key for key, _ in args.set} <= {f.name for f in dataclasses.fields(settings)}, words
 
 
 def test_impact_command(synth, tmp_path):

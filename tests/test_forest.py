@@ -57,6 +57,14 @@ def test_nan_rejected():
         train_forest([{"x": float("nan")}, {"x": 1.0}], [0, 1], trees=5, seed=0)
 
 
+def test_neighbouring_doubles_are_split_apart():
+    # the midpoint of these two rounds to 1.0; a threshold there split every
+    # row to one side, again and again, and training never returned
+    lo, hi = {"x": 1.0}, {"x": float(np.nextafter(1.0, 2.0))}
+    forest = train_forest([lo, hi] * 3, [0, 1] * 3, trees=1)
+    assert forest.predict([lo, hi]) == [0, 1]
+
+
 @pytest.mark.parametrize("labels", [[0.0, 1.0] * 5, [False, True] * 5, ["neutral", 1] * 5],
                          ids=["float", "bool", "str-and-int"])
 def test_labels_a_saved_forest_cannot_keep_are_rejected(labels):

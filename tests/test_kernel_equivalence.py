@@ -50,8 +50,10 @@ def loop_best_split(X, y_codes, idx, n_classes, features):
         score = (left * left).sum(axis=1) / left_n + (right * right).sum(axis=1) / right_n
         k = int(np.argmax(score))
         if score[k] > base + 1e-12 and (best is None or score[k] > best[0] + 1e-12):
-            pos = cut[k]
-            best = (float(score[k]), f, float((sv[pos] + sv[pos + 1]) / 2.0))
+            a, b = sv[cut[k]], sv[cut[k] + 1]
+            with np.errstate(over="ignore"):
+                mid = (a + b) / 2.0
+            best = (float(score[k]), f, float(mid if a < mid <= b else b))
     return best
 
 
@@ -260,6 +262,19 @@ def test_best_split_on_two_rows_constant_columns_and_all_features():
     nodes = [(idx, np.array(features, dtype=np.intp)) for features in ([0, 2, 1], [0, 1, 2], [1, 0, 2])]
     assert batched_best_splits(X, y, 2, nodes) == [(2.0, 2, 1.5)] * 3
     assert batched_best_splits(X, y, 2, [(idx, np.array([0, 1]))]) == [None]
+
+
+@pytest.mark.parametrize("a, b", [(1.0, np.nextafter(1.0, 2.0)), (1.7e308, 1.79e308)])
+def test_a_cut_between_neighbouring_or_huge_values_has_a_threshold_that_splits_them(a, b):
+    # (a + b) / 2 rounds to a for neighbouring doubles and overflows to inf
+    # near the float maximum; either way ``x < threshold`` would not split
+    X = np.array([[a], [b]] * 3)
+    y = np.array([0, 1] * 3, dtype=np.intp)
+    idx, features = np.arange(6), np.array([0])
+    with np.errstate(over="raise"):
+        (found,) = batched_best_splits(X, y, 2, [(idx, features)])
+        assert found == loop_best_split(X, y, idx, 2, features)
+    assert a < found[2] <= b
 
 
 def test_a_later_feature_must_beat_the_best_by_more_than_1e_12():

@@ -318,7 +318,7 @@ def test_echo_metrics_attacker_only_edges():
         {"a1": "attacker", "a2": "attacker", "d1": "defender"},
         {("a1", "a2"): 3, ("a2", "a1"): 2},
     )
-    report = echo_metrics(graph)
+    report = echo_metrics(graph, group_pagerank(graph, "attackers").scores)
     assert report.cross_group_ratio == 0.0
     assert report.attacker_attacker_weight == 5
     assert report.defender_apr_zero_fraction == 1.0
@@ -339,21 +339,23 @@ def test_echo_metrics_gang_up_flag():
     # attacker count, while the 10x-mean threshold is 10/n. The flag
     # therefore trips exactly when n = attackers + defenders >= 24.
     x_dstar = 0.25 * 0.75 / (1 - 0.75**2)
-    report = echo_metrics(_gang_up_graph(22))  # n = 24
     scores = group_pagerank(_gang_up_graph(22), "attackers").scores
+    report = echo_metrics(_gang_up_graph(22), scores)  # n = 24
     assert scores["dstar"] == pytest.approx(x_dstar, abs=1e-9)
     assert x_dstar >= 10 / 24
     assert report.defender_apr_tentimes_fraction == pytest.approx(0.5)
     assert report.defender_apr_zero_fraction == pytest.approx(0.5)
 
-    below = echo_metrics(_gang_up_graph(21))  # n = 23: 10/23 > 3/7
+    below = echo_metrics(_gang_up_graph(21),  # n = 23: 10/23 > 3/7
+                         group_pagerank(_gang_up_graph(21), "attackers").scores)
     assert below.defender_apr_tentimes_fraction == 0.0
 
 
 def test_echo_metrics_requires_both_groups():
     graph = make_graph({"a1": "attacker"}, {})
+    apr = group_pagerank(graph, "attackers").scores
     with pytest.raises(ValueError):
-        echo_metrics(graph)
+        echo_metrics(graph, apr)
 
 
 @pytest.fixture

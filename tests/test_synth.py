@@ -41,6 +41,14 @@ def test_infeasible_specs_rejected(tmp_path):
         generate_corpus(small_spec(burst_ratio=-1), tmp_path)
 
 
+@pytest.mark.parametrize("field", ["mobilization_fraction", "burst_ratio", "quiet_ratio",
+                                   "matched_ratio", "negative_fraction"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_validate_names_a_non_finite_float(field, value):
+    with pytest.raises(SynthError, match=f"^{field} must be finite$"):
+        small_spec(**{field: value}).validate()
+
+
 def test_corpus_loads_cleanly(tmp_path):
     events_path, manifest = generate_corpus(small_spec(), tmp_path)
     corpus = load_events(events_path)
