@@ -36,10 +36,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-DATA_ERRORS = (
-    CorpusError, BaselineError, NoMatchError, ConfigError, SynthError,
-    FileNotFoundError, IsADirectoryError, KeyError, ValueError, json.JSONDecodeError,
-)
+DATA_ERRORS = (CorpusError, BaselineError, NoMatchError, ConfigError, SynthError,
+               OSError, KeyError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,12 +129,15 @@ def cmd_sentiment(args) -> int:
         return EXIT_OK
     labels = {}
     with open(args.labels, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            post_id, _, label = line.partition(",")
-            labels[post_id.strip()] = label.strip()
+            post_id, _, label = (part.strip() for part in line.partition(","))
+            if not post_id or not label:
+                raise ValueError(f"{args.labels}:{number}: expected source_post,label, "
+                                 f"got {line!r}")
+            labels[post_id] = label
     X, y = [], []
     for link in run.links:
         if link.source_post in labels:

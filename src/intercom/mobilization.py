@@ -31,35 +31,10 @@ class MobilizationRecord:
     defenders: set[str] = field(default_factory=set)
     matched_before: int | None = None
     matched_after: int | None = None
-    sentiment: str = "unlabeled"  # "negative" | "neutral" | "unlabeled"
 
     @property
     def id(self) -> str:
         return self.crosslink.source_post
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "MobilizationRecord":
-        link = CrossLink(
-            source_post=obj["source_post"],
-            target_post=obj["target_post"],
-            source_community=obj["source_community"],
-            target_community=obj["target_community"],
-            t0=obj["t0"],
-            author=obj["author"],
-        )
-        return cls(
-            crosslink=link,
-            before_count=obj["before_count"],
-            after_count=obj["after_count"],
-            ratio=obj["ratio"],
-            baseline=obj["baseline"],
-            verdict=obj["verdict"],
-            attackers=set(obj["attackers"]),
-            defenders=set(obj["defenders"]),
-            matched_before=obj.get("matched_before"),
-            matched_after=obj.get("matched_after"),
-            sentiment=obj.get("sentiment", "unlabeled"),
-        )
 
     def to_dict(self) -> dict:
         link = self.crosslink
@@ -79,7 +54,6 @@ class MobilizationRecord:
             "verdict": self.verdict,
             "attackers": sorted(self.attackers),
             "defenders": sorted(self.defenders),
-            "sentiment": self.sentiment,
         }
 
 

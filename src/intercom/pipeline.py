@@ -218,11 +218,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _read_jsonl(path: Path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh]
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -240,18 +235,13 @@ class PipelineResult:
 
 class Run:
     """The values the stages share, each computed from the config on first
-    use. The CLI commands use the same values.
-
-    ``run_pipeline`` lists every stage that hits the cache in ``hits``. The
-    links, the baseline, the detect records and the reply-network rows of a
-    stage that hit are read back from its outputs, whose digests
-    ``run_pipeline`` has checked. The embeddings are always read from the
-    bundle (``embed.load_table``)."""
+    use, also when the stage that writes it hit the cache. The CLI commands
+    use the same values. Only the embeddings are read from the bundle
+    (``embed.load_table``)."""
 
     def __init__(self, config: Config):
         self.config = config
         self.out = Path(config.output_dir)
-        self.hits: list[str] = []
         # extract_crosslinks' drop counts, filled in when the links are extracted
         self.crosslink_drops: dict[str, int] = {}
         # baseline_ratio's pair counts, filled in when the baseline is measured
@@ -270,8 +260,6 @@ class Run:
 
     @cached_property
     def links(self) -> list[CrossLink]:
-        if "crosslinks" in self.hits:
-            return [CrossLink(**row) for row in _read_jsonl(self.out / "crosslinks.jsonl")]
         return extract_crosslinks(self.corpus, host_allowlist=self.config.hosts(),
                                   window_hours=self.config.window_hours,
                                   counts=self.crosslink_drops)
@@ -286,8 +274,6 @@ class Run:
     def baseline(self) -> dict:
         """The null-model rate: fixed by the config, measured on matched
         pairs, or the default when no pair is eligible (``fallback``)."""
-        if "baseline" in self.hits:
-            return json.loads((self.out / "baseline.json").read_text(encoding="utf-8"))
         config = self.config
         if config.baseline != "auto":
             value, mode = float(config.baseline), "fixed"
@@ -304,9 +290,6 @@ class Run:
 
     @cached_property
     def records(self) -> list[MobilizationRecord]:
-        if "detect" in self.hits:
-            return [MobilizationRecord.from_dict(row)
-                    for row in _read_jsonl(self.out / "mobilizations.jsonl")]
         return [detect(counts, self.baseline["value"]) for counts in self.measured]
 
     @cached_property
@@ -316,10 +299,6 @@ class Run:
     @cached_property
     def replynet_rows(self) -> list[list]:
         """One REPLYNET_HEADER row per mobilization with both attackers and defenders."""
-        if "replynet" in self.hits:
-            with open(self.out / "replynet.csv", "r", encoding="utf-8", newline="") as fh:
-                rows = list(csv.reader(fh))[1:]
-            return [[row[0], *(None if v == "" else float(v) for v in row[1:])] for row in rows]
         records = [record for record in self.mobilized if record.attackers and record.defenders]
         return self._replynet_rows(records, [self._reply_graph(record) for record in records])
 
@@ -623,8 +602,10 @@ STAGES = {stage.name: stage for stage in [
           ("crosslinks.jsonl",), stage_crosslinks),
     Stage("baseline", ("window_hours", "baseline", "baseline_stat"),
           ("ingest", "crosslinks"), ("baseline.json",), stage_baseline),
+    # version 2: the records of mobilizations.jsonl and alerts.jsonl lose
+    # their "sentiment" key, which no stage set (sentiment.jsonl has the labels)
     Stage("detect", ("window_hours",), ("ingest", "crosslinks", "baseline"),
-          ("mobilizations.jsonl", "alerts.jsonl"), stage_detect),
+          ("mobilizations.jsonl", "alerts.jsonl"), stage_detect, version=2),
     Stage("sentiment", ("lexicon_dir", "sentiment_model"), ("ingest", "crosslinks"),
           ("sentiment.jsonl",), stage_sentiment),
     Stage("replynet", ("lexicon_dir", "alpha", "pagerank_tol", "pagerank_max_iter"),
@@ -704,8 +685,7 @@ def run_pipeline(config: Config) -> PipelineResult:
     old = _previous_manifest(old_text)
     old_stages, old_files = old.get("stages", {}), old.get("files", {})
     digests = _input_digests(run)
-    keys, stages, files, cache_hits = {}, {}, {}, run.hits
-    timings = {}
+    keys, stages, files, cache_hits, timings = {}, {}, {}, [], {}
     for stage in STAGES.values():
         name = stage.name
         if stage.enabled_by and not getattr(config, stage.enabled_by):

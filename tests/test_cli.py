@@ -52,6 +52,14 @@ def test_data_error_exit_code(capsys):
     assert main(["crosslinks", "--corpus", "/nonexistent/events.jsonl"]) == 2
 
 
+def test_an_output_path_that_is_a_file_is_a_data_error(synth, tmp_path, capsys):
+    events_path, _ = synth
+    occupied = tmp_path / "occupied"
+    occupied.write_text("not a directory\n")
+    assert main(["report", "--corpus", events_path, "--out", str(occupied)]) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_synth_command(tmp_path, capsys):
     code = main(["synth", "--out", str(tmp_path / "s"), "--set", "n_communities=4",
                  "--set", "n_crosslinks=4", "--set", "seed=1"])
@@ -207,6 +215,19 @@ def test_sentiment_train_and_predict(synth, tmp_path, capsys):
     by_source = {m["source_post"]: m["sentiment"] for m in manifest["links"]}
     agreement = sum(1 for r in rows if r["label"] == by_source[r["source_post"]])
     assert agreement / len(rows) >= 0.75  # lexicon-separable bodies
+
+
+def test_sentiment_train_rejects_a_labels_line_without_a_label(synth, tmp_path, capsys):
+    events_path, manifest = synth
+    labels_file = tmp_path / "labels.csv"
+    lines = [f"{m['source_post']},{m['sentiment']}" for m in manifest["links"][:3]]
+    lines.insert(1, manifest["links"][3]["source_post"])
+    labels_file.write_text("\n".join(lines) + "\n")
+    model_file = tmp_path / "model.json"
+    assert main(["sentiment", "train", "--corpus", events_path, "--labels", str(labels_file),
+                 "--model", str(model_file), "--trees", "5"]) == 2
+    assert f"{labels_file}:2:" in capsys.readouterr().err
+    assert not model_file.exists()
 
 
 def test_sentiment_predict_rejects_a_pickled_model_unread(synth, tmp_path, capsys):

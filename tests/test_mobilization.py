@@ -3,7 +3,6 @@ import pytest
 from intercom.corpus import extract_crosslinks
 from intercom.mobilization import (
     BaselineError,
-    MobilizationRecord,
     baseline_ratio,
     detect,
     measure,
@@ -112,7 +111,6 @@ def test_detect_mobilization_fixture(two_community_corpus):
     assert record.attackers == {"a1", "a2", "a3", "a4", "a5"}
     assert record.defenders == {"b1", "b2"}
     assert record.attackers & record.defenders == set()
-    assert record.sentiment == "unlabeled"
     assert record.matched_before == 0 and record.matched_after == 0
 
 
@@ -155,11 +153,3 @@ def test_detect_monotone_in_after_count():
             assert record.verdict == "mobilization"
         last_verdict = record.verdict
     assert last_verdict == "mobilization"
-
-
-def test_record_roundtrip(two_community_corpus):
-    corpus, _ = two_community_corpus
-    links = extract_crosslinks(corpus)
-    record = detect(measure(corpus, links)[0], 1.6)
-    clone = MobilizationRecord.from_dict(record.to_dict())
-    assert clone.to_dict() == record.to_dict()

@@ -283,7 +283,8 @@ def test_raised_stage_version_reruns_it_and_downstream(synth_corpus, tmp_path, m
     config = dict(corpus=str(events_path), seed=3)
     out = tmp_path / "run"
     run_pipeline(Config(output_dir=str(out), **config))
-    monkeypatch.setitem(STAGES, "detect", dataclasses.replace(STAGES["detect"], version=2))
+    detect = STAGES["detect"]
+    monkeypatch.setitem(STAGES, "detect", dataclasses.replace(detect, version=detect.version + 1))
     rerun = run_pipeline(Config(output_dir=str(out), **config))
     # replynet and impact read the records; sentiment does not
     assert rerun.cache_hits == ["ingest", "crosslinks", "baseline", "sentiment"]
@@ -335,6 +336,36 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == set()
 
 
+def test_no_module_defines_a_private_name_nothing_reads():
+    # a module-level name that starts with "_" serves only the package, so
+    # one that no other statement of the package reads is dead code
+    package = Path(intercom.__file__).parent
+    defined, reads = set(), []
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                names = set()
+            defined.update((path.name, name) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+            read = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                    read.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    read.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    read.update(a.name for a in sub.names)
+            reads.append((names, read))
+    unread = {f"{module}: {name}" for module, name in defined
+              if not any(name in read and name not in names for names, read in reads)}
+    assert unread == set()
+
+
 def test_pickled_sentiment_model_is_rejected_unread(synth_corpus, tmp_path):
     events_path, _ = synth_corpus
     canary = tmp_path / "canary"
@@ -379,26 +410,20 @@ def test_a_pagerank_that_cannot_converge_fails_the_replynet_stage(synth_corpus, 
     assert info.value.cause.iterations == 1
 
 
-def test_rerun_reads_cached_links_baseline_and_records_back(synth_corpus, tmp_path, monkeypatch):
+@pytest.mark.parametrize("changed, hits", [
+    # replynet re-runs and recomputes the cached links, baseline and records
+    ({"alpha": 0.3}, ["ingest", "crosslinks", "baseline", "detect", "sentiment"]),
+    # impact re-runs and recomputes the cached records and reply-network rows
+    ({"seed": 4}, ["ingest", "crosslinks", "baseline", "detect", "sentiment", "replynet"]),
+], ids=["alpha", "seed"])
+def test_partial_rerun_recomputes_reused_values(synth_corpus, tmp_path, changed, hits):
     events_path, _ = synth_corpus
     out = tmp_path / "run"
     run_pipeline(Config(corpus=str(events_path), output_dir=str(out), seed=3))
-    calls = []
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("extract_crosslinks", "baseline_ratio", "detect"):
-        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
-    changed = dict(corpus=str(events_path), seed=3, alpha=0.3)
-    rerun = run_pipeline(Config(output_dir=str(out), **changed))
-    assert rerun.cache_hits == ["ingest", "crosslinks", "baseline", "detect", "sentiment"]
-    assert calls == []
-    run_pipeline(Config(output_dir=str(tmp_path / "fresh"), **changed))
-    assert sorted(set(calls)) == ["baseline_ratio", "detect", "extract_crosslinks"]
+    config = {"corpus": str(events_path), "seed": 3, **changed}
+    rerun = run_pipeline(Config(output_dir=str(out), **config))
+    assert rerun.cache_hits == hits
+    run_pipeline(Config(output_dir=str(tmp_path / "fresh"), **config))
     assert bundle_bytes(out) == bundle_bytes(tmp_path / "fresh")
 
 
@@ -511,26 +536,6 @@ def test_fixed_baseline_has_no_pair_counts(synth_corpus, tmp_path):
     result = run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "run"),
                                  baseline="1.6"))
     assert set(result.manifest["stages"]["baseline"]) == {"key", "outputs", "value"}
-
-
-def test_seed_only_rerun_reads_cached_replynet_rows_back(synth_corpus, tmp_path, monkeypatch):
-    events_path, _ = synth_corpus
-    out = tmp_path / "run"
-    run_pipeline(Config(corpus=str(events_path), output_dir=str(out), seed=3))
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    original = pipeline.group_pagerank
-    monkeypatch.setattr(pipeline, "group_pagerank", counting)
-    rerun = run_pipeline(Config(corpus=str(events_path), output_dir=str(out), seed=4))
-    assert "replynet" in rerun.cache_hits and "impact" not in rerun.cache_hits
-    assert calls == []
-    run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "fresh"), seed=4))
-    assert [args[1] for args in calls] == ["attackers", "defenders"]
-    assert bundle_bytes(out) == bundle_bytes(tmp_path / "fresh")
 
 
 def test_predict_stage_runs_one_lstm_forward_per_link(synth_corpus, tmp_path, monkeypatch):
