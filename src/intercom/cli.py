@@ -15,20 +15,20 @@ from .lstm import load_params
 from .matching import NoMatchError, matched_post
 from .mobilization import BaselineError
 from .pipeline import (
-    REPLYNET_HEADER,
-    Config,
-    ConfigError,
     Run,
     StageError,
-    apply_overrides,
-    load_config,
     lstm_dataset,
     run_pipeline,
     sentiment_rows,
     stage_embed,
     train_lstm,
+    write_json,
+    write_jsonl,
+    write_lines,
 )
+from .replynet import REPLYNET_HEADER, thread_graph
 from .sentiment import crosslink_features
+from .settings import Config, ConfigError, apply_overrides, load_config
 from .synth import SynthError, SynthSpec, generate_corpus
 
 EXIT_OK = 0
@@ -74,25 +74,10 @@ def _config(args, **fixed) -> Config:
     return config
 
 
-def _emit(path: str | None, lines) -> None:
-    """Write lines to ``path``, or to stdout without one."""
-    stream = open(path, "w", encoding="utf-8") if path else sys.stdout
-    try:
-        for line in lines:
-            stream.write(line + "\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
-
-
-def _jsonl(rows) -> list[str]:
-    return [json.dumps(row, sort_keys=True) for row in rows]
-
-
 def cmd_ingest(args) -> int:
     stats = Run(_config(args)).corpus.stats
     # the bytes of the report bundle's ingest.json
-    _emit(args.out, [json.dumps(dataclasses.asdict(stats), sort_keys=True, indent=2)])
+    write_json(args.out, dataclasses.asdict(stats))
     print(f"lines={stats.lines} posts={stats.posts} comments={stats.comments} "
           f"rejected={stats.rejected} dangling={stats.dangling_comments}", file=sys.stderr)
     return EXIT_OK
@@ -100,32 +85,32 @@ def cmd_ingest(args) -> int:
 
 def cmd_crosslinks(args) -> int:
     links = Run(_config(args)).links
-    _emit(args.out, _jsonl(dataclasses.asdict(link) for link in links))
+    write_jsonl(args.out, (dataclasses.asdict(link) for link in links))
     print(f"extracted {len(links)} cross-links", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_detect(args) -> int:
     run = Run(_config(args))
-    rows = [record.to_dict() for record in run.records]
-    _emit(args.out, _jsonl(rows))
-    n_mob = sum(1 for row in rows if row["verdict"] == "mobilization")
+    write_jsonl(args.out, (record.to_dict() for record in run.records))
     print(f"baseline={run.baseline['value']:.4f} ({run.baseline['mode']}) "
-          f"mobilizations={n_mob}/{len(rows)}", file=sys.stderr)
+          f"mobilizations={len(run.mobilized)}/{len(run.records)}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_match(args) -> int:
     run = Run(_config(args))
     pair = matched_post(run.corpus, run.links, args.post)
-    print(json.dumps(dataclasses.asdict(pair), sort_keys=True, indent=2))
+    write_json(None, dataclasses.asdict(pair))
     return EXIT_OK
 
 
 def cmd_sentiment(args) -> int:
+    if args.action == "train" and not args.labels:
+        raise UsageError("sentiment train needs --labels")
     run = Run(_config(args, sentiment_model=args.model))
     if args.action == "predict":
-        _emit(args.out, _jsonl(sentiment_rows(run)))
+        write_jsonl(args.out, sentiment_rows(run))
         return EXIT_OK
     labels = {}
     with open(args.labels, "r", encoding="utf-8") as fh:
@@ -153,16 +138,16 @@ def cmd_sentiment(args) -> int:
 
 def cmd_replynet(args) -> int:
     run = Run(_config(args))
-    by_id = {record.id: record for record in run.records}
-    if args.mobilization not in by_id:
+    record = next((record for record in run.records if record.id == args.mobilization), None)
+    if record is None:
         raise KeyError(f"no cross-link with source post {args.mobilization!r}")
-    graph, row = run.replynet(by_id[args.mobilization])
-    _emit(args.out, [f"{src} {dst} {weight} {graph.nodes[src]} {graph.nodes[dst]}"
-                     for (src, dst), weight in sorted(graph.edges.items())])
-    if row is None:
+    graph, rows = thread_graph(run.corpus, record), run.replynet([record])
+    write_lines(args.out, (f"{src} {dst} {weight} {graph.nodes[src]} {graph.nodes[dst]}"
+                           for (src, dst), weight in sorted(graph.edges.items())))
+    if not rows:
         print("no attackers or no defenders; no reply-network row", file=sys.stderr)
     else:
-        print(json.dumps(dict(zip(REPLYNET_HEADER, row)), sort_keys=True, indent=2),
+        print(json.dumps(dict(zip(REPLYNET_HEADER, rows[0])), sort_keys=True, indent=2),
               file=sys.stderr)
     return EXIT_OK
 
@@ -187,18 +172,18 @@ def cmd_predict(args) -> int:
     if args.action == "score":
         sequences, _ = pred_mod.assemble_sequences(run.corpus, run.links, table, word_vectors,
                                                    max_words=run.config.max_words)
-        _emit(args.out, _jsonl({"source_post": link.source_post,
+        write_jsonl(args.out, ({"source_post": link.source_post,
                                 "p_mobilization": pred_mod.predict_prob(seq, params)}
                                for link, seq in zip(run.links, sequences)))
         return EXIT_OK
 
     # eval: rebuild the training run's dataset and split and report test AUC
     dataset = lstm_dataset(run, table, word_vectors)
-    scores = [pred_mod.predict_prob(dataset.sequences[i], params) for i in dataset.test_idx]
-    test_labels = [int(dataset.labels[i]) for i in dataset.test_idx]
-    if len(set(test_labels)) < 2:
+    test_auc = pred_mod.auc_or_none(dataset.labels[dataset.test_idx], lambda: [
+        pred_mod.predict_prob(dataset.sequences[i], params) for i in dataset.test_idx])
+    if test_auc is None:
         raise ValueError("test split has a single class; cannot compute AUC")
-    print(f"test AUC = {pred_mod.auc(scores, test_labels):.4f} on {len(test_labels)} examples")
+    print(f"test AUC = {test_auc:.4f} on {dataset.test_idx.size} examples")
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ from itertools import combinations
 from .corpus import DAY, Corpus, window_keys
 from .matching import HISTORY_GAP_DAYS, NoMatchError, match_pool, matched_user
 from .mobilization import MobilizationRecord
+from .replynet import REPLYNET_HEADER
 
 log = logging.getLogger(__name__)
 
@@ -19,6 +20,20 @@ POST_GAP_DAYS = 3  # the "after" period starts 3 days after the cross-link
 # approximation with tie and continuity corrections.
 MWU_EXACT_MAX = 20  # combined sample size
 WILCOXON_EXACT_MAX = 25  # nonzero pairs
+
+IMPACT_HEADER = [
+    "mobilization", "n_attackers", "n_defenders",
+    "mean_attacker_delta", "mean_defender_delta",
+    "mean_attacker_matched_delta", "mean_defender_matched_delta",
+    "success_score", "decile",
+]
+# the reply-network metrics averaged over success buckets: file, REPLYNET_HEADER column
+SERIES = [
+    ("series_reply_fraction.csv", "defender_reply_fraction_to_attackers"),
+    ("series_defender_apr.csv", "mean_defender_apr"),
+    ("series_attacker_dpr.csv", "mean_attacker_dpr"),
+    ("series_defender_anger.csv", "anger_defender_to_attacker"),
+]
 
 
 @dataclass(frozen=True)
@@ -277,3 +292,63 @@ def wilcoxon_signed_rank(pairs, exact_max: int = WILCOXON_EXACT_MAX) -> tuple[fl
         return w, 1.0
     z = max(0.0, abs(w - mu) - 0.5) / math.sqrt(var)
     return w, min(1.0, 2.0 * _normal_sf(z))
+
+
+def _mean(xs):
+    return sum(xs) / len(xs) if xs else None
+
+
+def aggregate(corpus: Corpus, records: list[MobilizationRecord], replynet_rows: list[list],
+              seed: int = 0) -> tuple[list[list], dict[str, SuccessSeries], dict, dict]:
+    """The impact of the mobilization ``records``: the IMPACT_HEADER rows of
+    those with defenders; per SERIES column, the column of their
+    REPLYNET_HEADER rows (0.0 where missing) over the success buckets; the
+    tests, None where one cannot run; and the counts of outcomes and fallbacks."""
+    metrics = {row[0]: dict(zip(REPLYNET_HEADER, row)) for row in replynet_rows}
+    outcomes, rows = [], []
+    deltas = {"attacker": [], "defender": []}
+    pairs = {"attacker": [], "defender": []}
+    counts = {"no_matched_attacker": 0, "no_matched_defender": 0, "low_support": 0}
+    for record in records:
+        impacts = mobilization_impacts(corpus, record, seed=seed)
+        for i in impacts:
+            counts[f"no_matched_{i.role}"] += i.matched_delta is None
+            counts["low_support"] += i.low_support
+            deltas[i.role].append(i.delta)
+            if i.matched_delta is not None:
+                pairs[i.role].append((i.delta, i.matched_delta))
+        attackers = [i for i in impacts if i.role == "attacker"]
+        defenders = [i for i in impacts if i.role == "defender"]
+        if not defenders:
+            continue
+        outcome = defense_success(record, impacts)
+        outcomes.append(outcome)
+        rows.append([
+            record.id, len(attackers), len(defenders),
+            _mean([i.delta for i in attackers]), _mean([i.delta for i in defenders]),
+            _mean([i.matched_delta for i in attackers if i.matched_delta is not None]),
+            _mean([i.matched_delta for i in defenders if i.matched_delta is not None]),
+            outcome.success_score, None,
+        ])
+    assign_deciles(outcomes)
+    for row, outcome in zip(rows, outcomes):
+        row[-1] = outcome.decile
+
+    series = {}
+    for _filename, column in SERIES:
+        def metric(outcome, column=column):
+            value = metrics.get(outcome.mobilization_id, {}).get(column)
+            return 0.0 if value is None else float(value)
+        series[column] = decile_series(outcomes, metric)
+
+    tests = {}
+    if deltas["attacker"] and deltas["defender"]:
+        u, p = mann_whitney_u(deltas["defender"], deltas["attacker"])
+        tests["defender_vs_attacker_delta_mwu"] = {"U": u, "p": p}
+    for role in ("attacker", "defender"):
+        try:
+            w, p = wilcoxon_signed_rank(pairs[role])
+            tests[f"{role}_delta_vs_matched_wilcoxon"] = {"W": w, "p": p}
+        except ValueError:
+            tests[f"{role}_delta_vs_matched_wilcoxon"] = None
+    return rows, series, tests, {"outcomes": len(outcomes), **counts}

@@ -1,4 +1,5 @@
-"""Pipeline orchestration: configuration, staged execution, report bundle."""
+"""Pipeline orchestration: the values the stages share, the stage table, the
+report bundle and its writers."""
 from __future__ import annotations
 
 import csv
@@ -6,12 +7,12 @@ import dataclasses
 import hashlib
 import json
 import logging
-import math
 import platform
 import resource
 import sys
 import time
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -24,12 +25,13 @@ from . import embed as embed_mod
 from . import impact as impact_mod
 from . import predictor as pred_mod
 from .corpus import CorpusError, CrossLink, extract_crosslinks, load_events
-from .forest import load_forest, train_forest
-from .lstm import init_params, mean_hidden, readout, save_params
+from .forest import load_forest
+from .lstm import init_params, save_params
 from .mobilization import (DEFAULT_BASELINE, BaselineError, LinkCounts, MobilizationRecord,
                            baseline_ratio, detect, measure)
-from .replynet import ReplyGraph, anger_rate, build_reply_graph, echo_metrics, group_pagerank
-from .sentiment import builtin_lexicon, community_tfidf_vectors, load_lexicon, predict_sentiment
+from .replynet import REPLYNET_HEADER, replynet_rows
+from .sentiment import builtin_lexicon, load_lexicon, predict_sentiment
+from .settings import Config, ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -42,148 +44,11 @@ RUN_RECORD = "run.json"
 _PATH_KEYS = {"corpus", "output_dir", "lexicon_dir", "sentiment_model"}
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
-
-
-_TYPE_NAMES = {"int": "an int", "float": "a number", "bool": "a bool", "str": "a string"}
-
-
-def _has_type(value, kind: str) -> bool:
-    """Whether ``value`` fits a Config field declared ``kind``. Python counts
-    a bool as an int; here it fits only a bool field."""
-    if isinstance(value, bool):
-        return kind == "bool"
-    return isinstance(value, {"int": int, "float": (int, float), "bool": (), "str": str}[kind])
-
-
-@dataclass
-class Config:
-    corpus: str = ""
-    output_dir: str = ""
-    lexicon_dir: str = ""  # empty: builtin lexicon
-    sentiment_model: str = ""  # empty: leave records unlabeled
-    host_allowlist: str = ""  # comma separated; empty: any host
-    window_hours: float = 12.0
-    baseline: str = "auto"  # "auto" or a positive float literal
-    baseline_stat: str = "mean"
-    alpha: float = 0.25
-    pagerank_tol: float = 1e-10
-    pagerank_max_iter: int = 10000
-    vocab_size: int = 10000
-    embed_enabled: bool = False
-    embed_dim: int = 32
-    embed_epochs: int = 20
-    embed_negatives: int = 5
-    predict_enabled: bool = False
-    hidden_size: int = 64
-    predict_epochs: int = 10
-    predict_lr: float = 0.01
-    max_words: int = 50
-    ensemble_trees: int = 100
-    seed: int = 0
-
-    def validate(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not _has_type(value, f.type):
-                raise ConfigError(f"{f.name} must be {_TYPE_NAMES[f.type]}, got {value!r}")
-        numbers = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.type == "float"}
-        if self.baseline != "auto":
-            try:
-                numbers["baseline"] = float(self.baseline)
-            except ValueError:
-                raise ConfigError("baseline must be 'auto' or a number") from None
-        for name, value in numbers.items():
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite")
-        checks = [
-            (0 < self.window_hours <= 24 * 14, "window_hours must be in (0, 336]"),
-            (0 < self.alpha < 1, "alpha must be in (0, 1)"),
-            (self.pagerank_tol > 0, "pagerank_tol must be positive"),
-            (self.pagerank_max_iter >= 1, "pagerank_max_iter must be >= 1"),
-            (self.vocab_size >= 1, "vocab_size must be >= 1"),
-            (self.embed_dim >= 1, "embed_dim must be >= 1"),
-            (self.embed_epochs >= 1, "embed_epochs must be >= 1"),
-            (self.embed_negatives >= 0, "embed_negatives must be >= 0"),
-            (self.hidden_size >= 1, "hidden_size must be >= 1"),
-            (self.predict_epochs >= 1, "predict_epochs must be >= 1"),
-            (self.predict_lr > 0, "predict_lr must be positive"),
-            (self.max_words >= 0, "max_words must be >= 0"),
-            (self.ensemble_trees >= 1, "ensemble_trees must be >= 1"),
-            (self.seed >= 0, "seed must be >= 0"),
-            (self.baseline_stat in ("mean", "median"), "baseline_stat must be mean or median"),
-            (numbers.get("baseline", 1.0) > 0, "baseline must be positive"),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
-        if self.predict_enabled and not self.embed_enabled:
-            raise ConfigError("predict_enabled requires embed_enabled")
-
-    def hosts(self) -> list[str] | None:
-        items = [h.strip() for h in self.host_allowlist.split(",") if h.strip()]
-        return items or None
-
-
-def _coerce(kind: str, name: str, raw: str):
-    """The value ``raw`` spells for a settings field declared ``kind``; an
-    ``int | None`` field takes ``none``."""
-    raw = raw.strip()
-    if kind == "bool":
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
-    if kind == "int | None" and raw.lower() == "none":
-        return None
-    try:
-        if kind in ("int", "int | None"):
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"{name}: expected {'an integer' if 'int' in kind else 'a number'}, "
-                          f"got {raw!r}") from None
-    return raw
-
-
-def load_config(path, cls=Config):
-    """The ``cls`` settings dataclass (Config, SynthSpec) a key-value file
-    gives: ``key = value`` lines, # comments, defaults for keys not given."""
-    settings = cls()
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{n}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            try:
-                apply_overrides(settings, {key.strip(): raw})
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{n}: {exc}") from None
-    return settings
-
-
-def apply_overrides(settings, overrides: dict[str, str]):
-    """Set fields of the settings dataclass ``settings`` from their text
-    values; flag overrides win over file values."""
-    kinds = {f.name: f.type for f in dataclasses.fields(settings)}
-    for key, raw in overrides.items():
-        if key not in kinds:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(settings, key, _coerce(kinds[key], key, raw))
-    return settings
 
 
 def substream_seed(root: int, name: str) -> int:
@@ -192,26 +57,28 @@ def substream_seed(root: int, name: str) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _clean(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def _output(path):
+    """``path`` opened for writing, or stdout when it is None."""
+    return nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def write_lines(path, lines) -> None:
+    """Each line and a newline to ``path``, or to stdout when it is None.
+    The bundle's files and the CLI's outputs are written by these writers."""
+    with _output(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
-def _write_jsonl(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+def write_json(path, obj) -> None:
+    write_lines(path, [json.dumps(obj, sort_keys=True, indent=2)])
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write_jsonl(path, rows) -> None:
+    write_lines(path, (json.dumps(row, sort_keys=True) for row in rows))
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -299,70 +166,16 @@ class Run:
     @cached_property
     def replynet_rows(self) -> list[list]:
         """One REPLYNET_HEADER row per mobilization with both attackers and defenders."""
-        records = [record for record in self.mobilized if record.attackers and record.defenders]
-        return self._replynet_rows(records, [self._reply_graph(record) for record in records])
+        return self.replynet(self.mobilized)
 
-    def replynet(self, record: MobilizationRecord) -> tuple[ReplyGraph, list | None]:
-        """The reply graph of the record's target thread, and its
-        REPLYNET_HEADER row when it has both attackers and defenders."""
-        graph = self._reply_graph(record)
-        if not record.attackers or not record.defenders:
-            return graph, None
-        return graph, self._replynet_rows([record], [graph])[0]
-
-    def _reply_graph(self, record: MobilizationRecord) -> ReplyGraph:
-        post = record.crosslink.target_post
-        return build_reply_graph(self.corpus.thread_comments.get(post, []), post,
-                                 record.attackers, record.defenders)
-
-    def _replynet_rows(self, records: list[MobilizationRecord],
-                       graphs: list[ReplyGraph]) -> list[list]:
-        """The REPLYNET_HEADER rows of records with both attackers and
-        defenders, from their reply graphs: one batched PageRank per
-        teleport set."""
+    def replynet(self, records: list[MobilizationRecord]) -> list[list]:
+        """``replynet.replynet_rows`` of the records with the config's
+        PageRank settings; the iteration counts go to ``pagerank_iterations``."""
         config = self.config
-        ranks = [group_pagerank(graphs, group, alpha=config.alpha, tol=config.pagerank_tol,
-                                max_iter=config.pagerank_max_iter)
-                 for group in ("attackers", "defenders")]
-        self.pagerank_iterations += [rank.iterations for batch in ranks for rank in batch]
-        rows = []
-        for record, graph, a_rank, d_rank in zip(records, graphs, *ranks):
-            apr, dpr = a_rank.scores, d_rank.scores
-            comments = self.corpus.thread_comments.get(record.crosslink.target_post, [])
-            echo = echo_metrics(graph, apr)
-            defender_out = sum(w for (i, _j), w in graph.edges.items() if i in record.defenders)
-            reply_frac = (echo.defender_attacker_weight / defender_out) if defender_out else 0.0
-            mean_dapr = sum(apr[u] for u in sorted(record.defenders)) / len(record.defenders)
-            mean_adpr = sum(dpr[u] for u in sorted(record.attackers)) / len(record.attackers)
-            rows.append([
-                record.id, echo.n_attackers, echo.n_defenders,
-                echo.attacker_attacker_weight, echo.attacker_defender_weight,
-                echo.defender_defender_weight, echo.defender_attacker_weight,
-                _clean(echo.attacker_within_cross_ratio), _clean(echo.defender_within_cross_ratio),
-                _clean(echo.cross_group_ratio),
-                echo.defender_apr_zero_fraction, echo.defender_apr_tentimes_fraction,
-                reply_frac, mean_dapr, mean_adpr,
-                anger_rate(comments, self.lexicon, record.attackers, record.defenders),
-                anger_rate(comments, self.lexicon, record.defenders, record.attackers),
-            ])
+        rows, iterations = replynet_rows(self.corpus, self.lexicon, records, alpha=config.alpha,
+                                         tol=config.pagerank_tol, max_iter=config.pagerank_max_iter)
+        self.pagerank_iterations += iterations
         return rows
-
-
-REPLYNET_HEADER = [
-    "mobilization", "n_attackers", "n_defenders",
-    "attacker_attacker_weight", "attacker_defender_weight",
-    "defender_defender_weight", "defender_attacker_weight",
-    "attacker_within_cross_ratio", "defender_within_cross_ratio", "cross_group_ratio",
-    "defender_apr_zero_fraction", "defender_apr_tentimes_fraction",
-    "defender_reply_fraction_to_attackers", "mean_defender_apr", "mean_attacker_dpr",
-    "anger_attacker_to_defender", "anger_defender_to_attacker",
-]
-SERIES = [
-    ("series_reply_fraction.csv", "defender_reply_fraction_to_attackers"),
-    ("series_defender_apr.csv", "mean_defender_apr"),
-    ("series_attacker_dpr.csv", "mean_attacker_dpr"),
-    ("series_defender_anger.csv", "anger_defender_to_attacker"),
-]
 
 
 def sentiment_rows(run: Run) -> list[dict]:
@@ -403,38 +216,37 @@ def train_lstm(run: Run, table, word_vectors, model_path):
 
 def stage_ingest(run: Run) -> dict:
     stats = run.corpus.stats
-    _write_json(run.out / "ingest.json", dataclasses.asdict(stats))
+    write_json(run.out / "ingest.json", dataclasses.asdict(stats))
     return {"posts": stats.posts, "comments": stats.comments}
 
 
 def stage_crosslinks(run: Run) -> dict:
-    _write_jsonl(run.out / "crosslinks.jsonl", [dataclasses.asdict(l) for l in run.links])
+    write_jsonl(run.out / "crosslinks.jsonl", [dataclasses.asdict(l) for l in run.links])
     return {"links": len(run.links), **run.crosslink_drops}
 
 
 def stage_baseline(run: Run) -> dict:
-    _write_json(run.out / "baseline.json", run.baseline)
+    write_json(run.out / "baseline.json", run.baseline)
     return {"value": run.baseline["value"], **run.baseline_pairs}
 
 
 def stage_detect(run: Run) -> dict:
     rows = [r.to_dict() for r in run.records]
     alerts = [row for row in rows if row["verdict"] == "mobilization"]
-    _write_jsonl(run.out / "mobilizations.jsonl", rows)
+    write_jsonl(run.out / "mobilizations.jsonl", rows)
     # machine-readable alert feed: just the positive verdicts
-    _write_jsonl(run.out / "alerts.jsonl", alerts)
-    return {"records": len(rows), "mobilizations": len(alerts),
-            "no_matched_thread": sum(1 for r in run.records if r.matched_before is None)}
+    write_jsonl(run.out / "alerts.jsonl", alerts)
+    return {"records": len(rows), "mobilizations": len(alerts)}
 
 
 def stage_sentiment(run: Run) -> dict:
-    _write_jsonl(run.out / "sentiment.jsonl", sentiment_rows(run))
+    write_jsonl(run.out / "sentiment.jsonl", sentiment_rows(run))
     return {"labeled": bool(run.config.sentiment_model)}
 
 
 def stage_replynet(run: Run) -> dict:
     rows = run.replynet_rows
-    _write_csv(run.out / "replynet.csv", REPLYNET_HEADER, rows)
+    write_csv(run.out / "replynet.csv", REPLYNET_HEADER, rows)
     iterations = run.pagerank_iterations
     return {"rows": len(rows), "skipped": len(run.mobilized) - len(rows),
             "pagerank_iterations_max": max(iterations, default=None),
@@ -442,72 +254,14 @@ def stage_replynet(run: Run) -> dict:
 
 
 def stage_impact(run: Run) -> dict:
-    impact_seed = substream_seed(run.config.seed, "impact")
-    per_id_metrics = {row[0]: dict(zip(REPLYNET_HEADER, row)) for row in run.replynet_rows}
-
-    def mean(xs):
-        return sum(xs) / len(xs) if xs else None
-
-    outcomes, rows = [], []
-    attacker_deltas, defender_deltas = [], []
-    attacker_pairs, defender_pairs = [], []
-    counts = {"no_matched_attacker": 0, "no_matched_defender": 0, "low_support": 0}
-    for record in run.mobilized:
-        impacts = impact_mod.mobilization_impacts(run.corpus, record, seed=impact_seed)
-        for i in impacts:
-            counts[f"no_matched_{i.role}"] += i.matched_delta is None
-            counts["low_support"] += i.low_support
-        defenders = [i for i in impacts if i.role == "defender"]
-        attackers = [i for i in impacts if i.role == "attacker"]
-        attacker_deltas.extend(i.delta for i in attackers)
-        defender_deltas.extend(i.delta for i in defenders)
-        attacker_pairs.extend((i.delta, i.matched_delta) for i in attackers
-                              if i.matched_delta is not None)
-        defender_pairs.extend((i.delta, i.matched_delta) for i in defenders
-                              if i.matched_delta is not None)
-        if not defenders:
-            continue
-        outcome = impact_mod.defense_success(record, impacts)
-        outcomes.append(outcome)
-        rows.append([
-            record.id, len(attackers), len(defenders),
-            mean([i.delta for i in attackers]), mean([i.delta for i in defenders]),
-            mean([i.matched_delta for i in attackers if i.matched_delta is not None]),
-            mean([i.matched_delta for i in defenders if i.matched_delta is not None]),
-            outcome.success_score, None,
-        ])
-    impact_mod.assign_deciles(outcomes)
-    decile_by_id = {o.mobilization_id: o.decile for o in outcomes}
-    for row in rows:
-        row[-1] = decile_by_id.get(row[0])
-    _write_csv(run.out / "impact.csv", [
-        "mobilization", "n_attackers", "n_defenders",
-        "mean_attacker_delta", "mean_defender_delta",
-        "mean_attacker_matched_delta", "mean_defender_matched_delta",
-        "success_score", "decile",
-    ], rows)
-
-    for filename, column in SERIES:
-        def metric(outcome, column=column):
-            value = per_id_metrics.get(outcome.mobilization_id, {}).get(column)
-            return 0.0 if value is None else float(value)
-        series = impact_mod.decile_series(outcomes, metric)
-        _write_csv(run.out / filename, ["success_score", column, "smoothed"],
-                   [[x, y, int(series.smoothed)] for x, y in series.points])
-
-    tests = {}
-    if attacker_deltas and defender_deltas:
-        u, p = impact_mod.mann_whitney_u(defender_deltas, attacker_deltas)
-        tests["defender_vs_attacker_delta_mwu"] = {"U": u, "p": p}
-    for name, pairs in (("attacker_delta_vs_matched_wilcoxon", attacker_pairs),
-                        ("defender_delta_vs_matched_wilcoxon", defender_pairs)):
-        try:
-            w, p = impact_mod.wilcoxon_signed_rank(pairs)
-            tests[name] = {"W": w, "p": p}
-        except ValueError:
-            tests[name] = None
-    _write_json(run.out / "stat_tests.json", tests)
-    return {"outcomes": len(outcomes), **counts}
+    rows, series, tests, counts = impact_mod.aggregate(
+        run.corpus, run.mobilized, run.replynet_rows, seed=substream_seed(run.config.seed, "impact"))
+    write_csv(run.out / "impact.csv", impact_mod.IMPACT_HEADER, rows)
+    for filename, column in impact_mod.SERIES:
+        write_csv(run.out / filename, ["success_score", column, "smoothed"],
+                  [[x, y, int(series[column].smoothed)] for x, y in series[column].points])
+    write_json(run.out / "stat_tests.json", tests)
+    return counts
 
 
 def stage_embed(run: Run) -> dict:
@@ -533,54 +287,19 @@ def stage_embed(run: Run) -> dict:
         "words": len(word_table.users),
         "loss": embed_mod.loss(graph, table, seed=seed, sample_size=min(2000, graph.n_edges)),
     }
-    _write_json(out / "embed.json", summary)
+    write_json(out / "embed.json", summary)
     return {"edges": graph.n_edges}
 
 
 def stage_predict(run: Run) -> dict:
-    config, corpus = run.config, run.corpus
+    config = run.config
     table, word_vectors = embed_mod.load_table(run.out)
     dataset, result = train_lstm(run, table, word_vectors, run.out / "lstm_model.json")
-
-    tfidf_vectors = community_tfidf_vectors(corpus, config.vocab_size)
-    link_by_id = {l.source_post: l for l in run.links}
-    ys = dataset.labels.tolist()
-    test_y = [ys[i] for i in dataset.test_idx]
-    feats, hiddens, scores = [], [], []
-    for link_id, seq in zip(dataset.link_ids, dataset.sequences):
-        hiddens.append(mean_hidden(seq, result.params))
-        scores.append(readout(hiddens[-1], result.params))
-        feats.append(pred_mod.baseline_features(
-            corpus, link_by_id[link_id], run.lexicon, tfidf_vectors=tfidf_vectors))
-
-    def forest_auc(rows):
-        train_y = [ys[i] for i in dataset.train_idx]
-        if len(set(train_y)) < 2:
-            return None
-        forest = train_forest([rows[i] for i in dataset.train_idx], train_y,
-                              trees=config.ensemble_trees, seed=substream_seed(config.seed, "forest"))
-        if len(set(test_y)) < 2:
-            return None
-        proba = forest.predict_proba([rows[i] for i in dataset.test_idx])[:, forest.classes.index(1)]
-        return pred_mod.auc(proba, test_y)
-
-    lstm_auc = (pred_mod.auc([scores[i] for i in dataset.test_idx], test_y)
-                if len(set(test_y)) == 2 else None)
-    baseline_auc = forest_auc(feats)
-    ensemble_rows = [pred_mod.ensemble_features(f, seq[0], seq[1], seq[2], h)
-                     for f, seq, h in zip(feats, dataset.sequences, hiddens)]
-    _write_json(run.out / "predict.json", {
-        "examples": len(ys),
-        "train": int(dataset.train_idx.size),
-        "val": int(dataset.val_idx.size),
-        "test": int(dataset.test_idx.size),
-        "backoff_count": dataset.backoff_count,
-        "best_val_auc": _clean(result.best_val_auc),
-        "lstm_test_auc": _clean(lstm_auc),
-        "baseline_test_auc": _clean(baseline_auc),
-        "ensemble_test_auc": _clean(forest_auc(ensemble_rows)),
-    })
-    return {"examples": len(ys)}
+    summary = pred_mod.evaluate(run.corpus, run.lexicon, dataset, result,
+                                vocab_size=config.vocab_size, trees=config.ensemble_trees,
+                                seed=substream_seed(config.seed, "forest"))
+    write_json(run.out / "predict.json", summary)
+    return {"examples": summary["examples"]}
 
 
 @dataclass(frozen=True)
@@ -611,7 +330,8 @@ STAGES = {stage.name: stage for stage in [
     Stage("replynet", ("lexicon_dir", "alpha", "pagerank_tol", "pagerank_max_iter"),
           ("ingest", "detect"), ("replynet.csv",), stage_replynet),
     Stage("impact", ("seed",), ("ingest", "detect", "replynet"),
-          ("impact.csv", "stat_tests.json") + tuple(name for name, _ in SERIES), stage_impact),
+          ("impact.csv", "stat_tests.json") + tuple(name for name, _ in impact_mod.SERIES),
+          stage_impact),
     Stage("embed", ("embed_dim", "embed_negatives", "embed_epochs", "vocab_size", "seed"),
           ("ingest",), ("users.vec", "communities.vec", "words.vec", "embed.json"),
           stage_embed, enabled_by="embed_enabled"),
@@ -723,7 +443,7 @@ def run_pipeline(config: Config) -> PipelineResult:
         manifest_path.write_text(text, encoding="utf-8")
     validate_bundle(run.out)
     timings["report"] = clock.timing("report" in cache_hits)
-    _write_json(run.out / RUN_RECORD, _run_record(timings))
+    write_json(run.out / RUN_RECORD, _run_record(timings))
     return PipelineResult(output_dir=run.out, manifest=manifest, cache_hits=cache_hits)
 
 

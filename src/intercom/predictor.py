@@ -8,9 +8,10 @@ import numpy as np
 
 from .corpus import Corpus, CrossLink
 from .embed import EmbeddingTable
+from .forest import train_forest
 from .impact import midranks
-from .lstm import LSTMParams, bptt, example_loss, predict_prob
-from .sentiment import Lexicon, extract_text_features, sparse_cosine, tokenize
+from .lstm import LSTMParams, bptt, example_loss, mean_hidden, predict_prob, readout
+from .sentiment import Lexicon, community_tfidf_vectors, extract_text_features, sparse_cosine, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -122,7 +123,7 @@ class PredictionDataset:
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
-    link_ids: list[str] = field(default_factory=list)
+    links: list[CrossLink] = field(default_factory=list)
     backoff_count: int = 0  # links that fell back to the mean user vector
 
 
@@ -155,7 +156,7 @@ def build_dataset(
         train_idx=train_idx,
         val_idx=val_idx,
         test_idx=test_idx,
-        link_ids=[link.source_post for link in links],
+        links=links,
         backoff_count=backoff,
     )
 
@@ -175,19 +176,20 @@ def auc(scores, labels) -> float:
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def auc_or_none(labels, scores) -> float | None:
+    """``auc`` of ``scores()`` against ``labels``, or None (and the callable
+    ``scores`` is not called) unless both classes are present."""
+    labels = np.asarray(labels)
+    if len(set(labels.tolist())) < 2:
+        return None
+    return auc(scores(), labels)
+
+
 @dataclass
 class TrainResult:
     params: LSTMParams
     log: list[dict]
     best_val_auc: float | None
-
-
-def _dataset_auc(dataset: PredictionDataset, params: LSTMParams, idx: np.ndarray) -> float | None:
-    labels = dataset.labels[idx]
-    if idx.size == 0 or len(set(labels.tolist())) < 2:
-        return None
-    scores = [predict_prob(dataset.sequences[i], params) for i in idx]
-    return auc(scores, labels)
 
 
 def train(
@@ -241,7 +243,8 @@ def train(
             raise TrainingDivergedError(
                 f"epoch {epoch} loss {epoch_loss:.4f} exceeds 10x initial {initial_loss:.4f}"
             )
-        val_auc = _dataset_auc(dataset, params, dataset.val_idx)
+        val_auc = auc_or_none(dataset.labels[dataset.val_idx], lambda: [
+            predict_prob(dataset.sequences[i], params) for i in dataset.val_idx])
         history.append({"epoch": epoch, "train_loss": epoch_loss, "val_auc": val_auc})
         if val_auc is None or best_auc is None or val_auc > best_auc:
             best = params.copy()
@@ -263,3 +266,41 @@ def ensemble_features(
             row[f"{prefix}_{i}"] = float(val)
     return row
 
+
+def evaluate(corpus: Corpus, lexicon: Lexicon, dataset: PredictionDataset, result: TrainResult,
+             *, vocab_size: int, trees: int, seed: int) -> dict:
+    """predict.json: the split sizes, the backoff count, the LSTM's best
+    validation AUC and the test AUCs of the LSTM and of forests on the
+    baseline and the ensemble features (one LSTM forward pass per link)."""
+    tfidf_vectors = community_tfidf_vectors(corpus, vocab_size)
+    ys = dataset.labels.tolist()
+    train_y = [ys[i] for i in dataset.train_idx]
+    test_y = [ys[i] for i in dataset.test_idx]
+    feats, hiddens, scores = [], [], []
+    for link, seq in zip(dataset.links, dataset.sequences):
+        hiddens.append(mean_hidden(seq, result.params))
+        scores.append(readout(hiddens[-1], result.params))
+        feats.append(baseline_features(corpus, link, lexicon, tfidf_vectors=tfidf_vectors))
+
+    def forest_auc(rows):
+        if len(set(train_y)) < 2:  # no forest to train
+            return None
+        forest = train_forest([rows[i] for i in dataset.train_idx], train_y, trees=trees, seed=seed)
+        return auc_or_none(test_y, lambda: forest.predict_proba(
+            [rows[i] for i in dataset.test_idx])[:, forest.classes.index(1)])
+
+    lstm_auc = auc_or_none(test_y, lambda: [scores[i] for i in dataset.test_idx])
+    baseline_auc = forest_auc(feats)
+    ensemble_rows = [ensemble_features(f, seq[0], seq[1], seq[2], h)
+                     for f, seq, h in zip(feats, dataset.sequences, hiddens)]
+    return {
+        "examples": len(ys),
+        "train": int(dataset.train_idx.size),
+        "val": int(dataset.val_idx.size),
+        "test": int(dataset.test_idx.size),
+        "backoff_count": dataset.backoff_count,
+        "best_val_auc": result.best_val_auc,
+        "lstm_test_auc": lstm_auc,
+        "baseline_test_auc": baseline_auc,
+        "ensemble_test_auc": forest_auc(ensemble_rows),
+    }

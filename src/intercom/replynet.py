@@ -8,7 +8,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Event
+from .corpus import Corpus, Event
+from .mobilization import MobilizationRecord
 from .sentiment import Lexicon, tokenize
 
 log = logging.getLogger(__name__)
@@ -21,6 +22,16 @@ class ConvergenceError(Exception):
         super().__init__(f"power iteration did not converge in {iterations} steps (delta={delta:g})")
         self.iterations = iterations
 
+
+REPLYNET_HEADER = [
+    "mobilization", "n_attackers", "n_defenders",
+    "attacker_attacker_weight", "attacker_defender_weight",
+    "defender_defender_weight", "defender_attacker_weight",
+    "attacker_within_cross_ratio", "defender_within_cross_ratio", "cross_group_ratio",
+    "defender_apr_zero_fraction", "defender_apr_tentimes_fraction",
+    "defender_reply_fraction_to_attackers", "mean_defender_apr", "mean_attacker_dpr",
+    "anger_attacker_to_defender", "anger_defender_to_attacker",
+]
 
 GROUP_ATTACKER = "attacker"
 GROUP_DEFENDER = "defender"
@@ -321,3 +332,42 @@ def anger_rate(
     if not found:
         return None
     return hits / total if total else 0.0
+
+
+def thread_graph(corpus: Corpus, record: MobilizationRecord) -> ReplyGraph:
+    """The reply graph of the record's target thread."""
+    post = record.crosslink.target_post
+    return build_reply_graph(corpus.thread_comments.get(post, []), post,
+                             record.attackers, record.defenders)
+
+
+def replynet_rows(corpus: Corpus, lexicon: Lexicon, records: list[MobilizationRecord], *,
+                  alpha: float, tol: float, max_iter: int) -> tuple[list[list], list[int]]:
+    """The REPLYNET_HEADER rows of the records with both attackers and
+    defenders (one batched PageRank per teleport set), and the PageRanks'
+    iterations: the attacker-teleport ones in record order, then the others."""
+    records = [record for record in records if record.attackers and record.defenders]
+    graphs = [thread_graph(corpus, record) for record in records]
+    ranks = [group_pagerank(graphs, group, alpha=alpha, tol=tol, max_iter=max_iter)
+             for group in ("attackers", "defenders")]
+    rows = []
+    for record, graph, a_rank, d_rank in zip(records, graphs, *ranks):
+        apr, dpr = a_rank.scores, d_rank.scores
+        comments = corpus.thread_comments.get(record.crosslink.target_post, [])
+        echo = echo_metrics(graph, apr)
+        defender_out = sum(w for (i, _j), w in graph.edges.items() if i in record.defenders)
+        reply_frac = (echo.defender_attacker_weight / defender_out) if defender_out else 0.0
+        mean_dapr = sum(apr[u] for u in sorted(record.defenders)) / len(record.defenders)
+        mean_adpr = sum(dpr[u] for u in sorted(record.attackers)) / len(record.attackers)
+        rows.append([
+            record.id, echo.n_attackers, echo.n_defenders,
+            echo.attacker_attacker_weight, echo.attacker_defender_weight,
+            echo.defender_defender_weight, echo.defender_attacker_weight,
+            echo.attacker_within_cross_ratio, echo.defender_within_cross_ratio,
+            echo.cross_group_ratio,
+            echo.defender_apr_zero_fraction, echo.defender_apr_tentimes_fraction,
+            reply_frac, mean_dapr, mean_adpr,
+            anger_rate(comments, lexicon, record.attackers, record.defenders),
+            anger_rate(comments, lexicon, record.defenders, record.attackers),
+        ])
+    return rows, [rank.iterations for batch in ranks for rank in batch]

@@ -26,7 +26,7 @@ from intercom.synth import SynthSpec, generate_corpus, generate_sentiment_exampl
 
 from test_lstm import scalar_reference_forward
 from test_predictor import brute_force_auc
-from test_replynet import make_graph, mc_pagerank, reference_pagerank
+from test_replynet import make_graph, mc_pagerank_visits, reference_pagerank
 
 
 def report(n, text):
@@ -94,8 +94,7 @@ def test_criterion_2_group_pagerank():
                           if teleport_name == "all" or g == teleport_name[:-1]}
         result = group_pagerank(graph, teleport_name, tol=1e-12)
         assert abs(sum(result.scores.values()) - 1.0) <= 1e-9
-        freqs = mc_pagerank(graph, teleport_users, alpha=0.25, steps=10**6, seed=trial,
-                            expected_visits=True)
+        freqs = mc_pagerank_visits(graph, teleport_users, alpha=0.25, steps=10**6, seed=trial)
         for u in graph.nodes:
             worst_mc = max(worst_mc, abs(result.scores[u] - freqs[u]))
             assert abs(result.scores[u] - freqs[u]) < 1e-3

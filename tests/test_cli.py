@@ -8,8 +8,8 @@ import pytest
 
 from intercom import embed as embed_mod
 from intercom.cli import build_parser, main
-from intercom.pipeline import (REPLYNET_HEADER, RUN_RECORD, STAGE_ORDER, Config, Run, substream_seed,
-                               train_lstm)
+from intercom.pipeline import RUN_RECORD, STAGE_ORDER, Config, Run, substream_seed, train_lstm
+from intercom.replynet import REPLYNET_HEADER
 from intercom.synth import SynthSpec, generate_corpus
 
 from conftest import write_canary_pickle
@@ -217,6 +217,16 @@ def test_sentiment_train_and_predict(synth, tmp_path, capsys):
     assert agreement / len(rows) >= 0.75  # lexicon-separable bodies
 
 
+def test_sentiment_train_without_labels_is_a_usage_error(synth, tmp_path, capsys):
+    events_path, _ = synth
+    model = tmp_path / "model.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sentiment", "train", "--corpus", events_path, "--model", str(model)])
+    assert exit_info.value.code == 1
+    assert "--labels" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_sentiment_train_rejects_a_labels_line_without_a_label(synth, tmp_path, capsys):
     events_path, manifest = synth
     labels_file = tmp_path / "labels.csv"
@@ -324,7 +334,8 @@ def test_report_verbose_prints_one_line_per_stage(synth, tmp_path, capsys):
         f"stage crosslinks: ran links={crosslinks['links']} "
         f"overlap_removed={crosslinks['overlap_removed']} "
         f"unknown_target={crosslinks['unknown_target']}")
-    assert f"no_matched_thread={stages['detect']['no_matched_thread']}" in by_stage["detect"]
+    assert by_stage["detect"] == (f"stage detect: ran mobilizations={stages['detect']['mobilizations']} "
+                                  f"records={stages['detect']['records']}")
     assert f"low_support={stages['impact']['low_support']}" in by_stage["impact"]
     assert by_stage["report"] == "stage report: ran"
 
@@ -448,3 +459,9 @@ def test_cli_embed_and_predict_match_report(tmp_path, capsys):
     predict = json.loads((bundle / "predict.json").read_text())
     assert capsys.readouterr().out == (
         f"test AUC = {predict['lstm_test_auc']:.4f} on {predict['test']} examples\n")
+
+    # a baseline no link reaches labels every link 0, so the test split has one class
+    assert main(["predict", "eval", "--corpus", events_path, "--embeddings", str(bundle),
+                 "--model", str(bundle / "lstm_model.json"), "--set", "baseline=1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "single class" in captured.err

@@ -6,10 +6,12 @@ import pytest
 
 from intercom.impact import (
     MWU_EXACT_MAX,
+    SERIES,
     WILCOXON_EXACT_MAX,
     DefenseOutcome,
     ImpactRecord,
     activity_delta,
+    aggregate,
     assign_deciles,
     decile_series,
     defense_success,
@@ -398,3 +400,14 @@ def test_mobilization_impacts_roles(two_community_corpus):
     assert {("b1", "defender"), ("b2", "defender")} <= roles
     for i in impacts:
         assert -1.0 <= i.delta <= 1.0
+
+
+def test_aggregate_of_no_mobilizations():
+    rows, series, tests, counts = aggregate(corpus_from([]), [], [], seed=3)
+    assert rows == []
+    assert list(series) == [column for _, column in SERIES]
+    assert all(s.points == [] and not s.smoothed for s in series.values())
+    assert tests == {"attacker_delta_vs_matched_wilcoxon": None,
+                     "defender_delta_vs_matched_wilcoxon": None}
+    assert counts == {"outcomes": 0, "no_matched_attacker": 0, "no_matched_defender": 0,
+                      "low_support": 0}

@@ -160,7 +160,8 @@ def loop_train(dataset, params_init, lr=0.01, epochs=20, seed=0):
                 m_hat = m[key] / (1 - beta1**adam_t)
                 v_hat = v[key] / (1 - beta2**adam_t)
                 params.weights[key] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        val_auc = predictor._dataset_auc(dataset, params, dataset.val_idx)
+        val_auc = predictor.auc_or_none(dataset.labels[dataset.val_idx], lambda: [
+            predictor.predict_prob(dataset.sequences[i], params) for i in dataset.val_idx])
         history.append({"epoch": epoch, "train_loss": total / order.size, "val_auc": val_auc})
         if val_auc is None or best_auc is None or val_auc > best_auc:
             best = params.copy()

@@ -22,16 +22,9 @@ def make_graph(nodes, edges):
     return ReplyGraph(nodes=dict(nodes), edges=dict(edges))
 
 
-def mc_pagerank(graph, teleport, alpha, steps, seed, expected_visits=False):
-    """Independent oracle: visit frequencies of a simulated random walk.
-
-    With expected_visits=True each step credits the walker's exact
-    conditional next-state distribution instead of the realized jump
-    (Rao-Blackwellized occupancy): same chain, same step count, much lower
-    variance, so the 1e-3 tolerance holds reliably at 10^6 steps.
-    """
-    rng = random.Random(seed)
-    teleport = sorted(teleport)
+def _jump_table(graph):
+    """Per node with out-edges: its total out-weight and its (cumulative
+    weight, target) list, in edge order."""
     out = {}
     for (i, j), w in graph.edges.items():
         out.setdefault(i, []).append((j, w))
@@ -43,6 +36,20 @@ def mc_pagerank(graph, teleport, alpha, steps, seed, expected_visits=False):
             total += w
             acc.append((total, j))
         cumulative[i] = (total, acc)
+    return cumulative
+
+
+def mc_pagerank(graph, teleport, alpha, steps, seed, expected_visits=False):
+    """Independent oracle: visit frequencies of a simulated random walk.
+
+    With expected_visits=True each step credits the walker's exact
+    conditional next-state distribution instead of the realized jump
+    (Rao-Blackwellized occupancy): same chain, same step count, much lower
+    variance, so the 1e-3 tolerance holds reliably at 10^6 steps.
+    """
+    rng = random.Random(seed)
+    teleport = sorted(teleport)
+    cumulative = _jump_table(graph)
     counts = {u: 0.0 for u in graph.nodes}
     t_share = alpha / len(teleport)
     current = teleport[0]
@@ -71,6 +78,43 @@ def mc_pagerank(graph, teleport, alpha, steps, seed, expected_visits=False):
                     break
         if not expected_visits:
             counts[current] += 1
+    return {u: counts[u] / steps for u in graph.nodes}
+
+
+def mc_pagerank_visits(graph, teleport, alpha, steps, seed):
+    """``mc_pagerank(..., expected_visits=True)`` from the same walk and the
+    same draws, but the walk only counts the steps taken from each state;
+    each state's next-state distribution is credited once at the end, times
+    its count."""
+    rng = random.Random(seed)
+    teleport = sorted(teleport)
+    cumulative = _jump_table(graph)
+    visits = dict.fromkeys(graph.nodes, 0)
+    current = teleport[0]
+    for _ in range(steps):
+        visits[current] += 1
+        if rng.random() < alpha or current not in cumulative:
+            current = teleport[rng.randrange(len(teleport))]
+        else:
+            total, acc = cumulative[current]
+            r = rng.random() * total
+            for bound, j in acc:
+                if r < bound:
+                    current = j
+                    break
+    counts = {u: 0.0 for u in graph.nodes}
+    for state, n in visits.items():
+        if state not in cumulative:
+            for u in teleport:
+                counts[u] += n / len(teleport)
+            continue
+        for u in teleport:
+            counts[u] += n * alpha / len(teleport)
+        total, acc = cumulative[state]
+        prev = 0
+        for bound, j in acc:
+            counts[j] += n * (1 - alpha) * (bound - prev) / total
+            prev = bound
     return {u: counts[u] / steps for u in graph.nodes}
 
 
@@ -196,6 +240,25 @@ def test_pagerank_three_node_fixture_vs_monte_carlo():
     freqs = mc_pagerank(graph, {"a1", "a2"}, alpha=0.25, steps=10**6, seed=42)
     for u in graph.nodes:
         assert scores[u] == pytest.approx(freqs[u], abs=1e-3)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_visit_count_oracle_equals_the_per_step_oracle(seed):
+    rng = random.Random(seed)
+    names = [f"u{i}" for i in range(rng.randint(2, 12))]
+    nodes = {u: rng.choice(("attacker", "defender")) for u in names}
+    edges = {}
+    for _ in range(rng.randint(0, 3 * len(names))):  # some nodes stay dangling
+        key = (rng.choice(names), rng.choice(names))
+        edges[key] = edges.get(key, 0) + rng.randint(1, 5)
+    graph = make_graph(nodes, edges)
+    teleport = rng.choice([names[:1], names[: len(names) // 2 + 1], names])
+    per_step = mc_pagerank(graph, teleport, alpha=0.25, steps=20000, seed=seed,
+                           expected_visits=True)
+    by_visits = mc_pagerank_visits(graph, teleport, alpha=0.25, steps=20000, seed=seed)
+    assert set(by_visits) == set(per_step)
+    for u in names:
+        assert abs(by_visits[u] - per_step[u]) <= 1e-11
 
 
 def test_pagerank_weight_scale_invariance():
