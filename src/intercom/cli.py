@@ -172,15 +172,17 @@ def cmd_predict(args) -> int:
     if args.action == "score":
         sequences, _ = pred_mod.assemble_sequences(run.corpus, run.links, table, word_vectors,
                                                    max_words=run.config.max_words)
-        write_jsonl(args.out, ({"source_post": link.source_post,
-                                "p_mobilization": pred_mod.predict_prob(seq, params)}
-                               for link, seq in zip(run.links, sequences)))
+        probs = pred_mod.predict_prob(sequences, params).tolist()
+        write_jsonl(args.out, ({"source_post": link.source_post, "p_mobilization": p}
+                               for link, p in zip(run.links, probs)))
         return EXIT_OK
 
-    # eval: rebuild the training run's dataset and split and report test AUC
+    # eval: rebuild the training run's dataset and split and report test AUC;
+    # every link is scored, as the report scores them, so that each test
+    # link shares its forward's batch with the same links as in the report
     dataset = lstm_dataset(run, table, word_vectors)
-    test_auc = pred_mod.auc_or_none(dataset.labels[dataset.test_idx], lambda: [
-        pred_mod.predict_prob(dataset.sequences[i], params) for i in dataset.test_idx])
+    test_auc = pred_mod.auc_or_none(dataset.labels[dataset.test_idx], lambda: pred_mod.predict_prob(
+        dataset.sequences, params)[dataset.test_idx])
     if test_auc is None:
         raise ValueError("test split has a single class; cannot compute AUC")
     print(f"test AUC = {test_auc:.4f} on {dataset.test_idx.size} examples")

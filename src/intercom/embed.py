@@ -12,6 +12,7 @@ from .sentiment import tokenize, top_vocabulary
 
 NEGATIVE_SAMPLES = 5
 EMBED_DIM = 300
+EDGE_BATCH = 128  # edges per minibatch step of train_embeddings
 
 
 @dataclass
@@ -118,34 +119,46 @@ class EmbeddingTable:
         return community in self._cix
 
 
-def edge_loss(u: np.ndarray, c_pos: np.ndarray, c_negs: np.ndarray) -> float:
-    """Negative-sampling loss for one positive edge and its drawn negatives.
+def edge_losses(u: np.ndarray, c_pos: np.ndarray, c_negs: np.ndarray) -> np.ndarray:
+    """Negative-sampling losses of a batch of positive edges: user vectors
+    ``u`` (B, d), their communities' ``c_pos`` (B, d) and the drawn
+    negatives ``c_negs`` (B, k, d).
 
     The printed objective's log(-sigma(x)) is undefined; this uses the
     standard skip-gram form log(sigma(-u.c_n)) for the negative term.
     """
-    pos = -np.log(_sigmoid(float(u @ c_pos)))
-    neg = -np.log(_sigmoid(-(c_negs @ u))).sum() if len(c_negs) else 0.0
-    return float(pos + neg)
+    pos = -np.log(_sigmoid((u * c_pos).sum(axis=1)))
+    neg = -np.log(_sigmoid(-(c_negs * u[:, None, :]).sum(axis=2))).sum(axis=1)
+    return pos + neg
 
 
 def edge_gradients(u: np.ndarray, c_pos: np.ndarray, c_negs: np.ndarray):
-    """Analytic gradients of edge_loss wrt (u, c_pos, each c_neg)."""
-    g_pos = _sigmoid(float(u @ c_pos)) - 1.0
-    du = g_pos * c_pos
-    dc_pos = g_pos * u
-    dc_negs = np.zeros_like(c_negs)
-    for k in range(len(c_negs)):
-        g = _sigmoid(float(u @ c_negs[k]))
-        du = du + g * c_negs[k]
-        dc_negs[k] = g * u
+    """Analytic gradients of ``edge_losses`` wrt (u, c_pos, each c_neg): for
+    one edge given as (d,), (d,), (k, d) arrays, or for a batch of edges
+    given as ``edge_losses`` takes them."""
+    single = np.ndim(u) == 1
+    if single:
+        u, c_pos, c_negs = _one_edge(u, c_pos, c_negs)
+    g_pos = _sigmoid((u * c_pos).sum(axis=1)) - 1.0
+    g_negs = _sigmoid((c_negs * u[:, None, :]).sum(axis=2))
+    du = g_pos[:, None] * c_pos
+    for k in range(c_negs.shape[1]):
+        du += g_negs[:, k, None] * c_negs[:, k]
+    dc_pos = g_pos[:, None] * u
+    dc_negs = g_negs[:, :, None] * u[:, None, :]
+    if single:
+        return du[0], dc_pos[0], dc_negs[0]
     return du, dc_pos, dc_negs
 
 
-def _scalar_sigmoid(x: float):
-    # lstm._sigmoid's value for one float without np.clip's overhead; np.exp,
-    # not math.exp, which differs from it in the last ulp on some arguments
-    return 1.0 / (1.0 + np.exp(-min(max(x, -500.0), 500.0)))
+def edge_loss(u: np.ndarray, c_pos: np.ndarray, c_negs: np.ndarray) -> float:
+    """``edge_losses`` of one edge: (d,), (d,) and (k, d) arrays."""
+    return float(edge_losses(*_one_edge(u, c_pos, c_negs))[0])
+
+
+def _one_edge(u, c_pos, c_negs):
+    """One edge's (d,), (d,) and (k, d) arrays as a batch of one edge."""
+    return u[None], c_pos[None], np.reshape(c_negs, (1, -1, np.size(u)))
 
 
 def train_embeddings(
@@ -157,8 +170,13 @@ def train_embeddings(
     lr_end: float = 1e-4,
     seed: int = 0,
 ) -> EmbeddingTable:
-    """SGD over shuffled edges; per positive edge, one attraction step and
-    ``negatives`` uniform repulsion steps. Deterministic for a fixed seed."""
+    """Minibatched SGD over shuffled edges with ``negatives`` uniform
+    negatives per edge. Each epoch takes a permutation of the edges and one
+    draw of every edge's negatives, then steps ``EDGE_BATCH`` edges at a
+    time: every edge of a batch reads the vectors as they were before the
+    batch, keeps its own learning rate from the linear schedule over all
+    edge steps, and the updates are summed into the vectors in edge order.
+    Deterministic for a fixed seed."""
     if graph.n_edges == 0:
         raise ValueError("cannot train embeddings on an empty graph")
     rng = np.random.default_rng(seed)
@@ -166,32 +184,27 @@ def train_embeddings(
     U = rng.uniform(-0.5 / dim, 0.5 / dim, size=(n_users, dim))
     C = rng.uniform(-0.5 / dim, 0.5 / dim, size=(n_comms, dim))
 
-    total_steps = epochs * graph.n_edges
-    step = 0
-    edges = graph.edges.tolist()
-    for _ in range(epochs):
-        order = rng.permutation(graph.n_edges).tolist()
+    n_edges = graph.n_edges
+    denominator = max(1, epochs * n_edges - 1)
+    for epoch in range(epochs):
+        order = rng.permutation(n_edges)
         # one draw per epoch gives the same values as one draw of ``negatives`` per edge
-        draws = (rng.integers(0, n_comms, size=(graph.n_edges, negatives)).tolist()
-                 if negatives else [()] * graph.n_edges)
-        for e, negs in zip(order, draws):
-            lr = lr_start - (lr_start - lr_end) * (step / max(1, total_steps - 1))
-            ui, ci = edges[e]
-            u, c = U[ui], C[ci]  # views: the updates below write U and C in place
-
-            g_pos = _scalar_sigmoid(float(u @ c)) - 1.0
-            du = g_pos * c
-            c -= lr * g_pos * u
-            for nk in negs:
-                neg = C[nk]
-                g = _scalar_sigmoid(float(u @ neg))
-                du += g * neg
-                neg -= lr * g * u
-            u -= lr * du
-            step += 1
+        draws = rng.integers(0, n_comms, size=(n_edges, negatives))
+        for start in range(0, n_edges, EDGE_BATCH):
+            edges = graph.edges[order[start:start + EDGE_BATCH]]
+            negs = draws[start:start + EDGE_BATCH]
+            steps = epoch * n_edges + start + np.arange(len(edges))
+            lr = (lr_start - (lr_start - lr_end) * (steps / denominator))[:, None]
+            du, dc_pos, dc_negs = edge_gradients(U[edges[:, 0]], C[edges[:, 1]], C[negs])
+            np.subtract.at(U, edges[:, 0], lr * du)
+            # each edge's positive community, then its negatives
+            np.subtract.at(C, np.concatenate([edges[:, 1:], negs], axis=1).ravel(),
+                           (lr[:, :, None] * np.concatenate([dc_pos[:, None], dc_negs], axis=1))
+                           .reshape(-1, dim))
         if not (np.isfinite(U).all() and np.isfinite(C).all()):
             raise FloatingPointError(
-                f"non-finite embeddings after step {step} (lr now {lr:g}); lower the learning rate"
+                f"non-finite embeddings after epoch {epoch + 1} (lr now {lr[-1, 0]:g}); "
+                "lower the learning rate"
             )
 
     return EmbeddingTable(
@@ -212,7 +225,7 @@ def loss(
     negatives: int | None = None,
 ) -> float:
     """Monte Carlo estimate of the mean per-edge objective on a seeded edge
-    sample with seeded negatives."""
+    sample with seeded negatives, scored in one batch."""
     if table.user_vectors.shape[1] != table.dim or table.community_vectors.shape[1] != table.dim:
         raise ValueError("embedding table dimensions are inconsistent")
     rng = np.random.default_rng(seed)
@@ -220,16 +233,10 @@ def loss(
     edges = graph.edges
     if sample_size is not None and sample_size < graph.n_edges:
         edges = edges[rng.choice(graph.n_edges, size=sample_size, replace=False)]
-    total = 0.0
-    n_comms = len(table.communities)
-    for ui, ci in edges:
-        negs = rng.integers(0, n_comms, size=k) if k else []
-        total += edge_loss(
-            table.user_vectors[ui],
-            table.community_vectors[ci],
-            table.community_vectors[negs] if k else np.empty((0, table.dim)),
-        )
-    return total / len(edges)
+    # one (n, k) draw gives the same values as one draw of k per edge
+    negs = rng.integers(0, len(table.communities), size=(len(edges), k))
+    C = table.community_vectors
+    return float(edge_losses(table.user_vectors[edges[:, 0]], C[edges[:, 1]], C[negs]).mean())
 
 
 def nearest_communities(table: EmbeddingTable, community: str, k: int) -> list[tuple[str, float]]:

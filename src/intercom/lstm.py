@@ -1,4 +1,5 @@
-"""Minimal LSTM classifier: forward pass, full BPTT, and gradient checking."""
+"""Minimal LSTM classifier: forward pass and full BPTT over batches of
+right-padded ragged sequences, and gradient checking."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -11,6 +12,7 @@ GATES = ("i", "f", "o", "g")  # order of the gate blocks in w, u and b
 PARAM_KEYS = ("w", "u", "b", "theta")
 CHECKPOINT_FORMAT = "intercom-lstm"
 CHECKPOINT_VERSION = 2
+FORWARD_CHUNK = 16  # sequences per inference forward (``mean_hidden``)
 
 
 class NanError(FloatingPointError):
@@ -94,95 +96,171 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
 
 
-def lstm_forward(seq: np.ndarray, params: LSTMParams, with_cache: bool = False):
-    """Hidden states [h_1 .. h_T] for an input sequence of shape (T, d)."""
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2 or seq.shape[1] != params.input_dim:
-        raise ValueError(f"expected sequence of shape (T, {params.input_dim}), got {seq.shape}")
-    w = params.weights
-    T = seq.shape[0]
+def _as_batch(seqs) -> tuple[list, bool]:
+    """The sequences of ``seqs`` and whether it was one (T, d) sequence
+    rather than a batch of them."""
+    if isinstance(seqs, np.ndarray) and seqs.ndim == 2:
+        return [seqs], True
+    return list(seqs), False
+
+
+def pad(seqs: list, input_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged (T_b, d) sequences as right-padded (T, B, d) inputs, zero past
+    each end, and their lengths T_b."""
+    lengths = np.zeros(len(seqs), dtype=np.intp)
+    for b, seq in enumerate(seqs):
+        shape = np.shape(seq)
+        if len(shape) != 2 or shape[1] != input_dim or shape[0] == 0:
+            raise ValueError(f"expected sequence of shape (T, {input_dim}) with T >= 1, got {shape}")
+        lengths[b] = shape[0]
+    X = np.zeros((int(lengths.max()), len(seqs), input_dim))
+    for b, seq in enumerate(seqs):
+        X[:lengths[b], b] = seq
+    return X, lengths
+
+
+def forward_padded(X: np.ndarray, params: LSTMParams):
+    """The cell over right-padded inputs X (T, B, d): the activated gates
+    (T, B, 4h) in ``GATES`` order, the cell states and the hidden states
+    (T + 1, B, h, with the zero initial state in row 0) and the tanh of the
+    cell states (T, B, h). Each array is allocated once per call. A padded
+    step only reads zeros and never feeds a real one, so every sequence's
+    states end where it does. Raises NanError at the first step with a
+    non-finite hidden state."""
+    T, B, _ = X.shape
     hdim = params.hidden_dim
-    h = np.zeros(hdim)
-    c = np.zeros(hdim)
-    hs = np.zeros((T, hdim))
-    cache = []
-    for t in range(T):
-        x = seq[t]
-        z = w["w"] @ x + w["u"] @ h + w["b"]
-        gi, gf, go = _sigmoid(z[:3 * hdim]).reshape(3, hdim)
-        gg = np.tanh(z[3 * hdim:])
-        c_new = gf * c + gi * gg
-        tanh_c = np.tanh(c_new)
-        h_new = go * tanh_c
-        if not np.isfinite(h_new).all():
-            raise NanError(t)
-        if with_cache:
-            cache.append((x, h, c, gi, gf, go, gg, c_new, tanh_c))
-        h, c = h_new, c_new
-        hs[t] = h
-    if with_cache:
-        return hs, cache
-    return hs
-
-
-def mean_hidden(seq: np.ndarray, params: LSTMParams) -> np.ndarray:
-    return lstm_forward(seq, params).mean(axis=0)
-
-
-def readout(hbar: np.ndarray, params: LSTMParams) -> float:
-    """Mobilization probability from a mean hidden state."""
-    return float(_sigmoid(params.weights["theta"] @ hbar))
-
-
-def predict_prob(seq: np.ndarray, params: LSTMParams) -> float:
-    """Mobilization probability: logistic readout of the mean hidden state."""
-    return readout(mean_hidden(seq, params), params)
-
-
-def example_loss(seq: np.ndarray, label: int, params: LSTMParams) -> float:
-    y = predict_prob(seq, params)
-    y = min(max(y, 1e-12), 1.0 - 1e-12)
-    return -(label * np.log(y) + (1 - label) * np.log(1.0 - y))
-
-
-def bptt(seq: np.ndarray, label: int, params: LSTMParams):
-    """Cross-entropy loss, full backprop-through-time gradients, and the
-    predicted probability for one example."""
-    hs, cache = lstm_forward(seq, params, with_cache=True)
-    T = hs.shape[0]
     w = params.weights
-    hbar = hs.mean(axis=0)
+    gates = X @ w["w"].T  # the input projection of every step, in one call
+    gates += w["b"]
+    cells = np.zeros((T + 1, B, hdim))
+    hidden = np.zeros((T + 1, B, hdim))
+    tanh_cells = np.empty((T, B, hdim))
+    u_t = w["u"].T
+    for t in range(T):
+        z = gates[t]
+        z += hidden[t] @ u_t
+        z[:, :3 * hdim] = _sigmoid(z[:, :3 * hdim])
+        np.tanh(z[:, 3 * hdim:], out=z[:, 3 * hdim:])
+        gi, gf, go, gg = z[:, :hdim], z[:, hdim:2 * hdim], z[:, 2 * hdim:3 * hdim], z[:, 3 * hdim:]
+        np.add(gf * cells[t], gi * gg, out=cells[t + 1])
+        np.tanh(cells[t + 1], out=tanh_cells[t])
+        np.multiply(go, tanh_cells[t], out=hidden[t + 1])
+    finite = np.isfinite(hidden[1:]).all(axis=(1, 2))
+    if not finite.all():
+        raise NanError(int(np.argmin(finite)))
+    return gates, cells, hidden, tanh_cells
+
+
+def _pool_weights(lengths: np.ndarray, T: int) -> np.ndarray:
+    """(T, B, 1) weights: 1 / T_b on a sequence's steps, 0 on its padding."""
+    steps = np.arange(T)[:, None] < lengths[None, :]
+    return (steps / lengths)[:, :, None]
+
+
+def lstm_forward(seq: np.ndarray, params: LSTMParams) -> np.ndarray:
+    """Hidden states [h_1 .. h_T] for an input sequence of shape (T, d)."""
+    X, _ = pad([np.asarray(seq, dtype=np.float64)], params.input_dim)
+    return forward_padded(X, params)[2][1:, 0]
+
+
+def mean_hidden(seqs, params: LSTMParams) -> np.ndarray:
+    """Mean hidden state of each sequence (n, h), or of one (T, d) sequence
+    (h,). The forwards run in chunks of ``FORWARD_CHUNK`` sequences taken in
+    length order, so that little of a chunk is padding."""
+    batch, single = _as_batch(seqs)
+    out = np.empty((len(batch), params.hidden_dim))
+    order = np.argsort([len(seq) for seq in batch], kind="stable")
+    for start in range(0, len(order), FORWARD_CHUNK):
+        chunk = order[start:start + FORWARD_CHUNK]
+        X, lengths = pad([batch[i] for i in chunk], params.input_dim)
+        hidden = forward_padded(X, params)[2]
+        out[chunk] = (hidden[1:] * _pool_weights(lengths, X.shape[0])).sum(axis=0)
+    return out[0] if single else out
+
+
+def readout(hbar: np.ndarray, params: LSTMParams):
+    """Mobilization probability of each mean hidden state (rows of ``hbar``)."""
+    return _sigmoid(hbar @ params.weights["theta"])
+
+
+def predict_prob(seqs, params: LSTMParams):
+    """Mobilization probability of each sequence (an array), or of one
+    (T, d) sequence (a float): logistic readout of the mean hidden state."""
+    y = readout(mean_hidden(seqs, params), params)
+    return float(y) if np.ndim(y) == 0 else y
+
+
+def cross_entropy(y, labels):
+    """Log loss of probabilities ``y`` against 0/1 labels, with y kept
+    within [1e-12, 1 - 1e-12]."""
+    y = np.minimum(np.maximum(y, 1e-12), 1.0 - 1e-12)
+    return -(labels * np.log(y) + (1 - labels) * np.log(1.0 - y))
+
+
+def example_loss(seqs, labels, params: LSTMParams) -> float:
+    """Cross-entropy of one (T, d) sequence, or the summed cross-entropy of
+    a batch of sequences."""
+    return float(np.sum(cross_entropy(predict_prob(seqs, params), np.asarray(labels))))
+
+
+def bptt(seqs, labels, params: LSTMParams):
+    """Cross-entropy losses, backprop-through-time gradients summed over the
+    batch and predicted probabilities of a batch of ragged sequences (or
+    the loss, gradients and probability of one (T, d) sequence and label).
+
+    The batch runs as one right-padded forward (``forward_padded``); the
+    padded steps get zero gradient, and the weight gradients of all steps
+    are summed with one matrix product each."""
+    batch, single = _as_batch(seqs)
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
+    X, lengths = pad(batch, params.input_dim)
+    T, B, d = X.shape
+    hdim = params.hidden_dim
+    w = params.weights
+    gates, cells, hidden, tanh_cells = forward_padded(X, params)
+    pooling = _pool_weights(lengths, T)
+    hbar = (hidden[1:] * pooling).sum(axis=0)
     y = readout(hbar, params)
-    y_safe = min(max(y, 1e-12), 1.0 - 1e-12)
-    loss = -(label * np.log(y_safe) + (1 - label) * np.log(1.0 - y_safe))
+    losses = cross_entropy(y, labels)
 
     grads = params.zeros_like()
-    dlogit = y - label  # d loss / d (theta . hbar)
-    grads["theta"] = dlogit * hbar
-    dh_pool = dlogit * w["theta"] / T
+    dlogit = y - labels  # d loss / d (theta . hbar), per example
+    grads["theta"] = dlogit @ hbar
+    pool = pooling * (dlogit[:, None] * w["theta"])  # (T, B, h): d loss / d h_t through the mean
 
-    dh_carry = np.zeros(params.hidden_dim)
-    dc_carry = np.zeros(params.hidden_dim)
+    # derivatives of the activations, for all steps at once
+    dact = gates.copy()
+    dact[..., :3 * hdim] *= 1.0 - gates[..., :3 * hdim]
+    dact[..., 3 * hdim:] = 1.0 - gates[..., 3 * hdim:] ** 2
+    dtanh_cells = 1.0 - tanh_cells ** 2
+    dz = np.empty_like(gates)
+    dh_carry = np.zeros((B, hdim))
+    dc_carry = np.zeros((B, hdim))
     for t in range(T - 1, -1, -1):
-        x, h_prev, c_prev, gi, gf, go, gg, c_new, tanh_c = cache[t]
-        dh = dh_pool + dh_carry
-        dc = dc_carry + dh * go * (1.0 - tanh_c**2)
-        do = dh * tanh_c
-        di = dc * gg
-        dg = dc * gi
-        df = dc * c_prev
-        dz = np.concatenate([di * gi * (1.0 - gi), df * gf * (1.0 - gf),
-                             do * go * (1.0 - go), dg * (1.0 - gg**2)])
-        grads["w"] += np.outer(dz, x)
-        grads["u"] += np.outer(dz, h_prev)
-        grads["b"] += dz
-        dh_carry = w["u"].T @ dz
+        z = gates[t]
+        gi, gf, go, gg = z[:, :hdim], z[:, hdim:2 * hdim], z[:, 2 * hdim:3 * hdim], z[:, 3 * hdim:]
+        dh = dh_carry + pool[t]
+        dc = dc_carry + dh * go * dtanh_cells[t]
+        step = dz[t]
+        np.multiply(dc, gg, out=step[:, :hdim])
+        np.multiply(dc, cells[t], out=step[:, hdim:2 * hdim])
+        np.multiply(dh, tanh_cells[t], out=step[:, 2 * hdim:3 * hdim])
+        np.multiply(dc, gi, out=step[:, 3 * hdim:])
+        step *= dact[t]
+        dh_carry = step @ w["u"]
         dc_carry = dc * gf
-    return loss, grads, y
+    flat = dz.reshape(T * B, 4 * hdim).T
+    grads["w"] = flat @ X.reshape(T * B, d)
+    grads["u"] = flat @ hidden[:-1].reshape(T * B, hdim)
+    grads["b"] = dz.sum(axis=(0, 1))
+    if single:
+        return float(losses[0]), grads, float(y[0])
+    return losses, grads, y
 
 
-def finite_difference_gradients(seq: np.ndarray, label: int, params: LSTMParams, step: float = 1e-5):
-    """Central finite differences of the example loss over every parameter."""
+def finite_difference_gradients(seqs, labels, params: LSTMParams, step: float = 1e-5):
+    """Central finite differences of ``example_loss`` (one sequence, or the
+    summed loss of a batch) over every parameter."""
     grads = params.zeros_like()
     for key, arr in params.weights.items():
         flat = arr.ravel()
@@ -190,9 +268,9 @@ def finite_difference_gradients(seq: np.ndarray, label: int, params: LSTMParams,
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + step
-            plus = example_loss(seq, label, params)
+            plus = example_loss(seqs, labels, params)
             flat[idx] = orig - step
-            minus = example_loss(seq, label, params)
+            minus = example_loss(seqs, labels, params)
             flat[idx] = orig
             out[idx] = (plus - minus) / (2.0 * step)
     return grads
@@ -212,8 +290,9 @@ def max_relative_error(grads_a: dict, grads_b: dict) -> float:
 
 def gradient_check(params: LSTMParams, example, step: float = 1e-5) -> float:
     """Max relative error between analytic BPTT gradients and central finite
-    differences over all parameters."""
-    seq, label = example
-    _, analytic, _ = bptt(seq, label, params)
-    numeric = finite_difference_gradients(seq, label, params, step=step)
+    differences over all parameters; ``example`` is a (sequence, label) or
+    a (batch of sequences, labels) pair."""
+    seqs, labels = example
+    _, analytic, _ = bptt(seqs, labels, params)
+    numeric = finite_difference_gradients(seqs, labels, params, step=step)
     return max_relative_error(analytic, numeric)

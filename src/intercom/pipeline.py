@@ -227,7 +227,9 @@ def stage_crosslinks(run: Run) -> dict:
 
 def stage_baseline(run: Run) -> dict:
     write_json(run.out / "baseline.json", run.baseline)
-    return {"value": run.baseline["value"], **run.baseline_pairs}
+    # counted in every baseline mode; a measured baseline's pair counts agree
+    no_match = sum(counts.matched_before is None for counts in run.measured)
+    return {"value": run.baseline["value"], **run.baseline_pairs, "no_matched_post": no_match}
 
 
 def stage_detect(run: Run) -> dict:
@@ -332,13 +334,16 @@ STAGES = {stage.name: stage for stage in [
     Stage("impact", ("seed",), ("ingest", "detect", "replynet"),
           ("impact.csv", "stat_tests.json") + tuple(name for name, _ in impact_mod.SERIES),
           stage_impact),
+    # version 2: minibatched negative-sampling SGD (embed.EDGE_BATCH edges a step)
     Stage("embed", ("embed_dim", "embed_negatives", "embed_epochs", "vocab_size", "seed"),
           ("ingest",), ("users.vec", "communities.vec", "words.vec", "embed.json"),
-          stage_embed, enabled_by="embed_enabled"),
+          stage_embed, enabled_by="embed_enabled", version=2),
+    # version 2: one Adam step per minibatch of predictor.BATCH examples, and
+    # batched forwards
     Stage("predict", ("lexicon_dir", "hidden_size", "predict_epochs", "predict_lr", "max_words",
                       "ensemble_trees", "vocab_size", "seed"),
           ("ingest", "crosslinks", "detect", "embed"), ("predict.json", "lstm_model.json"),
-          stage_predict, enabled_by="predict_enabled"),
+          stage_predict, enabled_by="predict_enabled", version=2),
 ]}
 # the stages in run order; the last, report, writes the manifest
 STAGE_ORDER = [*STAGES, "report"]

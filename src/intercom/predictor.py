@@ -10,12 +10,13 @@ from .corpus import Corpus, CrossLink
 from .embed import EmbeddingTable
 from .forest import train_forest
 from .impact import midranks
-from .lstm import LSTMParams, bptt, example_loss, mean_hidden, predict_prob, readout
+from .lstm import LSTMParams, bptt, cross_entropy, mean_hidden, predict_prob, readout
 from .sentiment import Lexicon, community_tfidf_vectors, extract_text_features, sparse_cosine, tokenize
 
 log = logging.getLogger(__name__)
 
 MAX_WORDS = 50  # tokens beyond this are discarded from the sequence
+BATCH = 16  # training examples per BPTT call and Adam step
 
 
 class MissingEmbeddingError(KeyError):
@@ -199,9 +200,11 @@ def train(
     epochs: int = 20,
     seed: int = 0,
 ) -> TrainResult:
-    """Adam over per-example BPTT gradients; returns the checkpoint with the
-    best validation AUC. Aborts if the training loss exceeds 10x its initial
-    value."""
+    """Adam over minibatches of ``BATCH`` examples, taken in a seeded
+    permutation of the training split each epoch: one batched BPTT call and
+    one step on the batch's mean gradient per minibatch. Returns the
+    checkpoint with the best validation AUC. Aborts if the training loss
+    exceeds 10x its initial value."""
     train_idx = dataset.train_idx
     if train_idx.size == 0:
         raise ValueError("empty training split")
@@ -216,10 +219,12 @@ def train(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     adam_t = 0
 
-    # a forward pass gives the same loss as bptt(...)[0] without the gradients
-    initial_loss = float(
-        np.mean([example_loss(dataset.sequences[i], int(dataset.labels[i]), params) for i in train_idx])
-    )
+    def sequences(idx):
+        return [dataset.sequences[i] for i in idx]
+
+    # one batched forward gives the losses bptt would, without the gradients
+    initial_loss = float(np.mean(cross_entropy(predict_prob(sequences(train_idx), params),
+                                               dataset.labels[train_idx])))
     history: list[dict] = []
     best = params.copy()
     best_auc: float | None = None
@@ -227,12 +232,13 @@ def train(
     for epoch in range(1, epochs + 1):
         order = rng.permutation(train_idx)
         total = 0.0
-        for i in order:
-            loss, grads, _ = bptt(dataset.sequences[i], int(dataset.labels[i]), params)
-            total += loss
+        for start in range(0, order.size, BATCH):
+            batch = order[start:start + BATCH]
+            losses, grads, _ = bptt(sequences(batch), dataset.labels[batch], params)
+            total += float(losses.sum())
             adam_t += 1
             for key in params.weights:
-                g = grads[key]
+                g = grads[key] / batch.size
                 m[key] = beta1 * m[key] + (1 - beta1) * g
                 v[key] = beta2 * v[key] + (1 - beta2) * g * g
                 m_hat = m[key] / (1 - beta1**adam_t)
@@ -243,8 +249,8 @@ def train(
             raise TrainingDivergedError(
                 f"epoch {epoch} loss {epoch_loss:.4f} exceeds 10x initial {initial_loss:.4f}"
             )
-        val_auc = auc_or_none(dataset.labels[dataset.val_idx], lambda: [
-            predict_prob(dataset.sequences[i], params) for i in dataset.val_idx])
+        val_auc = auc_or_none(dataset.labels[dataset.val_idx], lambda: predict_prob(
+            sequences(dataset.val_idx), params))
         history.append({"epoch": epoch, "train_loss": epoch_loss, "val_auc": val_auc})
         if val_auc is None or best_auc is None or val_auc > best_auc:
             best = params.copy()
@@ -271,16 +277,16 @@ def evaluate(corpus: Corpus, lexicon: Lexicon, dataset: PredictionDataset, resul
              *, vocab_size: int, trees: int, seed: int) -> dict:
     """predict.json: the split sizes, the backoff count, the LSTM's best
     validation AUC and the test AUCs of the LSTM and of forests on the
-    baseline and the ensemble features (one LSTM forward pass per link)."""
+    baseline and the ensemble features. Every link's sequence enters one
+    batched LSTM forward (``mean_hidden``)."""
     tfidf_vectors = community_tfidf_vectors(corpus, vocab_size)
     ys = dataset.labels.tolist()
     train_y = [ys[i] for i in dataset.train_idx]
     test_y = [ys[i] for i in dataset.test_idx]
-    feats, hiddens, scores = [], [], []
-    for link, seq in zip(dataset.links, dataset.sequences):
-        hiddens.append(mean_hidden(seq, result.params))
-        scores.append(readout(hiddens[-1], result.params))
-        feats.append(baseline_features(corpus, link, lexicon, tfidf_vectors=tfidf_vectors))
+    hiddens = mean_hidden(dataset.sequences, result.params)
+    scores = readout(hiddens, result.params)
+    feats = [baseline_features(corpus, link, lexicon, tfidf_vectors=tfidf_vectors)
+             for link in dataset.links]
 
     def forest_auc(rows):
         if len(set(train_y)) < 2:  # no forest to train
@@ -289,7 +295,7 @@ def evaluate(corpus: Corpus, lexicon: Lexicon, dataset: PredictionDataset, resul
         return auc_or_none(test_y, lambda: forest.predict_proba(
             [rows[i] for i in dataset.test_idx])[:, forest.classes.index(1)])
 
-    lstm_auc = auc_or_none(test_y, lambda: [scores[i] for i in dataset.test_idx])
+    lstm_auc = auc_or_none(test_y, lambda: scores[dataset.test_idx])
     baseline_auc = forest_auc(feats)
     ensemble_rows = [ensemble_features(f, seq[0], seq[1], seq[2], h)
                      for f, seq, h in zip(feats, dataset.sequences, hiddens)]

@@ -1,9 +1,13 @@
 """The kernels against the loops they replaced, kept here as oracles: the
 per-feature split search and the tree-at-a-time grower of the forest, the
-per-edge SGD loop of the embedding trainer, the LSTM trainer whose initial
-loss ran full BPTT, and the one-graph-per-call power iteration of the group
-PageRank. Each comparison is exact: the arithmetic of every kept value is
-the same, so the results must be equal bit for bit.
+per-edge SGD loop of the embedding trainer (restated for minibatches: every
+edge reads the batch's snapshot and the updates are summed in edge order),
+the per-example BPTT of the LSTM, the LSTM trainer as a loop over
+minibatches, and the one-graph-per-call power iteration of the group
+PageRank. Where the arithmetic of every kept value is the same the
+comparison is exact, bit for bit; the batched BPTT sums its gradients in
+another order than the per-example loop, so that comparison has a 1e-12
+bound.
 """
 import random
 
@@ -13,12 +17,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from intercom import embed  # noqa: E402
 from intercom import forest as forest_mod  # noqa: E402
 from intercom import predictor  # noqa: E402
 from intercom.embed import BipartiteMultigraph, train_embeddings  # noqa: E402
 from intercom.forest import (NODE_ARRAYS, Forest, _best_splits, _column_ranks,  # noqa: E402
                             _validate_features, train_forest)
-from intercom.lstm import _sigmoid, bptt, example_loss, init_params  # noqa: E402
+from intercom.lstm import (_sigmoid, bptt, cross_entropy, example_loss, init_params,  # noqa: E402
+                           predict_prob)
 from intercom.predictor import PredictionDataset  # noqa: E402
 from intercom.replynet import (ConvergenceError, ReplyGraph, _teleport_nodes,  # noqa: E402
                                group_pagerank)
@@ -108,7 +114,10 @@ def loop_train_forest(X, y, trees, seed):
     return forest
 
 
-def loop_train_embeddings(graph, dim, negatives, epochs, lr_start=0.025, lr_end=1e-4, seed=0):
+def loop_train_embeddings(graph, dim, negatives, epochs, batch, lr_start=0.025, lr_end=1e-4, seed=0):
+    """Minibatched negative-sampling SGD as a loop over edges: each edge of a
+    batch of ``batch`` edges reads the vectors as they were before the
+    batch, and its updates are summed into them edge by edge."""
     rng = np.random.default_rng(seed)
     n_users, n_comms = len(graph.users), len(graph.communities)
     U = rng.uniform(-0.5 / dim, 0.5 / dim, size=(n_users, dim))
@@ -117,57 +126,98 @@ def loop_train_embeddings(graph, dim, negatives, epochs, lr_start=0.025, lr_end=
     step = 0
     for _ in range(epochs):
         order = rng.permutation(graph.n_edges)
-        for e in order:
-            lr = lr_start - (lr_start - lr_end) * (step / max(1, total_steps - 1))
-            ui, ci = int(graph.edges[e, 0]), int(graph.edges[e, 1])
-            u = U[ui]
-            negs = rng.integers(0, n_comms, size=negatives) if negatives else np.empty(0, dtype=np.intp)
-            g_pos = _sigmoid(float(u @ C[ci])) - 1.0
-            du = g_pos * C[ci]
-            C[ci] -= lr * g_pos * u
-            for nk in negs:
-                g = _sigmoid(float(u @ C[nk]))
-                du += g * C[nk]
-                C[nk] -= lr * g * u
-            U[ui] -= lr * du
-            step += 1
+        negs_of = [rng.integers(0, n_comms, size=negatives) for _ in order]
+        for start in range(0, graph.n_edges, batch):
+            U0, C0 = U.copy(), C.copy()
+            for e, negs in zip(order[start:start + batch], negs_of[start:start + batch]):
+                lr = lr_start - (lr_start - lr_end) * (step / max(1, total_steps - 1))
+                ui, ci = int(graph.edges[e, 0]), int(graph.edges[e, 1])
+                u = U0[ui]
+                g_pos = _sigmoid(float((u * C0[ci]).sum())) - 1.0
+                du = g_pos * C0[ci]
+                C[ci] -= lr * (g_pos * u)
+                for nk in negs:
+                    g = _sigmoid(float((C0[nk] * u).sum()))
+                    du += g * C0[nk]
+                    C[nk] -= lr * (g * u)
+                U[ui] -= lr * du
+                step += 1
     return U, C
 
 
-def loop_train(dataset, params_init, lr=0.01, epochs=20, seed=0):
-    """``predictor.train`` with its initial loss from full BPTT; returns
-    (params, log, best_val_auc, initial_loss)."""
+def loop_bptt(seq, label, params):
+    """One example's loss, gradients and probability: a step-by-step forward
+    that keeps each step's values in a list, then backprop through time."""
+    w, hdim = params.weights, params.hidden_dim
+    h, c = np.zeros(hdim), np.zeros(hdim)
+    hs, cache = [], []
+    for x in seq:
+        z = w["w"] @ x + w["u"] @ h + w["b"]
+        gi, gf, go = _sigmoid(z[:3 * hdim]).reshape(3, hdim)
+        gg = np.tanh(z[3 * hdim:])
+        c_new = gf * c + gi * gg
+        tanh_c = np.tanh(c_new)
+        cache.append((x, h, c, gi, gf, go, gg, c_new, tanh_c))
+        h, c = go * tanh_c, c_new
+        hs.append(h)
+    T = len(hs)
+    hbar = np.mean(hs, axis=0)
+    y = float(_sigmoid(w["theta"] @ hbar))
+    y_safe = min(max(y, 1e-12), 1.0 - 1e-12)
+    loss = -(label * np.log(y_safe) + (1 - label) * np.log(1.0 - y_safe))
+    grads = params.zeros_like()
+    dlogit = y - label
+    grads["theta"] = dlogit * hbar
+    dh_pool = dlogit * w["theta"] / T
+    dh_carry, dc_carry = np.zeros(hdim), np.zeros(hdim)
+    for t in range(T - 1, -1, -1):
+        x, h_prev, c_prev, gi, gf, go, gg, c_new, tanh_c = cache[t]
+        dh = dh_pool + dh_carry
+        dc = dc_carry + dh * go * (1.0 - tanh_c**2)
+        dz = np.concatenate([dc * gg * gi * (1.0 - gi), dc * c_prev * gf * (1.0 - gf),
+                             dh * tanh_c * go * (1.0 - go), dc * gi * (1.0 - gg**2)])
+        grads["w"] += np.outer(dz, x)
+        grads["u"] += np.outer(dz, h_prev)
+        grads["b"] += dz
+        dh_carry = w["u"].T @ dz
+        dc_carry = dc * gf
+    return loss, grads, y
+
+
+def loop_train(dataset, params_init, lr=0.01, epochs=20, seed=0, batch=16):
+    """``predictor.train`` as a loop over minibatches of ``batch`` examples,
+    each a ``bptt`` call and an Adam step on the mean gradient; returns
+    (params, log, best_val_auc)."""
     train_idx = dataset.train_idx
     params = params_init.copy()
     rng = np.random.default_rng(seed)
     m, v = params.zeros_like(), params.zeros_like()
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     adam_t = 0
-    initial_loss = float(
-        np.mean([bptt(dataset.sequences[i], int(dataset.labels[i]), params)[0] for i in train_idx]))
     history, best, best_auc = [], params.copy(), None
     for epoch in range(1, epochs + 1):
         order = rng.permutation(train_idx)
         total = 0.0
-        for i in order:
-            loss, grads, _ = bptt(dataset.sequences[i], int(dataset.labels[i]), params)
-            total += loss
+        for start in range(0, order.size, batch):
+            idx = order[start:start + batch]
+            losses, grads, _ = bptt([dataset.sequences[i] for i in idx], dataset.labels[idx], params)
+            total += float(losses.sum())
             adam_t += 1
             for key in params.weights:
-                g = grads[key]
+                g = grads[key] / idx.size
                 m[key] = beta1 * m[key] + (1 - beta1) * g
                 v[key] = beta2 * v[key] + (1 - beta2) * g * g
                 m_hat = m[key] / (1 - beta1**adam_t)
                 v_hat = v[key] / (1 - beta2**adam_t)
                 params.weights[key] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        val_auc = predictor.auc_or_none(dataset.labels[dataset.val_idx], lambda: [
-            predictor.predict_prob(dataset.sequences[i], params) for i in dataset.val_idx])
+        val_auc = predictor.auc_or_none(dataset.labels[dataset.val_idx], lambda: predict_prob(
+            [dataset.sequences[i] for i in dataset.val_idx], params))
         history.append({"epoch": epoch, "train_loss": total / order.size, "val_auc": val_auc})
         if val_auc is None or best_auc is None or val_auc > best_auc:
             best = params.copy()
             if val_auc is not None:
                 best_auc = val_auc
-    return best, history, best_auc, initial_loss
+    return best, history, best_auc
 
 
 def loop_group_pagerank(graph, teleport_set, alpha, tol, max_iter=10000):
@@ -372,17 +422,20 @@ def multigraphs(draw):
                                edges=np.array(edges, dtype=np.intp))
 
 
-def assert_trainers_agree(graph, dim, negatives, epochs, seed):
-    table = train_embeddings(graph, dim=dim, negatives=negatives, epochs=epochs, seed=seed)
-    U, C = loop_train_embeddings(graph, dim, negatives, epochs, seed=seed)
+def assert_trainers_agree(graph, dim, negatives, epochs, seed, batch):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embed, "EDGE_BATCH", batch)
+        table = train_embeddings(graph, dim=dim, negatives=negatives, epochs=epochs, seed=seed)
+    U, C = loop_train_embeddings(graph, dim, negatives, epochs, batch, seed=seed)
     assert table.user_vectors.tobytes() == U.tobytes()
     assert table.community_vectors.tobytes() == C.tobytes()
 
 
 @EXAMPLES
-@given(multigraphs(), st.integers(1, 6), st.integers(0, 6), st.integers(1, 3), st.integers(0, 2**32))
-def test_embeddings_equal_the_per_edge_loop(graph, dim, negatives, epochs, seed):
-    assert_trainers_agree(graph, dim, negatives, epochs, seed)
+@given(multigraphs(), st.integers(1, 6), st.integers(0, 6), st.integers(1, 3), st.integers(0, 2**32),
+       st.sampled_from([1, 2, 3, 7, embed.EDGE_BATCH]))
+def test_embeddings_equal_the_per_edge_loop(graph, dim, negatives, epochs, seed, batch):
+    assert_trainers_agree(graph, dim, negatives, epochs, seed, batch)
 
 
 @pytest.mark.parametrize("n_comms, negatives, epochs", [(1, 5, 3), (2, 0, 2), (3, 8, 4), (5, 5, 2)])
@@ -391,7 +444,9 @@ def test_embeddings_equal_the_per_edge_loop_on_a_fixed_multigraph(n_comms, negat
     edges = np.stack([rng.integers(0, 6, size=60), rng.integers(0, n_comms, size=60)], axis=1)
     graph = BipartiteMultigraph(users=[f"u{i}" for i in range(6)],
                                 communities=[f"c{i}" for i in range(n_comms)], edges=edges)
-    assert_trainers_agree(graph, 7, negatives, epochs, seed=11)
+    # one batch per epoch, a ragged last batch, and batches that span epochs' ends
+    for batch in (embed.EDGE_BATCH, 16, 7):
+        assert_trainers_agree(graph, 7, negatives, epochs, seed=11, batch=batch)
 
 
 def test_one_batched_negative_draw_equals_one_draw_per_edge():
@@ -405,7 +460,7 @@ def test_one_batched_negative_draw_equals_one_draw_per_edge():
         assert batched.random() == per_edge.random()
 
 
-# -- LSTM training ------------------------------------------------------------
+# -- LSTM BPTT and training ---------------------------------------------------
 
 def small_dataset(seed, n=12, input_dim=3):
     rng = np.random.default_rng(seed)
@@ -416,29 +471,62 @@ def small_dataset(seed, n=12, input_dim=3):
                              val_idx=order[8:10], test_idx=order[10:])
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=6), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_batched_bptt_equals_the_sum_of_per_example_gradients(lengths, input_dim, hidden_dim, seed):
+    rng = np.random.default_rng(seed)
+    params = init_params(input_dim, hidden_dim, seed=seed)
+    params.weights["theta"] *= 4.0  # a readout far from 0.5, so the gradients are not small
+    seqs = [rng.normal(size=(n, input_dim)) for n in lengths]
+    labels = rng.integers(0, 2, size=len(seqs))
+    losses, grads, probs = bptt(seqs, labels, params)
+    loops = [loop_bptt(seq, int(label), params) for seq, label in zip(seqs, labels)]
+    assert np.max(np.abs(losses - [loss for loss, _, _ in loops])) <= 1e-12
+    assert np.max(np.abs(probs - [y for _, _, y in loops])) <= 1e-12
+    for key, grad in grads.items():
+        assert np.max(np.abs(grad - sum(g[key] for _, g, _ in loops))) <= 1e-12, key
+    # one (T, d) sequence and an int label give that example's values
+    loss, grad, y = bptt(seqs[0], int(labels[0]), params)
+    assert isinstance(loss, float) and isinstance(y, float)
+    assert abs(loss - loops[0][0]) <= 1e-12 and abs(y - loops[0][2]) <= 1e-12
+    assert all(np.max(np.abs(grad[key] - loops[0][1][key])) <= 1e-12 for key in grad)
+
+
+def test_the_initial_loss_forward_gives_the_bptt_losses():
+    dataset = small_dataset(4, n=40)
+    params = init_params(3, hidden_dim=4, seed=4)
+    seqs = [dataset.sequences[i] for i in dataset.train_idx]
+    labels = dataset.labels[dataset.train_idx]
+    forward = cross_entropy(predict_prob(seqs, params), labels)
+    assert np.allclose(forward, bptt(seqs, labels, params)[0], rtol=1e-12, atol=0)
+    assert example_loss(seqs, labels, params) == pytest.approx(float(forward.sum()), rel=1e-15)
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_train_makes_one_bptt_call_per_example_and_epoch(seed, monkeypatch):
+def test_train_makes_one_bptt_call_per_batch_and_epoch(seed, monkeypatch):
     dataset = small_dataset(seed)
     params = init_params(3, hidden_dim=4, seed=seed)
-    best, log, best_auc, initial_loss = loop_train(dataset, params, lr=0.05, epochs=3, seed=seed)
-    assert initial_loss == float(np.mean([example_loss(dataset.sequences[i], int(dataset.labels[i]),
-                                                       params) for i in dataset.train_idx]))
-    for seq, label in zip(dataset.sequences, dataset.labels):
-        assert example_loss(seq, int(label), params) == bptt(seq, int(label), params)[0]
-
+    n = dataset.train_idx.size
     calls = []
 
-    def counting_bptt(*args, **kwargs):
-        calls.append(args)
-        return bptt(*args, **kwargs)
+    def counting_bptt(seqs, labels, params):
+        calls.append(len(seqs))
+        return bptt(seqs, labels, params)
 
-    monkeypatch.setattr(predictor, "bptt", counting_bptt)
-    result = predictor.train(dataset, params, lr=0.05, epochs=3, seed=seed)
-    assert len(calls) == dataset.train_idx.size * 3
-    assert result.log == log
-    assert result.best_val_auc == best_auc
-    for key, array in result.params.weights.items():
-        assert array.tobytes() == best.weights[key].tobytes()
+    # one batch, a ragged last batch, and one example a batch
+    for batch in (predictor.BATCH, 3, 1):
+        best, log, best_auc = loop_train(dataset, params, lr=0.05, epochs=3, seed=seed, batch=batch)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(predictor, "BATCH", batch)
+            patch.setattr(predictor, "bptt", counting_bptt)
+            result = predictor.train(dataset, params, lr=0.05, epochs=3, seed=seed)
+        assert calls == [min(batch, n - start) for start in range(0, n, batch)] * 3
+        assert result.log == log
+        assert result.best_val_auc == best_auc
+        for key, array in result.params.weights.items():
+            assert array.tobytes() == best.weights[key].tobytes()
 
 
 # -- group PageRank -----------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from intercom import lstm
 from intercom.lstm import (
     NanError,
     bptt,
@@ -14,6 +15,7 @@ from intercom.lstm import (
     lstm_forward,
     max_relative_error,
     mean_hidden,
+    pad,
     predict_prob,
     save_params,
 )
@@ -165,6 +167,55 @@ def test_mean_hidden_matches_forward():
     params = init_params(3, 4, seed=6)
     seq = np.random.default_rng(6).normal(size=(5, 3))
     assert np.allclose(mean_hidden(seq, params), lstm_forward(seq, params).mean(axis=0))
+
+
+def ragged_batch(seed, input_dim):
+    """Sequences of lengths 5, 1, 8 (the batch maximum) and 2, out of length
+    order, and their labels."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(n, input_dim)) for n in (5, 1, 8, 2)], [1, 0, 0, 1]
+
+
+def test_gradient_check_ragged_batch():
+    # the summed loss of a right-padded batch against finite differences
+    for seed in range(4):
+        seqs, labels = ragged_batch(seed, 4)
+        assert gradient_check(init_params(4, 3, seed=seed), (seqs, labels)) < 1e-4
+
+
+def test_batched_mean_hidden_matches_scalar_reference(monkeypatch):
+    params = init_params(5, 4, seed=13)
+    seqs, _ = ragged_batch(13, 5)
+    reference = [np.mean(scalar_reference_forward(seq.tolist(), params), axis=0) for seq in seqs]
+    # in one padded forward, and in chunks of two sequences taken in length order
+    for chunk in (lstm.FORWARD_CHUNK, 2):
+        monkeypatch.setattr(lstm, "FORWARD_CHUNK", chunk)
+        assert np.max(np.abs(mean_hidden(seqs, params) - np.array(reference))) < 1e-12
+    assert mean_hidden([], params).shape == (0, 4)
+
+
+def test_probability_does_not_depend_on_batch_mates_or_padding():
+    rng = np.random.default_rng(14)
+    params = init_params(3, 6, seed=14)
+    params.weights["theta"] *= 4.0
+    seqs, _ = ragged_batch(14, 3)
+    alone = [predict_prob(seq, params) for seq in seqs]
+    assert all(isinstance(y, float) for y in alone)
+    # with longer and shorter batch-mates, so that each sequence is padded
+    mates = [rng.normal(size=(n, 3)) for n in (12, 1, 3, 30)]
+    for batch in (seqs, seqs[::-1], mates[:2] + seqs + mates[2:]):
+        probs = dict(zip(map(id, batch), predict_prob(batch, params)))
+        assert max(abs(probs[id(seq)] - y) for seq, y in zip(seqs, alone)) < 1e-12
+    # and what the padded steps hold does not reach a sequence's mean state
+    X, lengths = pad(seqs, 3)
+    assert lengths.tolist() == [5, 1, 8, 2] and X.shape == (8, 4, 3)
+    weights = lstm._pool_weights(lengths, X.shape[0])
+    padded = weights[:, :, 0] == 0.0
+    zero_padded = (lstm.forward_padded(X, params)[2][1:] * weights).sum(axis=0)
+    X[padded] = rng.normal(0.0, 10.0, size=(int(padded.sum()), 3))
+    noise_padded = (lstm.forward_padded(X, params)[2][1:] * weights).sum(axis=0)
+    assert np.max(np.abs(zero_padded - mean_hidden(seqs, params))) < 1e-12
+    assert np.max(np.abs(noise_padded - zero_padded)) < 1e-12
 
 
 def test_params_copy_independent():

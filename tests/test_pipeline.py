@@ -531,32 +531,46 @@ def test_a_name_with_whitespace_is_rejected_and_embed_and_predict_run(synth_corp
 
 def test_fixed_baseline_has_no_pair_counts(synth_corpus, tmp_path):
     events_path, _ = synth_corpus
-    result = run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "run"),
-                                 baseline="1.6"))
-    assert set(result.manifest["stages"]["baseline"]) == {"key", "outputs", "value"}
+    config = Config(corpus=str(events_path), output_dir=str(tmp_path / "run"), baseline="1.6")
+    result = run_pipeline(config)
+    info = result.manifest["stages"]["baseline"]
+    # the links without a matched post are counted whatever the baseline mode
+    assert set(info) == {"key", "outputs", "value", "no_matched_post"}
+    assert info["no_matched_post"] == sum(m.matched_before is None for m in Run(config).measured)
 
 
 def test_predict_stage_runs_one_lstm_forward_per_link(synth_corpus, tmp_path, monkeypatch):
+    """After training, every link's sequence enters exactly one batched
+    forward (one column of one ``lstm.forward_padded`` call)."""
     events_path, _ = synth_corpus
     config = Config(corpus=str(events_path), output_dir=str(tmp_path), embed_enabled=True,
                     predict_enabled=True, embed_dim=8, embed_epochs=2, hidden_size=6,
                     predict_epochs=1, ensemble_trees=5, seed=3)
     run = Run(config)
     pipeline.stage_embed(run)
-    forwards, datasets = [], []
+    padded, forwards, datasets = [], [], []
 
-    def counting_forward(*args, **kwargs):
-        forwards.append(args)
-        return original_forward(*args, **kwargs)
+    def recording_pad(seqs, input_dim):
+        padded.append([id(seq) for seq in seqs])
+        return original_pad(seqs, input_dim)
+
+    def counting_forward(X, params):
+        forwards.append(X.shape[1])
+        return original_forward(X, params)
 
     def train_then_count(*args, **kwargs):
         dataset, result = original_train(*args, **kwargs)
         datasets.append(dataset)
-        forwards.clear()  # count only the forwards after training
+        padded.clear()  # count only the forwards after training
+        forwards.clear()
         return dataset, result
 
-    original_forward, original_train = lstm.lstm_forward, pipeline.train_lstm
-    monkeypatch.setattr(lstm, "lstm_forward", counting_forward)
+    original_pad, original_forward, original_train = lstm.pad, lstm.forward_padded, pipeline.train_lstm
+    monkeypatch.setattr(lstm, "pad", recording_pad)
+    monkeypatch.setattr(lstm, "forward_padded", counting_forward)
     monkeypatch.setattr(pipeline, "train_lstm", train_then_count)
     pipeline.stage_predict(run)
-    assert len(forwards) == len(datasets[0].links) > 0
+    assert forwards == [len(ids) for ids in padded]
+    entered = sorted(i for ids in padded for i in ids)
+    assert entered == sorted(id(seq) for seq in datasets[0].sequences)
+    assert len(entered) == len(datasets[0].links) > 0
