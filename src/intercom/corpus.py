@@ -152,24 +152,15 @@ def _index(posts: dict[str, Event], comments: dict[str, Event], stats: LoadStats
 _MAX_TIMESTAMP = sys.float_info.max
 
 
-def _id(value) -> str | None:
-    """An id as a str: a JSON string as it is, a non-bool integer in
-    decimal; None for any other value."""
-    if type(value) is str:
-        return value
-    if type(value) is int:
-        return str(value)
-    return None
-
-
 def _name(value, names: dict[str, str]) -> str | None:
     """An author or community name as a str, or None when ``value`` is not
     a string or a non-bool integer, or is empty or contains whitespace.
 
     User and community names are written one per vector-file line, split on
     whitespace; Reddit's names never contain any. ``names`` maps each name
-    that passed to itself, so a repeated name is one lookup and every event
-    shares one string per name.
+    that passed to itself, so every event shares one string per name;
+    ``_read_events`` looks a name up there first and calls this only for a
+    value it does not find.
     """
     if type(value) is int:
         value = str(value)
@@ -181,28 +172,6 @@ def _name(value, names: dict[str, str]) -> str | None:
     return name
 
 
-def _parse_record(obj, names: dict[str, str]) -> Event | None:
-    """The event a decoded line holds, or None when the line is malformed."""
-    if type(obj) is not dict:
-        return None
-    get = obj.get
-    kind, ts, body = get("kind"), get("timestamp"), get("body", "")
-    # json also gives true, NaN, Infinity and ints past the float range
-    if (kind != "post" and kind != "comment" or type(body) is not str
-            or type(ts) is not float and type(ts) is not int or not 0 <= ts <= _MAX_TIMESTAMP):
-        return None
-    ident = _id(get("id"))
-    author, community = _name(get("author"), names), _name(get("community"), names)
-    if ident is None or author is None or community is None:
-        return None
-    if kind == "post":
-        return Event("post", ident, author, community, float(ts), body)
-    thread_id, parent_id = _id(get("thread_id")), _id(get("parent_id"))
-    if thread_id is None or parent_id is None:
-        return None
-    return Event("comment", ident, author, community, float(ts), body, thread_id, parent_id)
-
-
 def load_events(path) -> Corpus:
     """Load a line-delimited JSON event log into an indexed Corpus.
 
@@ -212,6 +181,13 @@ def load_events(path) -> Corpus:
     ``corpus.stats.rejected``; an unreadable file raises CorpusError. The
     cyclic garbage collector is paused while the Corpus is built and then
     restored to its previous state.
+
+    A successful load ends with ``gc.freeze()``, which acts on the whole
+    process: every object the collector tracks at that point, the new
+    Corpus and the caller's own objects alike, moves to the permanent
+    generation, which no later collection walks. The Corpus holds no
+    reference cycles, so reference counting still frees it; a cycle that is
+    already garbage when the load ends is kept until ``gc.unfreeze()``.
     """
     try:
         # an undecodable byte becomes a lone surrogate, which rejects its line
@@ -227,6 +203,10 @@ def load_events(path) -> Corpus:
         with fh:
             posts, comments, stats = _read_events(fh)
         corpus = _index(posts, comments, stats)
+        # Event is a tuple subclass, which the collector never untracks: left
+        # in a generation, the events would be walked again by every
+        # collection after the load
+        gc.freeze()
     finally:
         if collecting:
             gc.enable()
@@ -237,12 +217,18 @@ def load_events(path) -> Corpus:
 
 def _read_events(lines) -> tuple[dict[str, Event], dict[str, Event], LoadStats]:
     """The posts and comments of an event log's lines, each keyed by id in
-    input order, and the log's line counts."""
+    input order, and the log's line counts.
+
+    An id is a JSON string, or a non-bool integer, which stands for its
+    decimal string; a name is checked by ``_name``. Every non-blank line
+    either stores one event or is rejected.
+    """
     scan = json.scanner.make_scanner(json.JSONDecoder())
+    new = tuple.__new__  # Event's own __new__ is a Python function
     names: dict[str, str] = {}
     posts: dict[str, Event] = {}
     comments: dict[str, Event] = {}
-    n_lines = rejected = 0
+    n_lines = 0
     for line in lines:
         line = line.strip()
         if not line:
@@ -252,7 +238,6 @@ def _read_events(lines) -> tuple[dict[str, Event], dict[str, Event], LoadStats]:
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError:
-                rejected += 1
                 continue
         # StopIteration: no JSON value starts the line; ValueError: a
         # malformed one, or an integer past the interpreter's digit limit;
@@ -260,18 +245,53 @@ def _read_events(lines) -> tuple[dict[str, Event], dict[str, Event], LoadStats]:
         try:
             obj, end = scan(line, 0)
         except (StopIteration, ValueError, RecursionError):
-            rejected += 1
             continue
-        event = _parse_record(obj, names) if end == len(line) else None
-        if event is None:
-            rejected += 1
+        if end != len(line):
             continue
-        store = posts if event.kind == "post" else comments
-        if event.id in store:  # ids are unique per kind
-            rejected += 1
+        # KeyError: a required field is missing; TypeError: the line's value
+        # is not an object
+        try:
+            kind, ident, author, community, ts = (
+                obj["kind"], obj["id"], obj["author"], obj["community"], obj["timestamp"])
+        except (KeyError, TypeError):
             continue
-        store[event.id] = event
-    return posts, comments, LoadStats(lines=n_lines, rejected=rejected)
+        body = obj.get("body", "")
+        # json also gives true, NaN, Infinity and ints past the float range
+        if (kind != "post" and kind != "comment" or type(body) is not str
+                or type(ts) is not float and type(ts) is not int or not 0 <= ts <= _MAX_TIMESTAMP):
+            continue
+        if type(ident) is int:
+            ident = str(ident)
+        if type(ident) is not str:
+            continue
+        # ``names`` holds only str keys, so only a name seen before is found;
+        # TypeError: an array or object
+        try:
+            author = names[author]
+        except (KeyError, TypeError):
+            author = _name(author, names)
+            if author is None:
+                continue
+        try:
+            community = names[community]
+        except (KeyError, TypeError):
+            community = _name(community, names)
+            if community is None:
+                continue
+        if kind == "post":
+            if ident not in posts:  # ids are unique per kind
+                posts[ident] = new(Event, ("post", ident, author, community, float(ts), body,
+                                           None, None))
+            continue
+        thread_id, parent_id = obj.get("thread_id"), obj.get("parent_id")
+        if type(thread_id) is int:
+            thread_id = str(thread_id)
+        if type(parent_id) is int:
+            parent_id = str(parent_id)
+        if type(thread_id) is str and type(parent_id) is str and ident not in comments:
+            comments[ident] = new(Event, ("comment", ident, author, community, float(ts), body,
+                                          thread_id, parent_id))
+    return posts, comments, LoadStats(lines=n_lines, rejected=n_lines - len(posts) - len(comments))
 
 
 def day_start(ts: float) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import logging
@@ -184,12 +185,10 @@ def sentiment_rows(run: Run) -> list[dict]:
     if not run.config.sentiment_model:
         return [{"source_post": link.source_post, "label": "unlabeled", "p_negative": None}
                 for link in run.links]
-    model = load_forest(run.config.sentiment_model)
-    rows = []
-    for link in run.links:
-        label, p_neg = predict_sentiment(model, link, run.corpus, run.lexicon)
-        rows.append({"source_post": link.source_post, "label": label, "p_negative": p_neg})
-    return rows
+    labels = predict_sentiment(load_forest(run.config.sentiment_model), run.links, run.corpus,
+                               run.lexicon)
+    return [{"source_post": link.source_post, "label": label, "p_negative": p_neg}
+            for link, (label, p_neg) in zip(run.links, labels)]
 
 
 def lstm_dataset(run: Run, table, word_vectors) -> pred_mod.PredictionDataset:
@@ -403,6 +402,7 @@ def run_pipeline(config: Config) -> PipelineResult:
         raise ConfigError("config.corpus is required")
     if not config.output_dir:
         raise ConfigError("config.output_dir is required")
+    collections = _collections()
     run = Run(config)
     run.out.mkdir(parents=True, exist_ok=True)
     manifest_path = run.out / "manifest.json"
@@ -448,7 +448,7 @@ def run_pipeline(config: Config) -> PipelineResult:
         manifest_path.write_text(text, encoding="utf-8")
     validate_bundle(run.out)
     timings["report"] = clock.timing("report" in cache_hits)
-    write_json(run.out / RUN_RECORD, _run_record(timings))
+    write_json(run.out / RUN_RECORD, _run_record(timings, collections))
     return PipelineResult(output_dir=run.out, manifest=manifest, cache_hits=cache_hits)
 
 
@@ -463,13 +463,23 @@ class _Clock:
                 "cpu_s": time.process_time() - self.cpu}
 
 
-def _run_record(timings: dict) -> dict:
+def _collections() -> list[int]:
+    """The cyclic collector's passes so far, per generation."""
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
+def _run_record(timings: dict, collections: list[int]) -> dict:
     """The run record: per stage whether it hit the cache and its wall and
-    CPU time (``timings``), the process's peak RSS and the versions that
-    ran. It changes from run to run, so it stays out of the manifest."""
+    CPU time (``timings``), the collector's passes per generation since
+    ``collections`` was taken and the objects in its permanent generation
+    (``corpus.load_events`` freezes the Corpus there), the process's peak
+    RSS and the versions that ran. It changes from run to run, so it stays
+    out of the manifest."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
     return {
         "stages": timings,
+        "gc": {"collections": [now - then for now, then in zip(_collections(), collections)],
+               "freeze_count": gc.get_freeze_count()},
         "peak_rss_mb": peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0),
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "intercom": __version__},

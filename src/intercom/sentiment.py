@@ -5,7 +5,7 @@ import logging
 import math
 import re
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -125,15 +125,25 @@ def crosslink_features(corpus: Corpus, link: CrossLink, lexicon: Lexicon) -> dic
 
 
 def predict_sentiment(
-    forest: Forest, link: CrossLink, corpus: Corpus, lexicon: Lexicon
-) -> tuple[str, float]:
-    """(label, P(negative)) for a cross-link's source post."""
+    forest: Forest, links: CrossLink | Sequence[CrossLink], corpus: Corpus, lexicon: Lexicon
+) -> tuple[str, float] | list[tuple[str, float]]:
+    """(label, P(negative)) for a cross-link's source post.
+
+    Given one CrossLink, returns its pair. Given a sequence of them, returns
+    one pair per link in input order from one ``predict_proba`` over all
+    their rows; each row's probabilities are the ones it gets alone.
+    """
     if LABEL_NEGATIVE not in forest.classes:
         raise SchemaError("model was not trained with a 'negative' class")
-    fv = crosslink_features(corpus, link, lexicon)
-    proba = forest.predict_proba(fv)[0]
-    p_neg = float(proba[forest.classes.index(LABEL_NEGATIVE)])
-    return (LABEL_NEGATIVE if p_neg > 0.5 else LABEL_NEUTRAL), p_neg
+    one = isinstance(links, CrossLink)
+    batch = [links] if one else links
+    if not batch:
+        return []
+    column = forest.classes.index(LABEL_NEGATIVE)
+    proba = forest.predict_proba([crosslink_features(corpus, link, lexicon) for link in batch])
+    pairs = [((LABEL_NEGATIVE if p_neg > 0.5 else LABEL_NEUTRAL), p_neg)
+             for p_neg in proba[:, column].tolist()]
+    return pairs[0] if one else pairs
 
 
 def _community_tokens(corpus: Corpus) -> dict[str, list[str]]:

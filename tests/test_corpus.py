@@ -2,6 +2,7 @@ import gc
 import json
 import logging
 import random
+import weakref
 
 import pytest
 
@@ -185,6 +186,77 @@ def test_load_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled
         assert during == [False]  # paused while the Corpus is built
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+def test_load_rejects_names_of_other_json_types_before_and_after_a_seen_name(tmp_path):
+    # a seen name is looked up in a dict of str names first: an array or an
+    # object cannot be hashed, and a bool or float never equals a str key
+    path = tmp_path / "events.jsonl"
+    row = {"kind": "post", "author": "u", "community": "A", "timestamp": BASE}
+    bad_values = [["u"], [], {"u": "u"}, {}, True, False, 1.0, 1.5, 0.0]
+    bad = [{**row, "id": f"{key}{when}{i}", key: value}
+           for when in ("before", "after") for key in ("author", "community")
+           for i, value in enumerate(bad_values)]
+    half = len(bad) // 2
+    rows = bad[:half] + [{**row, "id": "p0"}, {**row, "id": "p1", "author": "1", "community": "0"}]
+    with open(path, "w") as fh:
+        for r in rows + bad[half:]:
+            fh.write(json.dumps(r) + "\n")
+    corpus = load_events(path)
+    assert list(corpus.posts) == ["p0", "p1"]
+    assert (corpus.stats.lines, corpus.stats.rejected) == (len(bad) + 2, len(bad))
+
+
+def test_an_int_name_and_its_decimal_string_are_one_name(tmp_path):
+    path = tmp_path / "events.jsonl"
+    row = {"kind": "post", "timestamp": BASE}
+    with open(path, "w") as fh:
+        for pid, author, community in (("p0", "5", 7), ("p1", 5, "7"), ("p2", 5, 7), ("p3", "5", "7")):
+            fh.write(json.dumps({**row, "id": pid, "author": author, "community": community}) + "\n")
+    corpus = load_events(path)
+    posts = list(corpus.posts.values())
+    assert [(p.id, p.author, p.community) for p in posts] == [
+        ("p0", "5", "7"), ("p1", "5", "7"), ("p2", "5", "7"), ("p3", "5", "7")]
+    assert all(p.author is posts[0].author and p.community is posts[0].community for p in posts)
+    assert corpus.stats.rejected == 0
+
+
+def test_a_loaded_corpus_is_frozen_and_still_freed(tmp_path):
+    events = [post(f"p{i}", f"u{i % 3}", "A", BASE + i) for i in range(50)]
+    events += [comment(f"c{i}", f"u{i % 5}", "A", BASE + 100 + i, f"p{i}") for i in range(50)]
+    path = write_events(tmp_path / "events.jsonl", events)
+    before = gc.get_freeze_count()
+    corpus = load_events(path)
+    frozen = gc.get_freeze_count()
+    assert frozen - before >= len(events)
+    # the permanent generation is never collected, but the Corpus holds no
+    # cycles: dropping the last reference frees it and its events
+    ref = weakref.ref(corpus)
+    del corpus
+    assert ref() is None
+    assert gc.get_freeze_count() <= frozen - len(events)
+
+
+def test_only_a_successful_load_freezes(tmp_path, monkeypatch):
+    path = write_events(tmp_path / "events.jsonl", [post("p1", "u1", "A", BASE)])
+    freezes = []
+    freeze = gc.freeze
+
+    def counted_freeze():
+        freezes.append(gc.get_freeze_count())
+        freeze()
+
+    monkeypatch.setattr(gc, "freeze", counted_freeze)
+    before = gc.get_freeze_count()
+    with pytest.raises(CorpusError):
+        load_events(tmp_path / "missing.jsonl")
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_mod, "_index", lambda *args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            load_events(path)
+    assert freezes == [] and gc.get_freeze_count() <= before
+    load_events(path)
+    assert len(freezes) == 1
 
 
 def test_load_unreadable_file(tmp_path):

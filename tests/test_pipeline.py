@@ -202,11 +202,18 @@ def test_report_writes_a_run_record_outside_the_manifest(synth_corpus, tmp_path)
             assert timing["wall_s"] >= 0 and timing["cpu_s"] >= 0
         assert record["peak_rss_mb"] > 1
         assert record["versions"] == versions
+        # the loaded events sit in the collector's permanent generation
+        ingest = result.manifest["stages"]["ingest"]
+        assert record["gc"]["freeze_count"] >= ingest["posts"] + ingest["comments"]
+        collections = record["gc"]["collections"]
+        assert len(collections) == 3 and all(type(n) is int and n >= 0 for n in collections)
+        assert "gc" not in result.manifest["stages"] and "gc" not in result.manifest
 
     rerun, manifest, record = report("two")
     assert set(rerun.cache_hits) == set(record["stages"]) == set(rerun.manifest["stages"])
     assert all(timing["hit"] for timing in record["stages"].values())
     assert manifest == two[1]
+    assert set(record["gc"]) == {"collections", "freeze_count"}
 
 
 def test_pipeline_empty_corpus(tmp_path):

@@ -208,3 +208,29 @@ def test_crosslink_features_strip_quoted_text(lexicon):
     # the quoted anger word is shared with the target and stripped
     assert fv["lex_anger"] == 0.0
     assert fv["lex_positive"] > 0.0
+
+
+def test_predict_sentiment_on_links_equals_one_call_per_link(lexicon):
+    rng = np.random.default_rng(2)
+    X, y = [], []
+    for i in range(200):
+        words = rng.choice(["hate", "joy", "calm", "well"], size=int(rng.integers(1, 12)))
+        X.append(extract_text_features(" ".join(words) + "!" * int(rng.integers(0, 3)), lexicon))
+        y.append("negative" if rng.random() < 0.3 + 0.4 * (i % 2) else "neutral")
+    forest = train_forest(X, y, trees=25, seed=3)
+    events = []
+    for i in range(40):
+        words = rng.choice(["hate", "joy", "calm", "well", "r"], size=int(rng.integers(0, 9)))
+        events.append(post(f"t{i}", "bob", "B", BASE + i, body="joy calm"))
+        events.append(post(f"s{i}", "alice", "A", BASE + 3600 + i,
+                           body=" ".join(words) + f" r/B/comments/t{i}" + "!" * (i % 4)))
+    corpus = corpus_from(events)
+    links = extract_crosslinks(corpus, remove_overlaps=False)
+    assert len(links) == 40
+    alone = [predict_sentiment(forest, link, corpus, lexicon) for link in links]
+    together = predict_sentiment(forest, links, corpus, lexicon)
+    assert [(label, p.hex()) for label, p in together] == [(label, p.hex()) for label, p in alone]
+    assert all(type(p) is float for _label, p in together)
+    assert len({p for _label, p in alone}) > 3 and {label for label, _p in alone} == {"negative", "neutral"}
+    assert predict_sentiment(forest, tuple(links[:1]), corpus, lexicon) == alone[:1]
+    assert predict_sentiment(forest, [], corpus, lexicon) == []
