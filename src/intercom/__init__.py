@@ -3,7 +3,7 @@
 __version__ = "0.1.0"  # set before the imports: the pipeline's run record reads it
 
 from .corpus import (Corpus, CrossLink, Event, extract_crosslinks, index_events, load_events,
-                     members, user_activity)
+                     members)
 from .matching import MatchedPair, NoMatchError, matched_post, matched_user
 from .mobilization import MobilizationRecord, baseline_ratio, detect, measure
 from .replynet import ReplyGraph, build_reply_graph, echo_metrics, group_pagerank

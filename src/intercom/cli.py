@@ -12,7 +12,7 @@ from . import predictor as pred_mod
 from .corpus import CorpusError
 from .forest import train_forest
 from .lstm import load_params
-from .matching import NoMatchError, matched_post
+from .matching import NoMatchError, crosslink_involved_posts, matched_post
 from .mobilization import BaselineError
 from .pipeline import (
     Run,
@@ -100,7 +100,7 @@ def cmd_detect(args) -> int:
 
 def cmd_match(args) -> int:
     run = Run(_config(args))
-    pair = matched_post(run.corpus, run.links, args.post)
+    pair = matched_post(run.corpus, args.post, crosslink_involved_posts(run.links))
     write_json(None, dataclasses.asdict(pair))
     return EXIT_OK
 

@@ -405,14 +405,3 @@ def members(corpus: Corpus, community: str, day: float, excluded: str | None = N
     if excluded is not None and found:
         found.difference_update(window_keys(corpus.timelines.get(excluded), lo, hi))
     return found
-
-
-def user_activity(corpus: Corpus, user: str, community: str, window: tuple[float, float]):
-    """Comment counts for a user in [t1, t2): (in-community, total, fraction)."""
-    t1, t2 = window
-    if not t1 < t2:
-        raise ValueError(f"bad window: [{t1}, {t2})")
-    communities = window_keys(corpus.user_timelines.get(user), t1, t2)
-    total, in_comm = len(communities), communities.count(community)
-    fraction = in_comm / total if total else 0.0
-    return in_comm, total, fraction

@@ -133,12 +133,8 @@ def edge_losses(u: np.ndarray, c_pos: np.ndarray, c_negs: np.ndarray) -> np.ndar
 
 
 def edge_gradients(u: np.ndarray, c_pos: np.ndarray, c_negs: np.ndarray):
-    """Analytic gradients of ``edge_losses`` wrt (u, c_pos, each c_neg): for
-    one edge given as (d,), (d,), (k, d) arrays, or for a batch of edges
-    given as ``edge_losses`` takes them."""
-    single = np.ndim(u) == 1
-    if single:
-        u, c_pos, c_negs = _one_edge(u, c_pos, c_negs)
+    """Analytic gradients of ``edge_losses`` wrt (u, c_pos, each c_neg), for
+    a batch of edges given as ``edge_losses`` takes them."""
     g_pos = _sigmoid((u * c_pos).sum(axis=1)) - 1.0
     g_negs = _sigmoid((c_negs * u[:, None, :]).sum(axis=2))
     du = g_pos[:, None] * c_pos
@@ -146,19 +142,7 @@ def edge_gradients(u: np.ndarray, c_pos: np.ndarray, c_negs: np.ndarray):
         du += g_negs[:, k, None] * c_negs[:, k]
     dc_pos = g_pos[:, None] * u
     dc_negs = g_negs[:, :, None] * u[:, None, :]
-    if single:
-        return du[0], dc_pos[0], dc_negs[0]
     return du, dc_pos, dc_negs
-
-
-def edge_loss(u: np.ndarray, c_pos: np.ndarray, c_negs: np.ndarray) -> float:
-    """``edge_losses`` of one edge: (d,), (d,) and (k, d) arrays."""
-    return float(edge_losses(*_one_edge(u, c_pos, c_negs))[0])
-
-
-def _one_edge(u, c_pos, c_negs):
-    """One edge's (d,), (d,) and (k, d) arrays as a batch of one edge."""
-    return u[None], c_pos[None], np.reshape(c_negs, (1, -1, np.size(u)))
 
 
 def train_embeddings(
@@ -270,20 +254,25 @@ def save_vectors(path, names: list[str], vectors: np.ndarray) -> None:
 
 
 def load_vectors(path) -> dict[str, np.ndarray]:
+    """Read a ``save_vectors`` file. A line without the header's dimension
+    and that many coordinates, or with a coordinate that is not a finite
+    number, is a ValueError naming the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: malformed vector file header")
         count, dim = int(header[0]), int(header[1])
         out = {}
-        for line in fh:
+        for number, line in enumerate(fh, 2):
             parts = line.split()
             if not parts:
                 continue
-            name, d = parts[0], int(parts[1])
-            if d != dim or len(parts) != 2 + dim:
-                raise ValueError(f"{path}: bad vector line for {name!r}")
-            out[name] = np.asarray([float(x) for x in parts[2:]])
+            if len(parts) != 2 + dim or int(parts[1]) != dim:
+                raise ValueError(f"{path}:{number}: expected a name, {dim} and {dim} coordinates")
+            vector = np.asarray([float(x) for x in parts[2:]])
+            if not np.isfinite(vector).all():
+                raise ValueError(f"{path}:{number}: a coordinate of {parts[0]!r} is not a finite number")
+            out[parts[0]] = vector
     if len(out) != count:
         raise ValueError(f"{path}: header count {count} != {len(out)} vectors")
     return out

@@ -238,15 +238,6 @@ class Forest:
     oob_accuracy: float | None = None
     metadata: dict = field(default_factory=dict)
 
-    def _to_matrix(self, X) -> np.ndarray:
-        if not isinstance(X, np.ndarray):
-            return _matrix([X] if isinstance(X, dict) else X, self.schema,
-                           "feature vector keys do not match the trained schema")
-        mat = np.asarray(np.atleast_2d(X), dtype=np.float64)
-        if mat.shape[1] != len(self.schema):
-            raise SchemaError(f"expected {len(self.schema)} features, got {mat.shape[1]}")
-        return mat
-
     def leaves(self, mat: np.ndarray) -> np.ndarray:
         """(rows x trees) leaf reached by each row in each tree; every tree
         descends at once, one level per step."""
@@ -259,13 +250,15 @@ class Forest:
             go_left = mat[rows, np.maximum(feature, 0)] < self.threshold[node]
             node = np.where(feature < 0, node, np.where(go_left, self.left[node], self.right[node]))
 
-    def predict_proba(self, X) -> np.ndarray:
-        """Class probabilities, rows aligned with ``self.classes``."""
-        votes = self.value[self.leaves(self._to_matrix(X))]
+    def predict_proba(self, X: list[dict]) -> np.ndarray:
+        """Class probabilities of each feature dict (rows), columns aligned
+        with ``self.classes``."""
+        mat = _matrix(X, self.schema, "feature vector keys do not match the trained schema")
+        votes = self.value[self.leaves(mat)]
         # a running total adds the trees in order; a pairwise sum rounds differently
         return np.cumsum(votes, axis=1)[:, -1] / self.roots.size
 
-    def predict(self, X) -> list:
+    def predict(self, X: list[dict]) -> list:
         return [self.classes[i] for i in np.argmax(self.predict_proba(X), axis=1)]
 
     def save(self, path) -> None:
@@ -277,7 +270,8 @@ class Forest:
 
 def load_forest(path) -> Forest:
     """Read a ``save`` checkpoint. The file is outside input, so the node
-    arrays are checked to form trees in which every descent ends at a leaf."""
+    arrays are checked to form trees in which every descent ends at a leaf,
+    with finite thresholds and leaf values."""
     checkpoint = read_checkpoint(path, FOREST_FORMAT, FOREST_VERSION)
     try:
         arrays = {k: np.asarray(checkpoint[k], dtype=np.float64 if k in ("threshold", "value") else np.intp)
@@ -300,6 +294,8 @@ def load_forest(path) -> Forest:
         raise ValueError(bad + "a child index not after its node or outside the forest")
     if not ((roots >= 0) & (roots < n)).all():
         raise ValueError(bad + "a root index outside the forest")
+    if not (np.isfinite(arrays["threshold"]).all() and np.isfinite(arrays["value"]).all()):
+        raise ValueError(bad + "a threshold or leaf value that is not a finite number")
     return Forest(**arrays, schema=schema, classes=classes, **fields)
 
 

@@ -108,7 +108,7 @@ def mobilization_impacts(corpus: Corpus, record: MobilizationRecord, seed: int =
             own = activity_delta(corpus, user, link.target_community, link.t0)
             matched_delta = None
             try:
-                pair = matched_user(corpus, link, user, home, seed=seed, pool=pool)
+                pair = matched_user(corpus, link, user, home, pool, seed=seed)
                 matched_delta = activity_delta(corpus, pair.match_id, link.target_community, link.t0).delta
             except NoMatchError:
                 log.debug("no matched user for %s in %s", user, home)

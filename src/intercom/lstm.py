@@ -74,8 +74,8 @@ def _is_count(value, least: int) -> bool:
 
 def load_params(path) -> tuple[LSTMParams, dict]:
     """Read a ``save_params`` checkpoint, checking its format, version,
-    dimensions, seed, max_words and weight shapes; returns the params and
-    the checkpoint's other fields."""
+    dimensions, seed, max_words, weight shapes and that every weight is
+    finite; returns the params and the checkpoint's other fields."""
     checkpoint = read_checkpoint(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     d, h = checkpoint.get("input_dim"), checkpoint.get("hidden_dim")
     raw = checkpoint.pop("weights", None)
@@ -87,6 +87,8 @@ def load_params(path) -> tuple[LSTMParams, dict]:
     weights = {k: np.asarray(raw[k], dtype=np.float64) for k in PARAM_KEYS}
     if any(weights[k].shape != shapes[k] for k in PARAM_KEYS):
         raise ValueError(f"{path}: weights do not fit an LSTM of input {d} and hidden size {h}")
+    if not all(np.isfinite(weights[k]).all() for k in PARAM_KEYS):
+        raise ValueError(f"{path}: malformed LSTM checkpoint: a weight is not a finite number")
     return LSTMParams(input_dim=d, hidden_dim=h, weights=weights), checkpoint
 
 
@@ -94,14 +96,6 @@ def _sigmoid(x):
     # clipped to dodge exp overflow; saturation error is far below 1e-200.
     # np.minimum/np.maximum give np.clip's values without its wrapper's cost
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
-
-
-def _as_batch(seqs) -> tuple[list, bool]:
-    """The sequences of ``seqs`` and whether it was one (T, d) sequence
-    rather than a batch of them."""
-    if isinstance(seqs, np.ndarray) and seqs.ndim == 2:
-        return [seqs], True
-    return list(seqs), False
 
 
 def pad(seqs: list, input_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -163,19 +157,18 @@ def lstm_forward(seq: np.ndarray, params: LSTMParams) -> np.ndarray:
     return forward_padded(X, params)[2][1:, 0]
 
 
-def mean_hidden(seqs, params: LSTMParams) -> np.ndarray:
-    """Mean hidden state of each sequence (n, h), or of one (T, d) sequence
-    (h,). The forwards run in chunks of ``FORWARD_CHUNK`` sequences taken in
-    length order, so that little of a chunk is padding."""
-    batch, single = _as_batch(seqs)
-    out = np.empty((len(batch), params.hidden_dim))
-    order = np.argsort([len(seq) for seq in batch], kind="stable")
+def mean_hidden(seqs: list, params: LSTMParams) -> np.ndarray:
+    """Mean hidden state (n, h) of each of the n (T, d) sequences. The
+    forwards run in chunks of ``FORWARD_CHUNK`` sequences taken in length
+    order, so that little of a chunk is padding."""
+    out = np.empty((len(seqs), params.hidden_dim))
+    order = np.argsort([len(seq) for seq in seqs], kind="stable")
     for start in range(0, len(order), FORWARD_CHUNK):
         chunk = order[start:start + FORWARD_CHUNK]
-        X, lengths = pad([batch[i] for i in chunk], params.input_dim)
+        X, lengths = pad([seqs[i] for i in chunk], params.input_dim)
         hidden = forward_padded(X, params)[2]
         out[chunk] = (hidden[1:] * _pool_weights(lengths, X.shape[0])).sum(axis=0)
-    return out[0] if single else out
+    return out
 
 
 def readout(hbar: np.ndarray, params: LSTMParams):
@@ -183,11 +176,10 @@ def readout(hbar: np.ndarray, params: LSTMParams):
     return _sigmoid(hbar @ params.weights["theta"])
 
 
-def predict_prob(seqs, params: LSTMParams):
-    """Mobilization probability of each sequence (an array), or of one
-    (T, d) sequence (a float): logistic readout of the mean hidden state."""
-    y = readout(mean_hidden(seqs, params), params)
-    return float(y) if np.ndim(y) == 0 else y
+def predict_prob(seqs: list, params: LSTMParams) -> np.ndarray:
+    """Mobilization probability of each sequence: logistic readout of its
+    mean hidden state."""
+    return readout(mean_hidden(seqs, params), params)
 
 
 def cross_entropy(y, labels):
@@ -197,23 +189,20 @@ def cross_entropy(y, labels):
     return -(labels * np.log(y) + (1 - labels) * np.log(1.0 - y))
 
 
-def example_loss(seqs, labels, params: LSTMParams) -> float:
-    """Cross-entropy of one (T, d) sequence, or the summed cross-entropy of
-    a batch of sequences."""
-    return float(np.sum(cross_entropy(predict_prob(seqs, params), np.asarray(labels))))
+def example_loss(seqs: list, labels, params: LSTMParams) -> np.ndarray:
+    """Cross-entropy of each sequence against its 0/1 label."""
+    return cross_entropy(predict_prob(seqs, params), np.asarray(labels))
 
 
-def bptt(seqs, labels, params: LSTMParams):
+def bptt(seqs: list, labels, params: LSTMParams):
     """Cross-entropy losses, backprop-through-time gradients summed over the
-    batch and predicted probabilities of a batch of ragged sequences (or
-    the loss, gradients and probability of one (T, d) sequence and label).
+    batch and predicted probabilities of a batch of ragged sequences.
 
     The batch runs as one right-padded forward (``forward_padded``); the
     padded steps get zero gradient, and the weight gradients of all steps
     are summed with one matrix product each."""
-    batch, single = _as_batch(seqs)
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.float64))
-    X, lengths = pad(batch, params.input_dim)
+    labels = np.asarray(labels, dtype=np.float64)
+    X, lengths = pad(seqs, params.input_dim)
     T, B, d = X.shape
     hdim = params.hidden_dim
     w = params.weights
@@ -253,14 +242,12 @@ def bptt(seqs, labels, params: LSTMParams):
     grads["w"] = flat @ X.reshape(T * B, d)
     grads["u"] = flat @ hidden[:-1].reshape(T * B, hdim)
     grads["b"] = dz.sum(axis=(0, 1))
-    if single:
-        return float(losses[0]), grads, float(y[0])
     return losses, grads, y
 
 
-def finite_difference_gradients(seqs, labels, params: LSTMParams, step: float = 1e-5):
-    """Central finite differences of ``example_loss`` (one sequence, or the
-    summed loss of a batch) over every parameter."""
+def finite_difference_gradients(seqs: list, labels, params: LSTMParams, step: float = 1e-5):
+    """Central finite differences of the batch's summed ``example_loss``
+    over every parameter."""
     grads = params.zeros_like()
     for key, arr in params.weights.items():
         flat = arr.ravel()
@@ -268,9 +255,9 @@ def finite_difference_gradients(seqs, labels, params: LSTMParams, step: float = 
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + step
-            plus = example_loss(seqs, labels, params)
+            plus = example_loss(seqs, labels, params).sum()
             flat[idx] = orig - step
-            minus = example_loss(seqs, labels, params)
+            minus = example_loss(seqs, labels, params).sum()
             flat[idx] = orig
             out[idx] = (plus - minus) / (2.0 * step)
     return grads
@@ -290,8 +277,8 @@ def max_relative_error(grads_a: dict, grads_b: dict) -> float:
 
 def gradient_check(params: LSTMParams, example, step: float = 1e-5) -> float:
     """Max relative error between analytic BPTT gradients and central finite
-    differences over all parameters; ``example`` is a (sequence, label) or
-    a (batch of sequences, labels) pair."""
+    differences over all parameters; ``example`` is a (list of sequences,
+    labels) pair."""
     seqs, labels = example
     _, analytic, _ = bptt(seqs, labels, params)
     numeric = finite_difference_gradients(seqs, labels, params, step=step)

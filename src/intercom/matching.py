@@ -34,23 +34,13 @@ def _timestamp(event: Event) -> float:
     return event.timestamp
 
 
-def matched_post(
-    corpus: Corpus,
-    links: list[CrossLink],
-    post_id: str,
-    involved: set[str] | None = None,
-) -> MatchedPair:
-    """Nearest-in-time post from the same community with no cross-link
-    involvement; ties broken toward the earlier post, then the smaller id.
-
-    ``involved`` is ``crosslink_involved_posts(links)``, computed here when
-    not given; callers matching many posts pass it once.
-    """
+def matched_post(corpus: Corpus, post_id: str, involved: set[str]) -> MatchedPair:
+    """Nearest-in-time post from the same community that is not in
+    ``involved`` (``crosslink_involved_posts`` of the cross-links); ties
+    broken toward the earlier post, then the smaller id."""
     post = corpus.posts.get(post_id)
     if post is None:
         raise KeyError(f"unknown post {post_id!r}")
-    if involved is None:
-        involved = crosslink_involved_posts(links)
     posts = corpus.community_posts.get(post.community, [])
     start = bisect_left(posts, post.timestamp, key=_timestamp)
     # Walk outward from the post's time on each side. The distance never
@@ -117,19 +107,16 @@ def matched_user(
     link: CrossLink,
     user: str,
     community: str,
+    pool: dict[str, int],
     seed: int = 0,
-    pool: dict[str, int] | None = None,
 ) -> MatchedPair:
     """Same-community member with the closest 30-day comment count who did not
     comment in the cross-linked target thread; ties broken by seeded choice.
 
     ``community`` must be the link's source or target community; the
     membership exclusion uses the counterpart. ``pool`` is
-    ``match_pool(corpus, link, community)``, computed here when not given;
-    callers matching many users of one side pass it once.
+    ``match_pool(corpus, link, community)``.
     """
-    if pool is None:
-        pool = match_pool(corpus, link, community)
     subject_count = _history_count(corpus, user, community, day_start(link.t0), link.t0)
     best, tied = None, []
     for u, count in pool.items():

@@ -124,7 +124,7 @@ def measure(
                 elif c.author in target_members:
                     defenders.add(c.author)
         try:
-            match = matched_post(corpus, links, link.target_post, involved=involved)
+            match = matched_post(corpus, link.target_post, involved)
             matched_before, matched_after = _thread_counts_by(
                 corpus, match.match_id, source_members, t0, window_s)
         except NoMatchError:

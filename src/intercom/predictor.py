@@ -10,7 +10,7 @@ from .corpus import Corpus, CrossLink
 from .embed import EmbeddingTable
 from .forest import train_forest
 from .impact import midranks
-from .lstm import LSTMParams, bptt, cross_entropy, mean_hidden, predict_prob, readout
+from .lstm import LSTMParams, bptt, example_loss, mean_hidden, predict_prob, readout
 from .sentiment import Lexicon, community_tfidf_vectors, extract_text_features, sparse_cosine, tokenize
 
 log = logging.getLogger(__name__)
@@ -223,8 +223,8 @@ def train(
         return [dataset.sequences[i] for i in idx]
 
     # one batched forward gives the losses bptt would, without the gradients
-    initial_loss = float(np.mean(cross_entropy(predict_prob(sequences(train_idx), params),
-                                               dataset.labels[train_idx])))
+    initial_loss = float(np.mean(example_loss(sequences(train_idx), dataset.labels[train_idx],
+                                              params)))
     history: list[dict] = []
     best = params.copy()
     best_auc: float | None = None

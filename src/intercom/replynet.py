@@ -187,12 +187,12 @@ def _power_iterate(jobs: list[_Job], alpha: float, tol: float, max_iter: int):
 
 
 def group_pagerank(
-    graphs: ReplyGraph | Sequence[ReplyGraph],
+    graphs: Sequence[ReplyGraph],
     teleport_set="all",
     alpha: float = TELEPORT_PROB,
     tol: float = 1e-10,
     max_iter: int = 10000,
-) -> GroupPageRank | list[GroupPageRank]:
+) -> list[GroupPageRank]:
     """Personalized PageRank with the restart distribution uniform over the
     teleport set.
 
@@ -202,12 +202,11 @@ def group_pagerank(
     converges at the first step whose L1 change is below ``tol``; raises
     ``ConvergenceError`` when one has not converged after ``max_iter`` steps.
 
-    Given one ReplyGraph, returns its GroupPageRank. Given a sequence of
-    graphs, each with the same teleport set, returns one result per graph in
-    input order; a single graph is a batch of one. The graphs are grouped by
-    (node count n, dangling-node count d), and each group runs its power
-    iteration as one (G, n) array. Every value is computed as it would be
-    for the graph alone, so the batch is exact: the flow is one ``bincount``
+    Returns one result per graph in input order, each with the same
+    teleport set. The graphs are grouped by (node count n, dangling-node
+    count d), and each group runs its power iteration as one (G, n) array.
+    Every value is computed as it would be for the graph alone, so the
+    batch is exact: the flow is one ``bincount``
     over the edges in edge order, the same additions as ``np.add.at`` into
     zeros; the dangling mass gathers each row's d dangling scores into a
     C-contiguous (G, d) array, and it and the L1 change are ``sum(axis=1)``,
@@ -217,8 +216,7 @@ def group_pagerank(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    single = isinstance(graphs, ReplyGraph)
-    jobs = [_job(graph, teleport_set) for graph in ([graphs] if single else graphs)]
+    jobs = [_job(graph, teleport_set) for graph in graphs]
     groups: dict[tuple[int, int], list[int]] = {}
     for k, job in enumerate(jobs):
         groups.setdefault((len(job.nodes), job.dangling), []).append(k)
@@ -237,7 +235,7 @@ def group_pagerank(
                                        alpha=alpha, iterations=steps)
     if unconverged:
         raise ConvergenceError(max_iter, min(unconverged)[1])
-    return results[0] if single else results
+    return results
 
 
 @dataclass

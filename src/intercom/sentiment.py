@@ -125,25 +125,17 @@ def crosslink_features(corpus: Corpus, link: CrossLink, lexicon: Lexicon) -> dic
 
 
 def predict_sentiment(
-    forest: Forest, links: CrossLink | Sequence[CrossLink], corpus: Corpus, lexicon: Lexicon
-) -> tuple[str, float] | list[tuple[str, float]]:
-    """(label, P(negative)) for a cross-link's source post.
-
-    Given one CrossLink, returns its pair. Given a sequence of them, returns
-    one pair per link in input order from one ``predict_proba`` over all
-    their rows; each row's probabilities are the ones it gets alone.
-    """
+    forest: Forest, links: Sequence[CrossLink], corpus: Corpus, lexicon: Lexicon
+) -> list[tuple[str, float]]:
+    """(label, P(negative)) of each cross-link's source post, in input order,
+    from one ``predict_proba`` over all their rows; each row's probabilities
+    are the ones it gets alone."""
     if LABEL_NEGATIVE not in forest.classes:
         raise SchemaError("model was not trained with a 'negative' class")
-    one = isinstance(links, CrossLink)
-    batch = [links] if one else links
-    if not batch:
-        return []
     column = forest.classes.index(LABEL_NEGATIVE)
-    proba = forest.predict_proba([crosslink_features(corpus, link, lexicon) for link in batch])
-    pairs = [((LABEL_NEGATIVE if p_neg > 0.5 else LABEL_NEUTRAL), p_neg)
-             for p_neg in proba[:, column].tolist()]
-    return pairs[0] if one else pairs
+    proba = forest.predict_proba([crosslink_features(corpus, link, lexicon) for link in links])
+    return [((LABEL_NEGATIVE if p_neg > 0.5 else LABEL_NEUTRAL), p_neg)
+            for p_neg in proba[:, column].tolist()]
 
 
 def _community_tokens(corpus: Corpus) -> dict[str, list[str]]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from intercom.corpus import extract_crosslinks, load_events
-from intercom.embed import edge_gradients, edge_loss, train_embeddings
+from intercom.embed import edge_gradients, edge_losses, train_embeddings
 from intercom.forest import train_forest
 from intercom.impact import mann_whitney_u, wilcoxon_signed_rank
 from intercom.lstm import gradient_check, init_params, lstm_forward
@@ -92,7 +92,7 @@ def test_criterion_2_group_pagerank():
         teleport_name = ("attackers", "defenders", "all")[trial % 3]
         teleport_users = {u for u, g in graph.nodes.items()
                           if teleport_name == "all" or g == teleport_name[:-1]}
-        result = group_pagerank(graph, teleport_name, tol=1e-12)
+        result = group_pagerank([graph], teleport_name, tol=1e-12)[0]
         assert abs(sum(result.scores.values()) - 1.0) <= 1e-9
         freqs = mc_pagerank_visits(graph, teleport_users, alpha=0.25, steps=10**6, seed=trial)
         for u in graph.nodes:
@@ -102,7 +102,7 @@ def test_criterion_2_group_pagerank():
     # teleport all == standard PageRank with damping 0.75
     for trial in range(10):
         graph = _random_graph(rng)
-        ours = group_pagerank(graph, "all", tol=1e-14).scores
+        ours = group_pagerank([graph], "all", tol=1e-14)[0].scores
         standard = reference_pagerank(graph, damping=0.75)
         for u in graph.nodes:
             assert ours[u] == pytest.approx(standard[u], abs=1e-10)
@@ -114,8 +114,8 @@ def test_criterion_2_group_pagerank():
             continue
         swapped = make_graph({u: ("defender" if g == "attacker" else "attacker")
                               for u, g in graph.nodes.items()}, graph.edges)
-        assert (group_pagerank(graph, "attackers").scores
-                == group_pagerank(swapped, "defenders").scores)
+        assert (group_pagerank([graph], "attackers")[0].scores
+                == group_pagerank([swapped], "defenders")[0].scores)
 
     elapsed = time.monotonic() - started
     assert elapsed < 120.0
@@ -134,15 +134,15 @@ def test_criterion_3_embedding_objective(tmp_path):
         u = rng.normal(0, 0.8, d)
         c_pos = rng.normal(0, 0.8, d)
         c_negs = rng.normal(0, 0.8, (k, d))
-        du, dc, dn = edge_gradients(u, c_pos, c_negs)
+        du, dc, dn = (g[0] for g in edge_gradients(u[None], c_pos[None], c_negs[None]))
         step = 1e-5
         for vec, grad in ((u, du), (c_pos, dc), (c_negs, dn)):
             for i in range(vec.size):
                 orig = vec.flat[i]
                 vec.flat[i] = orig + step
-                plus = edge_loss(u, c_pos, c_negs)
+                plus = edge_losses(u[None], c_pos[None], c_negs[None])[0]
                 vec.flat[i] = orig - step
-                minus = edge_loss(u, c_pos, c_negs)
+                minus = edge_losses(u[None], c_pos[None], c_negs[None])[0]
                 vec.flat[i] = orig
                 fd = (plus - minus) / (2 * step)
                 denom = max(abs(fd), abs(grad.flat[i]), 1e-10)
@@ -202,7 +202,7 @@ def test_criterion_4_lstm():
     for seed in range(20):
         params = init_params(4, 3, seed=seed)
         seq = np.random.default_rng(100 + seed).normal(size=(4, 4))
-        worst = max(worst, gradient_check(params, (seq, seed % 2)))
+        worst = max(worst, gradient_check(params, ([seq], [seed % 2])))
     assert worst < 1e-4
 
     # forward pass against the scalar reference
@@ -219,7 +219,7 @@ def test_criterion_4_lstm():
     # planted-rule task
     dataset = _planted_sequences(400, 8, seed=1)
     result = train(dataset, init_params(8, 8, seed=1), lr=0.02, epochs=15, seed=1)
-    scores = [predict_prob(dataset.sequences[i], result.params) for i in dataset.test_idx]
+    scores = [predict_prob([dataset.sequences[i]], result.params)[0] for i in dataset.test_idx]
     labels = [int(dataset.labels[i]) for i in dataset.test_idx]
     planted_auc = auc(scores, labels)
     assert planted_auc >= 0.95
@@ -227,7 +227,7 @@ def test_criterion_4_lstm():
     # label-shuffled null
     null_ds = _planted_sequences(2000, 8, seed=0, null=True)
     null_result = train(null_ds, init_params(8, 8, seed=0), lr=0.02, epochs=3, seed=0)
-    null_scores = [predict_prob(null_ds.sequences[i], null_result.params)
+    null_scores = [predict_prob([null_ds.sequences[i]], null_result.params)[0]
                    for i in null_ds.test_idx]
     null_labels = [int(null_ds.labels[i]) for i in null_ds.test_idx]
     null_auc = auc(null_scores, null_labels)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -295,6 +296,89 @@ def test_predict_score_backs_off_for_an_author_without_a_vector(synth, tmp_path,
     assert [r["source_post"] for r in rows] == [l["source_post"] for l in links]
     n_backoff = sum(1 for l in links if l["author"] == author)
     assert f"{n_backoff} links used the mean user vector" in caplog.text
+
+
+@pytest.fixture(scope="module")
+def models(synth, tmp_path_factory):
+    """Small embeddings (emb/), an LSTM checkpoint (lstm.json) and a sentiment
+    forest (sentiment.json) trained on the synth corpus by the CLI."""
+    events_path, manifest = synth
+    out = tmp_path_factory.mktemp("cli_models")
+    sets = ["--set", "embed_dim=4", "--set", "embed_epochs=2", "--set", "hidden_size=4",
+            "--set", "predict_epochs=1"]
+    assert main(["embed", "--corpus", events_path, "--out", str(out / "emb")] + sets) == 0
+    assert main(["predict", "train", "--corpus", events_path, "--embeddings", str(out / "emb"),
+                 "--model", str(out / "lstm.json")] + sets) == 0
+    labels = out / "labels.csv"
+    labels.write_text("".join(f"{m['source_post']},{m['sentiment']}\n" for m in manifest["links"]))
+    assert main(["sentiment", "train", "--corpus", events_path, "--labels", str(labels),
+                 "--model", str(out / "sentiment.json"), "--trees", "5"]) == 0
+    return out
+
+
+def _edited_copy(models, tmp_path, name, edit):
+    """A copy of the trained models with file ``name`` replaced by ``edit`` of
+    its text; returns the copy's directory."""
+    copy = tmp_path / "models"
+    shutil.copytree(models, copy)
+    path = copy / name
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    return copy
+
+
+def _first_vector_line(edit):
+    """An edit of a .vec file that replaces its first vector line by ``edit``
+    of the line's fields."""
+    def apply(text):
+        header, first, *rest = text.splitlines()
+        return "\n".join([header, edit(first.split()), *rest]) + "\n"
+    return apply
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("emb/users.vec", _first_vector_line(lambda parts: parts[0]), "expected a name"),
+    ("emb/words.vec", _first_vector_line(lambda parts: " ".join(parts[:2] + ["nan"] + parts[3:])),
+     "is not a finite number"),
+], ids=["name-only-line", "nan-coordinate"])
+def test_predict_score_rejects_a_malformed_vector_line(synth, models, tmp_path, capsys, name, edit,
+                                                       message):
+    events_path, _ = synth
+    copy = _edited_copy(models, tmp_path, name, edit)
+    assert main(["predict", "score", "--corpus", events_path, "--embeddings", str(copy / "emb"),
+                 "--model", str(copy / "lstm.json"), "--out", str(tmp_path / "scores.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"{copy / name}:2: " in err and message in err
+    assert not (tmp_path / "scores.jsonl").exists()
+
+
+def _nan_at(keys):
+    """An edit of a JSON checkpoint that sets the entry at ``keys`` to NaN."""
+    def apply(text):
+        checkpoint = json.loads(text)
+        node = checkpoint
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = float("nan")
+        return json.dumps(checkpoint)
+    return apply
+
+
+def test_predict_score_rejects_a_non_finite_lstm_weight(synth, models, tmp_path, capsys):
+    events_path, _ = synth
+    copy = _edited_copy(models, tmp_path, "lstm.json", _nan_at(["weights", "theta", 0]))
+    assert main(["predict", "score", "--corpus", events_path, "--embeddings", str(copy / "emb"),
+                 "--model", str(copy / "lstm.json"), "--out", str(tmp_path / "scores.jsonl")]) == 2
+    assert "not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "scores.jsonl").exists()
+
+
+def test_sentiment_predict_rejects_a_non_finite_leaf_value(synth, models, tmp_path, capsys):
+    events_path, _ = synth
+    copy = _edited_copy(models, tmp_path, "sentiment.json", _nan_at(["value", -1, 0]))
+    assert main(["sentiment", "predict", "--corpus", events_path, "--model",
+                 str(copy / "sentiment.json"), "--out", str(tmp_path / "sentiment.jsonl")]) == 2
+    assert "not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "sentiment.jsonl").exists()
 
 
 def test_report_command(synth, tmp_path, capsys):

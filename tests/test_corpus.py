@@ -14,7 +14,6 @@ from intercom.corpus import (
     load_events,
     members,
     remove_overlapping,
-    user_activity,
 )
 
 from conftest import BASE, DAY, HOUR, comment, corpus_from, post, write_events
@@ -483,19 +482,6 @@ def test_time_shift_invariance():
     t1 = extract_crosslinks(c1)[0].t0
     t2 = extract_crosslinks(c2)[0].t0
     assert t2 - t1 == shift
-
-
-def test_user_activity():
-    events = [post("p1", "x", "C", BASE), post("p2", "x", "D", BASE)]
-    for i in range(3):
-        events.append(comment(f"c{i}", "u", "C", BASE + DAY + i, "p1"))
-    for i in range(7):
-        events.append(comment(f"d{i}", "u", "D", BASE + DAY + 100 + i, "p2"))
-    corpus = corpus_from(events)
-    assert user_activity(corpus, "u", "C", (BASE, BASE + 2 * DAY)) == (3, 10, 0.30)
-    assert user_activity(corpus, "ghost", "C", (BASE, BASE + DAY)) == (0, 0, 0.0)
-    with pytest.raises(ValueError):
-        user_activity(corpus, "u", "C", (BASE + DAY, BASE))
 
 
 def test_day_start():

@@ -8,7 +8,7 @@ from intercom.embed import (
     build_bipartite,
     build_word_bipartite,
     edge_gradients,
-    edge_loss,
+    edge_losses,
     load_vectors,
     loss,
     nearest_communities,
@@ -68,12 +68,13 @@ def test_build_bipartite_grid_degrees():
 
 
 def test_edge_gradients_match_finite_differences():
-    # central differences over the stacked (u, c_pos, c_negs) parameter vector
+    # central differences of a batch's summed loss over the stacked
+    # (u, c_pos, c_negs) parameters; an edge's loss reads only its own rows
     rng = np.random.default_rng(3)
-    d, k = 7, 4
-    u = rng.normal(0, 0.7, d)
-    c_pos = rng.normal(0, 0.7, d)
-    c_negs = rng.normal(0, 0.7, (k, d))
+    b, d, k = 3, 7, 4
+    u = rng.normal(0, 0.7, (b, d))
+    c_pos = rng.normal(0, 0.7, (b, d))
+    c_negs = rng.normal(0, 0.7, (b, k, d))
     du, dc, dn = edge_gradients(u, c_pos, c_negs)
 
     step = 1e-5
@@ -84,9 +85,9 @@ def test_edge_gradients_match_finite_differences():
         for i in range(vec.size):
             orig = vec.flat[i]
             vec.flat[i] = orig + step
-            plus = edge_loss(u, c_pos, c_negs)
+            plus = edge_losses(u, c_pos, c_negs).sum()
             vec.flat[i] = orig - step
-            minus = edge_loss(u, c_pos, c_negs)
+            minus = edge_losses(u, c_pos, c_negs).sum()
             vec.flat[i] = orig
             fd = (plus - minus) / (2 * step)
             denom = max(abs(fd), abs(grad.flat[i]), 1e-10)
@@ -113,7 +114,7 @@ def test_one_training_step_follows_edge_gradients():
         negs = rng.integers(0, n_comms, size=negatives).tolist()
         if len(set(negs)) < negatives or pos in negs:
             continue
-        du, dc_pos, dc_negs = edge_gradients(U[0], C[pos], C[negs])
+        du, dc_pos, dc_negs = (g[0] for g in edge_gradients(U[:1], C[[pos]], C[negs][None]))
         U[0] -= lr * du
         C[pos] -= lr * dc_pos
         C[negs] -= lr * dc_negs

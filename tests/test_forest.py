@@ -84,7 +84,7 @@ def test_schema_mismatch_rejected():
     X, y = _separable(50, seed=1)
     forest = train_forest(X, y, trees=5, seed=0)
     with pytest.raises(SchemaError):
-        forest.predict_proba({"wrong": 1.0, "keys": 2.0, "here": 3.0})
+        forest.predict_proba([{"wrong": 1.0, "keys": 2.0, "here": 3.0}])
     with pytest.raises(SchemaError):
         train_forest([{"a": 1.0}, {"b": 2.0}], [0, 1], trees=5, seed=0)
 
@@ -101,7 +101,7 @@ def test_probabilities_valid():
 def test_unanimous_probability_on_clean_point():
     X, y = _separable(300, seed=3)
     forest = train_forest(X, y, trees=25, seed=4)
-    proba = forest.predict_proba({"x0": 0.99, "x1": 0.99, "noise": 0.5})
+    proba = forest.predict_proba([{"x0": 0.99, "x1": 0.99, "noise": 0.5}])
     assert proba[0][forest.classes.index(1)] == pytest.approx(1.0)
 
 
@@ -187,7 +187,7 @@ def test_predict_proba_equals_a_walk_of_one_tree_at_a_time():
                 go_left = row[forest.feature[node]] < forest.threshold[node]
                 node = forest.left[node] if go_left else forest.right[node]
             expected[i] += forest.value[node]
-    assert np.array_equal(forest.predict_proba(mat), expected / 15)
+    assert np.array_equal(forest.predict_proba(X[:40]), expected / 15)
 
 
 def test_children_come_after_their_parent():

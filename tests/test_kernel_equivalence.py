@@ -486,10 +486,10 @@ def test_batched_bptt_equals_the_sum_of_per_example_gradients(lengths, input_dim
     assert np.max(np.abs(probs - [y for _, _, y in loops])) <= 1e-12
     for key, grad in grads.items():
         assert np.max(np.abs(grad - sum(g[key] for _, g, _ in loops))) <= 1e-12, key
-    # one (T, d) sequence and an int label give that example's values
-    loss, grad, y = bptt(seqs[0], int(labels[0]), params)
-    assert isinstance(loss, float) and isinstance(y, float)
-    assert abs(loss - loops[0][0]) <= 1e-12 and abs(y - loops[0][2]) <= 1e-12
+    # a batch of one gives that example's values in the batch, and its gradients
+    loss, grad, y = bptt(seqs[:1], labels[:1], params)
+    assert loss.shape == y.shape == (1,)
+    assert abs(loss[0] - losses[0]) <= 1e-12 and abs(y[0] - probs[0]) <= 1e-12
     assert all(np.max(np.abs(grad[key] - loops[0][1][key])) <= 1e-12 for key in grad)
 
 
@@ -500,7 +500,7 @@ def test_the_initial_loss_forward_gives_the_bptt_losses():
     labels = dataset.labels[dataset.train_idx]
     forward = cross_entropy(predict_prob(seqs, params), labels)
     assert np.allclose(forward, bptt(seqs, labels, params)[0], rtol=1e-12, atol=0)
-    assert example_loss(seqs, labels, params) == pytest.approx(float(forward.sum()), rel=1e-15)
+    assert np.array_equal(example_loss(seqs, labels, params), forward)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -583,5 +583,7 @@ def test_batched_group_pagerank_equals_the_per_graph_loop(seed, alpha, tol):
             scores, iterations = loop_group_pagerank(graph, teleport, alpha, tol)
             assert result.iterations == iterations
             assert score_bytes(result.scores) == score_bytes(scores)
-    single = group_pagerank(batch[0], "attackers", alpha=alpha, tol=tol)
-    assert single == group_pagerank(batch[:1], "attackers", alpha=alpha, tol=tol)[0]
+        # a batch of one gives what the graph gets inside the mixed batch
+        [alone] = group_pagerank(batch[:1], teleport, alpha=alpha, tol=tol)
+        assert alone.iterations == results[0].iterations
+        assert score_bytes(alone.scores) == score_bytes(results[0].scores)

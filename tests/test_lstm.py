@@ -61,7 +61,7 @@ def test_all_zero_params_zero_states():
         params.weights[key] = np.zeros_like(params.weights[key])
     hs = lstm_forward(np.ones((5, 4)), params)
     assert np.all(hs == 0.0)
-    assert predict_prob(np.ones((5, 4)), params) == pytest.approx(0.5)
+    assert predict_prob([np.ones((5, 4))], params)[0] == pytest.approx(0.5)
 
 
 def test_causality_prefix():
@@ -87,14 +87,14 @@ def test_predict_prob_matches_scalar_reference():
     rng = np.random.default_rng(8)
     params = init_params(4, 6, seed=8)
     seq = rng.normal(size=(5, 4))
-    assert predict_prob(seq, params) == pytest.approx(
+    assert predict_prob([seq], params)[0] == pytest.approx(
         scalar_reference_prob(seq.tolist(), params), abs=1e-12)
 
 
 def test_theta_zero_gives_half():
     params = init_params(3, 4, seed=2)
     params.weights["theta"] = np.zeros(4)
-    assert predict_prob(np.random.default_rng(0).normal(size=(4, 3)), params) == 0.5
+    assert predict_prob([np.random.default_rng(0).normal(size=(4, 3))], params)[0] == 0.5
 
 
 def test_hidden_permutation_invariance():
@@ -102,7 +102,7 @@ def test_hidden_permutation_invariance():
     rng = np.random.default_rng(3)
     params = init_params(3, 5, seed=3)
     seq = rng.normal(size=(4, 3))
-    y = predict_prob(seq, params)
+    y = predict_prob([seq], params)[0]
     perm = rng.permutation(5)
     permuted = params.copy()
     rows = np.concatenate([k * 5 + perm for k in range(4)])  # perm within each gate block
@@ -110,7 +110,7 @@ def test_hidden_permutation_invariance():
     permuted.weights["u"] = params.weights["u"][rows][:, perm]
     permuted.weights["b"] = params.weights["b"][rows]
     permuted.weights["theta"] = params.weights["theta"][perm]
-    assert predict_prob(seq, permuted) == pytest.approx(y, abs=1e-14)
+    assert predict_prob([seq], permuted)[0] == pytest.approx(y, abs=1e-14)
 
 
 def test_palindrome_reversal_invariance():
@@ -119,8 +119,8 @@ def test_palindrome_reversal_invariance():
     a, b = rng.normal(size=3), rng.normal(size=3)
     seq = np.vstack([a, b, a])
     reversed_seq = seq[::-1].copy()
-    assert predict_prob(seq, params) == pytest.approx(
-        predict_prob(reversed_seq, params), abs=1e-14)
+    assert predict_prob([seq], params)[0] == pytest.approx(
+        predict_prob([reversed_seq], params)[0], abs=1e-14)
 
 
 def test_nan_input_raises_with_step():
@@ -143,21 +143,21 @@ def test_gradient_check_small():
     for seed in (0, 1):
         params = init_params(4, 3, seed=seed)
         seq = rng.normal(size=(4, 4))
-        assert gradient_check(params, (seq, 1)) < 1e-4
-        assert gradient_check(params, (seq, 0)) < 1e-4
+        assert gradient_check(params, ([seq], [1])) < 1e-4
+        assert gradient_check(params, ([seq], [0])) < 1e-4
 
 
 def test_gradient_check_minimal_sequence():
     params = init_params(3, 3, seed=9)
     seq = np.random.default_rng(9).normal(size=(3, 3))
-    assert gradient_check(params, (seq, 1)) < 1e-4
+    assert gradient_check(params, ([seq], [1])) < 1e-4
 
 
 def test_corrupted_forget_gate_detected():
     params = init_params(4, 3, seed=10)
     seq = np.random.default_rng(10).normal(size=(4, 4))
-    _, analytic, _ = bptt(seq, 1, params)
-    numeric = finite_difference_gradients(seq, 1, params)
+    _, analytic, _ = bptt([seq], [1], params)
+    numeric = finite_difference_gradients([seq], [1], params)
     assert max_relative_error(analytic, numeric) < 1e-4
     analytic["w"][3:6] = analytic["w"][3:6] + 0.05  # the forget-gate block, rows h:2h
     assert max_relative_error(analytic, numeric) > 1e-2
@@ -166,7 +166,7 @@ def test_corrupted_forget_gate_detected():
 def test_mean_hidden_matches_forward():
     params = init_params(3, 4, seed=6)
     seq = np.random.default_rng(6).normal(size=(5, 3))
-    assert np.allclose(mean_hidden(seq, params), lstm_forward(seq, params).mean(axis=0))
+    assert np.allclose(mean_hidden([seq], params)[0], lstm_forward(seq, params).mean(axis=0))
 
 
 def ragged_batch(seed, input_dim):
@@ -199,9 +199,10 @@ def test_probability_does_not_depend_on_batch_mates_or_padding():
     params = init_params(3, 6, seed=14)
     params.weights["theta"] *= 4.0
     seqs, _ = ragged_batch(14, 3)
-    alone = [predict_prob(seq, params) for seq in seqs]
-    assert all(isinstance(y, float) for y in alone)
-    # with longer and shorter batch-mates, so that each sequence is padded
+    # each sequence as a batch of one, and inside batches with longer and
+    # shorter batch-mates, so that each sequence is padded
+    alone = np.concatenate([predict_prob([seq], params) for seq in seqs])
+    assert alone.shape == (len(seqs),)
     mates = [rng.normal(size=(n, 3)) for n in (12, 1, 3, 30)]
     for batch in (seqs, seqs[::-1], mates[:2] + seqs + mates[2:]):
         probs = dict(zip(map(id, batch), predict_prob(batch, params)))

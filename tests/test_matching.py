@@ -3,7 +3,8 @@ import random
 import pytest
 
 from intercom.corpus import CrossLink, extract_crosslinks
-from intercom.matching import NoMatchError, matched_post, matched_user
+from intercom.matching import (NoMatchError, crosslink_involved_posts, match_pool, matched_post,
+                               matched_user)
 
 from conftest import BASE, DAY, HOUR, comment, corpus_from, post
 
@@ -19,7 +20,7 @@ def test_matched_post_nearest_in_time():
         post("p1", "u", "C", BASE + 100),
         post("p2", "u", "C", BASE + 205),
     ])
-    pair = matched_post(corpus, [], "p1")
+    pair = matched_post(corpus, "p1", set())
     assert pair.match_id == "p0"
     assert pair.match_distance == 100
 
@@ -27,7 +28,7 @@ def test_matched_post_nearest_in_time():
 def test_matched_post_only_post_in_community():
     corpus = corpus_from([post("p1", "u", "C", BASE)])
     with pytest.raises(NoMatchError):
-        matched_post(corpus, [], "p1")
+        matched_post(corpus, "p1", set())
 
 
 def test_matched_post_skips_crosslinked():
@@ -40,7 +41,7 @@ def test_matched_post_skips_crosslinked():
     ])
     links = extract_crosslinks(corpus)
     assert [l.target_post for l in links] == ["near"]
-    pair = matched_post(corpus, links, "p1")
+    pair = matched_post(corpus, "p1", crosslink_involved_posts(links))
     assert pair.match_id == "far"
 
 
@@ -50,7 +51,7 @@ def test_matched_post_tie_prefers_earlier():
         post("p1", "u", "C", BASE + 100),
         post("late", "u", "C", BASE + 150),
     ])
-    assert matched_post(corpus, [], "p1").match_id == "early"
+    assert matched_post(corpus, "p1", set()).match_id == "early"
 
 
 def test_matched_post_minimal_distance_exhaustive():
@@ -72,7 +73,7 @@ def test_matched_post_minimal_distance_exhaustive():
         if not eligible:
             continue
         best = min(eligible.values())
-        pair = matched_post(corpus, links, subject)
+        pair = matched_post(corpus, subject, crosslink_involved_posts(links))
         assert pair.match_distance == pytest.approx(best)
 
 
@@ -97,7 +98,7 @@ def _user_match_corpus():
 
 def test_matched_user_nearest_count():
     corpus, link, _ = _user_match_corpus()
-    pair = matched_user(corpus, link, "subject", "C")
+    pair = matched_user(corpus, link, "subject", "C", match_pool(corpus, link, "C"))
     assert pair.match_id == "u11"
     assert pair.match_distance == 1
 
@@ -108,10 +109,11 @@ def test_matched_user_tie_seeded():
     extra = [comment(f"x{i}", "u13", "C", BASE + 40 * DAY + i, "anchor") for i in range(13)]
     events = list(corpus.posts.values()) + list(corpus.comments.values()) + extra
     corpus2 = corpus_from(events)
-    picks = {matched_user(corpus2, link, "subject", "C", seed=s).match_id for s in range(20)}
+    pool = match_pool(corpus2, link, "C")
+    picks = {matched_user(corpus2, link, "subject", "C", pool, seed=s).match_id for s in range(20)}
     assert picks == {"u11", "u13"}
-    assert all(matched_user(corpus2, link, "subject", "C", seed=5).match_id
-               == matched_user(corpus2, link, "subject", "C", seed=5).match_id
+    assert all(matched_user(corpus2, link, "subject", "C", pool, seed=5).match_id
+               == matched_user(corpus2, link, "subject", "C", pool, seed=5).match_id
                for _ in range(3))
 
 
@@ -120,7 +122,7 @@ def test_matched_user_excludes_thread_commenters():
     events = (list(corpus.posts.values()) + list(corpus.comments.values())
               + [comment("onthread", "u11", "B", t0 + 60, "tgt")])
     corpus2 = corpus_from(events)
-    assert matched_user(corpus2, link, "subject", "C").match_id == "u5"
+    assert matched_user(corpus2, link, "subject", "C", match_pool(corpus2, link, "C")).match_id == "u5"
 
 
 def test_matched_user_no_candidates():
@@ -131,8 +133,9 @@ def test_matched_user_no_candidates():
     t0 = BASE + 60 * DAY
     events.append(comment("c0", "subject", "C", t0 - 5 * DAY, "anchor"))
     corpus = corpus_from(events)
+    link = _link("src", "tgt", t0, sc="C")
     with pytest.raises(NoMatchError):
-        matched_user(corpus, _link("src", "tgt", t0, sc="C"), "subject", "C")
+        matched_user(corpus, link, "subject", "C", match_pool(corpus, link, "C"))
 
 
 def test_matched_user_minimal_distance_exhaustive():
@@ -173,7 +176,7 @@ def test_matched_user_minimal_distance_exhaustive():
         raw.append(("subject", "C", d - 10 * DAY))
         events.append(comment("extra", "subject", "C", d - 10 * DAY, "anchor"))
         corpus = corpus_from(events)
-    pair = matched_user(corpus, link, "subject", "C")
+    pair = matched_user(corpus, link, "subject", "C", match_pool(corpus, link, "C"))
     eligible = [u for u in users if u != "subject" and oracle_member(u)]
     best = min(abs(oracle_count(u) - oracle_count("subject")) for u in eligible)
     assert pair.match_distance == best
@@ -198,6 +201,6 @@ def test_matched_user_history_excludes_gap():
         events.append(comment(f"f{i}", "full", "C", t0 - 12 * DAY + i, "anchor"))
     corpus = corpus_from(events)
     link = _link("src", "tgt", t0, sc="C")
-    pair = matched_user(corpus, link, "subject", "C")
+    pair = matched_user(corpus, link, "subject", "C", match_pool(corpus, link, "C"))
     assert pair.match_id == "full"
     assert pair.match_distance == 1

@@ -61,7 +61,7 @@ def reference_baseline_ratio(corpus, links, window_hours=12.0, stat="mean", invo
     no_match = skipped = 0
     for link in links:
         try:
-            match = matched_post(corpus, links, link.target_post, involved=involved)
+            match = matched_post(corpus, link.target_post, involved)
         except NoMatchError:
             no_match += 1
             continue
@@ -82,7 +82,7 @@ def reference_baseline_ratio(corpus, links, window_hours=12.0, stat="mean", invo
     return statistics.mean(ratios) if stat == "mean" else statistics.median(ratios)
 
 
-def reference_detect(corpus, link, baseline, links=None, window_hours=12.0, involved=None):
+def reference_detect(corpus, link, baseline, links=None, window_hours=12.0):
     if baseline <= 0:
         raise ValueError("baseline must be positive")
     window_s = window_hours * 3600.0
@@ -105,7 +105,7 @@ def reference_detect(corpus, link, baseline, links=None, window_hours=12.0, invo
     matched_before = matched_after = None
     if links is not None:
         try:
-            match = matched_post(corpus, links, link.target_post, involved=involved)
+            match = matched_post(corpus, link.target_post, crosslink_involved_posts(links))
             matched_before, matched_after = reference_thread_counts(
                 corpus, match.match_id, source_members, link.t0, window_s
             )

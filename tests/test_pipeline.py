@@ -504,9 +504,9 @@ def test_replynet_stage_counts_pagerank_iterations(synth_corpus, tmp_path):
             graph = replynet.build_reply_graph(
                 run.corpus.thread_comments.get(record.crosslink.target_post, []),
                 record.crosslink.target_post, record.attackers, record.defenders)
-            iterations += [replynet.group_pagerank(graph, group, alpha=config.alpha,
+            iterations += [replynet.group_pagerank([graph], group, alpha=config.alpha,
                                                    tol=config.pagerank_tol,
-                                                   max_iter=config.pagerank_max_iter).iterations
+                                                   max_iter=config.pagerank_max_iter)[0].iterations
                            for group in ("attackers", "defenders")]
     assert len(iterations) == 2 * info["rows"] > 0
     assert info["pagerank_iterations_max"] == max(iterations)

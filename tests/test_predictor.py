@@ -220,13 +220,13 @@ def test_train_memorizes_single_example():
     result = train(dataset, init_params(6, 8, seed=0), lr=0.05, epochs=150, seed=0)
     from intercom.lstm import example_loss
 
-    assert example_loss(seq, 1, result.params) < 1e-3
+    assert example_loss([seq], [1], result.params)[0] < 1e-3
 
 
 def test_train_planted_rule_auc():
     dataset = _planted_dataset()
     result = train(dataset, init_params(8, 8, seed=1), lr=0.02, epochs=25, seed=1)
-    scores = [predict_prob(dataset.sequences[i], result.params) for i in dataset.test_idx]
+    scores = [predict_prob([dataset.sequences[i]], result.params)[0] for i in dataset.test_idx]
     labels = [int(dataset.labels[i]) for i in dataset.test_idx]
     assert auc(scores, labels) >= 0.95
     assert result.log and all("train_loss" in entry for entry in result.log)

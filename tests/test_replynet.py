@@ -190,7 +190,7 @@ def test_build_reply_graph_self_loop_flagged():
 
 def test_pagerank_single_node():
     graph = make_graph({"a": "attacker"}, {})
-    result = group_pagerank(graph, "attackers")
+    result = group_pagerank([graph], "attackers")[0]
     assert result.scores == {"a": 1.0}
 
 
@@ -209,7 +209,7 @@ def test_pagerank_sums_to_one_and_nonnegative():
                 continue
             if teleport == "defenders" and not graph.users_in_group("defender"):
                 continue
-            scores = group_pagerank(graph, teleport).scores
+            scores = group_pagerank([graph], teleport)[0].scores
             assert abs(sum(scores.values()) - 1.0) <= 1e-9
             assert all(s >= 0 for s in scores.values())
 
@@ -225,7 +225,7 @@ def test_pagerank_teleport_all_equals_standard():
             i, j = rng.choice(names), rng.choice(names)
             edges[(i, j)] = edges.get((i, j), 0) + rng.randint(1, 3)
         graph = make_graph(nodes, edges)
-        ours = group_pagerank(graph, "all", alpha=0.25, tol=1e-14).scores
+        ours = group_pagerank([graph], "all", alpha=0.25, tol=1e-14)[0].scores
         reference = reference_pagerank(graph, damping=0.75)
         for u in nodes:
             assert ours[u] == pytest.approx(reference[u], abs=1e-10)
@@ -236,7 +236,7 @@ def test_pagerank_three_node_fixture_vs_monte_carlo():
         {"a1": "attacker", "a2": "attacker", "d1": "defender"},
         {("a1", "d1"): 1, ("a2", "d1"): 1},
     )
-    scores = group_pagerank(graph, "attackers").scores
+    scores = group_pagerank([graph], "attackers")[0].scores
     freqs = mc_pagerank(graph, {"a1", "a2"}, alpha=0.25, steps=10**6, seed=42)
     for u in graph.nodes:
         assert scores[u] == pytest.approx(freqs[u], abs=1e-3)
@@ -264,9 +264,9 @@ def test_visit_count_oracle_equals_the_per_step_oracle(seed):
 def test_pagerank_weight_scale_invariance():
     nodes = {"a": "attacker", "b": "defender", "c": "other"}
     edges = {("a", "b"): 2, ("b", "c"): 1, ("c", "a"): 3}
-    one = group_pagerank(make_graph(nodes, edges), "all").scores
+    one = group_pagerank([make_graph(nodes, edges)], "all")[0].scores
     scaled = group_pagerank(
-        make_graph(nodes, {k: w * 7 for k, w in edges.items()}), "all").scores
+        [make_graph(nodes, {k: w * 7 for k, w in edges.items()})], "all")[0].scores
     for u in nodes:
         assert one[u] == pytest.approx(scaled[u], abs=1e-12)
 
@@ -276,7 +276,7 @@ def test_pagerank_teleport_members_positive_and_no_inflow_zero():
         {"a1": "attacker", "d1": "defender", "d2": "defender"},
         {("a1", "d1"): 1},
     )
-    scores = group_pagerank(graph, "attackers").scores
+    scores = group_pagerank([graph], "attackers")[0].scores
     assert scores["a1"] > 0
     assert scores["d1"] > 0  # has inflow
     assert scores["d2"] == 0.0  # outside teleport set, no inflow: exactly zero
@@ -285,7 +285,7 @@ def test_pagerank_teleport_members_positive_and_no_inflow_zero():
 def test_pagerank_empty_teleport_error():
     graph = make_graph({"d1": "defender"}, {})
     with pytest.raises(ValueError):
-        group_pagerank(graph, "attackers")
+        group_pagerank([graph], "attackers")
 
 
 def test_pagerank_relabel_symmetry_exact():
@@ -297,14 +297,14 @@ def test_pagerank_relabel_symmetry_exact():
         i, j = rng.choice(names), rng.choice(names)
         edges[(i, j)] = edges.get((i, j), 0) + 1
     swapped = {u: ("defender" if g == "attacker" else "attacker") for u, g in nodes.items()}
-    a_scores = group_pagerank(make_graph(nodes, edges), "attackers").scores
-    d_scores = group_pagerank(make_graph(swapped, edges), "defenders").scores
+    a_scores = group_pagerank([make_graph(nodes, edges)], "attackers")[0].scores
+    d_scores = group_pagerank([make_graph(swapped, edges)], "defenders")[0].scores
     assert a_scores == d_scores  # bitwise identical
 
 
 def test_pagerank_explicit_teleport_set():
     graph = make_graph({"a": "other", "b": "other"}, {("a", "b"): 1})
-    scores = group_pagerank(graph, {"a"}).scores
+    scores = group_pagerank([graph], {"a"})[0].scores
     assert scores["a"] > 0 and scores["b"] > 0
 
 
@@ -316,7 +316,7 @@ def test_a_batch_that_cannot_converge_names_max_iter_and_its_first_graph():
     second = make_graph({"a": "attacker", "d": "defender"}, {("a", "a"): 1, ("a", "d"): 1})
     assert group_pagerank([edgeless], "attackers", max_iter=1)[0].iterations == 1
     with pytest.raises(ConvergenceError) as single:
-        group_pagerank(first, "attackers", max_iter=1)
+        group_pagerank([first], "attackers", max_iter=1)
     with pytest.raises(ConvergenceError) as batch:
         group_pagerank([edgeless, first, second], "attackers", max_iter=1)
     assert batch.value.iterations == 1
@@ -370,7 +370,9 @@ def test_group_pagerank_matches_networkx_single_and_batched():
             digraph.add_weighted_edges_from((i, j, w) for (i, j), w in graph.edges.items())
             expected = nx.pagerank(digraph, alpha=1 - TELEPORT_PROB, personalization=v,
                                    dangling=v, weight="weight", tol=NX_TOL, max_iter=100000)
-            single = group_pagerank(graph, teleport, tol=PR_TOL)
+            # the graph as a batch of one gets what it gets among the others
+            [single] = group_pagerank([graph], teleport, tol=PR_TOL)
+            assert single == batched
             for result in (single, batched):
                 distance = sum(abs(result.scores[u] - expected[u]) for u in graph.nodes)
                 assert distance <= networkx_bound(len(graph.nodes))
@@ -381,7 +383,7 @@ def test_echo_metrics_attacker_only_edges():
         {"a1": "attacker", "a2": "attacker", "d1": "defender"},
         {("a1", "a2"): 3, ("a2", "a1"): 2},
     )
-    report = echo_metrics(graph, group_pagerank(graph, "attackers").scores)
+    report = echo_metrics(graph, group_pagerank([graph], "attackers")[0].scores)
     assert report.cross_group_ratio == 0.0
     assert report.attacker_attacker_weight == 5
     assert report.defender_apr_zero_fraction == 1.0
@@ -402,7 +404,7 @@ def test_echo_metrics_gang_up_flag():
     # attacker count, while the 10x-mean threshold is 10/n. The flag
     # therefore trips exactly when n = attackers + defenders >= 24.
     x_dstar = 0.25 * 0.75 / (1 - 0.75**2)
-    scores = group_pagerank(_gang_up_graph(22), "attackers").scores
+    scores = group_pagerank([_gang_up_graph(22)], "attackers")[0].scores
     report = echo_metrics(_gang_up_graph(22), scores)  # n = 24
     assert scores["dstar"] == pytest.approx(x_dstar, abs=1e-9)
     assert x_dstar >= 10 / 24
@@ -410,13 +412,13 @@ def test_echo_metrics_gang_up_flag():
     assert report.defender_apr_zero_fraction == pytest.approx(0.5)
 
     below = echo_metrics(_gang_up_graph(21),  # n = 23: 10/23 > 3/7
-                         group_pagerank(_gang_up_graph(21), "attackers").scores)
+                         group_pagerank([_gang_up_graph(21)], "attackers")[0].scores)
     assert below.defender_apr_tentimes_fraction == 0.0
 
 
 def test_echo_metrics_requires_both_groups():
     graph = make_graph({"a1": "attacker"}, {})
-    apr = group_pagerank(graph, "attackers").scores
+    apr = group_pagerank([graph], "attackers")[0].scores
     with pytest.raises(ValueError):
         echo_metrics(graph, apr)
 

@@ -166,7 +166,7 @@ def test_predict_sentiment_on_separable_fixture(lexicon):
              body="hate hate hate this r/B/comments/tgt hate hate hate hate"),
     ])
     link = extract_crosslinks(corpus)[0]
-    label, p_neg = predict_sentiment(forest, link, corpus, lexicon)
+    [(label, p_neg)] = predict_sentiment(forest, [link], corpus, lexicon)
     assert label == "negative"
     assert p_neg > 0.5
 
@@ -191,9 +191,9 @@ def test_predict_sentiment_empty_body_degenerate(lexicon):
 
     link = CrossLink(source_post="src", target_post="tgt", source_community="A",
                      target_community="B", t0=BASE + 3600, author="alice")
-    label, p_neg = predict_sentiment(forest, link, corpus, lexicon)
+    [(label, p_neg)] = predict_sentiment(forest, [link], corpus, lexicon)
     assert 0.0 <= p_neg <= 1.0
-    region_proba = forest.predict_proba(extract_text_features("", lexicon))[0]
+    region_proba = forest.predict_proba([extract_text_features("", lexicon)])[0]
     assert p_neg == pytest.approx(region_proba[forest.classes.index("negative")])
     assert label == ("negative" if p_neg > 0.5 else "neutral")
 
@@ -227,7 +227,7 @@ def test_predict_sentiment_on_links_equals_one_call_per_link(lexicon):
     corpus = corpus_from(events)
     links = extract_crosslinks(corpus, remove_overlaps=False)
     assert len(links) == 40
-    alone = [predict_sentiment(forest, link, corpus, lexicon) for link in links]
+    alone = [pair for link in links for pair in predict_sentiment(forest, [link], corpus, lexicon)]
     together = predict_sentiment(forest, links, corpus, lexicon)
     assert [(label, p.hex()) for label, p in together] == [(label, p.hex()) for label, p in alone]
     assert all(type(p) is float for _label, p in together)
