@@ -14,6 +14,8 @@ from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
+import numpy as np
+
 log = logging.getLogger(__name__)
 
 DAY = 86400.0
@@ -71,11 +73,13 @@ class Corpus:
 
     ``posts`` and ``comments`` map ids to events in input order; comments
     whose thread is not a post are not indexed. The lists below are ordered
-    by ``(timestamp, id)``. Comment activity is indexed twice, per community
-    (``timelines``) and per user (``user_timelines``); membership, matching
-    histories and activity fractions all count a window of one of them
-    through ``window_keys``. Nothing here changes after ``index_events``
-    returns.
+    by ``(timestamp, id)``. Every commenter has a user code, its index in
+    ``users``, which is sorted, so sorting codes sorts names. Comment
+    activity is indexed twice, per community (``timelines``, with author
+    codes) and per user (``user_timelines``, with community names);
+    membership, matching histories and activity fractions all count a
+    window of one of them, sliced by ``window_slices``. Nothing here changes
+    after ``index_events`` returns.
     """
 
     posts: dict[str, Event]
@@ -88,9 +92,13 @@ class Corpus:
     community_posts: dict[str, list[Event]] = field(default_factory=dict)
     # user -> posts authored, time-ordered
     user_posts: dict[str, list[Event]] = field(default_factory=dict)
-    # community -> (its comment timestamps, time-ordered, and each comment's
-    # author); communities without comments are absent
-    timelines: dict[str, tuple[array, list[str]]] = field(default_factory=dict)
+    # user code -> name, sorted, for every user with a comment; and its inverse
+    users: list[str] = field(default_factory=list)
+    user_codes: dict[str, int] = field(default_factory=dict)
+    # community -> (its comment timestamps, time-ordered, as float64, and each
+    # comment's author code, as int32); communities without comments are
+    # absent
+    timelines: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     # user -> (their comment timestamps, time-ordered, and each comment's
     # community); users without comments are absent
     user_timelines: dict[str, tuple[array, list[str]]] = field(default_factory=dict)
@@ -124,8 +132,12 @@ def _index(posts: dict[str, Event], comments: dict[str, Event], stats: LoadStats
     corpus = Corpus(posts, comments, stats)
     posts_by_time, community_posts, user_posts = (
         corpus.posts_by_time, corpus.community_posts, corpus.user_posts)
-    thread_comments, timelines, user_timelines = (
-        corpus.thread_comments, corpus.timelines, corpus.user_timelines)
+    thread_comments, user_timelines = corpus.thread_comments, corpus.user_timelines
+    # each commenter's code in order of first comment, and its timeline;
+    # renumbered in name order once every name is known
+    first_codes: dict[str, int] = {}
+    by_code: list[tuple[array, list[str]]] = []
+    timelines: dict[str, tuple[array, array]] = {}
     # one sort on the (timestamp, id) key: a log written in about time order
     # is nearly sorted on it already, which a first sort by id would undo
     for e in sorted(chain(posts.values(), comments.values()), key=attrgetter("timestamp", "id")):
@@ -136,16 +148,31 @@ def _index(posts: dict[str, Event], comments: dict[str, Event], stats: LoadStats
             user_posts.setdefault(author, []).append(e)
             continue
         thread_comments.setdefault(thread_id, []).append(e)
+        code = first_codes.get(author)
+        if code is None:
+            code = first_codes[author] = len(by_code)
+            user_timelines[author] = timeline = (array("d"), [])
+            by_code.append(timeline)
         timeline = timelines.get(community)
         if timeline is None:
-            timeline = timelines[community] = (array("d"), [])
+            timeline = timelines[community] = (array("d"), array("i"))
         timeline[0].append(ts)
-        timeline[1].append(author)
-        timeline = user_timelines.get(author)
-        if timeline is None:
-            timeline = user_timelines[author] = (array("d"), [])
+        timeline[1].append(code)
+        timeline = by_code[code]
         timeline[0].append(ts)
         timeline[1].append(community)
+
+    first = list(first_codes)
+    order = sorted(range(len(first)), key=first.__getitem__)
+    corpus.users = [first[k] for k in order]
+    corpus.user_codes = dict(zip(corpus.users, range(len(order))))
+    renumber = np.empty(len(order), dtype=np.int32)
+    renumber[order] = np.arange(len(order), dtype=np.int32)
+    for community, (times, codes) in timelines.items():
+        times = np.frombuffer(times, dtype=np.float64)
+        codes = renumber[np.frombuffer(codes, dtype=np.intc)]
+        times.flags.writeable = codes.flags.writeable = False
+        corpus.timelines[community] = (times, codes)
     return corpus
 
 
@@ -367,19 +394,18 @@ def remove_overlapping(links: list[CrossLink], window_hours: float = 12.0) -> li
     return kept
 
 
-def window_keys(timeline, lo: float, hi: float, t0: float = 0.0, gap: float = 0.0) -> list[str]:
-    """The keys of the entries of ``timeline`` with a time in [lo, hi) and
-    ``abs(t - t0) >= gap``, in time order.
+def window_slices(times, lo: float, hi: float, t0: float = 0.0,
+                  gap: float = 0.0) -> tuple[slice, slice]:
+    """The entries of the time-ordered ``times`` with a time in [lo, hi) and
+    ``abs(t - t0) >= gap``, as two slices, the earlier first.
 
-    ``timeline`` is a ``(times, keys)`` pair of ``Corpus.timelines`` or
-    ``Corpus.user_timelines``, or None for no entries.
+    ``times`` is the first half of a ``Corpus.user_timelines`` entry (an
+    ``array``) or of a ``Corpus.timelines`` one (a numpy array); both are
+    sliced by this one rule.
     """
-    if timeline is None:
-        return []
-    times, keys = timeline
     i, j = bisect_left(times, lo), bisect_left(times, hi)
     if gap <= 0.0 or i >= j:  # no gap to leave out, or an empty window
-        return keys[i:j]
+        return slice(i, j), slice(j, j)
 
     # ``t - t0`` is computed as a scan computes it. Rounding never decreases
     # it as ``t`` grows, so the entries within the gap are one contiguous
@@ -390,18 +416,40 @@ def window_keys(timeline, lo: float, hi: float, t0: float = 0.0, gap: float = 0.
 
     a = bisect_right(times, -gap, i, j, key=offset)
     b = bisect_left(times, gap, a, j, key=offset)
-    return keys[i:a] + keys[b:j]
+    return slice(i, a), slice(b, j)
 
 
-def members(corpus: Corpus, community: str, day: float, excluded: str | None = None) -> set[str]:
-    """Users with >=1 comment in ``community`` during [day-30d, day) and none
-    in ``excluded`` during the same window."""
+def window_keys(timeline, lo: float, hi: float, t0: float = 0.0, gap: float = 0.0) -> list[str]:
+    """The communities of the entries of a ``Corpus.user_timelines`` entry,
+    or None for no entries, in ``window_slices``' window, in time order."""
+    if timeline is None:
+        return []
+    times, keys = timeline
+    head, tail = window_slices(times, lo, hi, t0, gap)
+    return keys[head] + keys[tail]
+
+
+def window_codes(timeline, lo: float, hi: float, t0: float = 0.0, gap: float = 0.0) -> np.ndarray:
+    """The author codes of the entries of a ``Corpus.timelines`` entry, or
+    None for no entries, in ``window_slices``' window, in time order."""
+    if timeline is None:
+        return np.empty(0, dtype=np.int32)
+    times, codes = timeline
+    head, tail = window_slices(times, lo, hi, t0, gap)
+    return codes[head] if tail.start == tail.stop else np.concatenate((codes[head], codes[tail]))
+
+
+def members(corpus: Corpus, community: str, day: float, excluded: str | None = None) -> np.ndarray:
+    """A boolean mask over user codes: the users with >=1 comment in
+    ``community`` during [day-30d, day) and none in ``excluded`` during the
+    same window."""
+    found = np.zeros(len(corpus.users), dtype=bool)
     timeline = corpus.timelines.get(community)
     if timeline is None:
         log.warning("members(): unknown community %r", community)
-        return set()
+        return found
     lo, hi = day - MEMBER_WINDOW_DAYS * DAY, day
-    found = set(window_keys(timeline, lo, hi))
-    if excluded is not None and found:
-        found.difference_update(window_keys(corpus.timelines.get(excluded), lo, hi))
+    found[window_codes(timeline, lo, hi)] = True
+    if excluded is not None:
+        found[window_codes(corpus.timelines.get(excluded), lo, hi)] = False
     return found

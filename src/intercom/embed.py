@@ -254,24 +254,37 @@ def save_vectors(path, names: list[str], vectors: np.ndarray) -> None:
 
 
 def load_vectors(path) -> dict[str, np.ndarray]:
-    """Read a ``save_vectors`` file. A line without the header's dimension
-    and that many coordinates, or with a coordinate that is not a finite
-    number, is a ValueError naming the file and the line."""
+    """Read a ``save_vectors`` file. A header that is not a count and a
+    dimension, two integers of at least 0, is a ValueError naming the file;
+    a line without a name, the header's dimension and that many finite
+    coordinates, or with the name of an earlier line, is a ValueError naming
+    the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
+        try:
+            count, dim = map(int, fh.readline().split())
+        except ValueError:
+            count = dim = -1
+        if count < 0 or dim < 0:
             raise ValueError(f"{path}: malformed vector file header")
-        count, dim = int(header[0]), int(header[1])
         out = {}
         for number, line in enumerate(fh, 2):
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) != 2 + dim or int(parts[1]) != dim:
+            try:
+                fits = len(parts) == 2 + dim and int(parts[1]) == dim
+            except ValueError:
+                fits = False
+            if not fits:
                 raise ValueError(f"{path}:{number}: expected a name, {dim} and {dim} coordinates")
-            vector = np.asarray([float(x) for x in parts[2:]])
-            if not np.isfinite(vector).all():
+            try:
+                vector = np.asarray([float(x) for x in parts[2:]])
+            except ValueError:
+                vector = None
+            if vector is None or not np.isfinite(vector).all():
                 raise ValueError(f"{path}:{number}: a coordinate of {parts[0]!r} is not a finite number")
+            if parts[0] in out:
+                raise ValueError(f"{path}:{number}: a second vector for {parts[0]!r}")
             out[parts[0]] = vector
     if len(out) != count:
         raise ValueError(f"{path}: header count {count} != {len(out)} vectors")

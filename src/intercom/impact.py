@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .corpus import DAY, Corpus, window_keys
-from .matching import HISTORY_GAP_DAYS, NoMatchError, match_pool, matched_user
+from .matching import HISTORY_GAP_DAYS, match_pool, matched_user
 from .mobilization import MobilizationRecord
 from .replynet import REPLYNET_HEADER
 
@@ -103,15 +103,15 @@ def mobilization_impacts(corpus: Corpus, record: MobilizationRecord, seed: int =
     ):
         if not users:
             continue
-        pool = match_pool(corpus, link, home)
-        for user in sorted(users):
+        subjects = sorted(users)
+        matches = matched_user(corpus, subjects, match_pool(corpus, link, home), seed=seed)
+        for user, match in zip(subjects, matches):
             own = activity_delta(corpus, user, link.target_community, link.t0)
             matched_delta = None
-            try:
-                pair = matched_user(corpus, link, user, home, pool, seed=seed)
-                matched_delta = activity_delta(corpus, pair.match_id, link.target_community, link.t0).delta
-            except NoMatchError:
+            if match is None:
                 log.debug("no matched user for %s in %s", user, home)
+            else:
+                matched_delta = activity_delta(corpus, match, link.target_community, link.t0).delta
             impacts.append(
                 ImpactRecord(
                     user=user,

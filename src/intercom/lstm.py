@@ -84,7 +84,11 @@ def load_params(path) -> tuple[LSTMParams, dict]:
             and isinstance(raw, dict) and sorted(raw) == sorted(PARAM_KEYS)):
         raise ValueError(f"{path}: malformed LSTM checkpoint")
     shapes = {"w": (4 * h, d), "u": (4 * h, h), "b": (4 * h,), "theta": (h,)}
-    weights = {k: np.asarray(raw[k], dtype=np.float64) for k in PARAM_KEYS}
+    try:
+        weights = {k: np.asarray(raw[k], dtype=np.float64) for k in PARAM_KEYS}
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: malformed LSTM checkpoint: a weight is not an array of numbers"
+                         ) from None
     if any(weights[k].shape != shapes[k] for k in PARAM_KEYS):
         raise ValueError(f"{path}: weights do not fit an LSTM of input {d} and hidden size {h}")
     if not all(np.isfinite(weights[k]).all() for k in PARAM_KEYS):

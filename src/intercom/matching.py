@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .corpus import DAY, MEMBER_WINDOW_DAYS, Corpus, CrossLink, Event, day_start, members, window_keys
+import numpy as np
+
+from .corpus import (DAY, MEMBER_WINDOW_DAYS, Corpus, CrossLink, Event, day_start, members,
+                     window_codes)
 
 HISTORY_GAP_DAYS = 3  # events within +/-3 days of the cross-link are ignored
 
@@ -19,7 +22,7 @@ class NoMatchError(Exception):
 class MatchedPair:
     subject_id: str
     match_id: str
-    match_distance: float  # seconds for posts, comment-count difference for users
+    match_distance: float  # seconds
 
 
 def crosslink_involved_posts(links: list[CrossLink]) -> set[str]:
@@ -63,29 +66,13 @@ def matched_post(corpus: Corpus, post_id: str, involved: set[str]) -> MatchedPai
     return MatchedPair(subject_id=post_id, match_id=best[1].id, match_distance=best[0][0])
 
 
-def _history_count(corpus: Corpus, user: str, community: str, day: float, t0: float) -> int:
-    """Comments by user in community during [day-30d, day), ignoring events
-    within +/-3 days of t0."""
-    return _history(corpus.user_timelines.get(user), day, t0).count(community)
-
-
-def _history_counts(corpus: Corpus, community: str, day: float, t0: float) -> Counter:
-    """``_history_count`` of every user at once, from the community's
-    comment timeline."""
-    return Counter(_history(corpus.timelines.get(community), day, t0))
-
-
-def _history(timeline, day: float, t0: float) -> list[str]:
-    """``window_keys`` of a timeline over the history window of a link
-    created at ``t0`` on ``day``."""
-    return window_keys(timeline, day - MEMBER_WINDOW_DAYS * DAY, day, t0, HISTORY_GAP_DAYS * DAY)
-
-
-def match_pool(corpus: Corpus, link: CrossLink, community: str) -> dict[str, int]:
+def match_pool(corpus: Corpus, link: CrossLink, community: str) -> tuple[np.ndarray, np.ndarray]:
     """The users ``matched_user`` picks from for one side of a cross-link,
-    each with their 30-day comment count (``_history_count``): members of
-    ``community`` on the link's day who are not members of the counterpart
-    community and did not comment in the target thread.
+    as ascending user codes: members of ``community`` on the link's day who
+    are not members of the counterpart community and did not comment in the
+    target thread. With them, every user's comment count in ``community``
+    during [day-30d, day), leaving out comments within +/-3 days of t0, as a
+    ``bincount`` over user codes.
 
     ``community`` must be the link's source or target community.
     """
@@ -97,38 +84,47 @@ def match_pool(corpus: Corpus, link: CrossLink, community: str) -> dict[str, int
         raise ValueError(f"{community!r} is not a side of the cross-link")
     day = day_start(link.t0)
     pool = members(corpus, community, day, counterpart)
-    pool.difference_update(c.author for c in corpus.thread_comments.get(link.target_post, []))
-    counts = _history_counts(corpus, community, day, link.t0)
-    return {u: counts[u] for u in pool}
+    codes = corpus.user_codes
+    pool[[codes[c.author] for c in corpus.thread_comments.get(link.target_post, ())]] = False
+    history = window_codes(corpus.timelines.get(community), day - MEMBER_WINDOW_DAYS * DAY, day,
+                           link.t0, HISTORY_GAP_DAYS * DAY)
+    return np.flatnonzero(pool), np.bincount(history, minlength=len(corpus.users))
 
 
-def matched_user(
-    corpus: Corpus,
-    link: CrossLink,
-    user: str,
-    community: str,
-    pool: dict[str, int],
-    seed: int = 0,
-) -> MatchedPair:
-    """Same-community member with the closest 30-day comment count who did not
-    comment in the cross-linked target thread; ties broken by seeded choice.
+# a distance above any count difference: a subject's own entry in its pool
+_FAR = np.iinfo(np.int64).max
 
-    ``community`` must be the link's source or target community; the
-    membership exclusion uses the counterpart. ``pool`` is
-    ``match_pool(corpus, link, community)``.
+
+@lru_cache(maxsize=4096)
+def _tie_index(seed: int, n: int) -> int:
+    """The index ``random.Random(seed).choice`` picks among n tied items: it
+    draws from their number alone."""
+    return random.Random(seed).choice(range(n))
+
+
+def matched_user(corpus: Corpus, users: list[str], pool: tuple[np.ndarray, np.ndarray],
+                 seed: int = 0) -> list[str | None]:
+    """For each of one side's subjects ``users``, the user of ``pool`` other
+    than the subject whose 30-day comment count is closest to the subject's;
+    ties broken by ``random.Random(seed).choice`` of the tied names in
+    sorted order. None for a subject with no other user in the pool.
+
+    ``pool`` is ``match_pool(corpus, link, community)`` of the side's
+    community, whose counts also give each subject's own.
     """
-    subject_count = _history_count(corpus, user, community, day_start(link.t0), link.t0)
-    best, tied = None, []
-    for u, count in pool.items():
-        if u == user:
+    codes, history = pool
+    if not codes.size:
+        return [None] * len(users)
+    subjects = np.array([corpus.user_codes.get(user, -1) for user in users], dtype=np.intp)
+    own = np.where(subjects >= 0, history[subjects], 0)  # a user without a code has no comment
+    distance = np.abs(history[codes] - own[:, None])  # subjects x pool
+    distance[codes == subjects[:, None]] = _FAR
+    best = distance.min(axis=1)
+    picks = []
+    for row, nearest in zip(distance == best[:, None], best.tolist()):
+        if nearest == _FAR:
+            picks.append(None)
             continue
-        distance = abs(count - subject_count)
-        if best is None or distance < best:
-            best, tied = distance, [u]
-        elif distance == best:
-            tied.append(u)
-    if best is None:
-        raise NoMatchError(f"no eligible matched user for {user!r} in {community!r}")
-    tied.sort()
-    pick = tied[0] if len(tied) == 1 else random.Random(seed).choice(tied)
-    return MatchedPair(subject_id=user, match_id=pick, match_distance=float(best))
+        tied = codes[row].tolist()  # ascending codes: sorted names
+        picks.append(corpus.users[tied[_tie_index(seed, len(tied))]])
+    return picks

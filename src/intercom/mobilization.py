@@ -5,6 +5,8 @@ import logging
 import statistics
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus import Corpus, CrossLink, day_start, members
 from .matching import NoMatchError, crosslink_involved_posts, matched_post
 
@@ -66,16 +68,21 @@ def smoothed_ratio(before: int, after: int) -> float:
     return (after + 1) / (before + 1)
 
 
-def _thread_counts_by(corpus: Corpus, post_id: str, users: set[str], t0: float, window_s: float):
-    before = after = 0
-    for c in corpus.thread_comments.get(post_id, []):
-        if c.author not in users:
-            continue
+def _window_counts(corpus: Corpus, post_id: str, source_members: np.ndarray, t0: float,
+                   window_s: float) -> tuple[int, int, np.ndarray]:
+    """Comments on a thread by the users of the ``source_members`` mask in
+    [t0-w, t0) and in [t0, t0+w), and the author codes of every comment on
+    it in [t0, t0+w)."""
+    codes = corpus.user_codes
+    before, after = [], []
+    for c in corpus.thread_comments.get(post_id, ()):
         if t0 - window_s <= c.timestamp < t0:
-            before += 1
+            before.append(codes[c.author])
         elif t0 <= c.timestamp < t0 + window_s:
-            after += 1
-    return before, after
+            after.append(codes[c.author])
+    after = np.array(after, dtype=np.intp)
+    return (int(np.count_nonzero(source_members[before])),
+            int(np.count_nonzero(source_members[after])), after)
 
 
 @dataclass(frozen=True)
@@ -106,26 +113,22 @@ def measure(
     """
     window_s = window_hours * 3600.0
     involved = crosslink_involved_posts(links)
+    names = corpus.users
     measured = []
     for link in links:
         t0, day = link.t0, day_start(link.t0)
-        source_members = members(corpus, link.source_community, day, link.target_community)
-        target_members = members(corpus, link.target_community, day, link.source_community)
-        before = after = 0
-        attackers, defenders = set(), set()
-        for c in corpus.thread_comments.get(link.target_post, []):
-            if t0 - window_s <= c.timestamp < t0:
-                if c.author in source_members:
-                    before += 1
-            elif t0 <= c.timestamp < t0 + window_s:
-                if c.author in source_members:
-                    after += 1
-                    attackers.add(c.author)
-                elif c.author in target_members:
-                    defenders.add(c.author)
+        # each side's window is sliced once: the members of either side are
+        # its window's commenters less the other's
+        source = members(corpus, link.source_community, day)
+        target = members(corpus, link.target_community, day)
+        source_members, target_members = source & ~target, target & ~source
+        before, after, later = _window_counts(corpus, link.target_post, source_members, t0,
+                                              window_s)
+        attackers = {names[k] for k in later[source_members[later]].tolist()}
+        defenders = {names[k] for k in later[target_members[later]].tolist()}
         try:
             match = matched_post(corpus, link.target_post, involved)
-            matched_before, matched_after = _thread_counts_by(
+            matched_before, matched_after, _ = _window_counts(
                 corpus, match.match_id, source_members, t0, window_s)
         except NoMatchError:
             log.debug("no matched thread for %s", link.target_post)

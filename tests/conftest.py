@@ -25,6 +25,11 @@ def corpus_from(events):
     return index_events(events)
 
 
+def names(corpus, mask):
+    """The names of the users a mask over user codes selects."""
+    return {corpus.users[k] for k in mask.nonzero()[0].tolist()}
+
+
 def record(event):
     """The event as the dict of its log line."""
     row = {"kind": event.kind, "id": event.id, "author": event.author,

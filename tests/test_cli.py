@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -351,30 +352,84 @@ def test_predict_score_rejects_a_malformed_vector_line(synth, models, tmp_path, 
     assert not (tmp_path / "scores.jsonl").exists()
 
 
-def _nan_at(keys):
-    """An edit of a JSON checkpoint that sets the entry at ``keys`` to NaN."""
+def _set_at(keys, value):
+    """An edit of a JSON checkpoint that sets the entry at ``keys`` to ``value``."""
     def apply(text):
         checkpoint = json.loads(text)
         node = checkpoint
         for key in keys[:-1]:
             node = node[key]
-        node[keys[-1]] = float("nan")
+        node[keys[-1]] = value
         return json.dumps(checkpoint)
     return apply
 
 
 def test_predict_score_rejects_a_non_finite_lstm_weight(synth, models, tmp_path, capsys):
     events_path, _ = synth
-    copy = _edited_copy(models, tmp_path, "lstm.json", _nan_at(["weights", "theta", 0]))
+    copy = _edited_copy(models, tmp_path, "lstm.json",
+                        _set_at(["weights", "theta", 0], float("nan")))
     assert main(["predict", "score", "--corpus", events_path, "--embeddings", str(copy / "emb"),
                  "--model", str(copy / "lstm.json"), "--out", str(tmp_path / "scores.jsonl")]) == 2
     assert "not a finite number" in capsys.readouterr().err
     assert not (tmp_path / "scores.jsonl").exists()
 
 
+def _header(edit):
+    """An edit of a .vec file that replaces its header by ``edit`` of the
+    header's fields."""
+    def apply(text):
+        header, *rest = text.splitlines()
+        return "\n".join([edit(header.split()), *rest]) + "\n"
+    return apply
+
+
+def _repeat_first_name(text):
+    """A .vec file with one more line, which repeats the first line's name,
+    and the header count it had."""
+    header, first, *rest = text.splitlines()
+    name, dim, *coords = first.split()
+    return "\n".join([header, first, *rest, " ".join([name, dim] + ["0.5"] * len(coords))]) + "\n"
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("emb/users.vec", _first_vector_line(lambda parts: " ".join(parts[:-1] + ["abc"])),
+     ":2: a coordinate of"),
+    ("emb/communities.vec", _first_vector_line(lambda parts: " ".join([parts[0], "x"] + parts[2:])),
+     ":2: expected a name"),
+    ("emb/words.vec", _header(lambda fields: f"{fields[0]}.5 {fields[1]}"),
+     ": malformed vector file header"),
+    ("emb/users.vec", _repeat_first_name, r":\d+: a second vector for"),
+], ids=["non-number-coordinate", "non-integer-dimension", "non-integer-header", "repeated-name"])
+def test_predict_score_names_the_vector_file_of_a_malformed_field(synth, models, tmp_path, capsys,
+                                                                   name, edit, message):
+    events_path, _ = synth
+    copy = _edited_copy(models, tmp_path, name, edit)
+    assert main(["predict", "score", "--corpus", events_path, "--embeddings", str(copy / "emb"),
+                 "--model", str(copy / "lstm.json"), "--out", str(tmp_path / "scores.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert re.match(f"error: {re.escape(str(copy / name))}{message}", err)
+    assert not (tmp_path / "scores.jsonl").exists()
+
+
+@pytest.mark.parametrize("keys, value", [
+    (["weights", "theta"], [1.0, [2.0]]),
+    (["weights", "theta"], ["x", 1.0]),
+    (["weights", "b"], {"0": 1.0}),
+], ids=["ragged-weight", "string-weight", "dict-weight"])
+def test_predict_score_names_the_checkpoint_of_a_weight_that_is_no_array(synth, models, tmp_path,
+                                                                         capsys, keys, value):
+    events_path, _ = synth
+    copy = _edited_copy(models, tmp_path, "lstm.json", _set_at(keys, value))
+    assert main(["predict", "score", "--corpus", events_path, "--embeddings", str(copy / "emb"),
+                 "--model", str(copy / "lstm.json"), "--out", str(tmp_path / "scores.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {copy / 'lstm.json'}: malformed LSTM checkpoint")
+    assert not (tmp_path / "scores.jsonl").exists()
+
+
 def test_sentiment_predict_rejects_a_non_finite_leaf_value(synth, models, tmp_path, capsys):
     events_path, _ = synth
-    copy = _edited_copy(models, tmp_path, "sentiment.json", _nan_at(["value", -1, 0]))
+    copy = _edited_copy(models, tmp_path, "sentiment.json", _set_at(["value", -1, 0], float("nan")))
     assert main(["sentiment", "predict", "--corpus", events_path, "--model",
                  str(copy / "sentiment.json"), "--out", str(tmp_path / "sentiment.jsonl")]) == 2
     assert "not a finite number" in capsys.readouterr().err

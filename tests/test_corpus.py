@@ -16,7 +16,7 @@ from intercom.corpus import (
     remove_overlapping,
 )
 
-from conftest import BASE, DAY, HOUR, comment, corpus_from, post, write_events
+from conftest import BASE, DAY, HOUR, comment, corpus_from, names, post, write_events
 
 
 def test_load_empty_file(tmp_path):
@@ -428,22 +428,24 @@ def test_members_window_and_exclusion():
         comment("c4", "u_old", "C", d - 31 * DAY, "p1"),
         comment("c5", "u_edge", "C", d, "p1"),  # at d: outside half-open window
     ])
-    assert members(corpus, "C", d, "D") == {"u_in"}
-    assert members(corpus, "C", d) == {"u_in", "u_both"}
-    assert members(corpus, "nowhere", d, "D") == set()
+    assert names(corpus, members(corpus, "C", d, "D")) == {"u_in"}
+    assert names(corpus, members(corpus, "C", d)) == {"u_in", "u_both"}
+    assert names(corpus, members(corpus, "nowhere", d, "D")) == set()
+    mask = members(corpus, "C", d)
+    assert mask.dtype == bool and mask.shape == (len(corpus.users),)
 
 
 def test_members_unknown_community_warns(caplog):
     d = BASE + 60 * DAY
     corpus = corpus_from([post("p1", "x", "C", BASE), comment("c1", "u1", "C", d - DAY, "p1")])
     with caplog.at_level(logging.WARNING, logger="intercom.corpus"):
-        assert members(corpus, "nowhere", d) == set()
-        assert members(corpus, "nowhere", d, "C") == set()
+        assert names(corpus, members(corpus, "nowhere", d)) == set()
+        assert names(corpus, members(corpus, "nowhere", d, "C")) == set()
     assert caplog.text.count("members(): unknown community 'nowhere'") == 2
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="intercom.corpus"):
         # an unknown excluded community excludes nobody, silently
-        assert members(corpus, "C", d, "nowhere") == {"u1"}
+        assert names(corpus, members(corpus, "C", d, "nowhere")) == {"u1"}
     assert caplog.text == ""
 
 
@@ -458,7 +460,7 @@ def test_members_mutually_exclusive():
         if rng.random() < 0.6:
             events.append(comment(f"cd{i}", user, "D", d - rng.uniform(1, 29) * DAY, "p2"))
     corpus = corpus_from(events)
-    assert members(corpus, "C", d, "D") & members(corpus, "D", d, "C") == set()
+    assert not (members(corpus, "C", d, "D") & members(corpus, "D", d, "C")).any()
 
 
 def test_time_shift_invariance():
@@ -478,7 +480,7 @@ def test_time_shift_invariance():
                        else comment(e.id, e.author, e.community, e.timestamp + shift,
                                     e.thread_id, e.parent_id, e.body))
     c1, c2 = corpus_from(base_events), corpus_from(shifted)
-    assert members(c1, "C", d) == members(c2, "C", d + shift)
+    assert (members(c1, "C", d) == members(c2, "C", d + shift)).all()
     t1 = extract_crosslinks(c1)[0].t0
     t2 = extract_crosslinks(c2)[0].t0
     assert t2 - t1 == shift

@@ -1,7 +1,9 @@
 """The indexed membership and matching lookups against the linear scans they
 replaced, ``index_events`` against the two-pass indexing it replaced, and
 ``load_events`` against the ``json.loads`` loader it replaced, kept here as
-oracles, on random small corpora.
+oracles, on random small corpora. The scans give the lookups' results in
+their shapes (masks and counts over user codes, a name or None per
+subject) from the events alone, and must equal them bit for bit.
 
 Timestamps are drawn mostly from the edges the lookups compare against: day
 boundaries, the ends of the 30-day window, t0 +/- 3 days, and the floats
@@ -15,6 +17,7 @@ import tempfile
 from array import array
 from itertools import count
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -29,12 +32,12 @@ from intercom.corpus import (  # noqa: E402
     index_events,
     load_events,
     members,
+    window_codes,
     window_keys,
 )
 from intercom.impact import _window_fraction, activity_delta  # noqa: E402
 from intercom.matching import (  # noqa: E402
     NoMatchError,
-    _history_count,
     crosslink_involved_posts,
     match_pool,
     matched_post,
@@ -61,7 +64,12 @@ def scan_comments(corpus, lo, hi, t0=0.0, gap=0.0, user=None, community=None):
             and user in (None, c.author) and community in (None, c.community)]
 
 
-def scan_members(corpus, community, day, excluded=None):
+def commenters(corpus):
+    """Every user with a comment, in name order: user code k is the k-th."""
+    return sorted({c.author for c in corpus.comments.values()})
+
+
+def scan_member_names(corpus, community, day, excluded=None):
     lo, hi = day - 30 * DAY, day
     found = {c.author for c in scan_comments(corpus, lo, hi, community=community)}
     if excluded is not None and found:
@@ -69,8 +77,26 @@ def scan_members(corpus, community, day, excluded=None):
     return found
 
 
+def scan_members(corpus, community, day, excluded=None):
+    """``scan_member_names`` as a mask over user codes."""
+    found = scan_member_names(corpus, community, day, excluded)
+    return np.array([u in found for u in commenters(corpus)], dtype=bool)
+
+
 def scan_history_count(corpus, user, community, day, t0):
     return len(scan_comments(corpus, day - 30 * DAY, day, t0, GAP, user, community))
+
+
+def scan_history(corpus, community, day, t0):
+    """``scan_history_count`` of every user, over user codes."""
+    return np.array([scan_history_count(corpus, u, community, day, t0)
+                     for u in commenters(corpus)], dtype=np.intp)
+
+
+def same(got, expected):
+    """Whether two arrays hold the same values, bit for bit, of the same
+    kind and shape."""
+    return got.dtype.kind == expected.dtype.kind and np.array_equal(got, expected)
 
 
 def scan_window_fraction(corpus, user, community, lo, hi, t0):
@@ -79,25 +105,36 @@ def scan_window_fraction(corpus, user, community, lo, hi, t0):
     return (in_comm / total if total else 0.0), total
 
 
-def scan_matched_user(corpus, link, user, community, seed=0):
+def scan_pool(corpus, link, community):
+    """The names in a side's pool: its members on the link's day, less the
+    target thread's commenters."""
     if community == link.source_community:
         counterpart = link.target_community
     elif community == link.target_community:
         counterpart = link.source_community
     else:
         raise ValueError(f"{community!r} is not a side of the cross-link")
+    pool = scan_member_names(corpus, community, day_start(link.t0), counterpart)
+    return pool - {c.author for c in corpus.thread_comments.get(link.target_post, [])}
+
+
+def scan_matched_user(corpus, link, users, community, seed=0):
+    """Per subject, the name of its matched user, or None."""
     day = day_start(link.t0)
-    pool = scan_members(corpus, community, day, counterpart)
-    pool -= {c.author for c in corpus.thread_comments.get(link.target_post, [])}
-    pool.discard(user)
-    if not pool:
-        raise NoMatchError(user)
-    subject = scan_history_count(corpus, user, community, day, link.t0)
-    dist = {u: abs(scan_history_count(corpus, u, community, day, link.t0) - subject) for u in pool}
-    best = min(dist.values())
-    tied = sorted(u for u, d in dist.items() if d == best)
-    pick = tied[0] if len(tied) == 1 else random.Random(seed).choice(tied)
-    return pick, float(best)
+    names = scan_pool(corpus, link, community)
+    picks = []
+    for user in users:
+        pool = names - {user}
+        if not pool:
+            picks.append(None)
+            continue
+        subject = scan_history_count(corpus, user, community, day, link.t0)
+        dist = {u: abs(scan_history_count(corpus, u, community, day, link.t0) - subject)
+                for u in pool}
+        best = min(dist.values())
+        tied = sorted(u for u, d in dist.items() if d == best)
+        picks.append(tied[0] if len(tied) == 1 else random.Random(seed).choice(tied))
+    return picks
 
 
 def scan_matched_post(corpus, links, post_id):
@@ -241,8 +278,19 @@ def test_members_equals_scan(drawn, data):
     day = data.draw(st.sampled_from(edges(t0) + [day_start(t0)]))
     for community in names:
         for excluded in names + [None]:
-            assert members(corpus, community, day, excluded) == \
-                scan_members(corpus, community, day, excluded)
+            assert same(members(corpus, community, day, excluded),
+                        scan_members(corpus, community, day, excluded))
+
+
+def pool_equals_scan(corpus, link, side):
+    """Whether ``match_pool`` of a side equals the scans: the pool's codes,
+    ascending, and every user's history count."""
+    codes, history = match_pool(corpus, link, side)
+    users = commenters(corpus)
+    expected = np.array([users.index(u) for u in sorted(scan_pool(corpus, link, side))],
+                        dtype=np.intp)
+    return same(codes, expected) and same(history,
+                                          scan_history(corpus, side, day_start(link.t0), link.t0))
 
 
 @EXAMPLES
@@ -251,14 +299,11 @@ def test_history_count_and_pool_equal_scan(drawn):
     corpus, link, t0 = drawn
     day = day_start(t0)
     for community in COMMUNITIES + ["Z"]:
-        for user in USERS + ["nobody"]:
-            assert _history_count(corpus, user, community, day, t0) == \
-                scan_history_count(corpus, user, community, day, t0)
-    for side, counterpart in (("A", "B"), ("B", "A")):
-        expected = scan_members(corpus, side, day, counterpart)
-        expected -= {c.author for c in corpus.thread_comments.get("target", [])}
-        assert match_pool(corpus, link, side) == \
-            {u: scan_history_count(corpus, u, side, day, t0) for u in expected}
+        history = np.bincount(window_codes(corpus.timelines.get(community), day - 30 * DAY, day,
+                                           t0, GAP), minlength=len(corpus.users))
+        assert same(history, scan_history(corpus, community, day, t0))
+    for side in ("A", "B"):
+        assert pool_equals_scan(corpus, link, side)
 
 
 @EXAMPLES
@@ -285,18 +330,70 @@ def test_window_fraction_and_activity_delta_equal_scan(drawn, data):
 @given(corpora(), st.integers(0, 3))
 def test_matched_user_equals_scan(drawn, seed):
     corpus, link, _t0 = drawn
+    subjects = sorted(USERS + ["nobody"])  # nobody has no comment, so no user code
     for community in ("A", "B", "C"):
         pool = outcome(match_pool, corpus, link, community)
-        for user in USERS:
-            expected = outcome(scan_matched_user, corpus, link, user, community, seed=seed)
-            if isinstance(pool, type):  # a community that is not a side of the link
-                assert pool is expected is ValueError
-                continue
-            got = outcome(matched_user, corpus, link, user, community, pool, seed=seed)
-            if isinstance(got, type):
-                assert got is expected
-            else:
-                assert (got.match_id, got.match_distance) == expected
+        expected = outcome(scan_matched_user, corpus, link, subjects, community, seed=seed)
+        if isinstance(pool, type):  # a community that is not a side of the link
+            assert pool is expected is ValueError
+            continue
+        assert matched_user(corpus, subjects, pool, seed=seed) == expected
+
+
+def edge_case(kind):
+    """A corpus and a cross-link from A to the B post "target", on DAY0, for
+    one edge case of the pool: A's members are u0-u3 with 5 history comments
+    each, B's are b0-b1, and
+    - "own pool": the subjects are in their own pool, where u0, with 7
+      comments, is nearest itself and then u1, with 6;
+    - "all tied": u0 has 2 comments, so u1-u3 tie at distance 3 from it;
+    - "empty pool": every A member comments in the target thread;
+    - "no comments": community A has posts and no comments.
+    """
+    t0 = DAY0 + 15 * HOUR
+    events = [post("a", "x", "A", DAY0 - 20 * DAY), post("target", "y", "B", t0 - HOUR),
+              post("source", "linker", "A", t0, body="r/B/comments/target")]
+    counts = {"u0": 5, "u1": 5, "u2": 5, "u3": 5}
+    if kind == "own pool":
+        counts.update(u0=7, u1=6)
+    elif kind == "all tied":
+        counts["u0"] = 2
+    ids = count()
+    if kind != "no comments":
+        for user, n in counts.items():
+            events += [comment(f"c{next(ids)}", user, "A", DAY0 - 10 * DAY + k, "a")
+                       for k in range(n)]
+    for user in ("b0", "b1"):
+        events.append(comment(f"c{next(ids)}", user, "B", DAY0 - 5 * DAY, "target"))
+    if kind == "empty pool":
+        events += [comment(f"c{next(ids)}", user, "B", t0 + HOUR, "target") for user in counts]
+    link = CrossLink(source_post="source", target_post="target", source_community="A",
+                     target_community="B", t0=t0, author="linker")
+    return corpus_from(events), link
+
+
+@pytest.mark.parametrize("kind, picks", [
+    ("own pool", {"u0": {"u1"}, "u3": {"u2"}}),
+    ("all tied", {"u0": {"u1", "u2", "u3"}, "u3": {"u1", "u2"}}),
+    ("empty pool", {"u0": {None}, "u3": {None}}),
+    ("no comments", {"u0": {None}, "u3": {None}}),
+])
+def test_matched_user_edge_cases_equal_scan(kind, picks):
+    corpus, link = edge_case(kind)
+    day = day_start(link.t0)
+    for community in ("A", "B"):
+        for excluded in ("A", "B", None):
+            assert same(members(corpus, community, day, excluded),
+                        scan_members(corpus, community, day, excluded))
+        assert pool_equals_scan(corpus, link, community)
+    pool, subjects = match_pool(corpus, link, "A"), sorted(picks)
+    seen = {user: set() for user in subjects}
+    for seed in range(12):
+        got = matched_user(corpus, subjects, pool, seed=seed)
+        assert got == scan_matched_user(corpus, link, subjects, "A", seed=seed)
+        for user, pick in zip(subjects, got):
+            seen[user].add(pick)
+    assert seen == picks
 
 
 @EXAMPLES
@@ -375,17 +472,29 @@ INDEXES = ("posts", "comments", "posts_by_time", "thread_comments", "community_p
            "user_posts", "user_timelines", "stats")
 
 
+def named_timelines(corpus):
+    """``corpus.timelines`` with lists of times and author names."""
+    return {community: (times.tolist(), [corpus.users[k] for k in codes.tolist()])
+            for community, (times, codes) in corpus.timelines.items()}
+
+
+def listed(timelines):
+    """A ``TwoPassCorpus``'s community timelines with lists of times."""
+    return {community: (list(times), authors) for community, (times, authors) in timelines.items()}
+
+
 @EXAMPLES
 @given(event_logs())
 def test_index_events_equals_two_pass_indexing(events):
     corpus, expected = index_events(events), two_pass(events)
     for name in INDEXES:
         assert ordered(getattr(corpus, name)) == ordered(getattr(expected, name)), name
-    communities = {e.community for e in events} | {"Z"}
-    for community in sorted(communities):
-        assert corpus.timelines.get(community) == expected.comment_timeline(community)
-    assert ordered(corpus.timelines) == ordered(expected._timeline)
-    assert all(times.typecode == "d" for times, _authors in corpus.timelines.values())
+    assert corpus.users == commenters(expected)
+    assert corpus.user_codes == {u: k for k, u in enumerate(corpus.users)}
+    expected.comment_timeline("Z")  # builds every community's timeline
+    assert ordered(named_timelines(corpus)) == ordered(listed(expected._timeline))
+    assert all(times.dtype == np.float64 and codes.dtype == np.int32
+               for times, codes in corpus.timelines.values())
 
 
 # -- the loader load_events replaced -----------------------------------------
@@ -536,5 +645,6 @@ def test_load_events_equals_the_json_loads_loader(text):
         corpus, expected = load_events(path), oracle_load_events(path)
     for name in INDEXES:
         assert ordered(getattr(corpus, name)) == ordered(getattr(expected, name)), name
+    assert corpus.users == commenters(expected)
     expected.comment_timeline("Z")  # builds every community's timeline
-    assert ordered(corpus.timelines) == ordered(expected._timeline)
+    assert ordered(named_timelines(corpus)) == ordered(listed(expected._timeline))

@@ -77,6 +77,11 @@ def test_matched_post_minimal_distance_exhaustive():
         assert pair.match_distance == pytest.approx(best)
 
 
+def _count(corpus, pool, user):
+    """The user's 30-day comment count in a ``match_pool``."""
+    return int(pool[1][corpus.user_codes[user]])
+
+
 def _user_match_corpus():
     """Community C members with controlled 30-day comment counts."""
     t0 = BASE + 60 * DAY + 15 * HOUR
@@ -98,9 +103,9 @@ def _user_match_corpus():
 
 def test_matched_user_nearest_count():
     corpus, link, _ = _user_match_corpus()
-    pair = matched_user(corpus, link, "subject", "C", match_pool(corpus, link, "C"))
-    assert pair.match_id == "u11"
-    assert pair.match_distance == 1
+    pool = match_pool(corpus, link, "C")
+    assert matched_user(corpus, ["subject"], pool) == ["u11"]
+    assert _count(corpus, pool, "subject") - _count(corpus, pool, "u11") == 1
 
 
 def test_matched_user_tie_seeded():
@@ -110,11 +115,10 @@ def test_matched_user_tie_seeded():
     events = list(corpus.posts.values()) + list(corpus.comments.values()) + extra
     corpus2 = corpus_from(events)
     pool = match_pool(corpus2, link, "C")
-    picks = {matched_user(corpus2, link, "subject", "C", pool, seed=s).match_id for s in range(20)}
+    picks = {matched_user(corpus2, ["subject"], pool, seed=s)[0] for s in range(20)}
     assert picks == {"u11", "u13"}
-    assert all(matched_user(corpus2, link, "subject", "C", pool, seed=5).match_id
-               == matched_user(corpus2, link, "subject", "C", pool, seed=5).match_id
-               for _ in range(3))
+    assert all(matched_user(corpus2, ["subject"], pool, seed=5)
+               == matched_user(corpus2, ["subject"], pool, seed=5) for _ in range(3))
 
 
 def test_matched_user_excludes_thread_commenters():
@@ -122,7 +126,7 @@ def test_matched_user_excludes_thread_commenters():
     events = (list(corpus.posts.values()) + list(corpus.comments.values())
               + [comment("onthread", "u11", "B", t0 + 60, "tgt")])
     corpus2 = corpus_from(events)
-    assert matched_user(corpus2, link, "subject", "C", match_pool(corpus2, link, "C")).match_id == "u5"
+    assert matched_user(corpus2, ["subject"], match_pool(corpus2, link, "C")) == ["u5"]
 
 
 def test_matched_user_no_candidates():
@@ -134,8 +138,7 @@ def test_matched_user_no_candidates():
     events.append(comment("c0", "subject", "C", t0 - 5 * DAY, "anchor"))
     corpus = corpus_from(events)
     link = _link("src", "tgt", t0, sc="C")
-    with pytest.raises(NoMatchError):
-        matched_user(corpus, link, "subject", "C", match_pool(corpus, link, "C"))
+    assert matched_user(corpus, ["subject"], match_pool(corpus, link, "C")) == [None]
 
 
 def test_matched_user_minimal_distance_exhaustive():
@@ -176,10 +179,11 @@ def test_matched_user_minimal_distance_exhaustive():
         raw.append(("subject", "C", d - 10 * DAY))
         events.append(comment("extra", "subject", "C", d - 10 * DAY, "anchor"))
         corpus = corpus_from(events)
-    pair = matched_user(corpus, link, "subject", "C", match_pool(corpus, link, "C"))
+    [match] = matched_user(corpus, ["subject"], match_pool(corpus, link, "C"))
     eligible = [u for u in users if u != "subject" and oracle_member(u)]
     best = min(abs(oracle_count(u) - oracle_count("subject")) for u in eligible)
-    assert pair.match_distance == best
+    assert match in eligible
+    assert abs(oracle_count(match) - oracle_count("subject")) == best
 
 
 def test_matched_user_history_excludes_gap():
@@ -201,6 +205,6 @@ def test_matched_user_history_excludes_gap():
         events.append(comment(f"f{i}", "full", "C", t0 - 12 * DAY + i, "anchor"))
     corpus = corpus_from(events)
     link = _link("src", "tgt", t0, sc="C")
-    pair = matched_user(corpus, link, "subject", "C", match_pool(corpus, link, "C"))
-    assert pair.match_id == "full"
-    assert pair.match_distance == 1
+    pool = match_pool(corpus, link, "C")
+    assert matched_user(corpus, ["subject"], pool) == ["full"]
+    assert _count(corpus, pool, "subject") - _count(corpus, pool, "full") == 1

@@ -3,9 +3,11 @@ functions they replaced, which measured every cross-link twice and are kept
 here as the oracle, on random small logs with several cross-links.
 
 Every drawn log holds random links, which share target community B, and
-two planted ones: one into a community with no other post (no matched post)
-and one whose target thread has at least 5 more source-member comments
-before t0 than its matched thread (skipped by the baseline).
+three planted ones: one into a community with no other post (no matched
+post), the same from a community with no comments, and one whose target
+thread has at least 5 more source-member comments before t0 than its matched
+thread (skipped by the baseline). The oracle finds members by scanning the
+comments, as sets of names, and must give the same records bit for bit.
 """
 import math
 import statistics
@@ -16,7 +18,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from intercom.corpus import DAY, CrossLink, day_start, members  # noqa: E402
+from intercom.corpus import DAY, CrossLink, day_start  # noqa: E402
 from intercom.matching import NoMatchError, crosslink_involved_posts, matched_post  # noqa: E402
 from intercom.mobilization import (  # noqa: E402
     DEFAULT_BASELINE,
@@ -37,6 +39,15 @@ EXAMPLES = settings(max_examples=150, deadline=None)
 
 
 # -- the null model as it was: each function measures every link itself ------
+
+def reference_members(corpus, community, day, excluded):
+    """Users with a comment in ``community`` during [day-30d, day) and none
+    in ``excluded``, by a scan of every comment."""
+    def authors(name):
+        return {c.author for c in corpus.comments.values()
+                if c.community == name and day - 30 * DAY <= c.timestamp < day}
+    return authors(community) - authors(excluded)
+
 
 def reference_thread_counts(corpus, post_id, users, t0, window_s):
     before = after = 0
@@ -65,7 +76,8 @@ def reference_baseline_ratio(corpus, links, window_hours=12.0, stat="mean", invo
         except NoMatchError:
             no_match += 1
             continue
-        mem = members(corpus, link.source_community, day_start(link.t0), link.target_community)
+        mem = reference_members(corpus, link.source_community, day_start(link.t0),
+                                link.target_community)
         target_before, _ = reference_thread_counts(corpus, link.target_post, mem, link.t0, window_s)
         m_before, m_after = reference_thread_counts(corpus, match.match_id, mem, link.t0, window_s)
         if abs(target_before - m_before) >= MAX_PRECOUNT_DIFF:
@@ -87,8 +99,8 @@ def reference_detect(corpus, link, baseline, links=None, window_hours=12.0):
         raise ValueError("baseline must be positive")
     window_s = window_hours * 3600.0
     day = day_start(link.t0)
-    source_members = members(corpus, link.source_community, day, link.target_community)
-    target_members = members(corpus, link.target_community, day, link.source_community)
+    source_members = reference_members(corpus, link.source_community, day, link.target_community)
+    target_members = reference_members(corpus, link.target_community, day, link.source_community)
 
     before, after = reference_thread_counts(corpus, link.target_post, source_members, link.t0,
                                             window_s)
@@ -137,10 +149,11 @@ def window_edges(t0, window_s):
 
 
 def planted(skip_extra):
-    """Two links from community P, created at 15:00 on DAY0: into Q, whose
-    target thread has ``5 + skip_extra`` source-member comments in the hour
-    before t0 and whose one other post (its matched post) has none, and into
-    D, which has no other post."""
+    """Three links created at 15:00 on DAY0. Two are from community P: into
+    Q, whose target thread has ``5 + skip_extra`` source-member comments in
+    the hour before t0 and whose one other post (its matched post) has none,
+    and into D, which has no other post and no comment. The third is into D
+    from E, which has no comment either."""
     t0 = DAY0 + 15 * HOUR
     events = [post("p_anchor", "x", "P", DAY0 - 20 * DAY),
               post("q_target", "y", "Q", t0 - 2 * HOUR),
@@ -151,11 +164,14 @@ def planted(skip_extra):
         events.append(comment(f"pm{j}", user, "P", DAY0 - 5 * DAY + j, "p_anchor"))
         events.append(comment(f"qc{j}", user, "Q", t0 - HOUR + j, "q_target"))
     links = []
-    for target, community in (("q_target", "Q"), ("d_target", "D")):
-        source = f"src_{target}"
-        events.append(post(source, "linker", "P", t0, body=f"r/{community}/comments/{target}"))
-        links.append(CrossLink(source_post=source, target_post=target, source_community="P",
-                               target_community=community, t0=t0, author="linker"))
+    for source_community, target, community in (("P", "q_target", "Q"), ("P", "d_target", "D"),
+                                                ("E", "d_target", "D")):
+        source = f"src_{source_community}_{target}"
+        events.append(post(source, "linker", source_community, t0,
+                           body=f"r/{community}/comments/{target}"))
+        links.append(CrossLink(source_post=source, target_post=target,
+                               source_community=source_community, target_community=community,
+                               t0=t0, author="linker"))
     return events, links
 
 

@@ -1,17 +1,22 @@
 """Hypothesis properties of the analysis stages, on random small inputs."""
 import random
+from itertools import count
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from intercom.corpus import CrossLink  # noqa: E402
-from intercom.mobilization import MobilizationRecord  # noqa: E402
-from intercom.replynet import REPLYNET_HEADER, TELEPORT_PROB, replynet_rows  # noqa: E402
+from intercom.corpus import DAY, CrossLink, day_start, extract_crosslinks, members  # noqa: E402
+from intercom.impact import activity_delta  # noqa: E402
+from intercom.matching import match_pool, matched_user  # noqa: E402
+from intercom.mobilization import (DEFAULT_BASELINE, MobilizationRecord, detect,  # noqa: E402
+                                   measure)
+from intercom.replynet import (REPLYNET_HEADER, TELEPORT_PROB, group_pagerank,  # noqa: E402
+                               replynet_rows, thread_graph)
 from intercom.sentiment import Lexicon  # noqa: E402
 
-from conftest import BASE, comment, corpus_from, post  # noqa: E402
+from conftest import BASE, HOUR, comment, corpus_from, names, post  # noqa: E402
 
 LEXICON = Lexicon(name="t", categories={"anger": {"hate", "rage"}})
 WORDS = ["hate", "rage", "calm", "fine", "well"]
@@ -77,3 +82,128 @@ def test_swapping_attackers_and_defenders_swaps_the_replynet_columns(seed, alpha
     # the attacker-teleport PageRanks of one are the defender-teleport ones of the other
     half = len(rows)
     assert swapped_iterations == iterations[half:] + iterations[:half]
+
+
+# -- windows -------------------------------------------------------------------
+
+DAY0 = BASE + 40 * DAY  # the day the links of the tests below are created on
+GAP = 3 * DAY
+# Times are on a quarter-second grid near BASE, so a time plus or minus a
+# whole number of days, of hours or of quarter seconds is exact, and so is
+# ``day_start`` of it.
+QUARTERS_PER_DAY = 4 * 86400
+
+
+def grid(lo_days, hi_days):
+    """Times on the quarter-second grid in [DAY0 + lo_days, DAY0 + hi_days)."""
+    return st.integers(lo_days * QUARTERS_PER_DAY, hi_days * QUARTERS_PER_DAY - 1).map(
+        lambda q: DAY0 + q / 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid(0, 1))
+def test_window_edges_are_half_open(t0):
+    """A comment at exactly day-30d makes a member and one at exactly day
+    does not; on the target thread, one at exactly t0 is *after*, one at
+    exactly t0-w *before* and one at exactly t0+w neither; a comment at
+    exactly t0-3d stays in the match history and t0-3d and t0+3d in the
+    activity windows, while one a quarter second inside the gap does not."""
+    day, window_s = day_start(t0), 12 * HOUR
+    events = [post("a", "x", "A", DAY0 - 40 * DAY), post("target", "y", "B", t0 - 20 * HOUR),
+              post("source", "linker", "A", t0, body="r/B/comments/target"),
+              comment("edge", "edge", "A", day - 30 * DAY, "a"),
+              comment("late", "late", "A", day, "a"),
+              comment("h_at_gap", "h", "A", t0 - GAP, "a"),
+              comment("h_in_gap", "h", "A", t0 - GAP + 0.25, "a"),
+              comment("h_after", "h", "B", t0 + GAP, "target")]
+    for user, at in (("at_t0", t0), ("at_start", t0 - window_s), ("at_end", t0 + window_s)):
+        events.append(comment(f"{user}_member", user, "A", day - 10 * DAY, "a"))
+        events.append(comment(user, user, "B", at, "target"))
+    corpus = corpus_from(events)
+    found = names(corpus, members(corpus, "A", day))
+    assert "edge" in found and "late" not in found
+    [link] = extract_crosslinks(corpus)
+    [counts] = measure(corpus, [link], window_hours=12.0)
+    # a comment in B before ``day`` makes its author a B member, so no
+    # source member's comment before ``day`` counts
+    assert counts.before == (1 if t0 - window_s >= day else 0)
+    assert (counts.after, counts.attackers) == (1, {"at_t0"})
+    _pool, history = match_pool(corpus, link, "A")
+    assert history[corpus.user_codes["h"]] == 1
+    delta = activity_delta(corpus, "h", "B", t0)
+    assert (delta.before_total, delta.after_total) == (1, 1)
+    assert (delta.before_fraction, delta.after_fraction) == (0.0, 1.0)
+
+
+# -- whole-day shifts ------------------------------------------------------------
+
+@st.composite
+def linked_logs(draw):
+    """Events on the grid: communities A-C with 1-3 posts each, 1-3 links
+    from A or C into B posts created on DAY0, membership comments over the 35
+    days before, and comments on the B threads from 6 hours before a link to
+    13 hours after it, each replying to the post or to an earlier comment of
+    its thread."""
+    users = st.sampled_from([f"u{i}" for i in range(8)])
+    ids = count()
+    events, threads = [], {}
+    for community in "ABC":
+        for _ in range(draw(st.integers(1, 3))):
+            pid = f"p{next(ids)}"
+            events.append(post(pid, draw(users), community, draw(grid(-40, -35))))
+            threads.setdefault(community, []).append(pid)
+    t0s = draw(st.lists(grid(0, 1), min_size=1, max_size=3))
+    for i, t0 in enumerate(t0s):
+        target = draw(st.sampled_from(threads["B"]))
+        events.append(post(f"s{i}", "linker", draw(st.sampled_from("AC")), t0,
+                           body=f"r/B/comments/{target}"))
+    for _ in range(draw(st.integers(10, 60))):
+        community = draw(st.sampled_from("ABC"))
+        events.append(comment(f"c{next(ids)}", draw(users), community, draw(grid(-35, 1)),
+                              draw(st.sampled_from(threads[community]))))
+    replies = {pid: [pid] for pid in threads["B"]}
+    near = st.integers(-6 * 3600 * 4, 13 * 3600 * 4).map(lambda q: q / 4)
+    for _ in range(draw(st.integers(5, 40))):
+        thread = draw(st.sampled_from(threads["B"]))
+        cid = f"c{next(ids)}"
+        events.append(comment(cid, draw(users), "B", draw(st.sampled_from(t0s)) + draw(near),
+                              thread, draw(st.sampled_from(replies[thread]))))
+        replies[thread].append(cid)
+    return events
+
+
+def shifted(events, days):
+    return [e._replace(timestamp=e.timestamp + days * DAY) for e in events]
+
+
+def analysis(events):
+    """What a whole-day shift must leave alone: each link's record but its
+    t0, the activity deltas of its attackers and defenders, their matched
+    users, and the PageRank scores and replynet rows of the records."""
+    corpus = corpus_from(events)
+    records = [detect(counts, DEFAULT_BASELINE)
+               for counts in measure(corpus, extract_crosslinks(corpus))]
+    out = {"records": [{k: v for k, v in r.to_dict().items() if k != "t0"} for r in records]}
+    for r in records:
+        link = r.crosslink
+        for role, users, home in (("attackers", r.attackers, link.source_community),
+                                  ("defenders", r.defenders, link.target_community)):
+            subjects = sorted(users)
+            out[r.id, role] = (
+                [activity_delta(corpus, u, link.target_community, link.t0) for u in subjects],
+                matched_user(corpus, subjects, match_pool(corpus, link, home), seed=3))
+    # the PageRanks need both groups, as in replynet_rows
+    graphs = [thread_graph(corpus, r) for r in records if r.attackers and r.defenders]
+    for group in ("attackers", "defenders"):
+        out[group] = [rank.scores for rank in
+                      group_pagerank(graphs, group, alpha=TELEPORT_PROB, tol=1e-10, max_iter=10000)]
+    out["rows"] = replynet_rows(corpus, LEXICON, records, alpha=TELEPORT_PROB, tol=1e-10,
+                                max_iter=10000)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(linked_logs(), st.integers(-5000, 5000))
+def test_a_whole_day_shift_changes_no_verdict_delta_match_or_pagerank(events, days):
+    # repr compares floats bit for bit
+    assert repr(analysis(shifted(events, days))) == repr(analysis(events))
