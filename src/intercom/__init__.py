@@ -14,7 +14,6 @@ from .sentiment import (
     extract_text_features,
     predict_sentiment,
     strip_shared_words,
-    tfidf_similarity,
 )
 from .forest import Forest, train_forest
 from .embed import build_bipartite, nearest_communities, train_embeddings

@@ -7,10 +7,11 @@ import json.scanner
 import logging
 import re
 import sys
-from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from itertools import chain
+from collections.abc import Iterable
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -67,46 +68,98 @@ class LoadStats:
     dangling_comments: int = 0
 
 
+class CommentTable(NamedTuple):
+    """Every indexed comment, one row each, sorted by (community, timestamp,
+    id). The columns are read-only."""
+
+    times: np.ndarray  # float64 epoch seconds
+    authors: np.ndarray  # int32 user codes
+    communities: np.ndarray  # int32 community codes
+    threads: np.ndarray  # int32 thread codes
+    events: np.ndarray  # int32 indices into Corpus.comment_events
+
+
+class Groups(NamedTuple):
+    """The rows of a ``CommentTable`` grouped by one of its code columns:
+    the rows of code k, in ``(timestamp, id)`` order, are
+    ``rows[offsets[k]:offsets[k + 1]]``."""
+
+    rows: np.ndarray  # int32
+    offsets: np.ndarray  # int64, one more than there are codes
+
+    def of(self, code: int) -> np.ndarray:
+        return self.rows[self.offsets[code]:self.offsets[code + 1]]
+
+
 @dataclass
 class Corpus:
     """Indexed view of an event log, built once by ``index_events``.
 
     ``posts`` and ``comments`` map ids to events in input order; comments
-    whose thread is not a post are not indexed. The lists below are ordered
-    by ``(timestamp, id)``. Every commenter has a user code, its index in
-    ``users``, which is sorted, so sorting codes sorts names. Comment
-    activity is indexed twice, per community (``timelines``, with author
-    codes) and per user (``user_timelines``, with community names);
-    membership, matching histories and activity fractions all count a
-    window of one of them, sliced by ``window_slices``. Nothing here changes
-    after ``index_events`` returns.
+    whose thread is not a post are not indexed. ``comments`` is built from
+    ``comment_events`` on first use: the analysis never looks a comment up
+    by id, and a dict of every comment would outweigh the comment table.
+    Every list below is ordered by ``(timestamp, id)``.
+
+    Users, communities and threads have integer codes, which index
+    ``users`` (sorted, so sorting codes sorts names), ``communities``
+    (sorted; every community with a post or a comment) and ``threads`` (the
+    ids of ``posts_by_time``: a thread's code is its post's).
+
+    Comment activity is indexed once, as the columns of ``table``.
+    ``timelines`` are views of its per-community runs, and ``by_user`` and
+    ``by_thread`` order its rows per user and per thread; a thread's
+    comments are sliced from the latter (``thread_comments``). Membership,
+    matching histories, thread counts and activity fractions all count
+    windows of these, by ``window_slices``' rule. Nothing here changes after
+    ``index_events`` returns.
     """
 
     posts: dict[str, Event]
-    comments: dict[str, Event]
+    # the comments in input order, as an object array
+    comment_events: np.ndarray
     stats: LoadStats
-    posts_by_time: list[Event] = field(default_factory=list)
-    # post id -> comments in the thread, time-ordered
-    thread_comments: dict[str, list[Event]] = field(default_factory=dict)
-    # community -> posts, time-ordered
-    community_posts: dict[str, list[Event]] = field(default_factory=dict)
-    # user -> posts authored, time-ordered
-    user_posts: dict[str, list[Event]] = field(default_factory=dict)
-    # user code -> name, sorted, for every user with a comment; and its inverse
-    users: list[str] = field(default_factory=list)
-    user_codes: dict[str, int] = field(default_factory=dict)
-    # community -> (its comment timestamps, time-ordered, as float64, and each
-    # comment's author code, as int32); communities without comments are
-    # absent
-    timelines: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    # user -> (their comment timestamps, time-ordered, and each comment's
-    # community); users without comments are absent
-    user_timelines: dict[str, tuple[array, list[str]]] = field(default_factory=dict)
+    posts_by_time: list[Event]
+    # community -> posts; user -> posts authored
+    community_posts: dict[str, list[Event]]
+    user_posts: dict[str, list[Event]]
+    # code -> name, and name -> code
+    users: list[str]
+    user_codes: dict[str, int]
+    communities: list[str]
+    community_codes: dict[str, int]
+    threads: list[str]
+    thread_codes: dict[str, int]
+    table: CommentTable
+    by_user: Groups
+    by_thread: Groups
+    # community -> (its comments' timestamps, author codes): views of
+    # ``table``; communities without comments are absent
+    timelines: dict[str, tuple[np.ndarray, np.ndarray]]
+
+    @cached_property
+    def comments(self) -> dict[str, Event]:
+        return {e.id: e for e in self.comment_events.tolist()}
+
+    def _thread_rows(self, post_id: str) -> np.ndarray:
+        code = self.thread_codes.get(post_id)
+        return self.by_thread.of(code) if code is not None else self.by_thread.rows[:0]
+
+    def thread_comments(self, post_id: str) -> list[Event]:
+        """The comments on a thread, time-ordered; empty for a post without
+        comments or an id that is no post."""
+        return self.comment_events[self.table.events[self._thread_rows(post_id)]].tolist()
+
+    def thread_timeline(self, post_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """The timestamps and author codes of the comments on a thread,
+        time-ordered; empty for a post without comments or an id that is no
+        post."""
+        rows = self._thread_rows(post_id)
+        return self.table.times[rows], self.table.authors[rows]
 
 
 def index_events(events, stats: LoadStats | None = None) -> Corpus:
-    """Index posts and comments in one pass over them in ``(timestamp, id)``
-    order.
+    """Index posts and comments in ``(timestamp, id)`` order.
 
     A later event replaces an earlier one of the same kind and id. Comments
     whose thread is not a post are dropped and counted in
@@ -119,61 +172,97 @@ def index_events(events, stats: LoadStats | None = None) -> Corpus:
     return _index(posts, comments, stats if stats is not None else LoadStats())
 
 
+def _time_order(times: np.ndarray, events: np.ndarray) -> np.ndarray:
+    """The indices of ``events``, whose timestamps are ``times``, in
+    ``(timestamp, id)`` order, as int32."""
+    order = np.argsort(times).astype(np.int32)
+    ordered = times[order]
+    # runs of equal timestamps, rare in a log, are put in id order
+    for t in set(ordered[1:][ordered[1:] == ordered[:-1]].tolist()):
+        lo, hi = np.searchsorted(ordered, t, "left"), np.searchsorted(ordered, t, "right")
+        order[lo:hi] = sorted(order[lo:hi].tolist(), key=lambda k: events[k].id)
+    return order
+
+
+def _coded(names: Iterable[str], codes: dict[str, int], n: int) -> np.ndarray:
+    """The codes of the n ``names``, as int32."""
+    return np.fromiter(map(codes.__getitem__, names), dtype=np.int32, count=n)
+
+
+def _grouped(codes: np.ndarray, n_codes: int, rows: np.ndarray) -> Groups:
+    """``rows`` stably sorted by ``codes[rows]``, codes in [0, n_codes),
+    with the offsets of each code's run."""
+    keys = codes[rows]
+    offsets = np.zeros(n_codes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_codes), out=offsets[1:])
+    # unique keys, each code's in order of its rows, sort faster than a
+    # stable sort of the codes
+    keys = keys.astype(np.int64)
+    keys *= len(rows)
+    keys += np.arange(len(rows), dtype=np.int32)
+    return Groups(rows[np.argsort(keys)], offsets)
+
+
 def _index(posts: dict[str, Event], comments: dict[str, Event], stats: LoadStats) -> Corpus:
     """``index_events`` on posts and comments already keyed by id."""
-    dangling = [cid for cid, c in comments.items() if c.thread_id not in posts]
-    for cid in dangling:
-        del comments[cid]
-    if dangling:
-        stats.dangling_comments += len(dangling)
-        log.warning("dropped %d comments with unknown thread ids", len(dangling))
+    posts_by_time = sorted(posts.values(), key=attrgetter("timestamp", "id"))
+    community_posts: dict[str, list[Event]] = {}
+    user_posts: dict[str, list[Event]] = {}
+    for e in posts_by_time:
+        community_posts.setdefault(e.community, []).append(e)
+        user_posts.setdefault(e.author, []).append(e)
+
+    # a thread's code is its post's index in posts_by_time; -1 for none
+    threads = [e.id for e in posts_by_time]
+    thread_codes = dict(zip(threads, range(len(threads))))
+    thread = np.fromiter(map(thread_codes.get, map(attrgetter("thread_id"), comments.values()),
+                             repeat(-1)), dtype=np.int32, count=len(comments))
+    if (thread < 0).any():
+        found = len(comments)
+        comments = {cid: c for cid, c in comments.items() if c.thread_id in posts}
+        stats.dangling_comments += found - len(comments)
+        log.warning("dropped %d comments with unknown thread ids", found - len(comments))
+        thread = thread[thread >= 0]
     stats.posts, stats.comments = len(posts), len(comments)
 
-    corpus = Corpus(posts, comments, stats)
-    posts_by_time, community_posts, user_posts = (
-        corpus.posts_by_time, corpus.community_posts, corpus.user_posts)
-    thread_comments, user_timelines = corpus.thread_comments, corpus.user_timelines
-    # each commenter's code in order of first comment, and its timeline;
-    # renumbered in name order once every name is known
-    first_codes: dict[str, int] = {}
-    by_code: list[tuple[array, list[str]]] = []
-    timelines: dict[str, tuple[array, array]] = {}
-    # one sort on the (timestamp, id) key: a log written in about time order
-    # is nearly sorted on it already, which a first sort by id would undo
-    for e in sorted(chain(posts.values(), comments.values()), key=attrgetter("timestamp", "id")):
-        kind, _id, author, community, ts, _body, thread_id, _parent_id = e
-        if kind == "post":
-            posts_by_time.append(e)
-            community_posts.setdefault(community, []).append(e)
-            user_posts.setdefault(author, []).append(e)
-            continue
-        thread_comments.setdefault(thread_id, []).append(e)
-        code = first_codes.get(author)
-        if code is None:
-            code = first_codes[author] = len(by_code)
-            user_timelines[author] = timeline = (array("d"), [])
-            by_code.append(timeline)
-        timeline = timelines.get(community)
-        if timeline is None:
-            timeline = timelines[community] = (array("d"), array("i"))
-        timeline[0].append(ts)
-        timeline[1].append(code)
-        timeline = by_code[code]
-        timeline[0].append(ts)
-        timeline[1].append(community)
+    # an object array, which ``Corpus.thread_comments`` gathers from by rows
+    n = len(comments)
+    events = np.fromiter(comments.values(), dtype=object, count=n)
+    events.flags.writeable = False
+    times = np.fromiter(map(attrgetter("timestamp"), events), dtype=np.float64, count=n)
+    in_time = _time_order(times, events)
+    names = list(map(attrgetter("community"), events))
+    communities = sorted(set(names).union(community_posts))
+    community_codes = dict(zip(communities, range(len(communities))))
+    community = _coded(names, community_codes, n)
+    names = list(map(attrgetter("author"), events))
+    users = sorted(set(names))
+    user_codes = dict(zip(users, range(len(users))))
+    author = _coded(names, user_codes, n)
+    del names
 
-    first = list(first_codes)
-    order = sorted(range(len(first)), key=first.__getitem__)
-    corpus.users = [first[k] for k in order]
-    corpus.user_codes = dict(zip(corpus.users, range(len(order))))
-    renumber = np.empty(len(order), dtype=np.int32)
-    renumber[order] = np.arange(len(order), dtype=np.int32)
-    for community, (times, codes) in timelines.items():
-        times = np.frombuffer(times, dtype=np.float64)
-        codes = renumber[np.frombuffer(codes, dtype=np.intc)]
-        times.flags.writeable = codes.flags.writeable = False
-        corpus.timelines[community] = (times, codes)
-    return corpus
+    # the table's rows are the comments grouped by community, in time order
+    rows, offsets = _grouped(community, len(communities), in_time)
+    table = CommentTable(times[rows], author[rows], community[rows], thread[rows], rows)
+    for column in table:
+        column.flags.writeable = False
+    # each array is freed once read for the last time, so that the indexes
+    # built after it reuse its memory
+    del times, author, community, thread
+    table_in_time = np.empty(n, dtype=np.int32)
+    table_in_time[rows] = np.arange(n, dtype=np.int32)  # each comment's table row
+    table_in_time = table_in_time[in_time]
+    del in_time
+    by_user = _grouped(table.authors, len(users), table_in_time)
+    by_thread = _grouped(table.threads, len(threads), table_in_time)
+    del table_in_time
+
+    bounds = offsets.tolist()
+    timelines = {name: (table.times[lo:hi], table.authors[lo:hi])
+                 for name, lo, hi in zip(communities, bounds, bounds[1:]) if lo < hi}
+    return Corpus(posts, events, stats, posts_by_time, community_posts, user_posts,
+                  users, user_codes, communities, community_codes, threads, thread_codes,
+                  table, by_user, by_thread, timelines)
 
 
 _MAX_TIMESTAMP = sys.float_info.max
@@ -399,9 +488,10 @@ def window_slices(times, lo: float, hi: float, t0: float = 0.0,
     """The entries of the time-ordered ``times`` with a time in [lo, hi) and
     ``abs(t - t0) >= gap``, as two slices, the earlier first.
 
-    ``times`` is the first half of a ``Corpus.user_timelines`` entry (an
-    ``array``) or of a ``Corpus.timelines`` one (a numpy array); both are
-    sliced by this one rule.
+    ``times`` is the first half of a ``Corpus.timelines`` entry (a numpy
+    array) or the log's distinct comment times, among which
+    ``impact.activity_delta`` ranks each comment's time; both are sliced by
+    this one rule.
     """
     i, j = bisect_left(times, lo), bisect_left(times, hi)
     if gap <= 0.0 or i >= j:  # no gap to leave out, or an empty window
@@ -417,16 +507,6 @@ def window_slices(times, lo: float, hi: float, t0: float = 0.0,
     a = bisect_right(times, -gap, i, j, key=offset)
     b = bisect_left(times, gap, a, j, key=offset)
     return slice(i, a), slice(b, j)
-
-
-def window_keys(timeline, lo: float, hi: float, t0: float = 0.0, gap: float = 0.0) -> list[str]:
-    """The communities of the entries of a ``Corpus.user_timelines`` entry,
-    or None for no entries, in ``window_slices``' window, in time order."""
-    if timeline is None:
-        return []
-    times, keys = timeline
-    head, tail = window_slices(times, lo, hi, t0, gap)
-    return keys[head] + keys[tail]
 
 
 def window_codes(timeline, lo: float, hi: float, t0: float = 0.0, gap: float = 0.0) -> np.ndarray:
@@ -445,8 +525,9 @@ def members(corpus: Corpus, community: str, day: float, excluded: str | None = N
     same window."""
     found = np.zeros(len(corpus.users), dtype=bool)
     timeline = corpus.timelines.get(community)
-    if timeline is None:
-        log.warning("members(): unknown community %r", community)
+    if timeline is None:  # no comments, or a community the log never names
+        if community not in corpus.community_codes:
+            log.warning("members(): unknown community %r", community)
         return found
     lo, hi = day - MEMBER_WINDOW_DAYS * DAY, day
     found[window_codes(timeline, lo, hi)] = True

@@ -4,9 +4,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
+from typing import NamedTuple
 
-from .corpus import DAY, Corpus, window_keys
+import numpy as np
+
+from .corpus import DAY, CommentTable, Corpus, window_slices
 from .matching import HISTORY_GAP_DAYS, match_pool, matched_user
 from .mobilization import MobilizationRecord
 from .replynet import REPLYNET_HEADER
@@ -36,8 +39,7 @@ SERIES = [
 ]
 
 
-@dataclass(frozen=True)
-class ActivityDelta:
+class ActivityDelta(NamedTuple):
     delta: float
     before_fraction: float
     after_fraction: float
@@ -62,65 +64,153 @@ class DefenseOutcome:
     decile: int | None = None
 
 
-def _window_fraction(corpus: Corpus, user: str, community: str, lo: float, hi: float, t0: float):
-    communities = window_keys(corpus.user_timelines.get(user), lo, hi, t0, HISTORY_GAP_DAYS * DAY)
-    total = len(communities)
-    return (communities.count(community) / total if total else 0.0), total
+def _window_edges(times, t0: float) -> list[int]:
+    """The before and after windows of a cross-link at t0, each as the two
+    rank ranges [i, a) and [b, j) of the distinct comment ``times`` that
+    ``window_slices`` leaves in it."""
+    gap = HISTORY_GAP_DAYS * DAY
+    after_lo = t0 + POST_GAP_DAYS * DAY
+    edges = []
+    for lo, hi in ((t0 - IMPACT_WINDOW_DAYS * DAY, t0),
+                   (after_lo, after_lo + IMPACT_WINDOW_DAYS * DAY)):
+        head, tail = window_slices(times, lo, hi, t0, gap)
+        edges += (head.start, head.stop, tail.start, tail.stop)
+    return edges
 
 
-def activity_delta(corpus: Corpus, user: str, community: str, t0: float) -> ActivityDelta:
-    """Change (after minus before) in the user's fraction of comments made in
-    ``community``.
+def _window_totals(found: np.ndarray) -> np.ndarray:
+    """Per query, the comments in each of its two windows, from where
+    ``np.searchsorted`` found its ``_window_edges`` among the keys."""
+    counts = found[:, 1::2] - found[:, ::2]
+    return counts[:, ::2] + counts[:, 1::2]
+
+
+def _time_ranks(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``times``, sorted, and each time's index among
+    them, as int32."""
+    order = np.argsort(times).astype(np.int32)
+    ordered = times[order]
+    new = np.ones(len(times), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    del ordered
+    ranks = np.cumsum(new, dtype=np.int32)
+    ranks -= 1
+    rank = np.empty_like(ranks)
+    rank[order] = ranks
+    return distinct, rank
+
+
+def _keys(table: CommentTable, rank: np.ndarray, span: np.int64, rows) -> np.ndarray:
+    """The keys ``author * span + rank`` of the table's ``rows``, a slice
+    or an index array, as int64."""
+    keys = table.authors[rows].astype(np.int64)
+    keys *= span
+    keys += rank[rows]
+    return keys
+
+
+def _activity_counts(corpus: Corpus,
+                     queries: list[tuple[str, str, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Per query, the user's comments in the before and after windows, and
+    those of them made in the query's community, each as a (queries, 2)
+    array."""
+    table = corpus.table
+    distinct, rank = _time_ranks(table.times)
+    span = np.int64(len(distinct) + 1)
+    t0s = {t0: k for k, t0 in enumerate(dict.fromkeys(t0 for _u, _c, t0 in queries))}
+    # bisect reads a memoryview's items as floats, faster than numpy scalars
+    edges = np.array([_window_edges(memoryview(distinct), t0) for t0 in t0s], dtype=np.int64)
+    del distinct  # each large array is freed once read for the last time
+    users = np.array([corpus.user_codes.get(user, -1) for user, _c, _t in queries], dtype=np.int64)
+    # each edge's key: a user without comments (-1) has keys below every comment's
+    edges = edges[[t0s[t0] for _u, _c, t0 in queries]]
+    edges += users[:, None] * span
+
+    # per queried community, the keys of its rows, which are a run of the table
+    communities = np.array([corpus.community_codes.get(community, -1)
+                            for _u, community, _t in queries], dtype=np.int64)
+    asked = np.argsort(communities, kind="stable")
+    codes = np.arange(len(corpus.communities) + 1, dtype=np.int32)
+    runs = np.searchsorted(table.communities, codes).tolist()
+    groups = np.searchsorted(communities[asked], codes).tolist()
+    inside = np.zeros((len(queries), 2), dtype=np.int64)
+    for code in set(communities.tolist()) - {-1}:
+        keys = _keys(table, rank, span, slice(runs[code], runs[code + 1]))
+        keys.sort()
+        group = asked[groups[code]:groups[code + 1]]
+        inside[group] = _window_totals(np.searchsorted(keys, edges[group]))
+    rows = corpus.by_user.rows  # by (user, time), so their keys are sorted
+    keys = _keys(table, rank, span, rows)
+    del rank
+    return _window_totals(np.searchsorted(keys, edges)), inside
+
+
+def activity_delta(corpus: Corpus, queries: list[tuple[str, str, float]]) -> list[ActivityDelta]:
+    """For each (user, community, t0) query, the change (after minus before)
+    in the user's fraction of comments made in ``community``.
 
     Before window: [t0-30d, t0). After window: [t0+3d, t0+33d). Comments
     within +/-3 days of t0 are excluded from both. A window with zero
     comments contributes fraction 0 and flags the record as low-support.
+
+    The whole batch is counted by ``np.searchsorted`` on exact int64 keys:
+    a user code times the number of distinct comment times plus one, plus
+    the rank of a comment's time among them, over all of the user's
+    comments and over those in each queried community.
     """
-    before_lo, before_hi = t0 - IMPACT_WINDOW_DAYS * DAY, t0
-    after_lo = t0 + POST_GAP_DAYS * DAY
-    after_hi = after_lo + IMPACT_WINDOW_DAYS * DAY
-    before_frac, before_total = _window_fraction(corpus, user, community, before_lo, before_hi, t0)
-    after_frac, after_total = _window_fraction(corpus, user, community, after_lo, after_hi, t0)
-    return ActivityDelta(
-        delta=after_frac - before_frac,
-        before_fraction=before_frac,
-        after_fraction=after_frac,
-        before_total=before_total,
-        after_total=after_total,
-        low_support=(before_total == 0 or after_total == 0),
-    )
+    if not queries:
+        return []
+    totals, inside = _activity_counts(corpus, queries)
+    fractions = np.divide(inside, totals, out=np.zeros(totals.shape), where=totals > 0)
+    before, after = fractions.T
+    # tuple.__new__ skips the Python-level __new__ of a NamedTuple
+    return list(map(tuple.__new__, repeat(ActivityDelta), zip(
+        (after - before).tolist(), before.tolist(), after.tolist(), *totals.T.tolist(),
+        (totals == 0).any(axis=1).tolist())))
 
 
-def mobilization_impacts(corpus: Corpus, record: MobilizationRecord, seed: int = 0) -> list[ImpactRecord]:
-    """Activity deltas in the target community for every attacker and
-    defender, paired with their matched users' deltas (``matched_delta`` is
-    None for a user with no matched user)."""
-    link = record.crosslink
+def mobilization_impacts(corpus: Corpus, records: list[MobilizationRecord],
+                         seed: int = 0) -> list[list[ImpactRecord]]:
+    """For each record, the activity deltas in its target community of every
+    attacker and defender, paired with their matched users' deltas
+    (``matched_delta`` is None for a user with no matched user), from one
+    ``activity_delta`` batch."""
+    plan, queries = [], []
+    for record in records:
+        link = record.crosslink
+        sides = []
+        for role, users, home in (
+            ("attacker", record.attackers, link.source_community),
+            ("defender", record.defenders, link.target_community),
+        ):
+            if not users:
+                continue
+            subjects = sorted(users)
+            matches = matched_user(corpus, subjects, match_pool(corpus, link, home), seed=seed)
+            sides.append((role, subjects, matches))
+            for user, match in zip(subjects, matches):
+                queries.append((user, link.target_community, link.t0))
+                if match is None:
+                    log.debug("no matched user for %s in %s", user, home)
+                else:
+                    queries.append((match, link.target_community, link.t0))
+        plan.append(sides)
+    # the batch's queries and answers are freed as the records are built
+    deltas = activity_delta(corpus, queries)
+    del queries
+    deltas.reverse()  # popped in query order
     impacts = []
-    for role, users, home in (
-        ("attacker", record.attackers, link.source_community),
-        ("defender", record.defenders, link.target_community),
-    ):
-        if not users:
-            continue
-        subjects = sorted(users)
-        matches = matched_user(corpus, subjects, match_pool(corpus, link, home), seed=seed)
-        for user, match in zip(subjects, matches):
-            own = activity_delta(corpus, user, link.target_community, link.t0)
-            matched_delta = None
-            if match is None:
-                log.debug("no matched user for %s in %s", user, home)
-            else:
-                matched_delta = activity_delta(corpus, match, link.target_community, link.t0).delta
-            impacts.append(
-                ImpactRecord(
-                    user=user,
-                    role=role,
-                    delta=own.delta,
-                    matched_delta=matched_delta,
-                    low_support=own.low_support,
-                )
-            )
+    for sides in plan:
+        rows = []
+        for role, subjects, matches in sides:
+            for user, match in zip(subjects, matches):
+                own = deltas.pop()
+                rows.append(ImpactRecord(
+                    user=user, role=role, delta=own.delta,
+                    matched_delta=None if match is None else deltas.pop().delta,
+                    low_support=own.low_support))
+        impacts.append(rows)
     return impacts
 
 
@@ -309,8 +399,7 @@ def aggregate(corpus: Corpus, records: list[MobilizationRecord], replynet_rows: 
     deltas = {"attacker": [], "defender": []}
     pairs = {"attacker": [], "defender": []}
     counts = {"no_matched_attacker": 0, "no_matched_defender": 0, "low_support": 0}
-    for record in records:
-        impacts = mobilization_impacts(corpus, record, seed=seed)
+    for record, impacts in zip(records, mobilization_impacts(corpus, records, seed=seed)):
         for i in impacts:
             counts[f"no_matched_{i.role}"] += i.matched_delta is None
             counts["low_support"] += i.low_support

@@ -84,8 +84,7 @@ def match_pool(corpus: Corpus, link: CrossLink, community: str) -> tuple[np.ndar
         raise ValueError(f"{community!r} is not a side of the cross-link")
     day = day_start(link.t0)
     pool = members(corpus, community, day, counterpart)
-    codes = corpus.user_codes
-    pool[[codes[c.author] for c in corpus.thread_comments.get(link.target_post, ())]] = False
+    pool[corpus.thread_timeline(link.target_post)[1]] = False
     history = window_codes(corpus.timelines.get(community), day - MEMBER_WINDOW_DAYS * DAY, day,
                            link.t0, HISTORY_GAP_DAYS * DAY)
     return np.flatnonzero(pool), np.bincount(history, minlength=len(corpus.users))

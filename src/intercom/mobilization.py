@@ -73,16 +73,11 @@ def _window_counts(corpus: Corpus, post_id: str, source_members: np.ndarray, t0:
     """Comments on a thread by the users of the ``source_members`` mask in
     [t0-w, t0) and in [t0, t0+w), and the author codes of every comment on
     it in [t0, t0+w)."""
-    codes = corpus.user_codes
-    before, after = [], []
-    for c in corpus.thread_comments.get(post_id, ()):
-        if t0 - window_s <= c.timestamp < t0:
-            before.append(codes[c.author])
-        elif t0 <= c.timestamp < t0 + window_s:
-            after.append(codes[c.author])
-    after = np.array(after, dtype=np.intp)
-    return (int(np.count_nonzero(source_members[before])),
-            int(np.count_nonzero(source_members[after])), after)
+    times, authors = corpus.thread_timeline(post_id)
+    lo, mid, hi = times.searchsorted((t0 - window_s, t0, t0 + window_s)).tolist()
+    hits = source_members[authors[lo:hi]]
+    return (int(np.count_nonzero(hits[:mid - lo])), int(np.count_nonzero(hits[mid - lo:])),
+            authors[mid:hi])
 
 
 @dataclass(frozen=True)

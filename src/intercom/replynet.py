@@ -335,7 +335,7 @@ def anger_rate(
 def thread_graph(corpus: Corpus, record: MobilizationRecord) -> ReplyGraph:
     """The reply graph of the record's target thread."""
     post = record.crosslink.target_post
-    return build_reply_graph(corpus.thread_comments.get(post, []), post,
+    return build_reply_graph(corpus.thread_comments(post), post,
                              record.attackers, record.defenders)
 
 
@@ -351,7 +351,7 @@ def replynet_rows(corpus: Corpus, lexicon: Lexicon, records: list[MobilizationRe
     rows = []
     for record, graph, a_rank, d_rank in zip(records, graphs, *ranks):
         apr, dpr = a_rank.scores, d_rank.scores
-        comments = corpus.thread_comments.get(record.crosslink.target_post, [])
+        comments = corpus.thread_comments(record.crosslink.target_post)
         echo = echo_metrics(graph, apr)
         defender_out = sum(w for (i, _j), w in graph.edges.items() if i in record.defenders)
         reply_frac = (echo.defender_attacker_weight / defender_out) if defender_out else 0.0

@@ -1,7 +1,6 @@
 """Source-post sentiment features and classifier, plus community tf-idf similarity."""
 from __future__ import annotations
 
-import logging
 import math
 import re
 from collections import Counter
@@ -12,8 +11,6 @@ from pathlib import Path
 
 from .corpus import Corpus, CrossLink
 from .forest import Forest, SchemaError
-
-log = logging.getLogger(__name__)
 
 TOKEN_RE = re.compile(r"[a-z0-9']+")
 SENTENCE_RE = re.compile(r"[.!?]+")
@@ -194,12 +191,3 @@ def sparse_cosine(a: dict[str, float], b: dict[str, float]) -> float:
     dot = sum(v * b[k] for k, v in a.items() if k in b)
     return dot / (na * nb)
 
-
-def tfidf_similarity(corpus: Corpus, community_a: str, community_b: str, vocab_size: int = 10000) -> float:
-    """Cosine similarity of the two communities' tf-idf post vectors, in [0, 1]."""
-    for community in (community_a, community_b):
-        if not corpus.community_posts.get(community):
-            log.warning("tfidf_similarity: community %r has no posts", community)
-            return 0.0
-    vectors = community_tfidf_vectors(corpus, vocab_size)
-    return sparse_cosine(vectors[community_a], vectors[community_b])

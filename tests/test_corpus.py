@@ -35,8 +35,8 @@ def test_load_counts_and_thread_index(tmp_path):
     ]
     corpus = load_events(write_events(tmp_path / "events.jsonl", events))
     assert (corpus.stats.posts, corpus.stats.comments) == (2, 3)
-    assert set(corpus.thread_comments) == {"p1", "p2"}
-    assert [c.id for c in corpus.thread_comments["p1"]] == ["c1", "c2"]
+    assert set(corpus.threads) == {"p1", "p2"}
+    assert [c.id for c in corpus.thread_comments("p1")] == ["c1", "c2"]
 
 
 def test_load_missing_author_rejected(tmp_path):
@@ -437,7 +437,8 @@ def test_members_window_and_exclusion():
 
 def test_members_unknown_community_warns(caplog):
     d = BASE + 60 * DAY
-    corpus = corpus_from([post("p1", "x", "C", BASE), comment("c1", "u1", "C", d - DAY, "p1")])
+    corpus = corpus_from([post("p1", "x", "C", BASE), comment("c1", "u1", "C", d - DAY, "p1"),
+                          post("p2", "x", "quiet", BASE)])
     with caplog.at_level(logging.WARNING, logger="intercom.corpus"):
         assert names(corpus, members(corpus, "nowhere", d)) == set()
         assert names(corpus, members(corpus, "nowhere", d, "C")) == set()
@@ -446,6 +447,10 @@ def test_members_unknown_community_warns(caplog):
     with caplog.at_level(logging.WARNING, logger="intercom.corpus"):
         # an unknown excluded community excludes nobody, silently
         assert names(corpus, members(corpus, "C", d, "nowhere")) == {"u1"}
+        # a community with posts but no comments is known, with no members
+        assert names(corpus, members(corpus, "quiet", d)) == set()
+        assert names(corpus, members(corpus, "quiet", d, "C")) == set()
+        assert names(corpus, members(corpus, "C", d, "quiet")) == {"u1"}
     assert caplog.text == ""
 
 

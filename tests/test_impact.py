@@ -42,7 +42,7 @@ def _activity_corpus(before_in, before_out, after_in, after_out, t0):
 def test_activity_delta_identical_behavior():
     t0 = BASE + 60 * DAY
     corpus = _activity_corpus(3, 7, 3, 7, t0)
-    result = activity_delta(corpus, "u", "T", t0)
+    [result] = activity_delta(corpus, [("u", "T", t0)])
     assert result.delta == pytest.approx(0.0)
     assert not result.low_support
 
@@ -50,7 +50,7 @@ def test_activity_delta_identical_behavior():
 def test_activity_delta_half_shift():
     t0 = BASE + 60 * DAY
     corpus = _activity_corpus(0, 10, 5, 5, t0)
-    result = activity_delta(corpus, "u", "T", t0)
+    [result] = activity_delta(corpus, [("u", "T", t0)])
     assert result.delta == pytest.approx(0.5)
     assert result.before_fraction == 0.0
     assert result.after_fraction == 0.5
@@ -64,7 +64,7 @@ def test_activity_delta_gap_exclusion():
         events.append(comment(f"c{i}", "u", "T", t0 - 2 * DAY + i * HOUR, "pt"))
         events.append(comment(f"d{i}", "u", "T", t0 + 2 * DAY + i * HOUR, "pt"))
     corpus = corpus_from(events)
-    result = activity_delta(corpus, "u", "T", t0)
+    [result] = activity_delta(corpus, [("u", "T", t0)])
     assert result.delta == 0.0
     assert result.low_support
 
@@ -82,7 +82,7 @@ def test_activity_delta_windows_brute_force():
         events.append(comment(f"c{i}", "u", community, ts,
                               "pt" if community == "T" else "po"))
     corpus = corpus_from(events)
-    result = activity_delta(corpus, "u", "T", t0)
+    [result] = activity_delta(corpus, [("u", "T", t0)])
 
     def frac(lo, hi):
         window = [(ts, c) for ts, c in times if lo <= ts < hi and abs(ts - t0) >= 3 * DAY]
@@ -394,7 +394,7 @@ def test_mobilization_impacts_roles(two_community_corpus):
     corpus, _ = two_community_corpus
     links = extract_crosslinks(corpus)
     record = detect(measure(corpus, links)[0], 1.6)
-    impacts = mobilization_impacts(corpus, record)
+    [impacts] = mobilization_impacts(corpus, [record])
     roles = {(i.user, i.role) for i in impacts}
     assert {(f"a{i}", "attacker") for i in range(1, 6)} <= roles
     assert {("b1", "defender"), ("b2", "defender")} <= roles

@@ -16,6 +16,7 @@ import sys
 import tempfile
 from array import array
 from itertools import count
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -33,9 +34,9 @@ from intercom.corpus import (  # noqa: E402
     load_events,
     members,
     window_codes,
-    window_keys,
+    window_slices,
 )
-from intercom.impact import _window_fraction, activity_delta  # noqa: E402
+from intercom.impact import activity_delta  # noqa: E402
 from intercom.matching import (  # noqa: E402
     NoMatchError,
     crosslink_involved_posts,
@@ -115,7 +116,7 @@ def scan_pool(corpus, link, community):
     else:
         raise ValueError(f"{community!r} is not a side of the cross-link")
     pool = scan_member_names(corpus, community, day_start(link.t0), counterpart)
-    return pool - {c.author for c in corpus.thread_comments.get(link.target_post, [])}
+    return pool - {c.author for c in corpus.thread_comments(link.target_post)}
 
 
 def scan_matched_user(corpus, link, users, community, seed=0):
@@ -307,23 +308,25 @@ def test_history_count_and_pool_equal_scan(drawn):
 
 
 @EXAMPLES
-@given(corpora(), st.data())
-def test_window_fraction_and_activity_delta_equal_scan(drawn, data):
-    corpus, _link, t0 = drawn
-    windows = [(t0 - 30 * DAY, t0), (t0 + 3 * DAY, t0 + 33 * DAY)]
-    points = edges(t0)
-    lo = data.draw(st.sampled_from(points))
-    windows.append((lo, data.draw(st.sampled_from([p for p in points if p >= lo]))))
-    for user in USERS:
-        for community in COMMUNITIES + ["Z"]:
-            for lo, hi in windows:
-                assert _window_fraction(corpus, user, community, lo, hi, t0) == \
-                    scan_window_fraction(corpus, user, community, lo, hi, t0)
-            before = scan_window_fraction(corpus, user, community, *windows[0], t0)
-            after = scan_window_fraction(corpus, user, community, *windows[1], t0)
-            delta = activity_delta(corpus, user, community, t0)
-            assert (delta.before_fraction, delta.before_total) == before
-            assert (delta.after_fraction, delta.after_total) == after
+@given(drawn_events(), st.data())
+def test_batched_activity_delta_equals_scan(drawn, data):
+    # one batch over users without comments, a community with posts only (D)
+    # and one unknown to the log (Z), and t0s on the window edges of the link's
+    events, _link, t0 = drawn
+    corpus = corpus_from(events + [post("elsewhere", "x", "D", t0)])
+    t0s = [t0, t0 - GAP, t0 + GAP, t0 + 33 * DAY, data.draw(st.sampled_from(edges(t0)))]
+    queries = [(user, community, at) for at in t0s for user in USERS + ["nobody"]
+               for community in COMMUNITIES + ["D", "Z"]]
+    queries = data.draw(st.permutations(queries))
+    expected = []
+    for user, community, at in queries:
+        after_lo = at + 3 * DAY
+        before = scan_window_fraction(corpus, user, community, at - 30 * DAY, at, at)
+        after = scan_window_fraction(corpus, user, community, after_lo, after_lo + 30 * DAY, at)
+        expected.append((after[0] - before[0], before[0], after[0], before[1], after[1],
+                         before[1] == 0 or after[1] == 0))
+    # repr compares floats bit for bit
+    assert repr([tuple(d) for d in activity_delta(corpus, queries)]) == repr(expected)
 
 
 @EXAMPLES
@@ -424,14 +427,18 @@ def test_matched_post_equals_scan(times, data):
        st.floats(allow_nan=False, allow_infinity=False),
        st.floats(allow_nan=False, allow_infinity=False),
        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False, exclude_min=True))
-def test_window_keys_equals_scan_on_any_floats(times, lo, hi, t0, gap):
-    # rounding of t - t0 at any magnitude
+def test_window_slices_equal_scan_on_any_floats(times, lo, hi, t0, gap):
+    # rounding of t - t0 at any magnitude, on a timeline's numpy times and on
+    # a sequence of Python floats, as activity_delta bisects its distinct times
     times.sort()
-    keys = [f"k{i}" for i in range(len(times))]
-    expected = [k for k, t in zip(keys, times) if lo <= t < hi and abs(t - t0) >= gap]
-    assert window_keys((array("d", times), keys), lo, hi, t0, gap) == expected
-    assert window_keys((array("d", times), keys), lo, hi) == \
-        [k for k, t in zip(keys, times) if lo <= t < hi]
+    expected = [k for k, t in enumerate(times) if lo <= t < hi and abs(t - t0) >= gap]
+    timeline = (np.array(times, dtype=np.float64), np.arange(len(times), dtype=np.int32))
+    with np.errstate(over="ignore"):  # t - t0 may overflow to inf, as a scan's does
+        assert window_codes(timeline, lo, hi, t0, gap).tolist() == expected
+    head, tail = window_slices(times, lo, hi, t0, gap)
+    assert [*range(len(times))[head], *range(len(times))[tail]] == expected
+    assert window_codes(timeline, lo, hi).tolist() == \
+        [k for k, t in enumerate(times) if lo <= t < hi]
 
 
 def ordered(value):
@@ -468,8 +475,7 @@ def event_logs(draw):
     return draw(st.permutations(events))
 
 
-INDEXES = ("posts", "comments", "posts_by_time", "thread_comments", "community_posts",
-           "user_posts", "user_timelines", "stats")
+INDEXES = ("posts", "comments", "posts_by_time", "community_posts", "user_posts", "stats")
 
 
 def named_timelines(corpus):
@@ -483,18 +489,55 @@ def listed(timelines):
     return {community: (list(times), authors) for community, (times, authors) in timelines.items()}
 
 
-@EXAMPLES
-@given(event_logs())
-def test_index_events_equals_two_pass_indexing(events):
-    corpus, expected = index_events(events), two_pass(events)
+def assert_indexes_equal(corpus, expected):
+    """``corpus``, from ``index_events`` or ``load_events``, against a
+    ``TwoPassCorpus`` of the same events: every index, the comment table
+    and its per-community, per-user and per-thread slices."""
     for name in INDEXES:
         assert ordered(getattr(corpus, name)) == ordered(getattr(expected, name)), name
     assert corpus.users == commenters(expected)
-    assert corpus.user_codes == {u: k for k, u in enumerate(corpus.users)}
+    assert corpus.communities == sorted({e.community for e in (*expected.posts.values(),
+                                                               *expected.comments.values())})
+    assert corpus.threads == [p.id for p in expected.posts_by_time]
+    for names, codes in ((corpus.users, corpus.user_codes),
+                         (corpus.communities, corpus.community_codes),
+                         (corpus.threads, corpus.thread_codes)):
+        assert codes == {name: k for k, name in enumerate(names)}
+
+    table = corpus.table
+    assert [column.dtype for column in table] == [np.float64] + [np.int32] * 4
+    assert not any(column.flags.writeable for column in table)
+    rows = sorted(expected.comments_by_time, key=attrgetter("community"))  # stable
+    assert table.times.tolist() == [c.timestamp for c in rows]
+    assert [corpus.users[k] for k in table.authors.tolist()] == [c.author for c in rows]
+    assert [corpus.communities[k] for k in table.communities.tolist()] == \
+        [c.community for c in rows]
+    assert [corpus.threads[k] for k in table.threads.tolist()] == [c.thread_id for c in rows]
+    assert [corpus.comment_events[k] for k in table.events.tolist()] == rows
+
     expected.comment_timeline("Z")  # builds every community's timeline
-    assert ordered(named_timelines(corpus)) == ordered(listed(expected._timeline))
-    assert all(times.dtype == np.float64 and codes.dtype == np.int32
-               for times, codes in corpus.timelines.values())
+    assert named_timelines(corpus) == listed(expected._timeline)
+    assert list(corpus.timelines) == [c for c in corpus.communities if c in expected._timeline]
+    users = {}
+    for code, user in enumerate(corpus.users):
+        rows = corpus.by_user.of(code)
+        users[user] = (table.times[rows].tolist(),
+                       [corpus.communities[k] for k in table.communities[rows].tolist()])
+    assert users == listed(expected.user_timelines)
+    for post_id, comments in expected.thread_comments.items():
+        assert corpus.thread_comments(post_id) == comments
+        times, authors = corpus.thread_timeline(post_id)
+        assert times.tolist() == [c.timestamp for c in comments]
+        assert [corpus.users[k] for k in authors.tolist()] == [c.author for c in comments]
+    for post_id in expected.posts.keys() - expected.thread_comments.keys():
+        assert corpus.thread_comments(post_id) == []
+        assert [len(column) for column in corpus.thread_timeline(post_id)] == [0, 0]
+
+
+@EXAMPLES
+@given(event_logs())
+def test_index_events_equals_two_pass_indexing(events):
+    assert_indexes_equal(index_events(events), two_pass(events))
 
 
 # -- the loader load_events replaced -----------------------------------------
@@ -643,8 +686,4 @@ def test_load_events_equals_the_json_loads_loader(text):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         corpus, expected = load_events(path), oracle_load_events(path)
-    for name in INDEXES:
-        assert ordered(getattr(corpus, name)) == ordered(getattr(expected, name)), name
-    assert corpus.users == commenters(expected)
-    expected.comment_timeline("Z")  # builds every community's timeline
-    assert ordered(named_timelines(corpus)) == ordered(listed(expected._timeline))
+    assert_indexes_equal(corpus, expected)

@@ -51,7 +51,7 @@ def reference_members(corpus, community, day, excluded):
 
 def reference_thread_counts(corpus, post_id, users, t0, window_s):
     before = after = 0
-    for c in corpus.thread_comments.get(post_id, []):
+    for c in corpus.thread_comments(post_id):
         if c.author not in users:
             continue
         if t0 - window_s <= c.timestamp < t0:
@@ -107,7 +107,7 @@ def reference_detect(corpus, link, baseline, links=None, window_hours=12.0):
     ratio = smoothed_ratio(before, after)
 
     attackers, defenders = set(), set()
-    for c in corpus.thread_comments.get(link.target_post, []):
+    for c in corpus.thread_comments(link.target_post):
         if link.t0 <= c.timestamp < link.t0 + window_s:
             if c.author in source_members:
                 attackers.add(c.author)

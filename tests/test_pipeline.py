@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import json
 import platform
 from pathlib import Path
@@ -179,6 +180,35 @@ def test_pipeline_reproducible_across_directories(synth_corpus, tmp_path):
         run_pipeline(config)
         runs.append(bundle_bytes(tmp_path / name))
     assert runs[0] == runs[1]
+
+
+# The sha256 of every bundle file, manifest.json included, of the default
+# world (SynthSpec seed 1: 12 communities, 60 links) under the default config,
+# with embed and predict off. A change that moves one changes the report.
+DEFAULT_WORLD_FILES = {
+    "alerts.jsonl": "6d87f1281d172d6042360231bd6c5aba8968b7f11e3cb278240c0b7fc9d94865",
+    "baseline.json": "32696941033e8170ee3e1c0bdb02c6f25ed70cd60e49720c1337b428c4079b3e",
+    "crosslinks.jsonl": "0770243aa8aba3a6edc44cf9076c74a4a476b0d218c79bd756f3d78478288437",
+    "impact.csv": "7cb2bfb480369f9bbb065613095e269c9b86bc2d744d9e06cd43e5f7902a59d9",
+    "ingest.json": "106c5e0e9afe36144acc30c38b96c69d093f31cc5e1f867e0da879b6b5d065a2",
+    "manifest.json": "f76c4704b1d5bf867e4e6d3ac3ff1a0ded43b574db73631dcd426d214f32234e",
+    "mobilizations.jsonl": "c6de5a144a501f61d2fab4dc85d03e0db20081a2c3a7dc29747663cc9689f655",
+    "replynet.csv": "21237d7d1c44b8c71e9ffd3e8d0fdccbf957faba3d258e0dcceb8ed115d2f917",
+    "sentiment.jsonl": "1490bcc4ce822b071e151f89dcc2328023f3c84f342c13e2e0082fe91063207c",
+    "series_attacker_dpr.csv": "5c29183635915c3b89fc9c38f37a334fcf0f4abdb42216f9299932fcd9cd58ca",
+    "series_defender_anger.csv": "628cbbee9ff95df16d5daeb2240785d8f00a41733aba63f8573b3eafee451353",
+    "series_defender_apr.csv": "7c56ee0e7424c036e99a759094a3f33357179cd4f726df82d38793339deea9c2",
+    "series_reply_fraction.csv": "f2eafc00e75b61bfb684d3828158c8d9fe7d276c686461b18b5982e630e5a3c6",
+    "stat_tests.json": "6af9e534631f9c9287c7135498a4a16cf275dab1433acd903d32b263759ce379",
+}
+
+
+def test_default_world_bundle_matches_its_pinned_digests(tmp_path):
+    events_path, _ = generate_corpus(SynthSpec(seed=1), tmp_path / "world")
+    run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "out")))
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in bundle_bytes(tmp_path / "out").items()}
+    assert digests == DEFAULT_WORLD_FILES
 
 
 def test_report_writes_a_run_record_outside_the_manifest(synth_corpus, tmp_path):
@@ -502,7 +532,7 @@ def test_replynet_stage_counts_pagerank_iterations(synth_corpus, tmp_path):
     for record in run.mobilized:
         if record.attackers and record.defenders:
             graph = replynet.build_reply_graph(
-                run.corpus.thread_comments.get(record.crosslink.target_post, []),
+                run.corpus.thread_comments(record.crosslink.target_post),
                 record.crosslink.target_post, record.attackers, record.defenders)
             iterations += [replynet.group_pagerank([graph], group, alpha=config.alpha,
                                                    tol=config.pagerank_tol,

@@ -130,7 +130,7 @@ def test_window_edges_are_half_open(t0):
     assert (counts.after, counts.attackers) == (1, {"at_t0"})
     _pool, history = match_pool(corpus, link, "A")
     assert history[corpus.user_codes["h"]] == 1
-    delta = activity_delta(corpus, "h", "B", t0)
+    [delta] = activity_delta(corpus, [("h", "B", t0)])
     assert (delta.before_total, delta.after_total) == (1, 1)
     assert (delta.before_fraction, delta.after_fraction) == (0.0, 1.0)
 
@@ -190,7 +190,7 @@ def analysis(events):
                                   ("defenders", r.defenders, link.target_community)):
             subjects = sorted(users)
             out[r.id, role] = (
-                [activity_delta(corpus, u, link.target_community, link.t0) for u in subjects],
+                activity_delta(corpus, [(u, link.target_community, link.t0) for u in subjects]),
                 matched_user(corpus, subjects, match_pool(corpus, link, home), seed=3))
     # the PageRanks need both groups, as in replynet_rows
     graphs = [thread_graph(corpus, r) for r in records if r.attackers and r.defenders]
