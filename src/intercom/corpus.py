@@ -5,6 +5,7 @@ import gc
 import json
 import json.scanner
 import logging
+import math
 import re
 import sys
 from bisect import bisect_left, bisect_right
@@ -16,6 +17,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 log = logging.getLogger(__name__)
 
@@ -136,6 +138,8 @@ class Corpus:
     # community -> (its comments' timestamps, author codes): views of
     # ``table``; communities without comments are absent
     timelines: dict[str, tuple[np.ndarray, np.ndarray]]
+    # the log lines ``load_events`` decided again by the stdlib's rule
+    redecided: int = 0
 
     @cached_property
     def comments(self) -> dict[str, Event]:
@@ -298,6 +302,13 @@ def load_events(path) -> Corpus:
     cyclic garbage collector is paused while the Corpus is built and then
     restored to its previous state.
 
+    A line is decided in two steps (``_read_events``): orjson decodes it
+    and the record checks run on its value; a line orjson refuses, or whose
+    value fails a check, is decided again by the stdlib's JSON scanner and
+    the same checks, whose verdict is final. The accepted lines and every
+    stored value are those of the stdlib alone. The lines decided again are
+    counted in ``corpus.redecided``, which is 0 on an ordinary log.
+
     A successful load ends with ``gc.freeze()``, which acts on the whole
     process: every object the collector tracks at that point, the new
     Corpus and the caller's own objects alike, moves to the permanent
@@ -317,8 +328,9 @@ def load_events(path) -> Corpus:
     gc.disable()
     try:
         with fh:
-            posts, comments, stats = _read_events(fh)
+            posts, comments, stats, redecided = _read_events(fh)
         corpus = _index(posts, comments, stats)
+        corpus.redecided = redecided
         # Event is a tuple subclass, which the collector never untracks: left
         # in a generation, the events would be walked again by every
         # collection after the load
@@ -331,83 +343,135 @@ def load_events(path) -> Corpus:
     return corpus
 
 
-def _read_events(lines) -> tuple[dict[str, Event], dict[str, Event], LoadStats]:
+# A line with more brackets than this is never given to orjson, whose
+# parser has no depth limit and overflows the C stack on deep nesting; the
+# stdlib's scanner raises RecursionError instead.
+_ORJSON_MAX_BRACKETS = 256
+# orjson rounds an integer just past the float range, which the stdlib keeps
+# exact and so rejects as a timestamp, to float_info.max: a timestamp of
+# exactly that float is decided again
+_ORJSON_MAX_TIMESTAMP = math.nextafter(_MAX_TIMESTAMP, 0.0)
+
+
+def _read_events(lines) -> tuple[dict[str, Event], dict[str, Event], LoadStats, int]:
     """The posts and comments of an event log's lines, each keyed by id in
-    input order, and the log's line counts.
+    input order, the log's line counts, and how many lines were decided
+    again.
 
     An id is a JSON string, or a non-bool integer, which stands for its
     decimal string; a name is checked by ``_name``. Every non-blank line
     either stores one event or is rejected.
+
+    A line is decoded by orjson and checked. When orjson refuses it or its
+    value fails a check, the line is decided again: it must be UTF-8, the
+    stdlib's scanner must decode it to its end, and the value must pass the
+    same checks. Only then is it rejected. orjson 3.8 differs from the
+    stdlib only on lines this second step decides:
+
+    - it refuses NaN, +-Infinity, numbers past the float range such as
+      1e400, lone-surrogate escapes such as "\\ud800", and text that is
+      not UTF-8;
+    - it gives integers outside [-2**63, 2**64) as floats, which fail the
+      checks on ids and names; as a timestamp, such a float equals the
+      stdlib's ``float(int)``, except that an integer just past
+      ``float_info.max`` rounds to it, where the stdlib's exact integer is
+      out of range: orjson's pass accepts no timestamp of ``float_info.max``;
+    - it decodes nesting of any depth, and crashes on deep enough nesting,
+      where the stdlib raises RecursionError: a line with more than
+      ``_ORJSON_MAX_BRACKETS`` brackets goes to the second step unread.
+
+    Both decoders keep the last value of a repeated key.
     """
+    loads = orjson.loads
     scan = json.scanner.make_scanner(json.JSONDecoder())
     new = tuple.__new__  # Event's own __new__ is a Python function
+    # (exact, the largest timestamp the pass accepts)
+    passes = ((False, _ORJSON_MAX_TIMESTAMP), (True, _MAX_TIMESTAMP))
     names: dict[str, str] = {}
     posts: dict[str, Event] = {}
     comments: dict[str, Event] = {}
-    n_lines = 0
+    n_lines = redecided = 0
     for line in lines:
         line = line.strip()
         if not line:
             continue
         n_lines += 1
-        if not line.isascii():
+        # a failed check ends the pass: orjson's pass is followed by the
+        # stdlib's, whose failure rejects the line
+        for exact, top in passes:
+            if not exact:
+                if (len(line) > _ORJSON_MAX_BRACKETS
+                        and line.count("[") + line.count("{") > _ORJSON_MAX_BRACKETS):
+                    continue
+                try:
+                    obj = loads(line)
+                except ValueError:
+                    continue
+            else:
+                redecided += 1
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        break
+                # StopIteration: no JSON value starts the line; ValueError: a
+                # malformed one, or an integer past the interpreter's digit
+                # limit; RecursionError: nesting past its recursion limit
+                try:
+                    obj, end = scan(line, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    break
+                if end != len(line):
+                    break
+            # KeyError: a required field is missing; TypeError: the line's
+            # value is not an object
             try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
+                kind, ident, author, community, ts = (
+                    obj["kind"], obj["id"], obj["author"], obj["community"], obj["timestamp"])
+            except (KeyError, TypeError):
                 continue
-        # StopIteration: no JSON value starts the line; ValueError: a
-        # malformed one, or an integer past the interpreter's digit limit;
-        # RecursionError: nesting past its recursion limit
-        try:
-            obj, end = scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            continue
-        if end != len(line):
-            continue
-        # KeyError: a required field is missing; TypeError: the line's value
-        # is not an object
-        try:
-            kind, ident, author, community, ts = (
-                obj["kind"], obj["id"], obj["author"], obj["community"], obj["timestamp"])
-        except (KeyError, TypeError):
-            continue
-        body = obj.get("body", "")
-        # json also gives true, NaN, Infinity and ints past the float range
-        if (kind != "post" and kind != "comment" or type(body) is not str
-                or type(ts) is not float and type(ts) is not int or not 0 <= ts <= _MAX_TIMESTAMP):
-            continue
-        if type(ident) is int:
-            ident = str(ident)
-        if type(ident) is not str:
-            continue
-        # ``names`` holds only str keys, so only a name seen before is found;
-        # TypeError: an array or object
-        try:
-            author = names[author]
-        except (KeyError, TypeError):
-            author = _name(author, names)
-            if author is None:
+            body = obj.get("body", "")
+            # json also gives true, NaN, Infinity and ints past the float range
+            if (kind != "post" and kind != "comment" or type(body) is not str
+                    or type(ts) is not float and type(ts) is not int
+                    or not 0 <= ts <= top):
                 continue
-        try:
-            community = names[community]
-        except (KeyError, TypeError):
-            community = _name(community, names)
-            if community is None:
+            if type(ident) is int:
+                ident = str(ident)
+            if type(ident) is not str:
                 continue
-        if kind == "post":
-            if ident not in posts:  # ids are unique per kind
-                posts[ident] = new(Event, ("post", ident, author, community, float(ts), body,
-                                           None, None))
-            continue
-        thread_id, parent_id = obj.get("thread_id"), obj.get("parent_id")
-        if type(thread_id) is int:
-            thread_id = str(thread_id)
-        if type(parent_id) is int:
-            parent_id = str(parent_id)
-        if type(thread_id) is str and type(parent_id) is str and ident not in comments:
-            comments[ident] = new(Event, ("comment", ident, author, community, float(ts), body,
-                                          thread_id, parent_id))
-    return posts, comments, LoadStats(lines=n_lines, rejected=n_lines - len(posts) - len(comments))
+            # ``names`` holds only str keys, so only a name seen before is
+            # found; TypeError: an array or object
+            try:
+                author = names[author]
+            except (KeyError, TypeError):
+                author = _name(author, names)
+                if author is None:
+                    continue
+            try:
+                community = names[community]
+            except (KeyError, TypeError):
+                community = _name(community, names)
+                if community is None:
+                    continue
+            if kind == "post":
+                if ident not in posts:  # ids are unique per kind
+                    posts[ident] = new(Event, ("post", ident, author, community, float(ts),
+                                               body, None, None))
+                break
+            thread_id, parent_id = obj.get("thread_id"), obj.get("parent_id")
+            if type(thread_id) is int:
+                thread_id = str(thread_id)
+            if type(parent_id) is int:
+                parent_id = str(parent_id)
+            if type(thread_id) is not str or type(parent_id) is not str:
+                continue
+            if ident not in comments:
+                comments[ident] = new(Event, ("comment", ident, author, community, float(ts),
+                                              body, thread_id, parent_id))
+            break
+    stats = LoadStats(lines=n_lines, rejected=n_lines - len(posts) - len(comments))
+    return posts, comments, stats, redecided
 
 
 def day_start(ts: float) -> float:

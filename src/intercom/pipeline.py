@@ -117,6 +117,8 @@ class Run:
         # power iterations of every PageRank the replynet rows ran: the
         # attacker-teleport ones in record order, then the defender-teleport ones
         self.pagerank_iterations: list[int] = []
+        # per stage, counts for its run record entry, set when the stage runs
+        self.run_counts: dict[str, dict] = {}
 
     @cached_property
     def corpus(self):
@@ -216,6 +218,7 @@ def train_lstm(run: Run, table, word_vectors, model_path):
 def stage_ingest(run: Run) -> dict:
     stats = run.corpus.stats
     write_json(run.out / "ingest.json", dataclasses.asdict(stats))
+    run.run_counts["ingest"] = {"lines_decided_again": run.corpus.redecided}
     return {"posts": stats.posts, "comments": stats.comments}
 
 
@@ -431,7 +434,7 @@ def run_pipeline(config: Config) -> PipelineResult:
                 raise StageError(name, exc) from exc
             stages[name] = {"key": keys[name], "outputs": list(stage.outputs), **info}
             files.update({f: _sha256(run.out / f) for f in stage.outputs})
-        timings[name] = clock.timing(name in cache_hits)
+        timings[name] = clock.timing(name in cache_hits) | run.run_counts.get(name, {})
 
     clock = _Clock()
     stages["report"] = {"outputs": ["manifest.json"]}
@@ -469,12 +472,13 @@ def _collections() -> list[int]:
 
 
 def _run_record(timings: dict, collections: list[int]) -> dict:
-    """The run record: per stage whether it hit the cache and its wall and
-    CPU time (``timings``), the collector's passes per generation since
-    ``collections`` was taken and the objects in its permanent generation
-    (``corpus.load_events`` freezes the Corpus there), the process's peak
-    RSS and the versions that ran. It changes from run to run, so it stays
-    out of the manifest."""
+    """The run record: per stage whether it hit the cache, its wall and CPU
+    time and the counts of a stage that ran (``timings``; ingest's
+    ``lines_decided_again`` is ``Corpus.redecided``), the collector's passes
+    per generation since ``collections`` was taken and the objects in its
+    permanent generation (``corpus.load_events`` freezes the Corpus there),
+    the process's peak RSS and the versions that ran. It changes from run to
+    run, so it stays out of the manifest."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
     return {
         "stages": timings,

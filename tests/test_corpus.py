@@ -2,6 +2,7 @@ import gc
 import json
 import logging
 import random
+import sys
 import weakref
 
 import pytest
@@ -15,6 +16,7 @@ from intercom.corpus import (
     members,
     remove_overlapping,
 )
+from intercom.synth import SynthSpec, generate_corpus
 
 from conftest import BASE, DAY, HOUR, comment, corpus_from, names, post, write_events
 
@@ -159,6 +161,77 @@ def test_load_rejects_lines_json_cannot_decode_into_values(tmp_path):
     corpus = load_events(path)
     assert list(corpus.posts) == ["p0"]
     assert corpus.stats.rejected == 2
+
+
+def test_load_decides_again_the_lines_orjson_decodes_otherwise(tmp_path):
+    # each line orjson refuses, or decodes to a value that fails a check, is
+    # decided by the stdlib's rule; the rest are decoded by orjson alone
+    row = {"kind": "post", "author": "u", "community": "A", "timestamp": BASE}
+
+    def line(**fields):
+        return json.dumps({**row, **fields})  # escapes lone surrogates
+
+    def raw(pid, text):
+        return line(id=pid)[:-1] + ", " + text + "}"
+
+    lines = [
+        line(id="p0"),
+        # lone-surrogate escapes: orjson refuses them, the stdlib keeps them
+        line(id="s0", body="\ud800"),
+        line(id="s1", author="\udc80"),
+        line(id="s2", community="x\ud800", body="\udc80y"),
+        # integers past 64 bits: orjson gives floats
+        line(id="t0", timestamp=-2**63 - 1),
+        line(id="t1", timestamp=2**63),
+        line(id="t2", timestamp=2**64),
+        line(id="t3", timestamp=10**20),
+        # orjson rounds this integer to float_info.max, which it would accept
+        line(id="t4", timestamp=int(sys.float_info.max) + 1),
+        line(id="t5", timestamp=sys.float_info.max),
+        line(id=-2**63 - 1),
+        line(id=2**63),
+        line(id=2**64),
+        line(id=10**20),
+        line(id="i0", author=2**64, community=-2**63 - 1),
+        # a repeated key: the last value counts
+        raw("k0", '"author": null, "author": "v"'),
+        raw("k1", '"author": "v", "author": null'),
+        # nesting: past the recursion limit, past orjson's bracket limit, and below it
+        raw("n0", '"x": ' + "[" * 100_000 + "]" * 100_000),
+        raw("n1", '"x": ' + '{"a": ' * 300 + "1" + "}" * 300),
+        raw("n2", '"x": ' + "[" * 100 + "]" * 100),
+        line(id="n3", body="[{" * 200),
+    ]
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
+    corpus = load_events(path)
+    assert list(corpus.posts) == [
+        "p0", "s0", "s1", "s2", "t1", "t2", "t3", "t5", "-9223372036854775809",
+        "9223372036854775808", "18446744073709551616", "100000000000000000000", "i0",
+        "k0", "n1", "n2", "n3"]
+    posts = corpus.posts
+    assert posts["s0"].body == "\ud800" and posts["s1"].author == "\udc80"
+    assert (posts["s2"].community, posts["s2"].body) == ("x\ud800", "\udc80y")
+    assert [posts[pid].timestamp for pid in ("t1", "t2", "t3", "t5")] == [
+        2.0**63, 2.0**64, 1e20, sys.float_info.max]
+    assert (posts["i0"].author, posts["i0"].community) == (
+        "18446744073709551616", "-9223372036854775809")
+    assert posts["k0"].author == "v" and posts["n3"].body == "[{" * 200
+    assert (corpus.stats.lines, corpus.stats.rejected) == (len(lines), 4)
+    # s0-s2, t0, t4, t5, the ids -2**63 - 1, 2**64 and 10**20, i0, k1, n0, n1 and n3
+    assert corpus.redecided == 14
+
+
+def test_load_decides_no_line_of_an_ordinary_log_again(tmp_path, two_community_corpus):
+    world, _t0 = two_community_corpus
+    path = write_events(tmp_path / "world.jsonl",
+                        [*world.posts.values(), *world.comment_events.tolist()])
+    events_path, _ = generate_corpus(SynthSpec(n_communities=3, n_crosslinks=4, seed=2),
+                                     tmp_path / "synth")
+    for log_path in (path, events_path):
+        corpus = load_events(log_path)
+        assert corpus.stats.rejected == 0 and corpus.stats.lines > 0
+        assert corpus.redecided == 0
 
 
 @pytest.mark.parametrize("enabled", [True, False])

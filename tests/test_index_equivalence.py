@@ -591,7 +591,7 @@ def oracle_load_events(path):
             stats.lines += 1
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):
                 stats.rejected += 1
                 continue
             event = oracle_parse_record(obj)
@@ -610,11 +610,20 @@ def oracle_load_events(path):
 
 RAW = "@raw@"  # a value that json.dumps writes as the string below it replaces
 RAW_TIMESTAMPS = ["NaN", "Infinity", "-Infinity", "true", "false", "null", "-1", "-0.0", '"5"',
-                  "1" + "0" * 400, "1e400", "[1]", "{}"]
+                  "1" + "0" * 400, "1e400", repr(sys.float_info.max), "[1]", "{}"]
 BAD_NAMES = ["a b", "", " u", "u\t", "u\n", "\u00a0u", "\u2028u"]
 FIELDS = list(_REQUIRED) + ["thread_id", "parent_id", "body"]
 GARBAGE = ["{not json", "[]", "1", '"post"', "null", "true", "{}", "{", '{"kind": "post"',
            "\ufeff{}", "[{}]", "1 2", "NaN"]
+# where orjson and the stdlib decode differently: lone-surrogate escapes,
+# integers past 64 bits (orjson gives floats) and deep nesting, which only
+# the stdlib refuses; hypothesis raises the recursion limit to 2048 while a
+# test runs, so only the nesting 5,000 deep is refused here
+SURROGATES = ['"\\ud800"', '"\\udc80"', '"u\\ud800"', '"\\udc80 x"']
+BIG_INTS = [-2**63 - 1, 2**63, 2**64, 10**20, 2**64 + 2**11, 2**64 + 2**11 + 1,
+            int(sys.float_info.max) + 1]
+NESTED = [*("[" * d + "]" * d for d in (100, 300, 1100, 5000)),
+          *('{"a": ' * d + "1" + "}" * d for d in (1100, 5000)), '"' + "[{" * 200 + '"']
 
 
 @st.composite
@@ -624,7 +633,8 @@ def changed_line(draw, event):
     row = record(event)
     how = draw(st.sampled_from(["keep", "keep", "keep", "int timestamp", "raw timestamp",
                                 "drop", "null", "bad name", "int id", "body", "kind",
-                                "trailing", "bom", "truncate", "non-ascii", "padded"]))
+                                "trailing", "bom", "truncate", "non-ascii", "padded",
+                                "surrogate", "big int", "repeated key", "nested"]))
     raw = None
     if how == "int timestamp":
         row["timestamp"] = int(row["timestamp"])
@@ -647,7 +657,24 @@ def changed_line(draw, event):
         row["kind"] = draw(st.sampled_from(["vote", "Post", "", 1, ["post"]]))
     elif how == "non-ascii":
         row["body"] = draw(st.sampled_from(["caf\u00e9", "\u2603 snow", "\U0001f600", "\u00a0"]))
+    elif how == "surrogate":
+        row[draw(st.sampled_from(["body", "author", "community"]))] = RAW
+        raw = draw(st.sampled_from(SURROGATES))
+    elif how == "big int":
+        key = draw(st.sampled_from(["timestamp", "id", "author", "community", "thread_id",
+                                    "parent_id"]))
+        row[key] = draw(st.sampled_from(BIG_INTS))
+    elif how == "repeated key":
+        key = draw(st.sampled_from(FIELDS))
+        # the value written last counts; null is invalid in every field read
+        values = [row.pop(key, None), None]
+        repeated = ", ".join(f'"{key}": {json.dumps(v)}'
+                             for v in draw(st.permutations(values)))
+    elif how == "nested":
+        row["extra"], raw = RAW, draw(st.sampled_from(NESTED))
     line = json.dumps(row, ensure_ascii=draw(st.booleans()))
+    if how == "repeated key":
+        line = line[:-1] + ", " + repeated + "}"
     if raw is not None:
         line = line.replace(f'"{RAW}"', raw)
     if how == "trailing":

@@ -246,6 +246,31 @@ def test_report_writes_a_run_record_outside_the_manifest(synth_corpus, tmp_path)
     assert set(record["gc"]) == {"collections", "freeze_count"}
 
 
+def test_run_record_counts_the_lines_ingest_decided_again(tmp_path):
+    events = [post("p0", "u", "A", BASE), comment("c0", "v", "A", BASE + 1, "p0")]
+    path = write_events(tmp_path / "events.jsonl", events)
+    with open(path, "a", encoding="utf-8") as fh:
+        # orjson refuses the lone surrogate, which the stdlib's rule accepts
+        fh.write('{"kind": "post", "id": "p1", "author": "u", "community": "A", '
+                 '"timestamp": 1, "body": "\\ud800"}\n')
+        fh.write("not json\n")
+    config = Config(corpus=str(path), output_dir=str(tmp_path / "out"))
+
+    def report():
+        result = run_pipeline(config)
+        return result, json.loads((result.output_dir / RUN_RECORD).read_text())
+
+    result, record = report()
+    assert record["stages"]["ingest"]["lines_decided_again"] == 2
+    assert "lines_decided_again" not in result.manifest["stages"]["ingest"]
+    assert json.loads((result.output_dir / "ingest.json").read_text()) == {
+        "lines": 4, "posts": 2, "comments": 1, "rejected": 1, "dangling_comments": 0}
+    # a stage that hit the cache did not run, and counted nothing
+    result, record = report()
+    assert "ingest" in result.cache_hits
+    assert "lines_decided_again" not in record["stages"]["ingest"]
+
+
 def test_pipeline_empty_corpus(tmp_path):
     events_path = write_events(tmp_path / "empty.jsonl", [])
     config = Config(corpus=str(events_path), output_dir=str(tmp_path / "run"))
