@@ -583,18 +583,26 @@ def window_codes(timeline, lo: float, hi: float, t0: float = 0.0, gap: float = 0
     return codes[head] if tail.start == tail.stop else np.concatenate((codes[head], codes[tail]))
 
 
-def members(corpus: Corpus, community: str, day: float, excluded: str | None = None) -> np.ndarray:
-    """A boolean mask over user codes: the users with >=1 comment in
-    ``community`` during [day-30d, day) and none in ``excluded`` during the
-    same window."""
+def members(corpus: Corpus, community: str, lo: float, hi: float) -> np.ndarray:
+    """A boolean mask over user codes: the users with >=1 comment in ``community`` in [lo, hi)."""
+    if community not in corpus.community_codes:
+        log.warning("members(): unknown community %r", community)
     found = np.zeros(len(corpus.users), dtype=bool)
-    timeline = corpus.timelines.get(community)
-    if timeline is None:  # no comments, or a community the log never names
-        if community not in corpus.community_codes:
-            log.warning("members(): unknown community %r", community)
-        return found
-    lo, hi = day - MEMBER_WINDOW_DAYS * DAY, day
-    found[window_codes(timeline, lo, hi)] = True
-    if excluded is not None:
-        found[window_codes(corpus.timelines.get(excluded), lo, hi)] = False
+    found[window_codes(corpus.timelines.get(community), lo, hi)] = True
     return found
+
+
+def member_window(link: CrossLink) -> tuple[float, float]:
+    """The window a cross-link's members are taken over: [day-30d, day),
+    where day is the midnight that starts the day of its t0."""
+    day = day_start(link.t0)
+    return day - MEMBER_WINDOW_DAYS * DAY, day
+
+
+def link_members(corpus: Corpus, link: CrossLink) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over user codes of the link's source and target members over
+    ``member_window``, each side less the other's members: the two are disjoint."""
+    lo, hi = member_window(link)
+    source = members(corpus, link.source_community, lo, hi)
+    target = members(corpus, link.target_community, lo, hi)
+    return source & ~target, target & ~source

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import DAY, CommentTable, Corpus, window_slices
-from .matching import HISTORY_GAP_DAYS, match_pool, matched_user
+from .matching import HISTORY_GAP_DAYS, match_pools, matched_user
 from .mobilization import MobilizationRecord
 from .replynet import REPLYNET_HEADER
 
@@ -179,17 +179,17 @@ def mobilization_impacts(corpus: Corpus, records: list[MobilizationRecord],
     plan, queries = [], []
     for record in records:
         link = record.crosslink
+        subjects = sorted(record.attackers), sorted(record.defenders)
+        # matched in a comprehension, so no match pool is held through the batch
+        matches = [matched_user(corpus, users, pool, seed=seed) if users else []
+                   for users, pool in zip(subjects, match_pools(corpus, link))]
         sides = []
-        for role, users, home in (
-            ("attacker", record.attackers, link.source_community),
-            ("defender", record.defenders, link.target_community),
-        ):
+        for role, home, users, found in zip(("attacker", "defender"), (
+                link.source_community, link.target_community), subjects, matches):
             if not users:
                 continue
-            subjects = sorted(users)
-            matches = matched_user(corpus, subjects, match_pool(corpus, link, home), seed=seed)
-            sides.append((role, subjects, matches))
-            for user, match in zip(subjects, matches):
+            sides.append((role, users, found))
+            for user, match in zip(users, found):
                 queries.append((user, link.target_community, link.t0))
                 if match is None:
                     log.debug("no matched user for %s in %s", user, home)

@@ -8,8 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .corpus import (DAY, MEMBER_WINDOW_DAYS, Corpus, CrossLink, Event, day_start, members,
-                     window_codes)
+from .corpus import DAY, Corpus, CrossLink, Event, link_members, member_window, window_codes
 
 HISTORY_GAP_DAYS = 3  # events within +/-3 days of the cross-link are ignored
 
@@ -66,28 +65,21 @@ def matched_post(corpus: Corpus, post_id: str, involved: set[str]) -> MatchedPai
     return MatchedPair(subject_id=post_id, match_id=best[1].id, match_distance=best[0][0])
 
 
-def match_pool(corpus: Corpus, link: CrossLink, community: str) -> tuple[np.ndarray, np.ndarray]:
-    """The users ``matched_user`` picks from for one side of a cross-link,
-    as ascending user codes: members of ``community`` on the link's day who
-    are not members of the counterpart community and did not comment in the
-    target thread. With them, every user's comment count in ``community``
-    during [day-30d, day), leaving out comments within +/-3 days of t0, as a
-    ``bincount`` over user codes.
-
-    ``community`` must be the link's source or target community.
-    """
-    if community == link.source_community:
-        counterpart = link.target_community
-    elif community == link.target_community:
-        counterpart = link.source_community
-    else:
-        raise ValueError(f"{community!r} is not a side of the cross-link")
-    day = day_start(link.t0)
-    pool = members(corpus, community, day, counterpart)
-    pool[corpus.thread_timeline(link.target_post)[1]] = False
-    history = window_codes(corpus.timelines.get(community), day - MEMBER_WINDOW_DAYS * DAY, day,
-                           link.t0, HISTORY_GAP_DAYS * DAY)
-    return np.flatnonzero(pool), np.bincount(history, minlength=len(corpus.users))
+def match_pools(corpus: Corpus, link: CrossLink) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The source and the target side's pools for ``matched_user``: the
+    side's ``link_members`` less the target thread's commenters, as
+    ascending user codes, and every user's comment count in the side's
+    community over ``member_window``, less those within +/-3 days of t0."""
+    lo, hi = member_window(link)
+    commenters = corpus.thread_timeline(link.target_post)[1]
+    pools = []
+    for community, pool in zip((link.source_community, link.target_community),
+                               link_members(corpus, link)):
+        pool[commenters] = False
+        history = window_codes(corpus.timelines.get(community), lo, hi, link.t0,
+                               HISTORY_GAP_DAYS * DAY)
+        pools.append((np.flatnonzero(pool), np.bincount(history, minlength=len(corpus.users))))
+    return tuple(pools)
 
 
 # a distance above any count difference: a subject's own entry in its pool
@@ -108,8 +100,8 @@ def matched_user(corpus: Corpus, users: list[str], pool: tuple[np.ndarray, np.nd
     ties broken by ``random.Random(seed).choice`` of the tied names in
     sorted order. None for a subject with no other user in the pool.
 
-    ``pool`` is ``match_pool(corpus, link, community)`` of the side's
-    community, whose counts also give each subject's own.
+    ``pool`` is the side's entry of ``match_pools``, whose counts also give
+    each subject's own.
     """
     codes, history = pool
     if not codes.size:

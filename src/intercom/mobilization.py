@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, CrossLink, day_start, members
+from .corpus import Corpus, CrossLink, link_members
 from .matching import NoMatchError, crosslink_involved_posts, matched_post
 
 log = logging.getLogger(__name__)
@@ -111,20 +111,15 @@ def measure(
     names = corpus.users
     measured = []
     for link in links:
-        t0, day = link.t0, day_start(link.t0)
-        # each side's window is sliced once: the members of either side are
-        # its window's commenters less the other's
-        source = members(corpus, link.source_community, day)
-        target = members(corpus, link.target_community, day)
-        source_members, target_members = source & ~target, target & ~source
-        before, after, later = _window_counts(corpus, link.target_post, source_members, t0,
+        source_members, target_members = link_members(corpus, link)
+        before, after, later = _window_counts(corpus, link.target_post, source_members, link.t0,
                                               window_s)
         attackers = {names[k] for k in later[source_members[later]].tolist()}
         defenders = {names[k] for k in later[target_members[later]].tolist()}
         try:
             match = matched_post(corpus, link.target_post, involved)
             matched_before, matched_after, _ = _window_counts(
-                corpus, match.match_id, source_members, t0, window_s)
+                corpus, match.match_id, source_members, link.t0, window_s)
         except NoMatchError:
             log.debug("no matched thread for %s", link.target_post)
             matched_before = matched_after = None

@@ -345,13 +345,18 @@ def replynet_rows(corpus: Corpus, lexicon: Lexicon, records: list[MobilizationRe
     defenders (one batched PageRank per teleport set), and the PageRanks'
     iterations: the attacker-teleport ones in record order, then the others."""
     records = [record for record in records if record.attackers and record.defenders]
-    graphs = [thread_graph(corpus, record) for record in records]
+    graphs, angers = [], []
+    for record in records:  # one thread's comments are held at a time
+        post = record.crosslink.target_post
+        comments = corpus.thread_comments(post)
+        graphs.append(build_reply_graph(comments, post, record.attackers, record.defenders))
+        angers.append((anger_rate(comments, lexicon, record.attackers, record.defenders),
+                       anger_rate(comments, lexicon, record.defenders, record.attackers)))
     ranks = [group_pagerank(graphs, group, alpha=alpha, tol=tol, max_iter=max_iter)
              for group in ("attackers", "defenders")]
     rows = []
-    for record, graph, a_rank, d_rank in zip(records, graphs, *ranks):
+    for record, graph, anger, a_rank, d_rank in zip(records, graphs, angers, *ranks):
         apr, dpr = a_rank.scores, d_rank.scores
-        comments = corpus.thread_comments(record.crosslink.target_post)
         echo = echo_metrics(graph, apr)
         defender_out = sum(w for (i, _j), w in graph.edges.items() if i in record.defenders)
         reply_frac = (echo.defender_attacker_weight / defender_out) if defender_out else 0.0
@@ -364,8 +369,6 @@ def replynet_rows(corpus: Corpus, lexicon: Lexicon, records: list[MobilizationRe
             echo.attacker_within_cross_ratio, echo.defender_within_cross_ratio,
             echo.cross_group_ratio,
             echo.defender_apr_zero_fraction, echo.defender_apr_tentimes_fraction,
-            reply_frac, mean_dapr, mean_adpr,
-            anger_rate(comments, lexicon, record.attackers, record.defenders),
-            anger_rate(comments, lexicon, record.defenders, record.attackers),
+            reply_frac, mean_dapr, mean_adpr, *anger,
         ])
     return rows, [rank.iterations for batch in ranks for rank in batch]

@@ -10,9 +10,12 @@ import pytest
 from intercom import corpus as corpus_mod
 from intercom.corpus import (
     CorpusError,
+    CrossLink,
     day_start,
     extract_crosslinks,
+    link_members,
     load_events,
+    member_window,
     members,
     remove_overlapping,
 )
@@ -490,6 +493,10 @@ def test_extract_deterministic_and_sorted():
     assert all(a.t0 <= b.t0 for a, b in zip(first, second[1:]))
 
 
+def _link(source, target, t0):
+    return CrossLink("s", "t", source, target, t0, "x")
+
+
 def test_members_window_and_exclusion():
     d = BASE + 60 * DAY
     corpus = corpus_from([
@@ -501,29 +508,39 @@ def test_members_window_and_exclusion():
         comment("c4", "u_old", "C", d - 31 * DAY, "p1"),
         comment("c5", "u_edge", "C", d, "p1"),  # at d: outside half-open window
     ])
-    assert names(corpus, members(corpus, "C", d, "D")) == {"u_in"}
-    assert names(corpus, members(corpus, "C", d)) == {"u_in", "u_both"}
-    assert names(corpus, members(corpus, "nowhere", d, "D")) == set()
-    mask = members(corpus, "C", d)
+    # a link created on the day that starts at d takes members over [d-30d, d)
+    for t0 in (d, d + 15 * HOUR, d + DAY - 1):
+        assert member_window(_link("C", "D", t0)) == (d - 30 * DAY, d)
+    lo, hi = member_window(_link("C", "D", d))
+    assert names(corpus, members(corpus, "C", lo, hi)) == {"u_in", "u_both"}
+    source, target = link_members(corpus, _link("C", "D", d + 15 * HOUR))
+    assert (names(corpus, source), names(corpus, target)) == ({"u_in"}, set())
+    source, target = link_members(corpus, _link("D", "C", d + 15 * HOUR))
+    assert (names(corpus, source), names(corpus, target)) == (set(), {"u_in"})
+    assert names(corpus, link_members(corpus, _link("nowhere", "D", d))[0]) == set()
+    mask = members(corpus, "C", lo, hi)
     assert mask.dtype == bool and mask.shape == (len(corpus.users),)
 
 
 def test_members_unknown_community_warns(caplog):
     d = BASE + 60 * DAY
+    lo, hi = d - 30 * DAY, d
     corpus = corpus_from([post("p1", "x", "C", BASE), comment("c1", "u1", "C", d - DAY, "p1"),
                           post("p2", "x", "quiet", BASE)])
     with caplog.at_level(logging.WARNING, logger="intercom.corpus"):
-        assert names(corpus, members(corpus, "nowhere", d)) == set()
-        assert names(corpus, members(corpus, "nowhere", d, "C")) == set()
+        assert names(corpus, members(corpus, "nowhere", lo, hi)) == set()
+        # an unknown side has no members and excludes nobody from the other
+        source, target = link_members(corpus, _link("nowhere", "C", d))
+        assert (names(corpus, source), names(corpus, target)) == (set(), {"u1"})
     assert caplog.text.count("members(): unknown community 'nowhere'") == 2
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="intercom.corpus"):
-        # an unknown excluded community excludes nobody, silently
-        assert names(corpus, members(corpus, "C", d, "nowhere")) == {"u1"}
         # a community with posts but no comments is known, with no members
-        assert names(corpus, members(corpus, "quiet", d)) == set()
-        assert names(corpus, members(corpus, "quiet", d, "C")) == set()
-        assert names(corpus, members(corpus, "C", d, "quiet")) == {"u1"}
+        assert names(corpus, members(corpus, "quiet", lo, hi)) == set()
+        source, target = link_members(corpus, _link("quiet", "C", d))
+        assert (names(corpus, source), names(corpus, target)) == (set(), {"u1"})
+        source, target = link_members(corpus, _link("C", "quiet", d))
+        assert (names(corpus, source), names(corpus, target)) == ({"u1"}, set())
     assert caplog.text == ""
 
 
@@ -538,7 +555,11 @@ def test_members_mutually_exclusive():
         if rng.random() < 0.6:
             events.append(comment(f"cd{i}", user, "D", d - rng.uniform(1, 29) * DAY, "p2"))
     corpus = corpus_from(events)
-    assert not (members(corpus, "C", d, "D") & members(corpus, "D", d, "C")).any()
+    source, target = link_members(corpus, _link("C", "D", d + HOUR))
+    assert not (source & target).any()
+    # together they are the users who are members of exactly one side
+    in_c, in_d = members(corpus, "C", d - 30 * DAY, d), members(corpus, "D", d - 30 * DAY, d)
+    assert ((source | target) == (in_c ^ in_d)).all() and source.any() and target.any()
 
 
 def test_time_shift_invariance():
@@ -558,7 +579,8 @@ def test_time_shift_invariance():
                        else comment(e.id, e.author, e.community, e.timestamp + shift,
                                     e.thread_id, e.parent_id, e.body))
     c1, c2 = corpus_from(base_events), corpus_from(shifted)
-    assert (members(c1, "C", d) == members(c2, "C", d + shift)).all()
+    assert (members(c1, "C", d - 30 * DAY, d)
+            == members(c2, "C", d - 30 * DAY + shift, d + shift)).all()
     t1 = extract_crosslinks(c1)[0].t0
     t2 = extract_crosslinks(c2)[0].t0
     assert t2 - t1 == shift

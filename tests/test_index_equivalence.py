@@ -15,7 +15,8 @@ import random
 import sys
 import tempfile
 from array import array
-from itertools import count
+from dataclasses import replace
+from itertools import count, product
 from operator import attrgetter
 
 import numpy as np
@@ -31,7 +32,9 @@ from intercom.corpus import (  # noqa: E402
     LoadStats,
     day_start,
     index_events,
+    link_members,
     load_events,
+    member_window,
     members,
     window_codes,
     window_slices,
@@ -40,7 +43,7 @@ from intercom.impact import activity_delta  # noqa: E402
 from intercom.matching import (  # noqa: E402
     NoMatchError,
     crosslink_involved_posts,
-    match_pool,
+    match_pools,
     matched_post,
     matched_user,
 )
@@ -224,7 +227,7 @@ def outcome(fn, *args, **kwargs):
     """A call's result, or the type of the exception it raised."""
     try:
         return fn(*args, **kwargs)
-    except (NoMatchError, ValueError) as exc:
+    except NoMatchError as exc:
         return type(exc)
 
 
@@ -271,27 +274,44 @@ def corpora():
 
 # -- equivalence -------------------------------------------------------------
 
+def link_members_equal_scan(corpus, link):
+    """Whether ``link_members`` equals the scans: each side's members on the
+    link's day, less the other side's."""
+    day = day_start(link.t0)
+    source, target = link_members(corpus, link)
+    return (same(source, scan_members(corpus, link.source_community, day, link.target_community))
+            and same(target, scan_members(corpus, link.target_community, day,
+                                          link.source_community)))
+
+
 @EXAMPLES
 @given(corpora(), st.data())
 def test_members_equals_scan(drawn, data):
-    corpus, _link, t0 = drawn
+    corpus, link, t0 = drawn
     names = COMMUNITIES + ["Z"]  # Z is unknown
     day = data.draw(st.sampled_from(edges(t0) + [day_start(t0)]))
     for community in names:
-        for excluded in names + [None]:
-            assert same(members(corpus, community, day, excluded),
-                        scan_members(corpus, community, day, excluded))
+        assert same(members(corpus, community, day - 30 * DAY, day),
+                    scan_members(corpus, community, day))
+    # every ordered pair of sides, for a link whose t0 is drawn from the edges
+    at = data.draw(st.sampled_from(edges(t0) + [t0]))
+    for source, target in product(names, repeat=2):
+        assert link_members_equal_scan(corpus, replace(link, source_community=source,
+                                                       target_community=target, t0=at))
 
 
-def pool_equals_scan(corpus, link, side):
-    """Whether ``match_pool`` of a side equals the scans: the pool's codes,
-    ascending, and every user's history count."""
-    codes, history = match_pool(corpus, link, side)
+def pools_equal_scan(corpus, link):
+    """Whether both sides of ``match_pools`` equal the scans: each pool's
+    codes, ascending, and every user's history count."""
     users = commenters(corpus)
-    expected = np.array([users.index(u) for u in sorted(scan_pool(corpus, link, side))],
-                        dtype=np.intp)
-    return same(codes, expected) and same(history,
-                                          scan_history(corpus, side, day_start(link.t0), link.t0))
+    day = day_start(link.t0)
+    sides = (link.source_community, link.target_community)
+    for side, (codes, history) in zip(sides, match_pools(corpus, link)):
+        expected = np.array([users.index(u) for u in sorted(scan_pool(corpus, link, side))],
+                            dtype=np.intp)
+        if not (same(codes, expected) and same(history, scan_history(corpus, side, day, link.t0))):
+            return False
+    return True
 
 
 @EXAMPLES
@@ -303,8 +323,9 @@ def test_history_count_and_pool_equal_scan(drawn):
         history = np.bincount(window_codes(corpus.timelines.get(community), day - 30 * DAY, day,
                                            t0, GAP), minlength=len(corpus.users))
         assert same(history, scan_history(corpus, community, day, t0))
-    for side in ("A", "B"):
-        assert pool_equals_scan(corpus, link, side)
+    # the drawn link from A, and one from C into the same thread
+    for source in ("A", "C"):
+        assert pools_equal_scan(corpus, replace(link, source_community=source))
 
 
 @EXAMPLES
@@ -334,13 +355,11 @@ def test_batched_activity_delta_equals_scan(drawn, data):
 def test_matched_user_equals_scan(drawn, seed):
     corpus, link, _t0 = drawn
     subjects = sorted(USERS + ["nobody"])  # nobody has no comment, so no user code
-    for community in ("A", "B", "C"):
-        pool = outcome(match_pool, corpus, link, community)
-        expected = outcome(scan_matched_user, corpus, link, subjects, community, seed=seed)
-        if isinstance(pool, type):  # a community that is not a side of the link
-            assert pool is expected is ValueError
-            continue
-        assert matched_user(corpus, subjects, pool, seed=seed) == expected
+    for source in ("A", "C"):  # every community is a side of one of the two links
+        side_link = replace(link, source_community=source)
+        for community, pool in zip((source, "B"), match_pools(corpus, side_link)):
+            assert (matched_user(corpus, subjects, pool, seed=seed)
+                    == scan_matched_user(corpus, side_link, subjects, community, seed=seed))
 
 
 def edge_case(kind):
@@ -385,11 +404,13 @@ def test_matched_user_edge_cases_equal_scan(kind, picks):
     corpus, link = edge_case(kind)
     day = day_start(link.t0)
     for community in ("A", "B"):
-        for excluded in ("A", "B", None):
-            assert same(members(corpus, community, day, excluded),
-                        scan_members(corpus, community, day, excluded))
-        assert pool_equals_scan(corpus, link, community)
-    pool, subjects = match_pool(corpus, link, "A"), sorted(picks)
+        assert same(members(corpus, community, *member_window(link)),
+                    scan_members(corpus, community, day))
+    for source, target in product("AB", repeat=2):
+        assert link_members_equal_scan(corpus, replace(link, source_community=source,
+                                                       target_community=target))
+    assert pools_equal_scan(corpus, link)
+    pool, subjects = match_pools(corpus, link)[0], sorted(picks)
     seen = {user: set() for user in subjects}
     for seed in range(12):
         got = matched_user(corpus, subjects, pool, seed=seed)

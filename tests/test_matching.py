@@ -3,7 +3,7 @@ import random
 import pytest
 
 from intercom.corpus import CrossLink, extract_crosslinks
-from intercom.matching import (NoMatchError, crosslink_involved_posts, match_pool, matched_post,
+from intercom.matching import (NoMatchError, crosslink_involved_posts, match_pools, matched_post,
                                matched_user)
 
 from conftest import BASE, DAY, HOUR, comment, corpus_from, post
@@ -78,7 +78,7 @@ def test_matched_post_minimal_distance_exhaustive():
 
 
 def _count(corpus, pool, user):
-    """The user's 30-day comment count in a ``match_pool``."""
+    """The user's 30-day comment count in a side of ``match_pools``."""
     return int(pool[1][corpus.user_codes[user]])
 
 
@@ -103,7 +103,7 @@ def _user_match_corpus():
 
 def test_matched_user_nearest_count():
     corpus, link, _ = _user_match_corpus()
-    pool = match_pool(corpus, link, "C")
+    pool = match_pools(corpus, link)[0]
     assert matched_user(corpus, ["subject"], pool) == ["u11"]
     assert _count(corpus, pool, "subject") - _count(corpus, pool, "u11") == 1
 
@@ -114,7 +114,7 @@ def test_matched_user_tie_seeded():
     extra = [comment(f"x{i}", "u13", "C", BASE + 40 * DAY + i, "anchor") for i in range(13)]
     events = list(corpus.posts.values()) + list(corpus.comments.values()) + extra
     corpus2 = corpus_from(events)
-    pool = match_pool(corpus2, link, "C")
+    pool = match_pools(corpus2, link)[0]
     picks = {matched_user(corpus2, ["subject"], pool, seed=s)[0] for s in range(20)}
     assert picks == {"u11", "u13"}
     assert all(matched_user(corpus2, ["subject"], pool, seed=5)
@@ -126,7 +126,7 @@ def test_matched_user_excludes_thread_commenters():
     events = (list(corpus.posts.values()) + list(corpus.comments.values())
               + [comment("onthread", "u11", "B", t0 + 60, "tgt")])
     corpus2 = corpus_from(events)
-    assert matched_user(corpus2, ["subject"], match_pool(corpus2, link, "C")) == ["u5"]
+    assert matched_user(corpus2, ["subject"], match_pools(corpus2, link)[0]) == ["u5"]
 
 
 def test_matched_user_no_candidates():
@@ -138,7 +138,7 @@ def test_matched_user_no_candidates():
     events.append(comment("c0", "subject", "C", t0 - 5 * DAY, "anchor"))
     corpus = corpus_from(events)
     link = _link("src", "tgt", t0, sc="C")
-    assert matched_user(corpus, ["subject"], match_pool(corpus, link, "C")) == [None]
+    assert matched_user(corpus, ["subject"], match_pools(corpus, link)[0]) == [None]
 
 
 def test_matched_user_minimal_distance_exhaustive():
@@ -179,7 +179,7 @@ def test_matched_user_minimal_distance_exhaustive():
         raw.append(("subject", "C", d - 10 * DAY))
         events.append(comment("extra", "subject", "C", d - 10 * DAY, "anchor"))
         corpus = corpus_from(events)
-    [match] = matched_user(corpus, ["subject"], match_pool(corpus, link, "C"))
+    [match] = matched_user(corpus, ["subject"], match_pools(corpus, link)[0])
     eligible = [u for u in users if u != "subject" and oracle_member(u)]
     best = min(abs(oracle_count(u) - oracle_count("subject")) for u in eligible)
     assert match in eligible
@@ -205,6 +205,6 @@ def test_matched_user_history_excludes_gap():
         events.append(comment(f"f{i}", "full", "C", t0 - 12 * DAY + i, "anchor"))
     corpus = corpus_from(events)
     link = _link("src", "tgt", t0, sc="C")
-    pool = match_pool(corpus, link, "C")
+    pool = match_pools(corpus, link)[0]
     assert matched_user(corpus, ["subject"], pool) == ["full"]
     assert _count(corpus, pool, "subject") - _count(corpus, pool, "full") == 1

@@ -7,9 +7,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from intercom.corpus import DAY, CrossLink, day_start, extract_crosslinks, members  # noqa: E402
+from intercom.corpus import (DAY, CrossLink, day_start, extract_crosslinks, link_members,  # noqa: E402
+                             member_window, members)
 from intercom.impact import activity_delta  # noqa: E402
-from intercom.matching import match_pool, matched_user  # noqa: E402
+from intercom.matching import match_pools, matched_user  # noqa: E402
 from intercom.mobilization import (DEFAULT_BASELINE, MobilizationRecord, detect,  # noqa: E402
                                    measure)
 from intercom.replynet import (REPLYNET_HEADER, TELEPORT_PROB, group_pagerank,  # noqa: E402
@@ -120,15 +121,15 @@ def test_window_edges_are_half_open(t0):
         events.append(comment(f"{user}_member", user, "A", day - 10 * DAY, "a"))
         events.append(comment(user, user, "B", at, "target"))
     corpus = corpus_from(events)
-    found = names(corpus, members(corpus, "A", day))
-    assert "edge" in found and "late" not in found
     [link] = extract_crosslinks(corpus)
+    found = names(corpus, members(corpus, "A", *member_window(link)))
+    assert "edge" in found and "late" not in found
     [counts] = measure(corpus, [link], window_hours=12.0)
     # a comment in B before ``day`` makes its author a B member, so no
     # source member's comment before ``day`` counts
     assert counts.before == (1 if t0 - window_s >= day else 0)
     assert (counts.after, counts.attackers) == (1, {"at_t0"})
-    _pool, history = match_pool(corpus, link, "A")
+    (_pool, history), _ = match_pools(corpus, link)
     assert history[corpus.user_codes["h"]] == 1
     [delta] = activity_delta(corpus, [("h", "B", t0)])
     assert (delta.before_total, delta.after_total) == (1, 1)
@@ -186,12 +187,12 @@ def analysis(events):
     out = {"records": [{k: v for k, v in r.to_dict().items() if k != "t0"} for r in records]}
     for r in records:
         link = r.crosslink
-        for role, users, home in (("attackers", r.attackers, link.source_community),
-                                  ("defenders", r.defenders, link.target_community)):
+        for role, users, pool in zip(("attackers", "defenders"), (r.attackers, r.defenders),
+                                     match_pools(corpus, link)):
             subjects = sorted(users)
             out[r.id, role] = (
                 activity_delta(corpus, [(u, link.target_community, link.t0) for u in subjects]),
-                matched_user(corpus, subjects, match_pool(corpus, link, home), seed=3))
+                matched_user(corpus, subjects, pool, seed=3))
     # the PageRanks need both groups, as in replynet_rows
     graphs = [thread_graph(corpus, r) for r in records if r.attackers and r.defenders]
     for group in ("attackers", "defenders"):
@@ -207,3 +208,26 @@ def analysis(events):
 def test_a_whole_day_shift_changes_no_verdict_delta_match_or_pagerank(events, days):
     # repr compares floats bit for bit
     assert repr(analysis(shifted(events, days))) == repr(analysis(events))
+
+
+# -- one membership rule -----------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(linked_logs())
+def test_measure_and_match_pools_read_the_link_members(events):
+    """The two sides of ``link_members`` are disjoint, ``measure`` takes its
+    attackers from the source side and its defenders from the target side,
+    and each side's ``match_pools`` codes are that side less every commenter
+    on the target thread."""
+    corpus = corpus_from(events)
+    for counts in measure(corpus, extract_crosslinks(corpus)):
+        link = counts.link
+        source, target = link_members(corpus, link)
+        assert not (source & target).any()
+        assert counts.attackers <= names(corpus, source)
+        assert counts.defenders <= names(corpus, target)
+        on_thread = {e.author for e in events
+                     if e.kind == "comment" and e.thread_id == link.target_post}
+        for side, (codes, _history) in zip((source, target), match_pools(corpus, link)):
+            expected = names(corpus, side) - on_thread
+            assert codes.tolist() == sorted(corpus.user_codes[u] for u in expected)
