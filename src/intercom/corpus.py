@@ -8,11 +8,12 @@ import logging
 import math
 import re
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -70,6 +71,19 @@ class LoadStats:
     dangling_comments: int = 0
 
 
+class CommentColumns(NamedTuple):
+    """The comments of an event log in input order, one entry per comment
+    in each column: the fields of ``Event`` after ``kind``."""
+
+    ids: list[str]
+    authors: list[str]
+    communities: list[str]
+    times: Sequence[float]  # epoch seconds
+    bodies: list[str]
+    threads: list[str]
+    parents: list[str]
+
+
 class CommentTable(NamedTuple):
     """Every indexed comment, one row each, sorted by (community, timestamp,
     id). The columns are read-only."""
@@ -78,7 +92,7 @@ class CommentTable(NamedTuple):
     authors: np.ndarray  # int32 user codes
     communities: np.ndarray  # int32 community codes
     threads: np.ndarray  # int32 thread codes
-    events: np.ndarray  # int32 indices into Corpus.comment_events
+    events: np.ndarray  # int32 indices into Corpus.comment_ids, _bodies and _parents
 
 
 class Groups(NamedTuple):
@@ -98,10 +112,14 @@ class Corpus:
     """Indexed view of an event log, built once by ``index_events``.
 
     ``posts`` and ``comments`` map ids to events in input order; comments
-    whose thread is not a post are not indexed. ``comments`` is built from
-    ``comment_events`` on first use: the analysis never looks a comment up
-    by id, and a dict of every comment would outweigh the comment table.
-    Every list below is ordered by ``(timestamp, id)``.
+    whose thread is not a post are not indexed. Comments are held as
+    columns, not as events: their ids, bodies and parent ids in input order
+    (``comment_ids``, ``comment_bodies``, ``comment_parents``) and every
+    other field in ``table``. ``thread_comments`` and ``comments`` build
+    ``Event``s from these on demand, with the author, community and thread
+    id strings of ``users``, ``communities`` and ``threads``; ``comments``
+    is built on first use, as the analysis never looks a comment up by id.
+    Every other list below is ordered by ``(timestamp, id)``.
 
     Users, communities and threads have integer codes, which index
     ``users`` (sorted, so sorting codes sorts names), ``communities``
@@ -118,8 +136,10 @@ class Corpus:
     """
 
     posts: dict[str, Event]
-    # the comments in input order, as an object array
-    comment_events: np.ndarray
+    # the comments' ids, bodies and parent ids, in input order
+    comment_ids: list[str]
+    comment_bodies: list[str]
+    comment_parents: list[str]
     stats: LoadStats
     posts_by_time: list[Event]
     # community -> posts; user -> posts authored
@@ -143,7 +163,21 @@ class Corpus:
 
     @cached_property
     def comments(self) -> dict[str, Event]:
-        return {e.id: e for e in self.comment_events.tolist()}
+        rows = np.empty(len(self.comment_ids), dtype=np.int32)
+        rows[self.table.events] = np.arange(len(rows), dtype=np.int32)  # input order
+        return dict(zip(self.comment_ids, self._comment_events(rows)))
+
+    def _comment_events(self, rows: np.ndarray) -> list[Event]:
+        """The comments of the table's ``rows``, as Events."""
+        table = self.table
+        ids, bodies, parents = self.comment_ids, self.comment_bodies, self.comment_parents
+        users, communities, threads = self.users, self.communities, self.threads
+        new = tuple.__new__  # Event's own __new__ is a Python function
+        return [new(Event, ("comment", ids[k], users[a], communities[c], t, bodies[k],
+                            threads[h], parents[k]))
+                for k, a, c, t, h in zip(table.events[rows].tolist(), table.authors[rows].tolist(),
+                                         table.communities[rows].tolist(),
+                                         table.times[rows].tolist(), table.threads[rows].tolist())]
 
     def _thread_rows(self, post_id: str) -> np.ndarray:
         code = self.thread_codes.get(post_id)
@@ -152,7 +186,7 @@ class Corpus:
     def thread_comments(self, post_id: str) -> list[Event]:
         """The comments on a thread, time-ordered; empty for a post without
         comments or an id that is no post."""
-        return self.comment_events[self.table.events[self._thread_rows(post_id)]].tolist()
+        return self._comment_events(self._thread_rows(post_id))
 
     def thread_timeline(self, post_id: str) -> tuple[np.ndarray, np.ndarray]:
         """The timestamps and author codes of the comments on a thread,
@@ -173,18 +207,21 @@ def index_events(events, stats: LoadStats | None = None) -> Corpus:
     comments: dict[str, Event] = {}
     for event in events:
         (posts if event.kind == "post" else comments)[event.id] = event
-    return _index(posts, comments, stats if stats is not None else LoadStats())
+    # the fields after ``kind``, one column each
+    fields = [list(column) for column in zip(*comments.values())][1:]
+    columns = CommentColumns._make(fields or ([] for _ in CommentColumns._fields))
+    return _index(posts, columns, stats if stats is not None else LoadStats())
 
 
-def _time_order(times: np.ndarray, events: np.ndarray) -> np.ndarray:
-    """The indices of ``events``, whose timestamps are ``times``, in
-    ``(timestamp, id)`` order, as int32."""
+def _time_order(times: np.ndarray, ids: list[str]) -> np.ndarray:
+    """The indices of the comments with timestamps ``times`` and ids
+    ``ids`` in ``(timestamp, id)`` order, as int32."""
     order = np.argsort(times).astype(np.int32)
     ordered = times[order]
     # runs of equal timestamps, rare in a log, are put in id order
     for t in set(ordered[1:][ordered[1:] == ordered[:-1]].tolist()):
         lo, hi = np.searchsorted(ordered, t, "left"), np.searchsorted(ordered, t, "right")
-        order[lo:hi] = sorted(order[lo:hi].tolist(), key=lambda k: events[k].id)
+        order[lo:hi] = sorted(order[lo:hi].tolist(), key=ids.__getitem__)
     return order
 
 
@@ -207,8 +244,8 @@ def _grouped(codes: np.ndarray, n_codes: int, rows: np.ndarray) -> Groups:
     return Groups(rows[np.argsort(keys)], offsets)
 
 
-def _index(posts: dict[str, Event], comments: dict[str, Event], stats: LoadStats) -> Corpus:
-    """``index_events`` on posts and comments already keyed by id."""
+def _index(posts: dict[str, Event], columns: CommentColumns, stats: LoadStats) -> Corpus:
+    """``index_events`` on posts keyed by id and on the comments' columns."""
     posts_by_time = sorted(posts.values(), key=attrgetter("timestamp", "id"))
     community_posts: dict[str, list[Event]] = {}
     user_posts: dict[str, list[Event]] = {}
@@ -219,31 +256,26 @@ def _index(posts: dict[str, Event], comments: dict[str, Event], stats: LoadStats
     # a thread's code is its post's index in posts_by_time; -1 for none
     threads = [e.id for e in posts_by_time]
     thread_codes = dict(zip(threads, range(len(threads))))
-    thread = np.fromiter(map(thread_codes.get, map(attrgetter("thread_id"), comments.values()),
-                             repeat(-1)), dtype=np.int32, count=len(comments))
+    n = len(columns.ids)
+    thread = np.fromiter(map(thread_codes.get, columns.threads, repeat(-1)),
+                         dtype=np.int32, count=n)
     if (thread < 0).any():
-        found = len(comments)
-        comments = {cid: c for cid, c in comments.items() if c.thread_id in posts}
-        stats.dangling_comments += found - len(comments)
-        log.warning("dropped %d comments with unknown thread ids", found - len(comments))
+        kept = (thread >= 0).tolist()
+        columns = CommentColumns._make(list(compress(column, kept)) for column in columns)
+        stats.dangling_comments += n - len(columns.ids)
+        log.warning("dropped %d comments with unknown thread ids", n - len(columns.ids))
         thread = thread[thread >= 0]
-    stats.posts, stats.comments = len(posts), len(comments)
+        n = len(columns.ids)
+    stats.posts, stats.comments = len(posts), n
 
-    # an object array, which ``Corpus.thread_comments`` gathers from by rows
-    n = len(comments)
-    events = np.fromiter(comments.values(), dtype=object, count=n)
-    events.flags.writeable = False
-    times = np.fromiter(map(attrgetter("timestamp"), events), dtype=np.float64, count=n)
-    in_time = _time_order(times, events)
-    names = list(map(attrgetter("community"), events))
-    communities = sorted(set(names).union(community_posts))
+    times = np.array(columns.times, dtype=np.float64)
+    in_time = _time_order(times, columns.ids)
+    communities = sorted(set(columns.communities).union(community_posts))
     community_codes = dict(zip(communities, range(len(communities))))
-    community = _coded(names, community_codes, n)
-    names = list(map(attrgetter("author"), events))
-    users = sorted(set(names))
+    community = _coded(columns.communities, community_codes, n)
+    users = sorted(set(columns.authors))
     user_codes = dict(zip(users, range(len(users))))
-    author = _coded(names, user_codes, n)
-    del names
+    author = _coded(columns.authors, user_codes, n)
 
     # the table's rows are the comments grouped by community, in time order
     rows, offsets = _grouped(community, len(communities), in_time)
@@ -264,7 +296,8 @@ def _index(posts: dict[str, Event], comments: dict[str, Event], stats: LoadStats
     bounds = offsets.tolist()
     timelines = {name: (table.times[lo:hi], table.authors[lo:hi])
                  for name, lo, hi in zip(communities, bounds, bounds[1:]) if lo < hi}
-    return Corpus(posts, events, stats, posts_by_time, community_posts, user_posts,
+    return Corpus(posts, columns.ids, columns.bodies, columns.parents, stats, posts_by_time,
+                  community_posts, user_posts,
                   users, user_codes, communities, community_codes, threads, thread_codes,
                   table, by_user, by_thread, timelines)
 
@@ -309,6 +342,10 @@ def load_events(path) -> Corpus:
     stored value are those of the stdlib alone. The lines decided again are
     counted in ``corpus.redecided``, which is 0 on an ordinary log.
 
+    Comments are read into columns, never into one object each (see
+    ``Corpus``), and every comment that names the same thread id or parent
+    id shares one string for it.
+
     A successful load ends with ``gc.freeze()``, which acts on the whole
     process: every object the collector tracks at that point, the new
     Corpus and the caller's own objects alike, moves to the permanent
@@ -322,18 +359,18 @@ def load_events(path) -> Corpus:
     except OSError as exc:
         raise CorpusError(f"cannot read event log {path}: {exc}") from exc
     collecting = gc.isenabled()
-    # every line allocates containers and keeps one, its event; none is in a
-    # cycle, so collections during the load would traverse the growing
-    # corpus for nothing
+    # every line allocates containers and a post keeps one, its event; none
+    # is in a cycle, so collections during the load would traverse the
+    # growing corpus for nothing
     gc.disable()
     try:
         with fh:
-            posts, comments, stats, redecided = _read_events(fh)
-        corpus = _index(posts, comments, stats)
+            posts, columns, stats, redecided = _read_events(fh)
+        corpus = _index(posts, columns, stats)
         corpus.redecided = redecided
         # Event is a tuple subclass, which the collector never untracks: left
-        # in a generation, the events would be walked again by every
-        # collection after the load
+        # in a generation, the posts and the Corpus's lists and dicts would be
+        # walked again by every collection after the load
         gc.freeze()
     finally:
         if collecting:
@@ -353,14 +390,15 @@ _ORJSON_MAX_BRACKETS = 256
 _ORJSON_MAX_TIMESTAMP = math.nextafter(_MAX_TIMESTAMP, 0.0)
 
 
-def _read_events(lines) -> tuple[dict[str, Event], dict[str, Event], LoadStats, int]:
-    """The posts and comments of an event log's lines, each keyed by id in
-    input order, the log's line counts, and how many lines were decided
-    again.
+def _read_events(lines) -> tuple[dict[str, Event], CommentColumns, LoadStats, int]:
+    """The posts of an event log's lines keyed by id in input order, its
+    comments as columns in input order, the log's line counts, and how many
+    lines were decided again. The first event of a repeated id is kept.
 
     An id is a JSON string, or a non-bool integer, which stands for its
     decimal string; a name is checked by ``_name``. Every non-blank line
-    either stores one event or is rejected.
+    either stores one event or is rejected. Every comment that names the
+    same thread id or parent id shares one string for it.
 
     A line is decoded by orjson and checked. When orjson refuses it or its
     value fails a check, the line is decided again: it must be UTF-8, the
@@ -388,8 +426,14 @@ def _read_events(lines) -> tuple[dict[str, Event], dict[str, Event], LoadStats, 
     # (exact, the largest timestamp the pass accepts)
     passes = ((False, _ORJSON_MAX_TIMESTAMP), (True, _MAX_TIMESTAMP))
     names: dict[str, str] = {}
+    # thread and parent id -> itself; apart from ``names``, whose hits skip
+    # the whitespace check
+    ids: dict[str, str] = {}
     posts: dict[str, Event] = {}
-    comments: dict[str, Event] = {}
+    seen: set[str] = set()  # comment ids
+    columns = CommentColumns([], [], [], array("d"), [], [], [])
+    add_id, add_author, add_community, add_time, add_body, add_thread, add_parent = (
+        column.append for column in columns)
     n_lines = redecided = 0
     for line in lines:
         line = line.strip()
@@ -466,12 +510,18 @@ def _read_events(lines) -> tuple[dict[str, Event], dict[str, Event], LoadStats, 
                 parent_id = str(parent_id)
             if type(thread_id) is not str or type(parent_id) is not str:
                 continue
-            if ident not in comments:
-                comments[ident] = new(Event, ("comment", ident, author, community, float(ts),
-                                              body, thread_id, parent_id))
+            if ident not in seen:  # ids are unique per kind
+                seen.add(ident)
+                add_id(ident)
+                add_author(author)
+                add_community(community)
+                add_time(ts)
+                add_body(body)
+                add_thread(ids.setdefault(thread_id, thread_id))
+                add_parent(ids.setdefault(parent_id, parent_id))
             break
-    stats = LoadStats(lines=n_lines, rejected=n_lines - len(posts) - len(comments))
-    return posts, comments, stats, redecided
+    stats = LoadStats(lines=n_lines, rejected=n_lines - len(posts) - len(seen))
+    return posts, columns, stats, redecided
 
 
 def day_start(ts: float) -> float:

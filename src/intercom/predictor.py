@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -259,6 +260,13 @@ def train(
     return TrainResult(params=best, log=history, best_val_auc=best_auc)
 
 
+@cache
+def _feature_names(prefix: str, length: int) -> tuple[str, ...]:
+    """The keys ``prefix_0`` ... of a vector's entries in an ensemble row,
+    one tuple shared by every row."""
+    return tuple(f"{prefix}_{i}" for i in range(length))
+
+
 def ensemble_features(
     features: dict[str, float],
     user_emb: np.ndarray,
@@ -268,8 +276,7 @@ def ensemble_features(
 ) -> dict[str, float]:
     row = dict(features)
     for prefix, vec in (("uemb", user_emb), ("csrc", source_emb), ("ctgt", target_emb), ("hid", hidden)):
-        for i, val in enumerate(vec):
-            row[f"{prefix}_{i}"] = float(val)
+        row.update(zip(_feature_names(prefix, len(vec)), vec.tolist()))
     return row
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import pickle
 
@@ -38,6 +39,20 @@ def record(event):
         row["thread_id"] = event.thread_id
         row["parent_id"] = event.parent_id
     return row
+
+
+def tracked_objects(root):
+    """The objects the cyclic collector tracks that ``root`` reaches, root
+    included, not following into classes."""
+    found = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in found or isinstance(obj, type) or not gc.is_tracked(obj):
+            continue
+        found[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(found.values())
 
 
 def write_events(path, events):

@@ -3,6 +3,7 @@ import json
 import logging
 import random
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -11,6 +12,7 @@ from intercom import corpus as corpus_mod
 from intercom.corpus import (
     CorpusError,
     CrossLink,
+    Event,
     day_start,
     extract_crosslinks,
     link_members,
@@ -21,7 +23,8 @@ from intercom.corpus import (
 )
 from intercom.synth import SynthSpec, generate_corpus
 
-from conftest import BASE, DAY, HOUR, comment, corpus_from, names, post, write_events
+from conftest import (BASE, DAY, HOUR, comment, corpus_from, names, post, tracked_objects,
+                      write_events)
 
 
 def test_load_empty_file(tmp_path):
@@ -150,6 +153,55 @@ def test_load_rejects_ids_and_names_that_are_not_strings_or_integers(tmp_path):
     assert corpus.posts["p9"].author is corpus.comments["c0"].author
 
 
+def test_a_loaded_log_holds_one_string_per_thread_id_and_per_parent_id(tmp_path):
+    row = {"kind": "comment", "author": "u", "community": "A", "timestamp": BASE}
+    rows = [{**row, "id": f"c{i}", "thread_id": "p0", "parent_id": "p0" if i % 2 else "c0"}
+            for i in range(6)]
+    # a comment before its post, and integer ids, which stand for new strings
+    rows.insert(0, {**row, "id": "c9", "thread_id": 7, "parent_id": 7})
+    rows += [{**row, "id": f"d{i}", "thread_id": 7, "parent_id": "7"} for i in range(3)]
+    rows += [{**row, "kind": "post", "id": "p0"}, {**row, "kind": "post", "id": 7}]
+    path = tmp_path / "events.jsonl"
+    with open(path, "w") as fh:
+        for r in rows:
+            fh.write(json.dumps(r) + "\n")
+    events_path, _ = generate_corpus(SynthSpec(n_communities=3, n_crosslinks=4, seed=2),
+                                     tmp_path / "synth")
+    for log_path in (path, events_path):
+        corpus = load_events(log_path)
+        comments = list(corpus.comments.values())
+        assert len(comments) == corpus.stats.comments > 0
+        for values in ([c.thread_id for c in comments], [c.parent_id for c in comments],
+                       corpus.comment_parents):
+            assert len({id(v) for v in values}) == len(set(values)) < len(values)
+        assert all(c.thread_id is corpus.posts[c.thread_id].id for c in comments)
+
+
+# Written down before the first run, from the layout: a 7-character id
+# string (56 bytes), three list slots (24), a table row (24) and its by-user
+# and by-thread rows (8) come to 112 bytes a comment; the posts, names and
+# distinct parent ids add a few more. One Event tuple a comment, or one
+# thread-id or parent-id string a comment, would each add over 50.
+RETAINED_BYTES_PER_COMMENT = 160
+
+
+def test_load_retains_a_bounded_number_of_bytes_per_comment(tmp_path):
+    events_path, _ = generate_corpus(SynthSpec(n_communities=4, n_crosslinks=20, seed=7),
+                                     tmp_path / "synth")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = load_events(events_path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the comments' text is the log's, not the layout's
+    bodies = sum(sys.getsizeof(body) for body in {id(b): b for b in corpus.comment_bodies}.values())
+    n = corpus.stats.comments
+    assert n > 1000
+    assert (retained - bodies) / n <= RETAINED_BYTES_PER_COMMENT
+
+
 def test_load_rejects_lines_json_cannot_decode_into_values(tmp_path):
     path = tmp_path / "events.jsonl"
     with open(path, "w") as fh:
@@ -228,7 +280,7 @@ def test_load_decides_again_the_lines_orjson_decodes_otherwise(tmp_path):
 def test_load_decides_no_line_of_an_ordinary_log_again(tmp_path, two_community_corpus):
     world, _t0 = two_community_corpus
     path = write_events(tmp_path / "world.jsonl",
-                        [*world.posts.values(), *world.comment_events.tolist()])
+                        [*world.posts.values(), *world.comments.values()])
     events_path, _ = generate_corpus(SynthSpec(n_communities=3, n_crosslinks=4, seed=2),
                                      tmp_path / "synth")
     for log_path in (path, events_path):
@@ -303,13 +355,22 @@ def test_a_loaded_corpus_is_frozen_and_still_freed(tmp_path):
     before = gc.get_freeze_count()
     corpus = load_events(path)
     frozen = gc.get_freeze_count()
-    assert frozen - before >= len(events)
+    # what the collector tracks of a Corpus is the Corpus, its dicts, lists
+    # and tuples, and its posts: comments are held as strings and arrays,
+    # which it does not track
+    held = tracked_objects(corpus)
+    assert sum(type(obj) is Event for obj in held) == 50
+    assert frozen - before >= len(held)
+    generations = {id(obj) for obj in gc.get_objects()}  # the permanent one excluded
+    assert not any(id(obj) in generations for obj in held)
+    n_held = len(held)
+    del held, generations
     # the permanent generation is never collected, but the Corpus holds no
-    # cycles: dropping the last reference frees it and its events
+    # cycles: dropping the last reference frees it and all it holds
     ref = weakref.ref(corpus)
     del corpus
     assert ref() is None
-    assert gc.get_freeze_count() <= frozen - len(events)
+    assert gc.get_freeze_count() <= frozen - n_held
 
 
 def test_only_a_successful_load_freezes(tmp_path, monkeypatch):

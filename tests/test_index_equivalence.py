@@ -534,7 +534,11 @@ def assert_indexes_equal(corpus, expected):
     assert [corpus.communities[k] for k in table.communities.tolist()] == \
         [c.community for c in rows]
     assert [corpus.threads[k] for k in table.threads.tolist()] == [c.thread_id for c in rows]
-    assert [corpus.comment_events[k] for k in table.events.tolist()] == rows
+    # each row's input-order index picks its id, body and parent id from
+    # the columns, and the comments built from them are the events
+    assert [(corpus.comment_ids[k], corpus.comment_bodies[k], corpus.comment_parents[k])
+            for k in table.events.tolist()] == [(c.id, c.body, c.parent_id) for c in rows]
+    assert list(corpus.comments.items()) == list(expected.comments.items())
 
     expected.comment_timeline("Z")  # builds every community's timeline
     assert named_timelines(corpus) == listed(expected._timeline)

@@ -10,6 +10,7 @@ import pytest
 
 import intercom
 from intercom import lstm, pipeline, replynet
+from intercom.corpus import load_events
 from intercom.embed import load_vectors
 from intercom.pipeline import (
     RUN_RECORD,
@@ -25,7 +26,8 @@ from intercom.pipeline import (
 from intercom.settings import apply_overrides, load_config
 from intercom.synth import SynthSpec, generate_corpus
 
-from conftest import BASE, DAY, HOUR, comment, post, write_canary_pickle, write_events
+from conftest import (BASE, DAY, HOUR, comment, post, tracked_objects, write_canary_pickle,
+                      write_events)
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +224,12 @@ def test_report_writes_a_run_record_outside_the_manifest(synth_corpus, tmp_path)
     versions = {"python": platform.python_version(), "numpy": np.__version__,
                 "intercom": intercom.__version__}
     one, two = report("one"), report("two")
+    # what the collector tracks of a Corpus of this log: the Corpus, its
+    # dicts, lists and tuples, and one Event per post
+    corpus = load_events(events_path)
+    held = len(tracked_objects(corpus))
+    assert held > corpus.stats.posts
+    del corpus
     assert one[1] == two[1] and bundle_bytes(tmp_path / "one") == bundle_bytes(tmp_path / "two")
     for result, _manifest, record in (one, two):
         assert RUN_RECORD not in result.manifest["files"]
@@ -232,9 +240,8 @@ def test_report_writes_a_run_record_outside_the_manifest(synth_corpus, tmp_path)
             assert timing["wall_s"] >= 0 and timing["cpu_s"] >= 0
         assert record["peak_rss_mb"] > 1
         assert record["versions"] == versions
-        # the loaded events sit in the collector's permanent generation
-        ingest = result.manifest["stages"]["ingest"]
-        assert record["gc"]["freeze_count"] >= ingest["posts"] + ingest["comments"]
+        # the loaded Corpus sits in the collector's permanent generation
+        assert record["gc"]["freeze_count"] >= held
         collections = record["gc"]["collections"]
         assert len(collections) == 3 and all(type(n) is int and n >= 0 for n in collections)
         assert "gc" not in result.manifest["stages"] and "gc" not in result.manifest
