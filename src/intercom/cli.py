@@ -29,15 +29,14 @@ from .pipeline import (
 from .replynet import REPLYNET_HEADER, thread_graph
 from .sentiment import crosslink_features
 from .settings import Config, ConfigError, apply_overrides, load_config
-from .synth import SynthError, SynthSpec, generate_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-DATA_ERRORS = (CorpusError, BaselineError, NoMatchError, ConfigError, SynthError,
-               OSError, KeyError, ValueError)
+DATA_ERRORS = (CorpusError, BaselineError, NoMatchError, ConfigError, OSError, KeyError,
+               ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,6 +189,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import SynthSpec, generate_corpus
+
     spec = load_config(args.config, SynthSpec) if args.config else SynthSpec()
     events_path, manifest = generate_corpus(apply_overrides(spec, dict(args.set)), args.out)
     print(f"wrote {manifest['counts']['events']} events to {events_path} "

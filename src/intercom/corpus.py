@@ -1,7 +1,6 @@
 """Event-log parsing, indexing, cross-link extraction, and community membership."""
 from __future__ import annotations
 
-import gc
 import json
 import json.scanner
 import logging
@@ -331,9 +330,7 @@ def load_events(path) -> Corpus:
     Each line is one JSON object in UTF-8. A line that is not valid UTF-8,
     is not one JSON value or is not a valid record, or that repeats the id
     of an earlier event of its kind, is skipped and counted in
-    ``corpus.stats.rejected``; an unreadable file raises CorpusError. The
-    cyclic garbage collector is paused while the Corpus is built and then
-    restored to its previous state.
+    ``corpus.stats.rejected``; an unreadable file raises CorpusError.
 
     A line is decided in two steps (``_read_events``): orjson decodes it
     and the record checks run on its value; a line orjson refuses, or whose
@@ -345,36 +342,16 @@ def load_events(path) -> Corpus:
     Comments are read into columns, never into one object each (see
     ``Corpus``), and every comment that names the same thread id or parent
     id shares one string for it.
-
-    A successful load ends with ``gc.freeze()``, which acts on the whole
-    process: every object the collector tracks at that point, the new
-    Corpus and the caller's own objects alike, moves to the permanent
-    generation, which no later collection walks. The Corpus holds no
-    reference cycles, so reference counting still frees it; a cycle that is
-    already garbage when the load ends is kept until ``gc.unfreeze()``.
     """
     try:
         # an undecodable byte becomes a lone surrogate, which rejects its line
         fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise CorpusError(f"cannot read event log {path}: {exc}") from exc
-    collecting = gc.isenabled()
-    # every line allocates containers and a post keeps one, its event; none
-    # is in a cycle, so collections during the load would traverse the
-    # growing corpus for nothing
-    gc.disable()
-    try:
-        with fh:
-            posts, columns, stats, redecided = _read_events(fh)
-        corpus = _index(posts, columns, stats)
-        corpus.redecided = redecided
-        # Event is a tuple subclass, which the collector never untracks: left
-        # in a generation, the posts and the Corpus's lists and dicts would be
-        # walked again by every collection after the load
-        gc.freeze()
-    finally:
-        if collecting:
-            gc.enable()
+    with fh:
+        posts, columns, stats, redecided = _read_events(fh)
+    corpus = _index(posts, columns, stats)
+    corpus.redecided = redecided
     if stats.rejected:
         log.warning("skipped %d malformed lines in %s", stats.rejected, path)
     return corpus

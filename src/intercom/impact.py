@@ -308,12 +308,12 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def mann_whitney_u(a, b, exact_max: int = MWU_EXACT_MAX) -> tuple[float, float]:
+def mann_whitney_u(a, b) -> tuple[float, float]:
     """Mann-Whitney U for sample ``a`` with a two-sided p-value.
 
     Exact permutation enumeration (midrank ties) up to a combined size of
-    ``exact_max``; normal approximation with tie and continuity corrections
-    beyond that.
+    ``MWU_EXACT_MAX``; normal approximation with tie and continuity
+    corrections beyond that.
     """
     a, b = list(a), list(b)
     n1, n2 = len(a), len(b)
@@ -325,7 +325,7 @@ def mann_whitney_u(a, b, exact_max: int = MWU_EXACT_MAX) -> tuple[float, float]:
     u = r1 - n1 * (n1 + 1) / 2.0
     mu = n1 * n2 / 2.0
 
-    if n1 + n2 <= exact_max:
+    if n1 + n2 <= MWU_EXACT_MAX:
         # midranks doubled are integers, making the comparison exact
         r2 = [int(round(2 * r)) for r in ranks]
         mu2 = n1 * n2  # 2*mu
@@ -346,12 +346,12 @@ def mann_whitney_u(a, b, exact_max: int = MWU_EXACT_MAX) -> tuple[float, float]:
     return u, min(1.0, 2.0 * _normal_sf(z))
 
 
-def wilcoxon_signed_rank(pairs, exact_max: int = WILCOXON_EXACT_MAX) -> tuple[float, float]:
+def wilcoxon_signed_rank(pairs) -> tuple[float, float]:
     """Wilcoxon signed-rank W (sum of positive-difference ranks) with a
     two-sided p-value.
 
     Zero differences are dropped; exact sign-pattern distribution up to
-    ``exact_max`` nonzero pairs, normal approximation with tie and
+    ``WILCOXON_EXACT_MAX`` nonzero pairs, normal approximation with tie and
     continuity corrections beyond.
     """
     diffs = [x - y for x, y in pairs]
@@ -363,7 +363,7 @@ def wilcoxon_signed_rank(pairs, exact_max: int = WILCOXON_EXACT_MAX) -> tuple[fl
     w = sum(r for r, d in zip(abs_ranks, diffs) if d > 0)
     mu = n * (n + 1) / 4.0
 
-    if n <= exact_max:
+    if n <= WILCOXON_EXACT_MAX:
         r2 = [int(round(2 * r)) for r in abs_ranks]
         max_sum = sum(r2)
         counts = [0] * (max_sum + 1)

@@ -475,15 +475,13 @@ def _run_record(timings: dict, collections: list[int]) -> dict:
     """The run record: per stage whether it hit the cache, its wall and CPU
     time and the counts of a stage that ran (``timings``; ingest's
     ``lines_decided_again`` is ``Corpus.redecided``), the collector's passes
-    per generation since ``collections`` was taken and the objects in its
-    permanent generation (``corpus.load_events`` freezes the Corpus there),
-    the process's peak RSS and the versions that ran. It changes from run to
-    run, so it stays out of the manifest."""
+    per generation since ``collections`` was taken, the process's peak RSS
+    and the versions that ran. It changes from run to run, so it stays out
+    of the manifest."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
     return {
         "stages": timings,
-        "gc": {"collections": [now - then for now, then in zip(_collections(), collections)],
-               "freeze_count": gc.get_freeze_count()},
+        "gc": {"collections": [now - then for now, then in zip(_collections(), collections)]},
         "peak_rss_mb": peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0),
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "intercom": __version__},

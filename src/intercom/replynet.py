@@ -101,8 +101,6 @@ def build_reply_graph(
 @dataclass
 class GroupPageRank:
     scores: dict[str, float]
-    teleport_set: str
-    alpha: float
     iterations: int
 
 
@@ -202,7 +200,7 @@ def group_pagerank(
     converges at the first step whose L1 change is below ``tol``; raises
     ``ConvergenceError`` when one has not converged after ``max_iter`` steps.
 
-    Returns one result per graph in input order, each with the same
+    Returns one result per graph in input order, each over the same
     teleport set. The graphs are grouped by (node count n, dangling-node
     count d), and each group runs its power iteration as one (G, n) array.
     Every value is computed as it would be for the graph alone, so the
@@ -222,7 +220,6 @@ def group_pagerank(
         groups.setdefault((len(job.nodes), job.dangling), []).append(k)
     results: list[GroupPageRank | None] = [None] * len(jobs)
     unconverged = []
-    label = teleport_set if isinstance(teleport_set, str) else "custom"
     for members in groups.values():
         scores, iterations, delta = _power_iterate([jobs[k] for k in members], alpha, tol,
                                                    max_iter)
@@ -231,8 +228,7 @@ def group_pagerank(
             if not steps:
                 unconverged.append((k, last))
                 continue
-            results[k] = GroupPageRank(scores=dict(zip(jobs[k].nodes, row)), teleport_set=label,
-                                       alpha=alpha, iterations=steps)
+            results[k] = GroupPageRank(scores=dict(zip(jobs[k].nodes, row)), iterations=steps)
     if unconverged:
         raise ConvergenceError(max_iter, min(unconverged)[1])
     return results

@@ -2,12 +2,16 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import intercom
 from intercom import embed as embed_mod
 from intercom.cli import build_parser, main
 from intercom.pipeline import RUN_RECORD, STAGE_ORDER, Config, Run, substream_seed, train_lstm
@@ -109,6 +113,16 @@ def test_synth_rejects_a_spec_field_out_of_range(tmp_path, capsys, field, value,
                  "--set", "n_crosslinks=4", "--set", f"{field}={value}"]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+def test_importing_the_cli_does_not_import_the_synth():
+    # only ``intercom synth`` needs the generator; every other command skips it
+    src = str(Path(intercom.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, intercom.cli; print('intercom.synth' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_synth_reads_a_spec_file(tmp_path, capsys):
