@@ -1,18 +1,13 @@
 """Event-log parsing, indexing, cross-link extraction, and community membership."""
 from __future__ import annotations
 
-import json
-import json.scanner
 import logging
-import math
 import re
-import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -110,15 +105,14 @@ class Groups(NamedTuple):
 class Corpus:
     """Indexed view of an event log, built once by ``index_events``.
 
-    ``posts`` and ``comments`` map ids to events in input order; comments
-    whose thread is not a post are not indexed. Comments are held as
-    columns, not as events: their ids, bodies and parent ids in input order
-    (``comment_ids``, ``comment_bodies``, ``comment_parents``) and every
-    other field in ``table``. ``thread_comments`` and ``comments`` build
-    ``Event``s from these on demand, with the author, community and thread
-    id strings of ``users``, ``communities`` and ``threads``; ``comments``
-    is built on first use, as the analysis never looks a comment up by id.
-    Every other list below is ordered by ``(timestamp, id)``.
+    ``posts`` maps ids to posts in input order; comments whose thread is not
+    a post are not indexed. Comments are held as columns, not as events:
+    their ids, bodies and parent ids in input order (``comment_ids``,
+    ``comment_bodies``, ``comment_parents``) and every other field in
+    ``table``. ``thread_comments`` builds a thread's ``Event``s from these on
+    demand, with the author, community and thread id strings of ``users``,
+    ``communities`` and ``threads``. Every other list below is ordered by
+    ``(timestamp, id)``.
 
     Users, communities and threads have integer codes, which index
     ``users`` (sorted, so sorting codes sorts names), ``communities``
@@ -157,17 +151,15 @@ class Corpus:
     # community -> (its comments' timestamps, author codes): views of
     # ``table``; communities without comments are absent
     timelines: dict[str, tuple[np.ndarray, np.ndarray]]
-    # the log lines ``load_events`` decided again by the stdlib's rule
-    redecided: int = 0
 
-    @cached_property
-    def comments(self) -> dict[str, Event]:
-        rows = np.empty(len(self.comment_ids), dtype=np.int32)
-        rows[self.table.events] = np.arange(len(rows), dtype=np.int32)  # input order
-        return dict(zip(self.comment_ids, self._comment_events(rows)))
+    def _thread_rows(self, post_id: str) -> np.ndarray:
+        code = self.thread_codes.get(post_id)
+        return self.by_thread.of(code) if code is not None else self.by_thread.rows[:0]
 
-    def _comment_events(self, rows: np.ndarray) -> list[Event]:
-        """The comments of the table's ``rows``, as Events."""
+    def thread_comments(self, post_id: str) -> list[Event]:
+        """The comments on a thread, time-ordered; empty for a post without
+        comments or an id that is no post."""
+        rows = self._thread_rows(post_id)
         table = self.table
         ids, bodies, parents = self.comment_ids, self.comment_bodies, self.comment_parents
         users, communities, threads = self.users, self.communities, self.threads
@@ -177,15 +169,6 @@ class Corpus:
                 for k, a, c, t, h in zip(table.events[rows].tolist(), table.authors[rows].tolist(),
                                          table.communities[rows].tolist(),
                                          table.times[rows].tolist(), table.threads[rows].tolist())]
-
-    def _thread_rows(self, post_id: str) -> np.ndarray:
-        code = self.thread_codes.get(post_id)
-        return self.by_thread.of(code) if code is not None else self.by_thread.rows[:0]
-
-    def thread_comments(self, post_id: str) -> list[Event]:
-        """The comments on a thread, time-ordered; empty for a post without
-        comments or an id that is no post."""
-        return self._comment_events(self._thread_rows(post_id))
 
     def thread_timeline(self, post_id: str) -> tuple[np.ndarray, np.ndarray]:
         """The timestamps and author codes of the comments on a thread,
@@ -301,9 +284,6 @@ def _index(posts: dict[str, Event], columns: CommentColumns, stats: LoadStats) -
                   table, by_user, by_thread, timelines)
 
 
-_MAX_TIMESTAMP = sys.float_info.max
-
-
 def _name(value, names: dict[str, str]) -> str | None:
     """An author or community name as a str, or None when ``value`` is not
     a string or a non-bool integer, or is empty or contains whitespace.
@@ -327,81 +307,74 @@ def _name(value, names: dict[str, str]) -> str | None:
 def load_events(path) -> Corpus:
     """Load a line-delimited JSON event log into an indexed Corpus.
 
-    Each line is one JSON object in UTF-8. A line that is not valid UTF-8,
-    is not one JSON value or is not a valid record, or that repeats the id
-    of an earlier event of its kind, is skipped and counted in
-    ``corpus.stats.rejected``; an unreadable file raises CorpusError.
+    Every line, stripped of surrounding whitespace, that is not blank either
+    stores one event or is rejected: skipped and counted in
+    ``corpus.stats.rejected``. An unreadable file raises CorpusError. A
+    line's verdict depends on its bytes alone. It is rejected unless:
 
-    A line is decided in two steps (``_read_events``): orjson decodes it
-    and the record checks run on its value; a line orjson refuses, or whose
-    value fails a check, is decided again by the stdlib's JSON scanner and
-    the same checks, whose verdict is final. The accepted lines and every
-    stored value are those of the stdlib alone. The lines decided again are
-    counted in ``corpus.redecided``, which is 0 on an ordinary log.
+    1. it is UTF-8 and one RFC 8259 value: no NaN or Infinity, no
+       lone-surrogate escape such as "\\ud800", no byte-order mark and
+       nothing after the value;
+    2. every number's nearest float64 is finite, wherever it appears, so
+       1e400 and a 400-digit integer reject their line;
+    3. its nesting is at most ``MAX_DEPTH`` deep, where a bracket inside a
+       string does not count;
+    4. an integer (a number with no fraction or exponent) given as an id or
+       a name, or as a comment's ``thread_id`` or ``parent_id``, lies in
+       [-2**63, 2**64);
+    5. its timestamp is a non-negative number, stored as its nearest
+       float64;
+
+    and its value is a valid record (``_read_events``) whose id no earlier
+    event of its kind has. orjson decides parts 1, 2 and 4 on its own: it
+    gives an integer outside [-2**63, 2**64) as its nearest float, which no
+    id or name may be. ``_depth`` decides part 3 before orjson, whose parser
+    has no depth limit and crashes on deep enough nesting, reads the line.
 
     Comments are read into columns, never into one object each (see
     ``Corpus``), and every comment that names the same thread id or parent
     id shares one string for it.
     """
     try:
-        # an undecodable byte becomes a lone surrogate, which rejects its line
+        # an undecodable byte becomes a lone surrogate, which orjson refuses
         fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise CorpusError(f"cannot read event log {path}: {exc}") from exc
     with fh:
-        posts, columns, stats, redecided = _read_events(fh)
+        posts, columns, stats = _read_events(fh)
     corpus = _index(posts, columns, stats)
-    corpus.redecided = redecided
     if stats.rejected:
         log.warning("skipped %d malformed lines in %s", stats.rejected, path)
     return corpus
 
 
-# A line with more brackets than this is never given to orjson, whose
-# parser has no depth limit and overflows the C stack on deep nesting; the
-# stdlib's scanner raises RecursionError instead.
-_ORJSON_MAX_BRACKETS = 256
-# orjson rounds an integer just past the float range, which the stdlib keeps
-# exact and so rejects as a timestamp, to float_info.max: a timestamp of
-# exactly that float is decided again
-_ORJSON_MAX_TIMESTAMP = math.nextafter(_MAX_TIMESTAMP, 0.0)
+# The deepest nesting an event-log line may hold (part 3 of ``load_events``'
+# rule). A record is one object deep; the limit keeps orjson, which has no
+# depth limit of its own, far from the nesting that overflows its stack.
+MAX_DEPTH = 256
+# a JSON string, closed or running to the end of the line, or one bracket
+_STRING_OR_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]', re.DOTALL)
+_DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
-def _read_events(lines) -> tuple[dict[str, Event], CommentColumns, LoadStats, int]:
+def _depth(line: str) -> int:
+    """The deepest nesting of the brackets of ``line`` that are outside its
+    JSON strings."""
+    steps = map(_DEPTH_STEP.get, _STRING_OR_BRACKET.findall(line), repeat(0))
+    return max(accumulate(steps, initial=0))
+
+
+def _read_events(lines) -> tuple[dict[str, Event], CommentColumns, LoadStats]:
     """The posts of an event log's lines keyed by id in input order, its
-    comments as columns in input order, the log's line counts, and how many
-    lines were decided again. The first event of a repeated id is kept.
+    comments as columns in input order, and the log's line counts, by
+    ``load_events``' rule. The first event of a repeated id is kept.
 
     An id is a JSON string, or a non-bool integer, which stands for its
-    decimal string; a name is checked by ``_name``. Every non-blank line
-    either stores one event or is rejected. Every comment that names the
-    same thread id or parent id shares one string for it.
-
-    A line is decoded by orjson and checked. When orjson refuses it or its
-    value fails a check, the line is decided again: it must be UTF-8, the
-    stdlib's scanner must decode it to its end, and the value must pass the
-    same checks. Only then is it rejected. orjson 3.8 differs from the
-    stdlib only on lines this second step decides:
-
-    - it refuses NaN, +-Infinity, numbers past the float range such as
-      1e400, lone-surrogate escapes such as "\\ud800", and text that is
-      not UTF-8;
-    - it gives integers outside [-2**63, 2**64) as floats, which fail the
-      checks on ids and names; as a timestamp, such a float equals the
-      stdlib's ``float(int)``, except that an integer just past
-      ``float_info.max`` rounds to it, where the stdlib's exact integer is
-      out of range: orjson's pass accepts no timestamp of ``float_info.max``;
-    - it decodes nesting of any depth, and crashes on deep enough nesting,
-      where the stdlib raises RecursionError: a line with more than
-      ``_ORJSON_MAX_BRACKETS`` brackets goes to the second step unread.
-
-    Both decoders keep the last value of a repeated key.
+    decimal string; a name is checked by ``_name``. Every comment that
+    names the same thread id or parent id shares one string for it.
     """
     loads = orjson.loads
-    scan = json.scanner.make_scanner(json.JSONDecoder())
     new = tuple.__new__  # Event's own __new__ is a Python function
-    # (exact, the largest timestamp the pass accepts)
-    passes = ((False, _ORJSON_MAX_TIMESTAMP), (True, _MAX_TIMESTAMP))
     names: dict[str, str] = {}
     # thread and parent id -> itself; apart from ``names``, whose hits skip
     # the whitespace check
@@ -411,94 +384,69 @@ def _read_events(lines) -> tuple[dict[str, Event], CommentColumns, LoadStats, in
     columns = CommentColumns([], [], [], array("d"), [], [], [])
     add_id, add_author, add_community, add_time, add_body, add_thread, add_parent = (
         column.append for column in columns)
-    n_lines = redecided = 0
+    n_lines = 0
     for line in lines:
         line = line.strip()
         if not line:
             continue
         n_lines += 1
-        # a failed check ends the pass: orjson's pass is followed by the
-        # stdlib's, whose failure rejects the line
-        for exact, top in passes:
-            if not exact:
-                if (len(line) > _ORJSON_MAX_BRACKETS
-                        and line.count("[") + line.count("{") > _ORJSON_MAX_BRACKETS):
-                    continue
-                try:
-                    obj = loads(line)
-                except ValueError:
-                    continue
-            else:
-                redecided += 1
-                if not line.isascii():
-                    try:
-                        line.encode("utf-8")
-                    except UnicodeEncodeError:
-                        break
-                # StopIteration: no JSON value starts the line; ValueError: a
-                # malformed one, or an integer past the interpreter's digit
-                # limit; RecursionError: nesting past its recursion limit
-                try:
-                    obj, end = scan(line, 0)
-                except (StopIteration, ValueError, RecursionError):
-                    break
-                if end != len(line):
-                    break
-            # KeyError: a required field is missing; TypeError: the line's
-            # value is not an object
-            try:
-                kind, ident, author, community, ts = (
-                    obj["kind"], obj["id"], obj["author"], obj["community"], obj["timestamp"])
-            except (KeyError, TypeError):
+        # only a line with more brackets than MAX_DEPTH can nest deeper
+        if (len(line) > MAX_DEPTH and line.count("[") + line.count("{") > MAX_DEPTH
+                and _depth(line) > MAX_DEPTH):
+            continue
+        # ValueError: the line breaks parts 1-2 of the rule; KeyError: a
+        # required field is missing; TypeError: the line's value is not an
+        # object
+        try:
+            obj = loads(line)
+            kind, ident, author, community, ts = (
+                obj["kind"], obj["id"], obj["author"], obj["community"], obj["timestamp"])
+        except (ValueError, KeyError, TypeError):
+            continue
+        body = obj.get("body", "")
+        if (kind != "post" and kind != "comment" or type(body) is not str
+                or type(ts) is not float and type(ts) is not int or ts < 0):
+            continue
+        if type(ident) is int:
+            ident = str(ident)
+        if type(ident) is not str:
+            continue
+        # ``names`` holds only str keys, so only a name seen before is
+        # found; TypeError: an array or object
+        try:
+            author = names[author]
+        except (KeyError, TypeError):
+            author = _name(author, names)
+            if author is None:
                 continue
-            body = obj.get("body", "")
-            # json also gives true, NaN, Infinity and ints past the float range
-            if (kind != "post" and kind != "comment" or type(body) is not str
-                    or type(ts) is not float and type(ts) is not int
-                    or not 0 <= ts <= top):
+        try:
+            community = names[community]
+        except (KeyError, TypeError):
+            community = _name(community, names)
+            if community is None:
                 continue
-            if type(ident) is int:
-                ident = str(ident)
-            if type(ident) is not str:
-                continue
-            # ``names`` holds only str keys, so only a name seen before is
-            # found; TypeError: an array or object
-            try:
-                author = names[author]
-            except (KeyError, TypeError):
-                author = _name(author, names)
-                if author is None:
-                    continue
-            try:
-                community = names[community]
-            except (KeyError, TypeError):
-                community = _name(community, names)
-                if community is None:
-                    continue
-            if kind == "post":
-                if ident not in posts:  # ids are unique per kind
-                    posts[ident] = new(Event, ("post", ident, author, community, float(ts),
-                                               body, None, None))
-                break
-            thread_id, parent_id = obj.get("thread_id"), obj.get("parent_id")
-            if type(thread_id) is int:
-                thread_id = str(thread_id)
-            if type(parent_id) is int:
-                parent_id = str(parent_id)
-            if type(thread_id) is not str or type(parent_id) is not str:
-                continue
-            if ident not in seen:  # ids are unique per kind
-                seen.add(ident)
-                add_id(ident)
-                add_author(author)
-                add_community(community)
-                add_time(ts)
-                add_body(body)
-                add_thread(ids.setdefault(thread_id, thread_id))
-                add_parent(ids.setdefault(parent_id, parent_id))
-            break
-    stats = LoadStats(lines=n_lines, rejected=n_lines - len(posts) - len(seen))
-    return posts, columns, stats, redecided
+        if kind == "post":
+            if ident not in posts:  # ids are unique per kind
+                posts[ident] = new(Event, ("post", ident, author, community, float(ts),
+                                           body, None, None))
+            continue
+        thread_id, parent_id = obj.get("thread_id"), obj.get("parent_id")
+        if type(thread_id) is int:
+            thread_id = str(thread_id)
+        if type(parent_id) is int:
+            parent_id = str(parent_id)
+        if type(thread_id) is not str or type(parent_id) is not str:
+            continue
+        if ident not in seen:  # ids are unique per kind
+            seen.add(ident)
+            add_id(ident)
+            add_author(author)
+            add_community(community)
+            add_time(ts)
+            add_body(body)
+            add_thread(ids.setdefault(thread_id, thread_id))
+            add_parent(ids.setdefault(parent_id, parent_id))
+    return posts, columns, LoadStats(lines=n_lines, rejected=n_lines - len(posts) - len(seen))
 
 
 def day_start(ts: float) -> float:

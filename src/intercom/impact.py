@@ -355,6 +355,8 @@ def wilcoxon_signed_rank(pairs) -> tuple[float, float]:
     continuity corrections beyond.
     """
     diffs = [x - y for x, y in pairs]
+    if not diffs:
+        raise ValueError("no pairs")
     diffs = [d for d in diffs if d != 0]
     n = len(diffs)
     if n == 0:
@@ -393,7 +395,8 @@ def aggregate(corpus: Corpus, records: list[MobilizationRecord], replynet_rows: 
     """The impact of the mobilization ``records``: the IMPACT_HEADER rows of
     those with defenders; per SERIES column, the column of their
     REPLYNET_HEADER rows (0.0 where missing) over the success buckets; the
-    tests, None where one cannot run; and the counts of outcomes and fallbacks."""
+    tests, each ``{"skipped": reason}`` where it cannot run; and the counts
+    of outcomes and fallbacks."""
     metrics = {row[0]: dict(zip(REPLYNET_HEADER, row)) for row in replynet_rows}
     outcomes, rows = [], []
     deltas = {"attacker": [], "defender": []}
@@ -430,14 +433,15 @@ def aggregate(corpus: Corpus, records: list[MobilizationRecord], replynet_rows: 
             return 0.0 if value is None else float(value)
         series[column] = decile_series(outcomes, metric)
 
-    tests = {}
-    if deltas["attacker"] and deltas["defender"]:
-        u, p = mann_whitney_u(deltas["defender"], deltas["attacker"])
-        tests["defender_vs_attacker_delta_mwu"] = {"U": u, "p": p}
-    for role in ("attacker", "defender"):
+    def result(test, statistic, *samples):
         try:
-            w, p = wilcoxon_signed_rank(pairs[role])
-            tests[f"{role}_delta_vs_matched_wilcoxon"] = {"W": w, "p": p}
-        except ValueError:
-            tests[f"{role}_delta_vs_matched_wilcoxon"] = None
+            value, p = test(*samples)
+        except ValueError as exc:  # the samples are empty, or all ties
+            return {"skipped": str(exc)}
+        return {statistic: value, "p": p}
+
+    tests = {"defender_vs_attacker_delta_mwu":
+             result(mann_whitney_u, "U", deltas["defender"], deltas["attacker"])}
+    for role in ("attacker", "defender"):
+        tests[f"{role}_delta_vs_matched_wilcoxon"] = result(wilcoxon_signed_rank, "W", pairs[role])
     return rows, series, tests, {"outcomes": len(outcomes), **counts}

@@ -117,8 +117,6 @@ class Run:
         # power iterations of every PageRank the replynet rows ran: the
         # attacker-teleport ones in record order, then the defender-teleport ones
         self.pagerank_iterations: list[int] = []
-        # per stage, counts for its run record entry, set when the stage runs
-        self.run_counts: dict[str, dict] = {}
 
     @cached_property
     def corpus(self):
@@ -218,7 +216,6 @@ def train_lstm(run: Run, table, word_vectors, model_path):
 def stage_ingest(run: Run) -> dict:
     stats = run.corpus.stats
     write_json(run.out / "ingest.json", dataclasses.asdict(stats))
-    run.run_counts["ingest"] = {"lines_decided_again": run.corpus.redecided}
     return {"posts": stats.posts, "comments": stats.comments}
 
 
@@ -319,8 +316,11 @@ class Stage:
 
 STAGES = {stage.name: stage for stage in [
     # version 2: a line that is not UTF-8, and an id or name that is not a
-    # string or an integer, are rejected
-    Stage("ingest", ("corpus",), (), ("ingest.json",), stage_ingest, version=2),
+    # string or an integer, are rejected; version 3: one input rule
+    # (``load_events``), which rejects lone surrogates, non-finite numbers
+    # and nesting deeper than corpus.MAX_DEPTH anywhere in a line, and
+    # integer ids and names outside [-2**63, 2**64)
+    Stage("ingest", ("corpus",), (), ("ingest.json",), stage_ingest, version=3),
     Stage("crosslinks", ("host_allowlist", "window_hours"), ("ingest",),
           ("crosslinks.jsonl",), stage_crosslinks),
     Stage("baseline", ("window_hours", "baseline", "baseline_stat"),
@@ -333,9 +333,10 @@ STAGES = {stage.name: stage for stage in [
           ("sentiment.jsonl",), stage_sentiment),
     Stage("replynet", ("lexicon_dir", "alpha", "pagerank_tol", "pagerank_max_iter"),
           ("ingest", "detect"), ("replynet.csv",), stage_replynet),
+    # version 2: a test that cannot run records why, as {"skipped": reason}
     Stage("impact", ("seed",), ("ingest", "detect", "replynet"),
           ("impact.csv", "stat_tests.json") + tuple(name for name, _ in impact_mod.SERIES),
-          stage_impact),
+          stage_impact, version=2),
     # version 2: minibatched negative-sampling SGD (embed.EDGE_BATCH edges a step)
     Stage("embed", ("embed_dim", "embed_negatives", "embed_epochs", "vocab_size", "seed"),
           ("ingest",), ("users.vec", "communities.vec", "words.vec", "embed.json"),
@@ -434,7 +435,7 @@ def run_pipeline(config: Config) -> PipelineResult:
                 raise StageError(name, exc) from exc
             stages[name] = {"key": keys[name], "outputs": list(stage.outputs), **info}
             files.update({f: _sha256(run.out / f) for f in stage.outputs})
-        timings[name] = clock.timing(name in cache_hits) | run.run_counts.get(name, {})
+        timings[name] = clock.timing(name in cache_hits)
 
     clock = _Clock()
     stages["report"] = {"outputs": ["manifest.json"]}
@@ -472,12 +473,10 @@ def _collections() -> list[int]:
 
 
 def _run_record(timings: dict, collections: list[int]) -> dict:
-    """The run record: per stage whether it hit the cache, its wall and CPU
-    time and the counts of a stage that ran (``timings``; ingest's
-    ``lines_decided_again`` is ``Corpus.redecided``), the collector's passes
-    per generation since ``collections`` was taken, the process's peak RSS
-    and the versions that ran. It changes from run to run, so it stays out
-    of the manifest."""
+    """The run record: per stage whether it hit the cache and its wall and
+    CPU time (``timings``), the collector's passes per generation since
+    ``collections`` was taken, the process's peak RSS and the versions that
+    ran. It changes from run to run, so it stays out of the manifest."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
     return {
         "stages": timings,

@@ -26,6 +26,19 @@ def corpus_from(events):
     return index_events(events)
 
 
+def comment_events(corpus):
+    """The comments of a Corpus keyed by id in input order, as Events, read
+    from its comment columns and table: the id -> comment map the analysis
+    never reads."""
+    table = corpus.table
+    rows = sorted(zip(table.events.tolist(), table.authors.tolist(), table.communities.tolist(),
+                      table.times.tolist(), table.threads.tolist()))
+    return {corpus.comment_ids[k]: Event("comment", corpus.comment_ids[k], corpus.users[a],
+                                         corpus.communities[c], t, corpus.comment_bodies[k],
+                                         corpus.threads[h], corpus.comment_parents[k])
+            for k, a, c, t, h in rows}
+
+
 def names(corpus, mask):
     """The names of the users a mask over user codes selects."""
     return {corpus.users[k] for k in mask.nonzero()[0].tolist()}

@@ -5,7 +5,9 @@ import random
 import sys
 import tracemalloc
 import weakref
+from itertools import product
 
+import orjson
 import pytest
 
 from intercom import corpus as corpus_mod
@@ -23,8 +25,8 @@ from intercom.corpus import (
 )
 from intercom.synth import SynthSpec, generate_corpus
 
-from conftest import (BASE, DAY, HOUR, comment, corpus_from, names, post, tracked_objects,
-                      write_events)
+from conftest import (BASE, DAY, HOUR, comment, comment_events, corpus_from, names, post,
+                      tracked_objects, write_events)
 
 
 def test_load_empty_file(tmp_path):
@@ -100,7 +102,7 @@ def test_load_rejects_empty_names_and_names_with_whitespace(tmp_path):
         fh.write(json.dumps({"kind": "comment", "id": "c1", "author": "x y", "community": "A-b",
                              "timestamp": BASE + 1, "thread_id": "p0", "parent_id": "p0"}) + "\n")
     corpus = load_events(path)
-    assert list(corpus.posts) == ["p0"] and corpus.comments == {}
+    assert list(corpus.posts) == ["p0"] and comment_events(corpus) == {}
     assert corpus.stats.rejected == len(bad) + 1
 
 
@@ -143,14 +145,15 @@ def test_load_rejects_ids_and_names_that_are_not_strings_or_integers(tmp_path):
             fh.write(json.dumps(row) + "\n")
     corpus = load_events(path)
     assert list(corpus.posts) == ["p0", "7", "p9"]
-    assert list(corpus.comments) == ["c0", "8"]
+    comments = comment_events(corpus)
+    assert list(comments) == ["c0", "8"]
     assert corpus.posts["7"][1:4] == ("7", "42", "-3")
-    assert corpus.comments["8"].thread_id == corpus.comments["8"].parent_id == "7"
+    assert comments["8"].thread_id == comments["8"].parent_id == "7"
     assert corpus.posts["p9"].thread_id is None
     assert (corpus.stats.lines, corpus.stats.rejected) == (len(rows) + len(bad), len(bad))
     assert corpus.stats.dangling_comments == 0
     # one string per name, shared by every event that names it
-    assert corpus.posts["p9"].author is corpus.comments["c0"].author
+    assert corpus.posts["p9"].author is comments["c0"].author
 
 
 def test_a_loaded_log_holds_one_string_per_thread_id_and_per_parent_id(tmp_path):
@@ -169,7 +172,7 @@ def test_a_loaded_log_holds_one_string_per_thread_id_and_per_parent_id(tmp_path)
                                      tmp_path / "synth")
     for log_path in (path, events_path):
         corpus = load_events(log_path)
-        comments = list(corpus.comments.values())
+        comments = list(comment_events(corpus).values())
         assert len(comments) == corpus.stats.comments > 0
         for values in ([c.thread_id for c in comments], [c.parent_id for c in comments],
                        corpus.comment_parents):
@@ -207,8 +210,8 @@ def test_load_rejects_lines_json_cannot_decode_into_values(tmp_path):
     with open(path, "w") as fh:
         fh.write(json.dumps({"kind": "post", "id": "p0", "author": "u", "community": "A",
                              "timestamp": BASE}) + "\n")
-        # an integer past the interpreter's digit limit, and nesting past its
-        # recursion limit
+        # an integer past the float range and the interpreter's digit limit,
+        # and nesting on which orjson, were it to read the line, would crash
         fh.write('{"kind": "post", "id": "p1", "author": "u", "community": "A", '
                  '"timestamp": %s}\n' % ("1" * 5000))
         fh.write('{"kind": "post", "id": "p2", "author": "u", "community": "A", '
@@ -218,9 +221,9 @@ def test_load_rejects_lines_json_cannot_decode_into_values(tmp_path):
     assert corpus.stats.rejected == 2
 
 
-def test_load_decides_again_the_lines_orjson_decodes_otherwise(tmp_path):
-    # each line orjson refuses, or decodes to a value that fails a check, is
-    # decided by the stdlib's rule; the rest are decoded by orjson alone
+def test_load_decides_each_line_by_the_written_rule(tmp_path):
+    # the lines on which the stdlib's JSON rule and orjson differ, each with
+    # the post the written rule stores, or None where it rejects the line
     row = {"kind": "post", "author": "u", "community": "A", "timestamp": BASE}
 
     def line(**fields):
@@ -229,64 +232,96 @@ def test_load_decides_again_the_lines_orjson_decodes_otherwise(tmp_path):
     def raw(pid, text):
         return line(id=pid)[:-1] + ", " + text + "}"
 
-    lines = [
-        line(id="p0"),
-        # lone-surrogate escapes: orjson refuses them, the stdlib keeps them
-        line(id="s0", body="\ud800"),
-        line(id="s1", author="\udc80"),
-        line(id="s2", community="x\ud800", body="\udc80y"),
-        # integers past 64 bits: orjson gives floats
-        line(id="t0", timestamp=-2**63 - 1),
-        line(id="t1", timestamp=2**63),
-        line(id="t2", timestamp=2**64),
-        line(id="t3", timestamp=10**20),
-        # orjson rounds this integer to float_info.max, which it would accept
-        line(id="t4", timestamp=int(sys.float_info.max) + 1),
-        line(id="t5", timestamp=sys.float_info.max),
-        line(id=-2**63 - 1),
-        line(id=2**63),
-        line(id=2**64),
-        line(id=10**20),
-        line(id="i0", author=2**64, community=-2**63 - 1),
+    table = [
+        (line(id="p0"), "p0"),
+        # lone-surrogate escapes
+        (line(id="s0", body="\ud800"), None),
+        (line(id="s1", author="\udc80"), None),
+        (line(id="s2", community="x\ud800", body="\udc80y"), None),
+        # timestamps: a negative one, and integers past 64 bits, stored as
+        # their nearest floats, up to the largest float
+        (line(id="t0", timestamp=-2**63 - 1), None),
+        (line(id="t1", timestamp=2**63), "t1"),
+        (line(id="t2", timestamp=2**64), "t2"),
+        (line(id="t3", timestamp=10**20), "t3"),
+        (line(id="t4", timestamp=int(sys.float_info.max) + 1), "t4"),
+        (line(id="t5", timestamp=sys.float_info.max), "t5"),
+        # integer ids and names must lie in [-2**63, 2**64)
+        (line(id=-2**63 - 1), None),
+        (line(id=2**63), "9223372036854775808"),
+        (line(id=2**64), None),
+        (line(id=10**20), None),
+        (line(id="i0", author=2**64, community=-2**63 - 1), None),
         # a repeated key: the last value counts
-        raw("k0", '"author": null, "author": "v"'),
-        raw("k1", '"author": "v", "author": null'),
-        # nesting: past the recursion limit, past orjson's bracket limit, and below it
-        raw("n0", '"x": ' + "[" * 100_000 + "]" * 100_000),
-        raw("n1", '"x": ' + '{"a": ' * 300 + "1" + "}" * 300),
-        raw("n2", '"x": ' + "[" * 100 + "]" * 100),
-        line(id="n3", body="[{" * 200),
+        (raw("k0", '"author": null, "author": "v"'), "k0"),
+        (raw("k1", '"author": "v", "author": null'), None),
+        # nesting past MAX_DEPTH, far past and just past it, below it, and
+        # brackets inside a string, which do not count
+        (raw("n0", '"x": ' + "[" * 100_000 + "]" * 100_000), None),
+        (raw("n1", '"x": ' + '{"a": ' * 300 + "1" + "}" * 300), None),
+        (raw("n2", '"x": ' + "[" * 100 + "]" * 100), "n2"),
+        (line(id="n3", body="[{" * 200), "n3"),
     ]
     path = tmp_path / "events.jsonl"
-    path.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
+    path.write_text("".join(text + "\n" for text, _ in table), encoding="utf-8")
     corpus = load_events(path)
-    assert list(corpus.posts) == [
-        "p0", "s0", "s1", "s2", "t1", "t2", "t3", "t5", "-9223372036854775809",
-        "9223372036854775808", "18446744073709551616", "100000000000000000000", "i0",
-        "k0", "n1", "n2", "n3"]
+    assert list(corpus.posts) == [pid for _, pid in table if pid is not None]
+    assert (corpus.stats.lines, corpus.stats.rejected) == (
+        len(table), sum(pid is None for _, pid in table))
     posts = corpus.posts
-    assert posts["s0"].body == "\ud800" and posts["s1"].author == "\udc80"
-    assert (posts["s2"].community, posts["s2"].body) == ("x\ud800", "\udc80y")
-    assert [posts[pid].timestamp for pid in ("t1", "t2", "t3", "t5")] == [
-        2.0**63, 2.0**64, 1e20, sys.float_info.max]
-    assert (posts["i0"].author, posts["i0"].community) == (
-        "18446744073709551616", "-9223372036854775809")
+    assert [posts[pid].timestamp for pid in ("t1", "t2", "t3", "t4", "t5")] == [
+        2.0**63, 2.0**64, 1e20, sys.float_info.max, sys.float_info.max]
     assert posts["k0"].author == "v" and posts["n3"].body == "[{" * 200
-    assert (corpus.stats.lines, corpus.stats.rejected) == (len(lines), 4)
-    # s0-s2, t0, t4, t5, the ids -2**63 - 1, 2**64 and 10**20, i0, k1, n0, n1 and n3
-    assert corpus.redecided == 14
 
 
-def test_load_decides_no_line_of_an_ordinary_log_again(tmp_path, two_community_corpus):
+def test_a_lines_verdict_depends_on_its_bytes_alone(tmp_path):
+    # the stdlib's scanner would decide the first two lines by the
+    # interpreter's recursion limit and integer digit limit
+    row = {"kind": "post", "author": "u", "community": "A", "timestamp": BASE}
+    lines = [json.dumps({**row, "id": "deep"})[:-1] + ', "x": ' + "[" * 600 + "]" * 600 + "}",
+             json.dumps({**row, "id": "digits"})[:-1] + ', "x": ' + "1" * 5000 + "}",
+             json.dumps({**row, "id": "ok"})]
+    path = tmp_path / "events.jsonl"
+    path.write_text("".join(text + "\n" for text in lines), encoding="utf-8")
+    recursion, digits = sys.getrecursionlimit(), sys.get_int_max_str_digits()
+    accepted = set()
+    try:
+        for recursion_limit, digit_limit in product((1000, 4000), (4300, 100_000)):
+            sys.setrecursionlimit(recursion_limit)
+            sys.set_int_max_str_digits(digit_limit)
+            accepted.add(tuple(load_events(path).posts))
+    finally:
+        sys.setrecursionlimit(recursion)
+        sys.set_int_max_str_digits(digits)
+    assert accepted == {("ok",)}
+
+
+def test_orjson_decides_the_rule_load_events_relies_on():
+    # the decoder facts behind parts 1, 2 and 4 of load_events' rule, so that
+    # an orjson release that changes one fails here
+    refused = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400,
+               str(2**1024 - 2**970), '"\\ud800"', '"\\udc80"', '"\udc80"', "\ufeff{}",
+               "{} x"]
+    for text in refused:
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(text)
+    for number in (2**64 - 1, -2**63):
+        assert type(orjson.loads(str(number))) is int and orjson.loads(str(number)) == number
+    for number in (2**64, -2**63 - 1, int(sys.float_info.max) + 1):
+        assert orjson.loads(str(number)) == float(number)
+        assert type(orjson.loads(str(number))) is float
+    assert orjson.loads('{"a": 1, "a": 2}') == {"a": 2}
+
+
+def test_load_rejects_no_line_of_an_ordinary_log(tmp_path, two_community_corpus):
     world, _t0 = two_community_corpus
     path = write_events(tmp_path / "world.jsonl",
-                        [*world.posts.values(), *world.comments.values()])
+                        [*world.posts.values(), *comment_events(world).values()])
     events_path, _ = generate_corpus(SynthSpec(n_communities=3, n_crosslinks=4, seed=2),
                                      tmp_path / "synth")
     for log_path in (path, events_path):
         corpus = load_events(log_path)
         assert corpus.stats.rejected == 0 and corpus.stats.lines > 0
-        assert corpus.redecided == 0
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -307,8 +307,11 @@ def test_wilcoxon_drops_zero_differences():
 
 
 def test_wilcoxon_all_zero_error():
-    with pytest.raises(ValueError):
+    # the message is the reason stat_tests.json records for a skipped test
+    with pytest.raises(ValueError, match="^all differences are zero$"):
         wilcoxon_signed_rank([(1, 1), (2, 2)])
+    with pytest.raises(ValueError, match="^no pairs$"):
+        wilcoxon_signed_rank([])
 
 
 def test_wilcoxon_odd_transform_invariance():
@@ -407,7 +410,8 @@ def test_aggregate_of_no_mobilizations():
     assert rows == []
     assert list(series) == [column for _, column in SERIES]
     assert all(s.points == [] and not s.smoothed for s in series.values())
-    assert tests == {"attacker_delta_vs_matched_wilcoxon": None,
-                     "defender_delta_vs_matched_wilcoxon": None}
+    assert tests == {"defender_vs_attacker_delta_mwu": {"skipped": "both samples must be non-empty"},
+                     "attacker_delta_vs_matched_wilcoxon": {"skipped": "no pairs"},
+                     "defender_delta_vs_matched_wilcoxon": {"skipped": "no pairs"}}
     assert counts == {"outcomes": 0, "no_matched_attacker": 0, "no_matched_defender": 0,
                       "low_support": 0}

@@ -1,9 +1,9 @@
 """The indexed membership and matching lookups against the linear scans they
 replaced, ``index_events`` against the two-pass indexing it replaced, and
-``load_events`` against the ``json.loads`` loader it replaced, kept here as
-oracles, on random small corpora. The scans give the lookups' results in
-their shapes (masks and counts over user codes, a name or None per
-subject) from the events alone, and must equal them bit for bit.
+``load_events`` against a ``json.loads`` loader of its written input rule,
+kept here as oracles, on random small corpora. The scans give the lookups'
+results in their shapes (masks and counts over user codes, a name or None
+per subject) from the events alone, and must equal them bit for bit.
 
 Timestamps are drawn mostly from the edges the lookups compare against: day
 boundaries, the ends of the 30-day window, t0 +/- 3 days, and the floats
@@ -12,6 +12,7 @@ next to each.
 import json
 import math
 import random
+import re
 import sys
 import tempfile
 from array import array
@@ -27,6 +28,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from intercom.corpus import (  # noqa: E402
     DAY,
+    MAX_DEPTH,
     CrossLink,
     Event,
     LoadStats,
@@ -38,6 +40,7 @@ from intercom.corpus import (  # noqa: E402
     members,
     window_codes,
     window_slices,
+    _depth,
 )
 from intercom.impact import activity_delta  # noqa: E402
 from intercom.matching import (  # noqa: E402
@@ -48,7 +51,7 @@ from intercom.matching import (  # noqa: E402
     matched_user,
 )
 
-from conftest import BASE, HOUR, comment, corpus_from, post, record  # noqa: E402
+from conftest import BASE, HOUR, comment, comment_events, corpus_from, post, record  # noqa: E402
 
 GAP = 3 * DAY
 COMMUNITIES = ["A", "B", "C"]
@@ -58,19 +61,19 @@ EXAMPLES = settings(max_examples=150, deadline=None)
 
 
 # -- the scans the indexes replaced ------------------------------------------
-# They read only ``corpus.comments``, none of the indexes under test.
+# They read only ``comment_events``, none of the indexes under test.
 
 def scan_comments(corpus, lo, hi, t0=0.0, gap=0.0, user=None, community=None):
     """The comments in [lo, hi) with ``abs(t - t0) >= gap``, of ``user``
     and in ``community`` when given."""
-    return [c for c in corpus.comments.values()
+    return [c for c in comment_events(corpus).values()
             if lo <= c.timestamp < hi and abs(c.timestamp - t0) >= gap
             and user in (None, c.author) and community in (None, c.community)]
 
 
 def commenters(corpus):
     """Every user with a comment, in name order: user code k is the k-th."""
-    return sorted({c.author for c in corpus.comments.values()})
+    return sorted({c.author for c in comment_events(corpus).values()})
 
 
 def scan_member_names(corpus, community, day, excluded=None):
@@ -496,7 +499,7 @@ def event_logs(draw):
     return draw(st.permutations(events))
 
 
-INDEXES = ("posts", "comments", "posts_by_time", "community_posts", "user_posts", "stats")
+INDEXES = ("posts", "posts_by_time", "community_posts", "user_posts", "stats")
 
 
 def named_timelines(corpus):
@@ -516,7 +519,7 @@ def assert_indexes_equal(corpus, expected):
     and its per-community, per-user and per-thread slices."""
     for name in INDEXES:
         assert ordered(getattr(corpus, name)) == ordered(getattr(expected, name)), name
-    assert corpus.users == commenters(expected)
+    assert corpus.users == sorted({c.author for c in expected.comments.values()})
     assert corpus.communities == sorted({e.community for e in (*expected.posts.values(),
                                                                *expected.comments.values())})
     assert corpus.threads == [p.id for p in expected.posts_by_time]
@@ -538,7 +541,7 @@ def assert_indexes_equal(corpus, expected):
     # the columns, and the comments built from them are the events
     assert [(corpus.comment_ids[k], corpus.comment_bodies[k], corpus.comment_parents[k])
             for k in table.events.tolist()] == [(c.id, c.body, c.parent_id) for c in rows]
-    assert list(corpus.comments.items()) == list(expected.comments.items())
+    assert list(comment_events(corpus).items()) == list(expected.comments.items())
 
     expected.comment_timeline("Z")  # builds every community's timeline
     assert named_timelines(corpus) == listed(expected._timeline)
@@ -565,12 +568,85 @@ def test_index_events_equals_two_pass_indexing(events):
     assert_indexes_equal(index_events(events), two_pass(events))
 
 
-# -- the loader load_events replaced -----------------------------------------
+# -- the loader load_events replaced, under the written rule -----------------
+# ``json.loads`` decodes each line; its parse hooks refuse what parts 1-2 of
+# ``load_events``' rule refuse, and walks of the decoded value apply the
+# lone-surrogate half of part 1 and the depth limit of part 3.
 
 _REQUIRED = ("kind", "id", "author", "community", "timestamp")
+SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def oracle_parse_record(obj: dict) -> Event | None:
+class Refused(ValueError):
+    """A constant or number the written rule refuses."""
+
+
+def refuse_constant(name):
+    raise Refused(name)  # NaN, Infinity or -Infinity
+
+
+def finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise Refused(text)
+    return value
+
+
+def finite_int(text):
+    # an integer of more than 309 digits is past the float range; refusing
+    # it first keeps int() clear of the interpreter's digit limit
+    if len(text.lstrip("-")) > 309:
+        raise Refused(text)
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise Refused(text) from None
+    return value
+
+
+def walk(value):
+    """The nesting depth of a decoded value (0 for a scalar), and its
+    strings, object keys included."""
+    deepest, strings, stack = 0, [], [(value, 0)]
+    while stack:
+        value, depth = stack.pop()
+        if isinstance(value, str):
+            strings.append(value)
+        elif isinstance(value, (list, dict)):
+            depth += 1
+            deepest = max(deepest, depth)
+            if isinstance(value, dict):
+                strings.extend(value)
+                value = value.values()
+            stack.extend((v, depth) for v in value)
+    return deepest, strings
+
+
+def oracle_decode(line):
+    """The value of a stripped log line, or None when the rule refuses it."""
+    try:
+        value = json.loads(line, parse_constant=refuse_constant, parse_int=finite_int,
+                           parse_float=finite_float)
+    except (ValueError, RecursionError):  # RecursionError: nesting far past MAX_DEPTH
+        return None
+    depth, strings = walk(value)
+    if depth > MAX_DEPTH or any(SURROGATE.search(text) for text in strings):
+        return None
+    return value
+
+
+def oracle_id(value):
+    """An id or name as a str, or None: a string, or an integer in
+    [-2**63, 2**64), which stands for its decimal string."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool) and -2**63 <= value < 2**64:
+        return str(value)
+    return None
+
+
+def oracle_parse_record(obj) -> Event | None:
     if not isinstance(obj, dict):
         return None
     for key in _REQUIRED:
@@ -580,46 +656,39 @@ def oracle_parse_record(obj: dict) -> Event | None:
     if kind not in ("post", "comment"):
         return None
     ts = obj["timestamp"]
-    if isinstance(ts, bool) or not isinstance(ts, (int, float)) or not 0 <= ts <= sys.float_info.max:
-        return None
-    thread_id = obj.get("thread_id")
-    parent_id = obj.get("parent_id")
-    if kind == "comment" and (thread_id is None or parent_id is None):
+    if isinstance(ts, bool) or not isinstance(ts, (int, float)) or ts < 0:
         return None
     body = obj.get("body", "")
     if not isinstance(body, str):
         return None
-    author, community = str(obj["author"]), str(obj["community"])
+    ident, author, community = (oracle_id(obj[key]) for key in ("id", "author", "community"))
+    if ident is None or author is None or community is None:
+        return None
     if author.split() != [author] or community.split() != [community]:
         return None
-    return Event(
-        kind=kind,
-        id=str(obj["id"]),
-        author=author,
-        community=community,
-        timestamp=float(ts),
-        body=body,
-        thread_id=str(thread_id) if kind == "comment" else None,
-        parent_id=str(parent_id) if kind == "comment" else None,
-    )
+    thread_id = parent_id = None
+    if kind == "comment":
+        thread_id, parent_id = oracle_id(obj.get("thread_id")), oracle_id(obj.get("parent_id"))
+        if thread_id is None or parent_id is None:
+            return None
+    return Event(kind=kind, id=ident, author=author, community=community,
+                 timestamp=float(ts),  # an int's nearest float
+                 body=body, thread_id=thread_id, parent_id=parent_id)
 
 
 def oracle_load_events(path):
-    """A ``TwoPassCorpus`` of the log as the ``json.loads`` loader read it."""
+    """A ``TwoPassCorpus`` of the log as ``json.loads`` reads it under the
+    written rule."""
     stats = LoadStats()
     posts, comments = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # an undecodable byte becomes a lone surrogate, which the walk refuses
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             stats.lines += 1
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError):
-                stats.rejected += 1
-                continue
-            event = oracle_parse_record(obj)
+            event = oracle_parse_record(oracle_decode(line))
             if event is None:
                 stats.rejected += 1
                 continue
@@ -635,20 +704,23 @@ def oracle_load_events(path):
 
 RAW = "@raw@"  # a value that json.dumps writes as the string below it replaces
 RAW_TIMESTAMPS = ["NaN", "Infinity", "-Infinity", "true", "false", "null", "-1", "-0.0", '"5"',
-                  "1" + "0" * 400, "1e400", repr(sys.float_info.max), "[1]", "{}"]
+                  "1" + "0" * 400, "1e400", repr(sys.float_info.max), "[1]", "{}", "-0",
+                  "1e-400"]
 BAD_NAMES = ["a b", "", " u", "u\t", "u\n", "\u00a0u", "\u2028u"]
 FIELDS = list(_REQUIRED) + ["thread_id", "parent_id", "body"]
 GARBAGE = ["{not json", "[]", "1", '"post"', "null", "true", "{}", "{", '{"kind": "post"',
            "\ufeff{}", "[{}]", "1 2", "NaN"]
-# where orjson and the stdlib decode differently: lone-surrogate escapes,
-# integers past 64 bits (orjson gives floats) and deep nesting, which only
-# the stdlib refuses; hypothesis raises the recursion limit to 2048 while a
-# test runs, so only the nesting 5,000 deep is refused here
+# where the stdlib's own rule differs from the written one: lone-surrogate
+# escapes, integers outside [-2**63, 2**64) or past the float range, and
+# nesting deeper than MAX_DEPTH; a value of NESTED sits one level inside
+# its line's object, so the nesting 255 deep is the deepest accepted
 SURROGATES = ['"\\ud800"', '"\\udc80"', '"u\\ud800"', '"\\udc80 x"']
-BIG_INTS = [-2**63 - 1, 2**63, 2**64, 10**20, 2**64 + 2**11, 2**64 + 2**11 + 1,
-            int(sys.float_info.max) + 1]
-NESTED = [*("[" * d + "]" * d for d in (100, 300, 1100, 5000)),
-          *('{"a": ' * d + "1" + "}" * d for d in (1100, 5000)), '"' + "[{" * 200 + '"']
+BIG_INTS = [-2**63 - 1, -2**63, 2**63, 2**64 - 1, 2**64, 10**20, 2**64 + 2**11,
+            2**64 + 2**11 + 1, int(sys.float_info.max) + 1, 2**1024 - 2**970 - 1,
+            2**1024 - 2**970]
+NESTED = [*("[" * d + "]" * d for d in (100, 255, 256, 300, 1100, 5000)),
+          *('{"a": ' * d + "1" + "}" * d for d in (255, 256, 1100, 5000)),
+          '"' + "[{" * 200 + '"']
 
 
 @st.composite
@@ -659,7 +731,7 @@ def changed_line(draw, event):
     how = draw(st.sampled_from(["keep", "keep", "keep", "int timestamp", "raw timestamp",
                                 "drop", "null", "bad name", "int id", "body", "kind",
                                 "trailing", "bom", "truncate", "non-ascii", "padded",
-                                "surrogate", "big int", "repeated key", "nested"]))
+                                "surrogate", "big int", "repeated key", "nested", "unread"]))
     raw = None
     if how == "int timestamp":
         row["timestamp"] = int(row["timestamp"])
@@ -697,6 +769,9 @@ def changed_line(draw, event):
                              for v in draw(st.permutations(values)))
     elif how == "nested":
         row["extra"], raw = RAW, draw(st.sampled_from(NESTED))
+    elif how == "unread":  # the rule holds in a field no record check reads
+        row["extra"], raw = RAW, draw(st.sampled_from(RAW_TIMESTAMPS + SURROGATES
+                                                      + [str(n) for n in BIG_INTS]))
     line = json.dumps(row, ensure_ascii=draw(st.booleans()))
     if how == "repeated key":
         line = line[:-1] + ", " + repeated + "}"
@@ -739,3 +814,19 @@ def test_load_events_equals_the_json_loads_loader(text):
             fh.write(text)
         corpus, expected = load_events(path), oracle_load_events(path)
     assert_indexes_equal(corpus, expected)
+
+
+# strings full of the characters the depth counter must see past
+BRACKETY = st.text(alphabet='[]{}"\\ xé', max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | BRACKETY,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(BRACKETY, children,
+                                                                     max_size=4),
+    max_leaves=40)
+
+
+@EXAMPLES
+@given(JSON_VALUES, st.booleans())
+def test_depth_counter_equals_the_decoded_values_depth(value, ensure_ascii):
+    assert _depth(json.dumps(value, ensure_ascii=ensure_ascii)) == walk(value)[0]

@@ -6,7 +6,7 @@ from intercom.corpus import CrossLink, extract_crosslinks
 from intercom.matching import (NoMatchError, crosslink_involved_posts, match_pools, matched_post,
                                matched_user)
 
-from conftest import BASE, DAY, HOUR, comment, corpus_from, post
+from conftest import BASE, DAY, HOUR, comment, comment_events, corpus_from, post
 
 
 def _link(source_post, target_post, t0, sc="A", tc="B", author="alice"):
@@ -112,7 +112,7 @@ def test_matched_user_tie_seeded():
     corpus, link, t0 = _user_match_corpus()
     # add u13 so u11 and u13 are both at distance 1
     extra = [comment(f"x{i}", "u13", "C", BASE + 40 * DAY + i, "anchor") for i in range(13)]
-    events = list(corpus.posts.values()) + list(corpus.comments.values()) + extra
+    events = list(corpus.posts.values()) + list(comment_events(corpus).values()) + extra
     corpus2 = corpus_from(events)
     pool = match_pools(corpus2, link)[0]
     picks = {matched_user(corpus2, ["subject"], pool, seed=s)[0] for s in range(20)}
@@ -123,7 +123,7 @@ def test_matched_user_tie_seeded():
 
 def test_matched_user_excludes_thread_commenters():
     corpus, link, t0 = _user_match_corpus()
-    events = (list(corpus.posts.values()) + list(corpus.comments.values())
+    events = (list(corpus.posts.values()) + list(comment_events(corpus).values())
               + [comment("onthread", "u11", "B", t0 + 60, "tgt")])
     corpus2 = corpus_from(events)
     assert matched_user(corpus2, ["subject"], match_pools(corpus2, link)[0]) == ["u5"]

@@ -31,7 +31,7 @@ from intercom.mobilization import (  # noqa: E402
     smoothed_ratio,
 )
 
-from conftest import BASE, HOUR, comment, corpus_from, post  # noqa: E402
+from conftest import BASE, HOUR, comment, comment_events, corpus_from, post  # noqa: E402
 
 USERS = [f"u{i}" for i in range(6)]
 DAY0 = BASE + 40 * DAY  # the day every drawn link is created on
@@ -44,7 +44,7 @@ def reference_members(corpus, community, day, excluded):
     """Users with a comment in ``community`` during [day-30d, day) and none
     in ``excluded``, by a scan of every comment."""
     def authors(name):
-        return {c.author for c in corpus.comments.values()
+        return {c.author for c in comment_events(corpus).values()
                 if c.community == name and day - 30 * DAY <= c.timestamp < day}
     return authors(community) - authors(excluded)
 
