@@ -84,7 +84,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_crosslinks(args) -> int:
     links = Run(_config(args)).links
-    write_jsonl(args.out, (dataclasses.asdict(link) for link in links))
+    write_jsonl(args.out, (link.to_dict() for link in links))
     print(f"extracted {len(links)} cross-links", file=sys.stderr)
     return EXIT_OK
 

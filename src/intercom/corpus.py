@@ -5,9 +5,9 @@ import logging
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, islice, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -55,6 +55,11 @@ class CrossLink:
     t0: float  # creation time of the source post
     author: str
 
+    def to_dict(self) -> dict:
+        """The fields by name in declaration order, as ``dataclasses.asdict``
+        gives them, without its deep copy of each value."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
 
 @dataclass
 class LoadStats:
@@ -65,17 +70,84 @@ class LoadStats:
     dangling_comments: int = 0
 
 
+class Texts:
+    """Strings packed into one UTF-8 buffer: string k is
+    ``data[offsets[k]:offsets[k + 1]]``, and ``texts[k]`` decodes it. Any
+    ``str`` packs, a lone surrogate included. Not changed once built."""
+
+    __slots__ = ("data", "offsets")
+
+    def __init__(self, data: bytes | bytearray, offsets: np.ndarray):
+        self.data = data
+        self.offsets = offsets  # int64, one more than there are strings
+
+    @classmethod
+    def pack(cls, strings: list[str]) -> Texts:
+        data = bytearray()
+        return cls(data, _offsets([_pack(strings, data)]))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, k: int) -> str:
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        lo, hi = self.offsets[k:k + 2].tolist()
+        return self.data[lo:hi].decode("utf-8", "surrogatepass")
+
+    def strings(self, rows: np.ndarray) -> list[str]:
+        """The strings at the integer array ``rows``, in its order."""
+        data, offsets = self.data, self.offsets
+        return [data[lo:hi].decode("utf-8", "surrogatepass")
+                for lo, hi in zip(offsets[rows].tolist(), offsets[rows + 1].tolist())]
+
+    def select(self, kept: np.ndarray) -> Texts:
+        """The strings where the boolean mask ``kept`` is set, in order."""
+        lengths = np.diff(self.offsets)
+        data = np.frombuffer(self.data, dtype=np.uint8)[np.repeat(kept, lengths)]
+        return Texts(data.tobytes(), _offsets([lengths[kept]]))
+
+
+def _pack(strings: list[str], data: bytearray) -> np.ndarray:
+    """Append ``strings`` to ``data`` as UTF-8; their lengths in bytes, as int64."""
+    text = "".join(strings)
+    if text.isascii():  # one byte a character
+        data += text.encode("ascii")
+        pieces = strings
+    else:
+        pieces = [s.encode("utf-8", "surrogatepass") for s in strings]
+        data += b"".join(pieces)
+    return np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+
+
+def _offsets(lengths: list[np.ndarray]) -> np.ndarray:
+    """The ``Texts.offsets`` of strings packed in order, their lengths in
+    bytes given by the int64 arrays ``lengths`` one after another."""
+    return np.cumsum(np.concatenate([np.zeros(1, dtype=np.int64), *lengths]))
+
+
 class CommentColumns(NamedTuple):
     """The comments of an event log in input order, one entry per comment
-    in each column: the fields of ``Event`` after ``kind``."""
+    in each column: the fields of ``Event`` after ``kind``. Ids and bodies
+    are packed ``Texts``, times a float64 array and the other fields lists
+    of strings."""
 
-    ids: list[str]
+    ids: Texts
     authors: list[str]
     communities: list[str]
-    times: Sequence[float]  # epoch seconds
-    bodies: list[str]
+    times: np.ndarray  # float64 epoch seconds
+    bodies: Texts
     threads: list[str]
     parents: list[str]
+
+
+def _select(columns: CommentColumns, kept: np.ndarray) -> CommentColumns:
+    """The comments where the boolean mask ``kept`` is set, in order."""
+    flags = kept.tolist()
+    return CommentColumns._make(
+        column.select(kept) if isinstance(column, Texts)
+        else column[kept] if isinstance(column, np.ndarray)
+        else list(compress(column, flags)) for column in columns)
 
 
 class CommentTable(NamedTuple):
@@ -107,12 +179,13 @@ class Corpus:
 
     ``posts`` maps ids to posts in input order; comments whose thread is not
     a post are not indexed. Comments are held as columns, not as events:
-    their ids, bodies and parent ids in input order (``comment_ids``,
-    ``comment_bodies``, ``comment_parents``) and every other field in
-    ``table``. ``thread_comments`` builds a thread's ``Event``s from these on
-    demand, with the author, community and thread id strings of ``users``,
-    ``communities`` and ``threads``. Every other list below is ordered by
-    ``(timestamp, id)``.
+    their ids, bodies and parent ids in input order (``comment_ids`` and
+    ``comment_bodies``, packed as ``Texts``, and ``comment_parents``, a list
+    of shared strings) and every other field in ``table``.
+    ``thread_comments`` builds a thread's ``Event``s from these on demand,
+    decoding only that thread's ids and bodies, with the author, community
+    and thread id strings of ``users``, ``communities`` and ``threads``.
+    Every other list below is ordered by ``(timestamp, id)``.
 
     Users, communities and threads have integer codes, which index
     ``users`` (sorted, so sorting codes sorts names), ``communities``
@@ -130,8 +203,8 @@ class Corpus:
 
     posts: dict[str, Event]
     # the comments' ids, bodies and parent ids, in input order
-    comment_ids: list[str]
-    comment_bodies: list[str]
+    comment_ids: Texts
+    comment_bodies: Texts
     comment_parents: list[str]
     stats: LoadStats
     posts_by_time: list[Event]
@@ -161,14 +234,17 @@ class Corpus:
         comments or an id that is no post."""
         rows = self._thread_rows(post_id)
         table = self.table
-        ids, bodies, parents = self.comment_ids, self.comment_bodies, self.comment_parents
+        events = table.events[rows]
+        ids, bodies = self.comment_ids.strings(events), self.comment_bodies.strings(events)
+        parents = self.comment_parents
         users, communities, threads = self.users, self.communities, self.threads
         new = tuple.__new__  # Event's own __new__ is a Python function
-        return [new(Event, ("comment", ids[k], users[a], communities[c], t, bodies[k],
-                            threads[h], parents[k]))
-                for k, a, c, t, h in zip(table.events[rows].tolist(), table.authors[rows].tolist(),
-                                         table.communities[rows].tolist(),
-                                         table.times[rows].tolist(), table.threads[rows].tolist())]
+        return [new(Event, ("comment", i, users[a], communities[c], t, b, threads[h], parents[k]))
+                for i, b, k, a, c, t, h in zip(ids, bodies, events.tolist(),
+                                               table.authors[rows].tolist(),
+                                               table.communities[rows].tolist(),
+                                               table.times[rows].tolist(),
+                                               table.threads[rows].tolist())]
 
     def thread_timeline(self, post_id: str) -> tuple[np.ndarray, np.ndarray]:
         """The timestamps and author codes of the comments on a thread,
@@ -191,11 +267,15 @@ def index_events(events, stats: LoadStats | None = None) -> Corpus:
         (posts if event.kind == "post" else comments)[event.id] = event
     # the fields after ``kind``, one column each
     fields = [list(column) for column in zip(*comments.values())][1:]
-    columns = CommentColumns._make(fields or ([] for _ in CommentColumns._fields))
+    ids, authors, communities, times, bodies, threads, parents = (
+        fields or [[] for _ in CommentColumns._fields])
+    columns = CommentColumns(Texts.pack(ids), authors, communities,
+                             np.array(times, dtype=np.float64), Texts.pack(bodies), threads,
+                             parents)
     return _index(posts, columns, stats if stats is not None else LoadStats())
 
 
-def _time_order(times: np.ndarray, ids: list[str]) -> np.ndarray:
+def _time_order(times: np.ndarray, ids: Texts) -> np.ndarray:
     """The indices of the comments with timestamps ``times`` and ids
     ``ids`` in ``(timestamp, id)`` order, as int32."""
     order = np.argsort(times).astype(np.int32)
@@ -242,15 +322,15 @@ def _index(posts: dict[str, Event], columns: CommentColumns, stats: LoadStats) -
     thread = np.fromiter(map(thread_codes.get, columns.threads, repeat(-1)),
                          dtype=np.int32, count=n)
     if (thread < 0).any():
-        kept = (thread >= 0).tolist()
-        columns = CommentColumns._make(list(compress(column, kept)) for column in columns)
+        kept = thread >= 0
+        columns = _select(columns, kept)
         stats.dangling_comments += n - len(columns.ids)
         log.warning("dropped %d comments with unknown thread ids", n - len(columns.ids))
-        thread = thread[thread >= 0]
+        thread = thread[kept]
         n = len(columns.ids)
     stats.posts, stats.comments = len(posts), n
 
-    times = np.array(columns.times, dtype=np.float64)
+    times = columns.times
     in_time = _time_order(times, columns.ids)
     communities = sorted(set(columns.communities).union(community_posts))
     community_codes = dict(zip(communities, range(len(communities))))
@@ -332,8 +412,12 @@ def load_events(path) -> Corpus:
     has no depth limit and crashes on deep enough nesting, reads the line.
 
     Comments are read into columns, never into one object each (see
-    ``Corpus``), and every comment that names the same thread id or parent
-    id shares one string for it.
+    ``Corpus``): their ids and bodies are packed into ``Texts`` a batch of
+    ``PACK`` lines at a time, and every comment that names the same thread
+    id or parent id shares one string for it. No set of comment ids is
+    kept while the lines are read; the first comment of a repeated id is
+    found after the last line (``_first_rows``), so a repeated comment's
+    id and body are held until then.
     """
     try:
         # an undecodable byte becomes a lone surrogate, which orjson refuses
@@ -364,6 +448,12 @@ def _depth(line: str) -> int:
     return max(accumulate(steps, initial=0))
 
 
+# The lines ``_read_events`` reads between two packings of their comments'
+# ids and bodies into ``Texts``: the strings of at most this many comments
+# are held at once.
+PACK = 4096
+
+
 def _read_events(lines) -> tuple[dict[str, Event], CommentColumns, LoadStats]:
     """The posts of an event log's lines keyed by id in input order, its
     comments as columns in input order, and the log's line counts, by
@@ -372,6 +462,11 @@ def _read_events(lines) -> tuple[dict[str, Event], CommentColumns, LoadStats]:
     An id is a JSON string, or a non-bool integer, which stands for its
     decimal string; a name is checked by ``_name``. Every comment that
     names the same thread id or parent id shares one string for it.
+
+    Comment ids and bodies are packed into ``Texts`` every ``PACK`` lines,
+    and no set of the ids read is kept: every comment is stored, and after
+    the last line ``_first_rows`` finds the repeated ids from their hashes
+    and drops all but the first row of each.
     """
     loads = orjson.loads
     new = tuple.__new__  # Event's own __new__ is a Python function
@@ -380,65 +475,77 @@ def _read_events(lines) -> tuple[dict[str, Event], CommentColumns, LoadStats]:
     # the whitespace check
     ids: dict[str, str] = {}
     posts: dict[str, Event] = {}
-    seen: set[str] = set()  # comment ids
-    columns = CommentColumns([], [], [], array("d"), [], [], [])
-    add_id, add_author, add_community, add_time, add_body, add_thread, add_parent = (
-        column.append for column in columns)
+    authors: list[str] = []
+    communities: list[str] = []
+    times = array("d")
+    threads: list[str] = []
+    parents: list[str] = []
+    add_author, add_community, add_time, add_thread, add_parent = (
+        authors.append, communities.append, times.append, threads.append, parents.append)
+    # the packed ids and bodies, their lengths in bytes a batch each, and the
+    # ids' hashes
+    id_data, body_data = bytearray(), bytearray()
+    id_lengths: list[np.ndarray] = []
+    body_lengths: list[np.ndarray] = []
+    hashes = array("q")
     n_lines = 0
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        n_lines += 1
-        # only a line with more brackets than MAX_DEPTH can nest deeper
-        if (len(line) > MAX_DEPTH and line.count("[") + line.count("{") > MAX_DEPTH
-                and _depth(line) > MAX_DEPTH):
-            continue
-        # ValueError: the line breaks parts 1-2 of the rule; KeyError: a
-        # required field is missing; TypeError: the line's value is not an
-        # object
-        try:
-            obj = loads(line)
-            kind, ident, author, community, ts = (
-                obj["kind"], obj["id"], obj["author"], obj["community"], obj["timestamp"])
-        except (ValueError, KeyError, TypeError):
-            continue
-        body = obj.get("body", "")
-        if (kind != "post" and kind != "comment" or type(body) is not str
-                or type(ts) is not float and type(ts) is not int or ts < 0):
-            continue
-        if type(ident) is int:
-            ident = str(ident)
-        if type(ident) is not str:
-            continue
-        # ``names`` holds only str keys, so only a name seen before is
-        # found; TypeError: an array or object
-        try:
-            author = names[author]
-        except (KeyError, TypeError):
-            author = _name(author, names)
-            if author is None:
+    lines = iter(lines)
+    while batch := list(islice(lines, PACK)):
+        batch_ids: list[str] = []
+        batch_bodies: list[str] = []
+        add_id, add_body = batch_ids.append, batch_bodies.append
+        for line in batch:
+            line = line.strip()
+            if not line:
                 continue
-        try:
-            community = names[community]
-        except (KeyError, TypeError):
-            community = _name(community, names)
-            if community is None:
+            n_lines += 1
+            # only a line with more brackets than MAX_DEPTH can nest deeper
+            if (len(line) > MAX_DEPTH and line.count("[") + line.count("{") > MAX_DEPTH
+                    and _depth(line) > MAX_DEPTH):
                 continue
-        if kind == "post":
-            if ident not in posts:  # ids are unique per kind
-                posts[ident] = new(Event, ("post", ident, author, community, float(ts),
-                                           body, None, None))
-            continue
-        thread_id, parent_id = obj.get("thread_id"), obj.get("parent_id")
-        if type(thread_id) is int:
-            thread_id = str(thread_id)
-        if type(parent_id) is int:
-            parent_id = str(parent_id)
-        if type(thread_id) is not str or type(parent_id) is not str:
-            continue
-        if ident not in seen:  # ids are unique per kind
-            seen.add(ident)
+            # ValueError: the line breaks parts 1-2 of the rule; KeyError: a
+            # required field is missing; TypeError: the line's value is not
+            # an object
+            try:
+                obj = loads(line)
+                kind, ident, author, community, ts = (
+                    obj["kind"], obj["id"], obj["author"], obj["community"], obj["timestamp"])
+            except (ValueError, KeyError, TypeError):
+                continue
+            body = obj.get("body", "")
+            if (kind != "post" and kind != "comment" or type(body) is not str
+                    or type(ts) is not float and type(ts) is not int or ts < 0):
+                continue
+            if type(ident) is int:
+                ident = str(ident)
+            if type(ident) is not str:
+                continue
+            # ``names`` holds only str keys, so only a name seen before is
+            # found; TypeError: an array or object
+            try:
+                author = names[author]
+            except (KeyError, TypeError):
+                author = _name(author, names)
+                if author is None:
+                    continue
+            try:
+                community = names[community]
+            except (KeyError, TypeError):
+                community = _name(community, names)
+                if community is None:
+                    continue
+            if kind == "post":
+                if ident not in posts:  # ids are unique per kind
+                    posts[ident] = new(Event, ("post", ident, author, community, float(ts),
+                                               body, None, None))
+                continue
+            thread_id, parent_id = obj.get("thread_id"), obj.get("parent_id")
+            if type(thread_id) is int:
+                thread_id = str(thread_id)
+            if type(parent_id) is int:
+                parent_id = str(parent_id)
+            if type(thread_id) is not str or type(parent_id) is not str:
+                continue
             add_id(ident)
             add_author(author)
             add_community(community)
@@ -446,7 +553,38 @@ def _read_events(lines) -> tuple[dict[str, Event], CommentColumns, LoadStats]:
             add_body(body)
             add_thread(ids.setdefault(thread_id, thread_id))
             add_parent(ids.setdefault(parent_id, parent_id))
-    return posts, columns, LoadStats(lines=n_lines, rejected=n_lines - len(posts) - len(seen))
+        id_lengths.append(_pack(batch_ids, id_data))
+        body_lengths.append(_pack(batch_bodies, body_data))
+        hashes.frombytes(np.fromiter(map(hash, batch_ids), dtype=np.int64,
+                                     count=len(batch_ids)).tobytes())
+    columns = CommentColumns(Texts(id_data, _offsets(id_lengths)), authors, communities,
+                             np.frombuffer(times, dtype=np.float64),
+                             Texts(body_data, _offsets(body_lengths)), threads, parents)
+    kept = _first_rows(columns.ids, np.frombuffer(hashes, dtype=np.int64))
+    if not kept.all():  # ids are unique per kind
+        columns = _select(columns, kept)
+    n_comments = len(columns.ids)
+    return posts, columns, LoadStats(lines=n_lines, rejected=n_lines - len(posts) - n_comments)
+
+
+def _first_rows(texts: Texts, hashes: np.ndarray) -> np.ndarray:
+    """A boolean mask over ``texts``, set at the first row of each distinct
+    string, where ``hashes`` holds each row's ``hash()``.
+
+    Only rows whose hash another row shares can repeat a string; their
+    strings alone are compared, so a hash collision keeps both rows.
+    """
+    kept = np.ones(len(hashes), dtype=bool)
+    ordered = np.sort(hashes)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    candidates = np.flatnonzero(np.isin(hashes, shared))  # in input order
+    seen: set[str] = set()
+    for k, text in zip(candidates.tolist(), texts.strings(candidates)):
+        if text in seen:
+            kept[k] = False
+        else:
+            seen.add(text)
+    return kept
 
 
 def day_start(ts: float) -> float:

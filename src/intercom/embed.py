@@ -248,9 +248,8 @@ def save_vectors(path, names: list[str], vectors: np.ndarray) -> None:
     n, d = vectors.shape
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{n} {d}\n")
-        for name, row in zip(names, vectors):
-            coords = " ".join(repr(float(v)) for v in row)
-            fh.write(f"{name} {d} {coords}\n")
+        for name, row in zip(names, vectors.tolist()):
+            fh.write(f"{name} {d} {' '.join(map(repr, row))}\n")
 
 
 def load_vectors(path) -> dict[str, np.ndarray]:

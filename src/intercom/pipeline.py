@@ -220,7 +220,7 @@ def stage_ingest(run: Run) -> dict:
 
 
 def stage_crosslinks(run: Run) -> dict:
-    write_jsonl(run.out / "crosslinks.jsonl", [dataclasses.asdict(l) for l in run.links])
+    write_jsonl(run.out / "crosslinks.jsonl", [link.to_dict() for link in run.links])
     return {"links": len(run.links), **run.crosslink_drops}
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 import weakref
 from itertools import product
 
+import numpy as np
 import orjson
 import pytest
 
@@ -22,6 +23,8 @@ from intercom.corpus import (
     member_window,
     members,
     remove_overlapping,
+    Texts,
+    _first_rows,
 )
 from intercom.synth import SynthSpec, generate_corpus
 
@@ -180,29 +183,81 @@ def test_a_loaded_log_holds_one_string_per_thread_id_and_per_parent_id(tmp_path)
         assert all(c.thread_id is corpus.posts[c.thread_id].id for c in comments)
 
 
+def loaded_and_retained(path):
+    """The Corpus of the log at ``path`` and the bytes its load retained,
+    by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = load_events(path)
+        return corpus, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 # Written down before the first run, from the layout: a 7-character id
 # string (56 bytes), three list slots (24), a table row (24) and its by-user
 # and by-thread rows (8) come to 112 bytes a comment; the posts, names and
 # distinct parent ids add a few more. One Event tuple a comment, or one
-# thread-id or parent-id string a comment, would each add over 50.
+# thread-id or parent-id string a comment, would each add over 50. With ids
+# and bodies packed into ``Texts`` it reads about 90.
 RETAINED_BYTES_PER_COMMENT = 160
 
 
 def test_load_retains_a_bounded_number_of_bytes_per_comment(tmp_path):
     events_path, _ = generate_corpus(SynthSpec(n_communities=4, n_crosslinks=20, seed=7),
                                      tmp_path / "synth")
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        corpus = load_events(events_path)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    corpus, retained = loaded_and_retained(events_path)
     # the comments' text is the log's, not the layout's
-    bodies = sum(sys.getsizeof(body) for body in {id(b): b for b in corpus.comment_bodies}.values())
+    bodies = len(corpus.comment_bodies.data)
     n = corpus.stats.comments
     assert n > 1000
     assert (retained - bodies) / n <= RETAINED_BYTES_PER_COMMENT
+
+
+# Fixed before the first run: a loaded default world retained about 220
+# bytes an event with one id string and one body string a comment, and
+# about 130 with both packed into ``Texts``.
+RETAINED_BYTES_PER_EVENT = 160
+
+
+def test_load_retains_a_bounded_number_of_bytes_per_event(tmp_path):
+    events_path, _ = generate_corpus(SynthSpec(seed=1), tmp_path / "world")
+    corpus, retained = loaded_and_retained(events_path)
+    assert corpus.stats.lines > 10000
+    assert retained / corpus.stats.lines <= RETAINED_BYTES_PER_EVENT
+
+
+def test_texts_give_back_every_string_they_pack():
+    strings = ["c1", "", "caf\u00e9", "\U0001f600", "\ud800", "\ud83d\ude00", "a b", "c1"]
+    texts = Texts.pack(strings)
+    assert len(texts) == len(strings)
+    assert [texts[k] for k in range(len(texts))] == list(texts) == strings
+    assert texts.strings(np.array([7, 0, 2, 2])) == ["c1", "c1", "caf\u00e9", "caf\u00e9"]
+    kept = np.array([True, False, True, True, False, True, False, True])
+    assert list(texts.select(kept)) == [s for s, keep in zip(strings, kept) if keep]
+    assert list(Texts.pack([])) == list(texts.select(np.zeros(len(strings), dtype=bool))) == []
+    for k in (-1, len(strings)):
+        with pytest.raises(IndexError):
+            texts[k]
+
+
+@pytest.mark.parametrize("strings", [
+    ["a", "b", "a", "c", "b", "a", "", "", "c"],
+    [f"c{k % 7}" for k in range(40)],
+    ["only"],
+    [],
+])
+def test_first_rows_keeps_the_first_row_of_each_distinct_string(strings):
+    expected = [s not in strings[:k] for k, s in enumerate(strings)]
+    texts = Texts.pack(strings)
+    hashes = np.array([hash(s) for s in strings], dtype=np.int64)
+    assert _first_rows(texts, hashes).tolist() == expected
+    # every hash equal, as if all collided: the strings alone decide
+    assert _first_rows(texts, np.zeros(len(strings), dtype=np.int64)).tolist() == expected
+    # hashes that collide only across distinct strings keep every row
+    distinct = list(dict.fromkeys(strings))
+    assert _first_rows(Texts.pack(distinct), np.full(len(distinct), 5)).all()
 
 
 def test_load_rejects_lines_json_cannot_decode_into_values(tmp_path):

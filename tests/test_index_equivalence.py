@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from intercom.corpus import (  # noqa: E402
     DAY,
     MAX_DEPTH,
+    PACK,
     CrossLink,
     Event,
     LoadStats,
@@ -805,15 +806,47 @@ def raw_logs(draw):
     return "".join(line + end for line, end in zip(lines, endings))
 
 
-@EXAMPLES
-@given(raw_logs())
-def test_load_events_equals_the_json_loads_loader(text):
+def assert_loads_as_the_oracle_does(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/events.jsonl"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         corpus, expected = load_events(path), oracle_load_events(path)
     assert_indexes_equal(corpus, expected)
+
+
+@EXAMPLES
+@given(raw_logs())
+def test_load_events_equals_the_json_loads_loader(text):
+    assert_loads_as_the_oracle_does(text)
+
+
+@st.composite
+def batched_logs(draw):
+    """The text of an event log that ``load_events`` reads in two ``PACK``
+    batches: blank lines, then the lines of ``drawn_events``, each valid or
+    made malformed, split between the batches, with some comments of the
+    first batch written again in the second."""
+    events, _link, t0 = draw(drawn_events())
+    events = draw(st.permutations(events))
+    comments = [k for k, e in enumerate(events) if e.kind == "comment"]
+    hypothesis.assume(comments)
+    repeated = draw(st.lists(st.sampled_from(comments), min_size=1, max_size=4))
+    lines = [draw(changed_line(e)) for e in events]
+    split = draw(st.integers(max(repeated) + 1, len(lines)))
+    head, tail = lines[:split], lines[split:]
+    for k in repeated:
+        head[k] = json.dumps(record(events[k]))  # valid, so the first of its id
+        again = events[k]._replace(author="again", timestamp=draw(st.sampled_from(edges(t0))))
+        tail.insert(draw(st.integers(0, len(tail))), json.dumps(record(again)))
+    # the blank lines fill the first batch up to the last line of ``head``
+    return "\n" * (PACK - split) + "".join(line + "\n" for line in head + tail)
+
+
+@EXAMPLES
+@given(batched_logs())
+def test_load_events_equals_the_json_loads_loader_across_batches(text):
+    assert_loads_as_the_oracle_does(text)
 
 
 # strings full of the characters the depth counter must see past
