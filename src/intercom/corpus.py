@@ -81,11 +81,6 @@ class Texts:
         self.data = data
         self.offsets = offsets  # int64, one more than there are strings
 
-    @classmethod
-    def pack(cls, strings: list[str]) -> Texts:
-        data = bytearray()
-        return cls(data, _offsets([_pack(strings, data)]))
-
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
@@ -175,7 +170,8 @@ class Groups(NamedTuple):
 
 @dataclass
 class Corpus:
-    """Indexed view of an event log, built once by ``index_events``.
+    """Indexed view of an event log, built once from its lines by
+    ``index_lines``, which ``load_events`` calls on a file.
 
     ``posts`` maps ids to posts in input order; comments whose thread is not
     a post are not indexed. Comments are held as columns, not as events:
@@ -198,7 +194,7 @@ class Corpus:
     comments are sliced from the latter (``thread_comments``). Membership,
     matching histories, thread counts and activity fractions all count
     windows of these, by ``window_slices``' rule. Nothing here changes after
-    ``index_events`` returns.
+    ``index_lines`` returns.
     """
 
     posts: dict[str, Event]
@@ -254,25 +250,10 @@ class Corpus:
         return self.table.times[rows], self.table.authors[rows]
 
 
-def index_events(events, stats: LoadStats | None = None) -> Corpus:
-    """Index posts and comments in ``(timestamp, id)`` order.
-
-    A later event replaces an earlier one of the same kind and id. Comments
-    whose thread is not a post are dropped and counted in
-    ``stats.dangling_comments``.
-    """
-    posts: dict[str, Event] = {}
-    comments: dict[str, Event] = {}
-    for event in events:
-        (posts if event.kind == "post" else comments)[event.id] = event
-    # the fields after ``kind``, one column each
-    fields = [list(column) for column in zip(*comments.values())][1:]
-    ids, authors, communities, times, bodies, threads, parents = (
-        fields or [[] for _ in CommentColumns._fields])
-    columns = CommentColumns(Texts.pack(ids), authors, communities,
-                             np.array(times, dtype=np.float64), Texts.pack(bodies), threads,
-                             parents)
-    return _index(posts, columns, stats if stats is not None else LoadStats())
+def index_lines(lines) -> Corpus:
+    """The Corpus of an event log's lines, by ``load_events``' rule: the
+    one way every Corpus is built, from a file or from lines in memory."""
+    return _index(*_read_events(lines))
 
 
 def _time_order(times: np.ndarray, ids: Texts) -> np.ndarray:
@@ -307,7 +288,10 @@ def _grouped(codes: np.ndarray, n_codes: int, rows: np.ndarray) -> Groups:
 
 
 def _index(posts: dict[str, Event], columns: CommentColumns, stats: LoadStats) -> Corpus:
-    """``index_events`` on posts keyed by id and on the comments' columns."""
+    """The Corpus of posts keyed by id and of the comments' columns, as
+    ``_read_events`` gives them, in ``(timestamp, id)`` order. Comments
+    whose thread is not a post are dropped and counted in
+    ``stats.dangling_comments``."""
     posts_by_time = sorted(posts.values(), key=attrgetter("timestamp", "id"))
     community_posts: dict[str, list[Event]] = {}
     user_posts: dict[str, list[Event]] = {}
@@ -385,12 +369,15 @@ def _name(value, names: dict[str, str]) -> str | None:
 
 
 def load_events(path) -> Corpus:
-    """Load a line-delimited JSON event log into an indexed Corpus.
+    """Load a line-delimited JSON event log into an indexed Corpus: the
+    ``index_lines`` of its lines.
 
-    Every line, stripped of surrounding whitespace, that is not blank either
-    stores one event or is rejected: skipped and counted in
-    ``corpus.stats.rejected``. An unreadable file raises CorpusError. A
-    line's verdict depends on its bytes alone. It is rejected unless:
+    Every line, stripped of surrounding JSON whitespace (space, tab, CR and
+    LF) only, that is not blank either stores one event or is rejected:
+    skipped and counted in ``corpus.stats.rejected``. A line of other
+    whitespace, such as a form feed or U+00A0, is rejected, not blank. An
+    unreadable file raises CorpusError. A line's verdict depends on its
+    bytes alone. It is rejected unless:
 
     1. it is UTF-8 and one RFC 8259 value: no NaN or Infinity, no
        lone-surrogate escape such as "\\ud800", no byte-order mark and
@@ -425,10 +412,9 @@ def load_events(path) -> Corpus:
     except OSError as exc:
         raise CorpusError(f"cannot read event log {path}: {exc}") from exc
     with fh:
-        posts, columns, stats = _read_events(fh)
-    corpus = _index(posts, columns, stats)
-    if stats.rejected:
-        log.warning("skipped %d malformed lines in %s", stats.rejected, path)
+        corpus = index_lines(fh)
+    if corpus.stats.rejected:
+        log.warning("skipped %d malformed lines in %s", corpus.stats.rejected, path)
     return corpus
 
 
@@ -495,7 +481,7 @@ def _read_events(lines) -> tuple[dict[str, Event], CommentColumns, LoadStats]:
         batch_bodies: list[str] = []
         add_id, add_body = batch_ids.append, batch_bodies.append
         for line in batch:
-            line = line.strip()
+            line = line.strip(" \t\r\n")  # JSON's whitespace alone
             if not line:
                 continue
             n_lines += 1

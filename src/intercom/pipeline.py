@@ -319,8 +319,10 @@ STAGES = {stage.name: stage for stage in [
     # string or an integer, are rejected; version 3: one input rule
     # (``load_events``), which rejects lone surrogates, non-finite numbers
     # and nesting deeper than corpus.MAX_DEPTH anywhere in a line, and
-    # integer ids and names outside [-2**63, 2**64)
-    Stage("ingest", ("corpus",), (), ("ingest.json",), stage_ingest, version=3),
+    # integer ids and names outside [-2**63, 2**64); version 4: a line is
+    # stripped of JSON whitespace only, so one padded with other whitespace
+    # is rejected
+    Stage("ingest", ("corpus",), (), ("ingest.json",), stage_ingest, version=4),
     Stage("crosslinks", ("host_allowlist", "window_hours"), ("ingest",),
           ("crosslinks.jsonl",), stage_crosslinks),
     Stage("baseline", ("window_hours", "baseline", "baseline_stat"),

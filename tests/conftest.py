@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from intercom.corpus import Event, index_events
+from intercom.corpus import Event, index_lines
 
 DAY = 86400.0
 HOUR = 3600.0
@@ -23,7 +23,8 @@ def comment(cid, author, community, ts, thread_id, parent_id=None, body=""):
 
 
 def corpus_from(events):
-    return index_events(events)
+    """The Corpus of the events' log lines, as ``write_events`` writes them."""
+    return index_lines(map(log_line, events))
 
 
 def comment_events(corpus):
@@ -54,6 +55,11 @@ def record(event):
     return row
 
 
+def log_line(event):
+    """The event's log line, without its line end."""
+    return json.dumps(record(event))
+
+
 def tracked_objects(root):
     """The objects the cyclic collector tracks that ``root`` reaches, root
     included, not following into classes."""
@@ -71,7 +77,7 @@ def tracked_objects(root):
 def write_events(path, events):
     with open(path, "w", encoding="utf-8") as fh:
         for event in events:
-            fh.write(json.dumps(record(event)) + "\n")
+            fh.write(log_line(event) + "\n")
     return path
 
 

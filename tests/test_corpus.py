@@ -25,6 +25,8 @@ from intercom.corpus import (
     remove_overlapping,
     Texts,
     _first_rows,
+    _offsets,
+    _pack,
 )
 from intercom.synth import SynthSpec, generate_corpus
 
@@ -228,15 +230,22 @@ def test_load_retains_a_bounded_number_of_bytes_per_event(tmp_path):
     assert retained / corpus.stats.lines <= RETAINED_BYTES_PER_EVENT
 
 
+def packed(strings):
+    """``strings`` packed into ``Texts`` as ``_read_events`` packs a log's
+    comment ids, in two batches of about half each."""
+    data, half = bytearray(), len(strings) // 2
+    return Texts(data, _offsets([_pack(strings[:half], data), _pack(strings[half:], data)]))
+
+
 def test_texts_give_back_every_string_they_pack():
     strings = ["c1", "", "caf\u00e9", "\U0001f600", "\ud800", "\ud83d\ude00", "a b", "c1"]
-    texts = Texts.pack(strings)
+    texts = packed(strings)
     assert len(texts) == len(strings)
     assert [texts[k] for k in range(len(texts))] == list(texts) == strings
     assert texts.strings(np.array([7, 0, 2, 2])) == ["c1", "c1", "caf\u00e9", "caf\u00e9"]
     kept = np.array([True, False, True, True, False, True, False, True])
     assert list(texts.select(kept)) == [s for s, keep in zip(strings, kept) if keep]
-    assert list(Texts.pack([])) == list(texts.select(np.zeros(len(strings), dtype=bool))) == []
+    assert list(packed([])) == list(texts.select(np.zeros(len(strings), dtype=bool))) == []
     for k in (-1, len(strings)):
         with pytest.raises(IndexError):
             texts[k]
@@ -250,14 +259,14 @@ def test_texts_give_back_every_string_they_pack():
 ])
 def test_first_rows_keeps_the_first_row_of_each_distinct_string(strings):
     expected = [s not in strings[:k] for k, s in enumerate(strings)]
-    texts = Texts.pack(strings)
+    texts = packed(strings)
     hashes = np.array([hash(s) for s in strings], dtype=np.int64)
     assert _first_rows(texts, hashes).tolist() == expected
     # every hash equal, as if all collided: the strings alone decide
     assert _first_rows(texts, np.zeros(len(strings), dtype=np.int64)).tolist() == expected
     # hashes that collide only across distinct strings keep every row
     distinct = list(dict.fromkeys(strings))
-    assert _first_rows(Texts.pack(distinct), np.full(len(distinct), 5)).all()
+    assert _first_rows(packed(distinct), np.full(len(distinct), 5)).all()
 
 
 def test_load_rejects_lines_json_cannot_decode_into_values(tmp_path):
@@ -316,6 +325,17 @@ def test_load_decides_each_line_by_the_written_rule(tmp_path):
         (raw("n1", '"x": ' + '{"a": ' * 300 + "1" + "}" * 300), None),
         (raw("n2", '"x": ' + "[" * 100 + "]" * 100), "n2"),
         (line(id="n3", body="[{" * 200), "n3"),
+        # padding: JSON's whitespace is stripped, and any other makes the
+        # line no JSON value, a line of it alone included
+        (" \t" + line(id="w0") + "\t ", "w0"),
+        ("\u00a0" + line(id="w1"), None),
+        (line(id="w2") + "\u3000", None),
+        (line(id="w3") + "\u2028", None),
+        ("\f" + line(id="w4") + " \f", None),
+        ("\x1c" + line(id="w5"), None),
+        (line(id="w6") + "\x1f", None),
+        ("\f", None),
+        ("\u00a0 \u3000", None),
     ]
     path = tmp_path / "events.jsonl"
     path.write_text("".join(text + "\n" for text, _ in table), encoding="utf-8")
@@ -465,9 +485,12 @@ def test_duplicate_ids_rejected(tmp_path):
         comment("c1", "u1", "A", BASE + 20, "p1"),
         comment("c1", "u1", "A", BASE + 30, "p1"),
     ]
-    corpus = load_events(write_events(tmp_path / "events.jsonl", events))
-    assert corpus.stats.rejected == 2
-    assert corpus.posts["p1"].author == "u1"
+    # the log file and the in-memory corpus, built by the same rule
+    for corpus in (load_events(write_events(tmp_path / "events.jsonl", events)),
+                   corpus_from(events)):
+        assert corpus.stats.rejected == 2
+        assert corpus.posts["p1"].author == "u1"
+        assert comment_events(corpus)["c1"].timestamp == BASE + 20
 
 
 def test_dangling_comment_dropped(tmp_path):

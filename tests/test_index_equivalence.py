@@ -1,9 +1,10 @@
 """The indexed membership and matching lookups against the linear scans they
-replaced, ``index_events`` against the two-pass indexing it replaced, and
+replaced, ``index_lines`` against the two-pass indexing it replaced, and
 ``load_events`` against a ``json.loads`` loader of its written input rule,
-kept here as oracles, on random small corpora. The scans give the lookups'
-results in their shapes (masks and counts over user codes, a name or None
-per subject) from the events alone, and must equal them bit for bit.
+which strips a line of JSON whitespace only, kept here as oracles, on
+random small corpora. The scans give the lookups' results in their shapes
+(masks and counts over user codes, a name or None per subject) from the
+events alone, and must equal them bit for bit.
 
 Timestamps are drawn mostly from the edges the lookups compare against: day
 boundaries, the ends of the 30-day window, t0 +/- 3 days, and the floats
@@ -34,7 +35,7 @@ from intercom.corpus import (  # noqa: E402
     Event,
     LoadStats,
     day_start,
-    index_events,
+    index_lines,
     link_members,
     load_events,
     member_window,
@@ -52,7 +53,8 @@ from intercom.matching import (  # noqa: E402
     matched_user,
 )
 
-from conftest import BASE, HOUR, comment, comment_events, corpus_from, post, record  # noqa: E402
+from conftest import (BASE, HOUR, comment, comment_events, corpus_from, log_line,  # noqa: E402
+                      post, record)
 
 GAP = 3 * DAY
 COMMUNITIES = ["A", "B", "C"]
@@ -161,9 +163,10 @@ def scan_matched_post(corpus, links, post_id):
 
 
 class TwoPassCorpus:
-    """The indexing ``index_events`` replaced: ``add`` every event, then
-    ``build_indexes``; the community comment timelines are built on their
-    first read."""
+    """The indexing ``index_lines`` replaced: ``add`` every event, each one
+    line of the log, then ``build_indexes``; the community comment
+    timelines are built on their first read. The first event of a kind and
+    id is kept, and a later one is a rejected line."""
 
     def __init__(self):
         self.posts, self.comments = {}, {}
@@ -171,10 +174,12 @@ class TwoPassCorpus:
         self._timeline = None
 
     def add(self, event):
-        if event.kind == "post":
-            self.posts[event.id] = event
+        self.stats.lines += 1
+        store = self.posts if event.kind == "post" else self.comments
+        if event.id in store:
+            self.stats.rejected += 1
         else:
-            self.comments[event.id] = event
+            store[event.id] = event
 
     def build_indexes(self):
         order = lambda e: (e.timestamp, e.id)  # noqa: E731
@@ -480,7 +485,7 @@ def ordered(value):
 def event_logs(draw):
     """``drawn_events`` in any order, plus comments whose thread is not a
     post, ids shared by a post and a comment at the same time, and events
-    that replace an earlier one of the same kind and id."""
+    that repeat the kind and id of an earlier one, which is kept."""
     events, _link, t0 = draw(drawn_events())
     times = st.sampled_from(edges(t0))
     for k in range(draw(st.integers(0, 3))):
@@ -515,7 +520,7 @@ def listed(timelines):
 
 
 def assert_indexes_equal(corpus, expected):
-    """``corpus``, from ``index_events`` or ``load_events``, against a
+    """``corpus``, from ``index_lines`` or ``load_events``, against a
     ``TwoPassCorpus`` of the same events: every index, the comment table
     and its per-community, per-user and per-thread slices."""
     for name in INDEXES:
@@ -565,8 +570,8 @@ def assert_indexes_equal(corpus, expected):
 
 @EXAMPLES
 @given(event_logs())
-def test_index_events_equals_two_pass_indexing(events):
-    assert_indexes_equal(index_events(events), two_pass(events))
+def test_index_lines_equals_two_pass_indexing(events):
+    assert_indexes_equal(index_lines(map(log_line, events)), two_pass(events))
 
 
 # -- the loader load_events replaced, under the written rule -----------------
@@ -625,7 +630,8 @@ def walk(value):
 
 
 def oracle_decode(line):
-    """The value of a stripped log line, or None when the rule refuses it."""
+    """The value of a log line stripped of JSON whitespace, or None when the
+    rule refuses it."""
     try:
         value = json.loads(line, parse_constant=refuse_constant, parse_int=finite_int,
                            parse_float=finite_float)
@@ -685,7 +691,7 @@ def oracle_load_events(path):
     # an undecodable byte becomes a lone surrogate, which the walk refuses
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
-            line = line.strip()
+            line = line.strip(" \t\r\n")
             if not line:
                 continue
             stats.lines += 1
@@ -719,6 +725,9 @@ SURROGATES = ['"\\ud800"', '"\\udc80"', '"u\\ud800"', '"\\udc80 x"']
 BIG_INTS = [-2**63 - 1, -2**63, 2**63, 2**64 - 1, 2**64, 10**20, 2**64 + 2**11,
             2**64 + 2**11 + 1, int(sys.float_info.max) + 1, 2**1024 - 2**970 - 1,
             2**1024 - 2**970]
+# a line's padding: JSON's whitespace, other whitespace, or none
+PADDING = st.sampled_from(["", " ", "\t", "  \t", "\u00a0", "\u3000", "\u2028", "\f", " \f",
+                           "\x1c", "\x1f", "\x0b", "\x85"])
 NESTED = [*("[" * d + "]" * d for d in (100, 255, 256, 300, 1100, 5000)),
           *('{"a": ' * d + "1" + "}" * d for d in (255, 256, 1100, 5000)),
           '"' + "[{" * 200 + '"']
@@ -784,8 +793,8 @@ def changed_line(draw, event):
         line = "\ufeff" + line
     elif how == "truncate":
         line = line[:draw(st.integers(1, len(line) - 1))]
-    elif how == "padded":
-        line = draw(st.sampled_from([" ", "\t", "\u00a0", "\u3000"])) + line + " \f"
+    elif how == "padded":  # JSON's whitespace, stripped, or any other, rejected
+        line = draw(PADDING) + line + draw(PADDING)
     return line
 
 

@@ -191,7 +191,7 @@ DEFAULT_WORLD_FILES = {
     "crosslinks.jsonl": "0770243aa8aba3a6edc44cf9076c74a4a476b0d218c79bd756f3d78478288437",
     "impact.csv": "7cb2bfb480369f9bbb065613095e269c9b86bc2d744d9e06cd43e5f7902a59d9",
     "ingest.json": "106c5e0e9afe36144acc30c38b96c69d093f31cc5e1f867e0da879b6b5d065a2",
-    "manifest.json": "3f378e0697113e788534cc4316c2b7ac9129f30258cdc927179c47221e3fb930",
+    "manifest.json": "1bfcfc9fcfd1df4f91d8bc639419c9044ad0935391d30d7d5927133e8f47d6c1",
     "mobilizations.jsonl": "c6de5a144a501f61d2fab4dc85d03e0db20081a2c3a7dc29747663cc9689f655",
     "replynet.csv": "21237d7d1c44b8c71e9ffd3e8d0fdccbf957faba3d258e0dcceb8ed115d2f917",
     "sentiment.jsonl": "1490bcc4ce822b071e151f89dcc2328023f3c84f342c13e2e0082fe91063207c",
