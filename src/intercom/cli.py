@@ -3,31 +3,24 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import logging
 import sys
 
+# the analysis modules by module, each looked up when a command needs it, so
+# that a command runs only the modules it uses (intercom.LAZY_MODULES);
+# DATA_ERRORS needs corpus, matching and mobilization at import
 from . import embed as embed_mod
+from . import forest as forest_mod
+from . import lstm as lstm_mod
+from . import pipeline
 from . import predictor as pred_mod
+from . import replynet as replynet_mod
+from . import sentiment as sentiment_mod
 from .corpus import CorpusError
-from .forest import train_forest
-from .lstm import load_params
 from .matching import NoMatchError, crosslink_involved_posts, matched_post
 from .mobilization import BaselineError
-from .pipeline import (
-    Run,
-    StageError,
-    lstm_dataset,
-    run_pipeline,
-    sentiment_rows,
-    stage_embed,
-    train_lstm,
-    write_json,
-    write_jsonl,
-    write_lines,
-)
-from .replynet import REPLYNET_HEADER, thread_graph
-from .sentiment import crosslink_features
 from .settings import Config, ConfigError, apply_overrides, load_config
 
 EXIT_OK = 0
@@ -74,42 +67,42 @@ def _config(args, **fixed) -> Config:
 
 
 def cmd_ingest(args) -> int:
-    stats = Run(_config(args)).corpus.stats
+    stats = pipeline.Run(_config(args)).corpus.stats
     # the bytes of the report bundle's ingest.json
-    write_json(args.out, dataclasses.asdict(stats))
+    pipeline.write_json(args.out, dataclasses.asdict(stats))
     print(f"lines={stats.lines} posts={stats.posts} comments={stats.comments} "
           f"rejected={stats.rejected} dangling={stats.dangling_comments}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_crosslinks(args) -> int:
-    links = Run(_config(args)).links
-    write_jsonl(args.out, (link.to_dict() for link in links))
+    links = pipeline.Run(_config(args)).links
+    pipeline.write_jsonl(args.out, (link.to_dict() for link in links))
     print(f"extracted {len(links)} cross-links", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_detect(args) -> int:
-    run = Run(_config(args))
-    write_jsonl(args.out, (record.to_dict() for record in run.records))
+    run = pipeline.Run(_config(args))
+    pipeline.write_jsonl(args.out, (record.to_dict() for record in run.records))
     print(f"baseline={run.baseline['value']:.4f} ({run.baseline['mode']}) "
           f"mobilizations={len(run.mobilized)}/{len(run.records)}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_match(args) -> int:
-    run = Run(_config(args))
+    run = pipeline.Run(_config(args))
     pair = matched_post(run.corpus, args.post, crosslink_involved_posts(run.links))
-    write_json(None, dataclasses.asdict(pair))
+    pipeline.write_json(None, dataclasses.asdict(pair))
     return EXIT_OK
 
 
 def cmd_sentiment(args) -> int:
     if args.action == "train" and not args.labels:
         raise UsageError("sentiment train needs --labels")
-    run = Run(_config(args, sentiment_model=args.model))
+    run = pipeline.Run(_config(args, sentiment_model=args.model))
     if args.action == "predict":
-        write_jsonl(args.out, sentiment_rows(run))
+        pipeline.write_jsonl(args.out, pipeline.sentiment_rows(run))
         return EXIT_OK
     labels = {}
     with open(args.labels, "r", encoding="utf-8") as fh:
@@ -125,36 +118,36 @@ def cmd_sentiment(args) -> int:
     X, y = [], []
     for link in run.links:
         if link.source_post in labels:
-            X.append(crosslink_features(run.corpus, link, run.lexicon))
+            X.append(sentiment_mod.crosslink_features(run.corpus, link, run.lexicon))
             y.append(labels[link.source_post])
     if not X:
         raise ValueError("no labeled cross-links found")
-    forest = train_forest(X, y, trees=args.trees, seed=run.config.seed)
+    forest = forest_mod.train_forest(X, y, trees=args.trees, seed=run.config.seed)
     forest.save(args.model)
     print(f"trained on {len(X)} examples, oob_accuracy={forest.oob_accuracy}")
     return EXIT_OK
 
 
 def cmd_replynet(args) -> int:
-    run = Run(_config(args))
+    run = pipeline.Run(_config(args))
     record = next((record for record in run.records if record.id == args.mobilization), None)
     if record is None:
         raise KeyError(f"no cross-link with source post {args.mobilization!r}")
-    graph, rows = thread_graph(run.corpus, record), run.replynet([record])
-    write_lines(args.out, (f"{src} {dst} {weight} {graph.nodes[src]} {graph.nodes[dst]}"
-                           for (src, dst), weight in sorted(graph.edges.items())))
+    graph, rows = replynet_mod.thread_graph(run.corpus, record), run.replynet([record])
+    pipeline.write_lines(args.out, (f"{src} {dst} {weight} {graph.nodes[src]} {graph.nodes[dst]}"
+                                    for (src, dst), weight in sorted(graph.edges.items())))
     if not rows:
         print("no attackers or no defenders; no reply-network row", file=sys.stderr)
     else:
-        print(json.dumps(dict(zip(REPLYNET_HEADER, rows[0])), sort_keys=True, indent=2),
-              file=sys.stderr)
+        row = dict(zip(replynet_mod.REPLYNET_HEADER, rows[0]))
+        print(json.dumps(row, sort_keys=True, indent=2), file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_embed(args) -> int:
-    run = Run(_config(args))
+    run = pipeline.Run(_config(args))
     run.out.mkdir(parents=True, exist_ok=True)
-    stage_embed(run)
+    pipeline.stage_embed(run)
     print((run.out / "embed.json").read_text(encoding="utf-8"), end="")
     return EXIT_OK
 
@@ -162,24 +155,25 @@ def cmd_embed(args) -> int:
 def cmd_predict(args) -> int:
     table, word_vectors = embed_mod.load_table(args.embeddings)
     if args.action == "train":
-        _, result = train_lstm(Run(_config(args)), table, word_vectors, args.model)
+        run = pipeline.Run(_config(args))
+        _, result = pipeline.train_lstm(run, table, word_vectors, args.model)
         print(f"trained; best val AUC = {result.best_val_auc}")
         return EXIT_OK
 
-    params, checkpoint = load_params(args.model)
-    run = Run(_config(args, max_words=checkpoint["max_words"], seed=checkpoint["seed"]))
+    params, checkpoint = lstm_mod.load_params(args.model)
+    run = pipeline.Run(_config(args, max_words=checkpoint["max_words"], seed=checkpoint["seed"]))
     if args.action == "score":
         sequences, _ = pred_mod.assemble_sequences(run.corpus, run.links, table, word_vectors,
                                                    max_words=run.config.max_words)
         probs = pred_mod.predict_prob(sequences, params).tolist()
-        write_jsonl(args.out, ({"source_post": link.source_post, "p_mobilization": p}
-                               for link, p in zip(run.links, probs)))
+        pipeline.write_jsonl(args.out, ({"source_post": link.source_post, "p_mobilization": p}
+                                        for link, p in zip(run.links, probs)))
         return EXIT_OK
 
     # eval: rebuild the training run's dataset and split and report test AUC;
     # every link is scored, as the report scores them, so that each test
     # link shares its forward's batch with the same links as in the report
-    dataset = lstm_dataset(run, table, word_vectors)
+    dataset = pipeline.lstm_dataset(run, table, word_vectors)
     test_auc = pred_mod.auc_or_none(dataset.labels[dataset.test_idx], lambda: pred_mod.predict_prob(
         dataset.sequences, params)[dataset.test_idx])
     if test_auc is None:
@@ -199,7 +193,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    result = run_pipeline(_config(args))
+    result = pipeline.run_pipeline(_config(args))
     if args.verbose:
         for name, info in result.manifest["stages"].items():
             counters = " ".join(f"{key}={value}" for key, value in sorted(info.items())
@@ -211,7 +205,7 @@ def cmd_report(args) -> int:
             summary = json.loads((result.output_dir / "embed.json").read_text(encoding="utf-8"))
             print(f"embed loss={summary['loss']}", file=sys.stderr)
         if "predict" in result.manifest["stages"]:
-            _, checkpoint = load_params(result.output_dir / "lstm_model.json")
+            _, checkpoint = lstm_mod.load_params(result.output_dir / "lstm_model.json")
             for entry in checkpoint["log"]:
                 print(f"lstm epoch {entry['epoch']}: train_loss={entry['train_loss']} "
                       f"val_auc={entry['val_auc']}", file=sys.stderr)
@@ -294,7 +288,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except StageError as exc:
+    except pipeline.StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA if isinstance(exc.cause, DATA_ERRORS) else EXIT_INTERNAL
     except DATA_ERRORS as exc:
@@ -305,5 +299,16 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def console_main() -> int:
+    """The ``intercom`` console script: ``main`` on the command line. The
+    process exits when it returns, so the objects still alive are frozen
+    first and the interpreter's shutdown collections skip them. ``main``,
+    which also runs in-process, leaves the collector alone."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

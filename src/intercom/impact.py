@@ -30,13 +30,6 @@ IMPACT_HEADER = [
     "mean_attacker_matched_delta", "mean_defender_matched_delta",
     "success_score", "decile",
 ]
-# the reply-network metrics averaged over success buckets: file, REPLYNET_HEADER column
-SERIES = [
-    ("series_reply_fraction.csv", "defender_reply_fraction_to_attackers"),
-    ("series_defender_apr.csv", "mean_defender_apr"),
-    ("series_attacker_dpr.csv", "mean_attacker_dpr"),
-    ("series_defender_anger.csv", "anger_defender_to_attacker"),
-]
 
 
 class ActivityDelta(NamedTuple):
@@ -391,10 +384,11 @@ def _mean(xs):
 
 
 def aggregate(corpus: Corpus, records: list[MobilizationRecord], replynet_rows: list[list],
+              columns: list[str],
               seed: int = 0) -> tuple[list[list], dict[str, SuccessSeries], dict, dict]:
     """The impact of the mobilization ``records``: the IMPACT_HEADER rows of
-    those with defenders; per SERIES column, the column of their
-    REPLYNET_HEADER rows (0.0 where missing) over the success buckets; the
+    those with defenders; per REPLYNET_HEADER column named in ``columns``,
+    that column of their rows (0.0 where missing) over the success buckets; the
     tests, each ``{"skipped": reason}`` where it cannot run; and the counts
     of outcomes and fallbacks."""
     metrics = {row[0]: dict(zip(REPLYNET_HEADER, row)) for row in replynet_rows}
@@ -427,7 +421,7 @@ def aggregate(corpus: Corpus, records: list[MobilizationRecord], replynet_rows: 
         row[-1] = outcome.decile
 
     series = {}
-    for _filename, column in SERIES:
+    for column in columns:
         def metric(outcome, column=column):
             value = metrics.get(outcome.mobilization_id, {}).get(column)
             return 0.0 if value is None else float(value)

@@ -19,19 +19,18 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from . import __version__
+# the stage modules by module, each looked up when a stage needs it, so that
+# building STAGES and an all-hit re-run run none of them (intercom.LAZY_MODULES)
+from . import corpus as corpus_mod
 from . import embed as embed_mod
+from . import forest as forest_mod
 from . import impact as impact_mod
+from . import lstm as lstm_mod
+from . import mobilization as mobilization_mod
 from . import predictor as pred_mod
-from .corpus import CorpusError, CrossLink, extract_crosslinks, load_events
-from .forest import load_forest
-from .lstm import init_params, save_params
-from .mobilization import (DEFAULT_BASELINE, BaselineError, LinkCounts, MobilizationRecord,
-                           baseline_ratio, detect, measure)
-from .replynet import REPLYNET_HEADER, replynet_rows
-from .sentiment import builtin_lexicon, load_lexicon, predict_sentiment
+from . import replynet as replynet_mod
+from . import sentiment as sentiment_mod
 from .settings import Config, ConfigError
 
 log = logging.getLogger(__name__)
@@ -54,6 +53,8 @@ class StageError(RuntimeError):
 
 def substream_seed(root: int, name: str) -> int:
     """Named, reproducible child seed of the root seed."""
+    import numpy as np  # here, not at the top: an all-hit re-run needs no numpy
+
     seq = np.random.SeedSequence([root, zlib.crc32(name.encode("utf-8"))])
     return int(seq.generate_state(1)[0])
 
@@ -120,23 +121,25 @@ class Run:
 
     @cached_property
     def corpus(self):
-        return load_events(self.config.corpus)
+        return corpus_mod.load_events(self.config.corpus)
 
     @cached_property
     def lexicon(self):
-        return load_lexicon(self.config.lexicon_dir) if self.config.lexicon_dir else builtin_lexicon()
+        if self.config.lexicon_dir:
+            return sentiment_mod.load_lexicon(self.config.lexicon_dir)
+        return sentiment_mod.builtin_lexicon()
 
     @cached_property
-    def links(self) -> list[CrossLink]:
-        return extract_crosslinks(self.corpus, host_allowlist=self.config.hosts(),
-                                  window_hours=self.config.window_hours,
-                                  counts=self.crosslink_drops)
+    def links(self) -> list[corpus_mod.CrossLink]:
+        return corpus_mod.extract_crosslinks(self.corpus, host_allowlist=self.config.hosts(),
+                                             window_hours=self.config.window_hours,
+                                             counts=self.crosslink_drops)
 
     @cached_property
-    def measured(self) -> list[LinkCounts]:
+    def measured(self) -> list[mobilization_mod.LinkCounts]:
         """The null model's window counts of every link, which the baseline
         and the detect records both read."""
-        return measure(self.corpus, self.links, window_hours=self.config.window_hours)
+        return mobilization_mod.measure(self.corpus, self.links, window_hours=self.config.window_hours)
 
     @cached_property
     def baseline(self) -> dict:
@@ -147,21 +150,21 @@ class Run:
             value, mode = float(config.baseline), "fixed"
         else:
             try:
-                value = baseline_ratio(self.measured, stat=config.baseline_stat,
-                                       counts=self.baseline_pairs)
+                value = mobilization_mod.baseline_ratio(self.measured, stat=config.baseline_stat,
+                                                        counts=self.baseline_pairs)
                 mode = "auto"
-            except BaselineError:
-                value, mode = DEFAULT_BASELINE, "default"
+            except mobilization_mod.BaselineError:
+                value, mode = mobilization_mod.DEFAULT_BASELINE, "default"
                 log.warning("no eligible matched pairs; using default baseline %.3f", value)
         return {"value": value, "mode": mode, "stat": config.baseline_stat,
                 "fallback": mode == "default"}
 
     @cached_property
-    def records(self) -> list[MobilizationRecord]:
-        return [detect(counts, self.baseline["value"]) for counts in self.measured]
+    def records(self) -> list[mobilization_mod.MobilizationRecord]:
+        return [mobilization_mod.detect(counts, self.baseline["value"]) for counts in self.measured]
 
     @cached_property
-    def mobilized(self) -> list[MobilizationRecord]:
+    def mobilized(self) -> list[mobilization_mod.MobilizationRecord]:
         return [r for r in self.records if r.verdict == "mobilization"]
 
     @cached_property
@@ -169,12 +172,13 @@ class Run:
         """One REPLYNET_HEADER row per mobilization with both attackers and defenders."""
         return self.replynet(self.mobilized)
 
-    def replynet(self, records: list[MobilizationRecord]) -> list[list]:
+    def replynet(self, records: list[mobilization_mod.MobilizationRecord]) -> list[list]:
         """``replynet.replynet_rows`` of the records with the config's
         PageRank settings; the iteration counts go to ``pagerank_iterations``."""
         config = self.config
-        rows, iterations = replynet_rows(self.corpus, self.lexicon, records, alpha=config.alpha,
-                                         tol=config.pagerank_tol, max_iter=config.pagerank_max_iter)
+        rows, iterations = replynet_mod.replynet_rows(
+            self.corpus, self.lexicon, records, alpha=config.alpha, tol=config.pagerank_tol,
+            max_iter=config.pagerank_max_iter)
         self.pagerank_iterations += iterations
         return rows
 
@@ -185,8 +189,8 @@ def sentiment_rows(run: Run) -> list[dict]:
     if not run.config.sentiment_model:
         return [{"source_post": link.source_post, "label": "unlabeled", "p_negative": None}
                 for link in run.links]
-    labels = predict_sentiment(load_forest(run.config.sentiment_model), run.links, run.corpus,
-                               run.lexicon)
+    labels = sentiment_mod.predict_sentiment(forest_mod.load_forest(run.config.sentiment_model),
+                                             run.links, run.corpus, run.lexicon)
     return [{"source_post": link.source_post, "label": label, "p_negative": p_neg}
             for link, (label, p_neg) in zip(run.links, labels)]
 
@@ -204,12 +208,12 @@ def train_lstm(run: Run, table, word_vectors, model_path):
     the dataset and the training result."""
     config = run.config
     dataset = lstm_dataset(run, table, word_vectors)
-    result = pred_mod.train(
-        dataset, init_params(table.dim, config.hidden_size, seed=substream_seed(config.seed, "lstm")),
-        lr=config.predict_lr, epochs=config.predict_epochs, seed=substream_seed(config.seed, "train"),
-    )
-    save_params(model_path, result.params, seed=config.seed, max_words=config.max_words,
-                log=result.log)
+    params = lstm_mod.init_params(table.dim, config.hidden_size,
+                                  seed=substream_seed(config.seed, "lstm"))
+    result = pred_mod.train(dataset, params, lr=config.predict_lr, epochs=config.predict_epochs,
+                            seed=substream_seed(config.seed, "train"))
+    lstm_mod.save_params(model_path, result.params, seed=config.seed, max_words=config.max_words,
+                         log=result.log)
     return dataset, result
 
 
@@ -247,7 +251,7 @@ def stage_sentiment(run: Run) -> dict:
 
 def stage_replynet(run: Run) -> dict:
     rows = run.replynet_rows
-    write_csv(run.out / "replynet.csv", REPLYNET_HEADER, rows)
+    write_csv(run.out / "replynet.csv", replynet_mod.REPLYNET_HEADER, rows)
     iterations = run.pagerank_iterations
     return {"rows": len(rows), "skipped": len(run.mobilized) - len(rows),
             "pagerank_iterations_max": max(iterations, default=None),
@@ -256,9 +260,10 @@ def stage_replynet(run: Run) -> dict:
 
 def stage_impact(run: Run) -> dict:
     rows, series, tests, counts = impact_mod.aggregate(
-        run.corpus, run.mobilized, run.replynet_rows, seed=substream_seed(run.config.seed, "impact"))
+        run.corpus, run.mobilized, run.replynet_rows, [column for _, column in SERIES],
+        seed=substream_seed(run.config.seed, "impact"))
     write_csv(run.out / "impact.csv", impact_mod.IMPACT_HEADER, rows)
-    for filename, column in impact_mod.SERIES:
+    for filename, column in SERIES:
         write_csv(run.out / filename, ["success_score", column, "smoothed"],
                   [[x, y, int(series[column].smoothed)] for x, y in series[column].points])
     write_json(run.out / "stat_tests.json", tests)
@@ -314,6 +319,15 @@ class Stage:
     version: int = 1  # raise when the stage's outputs change for the same inputs
 
 
+# the reply-network metrics that the impact stage averages over success
+# buckets: file, REPLYNET_HEADER column
+SERIES = [
+    ("series_reply_fraction.csv", "defender_reply_fraction_to_attackers"),
+    ("series_defender_apr.csv", "mean_defender_apr"),
+    ("series_attacker_dpr.csv", "mean_attacker_dpr"),
+    ("series_defender_anger.csv", "anger_defender_to_attacker"),
+]
+
 STAGES = {stage.name: stage for stage in [
     # version 2: a line that is not UTF-8, and an id or name that is not a
     # string or an integer, are rejected; version 3: one input rule
@@ -337,7 +351,7 @@ STAGES = {stage.name: stage for stage in [
           ("ingest", "detect"), ("replynet.csv",), stage_replynet),
     # version 2: a test that cannot run records why, as {"skipped": reason}
     Stage("impact", ("seed",), ("ingest", "detect", "replynet"),
-          ("impact.csv", "stat_tests.json") + tuple(name for name, _ in impact_mod.SERIES),
+          ("impact.csv", "stat_tests.json") + tuple(name for name, _ in SERIES),
           stage_impact, version=2),
     # version 2: minibatched negative-sampling SGD (embed.EDGE_BATCH edges a step)
     Stage("embed", ("embed_dim", "embed_negatives", "embed_epochs", "vocab_size", "seed"),
@@ -360,7 +374,7 @@ def _input_digests(run: Run) -> dict[str, str]:
     try:
         corpus = _sha256(Path(config.corpus))
     except OSError as exc:
-        raise CorpusError(f"cannot read event log {config.corpus}: {exc}") from exc
+        raise corpus_mod.CorpusError(f"cannot read event log {config.corpus}: {exc}") from exc
     words = {category: sorted(ws) for category, ws in run.lexicon.categories.items()}
     lexicon = hashlib.sha256(json.dumps(words, sort_keys=True).encode("utf-8")).hexdigest()
     model = _sha256(Path(config.sentiment_model)) if config.sentiment_model else ""
@@ -478,14 +492,16 @@ def _run_record(timings: dict, collections: list[int]) -> dict:
     """The run record: per stage whether it hit the cache and its wall and
     CPU time (``timings``), the collector's passes per generation since
     ``collections`` was taken, the process's peak RSS and the versions that
-    ran. It changes from run to run, so it stays out of the manifest."""
+    ran, numpy's null when the run never imported it. It changes from run
+    to run, so it stays out of the manifest."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
+    numpy = sys.modules.get("numpy")
     return {
         "stages": timings,
         "gc": {"collections": [now - then for now, then in zip(_collections(), collections)]},
         "peak_rss_mb": peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0),
-        "versions": {"python": platform.python_version(), "numpy": np.__version__,
-                     "intercom": __version__},
+        "versions": {"python": platform.python_version(),
+                     "numpy": numpy.__version__ if numpy else None, "intercom": __version__},
     }
 
 

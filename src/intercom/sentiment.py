@@ -9,8 +9,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .corpus import Corpus, CrossLink
-from .forest import Forest, SchemaError
+# by module, so that the lexicon (the input digest of every report) loads
+# without the corpus or the forest, and without numpy
+from . import corpus as corpus_mod
+from . import forest as forest_mod
 
 TOKEN_RE = re.compile(r"[a-z0-9']+")
 SENTENCE_RE = re.compile(r"[.!?]+")
@@ -114,7 +116,8 @@ def extract_text_features(text: str, lexicon: Lexicon) -> dict[str, float]:
     return features
 
 
-def crosslink_features(corpus: Corpus, link: CrossLink, lexicon: Lexicon) -> dict[str, float]:
+def crosslink_features(corpus: corpus_mod.Corpus, link: corpus_mod.CrossLink,
+                       lexicon: Lexicon) -> dict[str, float]:
     """Feature vector for a cross-linking post, with target-shared words removed."""
     source_body = corpus.posts[link.source_post].body
     target_body = corpus.posts[link.target_post].body
@@ -122,20 +125,21 @@ def crosslink_features(corpus: Corpus, link: CrossLink, lexicon: Lexicon) -> dic
 
 
 def predict_sentiment(
-    forest: Forest, links: Sequence[CrossLink], corpus: Corpus, lexicon: Lexicon
+    forest: forest_mod.Forest, links: Sequence[corpus_mod.CrossLink], corpus: corpus_mod.Corpus,
+    lexicon: Lexicon,
 ) -> list[tuple[str, float]]:
     """(label, P(negative)) of each cross-link's source post, in input order,
     from one ``predict_proba`` over all their rows; each row's probabilities
     are the ones it gets alone."""
     if LABEL_NEGATIVE not in forest.classes:
-        raise SchemaError("model was not trained with a 'negative' class")
+        raise forest_mod.SchemaError("model was not trained with a 'negative' class")
     column = forest.classes.index(LABEL_NEGATIVE)
     proba = forest.predict_proba([crosslink_features(corpus, link, lexicon) for link in links])
     return [((LABEL_NEGATIVE if p_neg > 0.5 else LABEL_NEUTRAL), p_neg)
             for p_neg in proba[:, column].tolist()]
 
 
-def _community_tokens(corpus: Corpus) -> dict[str, list[str]]:
+def _community_tokens(corpus: corpus_mod.Corpus) -> dict[str, list[str]]:
     docs = {}
     for community, posts in corpus.community_posts.items():
         tokens: list[str] = []
@@ -154,7 +158,8 @@ def top_vocabulary(docs: Iterable[list[str]], size: int) -> set[str]:
     return {w for w, _ in sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))[:size]}
 
 
-def community_tfidf_vectors(corpus: Corpus, vocab_size: int = 10000) -> dict[str, dict[str, float]]:
+def community_tfidf_vectors(corpus: corpus_mod.Corpus,
+                            vocab_size: int = 10000) -> dict[str, dict[str, float]]:
     """tf-idf vector per community over the top-``vocab_size`` corpus words.
 
     tf is the term count normalized by document length; idf = ln(N/df) over

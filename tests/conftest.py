@@ -1,6 +1,10 @@
 import gc
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from intercom.corpus import Event, index_lines
 DAY = 86400.0
 HOUR = 3600.0
 BASE = 10000 * 86400.0  # a UTC midnight
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def post(pid, author, community, ts, body=""):
@@ -128,3 +133,12 @@ def two_community_corpus():
     events.append(comment("def2", "b2", "B", t0 + 4000, "pb1"))
     events.append(comment("oth1", "stranger", "B", t0 + 4500, "pb1"))
     return corpus_from(events), t0
+
+
+def run_python(code: str, *args) -> subprocess.CompletedProcess:
+    """``python -c code args`` in a fresh interpreter with the package's
+    sources on PYTHONPATH."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True)
+

@@ -18,7 +18,7 @@ from intercom.pipeline import RUN_RECORD, STAGE_ORDER, Config, Run, substream_se
 from intercom.replynet import REPLYNET_HEADER
 from intercom.synth import SynthSpec, generate_corpus
 
-from conftest import write_canary_pickle
+from conftest import run_python, write_canary_pickle
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +123,25 @@ def test_importing_the_cli_does_not_import_the_synth():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_the_console_script_exits_with_mains_status_and_output(synth, tmp_path, capsys):
+    # the console script freezes the collector's objects on its way out, so
+    # that shutdown skips collecting them; status and output stay main's
+    events_path, _ = synth
+    assert main(["ingest", "--corpus", events_path]) == 0
+    expected = capsys.readouterr().out
+    script = "import sys; from intercom.cli import console_main; sys.exit(console_main())"
+    done = run_python(script, "ingest", "--corpus", events_path)
+    assert (done.returncode, done.stdout) == (0, expected)
+    missing = run_python(script, "ingest", "--corpus", tmp_path / "missing.jsonl")
+    assert (missing.returncode, missing.stdout) == (2, "")
+    assert missing.stderr.startswith("error: cannot read event log")
+    assert run_python(script).returncode == 1  # no command: a usage error
+    frozen = run_python("import gc; from intercom.cli import console_main; console_main(); "
+                        "print(gc.get_freeze_count() > 0)",
+                        "ingest", "--corpus", events_path, "--out", tmp_path / "ingest.json")
+    assert frozen.stdout == "True\n"
 
 
 def test_synth_reads_a_spec_file(tmp_path, capsys):

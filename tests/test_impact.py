@@ -6,7 +6,6 @@ import pytest
 
 from intercom.impact import (
     MWU_EXACT_MAX,
-    SERIES,
     WILCOXON_EXACT_MAX,
     DefenseOutcome,
     ImpactRecord,
@@ -20,6 +19,7 @@ from intercom.impact import (
     moving_average,
     wilcoxon_signed_rank,
 )
+from intercom.pipeline import SERIES
 
 from conftest import BASE, DAY, HOUR, comment, corpus_from, post
 
@@ -406,7 +406,8 @@ def test_mobilization_impacts_roles(two_community_corpus):
 
 
 def test_aggregate_of_no_mobilizations():
-    rows, series, tests, counts = aggregate(corpus_from([]), [], [], seed=3)
+    rows, series, tests, counts = aggregate(corpus_from([]), [], [], [column for _, column in SERIES],
+                                            seed=3)
     assert rows == []
     assert list(series) == [column for _, column in SERIES]
     assert all(s.points == [] and not s.smoothed for s in series.values())

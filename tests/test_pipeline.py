@@ -25,7 +25,7 @@ from intercom.pipeline import (
 from intercom.settings import apply_overrides, load_config
 from intercom.synth import SynthSpec, generate_corpus
 
-from conftest import BASE, DAY, HOUR, comment, post, write_canary_pickle, write_events
+from conftest import BASE, DAY, HOUR, comment, post, run_python, write_canary_pickle, write_events
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +241,20 @@ def test_report_writes_a_run_record_outside_the_manifest(synth_corpus, tmp_path)
     assert all(timing["hit"] for timing in record["stages"].values())
     assert manifest == two[1]
     assert set(record["gc"]) == {"collections"}
+
+    # an all-hit re-run in a fresh interpreter never imports numpy, and its
+    # record says so
+    fresh = run_python("""
+import sys
+from intercom import pipeline
+pipeline.run_pipeline(pipeline.Config(corpus=sys.argv[1], output_dir=sys.argv[2]))
+""", events_path, tmp_path / "two")
+    assert fresh.returncode == 0, fresh.stderr
+    record = json.loads((tmp_path / "two" / RUN_RECORD).read_text())
+    assert record["versions"] == {**versions, "numpy": None}
+    assert set(record["stages"]) == set(two[0].manifest["stages"])
+    assert all(timing["hit"] for timing in record["stages"].values())
+    assert (tmp_path / "two" / "manifest.json").read_bytes() == two[1]
 
 
 def test_run_record_ingest_entry_holds_only_its_timings(tmp_path):
