@@ -5,10 +5,15 @@ tree whose stack is not empty, and one batched search (``_best_splits``)
 scores the splits of all those nodes. The forest is, bit for bit, the one
 that growing each tree alone, node by node, gives:
 
-- Each tree pops its own stack in LIFO order and draws a node's feature
-  subset from its own generator, so every generator makes the same draws in
-  the same order; the generators are independent, so interleaving the trees
-  changes nothing.
+- Each tree pops its own stack in LIFO order and takes its nodes' feature
+  subsets, in that order, from its own generator. The subsets are the ones
+  successive ``choice(n_features, mtry, replace=False)`` calls give: each
+  tree draws the bounded integers ``choice`` draws (Floyd's algorithm, then
+  its shuffle) for a block of nodes in one ``integers`` call, and the blocks
+  of all trees that need one are turned into subsets together. A tree's
+  generator is read only for its own nodes, so interleaving the trees
+  changes nothing, and a block drawn past a tree's last node reads nothing
+  the tree uses.
 - A node holds each distinct bootstrap row once, with its count as a weight.
   Duplicates have equal values and never fall on two sides of a cut.
 - A cut is scored only between unequal values, where the class counts below
@@ -24,8 +29,9 @@ that growing each tree alone, node by node, gives:
 - Nodes are numbered per tree as their parent splits, and the trees are
   concatenated in tree order.
 
-A search scores at most ``SPLIT_CHUNK`` rows x features at once, which bounds
-the memory a step takes.
+A search scores at most ``SPLIT_CHUNK`` rows x features at once, and the
+subsets drawn ahead hold at most ``DRAW_CHUNK`` features over all trees (or
+one subset per tree), which bounds the memory a step takes.
 """
 from __future__ import annotations
 
@@ -42,6 +48,11 @@ NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 # rows x features of the nodes one split search scores at once; a larger
 # node is searched alone
 SPLIT_CHUNK = 8192
+# feature subsets a tree draws ahead; and the most entries, over all trees,
+# of the subsets held (trees x subsets x mtry) and of one refill's draws
+# (trees x subsets x (2 mtry - 1)); a tree holds at least one subset
+DRAW_BLOCK = 16
+DRAW_CHUNK = 16384
 
 
 class SchemaError(ValueError):
@@ -81,27 +92,37 @@ def _best_splits(X, ranks, y_codes, n_classes, rows, weights, sizes, features) -
     return best
 
 
+def _tile(a: np.ndarray, k: int) -> np.ndarray:
+    """``np.tile(a, k)`` of a 1-D array, without its Python overhead."""
+    return a[None].repeat(k, axis=0).ravel()
+
+
 def _search(X, ranks, y_codes, n_classes, rows, weights, sizes, features) -> list:
     """``_best_splits`` on one chunk, every node with at least one row."""
     b, mtry = features.shape
     n_rows, n_features = ranks.shape
     # segment j * b + i holds node i's rows on its j-th feature, and entry
     # j * rows.size + k is rows[k] on the j-th feature of its node
-    seg_size = np.tile(sizes, mtry)
+    seg_size = _tile(sizes, mtry)
     seg_start = np.zeros(seg_size.size, dtype=np.intp)
     np.cumsum(seg_size[:-1], out=seg_start[1:])
     at = features[np.repeat(np.arange(b), sizes)] + (rows * n_features)[:, None]
     key = ranks.take(at.T.ravel()) + np.repeat(np.arange(seg_size.size) * n_rows, seg_size)
-    order = np.argsort(key)
-    key = key[order]
-    order %= rows.size
-    sorted_rows, size = rows[order], key.size
+    if seg_size.size * n_rows <= 2**16:  # numpy's stable sort of 16-bit keys is a radix sort
+        key = key.astype(np.uint16)
+        order = np.argsort(key, kind="stable")
+    else:
+        order = np.argsort(key)
+    key, size = key[order], key.size
     # cum[c, e]: weight of class c among the first e sorted entries, over all
-    # segments; whole numbers, so every sum below is exact
-    cum = np.zeros((n_classes, size + 1))
-    y_sorted, w_sorted = y_codes[sorted_rows], weights[order]
+    # segments; whole numbers, so every sum below is exact. Entry k is row
+    # rows[k % rows.size], so cum gathers each class's row weights tiled mtry
+    # times (every index is in range; mode="clip" lets take write unbuffered)
+    cum = np.empty((n_classes, size + 1))
+    cum[:, 0] = 0.0
+    class_weight = np.where(y_codes[rows] == np.arange(n_classes)[:, None], weights, 0.0)
     for c in range(n_classes):
-        np.multiply(w_sorted, y_sorted == c, out=cum[c, 1:])
+        _tile(class_weight[c], mtry).take(order, out=cum[c, 1:], mode="clip")
     np.cumsum(cum, axis=1, out=cum)
     below = cum[:, seg_start]
     total = cum[:, seg_start + seg_size] - below
@@ -126,7 +147,8 @@ def _search(X, ranks, y_codes, n_classes, rows, weights, sizes, features) -> lis
     first = np.minimum.reduceat(np.where(score == np.repeat(top, seg_size), np.arange(size), size), seg_start)
     seg_feature = features.T.ravel()
     after = np.minimum(first + 1, size - 1)
-    below_cut, above_cut = X[sorted_rows[first], seg_feature], X[sorted_rows[after], seg_feature]
+    below_cut = X[rows[order[first] % rows.size], seg_feature]
+    above_cut = X[rows[order[after] % rows.size], seg_feature]
     with np.errstate(over="ignore"):
         mid = (below_cut + above_cut) / 2.0
     # the midpoint of neighbouring doubles can round down to the lower one
@@ -143,6 +165,54 @@ def _search(X, ranks, y_codes, n_classes, rows, weights, sizes, features) -> lis
     return best
 
 
+def _choices(rngs, n_features: int, mtry: int, count: int) -> np.ndarray:
+    """(len(rngs), count, mtry): the subsets ``count`` successive
+    ``rng.choice(n_features, mtry, replace=False)`` calls give, from one
+    ``integers`` call per generator that makes the same bounded draws and
+    leaves it as those calls do.
+
+    Per subset ``choice`` draws a value in [0, j] for j = F - m ... F - 1 and
+    keeps it, or j when it is kept already (Floyd's algorithm), then swaps
+    entry i with a drawn entry in [0, i] for i = m - 1 ... 1. (It shuffles a
+    whole range instead when F > 10000 and m > F // 50, which m = sqrt(F)
+    never is.)
+    """
+    highs = _tile(np.r_[n_features - mtry + 1:n_features + 1, mtry:1:-1], count)
+    draws = np.concatenate([rng.integers(0, highs) for rng in rngs]).reshape(-1, 2 * mtry - 1)
+    subsets = draws[:, :mtry]
+    for k, j in enumerate(range(n_features - mtry, n_features)):
+        subsets[(subsets[:, :k] == subsets[:, k, None]).any(axis=1), k] = j
+    rows = np.arange(len(draws))
+    for i, swap in zip(range(mtry - 1, 0, -1), draws[:, mtry:].T):
+        subsets[rows, i], subsets[rows, swap] = subsets[rows, swap], subsets[rows, i]
+    return subsets.reshape(len(rngs), count, mtry)
+
+
+class _Subsets:
+    """Each tree's feature subsets in the order its nodes take them, drawn
+    ``block`` subsets at a time by ``_choices`` into one buffer for all
+    trees, refilled in place; both bounded by ``DRAW_CHUNK``."""
+
+    def __init__(self, rngs, n_features: int, mtry: int):
+        self.rngs, self.n_features, self.mtry = rngs, n_features, mtry
+        self.block = min(DRAW_BLOCK, max(1, DRAW_CHUNK // (len(rngs) * mtry)))
+        self.held = np.empty((len(rngs), self.block, mtry), dtype=np.int32)
+        self.used = np.full(len(rngs), self.block)
+        self.refill = max(1, DRAW_CHUNK // (self.block * (2 * mtry - 1)))  # trees drawn at once
+
+    def take(self, trees: np.ndarray) -> np.ndarray:
+        """The next subset of each of the distinct ``trees``, one row each."""
+        empty = trees[self.used[trees] == self.block]
+        for start in range(0, empty.size, self.refill):
+            group = empty[start:start + self.refill]
+            self.held[group] = _choices([self.rngs[t] for t in group.tolist()], self.n_features,
+                                        self.mtry, self.block)
+        self.used[empty] = 0
+        subsets = self.held[trees, self.used[trees]]
+        self.used[trees] += 1
+        return subsets
+
+
 def _grow(X, y_codes, n_classes, mtry, rngs, counts) -> tuple:
     """Grow one tree per generator, tree t on the rows with nonzero
     ``counts[t]`` weighted by those counts; return the node arrays and roots.
@@ -157,6 +227,7 @@ def _grow(X, y_codes, n_classes, mtry, rngs, counts) -> tuple:
     stacks = [[(0, np.stack([rows, counts[t, rows]]))]
               for t, rows in enumerate(np.nonzero(c)[0] for c in counts)]
     n_nodes = [1] * len(rngs)
+    subsets = _Subsets(rngs, X.shape[1], mtry)
     splits, leaves = [], []  # (tree, node, feature, threshold, left); (trees, nodes, values)
     active = list(range(len(rngs)))
     while active:
@@ -173,8 +244,7 @@ def _grow(X, y_codes, n_classes, mtry, rngs, counts) -> tuple:
         grow = np.flatnonzero(~is_leaf)
         split_at, split_feature, split_threshold = [], [], []
         if grow.size:
-            features = np.array([rngs[active[i]].choice(X.shape[1], size=mtry, replace=False)
-                                 for i in grow.tolist()])
+            features = subsets.take(np.array(active)[grow])
             inner = rw[:, ~is_leaf[node]]
             for i, best in zip(grow.tolist(), _best_splits(X, ranks, y_codes, n_classes, inner[0],
                                                              inner[1], sizes[grow], features)):

@@ -1,6 +1,7 @@
 """Per-thread user-user reply graphs and group-teleport PageRank metrics."""
 from __future__ import annotations
 
+import itertools
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -147,10 +148,10 @@ def _job(graph: ReplyGraph, teleport_set) -> _Job:
 
 
 def _power_iterate(jobs: list[_Job], alpha: float, tol: float, max_iter: int):
-    """Iterate jobs of one node count n and one dangling count d as the rows
-    of a (G, n) array. Returns each row's scores and iteration count at the
-    step it converged, and the last step's L1 changes; a row that did not
-    converge in max_iter steps has iteration count 0."""
+    """Iterate jobs of one node count n, in order of their dangling counts,
+    as the rows of a (G, n) array. Returns each row's scores and iteration
+    count at the step it converged, and the last step's L1 changes; a row
+    that did not converge in max_iter steps has iteration count 0."""
     G, n = len(jobs), len(jobs[0].nodes)
     # flat index of node i of row r: r * n + i
     src = np.array([r * n + i for r, job in enumerate(jobs) for i in job.src], dtype=np.intp)
@@ -159,7 +160,15 @@ def _power_iterate(jobs: list[_Job], alpha: float, tol: float, max_iter: int):
     out_weight = np.array([w for job in jobs for w in job.out_weight])
     dangling = out_weight == 0.0
     safe_out_src = np.where(dangling, 1.0, out_weight)[src]
-    dangling_rows = np.flatnonzero(dangling).reshape(G, jobs[0].dangling)
+    dangling_at = np.flatnonzero(dangling)
+    # each run of rows with one dangling count d > 0: its rows, and its
+    # entries of dangling_at, a C-contiguous (G_d, d) block
+    blocks, row, entry = [], 0, 0
+    for d, run in itertools.groupby(job.dangling for job in jobs):
+        size = len(list(run))
+        if d:
+            blocks.append((slice(row, row + size), slice(entry, entry + size * d), (size, d)))
+        row, entry = row + size, entry + size * d
     v = np.zeros(G * n)
     v[[r * n + i for r, job in enumerate(jobs) for i in job.teleport]] = [
         1.0 / len(job.teleport) for job in jobs for _i in job.teleport]
@@ -169,9 +178,12 @@ def _power_iterate(jobs: list[_Job], alpha: float, tol: float, max_iter: int):
     x = v.copy()
     scores = np.empty((G, n))
     iterations = np.zeros(G, dtype=np.intp)
+    dangling_mass = np.zeros(G)  # 0.0 on rows without a dangling node
     for iteration in range(1, max_iter + 1):
         flow = np.bincount(dst, weights=x.ravel()[src] * wgt / safe_out_src, minlength=G * n)
-        dangling_mass = x.ravel()[dangling_rows].sum(axis=1)
+        dangling_x = x.ravel()[dangling_at]
+        for rows, entries, shape in blocks:
+            dangling_x[entries].reshape(shape).sum(axis=1, out=dangling_mass[rows])
         x_new = alpha_v + (1.0 - alpha) * (flow.reshape(G, n) + dangling_mass[:, None] * v)
         delta = np.abs(x_new - x).sum(axis=1)
         x = x_new
@@ -201,23 +213,23 @@ def group_pagerank(
     ``ConvergenceError`` when one has not converged after ``max_iter`` steps.
 
     Returns one result per graph in input order, each over the same
-    teleport set. The graphs are grouped by (node count n, dangling-node
-    count d), and each group runs its power iteration as one (G, n) array.
-    Every value is computed as it would be for the graph alone, so the
-    batch is exact: the flow is one ``bincount``
+    teleport set. The graphs are grouped by node count n, and each group
+    runs its power iteration as one (G, n) array, its rows in order of
+    their dangling-node count d. Every value is computed as it would be for
+    the graph alone, so the batch is exact: the flow is one ``bincount``
     over the edges in edge order, the same additions as ``np.add.at`` into
-    zeros; the dangling mass gathers each row's d dangling scores into a
-    C-contiguous (G, d) array, and it and the L1 change are ``sum(axis=1)``,
-    which reduces every row as the 1-D sum of that row, with the same
-    pairwise grouping (so no row is padded). A row's scores and iteration
-    count are fixed at the step it converges.
+    zeros; the dangling mass gathers the d dangling scores of each run of
+    rows with one d into its own C-contiguous (G_d, d) block, and it and the
+    L1 change are ``sum(axis=1)``, which reduces every row as the 1-D sum of
+    that row, with the same pairwise grouping (so no row is padded). A row's
+    scores and iteration count are fixed at the step it converges.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     jobs = [_job(graph, teleport_set) for graph in graphs]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, job in enumerate(jobs):
-        groups.setdefault((len(job.nodes), job.dangling), []).append(k)
+    groups: dict[int, list[int]] = {}
+    for k in sorted(range(len(jobs)), key=lambda k: jobs[k].dangling):
+        groups.setdefault(len(jobs[k].nodes), []).append(k)
     results: list[GroupPageRank | None] = [None] * len(jobs)
     unconverged = []
     for members in groups.values():

@@ -3,11 +3,12 @@ per-feature split search and the tree-at-a-time grower of the forest, the
 per-edge SGD loop of the embedding trainer (restated for minibatches: every
 edge reads the batch's snapshot and the updates are summed in edge order),
 the per-example BPTT of the LSTM, the LSTM trainer as a loop over
-minibatches, and the one-graph-per-call power iteration of the group
-PageRank. Where the arithmetic of every kept value is the same the
-comparison is exact, bit for bit; the batched BPTT sums its gradients in
-another order than the per-example loop, so that comparison has a 1e-12
-bound.
+minibatches, the one-graph-per-call power iteration of the group
+PageRank, and the one ``Generator.choice`` call per node that drew the
+forest's feature subsets. Where the arithmetic of every kept value is the
+same the comparison is exact, bit for bit; the batched BPTT sums its
+gradients in another order than the per-example loop, so that comparison
+has a 1e-12 bound.
 """
 import random
 
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from intercom import embed  # noqa: E402
 from intercom import forest as forest_mod  # noqa: E402
 from intercom import predictor  # noqa: E402
+from intercom import replynet  # noqa: E402
 from intercom.embed import BipartiteMultigraph, train_embeddings  # noqa: E402
 from intercom.forest import (NODE_ARRAYS, Forest, _best_splits, _column_ranks,  # noqa: E402
                             _validate_features, train_forest)
@@ -393,6 +395,16 @@ def test_forest_grows_the_same_trees_when_a_step_spans_chunks(chunk, monkeypatch
                        loop_train_forest(rows, labels, trees=10, seed=7))
 
 
+def test_forest_grows_the_same_trees_when_sort_keys_pass_2_16(monkeypatch):
+    # with no chunk bound the first step searches all 30 roots at once: 240
+    # (node, feature) segments (mtry 8) of 300-row ranks, keys of up to
+    # 72,000, past the 16-bit radix sort
+    rows, labels = forest_problem(8, 300, 64, 3)
+    monkeypatch.setattr(forest_mod, "SPLIT_CHUNK", 10**6)
+    assert_same_forest(train_forest(rows, labels, trees=30, seed=8),
+                       loop_train_forest(rows, labels, trees=30, seed=8))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 11), st.integers(2, 40), st.integers(1, 9),
        st.integers(0, 2**32 - 1))
@@ -587,3 +599,68 @@ def test_batched_group_pagerank_equals_the_per_graph_loop(seed, alpha, tol):
         [alone] = group_pagerank(batch[:1], teleport, alpha=alpha, tol=tol)
         assert alone.iterations == results[0].iterations
         assert score_bytes(alone.scores) == score_bytes(results[0].scores)
+
+
+def test_one_batch_per_node_count_mixes_dangling_counts_and_equals_the_per_graph_loop(monkeypatch):
+    """Graphs of one node count but many dangling counts, among graphs of
+    other node counts, run as one power iteration per node count."""
+    rng = random.Random(30)
+    batch = [reply_graph(rng, 14, d, self_loops=k % 2 == 0)
+             for k, d in enumerate((0, 3, 1, 3, 0, 7, 13, 1, 3, 12, 9))]
+    batch += [reply_graph(rng, n, d, self_loops=False)
+              for n, d in ((5, 2), (5, 0), (5, 4), (30, 4), (30, 11), (30, 4), (9, 9), (140, 20), (140, 3))]
+    rng.shuffle(batch)
+    node_counts, power_iterate = [], replynet._power_iterate
+
+    def counted(jobs, *args):
+        node_counts.append(len(jobs[0].nodes))
+        return power_iterate(jobs, *args)
+
+    monkeypatch.setattr(replynet, "_power_iterate", counted)
+    for teleport in TELEPORT_SETS:
+        node_counts.clear()
+        results = group_pagerank(batch, teleport, alpha=0.25, tol=1e-10)
+        assert sorted(node_counts) == [5, 9, 14, 30, 140]
+        for graph, result in zip(batch, results):
+            scores, iterations = loop_group_pagerank(graph, teleport, 0.25, 1e-10)
+            assert result.iterations == iterations
+            assert score_bytes(result.scores) == score_bytes(scores)
+
+
+# -- forest feature draws -----------------------------------------------------
+
+@pytest.mark.parametrize("n_features", [1, 2, 3, 39, 199, 2600, 12000])
+@pytest.mark.parametrize("small_chunk", [False, True])
+def test_block_draws_give_the_subsets_and_generator_states_of_successive_choice_calls(
+        n_features, small_chunk, monkeypatch):
+    """Each tree's subsets, taken a few trees at a time across several
+    blocks, are its successive ``choice`` subsets, and each generator ends
+    where as many ``choice`` calls as subsets were drawn leave it. The small
+    chunk, the draws of 3 subsets, holds one subset per tree and refills 3
+    trees at a time."""
+    mtry = max(1, int(np.sqrt(n_features)))
+    if small_chunk:
+        monkeypatch.setattr(forest_mod, "DRAW_CHUNK", 3 * (2 * mtry - 1))
+    seeds = np.random.SeedSequence(n_features).spawn(7)
+    fast = [np.random.default_rng(seq) for seq in seeds]
+    slow = [np.random.default_rng(seq) for seq in seeds]
+    for rng in fast + slow:  # as train_forest draws each bootstrap first
+        rng.integers(0, 50, size=50)
+    subsets = forest_mod._Subsets(fast, n_features, mtry)
+    if small_chunk:
+        assert (subsets.block, subsets.refill) == (1, 3)
+    else:
+        assert subsets.block == forest_mod.DRAW_BLOCK
+    pick, taken = random.Random(n_features), [0] * len(fast)
+    for _ in range(40):
+        trees = sorted(pick.sample(range(len(fast)), pick.randint(1, len(fast))))
+        got = subsets.take(np.array(trees))
+        assert got.shape == (len(trees), mtry)
+        for t, row in zip(trees, got.tolist()):
+            assert row == slow[t].choice(n_features, size=mtry, replace=False).tolist()
+            taken[t] += 1
+    assert max(taken) > forest_mod.DRAW_BLOCK
+    for t, rng in enumerate(slow):
+        for _ in range(-taken[t] % subsets.block):  # the rest of the last block drawn
+            rng.choice(n_features, size=mtry, replace=False)
+        assert fast[t].bit_generator.state == rng.bit_generator.state

@@ -10,7 +10,9 @@ import pytest
 
 import intercom
 from intercom import lstm, pipeline, replynet
+from intercom.corpus import CrossLink, load_events
 from intercom.embed import load_vectors
+from intercom.forest import train_forest
 from intercom.pipeline import (
     RUN_RECORD,
     STAGES,
@@ -22,6 +24,7 @@ from intercom.pipeline import (
     substream_seed,
     validate_bundle,
 )
+from intercom.sentiment import builtin_lexicon, crosslink_features
 from intercom.settings import apply_overrides, load_config
 from intercom.synth import SynthSpec, generate_corpus
 
@@ -209,6 +212,35 @@ def test_default_world_bundle_matches_its_pinned_digests(tmp_path):
     digests = {name: hashlib.sha256(data).hexdigest()
                for name, data in bundle_bytes(tmp_path / "out").items()}
     assert digests == DEFAULT_WORLD_FILES
+
+
+# The sha256 of a 50-tree sentiment forest's checkpoint, trained on the
+# default world's planted links (crosslink_features, string labels), and of
+# the sentiment.jsonl a report of that world gets from it. No BLAS call
+# touches either, so they hold on any machine.
+SENTIMENT_FOREST_FILES = {
+    "sentiment_model.json": "c32d22e09f3ca9d4671f0ac789359f57ea60254f1bd664fb102e4d18ca290573",
+    "sentiment.jsonl": "ea74aa9803fce50a13b56c8c3a07204726944048e016ca1ec2478beab5bccf10",
+}
+
+
+def test_a_trained_sentiment_forest_and_its_labels_match_their_pinned_digests(tmp_path):
+    events_path, manifest = generate_corpus(SynthSpec(seed=1), tmp_path / "world")
+    corpus, lexicon = load_events(events_path), builtin_lexicon()
+    rows = [crosslink_features(corpus, CrossLink(planted["source_post"], planted["target_post"],
+                                                 planted["source_community"],
+                                                 planted["target_community"], planted["t0"],
+                                                 corpus.posts[planted["source_post"]].author),
+                               lexicon)
+            for planted in manifest["links"]]
+    model = tmp_path / "sentiment_model.json"
+    train_forest(rows, [planted["sentiment"] for planted in manifest["links"]],
+                 trees=50, seed=3).save(model)
+    run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "out"),
+                        sentiment_model=str(model)))
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (model, tmp_path / "out" / "sentiment.jsonl")}
+    assert digests == SENTIMENT_FOREST_FILES
 
 
 def test_report_writes_a_run_record_outside_the_manifest(synth_corpus, tmp_path):
