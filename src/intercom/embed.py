@@ -1,7 +1,7 @@
 """User and community embeddings from the bipartite posting multigraph."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,23 +22,10 @@ class BipartiteMultigraph:
     users: list[str]
     communities: list[str]
     edges: np.ndarray  # shape (E, 2): (user index, community index)
-    user_index: dict[str, int] = field(default_factory=dict)
-    community_index: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.user_index:
-            self.user_index = {u: i for i, u in enumerate(self.users)}
-        if not self.community_index:
-            self.community_index = {c: i for i, c in enumerate(self.communities)}
 
     @property
     def n_edges(self) -> int:
         return int(self.edges.shape[0])
-
-    def degrees(self) -> tuple[np.ndarray, np.ndarray]:
-        du = np.bincount(self.edges[:, 0], minlength=len(self.users))
-        dc = np.bincount(self.edges[:, 1], minlength=len(self.communities))
-        return du, dc
 
 
 def build_bipartite(corpus: Corpus) -> BipartiteMultigraph:
@@ -57,8 +44,7 @@ def build_bipartite(corpus: Corpus) -> BipartiteMultigraph:
             communities.append(post.community)
         rows.append((uix[post.author], cix[post.community]))
     edges = np.asarray(rows, dtype=np.intp).reshape(-1, 2)
-    return BipartiteMultigraph(users=users, communities=communities, edges=edges,
-                               user_index=uix, community_index=cix)
+    return BipartiteMultigraph(users=users, communities=communities, edges=edges)
 
 
 def build_word_bipartite(corpus: Corpus, max_vocab: int | None = None) -> BipartiteMultigraph:
@@ -89,8 +75,7 @@ def build_word_bipartite(corpus: Corpus, max_vocab: int | None = None) -> Bipart
                 words.append(tok)
             rows.append((wix[tok], cix[post.community]))
     edges = np.asarray(rows, dtype=np.intp).reshape(-1, 2)
-    return BipartiteMultigraph(users=words, communities=communities, edges=edges,
-                               user_index=wix, community_index=cix)
+    return BipartiteMultigraph(users=words, communities=communities, edges=edges)
 
 
 @dataclass
@@ -221,26 +206,6 @@ def loss(
     negs = rng.integers(0, len(table.communities), size=(len(edges), k))
     C = table.community_vectors
     return float(edge_losses(table.user_vectors[edges[:, 0]], C[edges[:, 1]], C[negs]).mean())
-
-
-def nearest_communities(table: EmbeddingTable, community: str, k: int) -> list[tuple[str, float]]:
-    """Top-k most cosine-similar communities, excluding the query itself."""
-    if not table.has_community(community):
-        raise KeyError(f"unknown community {community!r}")
-    if k <= 0:
-        return []
-    q = table.community_vector(community)
-    qn = np.linalg.norm(q)
-    results = []
-    for other in table.communities:
-        if other == community:
-            continue
-        v = table.community_vector(other)
-        vn = np.linalg.norm(v)
-        cos = float(q @ v / (qn * vn)) if qn > 0 and vn > 0 else 0.0
-        results.append((other, cos))
-    results.sort(key=lambda t: (-t[1], t[0]))
-    return results[:k]
 
 
 def save_vectors(path, names: list[str], vectors: np.ndarray) -> None:

@@ -328,9 +328,6 @@ class Forest:
         # a running total adds the trees in order; a pairwise sum rounds differently
         return np.cumsum(votes, axis=1)[:, -1] / self.roots.size
 
-    def predict(self, X: list[dict]) -> list:
-        return [self.classes[i] for i in np.argmax(self.predict_proba(X), axis=1)]
-
     def save(self, path) -> None:
         write_checkpoint(path, FOREST_FORMAT, FOREST_VERSION, {
             **{k: getattr(self, k).tolist() for k in NODE_ARRAYS + ("roots",)},

@@ -237,11 +237,8 @@ def stage_baseline(run: Run) -> dict:
 
 def stage_detect(run: Run) -> dict:
     rows = [r.to_dict() for r in run.records]
-    alerts = [row for row in rows if row["verdict"] == "mobilization"]
     write_jsonl(run.out / "mobilizations.jsonl", rows)
-    # machine-readable alert feed: just the positive verdicts
-    write_jsonl(run.out / "alerts.jsonl", alerts)
-    return {"records": len(rows), "mobilizations": len(alerts)}
+    return {"records": len(rows), "mobilizations": sum(row["verdict"] == "mobilization" for row in rows)}
 
 
 def stage_sentiment(run: Run) -> dict:
@@ -342,9 +339,11 @@ STAGES = {stage.name: stage for stage in [
     Stage("baseline", ("window_hours", "baseline", "baseline_stat"),
           ("ingest", "crosslinks"), ("baseline.json",), stage_baseline),
     # version 2: the records of mobilizations.jsonl and alerts.jsonl lose
-    # their "sentiment" key, which no stage set (sentiment.jsonl has the labels)
+    # their "sentiment" key, which no stage set (sentiment.jsonl has the
+    # labels); version 3: alerts.jsonl, a copy of the mobilization rows of
+    # mobilizations.jsonl, is no longer written
     Stage("detect", ("window_hours",), ("ingest", "crosslinks", "baseline"),
-          ("mobilizations.jsonl", "alerts.jsonl"), stage_detect, version=2),
+          ("mobilizations.jsonl",), stage_detect, version=3),
     Stage("sentiment", ("lexicon_dir", "sentiment_model"), ("ingest", "crosslinks"),
           ("sentiment.jsonl",), stage_sentiment),
     Stage("replynet", ("lexicon_dir", "alpha", "pagerank_tol", "pagerank_max_iter"),
@@ -364,8 +363,6 @@ STAGES = {stage.name: stage for stage in [
           ("ingest", "crosslinks", "detect", "embed"), ("predict.json", "lstm_model.json"),
           stage_predict, enabled_by="predict_enabled", version=2),
 ]}
-# the stages in run order; the last, report, writes the manifest
-STAGE_ORDER = [*STAGES, "report"]
 
 
 def _input_digests(run: Run) -> dict[str, str]:

@@ -50,7 +50,6 @@ class ReplyGraph:
     nodes: dict[str, str] = field(default_factory=dict)  # user -> group tag
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
     skipped_comments: int = 0
-    has_self_loops: bool = False
 
     def users_in_group(self, group: str) -> set[str]:
         return {u for u, g in self.nodes.items() if g == group}
@@ -92,8 +91,6 @@ def build_reply_graph(
         graph.nodes.setdefault(parent_author, tag(parent_author))
         key = (c.author, parent_author)
         graph.edges[key] = graph.edges.get(key, 0) + 1
-        if c.author == parent_author:
-            graph.has_self_loops = True
     if graph.skipped_comments:
         log.debug("reply graph for %s skipped %d dangling comments", post_id, graph.skipped_comments)
     return graph

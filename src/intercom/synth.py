@@ -344,22 +344,3 @@ def generate_corpus(spec: SynthSpec, out_dir) -> tuple[Path, dict]:
         fh.write("\n")
     return events_path, manifest
 
-
-def generate_sentiment_examples(n: int, seed: int = 0, separable: bool = True) -> list[tuple[str, str]]:
-    """(text, label) pairs; anger-dense texts are labeled negative. With
-    separable=False the labels are shuffled independently of the texts."""
-    rng = np.random.default_rng(seed)
-    examples = []
-    for _ in range(n):
-        negative = rng.random() < 0.5
-        anger_prob = rng.uniform(0.4, 0.7) if negative else rng.uniform(0.0, 0.05)
-        n_tokens = int(rng.integers(6, 20))
-        text = _body(rng, anger_prob, n_tokens)
-        if rng.random() < 0.3:
-            text += "!"
-        examples.append((text, "negative" if negative else "neutral"))
-    if not separable:
-        labels = [lab for _, lab in examples]
-        rng.shuffle(labels)
-        examples = [(text, lab) for (text, _), lab in zip(examples, labels)]
-    return examples

@@ -16,17 +16,19 @@ from intercom.corpus import extract_crosslinks, load_events
 from intercom.embed import edge_gradients, edge_losses, train_embeddings
 from intercom.forest import train_forest
 from intercom.impact import mann_whitney_u, wilcoxon_signed_rank
-from intercom.lstm import gradient_check, init_params, lstm_forward
+from intercom.lstm import init_params
 from intercom.mobilization import baseline_ratio, detect, measure
 from intercom.pipeline import RUN_RECORD, Config, run_pipeline
 from intercom.predictor import PredictionDataset, auc, predict_prob, split_indices, train
 from intercom.replynet import group_pagerank
 from intercom.sentiment import Lexicon, builtin_lexicon, extract_text_features, strip_shared_words
-from intercom.synth import SynthSpec, generate_corpus, generate_sentiment_examples
+from intercom.synth import SynthSpec, generate_corpus
 
-from test_lstm import scalar_reference_forward
+from test_forest import predict
+from test_lstm import gradient_check, lstm_forward, scalar_reference_forward
 from test_predictor import brute_force_auc
 from test_replynet import make_graph, mc_pagerank_visits, reference_pagerank
+from test_synth import generate_sentiment_examples
 
 
 def report(n, text):
@@ -296,7 +298,7 @@ def test_criterion_7_sentiment_classifier():
     X = [extract_text_features(text, lexicon) for text, _ in examples]
     y = [label for _, label in examples]
     forest = train_forest(X[:700], y[:700], trees=400, seed=0)
-    pred = forest.predict(X[700:])
+    pred = predict(forest, X[700:])
     accuracy = float(np.mean([p == t for p, t in zip(pred, y[700:])]))
     assert accuracy >= 0.95
 
@@ -304,7 +306,7 @@ def test_criterion_7_sentiment_classifier():
     Xs = [extract_text_features(text, lexicon) for text, _ in shuffled]
     ys = [label for _, label in shuffled]
     null_forest = train_forest(Xs[:700], ys[:700], trees=100, seed=0)
-    null_pred = null_forest.predict(Xs[700:])
+    null_pred = predict(null_forest, Xs[700:])
     null_accuracy = float(np.mean([p == t for p, t in zip(null_pred, ys[700:])]))
     test_prior = max(ys[700:].count("negative"), ys[700:].count("neutral")) / 300
     assert abs(null_accuracy - test_prior) <= 0.05

@@ -14,7 +14,7 @@ import pytest
 import intercom
 from intercom import embed as embed_mod
 from intercom.cli import build_parser, main
-from intercom.pipeline import RUN_RECORD, STAGE_ORDER, Config, Run, substream_seed, train_lstm
+from intercom.pipeline import RUN_RECORD, STAGES, Config, Run, substream_seed, train_lstm
 from intercom.replynet import REPLYNET_HEADER
 from intercom.synth import SynthSpec, generate_corpus
 
@@ -493,7 +493,7 @@ def test_report_verbose_prints_one_line_per_stage(synth, tmp_path, capsys):
     stages = json.loads((loud / "manifest.json").read_text())["stages"]
     lines = [line for line in captured.err.splitlines() if line.startswith("stage ")]
     assert [line.split(":")[0] for line in lines] == \
-        [f"stage {name}" for name in STAGE_ORDER if name in stages]
+        [f"stage {name}" for name in [*STAGES, "report"] if name in stages]
     assert all(line.split(": ")[1].startswith("ran") for line in lines)
     by_stage = {line.split(":")[0][len("stage "):]: line for line in lines}
     baseline = stages["baseline"]

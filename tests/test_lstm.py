@@ -6,19 +6,64 @@ import pytest
 
 from intercom import lstm
 from intercom.lstm import (
+    LSTMParams,
     NanError,
     bptt,
-    finite_difference_gradients,
-    gradient_check,
+    example_loss,
+    forward_padded,
     init_params,
     load_params,
-    lstm_forward,
-    max_relative_error,
     mean_hidden,
     pad,
     predict_prob,
     save_params,
 )
+
+
+def lstm_forward(seq: np.ndarray, params: LSTMParams) -> np.ndarray:
+    """Hidden states [h_1 .. h_T] for an input sequence of shape (T, d)."""
+    X, _ = pad([np.asarray(seq, dtype=np.float64)], params.input_dim)
+    return forward_padded(X, params)[2][1:, 0]
+
+
+def finite_difference_gradients(seqs: list, labels, params: LSTMParams, step: float = 1e-5):
+    """Central finite differences of the batch's summed ``example_loss``
+    over every parameter."""
+    grads = params.zeros_like()
+    for key, arr in params.weights.items():
+        flat = arr.ravel()
+        out = grads[key].ravel()
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + step
+            plus = example_loss(seqs, labels, params).sum()
+            flat[idx] = orig - step
+            minus = example_loss(seqs, labels, params).sum()
+            flat[idx] = orig
+            out[idx] = (plus - minus) / (2.0 * step)
+    return grads
+
+
+def max_relative_error(grads_a: dict, grads_b: dict) -> float:
+    # the 1e-6 floor keeps numerically-zero components (|g| ~ 1e-8 on an O(1)
+    # loss) from turning finite-difference rounding noise into large ratios
+    worst = 0.0
+    for key in grads_a:
+        a, b = grads_a[key].ravel(), grads_b[key].ravel()
+        for x, y in zip(a, b):
+            denom = max(abs(x), abs(y), 1e-6)
+            worst = max(worst, abs(x - y) / denom)
+    return worst
+
+
+def gradient_check(params: LSTMParams, example, step: float = 1e-5) -> float:
+    """Max relative error between analytic BPTT gradients and central finite
+    differences over all parameters; ``example`` is a (list of sequences,
+    labels) pair."""
+    seqs, labels = example
+    _, analytic, _ = bptt(seqs, labels, params)
+    numeric = finite_difference_gradients(seqs, labels, params, step=step)
+    return max_relative_error(analytic, numeric)
 
 
 def scalar_reference_forward(seq, params):
