@@ -434,15 +434,14 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == set()
 
 
-def test_no_module_defines_a_name_nothing_reads():
+def unread_names(sources: dict[str, str]) -> set[str]:
     # every module-level function, class and assignment, and every method
     # but a dunder, must be read by some other statement of the package: a
     # name only the tests read belongs in tests/. Dataclass and NamedTuple
     # fields are left out, since the package reads them by unpacking.
-    package = Path(intercom.__file__).parent
     defined, reads = set(), []
-    for path in package.glob("*.py"):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
             # (names a statement defines, its nodes); each method is a
             # statement of its own, apart from the rest of its class
             if isinstance(node, ast.ClassDef):
@@ -458,7 +457,7 @@ def test_no_module_defines_a_name_nothing_reads():
             else:
                 statements = [(set(), [node])]
             for names, nodes in statements:
-                defined.update((path.name, name) for name in names
+                defined.update((module, name) for name in names
                                if not (name.startswith("__") and name.endswith("__")))
                 read = set()
                 for sub in (sub for part in nodes for sub in ast.walk(part)):
@@ -469,9 +468,43 @@ def test_no_module_defines_a_name_nothing_reads():
                     elif isinstance(sub, ast.ImportFrom):
                         read.update(a.name for a in sub.names)
                 reads.append((names, read))
-    unread = {f"{module}: {name}" for module, name in defined
-              if not any(name in read and name not in names for names, read in reads)}
-    assert unread == set()
+    return {f"{module}: {name}" for module, name in defined
+            if not any(name in read and name not in names for names, read in reads)}
+
+
+def test_no_module_defines_a_name_nothing_reads():
+    package = Path(intercom.__file__).parent
+    assert unread_names({path.name: path.read_text(encoding="utf-8")
+                         for path in package.glob("*.py")}) == set()
+
+
+def test_the_name_guard_flags_names_only_their_own_statement_reads():
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "LIMIT = 3\n"
+            "UNUSED = 4\n"
+            "def helper(n):\n"
+            "    return n + LIMIT\n"
+            "def recurse(n):\n"
+            "    return recurse(n - 1) if n else 0\n"
+            "@dataclass\n"
+            "class Box:\n"
+            "    size: int\n"
+            "    def __len__(self):\n"
+            "        return self.size\n"
+            "    def grow(self):\n"
+            "        return Box(helper(self.size))\n"
+            "    def spare(self):\n"
+            "        return self.spare()\n"
+        ),
+        "b.py": "from a import Box\nprint(Box(1).grow())\n",
+    }
+    # a name read only by its own statement, a method read only in its own
+    # body and a name nothing reads are flagged; a field and a dunder are not
+    assert unread_names(sources) == {"a.py: UNUSED", "a.py: recurse", "a.py: spare"}
+    sources["b.py"] += "print(UNUSED, recurse, Box.spare)\n"
+    assert unread_names(sources) == set()
 
 
 def test_pickled_sentiment_model_is_rejected_unread(synth_corpus, tmp_path):
