@@ -130,6 +130,16 @@ def edge_gradients(u: np.ndarray, c_pos: np.ndarray, c_negs: np.ndarray):
     return du, dc_pos, dc_negs
 
 
+def _subtract_rows(flat: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+    """``np.subtract.at(M, rows, updates)``, bit for bit, on the C-order
+    matrix M of ``updates.shape[1]`` columns whose entries ``flat`` views.
+    Entry (row, column) is flat index row * d + column and takes its updates
+    one at a time, in order, as there; one 1-D ``subtract.at`` does less
+    work per update than one over rows."""
+    d = updates.shape[1]
+    np.subtract.at(flat, (rows[:, None] * d + np.arange(d)).ravel(), updates.ravel())
+
+
 def train_embeddings(
     graph: BipartiteMultigraph,
     dim: int = EMBED_DIM,
@@ -153,6 +163,7 @@ def train_embeddings(
     U = rng.uniform(-0.5 / dim, 0.5 / dim, size=(n_users, dim))
     C = rng.uniform(-0.5 / dim, 0.5 / dim, size=(n_comms, dim))
 
+    flat_U, flat_C = U.reshape(-1), C.reshape(-1)  # views: both are C-contiguous
     n_edges = graph.n_edges
     denominator = max(1, epochs * n_edges - 1)
     for epoch in range(epochs):
@@ -165,9 +176,9 @@ def train_embeddings(
             steps = epoch * n_edges + start + np.arange(len(edges))
             lr = (lr_start - (lr_start - lr_end) * (steps / denominator))[:, None]
             du, dc_pos, dc_negs = edge_gradients(U[edges[:, 0]], C[edges[:, 1]], C[negs])
-            np.subtract.at(U, edges[:, 0], lr * du)
+            _subtract_rows(flat_U, edges[:, 0], lr * du)
             # each edge's positive community, then its negatives
-            np.subtract.at(C, np.concatenate([edges[:, 1:], negs], axis=1).ravel(),
+            _subtract_rows(flat_C, np.concatenate([edges[:, 1:], negs], axis=1).ravel(),
                            (lr[:, :, None] * np.concatenate([dc_pos[:, None], dc_negs], axis=1))
                            .reshape(-1, dim))
         if not (np.isfinite(U).all() and np.isfinite(C).all()):
@@ -259,12 +270,15 @@ def load_table(directory) -> tuple[EmbeddingTable, dict[str, np.ndarray]]:
     """The user/community table and the word vectors an embed run wrote to
     ``directory`` (users.vec, communities.vec, words.vec)."""
     d = Path(directory)
-    users = load_vectors(d / "users.vec")
-    communities = load_vectors(d / "communities.vec")
+    table = sorted_table(load_vectors(d / "users.vec"), load_vectors(d / "communities.vec"))
+    return table, load_vectors(d / "words.vec")
+
+
+def sorted_table(users: dict[str, np.ndarray], communities: dict[str, np.ndarray]) -> EmbeddingTable:
+    """The table of the user and community vectors by name, in name order."""
     names_u, names_c = sorted(users), sorted(communities)
     user_vectors = np.vstack([users[u] for u in names_u])
-    table = EmbeddingTable(
+    return EmbeddingTable(
         users=names_u, communities=names_c, user_vectors=user_vectors,
         community_vectors=np.vstack([communities[c] for c in names_c]), dim=user_vectors.shape[1],
     )
-    return table, load_vectors(d / "words.vec")

@@ -1,9 +1,11 @@
 """Bagged decision-tree ensemble with per-node feature subsampling.
 
-All trees of a forest grow together. Each step pops the next node of every
-tree whose stack is not empty, and one batched search (``_best_splits``)
-scores the splits of all those nodes. The forest is, bit for bit, the one
-that growing each tree alone, node by node, gives:
+All trees of a forest grow together. A node that holds fewer than 2 samples
+or one class is recorded as a leaf when its parent splits; only the other
+nodes go on their tree's stack. Each step pops one such node of every tree
+whose stack is not empty, and one batched search (``_best_splits``) scores
+the splits of all those nodes. The forest is, bit for bit, the one that
+growing each tree alone, node by node, gives:
 
 - Each tree pops its own stack in LIFO order and takes its nodes' feature
   subsets, in that order, from its own generator. The subsets are the ones
@@ -217,61 +219,74 @@ def _grow(X, y_codes, n_classes, mtry, rngs, counts) -> tuple:
     """Grow one tree per generator, tree t on the rows with nonzero
     ``counts[t]`` weighted by those counts; return the node arrays and roots.
 
-    Every step pops the top node of each tree whose stack is not empty. A
-    node becomes a leaf with its class frequencies when it holds fewer than
-    2 samples or one class, or when no candidate feature splits it. A split
-    node's children are numbered next in its tree, and the left child is
-    pushed first.
+    A node becomes a leaf with its class frequencies when it holds fewer than
+    2 samples or one class, which is known when its parent splits, or when no
+    candidate feature splits it. Only the other nodes go on their tree's
+    stack, and every step pops the top node of each tree whose stack is not
+    empty and searches it. A split node's children are numbered next in its
+    tree, and the left child is pushed first.
     """
     ranks = _column_ranks(X)
-    stacks = [[(0, np.stack([rows, counts[t, rows]]))]
-              for t, rows in enumerate(np.nonzero(c)[0] for c in counts)]
+    stacks = [[] for _ in rngs]
     n_nodes = [1] * len(rngs)
     subsets = _Subsets(rngs, X.shape[1], mtry)
     splits, leaves = [], []  # (tree, node, feature, threshold, left); (trees, nodes, values)
-    active = list(range(len(rngs)))
-    while active:
-        popped = [stacks[t].pop() for t in active]
-        ids = [node_id for node_id, _ in popped]
-        sizes = np.array([rw.shape[1] for _, rw in popped])
-        rw = np.concatenate([rw for _, rw in popped], axis=1)
-        node = np.repeat(np.arange(len(active)), sizes)
+
+    def settle(trees, ids, rw, sizes):
+        """Record each node (tree, id) that holds the next ``sizes[i]`` columns
+        of ``rw`` (row, count) as a leaf, or push it with its class counts."""
+        node = np.repeat(np.arange(sizes.size), sizes)
         class_counts = np.bincount(node * n_classes + y_codes[rw[0]], weights=rw[1],
-                                   minlength=len(active) * n_classes)
-        class_counts = class_counts.astype(np.int64).reshape(len(active), n_classes)
+                                   minlength=sizes.size * n_classes)
+        class_counts = class_counts.astype(np.int64).reshape(sizes.size, n_classes)
         n = class_counts.sum(axis=1)
         is_leaf = (n < 2) | (np.count_nonzero(class_counts, axis=1) == 1)
-        grow = np.flatnonzero(~is_leaf)
-        split_at, split_feature, split_threshold = [], [], []
-        if grow.size:
-            features = subsets.take(np.array(active)[grow])
-            inner = rw[:, ~is_leaf[node]]
-            for i, best in zip(grow.tolist(), _best_splits(X, ranks, y_codes, n_classes, inner[0],
-                                                             inner[1], sizes[grow], features)):
-                if best is None:
-                    is_leaf[i] = True
-                else:
-                    split_at.append(i)
-                    split_feature.append(best[1])
-                    split_threshold.append(best[2])
         leaf = np.flatnonzero(is_leaf)
-        leaves.append((np.array(active)[leaf], np.array(ids)[leaf], class_counts[leaf] / n[leaf, None]))
+        leaves.append((trees[leaf], ids[leaf], class_counts[leaf] / n[leaf, None]))
+        bounds = [0] + np.cumsum(sizes).tolist()
+        trees, ids = trees.tolist(), ids.tolist()
+        for i in np.flatnonzero(~is_leaf).tolist():
+            stacks[trees[i]].append((ids[i], rw[:, bounds[i]:bounds[i + 1]], class_counts[i]))
+
+    in_bag = [np.nonzero(c)[0] for c in counts]
+    settle(np.arange(len(rngs)), np.zeros(len(rngs), dtype=int),
+           np.concatenate([np.stack([rows, counts[t, rows]]) for t, rows in enumerate(in_bag)], axis=1),
+           np.array([rows.size for rows in in_bag]))
+    active = [t for t in range(len(rngs)) if stacks[t]]
+    while active:
+        popped = [stacks[t].pop() for t in active]
+        sizes = np.array([rw.shape[1] for _, rw, _ in popped])
+        rw = np.concatenate([rw for _, rw, _ in popped], axis=1)
+        split_at, split_feature, split_threshold, unsplit = [], [], [], []
+        for i, best in enumerate(_best_splits(X, ranks, y_codes, n_classes, rw[0], rw[1], sizes,
+                                              subsets.take(np.array(active)))):
+            if best is None:
+                unsplit.append(i)
+            else:
+                split_at.append(i)
+                split_feature.append(best[1])
+                split_threshold.append(best[2])
+        if unsplit:
+            class_counts = np.array([popped[i][2] for i in unsplit])
+            leaves.append((np.array(active)[unsplit], np.array([popped[i][0] for i in unsplit]),
+                           class_counts / class_counts.sum(axis=1, keepdims=True)))
         if split_at:
             position = np.full(len(active), -1)
             position[split_at] = np.arange(len(split_at))
-            at = position[node]
+            at = position[np.repeat(np.arange(len(active)), sizes)]
             rw, at = rw[:, at >= 0], at[at >= 0]
             go_left = X[rw[0], np.array(split_feature)[at]] < np.array(split_threshold)[at]
             child = 2 * at + ~go_left  # split k's left child is 2k, its right 2k + 1
             rw = rw[:, np.argsort(child)]
-            bounds = [0] + np.cumsum(np.bincount(child, minlength=2 * len(split_at))).tolist()
+            trees, ids = [], []
             for k, i in enumerate(split_at):
                 t = active[i]
                 first = n_nodes[t]
                 n_nodes[t] += 2
-                splits.append((t, ids[i], split_feature[k], split_threshold[k], first))
-                stacks[t] += [(first, rw[:, bounds[2 * k]:bounds[2 * k + 1]]),
-                              (first + 1, rw[:, bounds[2 * k + 1]:bounds[2 * k + 2]])]
+                splits.append((t, popped[i][0], split_feature[k], split_threshold[k], first))
+                trees += [t, t]
+                ids += [first, first + 1]
+            settle(np.array(trees), np.array(ids), rw, np.bincount(child, minlength=2 * len(split_at)))
         active = [t for t in active if stacks[t]]
 
     roots = np.zeros(len(rngs), dtype=int)
@@ -309,16 +324,18 @@ class Forest:
     metadata: dict = field(default_factory=dict)
 
     def leaves(self, mat: np.ndarray) -> np.ndarray:
-        """(rows x trees) leaf reached by each row in each tree; every tree
-        descends at once, one level per step."""
-        node = np.tile(self.roots, (mat.shape[0], 1))
-        rows = np.arange(mat.shape[0])[:, None]
-        while True:
-            feature = self.feature[node]
-            if (feature < 0).all():
-                return node
-            go_left = mat[rows, np.maximum(feature, 0)] < self.threshold[node]
-            node = np.where(feature < 0, node, np.where(go_left, self.left[node], self.right[node]))
+        """(rows x trees) leaf reached by each row in each tree; every
+        (row, tree) pair not yet at a leaf descends one level per step."""
+        node = np.tile(self.roots, mat.shape[0])
+        at = np.flatnonzero(self.feature[node] >= 0)  # pairs row * trees + tree not at a leaf
+        row, current = at // self.roots.size, node[at]
+        while at.size:
+            go_left = mat[row, self.feature[current]] < self.threshold[current]
+            current = np.where(go_left, self.left[current], self.right[current])
+            node[at] = current
+            inner = self.feature[current] >= 0
+            at, row, current = at[inner], row[inner], current[inner]
+        return node.reshape(mat.shape[0], self.roots.size)
 
     def predict_proba(self, X: list[dict]) -> np.ndarray:
         """Class probabilities of each feature dict (rows), columns aligned

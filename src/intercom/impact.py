@@ -34,10 +34,6 @@ IMPACT_HEADER = [
 
 class ActivityDelta(NamedTuple):
     delta: float
-    before_fraction: float
-    after_fraction: float
-    before_total: int
-    after_total: int
     low_support: bool
 
 
@@ -159,8 +155,7 @@ def activity_delta(corpus: Corpus, queries: list[tuple[str, str, float]]) -> lis
     before, after = fractions.T
     # tuple.__new__ skips the Python-level __new__ of a NamedTuple
     return list(map(tuple.__new__, repeat(ActivityDelta), zip(
-        (after - before).tolist(), before.tolist(), after.tolist(), *totals.T.tolist(),
-        (totals == 0).any(axis=1).tolist())))
+        (after - before).tolist(), (totals == 0).any(axis=1).tolist())))
 
 
 def mobilization_impacts(corpus: Corpus, records: list[MobilizationRecord],

@@ -106,7 +106,7 @@ class Run:
     """The values the stages share, each computed from the config on first
     use, also when the stage that writes it hit the cache. The CLI commands
     use the same values. Only the embeddings are read from the bundle
-    (``embed.load_table``)."""
+    (``embed.load_table``), and only when the embed stage hit the cache."""
 
     def __init__(self, config: Config):
         self.config = config
@@ -181,6 +181,12 @@ class Run:
             max_iter=config.pagerank_max_iter)
         self.pagerank_iterations += iterations
         return rows
+
+    @cached_property
+    def embeddings(self) -> tuple[embed_mod.EmbeddingTable, dict]:
+        """The user/community table and the word vectors of the bundle;
+        ``stage_embed`` sets them to the ones it trained."""
+        return embed_mod.load_table(self.out)
 
 
 def sentiment_rows(run: Run) -> list[dict]:
@@ -284,6 +290,10 @@ def stage_embed(run: Run) -> dict:
         epochs=max(1, config.embed_epochs // 2), seed=substream_seed(config.seed, "words"),
     )
     embed_mod.save_vectors(out / "words.vec", word_table.users, word_table.user_vectors)
+    # the vectors as load_table reads them back, without reading them
+    run.embeddings = (embed_mod.sorted_table(dict(zip(table.users, table.user_vectors)),
+                                             dict(zip(table.communities, table.community_vectors))),
+                      dict(zip(word_table.users, word_table.user_vectors)))
     summary = {
         "dim": config.embed_dim, "edges": graph.n_edges,
         "users": len(table.users), "communities": len(table.communities),
@@ -296,7 +306,7 @@ def stage_embed(run: Run) -> dict:
 
 def stage_predict(run: Run) -> dict:
     config = run.config
-    table, word_vectors = embed_mod.load_table(run.out)
+    table, word_vectors = run.embeddings
     dataset, result = train_lstm(run, table, word_vectors, run.out / "lstm_model.json")
     summary = pred_mod.evaluate(run.corpus, run.lexicon, dataset, result,
                                 vocab_size=config.vocab_size, trees=config.ensemble_trees,

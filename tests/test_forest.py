@@ -180,6 +180,15 @@ def test_roundtrip_ensemble_rows_with_0_1_classes(tmp_path):
     assert _assert_roundtrip(forest, rows, tmp_path / "ensemble.json").classes == (0, 1)
 
 
+def walk(forest: Forest, row, root) -> int:
+    """The leaf ``row`` reaches from ``root``, one node at a time."""
+    node = root
+    while forest.feature[node] >= 0:
+        go_left = row[forest.feature[node]] < forest.threshold[node]
+        node = forest.left[node] if go_left else forest.right[node]
+    return node
+
+
 def test_predict_proba_equals_a_walk_of_one_tree_at_a_time():
     X, y = _separable(200, seed=10, noise=0.2)
     forest = train_forest(X, y, trees=15, seed=1)
@@ -187,12 +196,36 @@ def test_predict_proba_equals_a_walk_of_one_tree_at_a_time():
     expected = np.zeros((40, 2))
     for root in forest.roots:  # trees added in order, as the array descent must
         for i, row in enumerate(mat):
-            node = root
-            while forest.feature[node] >= 0:
-                go_left = row[forest.feature[node]] < forest.threshold[node]
-                node = forest.left[node] if go_left else forest.right[node]
-            expected[i] += forest.value[node]
+            expected[i] += forest.value[walk(forest, row, root)]
     assert np.array_equal(forest.predict_proba(X[:40]), expected / 15)
+
+
+def test_leaves_equal_a_walk_of_one_row_and_tree_at_a_time():
+    # tree 0 is its root, a leaf; tree 1 ends at depth 1, 2 or 3
+    forest = Forest(feature=np.array([-1, 0, -1, 1, -1, 0, -1, -1]),
+                    threshold=np.array([0.0, 0.5, 0.0, 2.0, 0.0, 3.0, 0.0, 0.0]),
+                    left=np.array([-1, 2, -1, 4, -1, 6, -1, -1]),
+                    right=np.array([-1, 3, -1, 5, -1, 7, -1, -1]),
+                    value=np.zeros((8, 2)), roots=np.array([0, 1]), schema=("a", "b"),
+                    classes=(0, 1), seed=0)
+    # a NaN is not below a threshold, so it goes right
+    mat = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 5.0], [4.0, 5.0], [np.nan, 0.0], [1.0, np.nan]])
+    assert forest.leaves(mat).tolist() == [[0, 2], [0, 4], [0, 6], [0, 7], [0, 4], [0, 6]]
+    assert forest.leaves(mat[:0]).shape == (0, 2)
+
+    X, y = _separable(150, seed=4, noise=0.3)
+    trained = train_forest(X, y, trees=25, seed=2)
+    depth = [0] * trained.feature.size
+    for node in range(trained.feature.size):
+        if trained.feature[node] >= 0:
+            depth[trained.left[node]] = depth[trained.right[node]] = depth[node] + 1
+    rows = np.array([[fv[k] for k in trained.schema] for fv in X[:60]])
+    rows[::7, 0] = np.nan
+    rows[3::11, 1] = np.nan
+    for mat, forest in ((mat, forest), (rows, trained)):
+        expected = [[walk(forest, row, root) for root in forest.roots] for row in mat]
+        assert forest.leaves(mat).tolist() == expected
+    assert len({depth[leaf] for leaf in trained.leaves(rows).ravel().tolist()}) > 3
 
 
 def test_children_come_after_their_parent():

@@ -9,6 +9,7 @@ from intercom.impact import (
     WILCOXON_EXACT_MAX,
     DefenseOutcome,
     ImpactRecord,
+    _activity_counts,
     activity_delta,
     aggregate,
     assign_deciles,
@@ -52,8 +53,8 @@ def test_activity_delta_half_shift():
     corpus = _activity_corpus(0, 10, 5, 5, t0)
     [result] = activity_delta(corpus, [("u", "T", t0)])
     assert result.delta == pytest.approx(0.5)
-    assert result.before_fraction == 0.0
-    assert result.after_fraction == 0.5
+    totals, inside = _activity_counts(corpus, [("u", "T", t0)])
+    assert (inside / totals).tolist() == [[0.0, 0.5]]  # the before and after fractions
 
 
 def test_activity_delta_gap_exclusion():

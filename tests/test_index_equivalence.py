@@ -44,7 +44,7 @@ from intercom.corpus import (  # noqa: E402
     window_slices,
     _depth,
 )
-from intercom.impact import activity_delta  # noqa: E402
+from intercom.impact import _activity_counts, activity_delta  # noqa: E402
 from intercom.matching import (  # noqa: E402
     NoMatchError,
     crosslink_involved_posts,
@@ -109,10 +109,11 @@ def same(got, expected):
     return got.dtype.kind == expected.dtype.kind and np.array_equal(got, expected)
 
 
-def scan_window_fraction(corpus, user, community, lo, hi, t0):
-    total = len(scan_comments(corpus, lo, hi, t0, GAP, user))
-    in_comm = len(scan_comments(corpus, lo, hi, t0, GAP, user, community))
-    return (in_comm / total if total else 0.0), total
+def scan_window(corpus, user, community, lo, hi, t0):
+    """The user's comments in [lo, hi) outside the gap around t0, and those
+    of them in ``community``."""
+    return (len(scan_comments(corpus, lo, hi, t0, GAP, user)),
+            len(scan_comments(corpus, lo, hi, t0, GAP, user, community)))
 
 
 def scan_pool(corpus, link, community):
@@ -348,15 +349,19 @@ def test_batched_activity_delta_equals_scan(drawn, data):
     queries = [(user, community, at) for at in t0s for user in USERS + ["nobody"]
                for community in COMMUNITIES + ["D", "Z"]]
     queries = data.draw(st.permutations(queries))
-    expected = []
+    expected, windows = [], []
     for user, community, at in queries:
         after_lo = at + 3 * DAY
-        before = scan_window_fraction(corpus, user, community, at - 30 * DAY, at, at)
-        after = scan_window_fraction(corpus, user, community, after_lo, after_lo + 30 * DAY, at)
-        expected.append((after[0] - before[0], before[0], after[0], before[1], after[1],
-                         before[1] == 0 or after[1] == 0))
+        before = scan_window(corpus, user, community, at - 30 * DAY, at, at)
+        after = scan_window(corpus, user, community, after_lo, after_lo + 30 * DAY, at)
+        before_fraction, after_fraction = (inside / total if total else 0.0
+                                           for total, inside in (before, after))
+        expected.append((after_fraction - before_fraction, before[0] == 0 or after[0] == 0))
+        windows.append([list(before), list(after)])
     # repr compares floats bit for bit
     assert repr([tuple(d) for d in activity_delta(corpus, queries)]) == repr(expected)
+    # (before, after) x (total, in the community)
+    assert np.stack(_activity_counts(corpus, queries), axis=2).tolist() == windows
 
 
 @EXAMPLES

@@ -4,8 +4,9 @@ per-edge SGD loop of the embedding trainer (restated for minibatches: every
 edge reads the batch's snapshot and the updates are summed in edge order),
 the per-example BPTT of the LSTM, the LSTM trainer as a loop over
 minibatches, the one-graph-per-call power iteration of the group
-PageRank, and the one ``Generator.choice`` call per node that drew the
-forest's feature subsets. Where the arithmetic of every kept value is the
+PageRank, the one ``Generator.choice`` call per node that drew the
+forest's feature subsets, and ``np.subtract.at`` over a matrix's rows,
+which the embedding trainer's flat scatter replaced. Where the arithmetic of every kept value is the
 same the comparison is exact, bit for bit; the batched BPTT sums its
 gradients in another order than the per-example loop, so that comparison
 has a 1e-12 bound.
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from intercom import embed  # noqa: E402
 from intercom import forest as forest_mod  # noqa: E402
@@ -459,6 +460,23 @@ def test_embeddings_equal_the_per_edge_loop_on_a_fixed_multigraph(n_comms, negat
     # one batch per epoch, a ragged last batch, and batches that span epochs' ends
     for batch in (embed.EDGE_BATCH, 16, 7):
         assert_trainers_agree(graph, 7, negatives, epochs, seed=11, batch=batch)
+
+
+@EXAMPLES
+@given(st.integers(1, 6), st.integers(1, 5), st.lists(st.integers(0, 5), max_size=60),
+       st.integers(0, 2**32 - 1))
+@example(n_rows=1, dim=3, rows=[0] * 50, seed=0)  # one row takes every update
+@example(n_rows=4, dim=2, rows=[], seed=0)  # an empty batch
+def test_the_flat_scatter_equals_subtract_at_on_the_rows(n_rows, dim, rows, seed):
+    rows = np.array(rows, dtype=np.intp) % n_rows
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(n_rows, dim))
+    # magnitudes far apart, so that adding the updates in another order rounds otherwise
+    updates = rng.normal(size=(rows.size, dim)) * 10.0 ** rng.integers(-9, 9, size=(rows.size, 1))
+    expected = matrix.copy()
+    np.subtract.at(expected, rows, updates)
+    embed._subtract_rows(matrix.reshape(-1), rows, updates)
+    assert matrix.tobytes() == expected.tobytes()
 
 
 def test_one_batched_negative_draw_equals_one_draw_per_edge():

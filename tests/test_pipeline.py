@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import intercom
-from intercom import lstm, pipeline, replynet
+from intercom import embed, lstm, pipeline, replynet
 from intercom.corpus import CrossLink, load_events
 from intercom.embed import load_vectors
 from intercom.forest import train_forest
@@ -237,6 +237,70 @@ def test_a_trained_sentiment_forest_and_its_labels_match_their_pinned_digests(tm
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in (model, tmp_path / "out" / "sentiment.jsonl")}
     assert digests == SENTIMENT_FOREST_FILES
+
+
+# The learn path at small settings: embed and predict on, so that the
+# embedding SGD, the LSTM and the ensemble forests all run.
+LEARN_CONFIG = {"embed_enabled": True, "predict_enabled": True, "embed_dim": 8, "embed_epochs": 4,
+                "hidden_size": 6, "predict_epochs": 2, "ensemble_trees": 10, "seed": 3}
+# The sha256 of the learn path's files for the default world under
+# LEARN_CONFIG. The LSTM's matrix products go through BLAS, so a BLAS that
+# rounds them otherwise moves lstm_model.json and predict.json.
+LEARN_PATH_FILES = {
+    "users.vec": "b1542bddbea762920112208fbd7ab0422538baf03f8342f1c51e1916e5df72a3",
+    "communities.vec": "48e5fc2b2e3d5b57d1c6d2bb15399eecc42a61914faac95727bf15a44725a0b5",
+    "words.vec": "a1e64181d0367dca6f152cdd1771c84edff01ae04f1fab7425ceda5e226183a7",
+    "lstm_model.json": "9206a1438457b16e03f7af622679253190cab3dd9fa1f812299730e846d5a907",
+    "predict.json": "c614bf7a9197085b95581c66f72833880e9436c46bb2461078b026adda482611",
+}
+
+
+def test_the_learn_path_files_of_the_default_world_match_their_pinned_digests(tmp_path):
+    events_path, _ = generate_corpus(SynthSpec(seed=1), tmp_path / "world")
+    run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "out"), **LEARN_CONFIG))
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in LEARN_PATH_FILES}
+    assert digests == LEARN_PATH_FILES
+
+
+def test_predict_reads_the_embeddings_from_the_bundle_only_when_embed_hit_the_cache(
+        synth_corpus, tmp_path, monkeypatch):
+    events_path, _ = synth_corpus
+    loaded = []
+
+    def recording_load_table(directory):
+        loaded.append(Path(directory))
+        return original_load_table(directory)
+
+    original_load_table = embed.load_table
+    monkeypatch.setattr(embed, "load_table", recording_load_table)
+    config = {"corpus": str(events_path), **LEARN_CONFIG}
+    run_pipeline(Config(output_dir=str(tmp_path / "run"), **config))
+    assert loaded == []
+    changed = {**config, "predict_epochs": config["predict_epochs"] + 1}
+    rerun = run_pipeline(Config(output_dir=str(tmp_path / "run"), **changed))
+    assert "embed" in rerun.cache_hits and "predict" not in rerun.cache_hits
+    assert loaded == [tmp_path / "run"]
+    run_pipeline(Config(output_dir=str(tmp_path / "fresh"), **changed))
+    assert loaded == [tmp_path / "run"]
+    for name in ("predict.json", "lstm_model.json"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    # the vectors embed hands to predict are the ones load_table reads back
+    run = Run(Config(output_dir=str(tmp_path / "seeded"), **config))
+    run.out.mkdir()
+    pipeline.stage_embed(run)
+    (table, words), (read_table, read_words) = run.embeddings, original_load_table(run.out)
+    assert loaded == [tmp_path / "run"]
+    assert (table.users, table.communities, table.dim, table.negatives) == (
+        read_table.users, read_table.communities, read_table.dim, read_table.negatives)
+    for vectors, read in ((table.user_vectors, read_table.user_vectors),
+                          (table.community_vectors, read_table.community_vectors)):
+        assert vectors.dtype == read.dtype and vectors.shape == read.shape
+        assert vectors.tobytes() == read.tobytes()
+    assert list(words) == list(read_words)
+    assert all(words[w].dtype == read_words[w].dtype and words[w].tobytes() == read_words[w].tobytes()
+               for w in words)
 
 
 def test_report_writes_a_run_record_outside_the_manifest(synth_corpus, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from intercom.corpus import (DAY, CrossLink, day_start, extract_crosslinks, link_members,  # noqa: E402
                              member_window, members)
-from intercom.impact import activity_delta  # noqa: E402
+from intercom.impact import _activity_counts, activity_delta  # noqa: E402
 from intercom.matching import match_pools, matched_user  # noqa: E402
 from intercom.mobilization import (DEFAULT_BASELINE, MobilizationRecord, detect,  # noqa: E402
                                    measure)
@@ -131,9 +131,9 @@ def test_window_edges_are_half_open(t0):
     assert (counts.after, counts.attackers) == (1, {"at_t0"})
     (_pool, history), _ = match_pools(corpus, link)
     assert history[corpus.user_codes["h"]] == 1
-    [delta] = activity_delta(corpus, [("h", "B", t0)])
-    assert (delta.before_total, delta.after_total) == (1, 1)
-    assert (delta.before_fraction, delta.after_fraction) == (0.0, 1.0)
+    totals, inside = _activity_counts(corpus, [("h", "B", t0)])
+    assert totals.tolist() == [[1, 1]]  # the before and after windows
+    assert (inside / totals).tolist() == [[0.0, 1.0]]
 
 
 # -- whole-day shifts ------------------------------------------------------------
