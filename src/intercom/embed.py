@@ -11,7 +11,6 @@ from .lstm import _sigmoid
 from .sentiment import tokenize, top_vocabulary
 
 NEGATIVE_SAMPLES = 5
-EMBED_DIM = 300
 EDGE_BATCH = 128  # edges per minibatch step of train_embeddings
 
 
@@ -28,23 +27,20 @@ class BipartiteMultigraph:
         return int(self.edges.shape[0])
 
 
+def _multigraph(pairs, communities: dict[str, int]) -> BipartiteMultigraph:
+    """One edge per (name, community) of ``pairs``, in order. Each name, and
+    each community not yet in ``communities``, takes the next index where it
+    is first seen."""
+    names: dict[str, int] = {}
+    edges = [(names.setdefault(name, len(names)), communities.setdefault(c, len(communities)))
+             for name, c in pairs]
+    return BipartiteMultigraph(users=list(names), communities=list(communities),
+                               edges=np.asarray(edges, dtype=np.intp).reshape(-1, 2))
+
+
 def build_bipartite(corpus: Corpus) -> BipartiteMultigraph:
     """One (user, community) edge per post, in post time order."""
-    users: list[str] = []
-    communities: list[str] = []
-    uix: dict[str, int] = {}
-    cix: dict[str, int] = {}
-    rows = []
-    for post in corpus.posts_by_time:
-        if post.author not in uix:
-            uix[post.author] = len(users)
-            users.append(post.author)
-        if post.community not in cix:
-            cix[post.community] = len(communities)
-            communities.append(post.community)
-        rows.append((uix[post.author], cix[post.community]))
-    edges = np.asarray(rows, dtype=np.intp).reshape(-1, 2)
-    return BipartiteMultigraph(users=users, communities=communities, edges=edges)
+    return _multigraph(((post.author, post.community) for post in corpus.posts_by_time), {})
 
 
 def build_word_bipartite(corpus: Corpus, max_vocab: int | None = None) -> BipartiteMultigraph:
@@ -52,30 +48,16 @@ def build_word_bipartite(corpus: Corpus, max_vocab: int | None = None) -> Bipart
 
     Reuses the user-community trainer to give word vectors that live in the
     same space as the community vectors (desk-scale substitute for external
-    pretrained word vectors).
+    pretrained word vectors). Every post's community is indexed, whether or
+    not the post keeps a token, since their count sets the negative draws.
     """
+    posts = corpus.posts_by_time
     vocab = None
     if max_vocab is not None:
-        vocab = top_vocabulary((tokenize(post.body) for post in corpus.posts_by_time), max_vocab)
-
-    words: list[str] = []
-    communities: list[str] = []
-    wix: dict[str, int] = {}
-    cix: dict[str, int] = {}
-    rows = []
-    for post in corpus.posts_by_time:
-        if post.community not in cix:
-            cix[post.community] = len(communities)
-            communities.append(post.community)
-        for tok in tokenize(post.body):
-            if vocab is not None and tok not in vocab:
-                continue
-            if tok not in wix:
-                wix[tok] = len(words)
-                words.append(tok)
-            rows.append((wix[tok], cix[post.community]))
-    edges = np.asarray(rows, dtype=np.intp).reshape(-1, 2)
-    return BipartiteMultigraph(users=words, communities=communities, edges=edges)
+        vocab = top_vocabulary((tokenize(post.body) for post in posts), max_vocab)
+    communities = {c: k for k, c in enumerate(dict.fromkeys(post.community for post in posts))}
+    return _multigraph(((tok, post.community) for post in posts for tok in tokenize(post.body)
+                        if vocab is None or tok in vocab), communities)
 
 
 @dataclass
@@ -142,9 +124,10 @@ def _subtract_rows(flat: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> N
 
 def train_embeddings(
     graph: BipartiteMultigraph,
-    dim: int = EMBED_DIM,
+    dim: int,
     negatives: int = NEGATIVE_SAMPLES,
-    epochs: int = 100,
+    *,
+    epochs: int,
     lr_start: float = 0.025,
     lr_end: float = 1e-4,
     seed: int = 0,

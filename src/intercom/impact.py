@@ -202,19 +202,6 @@ def mobilization_impacts(corpus: Corpus, records: list[MobilizationRecord],
     return impacts
 
 
-def defense_success(record: MobilizationRecord, impacts: list[ImpactRecord]) -> DefenseOutcome:
-    """Mean defender delta minus mean matched delta; positive means the
-    defense was successful. Records without a matched user fall back to a
-    raw (unadjusted) contribution of zero on the matched side."""
-    defender = [i for i in impacts if i.role == "defender"]
-    if not defender:
-        raise ValueError(f"no defender impact records for {record.id}")
-    mean_delta = sum(i.delta for i in defender) / len(defender)
-    matched = [i.matched_delta for i in defender if i.matched_delta is not None]
-    mean_matched = sum(matched) / len(matched) if matched else 0.0
-    return DefenseOutcome(mobilization_id=record.id, success_score=mean_delta - mean_matched)
-
-
 def assign_deciles(outcomes: list[DefenseOutcome]) -> list[DefenseOutcome]:
     """Label each outcome with its success decile (1 = least successful);
     bin sizes differ by at most one."""
@@ -382,10 +369,12 @@ def aggregate(corpus: Corpus, records: list[MobilizationRecord], replynet_rows: 
               columns: list[str],
               seed: int = 0) -> tuple[list[list], dict[str, SuccessSeries], dict, dict]:
     """The impact of the mobilization ``records``: the IMPACT_HEADER rows of
-    those with defenders; per REPLYNET_HEADER column named in ``columns``,
-    that column of their rows (0.0 where missing) over the success buckets; the
-    tests, each ``{"skipped": reason}`` where it cannot run; and the counts
-    of outcomes and fallbacks."""
+    those with defenders, each defense's success score its mean defender
+    delta minus its mean matched defender delta (0.0 without a matched
+    defender), so positive means the defense succeeded; per REPLYNET_HEADER
+    column named in ``columns``, that column of their rows (0.0 where
+    missing) over the success buckets; the tests, each ``{"skipped":
+    reason}`` where it cannot run; and the counts of outcomes and fallbacks."""
     metrics = {row[0]: dict(zip(REPLYNET_HEADER, row)) for row in replynet_rows}
     outcomes, rows = [], []
     deltas = {"attacker": [], "defender": []}
@@ -402,14 +391,15 @@ def aggregate(corpus: Corpus, records: list[MobilizationRecord], replynet_rows: 
         defenders = [i for i in impacts if i.role == "defender"]
         if not defenders:
             continue
-        outcome = defense_success(record, impacts)
+        mean_defender = _mean([i.delta for i in defenders])
+        mean_matched = _mean([i.matched_delta for i in defenders if i.matched_delta is not None])
+        outcome = DefenseOutcome(record.id, mean_defender - (mean_matched or 0.0))
         outcomes.append(outcome)
         rows.append([
             record.id, len(attackers), len(defenders),
-            _mean([i.delta for i in attackers]), _mean([i.delta for i in defenders]),
+            _mean([i.delta for i in attackers]), mean_defender,
             _mean([i.matched_delta for i in attackers if i.matched_delta is not None]),
-            _mean([i.matched_delta for i in defenders if i.matched_delta is not None]),
-            outcome.success_score, None,
+            mean_matched, outcome.success_score, None,
         ])
     assign_deciles(outcomes)
     for row, outcome in zip(rows, outcomes):

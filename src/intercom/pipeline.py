@@ -495,18 +495,33 @@ def _collections() -> list[int]:
     return [generation["collections"] for generation in gc.get_stats()]
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size in MB: ``VmHWM`` from
+    /proc/self/status where that file exists. Elsewhere ``ru_maxrss``, in
+    bytes on macOS, which on Linux would carry the peak of the process that
+    spawned this one across ``exec``."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / 1024.0  # kB
+    except OSError:
+        pass
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+
+
 def _run_record(timings: dict, collections: list[int]) -> dict:
     """The run record: per stage whether it hit the cache and its wall and
     CPU time (``timings``), the collector's passes per generation since
     ``collections`` was taken, the process's peak RSS and the versions that
     ran, numpy's null when the run never imported it. It changes from run
     to run, so it stays out of the manifest."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
     numpy = sys.modules.get("numpy")
     return {
         "stages": timings,
         "gc": {"collections": [now - then for now, then in zip(_collections(), collections)]},
-        "peak_rss_mb": peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0),
+        "peak_rss_mb": _peak_rss_mb(),
         "versions": {"python": platform.python_version(),
                      "numpy": numpy.__version__ if numpy else None, "intercom": __version__},
     }

@@ -198,7 +198,8 @@ def train(
     dataset: PredictionDataset,
     params_init: LSTMParams,
     lr: float = 0.01,
-    epochs: int = 20,
+    *,
+    epochs: int,
     seed: int = 0,
 ) -> TrainResult:
     """Adam over minibatches of ``BATCH`` examples, taken in a seeded

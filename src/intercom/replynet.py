@@ -1,4 +1,5 @@
-"""Per-thread user-user reply graphs and group-teleport PageRank metrics."""
+"""Per-thread user-user reply graphs, group-teleport PageRank, and each
+mobilization's reply-network row, read off its thread's graph."""
 from __future__ import annotations
 
 import itertools
@@ -44,22 +45,17 @@ class ReplyGraph:
     """Directed weighted user-user graph for one thread.
 
     Edge weight w(i -> j) counts i's direct replies to j's comments; replies
-    to the post itself create no edge.
+    to the post itself create no edge. ``replies`` holds each reply behind an
+    edge, in comment order.
     """
 
     nodes: dict[str, str] = field(default_factory=dict)  # user -> group tag
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
+    replies: list[tuple[str, str, str]] = field(default_factory=list)  # (author, parent author, body)
     skipped_comments: int = 0
 
     def users_in_group(self, group: str) -> set[str]:
         return {u for u, g in self.nodes.items() if g == group}
-
-    def weight_between(self, from_group: str, to_group: str) -> int:
-        return sum(
-            w
-            for (i, j), w in self.edges.items()
-            if self.nodes[i] == from_group and self.nodes[j] == to_group
-        )
 
 
 def build_reply_graph(
@@ -91,6 +87,7 @@ def build_reply_graph(
         graph.nodes.setdefault(parent_author, tag(parent_author))
         key = (c.author, parent_author)
         graph.edges[key] = graph.edges.get(key, 0) + 1
+        graph.replies.append((c.author, parent_author, c.body))
     if graph.skipped_comments:
         log.debug("reply graph for %s skipped %d dangling comments", post_id, graph.skipped_comments)
     return graph
@@ -243,92 +240,72 @@ def group_pagerank(
     return results
 
 
-@dataclass
-class EchoReport:
-    attacker_attacker_weight: int
-    attacker_defender_weight: int
-    defender_defender_weight: int
-    defender_attacker_weight: int
-    attacker_within_cross_ratio: float | None
-    defender_within_cross_ratio: float | None
-    cross_group_ratio: float | None
-    defender_apr_zero_fraction: float
-    defender_apr_tentimes_fraction: float
-    n_attackers: int
-    n_defenders: int
-
-
 def _ratio(num: float, den: float) -> float | None:
     return num / den if den else None
 
 
-def echo_metrics(graph: ReplyGraph, apr: dict[str, float]) -> EchoReport:
-    """Within- vs cross-group interaction totals plus the skew of defenders'
-    attacker-teleport PageRank scores ``apr``.
+def echo_metrics(graph: ReplyGraph, apr: dict[str, float], dpr: dict[str, float]) -> dict:
+    """The REPLYNET_HEADER columns from ``n_attackers`` to
+    ``mean_attacker_dpr``, in header order, of a thread's graph and its
+    attacker- and defender-teleport PageRank scores ``apr`` and ``dpr``:
+    within- vs cross-group reply weights and the defenders' share of their
+    replies that go to attackers, from one pass over the edges, then the
+    skew of the defenders' A-PageRank and the groups' mean scores.
 
     The zero-score fraction counts defenders whose A-PageRank sits exactly at
     the no-inflow floor of 0 (a defender outside the teleport set receives
     mass only through in-edges).
     """
-    attackers = graph.users_in_group(GROUP_ATTACKER)
-    defenders = graph.users_in_group(GROUP_DEFENDER)
+    attackers = sorted(graph.users_in_group(GROUP_ATTACKER))
+    defenders = sorted(graph.users_in_group(GROUP_DEFENDER))
     if not attackers or not defenders:
         raise ValueError("echo metrics need at least one attacker and one defender")
 
-    aa = graph.weight_between(GROUP_ATTACKER, GROUP_ATTACKER)
-    ad = graph.weight_between(GROUP_ATTACKER, GROUP_DEFENDER)
-    dd = graph.weight_between(GROUP_DEFENDER, GROUP_DEFENDER)
-    da = graph.weight_between(GROUP_DEFENDER, GROUP_ATTACKER)
+    weight: dict[tuple[str, str], int] = {}  # (from group, to group) -> total weight
+    for (i, j), w in graph.edges.items():
+        key = graph.nodes[i], graph.nodes[j]
+        weight[key] = weight.get(key, 0) + w
+    aa = weight.get((GROUP_ATTACKER, GROUP_ATTACKER), 0)
+    ad = weight.get((GROUP_ATTACKER, GROUP_DEFENDER), 0)
+    dd = weight.get((GROUP_DEFENDER, GROUP_DEFENDER), 0)
+    da = weight.get((GROUP_DEFENDER, GROUP_ATTACKER), 0)
+    defender_out = sum(w for (source, _target), w in weight.items() if source == GROUP_DEFENDER)
     cross = ad + da
 
-    pooled = [apr[u] for u in sorted(attackers | defenders)]
+    pooled = [apr[u] for u in sorted(attackers + defenders)]
     mean_score = sum(pooled) / len(pooled)
-    defender_scores = [apr[u] for u in sorted(defenders)]
+    defender_scores = [apr[u] for u in defenders]
     zero_fraction = sum(1 for s in defender_scores if s == 0.0) / len(defender_scores)
     if mean_score > 0.0:
         tentimes = sum(1 for s in defender_scores if s >= 10.0 * mean_score) / len(defender_scores)
     else:
         tentimes = 0.0
 
-    return EchoReport(
-        attacker_attacker_weight=aa,
-        attacker_defender_weight=ad,
-        defender_defender_weight=dd,
-        defender_attacker_weight=da,
-        attacker_within_cross_ratio=_ratio(aa, cross),
-        defender_within_cross_ratio=_ratio(dd, cross),
-        cross_group_ratio=_ratio(cross, aa + dd),
-        defender_apr_zero_fraction=zero_fraction,
-        defender_apr_tentimes_fraction=tentimes,
-        n_attackers=len(attackers),
-        n_defenders=len(defenders),
-    )
+    return dict(zip(REPLYNET_HEADER[1:15], (
+        len(attackers), len(defenders), aa, ad, dd, da,
+        _ratio(aa, cross), _ratio(dd, cross), _ratio(cross, aa + dd),
+        zero_fraction, tentimes, da / defender_out if defender_out else 0.0,
+        sum(defender_scores) / len(defenders), sum(dpr[u] for u in attackers) / len(attackers),
+    )))
 
 
-def anger_rate(
-    comments: list[Event],
-    lexicon: Lexicon,
-    from_users: set[str],
-    to_users: set[str],
-) -> float | None:
-    """Anger-token rate over direct replies from one user group to another.
+def anger_rate(graph: ReplyGraph, lexicon: Lexicon, from_users: set[str],
+               to_users: set[str]) -> float | None:
+    """Anger-token rate over the graph's direct replies from one user group
+    to another.
 
     Returns None (not 0) when no such replies exist.
     """
     anger = lexicon.categories.get("anger")
     if anger is None:
         raise ValueError("lexicon has no 'anger' category")
-    author_of = {c.id: c.author for c in comments}
     total = hits = 0
     found = False
-    for c in comments:
-        if c.author not in from_users:
-            continue
-        parent_author = author_of.get(c.parent_id)
-        if parent_author is None or parent_author not in to_users:
+    for author, parent_author, body in graph.replies:
+        if author not in from_users or parent_author not in to_users:
             continue
         found = True
-        for tok in tokenize(c.body):
+        for tok in tokenize(body):
             total += 1
             if tok in anger:
                 hits += 1
@@ -350,30 +327,11 @@ def replynet_rows(corpus: Corpus, lexicon: Lexicon, records: list[MobilizationRe
     defenders (one batched PageRank per teleport set), and the PageRanks'
     iterations: the attacker-teleport ones in record order, then the others."""
     records = [record for record in records if record.attackers and record.defenders]
-    graphs, angers = [], []
-    for record in records:  # one thread's comments are held at a time
-        post = record.crosslink.target_post
-        comments = corpus.thread_comments(post)
-        graphs.append(build_reply_graph(comments, post, record.attackers, record.defenders))
-        angers.append((anger_rate(comments, lexicon, record.attackers, record.defenders),
-                       anger_rate(comments, lexicon, record.defenders, record.attackers)))
+    graphs = [thread_graph(corpus, record) for record in records]  # one thread's comments at a time
     ranks = [group_pagerank(graphs, group, alpha=alpha, tol=tol, max_iter=max_iter)
              for group in ("attackers", "defenders")]
-    rows = []
-    for record, graph, anger, a_rank, d_rank in zip(records, graphs, angers, *ranks):
-        apr, dpr = a_rank.scores, d_rank.scores
-        echo = echo_metrics(graph, apr)
-        defender_out = sum(w for (i, _j), w in graph.edges.items() if i in record.defenders)
-        reply_frac = (echo.defender_attacker_weight / defender_out) if defender_out else 0.0
-        mean_dapr = sum(apr[u] for u in sorted(record.defenders)) / len(record.defenders)
-        mean_adpr = sum(dpr[u] for u in sorted(record.attackers)) / len(record.attackers)
-        rows.append([
-            record.id, echo.n_attackers, echo.n_defenders,
-            echo.attacker_attacker_weight, echo.attacker_defender_weight,
-            echo.defender_defender_weight, echo.defender_attacker_weight,
-            echo.attacker_within_cross_ratio, echo.defender_within_cross_ratio,
-            echo.cross_group_ratio,
-            echo.defender_apr_zero_fraction, echo.defender_apr_tentimes_fraction,
-            reply_frac, mean_dapr, mean_adpr, *anger,
-        ])
+    rows = [[record.id, *echo_metrics(graph, a_rank.scores, d_rank.scores).values(),
+             anger_rate(graph, lexicon, record.attackers, record.defenders),
+             anger_rate(graph, lexicon, record.defenders, record.attackers)]
+            for record, graph, a_rank, d_rank in zip(records, graphs, *ranks)]
     return rows, [rank.iterations for batch in ranks for rank in batch]

@@ -180,7 +180,7 @@ def test_loss_decreases_with_training():
 def test_empty_graph_error():
     graph = graph_from_edges(1, 1, [])
     with pytest.raises(ValueError):
-        train_embeddings(graph, dim=4)
+        train_embeddings(graph, dim=4, epochs=1)
 
 
 def test_relabel_invariance():

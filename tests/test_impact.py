@@ -1,10 +1,13 @@
+import csv
 import math
 import random
 from itertools import combinations, product
 
 import pytest
 
+from intercom import impact
 from intercom.impact import (
+    IMPACT_HEADER,
     MWU_EXACT_MAX,
     WILCOXON_EXACT_MAX,
     DefenseOutcome,
@@ -14,13 +17,13 @@ from intercom.impact import (
     aggregate,
     assign_deciles,
     decile_series,
-    defense_success,
     mann_whitney_u,
     mobilization_impacts,
     moving_average,
     wilcoxon_signed_rank,
 )
-from intercom.pipeline import SERIES
+from intercom.pipeline import SERIES, Config, run_pipeline
+from intercom.synth import SynthSpec, generate_corpus
 
 from conftest import BASE, DAY, HOUR, comment, corpus_from, post
 
@@ -95,25 +98,45 @@ def test_activity_delta_windows_brute_force():
     assert result.delta == pytest.approx(expected)
 
 
-def test_defense_success_values():
-    record = type("R", (), {"id": "m1"})()
-    impacts = [
-        ImpactRecord(user="d1", role="defender", delta=0.2, matched_delta=0.0),
-        ImpactRecord(user="d2", role="defender", delta=0.4, matched_delta=0.0),
-        ImpactRecord(user="a1", role="attacker", delta=0.9, matched_delta=0.9),
-    ]
-    outcome = defense_success(record, impacts)
-    assert outcome.success_score == pytest.approx(0.3)
-
-    equal = [ImpactRecord(user="d", role="defender", delta=0.1, matched_delta=0.1)]
-    assert defense_success(record, equal).success_score == pytest.approx(0.0)
+def success_scores(monkeypatch, impacts):
+    """The success_score column of ``aggregate``'s rows, by record id, for
+    records whose impact records are ``impacts[id]``."""
+    monkeypatch.setattr(impact, "mobilization_impacts",
+                        lambda corpus, records, seed: [impacts[r.id] for r in records])
+    records = [type("R", (), {"id": key})() for key in impacts]
+    rows, *_ = aggregate(None, records, [], [])
+    return {row[0]: row[IMPACT_HEADER.index("success_score")] for row in rows}
 
 
-def test_defense_success_requires_defenders():
-    record = type("R", (), {"id": "m1"})()
-    with pytest.raises(ValueError):
-        defense_success(record, [ImpactRecord(user="a", role="attacker", delta=0.0,
-                                              matched_delta=None)])
+def test_defense_success_values(monkeypatch):
+    scores = success_scores(monkeypatch, {
+        "m1": [ImpactRecord(user="d1", role="defender", delta=0.2, matched_delta=0.0),
+               ImpactRecord(user="d2", role="defender", delta=0.4, matched_delta=0.0),
+               ImpactRecord(user="a1", role="attacker", delta=0.9, matched_delta=0.9)],
+        "m2": [ImpactRecord(user="d", role="defender", delta=0.1, matched_delta=0.1)],
+        # no matched defender: the matched side counts 0.0
+        "m3": [ImpactRecord(user="d", role="defender", delta=0.25, matched_delta=None)],
+    })
+    assert scores == {"m1": pytest.approx(0.3), "m2": pytest.approx(0.0), "m3": 0.25}
+
+
+def test_defense_success_requires_defenders(monkeypatch):
+    # a mobilization without defenders has no defense, so no row
+    assert success_scores(monkeypatch, {
+        "m1": [ImpactRecord(user="a", role="attacker", delta=0.0, matched_delta=None)],
+    }) == {}
+
+
+def test_every_success_score_is_the_mean_defender_delta_less_the_mean_matched_one(tmp_path):
+    events_path, _ = generate_corpus(SynthSpec(), tmp_path / "world")  # 60 links
+    run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "out")))
+    with open(tmp_path / "out" / "impact.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) > 10
+    for row in rows:
+        matched = row["mean_defender_matched_delta"]
+        expected = float(row["mean_defender_delta"]) - (float(matched) if matched else 0.0)
+        assert float(row["success_score"]) == expected, row["mobilization"]
 
 
 def test_assign_deciles_partition():

@@ -349,6 +349,20 @@ pipeline.run_pipeline(pipeline.Config(corpus=sys.argv[1], output_dir=sys.argv[2]
     assert (tmp_path / "two" / "manifest.json").read_bytes() == two[1]
 
 
+def test_the_run_record_holds_the_peak_rss_of_the_report_not_of_its_parent(synth_corpus, tmp_path):
+    # ru_maxrss on Linux keeps, across exec, the peak of the process that
+    # spawned the report: here one that holds 256 MB
+    events_path, _ = synth_corpus
+    spawned = run_python("""
+import subprocess, sys
+held = b"x" * (256 << 20)
+subprocess.run([sys.executable, "-m", "intercom.cli", "report", "--corpus", sys.argv[1],
+                "--out", sys.argv[2]], check=True)
+""", events_path, tmp_path / "out")
+    assert spawned.returncode == 0, spawned.stderr
+    assert json.loads((tmp_path / "out" / RUN_RECORD).read_text())["peak_rss_mb"] < 128
+
+
 def test_run_record_ingest_entry_holds_only_its_timings(tmp_path):
     events = [post("p0", "u", "A", BASE), comment("c0", "v", "A", BASE + 1, "p0")]
     path = write_events(tmp_path / "events.jsonl", events)

@@ -13,9 +13,10 @@ from intercom.impact import _activity_counts, activity_delta  # noqa: E402
 from intercom.matching import match_pools, matched_user  # noqa: E402
 from intercom.mobilization import (DEFAULT_BASELINE, MobilizationRecord, detect,  # noqa: E402
                                    measure)
-from intercom.replynet import (REPLYNET_HEADER, TELEPORT_PROB, group_pagerank,  # noqa: E402
-                               replynet_rows, thread_graph)
-from intercom.sentiment import Lexicon  # noqa: E402
+from intercom.replynet import (REPLYNET_HEADER, TELEPORT_PROB, ReplyGraph, anger_rate,  # noqa: E402
+                               build_reply_graph, echo_metrics, group_pagerank, replynet_rows,
+                               thread_graph)
+from intercom.sentiment import Lexicon, tokenize  # noqa: E402
 
 from conftest import BASE, HOUR, comment, corpus_from, names, post  # noqa: E402
 
@@ -83,6 +84,113 @@ def test_swapping_attackers_and_defenders_swaps_the_replynet_columns(seed, alpha
     # the attacker-teleport PageRanks of one are the defender-teleport ones of the other
     half = len(rows)
     assert swapped_iterations == iterations[half:] + iterations[:half]
+
+
+def scan_echo_metrics(graph, apr, dpr):
+    """Oracle: the echo columns by one scan of the edges per group pair and
+    one more for the defenders' out-weight, with the means over the groups
+    in name order."""
+    def weight_between(from_group, to_group):
+        return sum(w for (i, j), w in graph.edges.items()
+                   if graph.nodes[i] == from_group and graph.nodes[j] == to_group)
+
+    def ratio(num, den):
+        return num / den if den else None
+
+    attackers, defenders = graph.users_in_group("attacker"), graph.users_in_group("defender")
+    aa, ad = weight_between("attacker", "attacker"), weight_between("attacker", "defender")
+    dd, da = weight_between("defender", "defender"), weight_between("defender", "attacker")
+    cross = ad + da
+    pooled = [apr[u] for u in sorted(attackers | defenders)]
+    mean_score = sum(pooled) / len(pooled)
+    scores = [apr[u] for u in sorted(defenders)]
+    tentimes = (sum(1 for x in scores if x >= 10.0 * mean_score) / len(scores)
+                if mean_score > 0.0 else 0.0)
+    defender_out = sum(w for (i, _j), w in graph.edges.items() if i in defenders)
+    return dict(zip(REPLYNET_HEADER[1:15], (
+        len(attackers), len(defenders), aa, ad, dd, da,
+        ratio(aa, cross), ratio(dd, cross), ratio(cross, aa + dd),
+        sum(1 for x in scores if x == 0.0) / len(scores), tentimes,
+        (da / defender_out) if defender_out else 0.0,
+        sum(apr[u] for u in sorted(defenders)) / len(defenders),
+        sum(dpr[u] for u in sorted(attackers)) / len(attackers))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_echo_metrics_equals_the_per_group_edge_scans(seed):
+    """On graphs with attackers, defenders and others, self-loops, and
+    defenders that may reply to no one, and on scores with exact zeros and
+    one score far above the rest."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 14)
+    names = [f"u{i:02d}" for i in range(n)]
+    groups = ["attacker", "defender"] + [rng.choice(("attacker", "defender", "other"))
+                                         for _ in range(n - 2)]
+    rng.shuffle(groups)
+    nodes = dict(zip(names, groups))
+    silent = {u for u in names if nodes[u] == "defender" and rng.random() < 0.5}
+    edges = {}
+    for _ in range(rng.randint(0, 4 * n)):
+        i, j = rng.choice(names), rng.choice(names)
+        if i in silent:
+            continue
+        if rng.random() < 0.1:
+            j = i  # a self-loop
+        edges[(i, j)] = edges.get((i, j), 0) + rng.randint(1, 5)
+    graph = ReplyGraph(nodes=nodes, edges=edges)
+
+    def scores():
+        out = {u: rng.choice((0.0, rng.random(), rng.random() / 7)) for u in names}
+        out[rng.choice(names)] = rng.choice((0.0, 50.0 * rng.random()))
+        return out
+
+    apr, dpr = scores(), scores()
+    assert repr(echo_metrics(graph, apr, dpr)) == repr(scan_echo_metrics(graph, apr, dpr))
+
+
+def scan_anger_rate(comments, lexicon, from_users, to_users):
+    """Oracle: the anger rate by a scan of the comment list, each reply's
+    parent author looked up in the thread's id -> author map."""
+    anger = lexicon.categories["anger"]
+    author_of = {c.id: c.author for c in comments}
+    total = hits = 0
+    found = False
+    for c in comments:
+        parent_author = author_of.get(c.parent_id)
+        if c.author not in from_users or parent_author is None or parent_author not in to_users:
+            continue
+        found = True
+        tokens = tokenize(c.body)
+        total += len(tokens)
+        hits += sum(tok in anger for tok in tokens)
+    if not found:
+        return None
+    return hits / total if total else 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_anger_rate_on_the_reply_graph_equals_the_comment_scan(seed):
+    """On threads whose comments reply to the post, to another comment
+    (earlier or later) or to a missing one, by overlapping user groups."""
+    rng = random.Random(seed)
+    users = [f"u{i}" for i in range(rng.randint(1, 8))]
+    n = rng.randint(0, 30)
+    comments = []
+    for k in range(n):
+        r = rng.random()
+        parent = "p" if r < 0.25 else "gone" if r < 0.35 else f"c{rng.randrange(n)}"
+        body = " ".join(rng.choice(WORDS) for _ in range(rng.randint(0, 4)))
+        comments.append(comment(f"c{k}", rng.choice(users), "B", BASE + k, "p", parent,
+                                body=body))
+    graph = build_reply_graph(comments, "p", set(rng.sample(users, rng.randint(0, len(users)))),
+                              set(rng.sample(users, rng.randint(0, len(users)))))
+    for _ in range(4):
+        from_users = set(rng.sample(users, rng.randint(0, len(users))))
+        to_users = set(rng.sample(users, rng.randint(0, len(users))))
+        assert (repr(anger_rate(graph, LEXICON, from_users, to_users))
+                == repr(scan_anger_rate(comments, LEXICON, from_users, to_users)))
 
 
 # -- windows -------------------------------------------------------------------

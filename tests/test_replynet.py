@@ -382,10 +382,11 @@ def test_echo_metrics_attacker_only_edges():
         {"a1": "attacker", "a2": "attacker", "d1": "defender"},
         {("a1", "a2"): 3, ("a2", "a1"): 2},
     )
-    report = echo_metrics(graph, group_pagerank([graph], "attackers")[0].scores)
-    assert report.cross_group_ratio == 0.0
-    assert report.attacker_attacker_weight == 5
-    assert report.defender_apr_zero_fraction == 1.0
+    report = echo_metrics(graph, group_pagerank([graph], "attackers")[0].scores,
+                          group_pagerank([graph], "defenders")[0].scores)
+    assert report["cross_group_ratio"] == 0.0
+    assert report["attacker_attacker_weight"] == 5
+    assert report["defender_apr_zero_fraction"] == 1.0
 
 
 def _gang_up_graph(n_attackers):
@@ -397,29 +398,32 @@ def _gang_up_graph(n_attackers):
     return make_graph(nodes, edges)
 
 
+def _echo(graph):
+    apr, dpr = (group_pagerank([graph], group)[0].scores for group in ("attackers", "defenders"))
+    return apr, echo_metrics(graph, apr, dpr)
+
+
 def test_echo_metrics_gang_up_flag():
     # closed-form oracle for the star fixture: d* is dangling, so
     # x(d*) = a(1-a) / (1 - (1-a)^2) = 3/7 for a = 0.25, independent of the
     # attacker count, while the 10x-mean threshold is 10/n. The flag
     # therefore trips exactly when n = attackers + defenders >= 24.
     x_dstar = 0.25 * 0.75 / (1 - 0.75**2)
-    scores = group_pagerank([_gang_up_graph(22)], "attackers")[0].scores
-    report = echo_metrics(_gang_up_graph(22), scores)  # n = 24
+    scores, report = _echo(_gang_up_graph(22))  # n = 24
     assert scores["dstar"] == pytest.approx(x_dstar, abs=1e-9)
     assert x_dstar >= 10 / 24
-    assert report.defender_apr_tentimes_fraction == pytest.approx(0.5)
-    assert report.defender_apr_zero_fraction == pytest.approx(0.5)
+    assert report["defender_apr_tentimes_fraction"] == pytest.approx(0.5)
+    assert report["defender_apr_zero_fraction"] == pytest.approx(0.5)
 
-    below = echo_metrics(_gang_up_graph(21),  # n = 23: 10/23 > 3/7
-                         group_pagerank([_gang_up_graph(21)], "attackers")[0].scores)
-    assert below.defender_apr_tentimes_fraction == 0.0
+    _scores, below = _echo(_gang_up_graph(21))  # n = 23: 10/23 > 3/7
+    assert below["defender_apr_tentimes_fraction"] == 0.0
 
 
 def test_echo_metrics_requires_both_groups():
     graph = make_graph({"a1": "attacker"}, {})
     apr = group_pagerank([graph], "attackers")[0].scores
     with pytest.raises(ValueError):
-        echo_metrics(graph, apr)
+        echo_metrics(graph, apr, apr)
 
 
 @pytest.fixture
@@ -427,12 +431,18 @@ def anger_lexicon():
     return Lexicon(name="t", categories={"anger": {"hate"}})
 
 
+def thread_anger(comments, lexicon, from_users, to_users):
+    """``anger_rate`` on the reply graph of the comments on post p1."""
+    return anger_rate(build_reply_graph(comments, "p1", set(), set()), lexicon,
+                      from_users, to_users)
+
+
 def test_anger_rate_no_anger(anger_lexicon):
     comments = [
         comment("c1", "d", "B", BASE + 1, "p1"),
         comment("c2", "a", "B", BASE + 2, "p1", parent_id="c1", body="calm reply here"),
     ]
-    assert anger_rate(comments, anger_lexicon, {"a"}, {"d"}) == 0.0
+    assert thread_anger(comments, anger_lexicon, {"a"}, {"d"}) == 0.0
 
 
 def test_anger_rate_half(anger_lexicon):
@@ -440,15 +450,15 @@ def test_anger_rate_half(anger_lexicon):
         comment("c1", "d", "B", BASE + 1, "p1"),
         comment("c2", "a", "B", BASE + 2, "p1", parent_id="c1", body="hate this"),
     ]
-    assert anger_rate(comments, anger_lexicon, {"a"}, {"d"}) == pytest.approx(0.5)
+    assert thread_anger(comments, anger_lexicon, {"a"}, {"d"}) == pytest.approx(0.5)
 
 
 def test_anger_rate_no_replies_sentinel(anger_lexicon):
     comments = [comment("c1", "d", "B", BASE + 1, "p1", body="hate")]
-    assert anger_rate(comments, anger_lexicon, {"a"}, {"d"}) is None
+    assert thread_anger(comments, anger_lexicon, {"a"}, {"d"}) is None
 
 
 def test_anger_rate_requires_anger_category():
     lex = Lexicon(name="t", categories={"positive": {"joy"}})
     with pytest.raises(ValueError):
-        anger_rate([], lex, set(), set())
+        anger_rate(ReplyGraph(), lex, set(), set())
