@@ -502,10 +502,8 @@ def _peak_rss_mb() -> float:
     spawned this one across ``exec``."""
     try:
         with open("/proc/self/status", "rb") as fh:
-            for line in fh:
-                if line.startswith(b"VmHWM:"):
-                    return int(line.split()[1]) / 1024.0  # kB
-    except OSError:
+            return next(int(line.split()[1]) for line in fh if line.startswith(b"VmHWM:")) / 1024.0
+    except (OSError, StopIteration):  # no such file, or no such line
         pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
     return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)

@@ -1,5 +1,5 @@
 """Per-thread user-user reply graphs, group-teleport PageRank, and each
-mobilization's reply-network row, read off its thread's graph."""
+mobilization's reply-network row, read off its thread's replies and graph."""
 from __future__ import annotations
 
 import itertools
@@ -45,29 +45,29 @@ class ReplyGraph:
     """Directed weighted user-user graph for one thread.
 
     Edge weight w(i -> j) counts i's direct replies to j's comments; replies
-    to the post itself create no edge. ``replies`` holds each reply behind an
-    edge, in comment order.
+    to the post itself create no edge.
     """
 
     nodes: dict[str, str] = field(default_factory=dict)  # user -> group tag
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
-    replies: list[tuple[str, str, str]] = field(default_factory=list)  # (author, parent author, body)
     skipped_comments: int = 0
 
     def users_in_group(self, group: str) -> set[str]:
         return {u for u, g in self.nodes.items() if g == group}
 
 
-def build_reply_graph(
-    comments: list[Event],
-    post_id: str,
-    attackers: set[str],
-    defenders: set[str],
-) -> ReplyGraph:
-    """Build the reply graph of a thread; comments with dangling parent ids
-    are skipped and counted."""
-    graph = ReplyGraph()
+def thread_replies(comments: list[Event]) -> list[tuple[Event, str | None]]:
+    """Each comment of a thread with the author of the comment its parent id
+    names, or None where it names none (the post, or a missing comment)."""
     author_of = {c.id: c.author for c in comments}
+    return [(c, author_of.get(c.parent_id)) for c in comments]
+
+
+def build_reply_graph(replies: list[tuple[Event, str | None]], post_id: str, attackers: set[str],
+                      defenders: set[str]) -> ReplyGraph:
+    """Build the reply graph of a thread from its ``thread_replies``;
+    comments with dangling parent ids are skipped and counted."""
+    graph = ReplyGraph()
 
     def tag(user: str) -> str:
         if user in attackers:
@@ -76,18 +76,16 @@ def build_reply_graph(
             return GROUP_DEFENDER
         return GROUP_OTHER
 
-    for c in comments:
+    for c, parent_author in replies:
         graph.nodes.setdefault(c.author, tag(c.author))
         if c.parent_id == post_id:
             continue
-        parent_author = author_of.get(c.parent_id)
         if parent_author is None:
             graph.skipped_comments += 1
             continue
         graph.nodes.setdefault(parent_author, tag(parent_author))
         key = (c.author, parent_author)
         graph.edges[key] = graph.edges.get(key, 0) + 1
-        graph.replies.append((c.author, parent_author, c.body))
     if graph.skipped_comments:
         log.debug("reply graph for %s skipped %d dangling comments", post_id, graph.skipped_comments)
     return graph
@@ -244,55 +242,58 @@ def _ratio(num: float, den: float) -> float | None:
     return num / den if den else None
 
 
-def echo_metrics(graph: ReplyGraph, apr: dict[str, float], dpr: dict[str, float]) -> dict:
+def echo_metrics(graph: ReplyGraph, apr: dict[str, float], dpr: dict[str, float],
+                 attackers: set[str], defenders: set[str]) -> dict:
     """The REPLYNET_HEADER columns from ``n_attackers`` to
-    ``mean_attacker_dpr``, in header order, of a thread's graph and its
-    attacker- and defender-teleport PageRank scores ``apr`` and ``dpr``:
-    within- vs cross-group reply weights and the defenders' share of their
-    replies that go to attackers, from one pass over the edges, then the
-    skew of the defenders' A-PageRank and the groups' mean scores.
+    ``mean_attacker_dpr``, in header order, of a thread's graph, its
+    attacker- and defender-teleport PageRank scores ``apr`` and ``dpr``, and
+    its record's ``attackers`` and ``defenders``, with one pass over the edges.
 
-    The zero-score fraction counts defenders whose A-PageRank sits exactly at
+    The counts, the weights and the A-PageRank skew read the graph's groups,
+    where a user in both sets is an attacker; the defenders' out-weight and
+    the mean scores read the sets, where that user is a defender too. The
+    zero-score fraction counts defenders whose A-PageRank sits exactly at
     the no-inflow floor of 0 (a defender outside the teleport set receives
     mass only through in-edges).
     """
-    attackers = sorted(graph.users_in_group(GROUP_ATTACKER))
-    defenders = sorted(graph.users_in_group(GROUP_DEFENDER))
-    if not attackers or not defenders:
+    group_attackers = graph.users_in_group(GROUP_ATTACKER)
+    group_defenders = sorted(graph.users_in_group(GROUP_DEFENDER))
+    if not group_attackers or not group_defenders:
         raise ValueError("echo metrics need at least one attacker and one defender")
 
     weight: dict[tuple[str, str], int] = {}  # (from group, to group) -> total weight
+    defender_out = 0
     for (i, j), w in graph.edges.items():
         key = graph.nodes[i], graph.nodes[j]
         weight[key] = weight.get(key, 0) + w
+        if i in defenders:
+            defender_out += w
     aa = weight.get((GROUP_ATTACKER, GROUP_ATTACKER), 0)
     ad = weight.get((GROUP_ATTACKER, GROUP_DEFENDER), 0)
     dd = weight.get((GROUP_DEFENDER, GROUP_DEFENDER), 0)
     da = weight.get((GROUP_DEFENDER, GROUP_ATTACKER), 0)
-    defender_out = sum(w for (source, _target), w in weight.items() if source == GROUP_DEFENDER)
     cross = ad + da
 
-    pooled = [apr[u] for u in sorted(attackers + defenders)]
+    pooled = [apr[u] for u in sorted(group_attackers.union(group_defenders))]
     mean_score = sum(pooled) / len(pooled)
-    defender_scores = [apr[u] for u in defenders]
+    defender_scores = [apr[u] for u in group_defenders]
     zero_fraction = sum(1 for s in defender_scores if s == 0.0) / len(defender_scores)
-    if mean_score > 0.0:
-        tentimes = sum(1 for s in defender_scores if s >= 10.0 * mean_score) / len(defender_scores)
-    else:
-        tentimes = 0.0
+    tentimes = (sum(1 for s in defender_scores if s >= 10.0 * mean_score) / len(defender_scores)
+                if mean_score > 0.0 else 0.0)
 
     return dict(zip(REPLYNET_HEADER[1:15], (
-        len(attackers), len(defenders), aa, ad, dd, da,
+        len(group_attackers), len(group_defenders), aa, ad, dd, da,
         _ratio(aa, cross), _ratio(dd, cross), _ratio(cross, aa + dd),
         zero_fraction, tentimes, da / defender_out if defender_out else 0.0,
-        sum(defender_scores) / len(defenders), sum(dpr[u] for u in attackers) / len(attackers),
+        sum(apr[u] for u in sorted(defenders)) / len(defenders),
+        sum(dpr[u] for u in sorted(attackers)) / len(attackers),
     )))
 
 
-def anger_rate(graph: ReplyGraph, lexicon: Lexicon, from_users: set[str],
+def anger_rate(replies: list[tuple[Event, str | None]], lexicon: Lexicon, from_users: set[str],
                to_users: set[str]) -> float | None:
-    """Anger-token rate over the graph's direct replies from one user group
-    to another.
+    """Anger-token rate over a thread's direct replies (its
+    ``thread_replies``) from one user group to another.
 
     Returns None (not 0) when no such replies exist.
     """
@@ -301,14 +302,13 @@ def anger_rate(graph: ReplyGraph, lexicon: Lexicon, from_users: set[str],
         raise ValueError("lexicon has no 'anger' category")
     total = hits = 0
     found = False
-    for author, parent_author, body in graph.replies:
-        if author not in from_users or parent_author not in to_users:
+    for c, parent_author in replies:
+        if c.author not in from_users or parent_author not in to_users:
             continue
         found = True
-        for tok in tokenize(body):
-            total += 1
-            if tok in anger:
-                hits += 1
+        tokens = tokenize(c.body)
+        total += len(tokens)
+        hits += sum(tok in anger for tok in tokens)
     if not found:
         return None
     return hits / total if total else 0.0
@@ -317,7 +317,7 @@ def anger_rate(graph: ReplyGraph, lexicon: Lexicon, from_users: set[str],
 def thread_graph(corpus: Corpus, record: MobilizationRecord) -> ReplyGraph:
     """The reply graph of the record's target thread."""
     post = record.crosslink.target_post
-    return build_reply_graph(corpus.thread_comments(post), post,
+    return build_reply_graph(thread_replies(corpus.thread_comments(post)), post,
                              record.attackers, record.defenders)
 
 
@@ -327,11 +327,16 @@ def replynet_rows(corpus: Corpus, lexicon: Lexicon, records: list[MobilizationRe
     defenders (one batched PageRank per teleport set), and the PageRanks'
     iterations: the attacker-teleport ones in record order, then the others."""
     records = [record for record in records if record.attackers and record.defenders]
-    graphs = [thread_graph(corpus, record) for record in records]  # one thread's comments at a time
+    graphs, angers = [], []
+    for record in records:  # one thread's comments are held at a time
+        post = record.crosslink.target_post
+        replies = thread_replies(corpus.thread_comments(post))
+        graphs.append(build_reply_graph(replies, post, record.attackers, record.defenders))
+        angers.append((anger_rate(replies, lexicon, record.attackers, record.defenders),
+                       anger_rate(replies, lexicon, record.defenders, record.attackers)))
     ranks = [group_pagerank(graphs, group, alpha=alpha, tol=tol, max_iter=max_iter)
              for group in ("attackers", "defenders")]
-    rows = [[record.id, *echo_metrics(graph, a_rank.scores, d_rank.scores).values(),
-             anger_rate(graph, lexicon, record.attackers, record.defenders),
-             anger_rate(graph, lexicon, record.defenders, record.attackers)]
-            for record, graph, a_rank, d_rank in zip(records, graphs, *ranks)]
+    rows = [[record.id, *echo_metrics(graph, a_rank.scores, d_rank.scores, record.attackers,
+                                      record.defenders).values(), *anger]
+            for record, graph, anger, a_rank, d_rank in zip(records, graphs, angers, *ranks)]
     return rows, [rank.iterations for batch in ranks for rank in batch]

@@ -128,6 +128,8 @@ def test_defense_success_requires_defenders(monkeypatch):
 
 
 def test_every_success_score_is_the_mean_defender_delta_less_the_mean_matched_one(tmp_path):
+    """As read back from impact.csv: the written columns keep every float
+    exact, so a reader recomputes each score from the two written means."""
     events_path, _ = generate_corpus(SynthSpec(), tmp_path / "world")  # 60 links
     run_pipeline(Config(corpus=str(events_path), output_dir=str(tmp_path / "out")))
     with open(tmp_path / "out" / "impact.csv", newline="") as fh:

@@ -714,9 +714,7 @@ def test_replynet_stage_counts_pagerank_iterations(synth_corpus, tmp_path):
     run, iterations = Run(config), []
     for record in run.mobilized:
         if record.attackers and record.defenders:
-            graph = replynet.build_reply_graph(
-                run.corpus.thread_comments(record.crosslink.target_post),
-                record.crosslink.target_post, record.attackers, record.defenders)
+            graph = replynet.thread_graph(run.corpus, record)
             iterations += [replynet.group_pagerank([graph], group, alpha=config.alpha,
                                                    tol=config.pagerank_tol,
                                                    max_iter=config.pagerank_max_iter)[0].iterations

@@ -14,8 +14,8 @@ from intercom.matching import match_pools, matched_user  # noqa: E402
 from intercom.mobilization import (DEFAULT_BASELINE, MobilizationRecord, detect,  # noqa: E402
                                    measure)
 from intercom.replynet import (REPLYNET_HEADER, TELEPORT_PROB, ReplyGraph, anger_rate,  # noqa: E402
-                               build_reply_graph, echo_metrics, group_pagerank, replynet_rows,
-                               thread_graph)
+                               echo_metrics, group_pagerank, replynet_rows, thread_graph,
+                               thread_replies)
 from intercom.sentiment import Lexicon, tokenize  # noqa: E402
 
 from conftest import BASE, HOUR, comment, corpus_from, names, post  # noqa: E402
@@ -86,10 +86,10 @@ def test_swapping_attackers_and_defenders_swaps_the_replynet_columns(seed, alpha
     assert swapped_iterations == iterations[half:] + iterations[:half]
 
 
-def scan_echo_metrics(graph, apr, dpr):
+def scan_echo_metrics(graph, apr, dpr, attackers, defenders):
     """Oracle: the echo columns by one scan of the edges per group pair and
-    one more for the defenders' out-weight, with the means over the groups
-    in name order."""
+    one more for the out-weight of the record's defenders, with the means
+    over the record's sets in name order."""
     def weight_between(from_group, to_group):
         return sum(w for (i, j), w in graph.edges.items()
                    if graph.nodes[i] == from_group and graph.nodes[j] == to_group)
@@ -97,18 +97,18 @@ def scan_echo_metrics(graph, apr, dpr):
     def ratio(num, den):
         return num / den if den else None
 
-    attackers, defenders = graph.users_in_group("attacker"), graph.users_in_group("defender")
+    in_attackers, in_defenders = graph.users_in_group("attacker"), graph.users_in_group("defender")
     aa, ad = weight_between("attacker", "attacker"), weight_between("attacker", "defender")
     dd, da = weight_between("defender", "defender"), weight_between("defender", "attacker")
     cross = ad + da
-    pooled = [apr[u] for u in sorted(attackers | defenders)]
+    pooled = [apr[u] for u in sorted(in_attackers | in_defenders)]
     mean_score = sum(pooled) / len(pooled)
-    scores = [apr[u] for u in sorted(defenders)]
+    scores = [apr[u] for u in sorted(in_defenders)]
     tentimes = (sum(1 for x in scores if x >= 10.0 * mean_score) / len(scores)
                 if mean_score > 0.0 else 0.0)
     defender_out = sum(w for (i, _j), w in graph.edges.items() if i in defenders)
     return dict(zip(REPLYNET_HEADER[1:15], (
-        len(attackers), len(defenders), aa, ad, dd, da,
+        len(in_attackers), len(in_defenders), aa, ad, dd, da,
         ratio(aa, cross), ratio(dd, cross), ratio(cross, aa + dd),
         sum(1 for x in scores if x == 0.0) / len(scores), tentimes,
         (da / defender_out) if defender_out else 0.0,
@@ -119,17 +119,21 @@ def scan_echo_metrics(graph, apr, dpr):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_echo_metrics_equals_the_per_group_edge_scans(seed):
-    """On graphs with attackers, defenders and others, self-loops, and
-    defenders that may reply to no one, and on scores with exact zeros and
-    one score far above the rest."""
+    """On graphs with attackers, defenders and others, users in both of a
+    record's sets (whom the graph tags attackers), self-loops, and defenders
+    that may reply to no one, and on scores with exact zeros and one score
+    far above the rest."""
     rng = random.Random(seed)
     n = rng.randint(2, 14)
     names = [f"u{i:02d}" for i in range(n)]
-    groups = ["attacker", "defender"] + [rng.choice(("attacker", "defender", "other"))
-                                         for _ in range(n - 2)]
-    rng.shuffle(groups)
-    nodes = dict(zip(names, groups))
-    silent = {u for u in names if nodes[u] == "defender" and rng.random() < 0.5}
+    roles = ["attacker", "defender"] + [rng.choice(("attacker", "defender", "both", "other"))
+                                        for _ in range(n - 2)]
+    rng.shuffle(roles)
+    attackers = {u for u, role in zip(names, roles) if role in ("attacker", "both")}
+    defenders = {u for u, role in zip(names, roles) if role in ("defender", "both")}
+    nodes = {u: "attacker" if u in attackers else "defender" if u in defenders else "other"
+             for u in names}
+    silent = {u for u in defenders if rng.random() < 0.5}
     edges = {}
     for _ in range(rng.randint(0, 4 * n)):
         i, j = rng.choice(names), rng.choice(names)
@@ -146,7 +150,8 @@ def test_echo_metrics_equals_the_per_group_edge_scans(seed):
         return out
 
     apr, dpr = scores(), scores()
-    assert repr(echo_metrics(graph, apr, dpr)) == repr(scan_echo_metrics(graph, apr, dpr))
+    assert (repr(echo_metrics(graph, apr, dpr, attackers, defenders))
+            == repr(scan_echo_metrics(graph, apr, dpr, attackers, defenders)))
 
 
 def scan_anger_rate(comments, lexicon, from_users, to_users):
@@ -157,13 +162,16 @@ def scan_anger_rate(comments, lexicon, from_users, to_users):
     total = hits = 0
     found = False
     for c in comments:
+        if c.author not in from_users:
+            continue
         parent_author = author_of.get(c.parent_id)
-        if c.author not in from_users or parent_author is None or parent_author not in to_users:
+        if parent_author is None or parent_author not in to_users:
             continue
         found = True
-        tokens = tokenize(c.body)
-        total += len(tokens)
-        hits += sum(tok in anger for tok in tokens)
+        for tok in tokenize(c.body):
+            total += 1
+            if tok in anger:
+                hits += 1
     if not found:
         return None
     return hits / total if total else 0.0
@@ -171,25 +179,27 @@ def scan_anger_rate(comments, lexicon, from_users, to_users):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_anger_rate_on_the_reply_graph_equals_the_comment_scan(seed):
+def test_anger_rate_on_the_thread_replies_equals_the_comment_scan(seed):
     """On threads whose comments reply to the post, to another comment
-    (earlier or later) or to a missing one, by overlapping user groups."""
+    (earlier or later) or to a missing one, by overlapping user groups, and
+    where a comment may share the post's id (ids are unique per kind only),
+    so replies to the post resolve to that comment's author."""
     rng = random.Random(seed)
     users = [f"u{i}" for i in range(rng.randint(1, 8))]
     n = rng.randint(0, 30)
+    twin = rng.randrange(n) if n and rng.random() < 0.3 else None  # the comment with id "p"
     comments = []
     for k in range(n):
         r = rng.random()
         parent = "p" if r < 0.25 else "gone" if r < 0.35 else f"c{rng.randrange(n)}"
         body = " ".join(rng.choice(WORDS) for _ in range(rng.randint(0, 4)))
-        comments.append(comment(f"c{k}", rng.choice(users), "B", BASE + k, "p", parent,
-                                body=body))
-    graph = build_reply_graph(comments, "p", set(rng.sample(users, rng.randint(0, len(users)))),
-                              set(rng.sample(users, rng.randint(0, len(users)))))
+        comments.append(comment("p" if k == twin else f"c{k}", rng.choice(users), "B", BASE + k,
+                                "p", parent, body=body))
+    replies = thread_replies(comments)
     for _ in range(4):
         from_users = set(rng.sample(users, rng.randint(0, len(users))))
         to_users = set(rng.sample(users, rng.randint(0, len(users))))
-        assert (repr(anger_rate(graph, LEXICON, from_users, to_users))
+        assert (repr(anger_rate(replies, LEXICON, from_users, to_users))
                 == repr(scan_anger_rate(comments, LEXICON, from_users, to_users)))
 
 

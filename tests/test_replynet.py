@@ -11,6 +11,7 @@ from intercom.replynet import (
     build_reply_graph,
     echo_metrics,
     group_pagerank,
+    thread_replies,
 )
 from intercom.sentiment import Lexicon
 
@@ -20,6 +21,12 @@ from conftest import BASE, comment
 def make_graph(nodes, edges):
     """nodes: {user: group}; edges: {(src, dst): weight}"""
     return ReplyGraph(nodes=dict(nodes), edges=dict(edges))
+
+
+def groups(graph):
+    """The attacker and defender sets of a record, with no user in both,
+    whose thread has the reply graph ``graph``."""
+    return graph.users_in_group("attacker"), graph.users_in_group("defender")
 
 
 def _jump_table(graph):
@@ -144,7 +151,7 @@ def reference_pagerank(graph, damping, tol=1e-12):
 
 def test_build_reply_graph_single_comment():
     comments = [comment("c1", "u1", "B", BASE + 1, "p1")]
-    graph = build_reply_graph(comments, "p1", set(), set())
+    graph = build_reply_graph(thread_replies(comments), "p1", set(), set())
     assert graph.edges == {}
     assert graph.nodes == {"u1": "other"}
 
@@ -155,7 +162,7 @@ def test_build_reply_graph_double_reply():
         comment("c2", "i", "B", BASE + 2, "p1", parent_id="c1"),
         comment("c3", "i", "B", BASE + 3, "p1", parent_id="c1"),
     ]
-    graph = build_reply_graph(comments, "p1", {"i"}, {"j"})
+    graph = build_reply_graph(thread_replies(comments), "p1", {"i"}, {"j"})
     assert graph.edges == {("i", "j"): 2}
     assert graph.nodes == {"j": "defender", "i": "attacker"}
 
@@ -167,13 +174,13 @@ def test_build_reply_graph_chain():
         comment("c2", "i", "B", BASE + 2, "p1", parent_id="c1"),
         comment("c3", "j", "B", BASE + 3, "p1", parent_id="c2"),
     ]
-    graph = build_reply_graph(comments, "p1", {"i"}, {"j"})
+    graph = build_reply_graph(thread_replies(comments), "p1", {"i"}, {"j"})
     assert graph.edges == {("i", "j"): 1, ("j", "i"): 1}
 
 
 def test_build_reply_graph_dangling_parent():
     comments = [comment("c1", "u", "B", BASE + 1, "p1", parent_id="ghost")]
-    graph = build_reply_graph(comments, "p1", set(), set())
+    graph = build_reply_graph(thread_replies(comments), "p1", set(), set())
     assert graph.skipped_comments == 1
     assert graph.edges == {}
 
@@ -183,7 +190,7 @@ def test_build_reply_graph_self_loop_flagged():
         comment("c1", "u", "B", BASE + 1, "p1"),
         comment("c2", "u", "B", BASE + 2, "p1", parent_id="c1"),
     ]
-    graph = build_reply_graph(comments, "p1", set(), set())
+    graph = build_reply_graph(thread_replies(comments), "p1", set(), set())
     assert graph.edges == {("u", "u"): 1}
 
 
@@ -383,7 +390,7 @@ def test_echo_metrics_attacker_only_edges():
         {("a1", "a2"): 3, ("a2", "a1"): 2},
     )
     report = echo_metrics(graph, group_pagerank([graph], "attackers")[0].scores,
-                          group_pagerank([graph], "defenders")[0].scores)
+                          group_pagerank([graph], "defenders")[0].scores, *groups(graph))
     assert report["cross_group_ratio"] == 0.0
     assert report["attacker_attacker_weight"] == 5
     assert report["defender_apr_zero_fraction"] == 1.0
@@ -400,7 +407,7 @@ def _gang_up_graph(n_attackers):
 
 def _echo(graph):
     apr, dpr = (group_pagerank([graph], group)[0].scores for group in ("attackers", "defenders"))
-    return apr, echo_metrics(graph, apr, dpr)
+    return apr, echo_metrics(graph, apr, dpr, *groups(graph))
 
 
 def test_echo_metrics_gang_up_flag():
@@ -423,7 +430,27 @@ def test_echo_metrics_requires_both_groups():
     graph = make_graph({"a1": "attacker"}, {})
     apr = group_pagerank([graph], "attackers")[0].scores
     with pytest.raises(ValueError):
-        echo_metrics(graph, apr, apr)
+        echo_metrics(graph, apr, apr, *groups(graph))
+
+
+def test_echo_metrics_reads_the_record_sets_for_the_reply_fraction_and_the_means():
+    # u is a source and a target member: the graph tags u an attacker, while
+    # the defenders' out-weight and the mean scores count u as a defender
+    comments = [
+        comment("c1", "a", "B", BASE + 1, "p1"),
+        comment("c2", "u", "B", BASE + 2, "p1", parent_id="c1"),
+        comment("c3", "d", "B", BASE + 3, "p1", parent_id="c1"),
+        comment("c4", "a", "B", BASE + 4, "p1", parent_id="c3"),
+    ]
+    attackers, defenders = {"a", "u"}, {"u", "d"}
+    graph = build_reply_graph(thread_replies(comments), "p1", attackers, defenders)
+    apr, dpr = (group_pagerank([graph], group)[0].scores for group in ("attackers", "defenders"))
+    report = echo_metrics(graph, apr, dpr, attackers, defenders)
+    assert (report["n_attackers"], report["n_defenders"]) == (2, 1)
+    assert (report["attacker_attacker_weight"], report["defender_attacker_weight"]) == (1, 1)
+    assert report["defender_reply_fraction_to_attackers"] == 0.5  # d's reply of u's and d's
+    assert report["mean_defender_apr"] == (apr["d"] + apr["u"]) / 2
+    assert report["mean_attacker_dpr"] == (dpr["a"] + dpr["u"]) / 2
 
 
 @pytest.fixture
@@ -431,18 +458,12 @@ def anger_lexicon():
     return Lexicon(name="t", categories={"anger": {"hate"}})
 
 
-def thread_anger(comments, lexicon, from_users, to_users):
-    """``anger_rate`` on the reply graph of the comments on post p1."""
-    return anger_rate(build_reply_graph(comments, "p1", set(), set()), lexicon,
-                      from_users, to_users)
-
-
 def test_anger_rate_no_anger(anger_lexicon):
     comments = [
         comment("c1", "d", "B", BASE + 1, "p1"),
         comment("c2", "a", "B", BASE + 2, "p1", parent_id="c1", body="calm reply here"),
     ]
-    assert thread_anger(comments, anger_lexicon, {"a"}, {"d"}) == 0.0
+    assert anger_rate(thread_replies(comments), anger_lexicon, {"a"}, {"d"}) == 0.0
 
 
 def test_anger_rate_half(anger_lexicon):
@@ -450,15 +471,15 @@ def test_anger_rate_half(anger_lexicon):
         comment("c1", "d", "B", BASE + 1, "p1"),
         comment("c2", "a", "B", BASE + 2, "p1", parent_id="c1", body="hate this"),
     ]
-    assert thread_anger(comments, anger_lexicon, {"a"}, {"d"}) == pytest.approx(0.5)
+    assert anger_rate(thread_replies(comments), anger_lexicon, {"a"}, {"d"}) == pytest.approx(0.5)
 
 
 def test_anger_rate_no_replies_sentinel(anger_lexicon):
     comments = [comment("c1", "d", "B", BASE + 1, "p1", body="hate")]
-    assert thread_anger(comments, anger_lexicon, {"a"}, {"d"}) is None
+    assert anger_rate(thread_replies(comments), anger_lexicon, {"a"}, {"d"}) is None
 
 
 def test_anger_rate_requires_anger_category():
     lex = Lexicon(name="t", categories={"positive": {"joy"}})
     with pytest.raises(ValueError):
-        anger_rate(ReplyGraph(), lex, set(), set())
+        anger_rate([], lex, set(), set())
