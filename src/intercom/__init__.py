@@ -12,8 +12,9 @@ __version__ = "0.1.0"
 # rebinds the functions of the ``intercom`` modules in sys.modules
 # (``perfbench/spans.py``) still finds each one. The entry points ``cli``
 # and ``synth`` are imported the ordinary way.
-LAZY_MODULES = ("checkpoint", "corpus", "embed", "forest", "impact", "lstm", "matching",
-                "mobilization", "pipeline", "predictor", "replynet", "sentiment", "settings")
+LAZY_MODULES = ("checkpoint", "corpus", "embed", "forest", "impact", "lexicon", "lstm",
+                "matching", "mobilization", "pipeline", "predictor", "replynet", "sentiment",
+                "settings", "stages")
 
 
 def _register_lazily(names) -> None:

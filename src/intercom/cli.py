@@ -9,18 +9,18 @@ import logging
 import sys
 
 # the analysis modules by module, each looked up when a command needs it, so
-# that a command runs only the modules it uses (intercom.LAZY_MODULES);
-# DATA_ERRORS needs corpus, matching and mobilization at import
+# that a command runs only the modules it uses (intercom.LAZY_MODULES)
+from . import corpus as corpus_mod
 from . import embed as embed_mod
 from . import forest as forest_mod
 from . import lstm as lstm_mod
+from . import matching as matching_mod
+from . import mobilization as mobilization_mod
 from . import pipeline
 from . import predictor as pred_mod
 from . import replynet as replynet_mod
 from . import sentiment as sentiment_mod
-from .corpus import CorpusError
-from .matching import NoMatchError, crosslink_involved_posts, matched_post
-from .mobilization import BaselineError
+from . import stages
 from .settings import Config, ConfigError, apply_overrides, load_config
 
 EXIT_OK = 0
@@ -28,8 +28,13 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
-DATA_ERRORS = (CorpusError, BaselineError, NoMatchError, ConfigError, OSError, KeyError,
-               ValueError)
+
+def _data_errors() -> tuple[type[Exception], ...]:
+    """The errors that exit with EXIT_DATA, looked up only when an error is
+    handled: importing the CLI runs none of corpus, matching and
+    mobilization."""
+    return (corpus_mod.CorpusError, mobilization_mod.BaselineError, matching_mod.NoMatchError,
+            ConfigError, OSError, KeyError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,7 +72,7 @@ def _config(args, **fixed) -> Config:
 
 
 def cmd_ingest(args) -> int:
-    stats = pipeline.Run(_config(args)).corpus.stats
+    stats = stages.Run(_config(args)).corpus.stats
     # the bytes of the report bundle's ingest.json
     pipeline.write_json(args.out, dataclasses.asdict(stats))
     print(f"lines={stats.lines} posts={stats.posts} comments={stats.comments} "
@@ -76,14 +81,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_crosslinks(args) -> int:
-    links = pipeline.Run(_config(args)).links
+    links = stages.Run(_config(args)).links
     pipeline.write_jsonl(args.out, (link.to_dict() for link in links))
     print(f"extracted {len(links)} cross-links", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_detect(args) -> int:
-    run = pipeline.Run(_config(args))
+    run = stages.Run(_config(args))
     pipeline.write_jsonl(args.out, (record.to_dict() for record in run.records))
     print(f"baseline={run.baseline['value']:.4f} ({run.baseline['mode']}) "
           f"mobilizations={len(run.mobilized)}/{len(run.records)}", file=sys.stderr)
@@ -91,8 +96,9 @@ def cmd_detect(args) -> int:
 
 
 def cmd_match(args) -> int:
-    run = pipeline.Run(_config(args))
-    pair = matched_post(run.corpus, args.post, crosslink_involved_posts(run.links))
+    run = stages.Run(_config(args))
+    pair = matching_mod.matched_post(run.corpus, args.post,
+                                     matching_mod.crosslink_involved_posts(run.links))
     pipeline.write_json(None, dataclasses.asdict(pair))
     return EXIT_OK
 
@@ -100,9 +106,9 @@ def cmd_match(args) -> int:
 def cmd_sentiment(args) -> int:
     if args.action == "train" and not args.labels:
         raise UsageError("sentiment train needs --labels")
-    run = pipeline.Run(_config(args, sentiment_model=args.model))
+    run = stages.Run(_config(args, sentiment_model=args.model))
     if args.action == "predict":
-        pipeline.write_jsonl(args.out, pipeline.sentiment_rows(run))
+        pipeline.write_jsonl(args.out, stages.sentiment_rows(run))
         return EXIT_OK
     labels = {}
     with open(args.labels, "r", encoding="utf-8") as fh:
@@ -129,7 +135,7 @@ def cmd_sentiment(args) -> int:
 
 
 def cmd_replynet(args) -> int:
-    run = pipeline.Run(_config(args))
+    run = stages.Run(_config(args))
     record = next((record for record in run.records if record.id == args.mobilization), None)
     if record is None:
         raise KeyError(f"no cross-link with source post {args.mobilization!r}")
@@ -145,9 +151,9 @@ def cmd_replynet(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    run = pipeline.Run(_config(args))
+    run = stages.Run(_config(args))
     run.out.mkdir(parents=True, exist_ok=True)
-    pipeline.stage_embed(run)
+    stages.stage_embed(run)
     print((run.out / "embed.json").read_text(encoding="utf-8"), end="")
     return EXIT_OK
 
@@ -155,13 +161,13 @@ def cmd_embed(args) -> int:
 def cmd_predict(args) -> int:
     table, word_vectors = embed_mod.load_table(args.embeddings)
     if args.action == "train":
-        run = pipeline.Run(_config(args))
-        _, result = pipeline.train_lstm(run, table, word_vectors, args.model)
+        run = stages.Run(_config(args))
+        _, result = stages.train_lstm(run, table, word_vectors, args.model)
         print(f"trained; best val AUC = {result.best_val_auc}")
         return EXIT_OK
 
     params, checkpoint = lstm_mod.load_params(args.model)
-    run = pipeline.Run(_config(args, max_words=checkpoint["max_words"], seed=checkpoint["seed"]))
+    run = stages.Run(_config(args, max_words=checkpoint["max_words"], seed=checkpoint["seed"]))
     if args.action == "score":
         sequences, _ = pred_mod.assemble_sequences(run.corpus, run.links, table, word_vectors,
                                                    max_words=run.config.max_words)
@@ -173,7 +179,7 @@ def cmd_predict(args) -> int:
     # eval: rebuild the training run's dataset and split and report test AUC;
     # every link is scored, as the report scores them, so that each test
     # link shares its forward's batch with the same links as in the report
-    dataset = pipeline.lstm_dataset(run, table, word_vectors)
+    dataset = stages.lstm_dataset(run, table, word_vectors)
     test_auc = pred_mod.auc_or_none(dataset.labels[dataset.test_idx], lambda: pred_mod.predict_prob(
         dataset.sequences, params)[dataset.test_idx])
     if test_auc is None:
@@ -290,11 +296,11 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     except pipeline.StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA if isinstance(exc.cause, DATA_ERRORS) else EXIT_INTERNAL
-    except DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_DATA if isinstance(exc.cause, _data_errors()) else EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001
+        if isinstance(exc, _data_errors()):
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

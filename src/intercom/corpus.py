@@ -257,14 +257,21 @@ def index_lines(lines) -> Corpus:
 
 
 def _time_order(times: np.ndarray, ids: Texts) -> np.ndarray:
-    """The indices of the comments with timestamps ``times`` and ids
-    ``ids`` in ``(timestamp, id)`` order, as int32."""
+    """The indices of the comments with timestamps ``times`` and distinct
+    ids ``ids`` in ``(timestamp, id)`` order, as int32."""
     order = np.argsort(times).astype(np.int32)
     ordered = times[order]
-    # runs of equal timestamps, rare in a log, are put in id order
-    for t in set(ordered[1:][ordered[1:] == ordered[:-1]].tolist()):
-        lo, hi = np.searchsorted(ordered, t, "left"), np.searchsorted(ordered, t, "right")
-        order[lo:hi] = sorted(order[lo:hi].tolist(), key=ids.__getitem__)
+    # the rows that share their timestamp with another, common in a log of
+    # whole seconds, sorted once by (timestamp, id): their positions hold
+    # the same timestamps in order, so each goes back into one of them
+    same = ordered[1:] == ordered[:-1]
+    tied = np.zeros(len(order), dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    if same.any():
+        rows = order[tied]
+        keyed = sorted(zip(ordered[tied].tolist(), ids.strings(rows), rows.tolist()))
+        order[tied] = [row for _, _, row in keyed]
     return order
 
 

@@ -11,8 +11,9 @@ from .corpus import Corpus, CrossLink
 from .embed import EmbeddingTable
 from .forest import train_forest
 from .impact import midranks
+from .lexicon import Lexicon
 from .lstm import LSTMParams, bptt, example_loss, mean_hidden, predict_prob, readout
-from .sentiment import Lexicon, community_tfidf_vectors, extract_text_features, sparse_cosine, tokenize
+from .sentiment import community_tfidf_vectors, extract_text_features, sparse_cosine, tokenize
 
 log = logging.getLogger(__name__)
 

@@ -11,8 +11,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import Corpus, Event
+from .lexicon import Lexicon
 from .mobilization import MobilizationRecord
-from .sentiment import Lexicon, tokenize
+from .sentiment import tokenize
 
 log = logging.getLogger(__name__)
 

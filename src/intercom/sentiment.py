@@ -5,14 +5,12 @@ import math
 import re
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 
-# by module, so that the lexicon (the input digest of every report) loads
-# without the corpus or the forest, and without numpy
+# by module, each looked up when a function needs it (intercom.LAZY_MODULES)
 from . import corpus as corpus_mod
 from . import forest as forest_mod
+from . import lexicon as lexicon_mod
+from .lexicon import Lexicon
 
 TOKEN_RE = re.compile(r"[a-z0-9']+")
 SENTENCE_RE = re.compile(r"[.!?]+")
@@ -33,38 +31,9 @@ PUNCT_MARKS = {
 LABEL_NEGATIVE = "negative"
 LABEL_NEUTRAL = "neutral"
 
-
-@dataclass
-class Lexicon:
-    name: str
-    categories: dict[str, set[str]]
-
-    def __post_init__(self):
-        for cat, words in self.categories.items():
-            if not words:
-                raise ValueError(f"lexicon category {cat!r} is empty")
-            self.categories[cat] = {w.lower() for w in words}
-
-
-def load_lexicon(directory, name: str | None = None) -> Lexicon:
-    """Build a Lexicon from a directory of ``<category>.txt`` word lists."""
-    directory = Path(directory)
-    categories = {}
-    for path in sorted(directory.glob("*.txt")):
-        words = {line.strip().lower() for line in path.read_text(encoding="utf-8").splitlines()}
-        words.discard("")
-        if words:
-            categories[path.stem] = words
-    if not categories:
-        raise ValueError(f"no lexicon categories found in {directory}")
-    return Lexicon(name=name or directory.name, categories=categories)
-
-
-def builtin_lexicon() -> Lexicon:
-    """The small open word lists shipped with the package."""
-    root = resources.files("intercom").joinpath("data/lexicons")
-    with resources.as_file(root) as path:
-        return load_lexicon(path, name="builtin")
+# the lexicon's loaders, importable from here too: their own module is the
+# one an all-hit re-run reads, without running this one
+builtin_lexicon, load_lexicon = lexicon_mod.builtin_lexicon, lexicon_mod.load_lexicon
 
 
 def tokenize(text: str) -> list[str]:

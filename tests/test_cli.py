@@ -14,8 +14,9 @@ import pytest
 import intercom
 from intercom import embed as embed_mod
 from intercom.cli import build_parser, main
-from intercom.pipeline import RUN_RECORD, STAGES, Config, Run, substream_seed, train_lstm
+from intercom.pipeline import RUN_RECORD, STAGES, Config
 from intercom.replynet import REPLYNET_HEADER
+from intercom.stages import Run, substream_seed, train_lstm
 from intercom.synth import SynthSpec, generate_corpus
 
 from conftest import run_python, write_canary_pickle

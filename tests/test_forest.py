@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from intercom.forest import Forest, SchemaError, load_forest, train_forest
+from intercom.lexicon import builtin_lexicon
 from intercom.predictor import ensemble_features
-from intercom.sentiment import builtin_lexicon, extract_text_features
+from intercom.sentiment import extract_text_features
 
 
 def predict(forest: Forest, X: list[dict]) -> list:

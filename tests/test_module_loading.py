@@ -70,15 +70,62 @@ ran(registered=[sys.modules.get(f"intercom.{name}") is vars(intercom)[name]
 def test_an_all_hit_rerun_runs_no_stage_module_and_imports_no_numpy(events_path, tmp_path):
     out = tmp_path / "bundle"
     first = run_pipeline(Config(corpus=str(events_path), output_dir=str(out)))
+    # the modules the re-run adds are compared within the probe, so that
+    # what the interpreter imports at start-up does not matter
     found = probe("""
+import intercom
+before = set(sys.modules)
 from intercom import pipeline
 result = pipeline.run_pipeline(pipeline.Config(corpus=sys.argv[1], output_dir=sys.argv[2]))
-ran(hits=result.cache_hits)
+ran(hits=result.cache_hits, added=sorted(set(sys.modules) - before))
 """, events_path, out)
     assert found["hits"] == list(first.manifest["stages"])
-    assert found["ran"] == ["intercom", "intercom.pipeline", "intercom.sentiment",
+    assert found["ran"] == ["intercom", "intercom.lexicon", "intercom.pipeline",
                             "intercom.settings"]
     assert not found["numpy"]
+    assert not {"csv", "logging", "platform"} & set(found["added"])
+
+
+def test_an_all_hit_cli_report_runs_only_the_pipeline_modules(events_path, tmp_path):
+    out = tmp_path / "bundle"
+    run_pipeline(Config(corpus=str(events_path), output_dir=str(out)))
+    found = probe("""
+from intercom import cli
+ran(status=cli.main(sys.argv[1:]))
+""", "report", "--corpus", events_path, "--out", out)
+    assert found["status"] == 0
+    assert found["ran"] == ["intercom", "intercom.cli", "intercom.lexicon", "intercom.pipeline",
+                            "intercom.settings"]
+    assert not found["numpy"]
+
+
+def test_importing_the_cli_and_its_help_import_no_numpy():
+    found = probe("""
+from intercom import cli
+try:
+    cli.main(["--help"])
+except SystemExit as exit:
+    ran(status=exit.code)
+""")
+    assert found["status"] == 0
+    assert found["ran"] == ["intercom", "intercom.cli", "intercom.settings"]
+    assert not found["numpy"]
+
+
+@pytest.mark.parametrize("args", [
+    ["report", "--corpus", "{missing}", "--out", "{out}"],
+    ["report", "--config", "{missing}", "--out", "{out}"],
+    ["match", "--corpus", "{events}", "--post", "no-such-post"],
+], ids=["missing corpus", "missing config", "unknown post"])
+def test_a_data_error_exits_2_in_a_fresh_interpreter(events_path, tmp_path, args):
+    # the data errors are looked up only once an error is handled: here the
+    # first lookup of the corpus, matching and mobilization modules' errors
+    paths = {"missing": tmp_path / "missing", "out": tmp_path / "out", "events": events_path}
+    found = probe("""
+from intercom import cli
+ran(status=cli.main(sys.argv[1:]))
+""", *(arg.format(**paths) for arg in args))
+    assert found["status"] == 2
 
 
 def test_loading_an_event_log_runs_only_the_corpus_module(events_path):

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import logging
 import platform
 from pathlib import Path
 
@@ -9,23 +10,23 @@ import numpy as np
 import pytest
 
 import intercom
-from intercom import embed, lstm, pipeline, replynet
+from intercom import embed, lstm, replynet, stages
 from intercom.corpus import CrossLink, load_events
 from intercom.embed import load_vectors
 from intercom.forest import train_forest
+from intercom.lexicon import builtin_lexicon
 from intercom.pipeline import (
     RUN_RECORD,
     STAGES,
     Config,
     ConfigError,
-    Run,
     StageError,
     run_pipeline,
-    substream_seed,
     validate_bundle,
 )
-from intercom.sentiment import builtin_lexicon, crosslink_features
+from intercom.sentiment import crosslink_features
 from intercom.settings import apply_overrides, load_config
+from intercom.stages import Run, substream_seed
 from intercom.synth import SynthSpec, generate_corpus
 
 from conftest import BASE, DAY, HOUR, comment, post, run_python, write_canary_pickle, write_events
@@ -289,7 +290,7 @@ def test_predict_reads_the_embeddings_from_the_bundle_only_when_embed_hit_the_ca
     # the vectors embed hands to predict are the ones load_table reads back
     run = Run(Config(output_dir=str(tmp_path / "seeded"), **config))
     run.out.mkdir()
-    pipeline.stage_embed(run)
+    stages.stage_embed(run)
     (table, words), (read_table, read_words) = run.embeddings, original_load_table(run.out)
     assert loaded == [tmp_path / "run"]
     assert (table.users, table.communities, table.dim, table.negatives) == (
@@ -386,14 +387,17 @@ def test_run_record_ingest_entry_holds_only_its_timings(tmp_path):
     assert set(record["stages"]["ingest"]) == {"hit", "wall_s", "cpu_s"}
 
 
-def test_pipeline_empty_corpus(tmp_path):
+def test_pipeline_empty_corpus(tmp_path, caplog):
     events_path = write_events(tmp_path / "empty.jsonl", [])
     config = Config(corpus=str(events_path), output_dir=str(tmp_path / "run"))
-    result = run_pipeline(config)
+    with caplog.at_level(logging.WARNING, logger="intercom.pipeline"):
+        result = run_pipeline(config)
     validate_bundle(result.output_dir)
     baseline = json.loads((result.output_dir / "baseline.json").read_text())
     assert baseline["fallback"] is True
     assert baseline["value"] == 1.6
+    assert [(r.name, r.getMessage()) for r in caplog.records if r.name == "intercom.pipeline"] == [
+        ("intercom.pipeline", "no eligible matched pairs; using default baseline 1.600")]
     assert (result.output_dir / "mobilizations.jsonl").read_text() == ""
 
 
@@ -765,7 +769,7 @@ def test_predict_stage_runs_one_lstm_forward_per_link(synth_corpus, tmp_path, mo
                     predict_enabled=True, embed_dim=8, embed_epochs=2, hidden_size=6,
                     predict_epochs=1, ensemble_trees=5, seed=3)
     run = Run(config)
-    pipeline.stage_embed(run)
+    stages.stage_embed(run)
     padded, forwards, datasets = [], [], []
 
     def recording_pad(seqs, input_dim):
@@ -783,11 +787,11 @@ def test_predict_stage_runs_one_lstm_forward_per_link(synth_corpus, tmp_path, mo
         forwards.clear()
         return dataset, result
 
-    original_pad, original_forward, original_train = lstm.pad, lstm.forward_padded, pipeline.train_lstm
+    original_pad, original_forward, original_train = lstm.pad, lstm.forward_padded, stages.train_lstm
     monkeypatch.setattr(lstm, "pad", recording_pad)
     monkeypatch.setattr(lstm, "forward_padded", counting_forward)
-    monkeypatch.setattr(pipeline, "train_lstm", train_then_count)
-    pipeline.stage_predict(run)
+    monkeypatch.setattr(stages, "train_lstm", train_then_count)
+    stages.stage_predict(run)
     assert forwards == [len(ids) for ids in padded]
     entered = sorted(i for ids in padded for i in ids)
     assert entered == sorted(id(seq) for seq in datasets[0].sequences)

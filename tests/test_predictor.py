@@ -135,7 +135,7 @@ def test_assemble_sequence_missing_embedding():
 
 def test_baseline_features_no_history():
     corpus, link = _corpus_with_link("fresh author text")
-    from intercom.sentiment import Lexicon
+    from intercom.lexicon import Lexicon
 
     lexicon = Lexicon(name="t", categories={"anger": {"hate"}})
     fv = baseline_features(corpus, link, lexicon, community_tfidf_vectors(corpus))
@@ -147,7 +147,7 @@ def test_baseline_features_no_history():
 
 def test_baseline_features_hand_computed():
     # author history: 2 posts in B (target), 1 in A (source), 1 in C
-    from intercom.sentiment import Lexicon
+    from intercom.lexicon import Lexicon
 
     events = [
         post("h1", "alice", "B", BASE - 400, body="old one"),
@@ -181,7 +181,7 @@ def test_baseline_features_identical_communities_tfidf():
     ]
     corpus = corpus_from(events)
     link = extract_crosslinks(corpus)[0]
-    from intercom.sentiment import Lexicon
+    from intercom.lexicon import Lexicon
 
     lexicon = Lexicon(name="t", categories={"anger": {"hate"}})
     fv = baseline_features(corpus, link, lexicon, community_tfidf_vectors(corpus))

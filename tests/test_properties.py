@@ -2,13 +2,15 @@
 import random
 from itertools import count
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from intercom.corpus import (DAY, CrossLink, day_start, extract_crosslinks, link_members,  # noqa: E402
-                             member_window, members)
+from intercom.corpus import (DAY, CrossLink, Texts, _offsets, _pack, _time_order,  # noqa: E402
+                             day_start, extract_crosslinks, link_members, member_window,
+                             members)
 from intercom.impact import _activity_counts, activity_delta  # noqa: E402
 from intercom.matching import match_pools, matched_user  # noqa: E402
 from intercom.mobilization import (DEFAULT_BASELINE, MobilizationRecord, detect,  # noqa: E402
@@ -16,7 +18,8 @@ from intercom.mobilization import (DEFAULT_BASELINE, MobilizationRecord, detect,
 from intercom.replynet import (REPLYNET_HEADER, TELEPORT_PROB, ReplyGraph, anger_rate,  # noqa: E402
                                echo_metrics, group_pagerank, replynet_rows, thread_graph,
                                thread_replies)
-from intercom.sentiment import Lexicon, tokenize  # noqa: E402
+from intercom.lexicon import Lexicon  # noqa: E402
+from intercom.sentiment import tokenize  # noqa: E402
 
 from conftest import BASE, HOUR, comment, corpus_from, names, post  # noqa: E402
 
@@ -201,6 +204,23 @@ def test_anger_rate_on_the_thread_replies_equals_the_comment_scan(seed):
         to_users = set(rng.sample(users, rng.randint(0, len(users))))
         assert (repr(anger_rate(replies, LEXICON, from_users, to_users))
                 == repr(scan_anger_rate(comments, LEXICON, from_users, to_users)))
+
+
+# -- comment order -------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 20), st.text(max_size=3)), max_size=80,
+                unique_by=lambda pair: pair[1]))
+def test_time_order_is_the_timestamp_then_id_order(comments):
+    """On whole-second timestamps, as in a log of Reddit's ``created_utc``,
+    so that many comments share one, and on distinct ids, as ``_index``
+    gets them."""
+    times = [BASE + second for second, _ in comments]
+    ids = [cid for _, cid in comments]
+    data = bytearray()
+    order = _time_order(np.array(times, dtype=np.float64), Texts(data, _offsets([_pack(ids, data)])))
+    assert order.dtype == np.int32
+    assert order.tolist() == sorted(range(len(comments)), key=lambda k: (times[k], ids[k]))
 
 
 # -- windows -------------------------------------------------------------------

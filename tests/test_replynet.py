@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from intercom.lexicon import Lexicon
 from intercom.replynet import (
     TELEPORT_PROB,
     ConvergenceError,
@@ -13,7 +14,6 @@ from intercom.replynet import (
     group_pagerank,
     thread_replies,
 )
-from intercom.sentiment import Lexicon
 
 from conftest import BASE, comment
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from intercom import lexicon as lexicon_mod, sentiment
 from intercom.corpus import extract_crosslinks
+from intercom.lexicon import Lexicon, builtin_lexicon
 from intercom.sentiment import (
-    Lexicon,
-    builtin_lexicon,
     community_tfidf_vectors,
     crosslink_features,
     extract_text_features,
@@ -149,6 +149,12 @@ def test_builtin_lexicon_loads():
     lex = builtin_lexicon()
     assert {"anger", "positive", "negative"} <= set(lex.categories)
     assert "hate" in lex.categories["anger"]
+
+
+def test_the_sentiment_module_gives_the_lexicon_modules_loaders():
+    # perfbench/fixtures.py imports builtin_lexicon from intercom.sentiment
+    for name in ("Lexicon", "builtin_lexicon", "load_lexicon"):
+        assert getattr(sentiment, name) is getattr(lexicon_mod, name)
 
 
 def test_lexicon_rejects_empty_category():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from intercom.corpus import extract_crosslinks, load_events
+from intercom.lexicon import builtin_lexicon
 from intercom.mobilization import baseline_ratio, detect, measure
-from intercom.sentiment import extract_text_features, builtin_lexicon
+from intercom.sentiment import extract_text_features
 from intercom.synth import SynthError, SynthSpec, _body, generate_corpus
 
 
