@@ -588,7 +588,6 @@ def day_start(ts: float) -> float:
 def extract_crosslinks(
     corpus: Corpus,
     host_allowlist=None,
-    remove_overlaps: bool = True,
     window_hours: float = 12.0,
     counts: dict[str, int] | None = None,
 ) -> list[CrossLink]:
@@ -596,11 +595,10 @@ def extract_crosslinks(
 
     At most one link per source post (the first permalink that resolves to an
     existing post in a different community). Permalinks to unknown posts are
-    dropped. When ``remove_overlaps`` is set, links sharing a target post
-    whose +/-window analysis intervals intersect are reduced to the earliest
-    one. A ``counts`` dict receives how many permalinks named an unknown post
-    (``unknown_target``) and how many links the overlap rule removed
-    (``overlap_removed``).
+    dropped. Links sharing a target post whose +/-window analysis intervals
+    intersect are reduced to the earliest one. A ``counts`` dict receives
+    how many permalinks named an unknown post (``unknown_target``) and how
+    many links the overlap rule removed (``overlap_removed``).
     """
     allow = {h.lower() for h in host_allowlist} if host_allowlist else None
     links: list[CrossLink] = []
@@ -631,8 +629,7 @@ def extract_crosslinks(
         log.warning("dropped %d cross-links to nonexistent target posts", dropped_unknown)
     links.sort(key=lambda l: (l.t0, l.source_post))
     found = len(links)
-    if remove_overlaps:
-        links = remove_overlapping(links, window_hours=window_hours)
+    links = remove_overlapping(links, window_hours=window_hours)
     if counts is not None:
         counts.update(unknown_target=dropped_unknown, overlap_removed=found - len(links))
     return links

@@ -46,13 +46,6 @@ class ImpactRecord:
     low_support: bool = False
 
 
-@dataclass
-class DefenseOutcome:
-    mobilization_id: str
-    success_score: float
-    decile: int | None = None
-
-
 def _window_edges(times, t0: float) -> list[int]:
     """The before and after windows of a cross-link at t0, each as the two
     rank ranges [i, a) and [b, j) of the distinct comment ``times`` that
@@ -202,16 +195,6 @@ def mobilization_impacts(corpus: Corpus, records: list[MobilizationRecord],
     return impacts
 
 
-def assign_deciles(outcomes: list[DefenseOutcome]) -> list[DefenseOutcome]:
-    """Label each outcome with its success decile (1 = least successful);
-    bin sizes differ by at most one."""
-    ordered = sorted(outcomes, key=lambda o: (o.success_score, o.mobilization_id))
-    n = len(ordered)
-    for rank, outcome in enumerate(ordered):
-        outcome.decile = min(10, 1 + (rank * 10) // n)
-    return outcomes
-
-
 def moving_average(values: list[float], window: int = 5) -> list[float]:
     """Centered moving average of +/-window points, truncated at the edges."""
     n = len(values)
@@ -222,38 +205,28 @@ def moving_average(values: list[float], window: int = 5) -> list[float]:
     return out
 
 
-@dataclass
-class SuccessSeries:
-    points: list[tuple[float, float]]
-    smoothed: bool
-
-
-def decile_series(
-    outcomes: list[DefenseOutcome],
-    metric_fn,
-    window: int = 5,
-    n_buckets: int = 100,
-) -> SuccessSeries:
-    """Per-outcome metric averaged over equal-size success buckets, smoothed
-    by a centered +/-window moving average.
+def success_series(scores: list[float], values: list[float], window: int = 5,
+                   n_buckets: int = 100) -> tuple[list[tuple[float, float]], bool]:
+    """The ``values`` of defenses sorted by their success ``scores``, averaged
+    over equal-size success buckets and smoothed by a centered +/-window
+    moving average, as (mean score, value) points, and whether they were
+    smoothed.
 
     Falls back to the raw (unsmoothed) series when there are fewer than
     2*window+1 buckets.
     """
-    ordered = sorted(outcomes, key=lambda o: (o.success_score, o.mobilization_id))
-    n = len(ordered)
+    n = len(scores)
     if n == 0:
-        return SuccessSeries(points=[], smoothed=False)
+        return [], False
     buckets = min(n_buckets, n)
     xs, ys = [], []
     for b in range(buckets):
         lo, hi = (b * n) // buckets, ((b + 1) * n) // buckets
-        chunk = ordered[lo:hi]
-        xs.append(sum(o.success_score for o in chunk) / len(chunk))
-        ys.append(sum(metric_fn(o) for o in chunk) / len(chunk))
+        xs.append(sum(scores[lo:hi]) / (hi - lo))
+        ys.append(sum(values[lo:hi]) / (hi - lo))
     if buckets < 2 * window + 1:
-        return SuccessSeries(points=list(zip(xs, ys)), smoothed=False)
-    return SuccessSeries(points=list(zip(xs, moving_average(ys, window))), smoothed=True)
+        return list(zip(xs, ys)), False
+    return list(zip(xs, moving_average(ys, window))), True
 
 
 def midranks(values) -> list[float]:
@@ -366,17 +339,17 @@ def _mean(xs):
 
 
 def aggregate(corpus: Corpus, records: list[MobilizationRecord], replynet_rows: list[list],
-              columns: list[str],
-              seed: int = 0) -> tuple[list[list], dict[str, SuccessSeries], dict, dict]:
+              columns: list[str], seed: int = 0) -> tuple[list[list], dict, dict, dict]:
     """The impact of the mobilization ``records``: the IMPACT_HEADER rows of
-    those with defenders, each defense's success score its mean defender
-    delta minus its mean matched defender delta (0.0 without a matched
-    defender), so positive means the defense succeeded; per REPLYNET_HEADER
-    column named in ``columns``, that column of their rows (0.0 where
-    missing) over the success buckets; the tests, each ``{"skipped":
-    reason}`` where it cannot run; and the counts of outcomes and fallbacks."""
-    metrics = {row[0]: dict(zip(REPLYNET_HEADER, row)) for row in replynet_rows}
-    outcomes, rows = [], []
+    those with defenders, in record order, each defense's success score its
+    mean defender delta minus its mean matched defender delta (0.0 without
+    a matched defender), so positive means the defense succeeded, and its
+    success decile (1 = least successful; the deciles' sizes differ by at
+    most one); per REPLYNET_HEADER column named in ``columns``, the
+    ``success_series`` of that column of their replynet rows (0.0 where
+    missing); the tests, each ``{"skipped": reason}`` where it cannot run;
+    and the counts of outcomes and fallbacks."""
+    rows = []
     deltas = {"attacker": [], "defender": []}
     pairs = {"attacker": [], "defender": []}
     counts = {"no_matched_attacker": 0, "no_matched_defender": 0, "low_support": 0}
@@ -393,24 +366,24 @@ def aggregate(corpus: Corpus, records: list[MobilizationRecord], replynet_rows: 
             continue
         mean_defender = _mean([i.delta for i in defenders])
         mean_matched = _mean([i.matched_delta for i in defenders if i.matched_delta is not None])
-        outcome = DefenseOutcome(record.id, mean_defender - (mean_matched or 0.0))
-        outcomes.append(outcome)
         rows.append([
             record.id, len(attackers), len(defenders),
             _mean([i.delta for i in attackers]), mean_defender,
             _mean([i.matched_delta for i in attackers if i.matched_delta is not None]),
-            mean_matched, outcome.success_score, None,
+            mean_matched, mean_defender - (mean_matched or 0.0), None,
         ])
-    assign_deciles(outcomes)
-    for row, outcome in zip(rows, outcomes):
-        row[-1] = outcome.decile
+    ordered = sorted(rows, key=lambda row: (row[-2], row[0]))  # by (success score, id)
+    for rank, row in enumerate(ordered):
+        row[-1] = min(10, 1 + (rank * 10) // len(ordered))
 
+    by_id = {row[0]: row for row in replynet_rows}
+    blank = [None] * len(REPLYNET_HEADER)  # the replynet row of a record without one
+    scores = [row[-2] for row in ordered]
     series = {}
     for column in columns:
-        def metric(outcome, column=column):
-            value = metrics.get(outcome.mobilization_id, {}).get(column)
-            return 0.0 if value is None else float(value)
-        series[column] = decile_series(outcomes, metric)
+        at = REPLYNET_HEADER.index(column)
+        values = (by_id.get(row[0], blank)[at] for row in ordered)
+        series[column] = success_series(scores, [0.0 if v is None else float(v) for v in values])
 
     def result(test, statistic, *samples):
         try:
@@ -423,4 +396,4 @@ def aggregate(corpus: Corpus, records: list[MobilizationRecord], replynet_rows: 
              result(mann_whitney_u, "U", deltas["defender"], deltas["attacker"])}
     for role in ("attacker", "defender"):
         tests[f"{role}_delta_vs_matched_wilcoxon"] = result(wilcoxon_signed_rank, "W", pairs[role])
-    return rows, series, tests, {"outcomes": len(outcomes), **counts}
+    return rows, series, tests, {"outcomes": len(rows), **counts}

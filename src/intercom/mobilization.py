@@ -23,6 +23,9 @@ class BaselineError(Exception):
 
 @dataclass
 class MobilizationRecord:
+    """One cross-link's verdict. Its attackers and defenders are disjoint, as
+    ``link_members`` makes a link's source and target members."""
+
     crosslink: CrossLink
     before_count: int
     after_count: int
@@ -34,19 +37,18 @@ class MobilizationRecord:
     matched_before: int | None = None
     matched_after: int | None = None
 
+    def __post_init__(self):
+        both = self.attackers & self.defenders
+        if both:
+            raise ValueError(f"users both attackers and defenders: {sorted(both)}")
+
     @property
     def id(self) -> str:
         return self.crosslink.source_post
 
     def to_dict(self) -> dict:
-        link = self.crosslink
         return {
-            "source_post": link.source_post,
-            "target_post": link.target_post,
-            "source_community": link.source_community,
-            "target_community": link.target_community,
-            "t0": link.t0,
-            "author": link.author,
+            **self.crosslink.to_dict(),
             "before_count": self.before_count,
             "after_count": self.after_count,
             "matched_before": self.matched_before,

@@ -98,14 +98,14 @@ class GroupPageRank:
     iterations: int
 
 
-def _teleport_nodes(graph: ReplyGraph, teleport_set) -> set[str]:
+def _teleport_nodes(graph: ReplyGraph, teleport_set: str) -> set[str]:
     if teleport_set == "attackers":
         return graph.users_in_group(GROUP_ATTACKER)
     if teleport_set == "defenders":
         return graph.users_in_group(GROUP_DEFENDER)
     if teleport_set == "all":
         return set(graph.nodes)
-    return set(teleport_set)
+    raise ValueError(f"unknown teleport set {teleport_set!r}")
 
 
 class _Job(NamedTuple):
@@ -120,16 +120,13 @@ class _Job(NamedTuple):
     dangling: int
 
 
-def _job(graph: ReplyGraph, teleport_set) -> _Job:
+def _job(graph: ReplyGraph, teleport_set: str) -> _Job:
     nodes = sorted(graph.nodes)
     if not nodes:
         raise ValueError("empty graph")
     teleport = _teleport_nodes(graph, teleport_set)
     if not teleport:
         raise ValueError(f"empty teleport set {teleport_set!r}")
-    unknown = teleport - graph.nodes.keys()
-    if unknown:
-        raise ValueError(f"teleport nodes not in graph: {sorted(unknown)}")
     index = {u: i for i, u in enumerate(nodes)}
     src = [index[i] for i, _j in graph.edges]
     dst = [index[j] for _i, j in graph.edges]
@@ -191,13 +188,14 @@ def _power_iterate(jobs: list[_Job], alpha: float, tol: float, max_iter: int):
 
 def group_pagerank(
     graphs: Sequence[ReplyGraph],
-    teleport_set="all",
+    teleport_set: str = "all",
     alpha: float = TELEPORT_PROB,
     tol: float = 1e-10,
     max_iter: int = 10000,
 ) -> list[GroupPageRank]:
     """Personalized PageRank with the restart distribution uniform over the
-    teleport set.
+    teleport set: the graph's ``"attackers"``, its ``"defenders"`` or ``"all"``
+    of its nodes.
 
     Dangling nodes redirect their mass to the teleport set (not uniformly to
     all nodes), preserving the walk-restarts-from-the-group semantics. alpha
@@ -243,51 +241,45 @@ def _ratio(num: float, den: float) -> float | None:
     return num / den if den else None
 
 
-def echo_metrics(graph: ReplyGraph, apr: dict[str, float], dpr: dict[str, float],
-                 attackers: set[str], defenders: set[str]) -> dict:
+def echo_metrics(graph: ReplyGraph, apr: dict[str, float], dpr: dict[str, float]) -> dict:
     """The REPLYNET_HEADER columns from ``n_attackers`` to
-    ``mean_attacker_dpr``, in header order, of a thread's graph, its
-    attacker- and defender-teleport PageRank scores ``apr`` and ``dpr``, and
-    its record's ``attackers`` and ``defenders``, with one pass over the edges.
+    ``mean_attacker_dpr``, in header order, of a thread's graph and its
+    attacker- and defender-teleport PageRank scores ``apr`` and ``dpr``, with
+    one pass over the edges.
 
-    The counts, the weights and the A-PageRank skew read the graph's groups,
-    where a user in both sets is an attacker; the defenders' out-weight and
-    the mean scores read the sets, where that user is a defender too. The
-    zero-score fraction counts defenders whose A-PageRank sits exactly at
-    the no-inflow floor of 0 (a defender outside the teleport set receives
-    mass only through in-edges).
+    Every column reads the graph's groups. The zero-score fraction counts
+    defenders whose A-PageRank sits exactly at the no-inflow floor of 0 (a
+    defender outside the teleport set receives mass only through in-edges).
     """
-    group_attackers = graph.users_in_group(GROUP_ATTACKER)
-    group_defenders = sorted(graph.users_in_group(GROUP_DEFENDER))
-    if not group_attackers or not group_defenders:
+    attackers = sorted(graph.users_in_group(GROUP_ATTACKER))
+    defenders = sorted(graph.users_in_group(GROUP_DEFENDER))
+    if not attackers or not defenders:
         raise ValueError("echo metrics need at least one attacker and one defender")
 
     weight: dict[tuple[str, str], int] = {}  # (from group, to group) -> total weight
-    defender_out = 0
     for (i, j), w in graph.edges.items():
         key = graph.nodes[i], graph.nodes[j]
         weight[key] = weight.get(key, 0) + w
-        if i in defenders:
-            defender_out += w
     aa = weight.get((GROUP_ATTACKER, GROUP_ATTACKER), 0)
     ad = weight.get((GROUP_ATTACKER, GROUP_DEFENDER), 0)
     dd = weight.get((GROUP_DEFENDER, GROUP_DEFENDER), 0)
     da = weight.get((GROUP_DEFENDER, GROUP_ATTACKER), 0)
     cross = ad + da
+    defender_out = sum(w for (i, _j), w in weight.items() if i == GROUP_DEFENDER)
 
-    pooled = [apr[u] for u in sorted(group_attackers.union(group_defenders))]
+    pooled = [apr[u] for u in sorted(attackers + defenders)]
     mean_score = sum(pooled) / len(pooled)
-    defender_scores = [apr[u] for u in group_defenders]
+    defender_scores = [apr[u] for u in defenders]
     zero_fraction = sum(1 for s in defender_scores if s == 0.0) / len(defender_scores)
     tentimes = (sum(1 for s in defender_scores if s >= 10.0 * mean_score) / len(defender_scores)
                 if mean_score > 0.0 else 0.0)
 
     return dict(zip(REPLYNET_HEADER[1:15], (
-        len(group_attackers), len(group_defenders), aa, ad, dd, da,
+        len(attackers), len(defenders), aa, ad, dd, da,
         _ratio(aa, cross), _ratio(dd, cross), _ratio(cross, aa + dd),
         zero_fraction, tentimes, da / defender_out if defender_out else 0.0,
-        sum(apr[u] for u in sorted(defenders)) / len(defenders),
-        sum(dpr[u] for u in sorted(attackers)) / len(attackers),
+        sum(defender_scores) / len(defenders),
+        sum(dpr[u] for u in attackers) / len(attackers),
     )))
 
 
@@ -337,7 +329,6 @@ def replynet_rows(corpus: Corpus, lexicon: Lexicon, records: list[MobilizationRe
                        anger_rate(replies, lexicon, record.defenders, record.attackers)))
     ranks = [group_pagerank(graphs, group, alpha=alpha, tol=tol, max_iter=max_iter)
              for group in ("attackers", "defenders")]
-    rows = [[record.id, *echo_metrics(graph, a_rank.scores, d_rank.scores, record.attackers,
-                                      record.defenders).values(), *anger]
+    rows = [[record.id, *echo_metrics(graph, a_rank.scores, d_rank.scores).values(), *anger]
             for record, graph, anger, a_rank, d_rank in zip(records, graphs, angers, *ranks)]
     return rows, [rank.iterations for batch in ranks for rank in batch]

@@ -202,8 +202,9 @@ def stage_impact(run: Run) -> dict:
         seed=substream_seed(run.config.seed, "impact"))
     write_csv(run.out / "impact.csv", impact_mod.IMPACT_HEADER, rows)
     for filename, column in SERIES:
+        points, smoothed = series[column]
         write_csv(run.out / filename, ["success_score", column, "smoothed"],
-                  [[x, y, int(series[column].smoothed)] for x, y in series[column].points])
+                  [[x, y, int(smoothed)] for x, y in points])
     write_json(run.out / "stat_tests.json", tests)
     return counts
 

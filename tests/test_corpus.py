@@ -542,7 +542,7 @@ def test_crosslink_host_allowlist():
         post("s2", "carol", "A", BASE + 2,
              body="https://reddit.example/r/B/comments/x9 again"),
     ])
-    links = extract_crosslinks(corpus, host_allowlist=["reddit.example"], remove_overlaps=False)
+    links = extract_crosslinks(corpus, host_allowlist=["reddit.example"])
     assert [l.source_post for l in links] == ["s2"]
     # bare r/... mentions are not filtered by the allowlist
     corpus2 = corpus_from([
@@ -580,10 +580,7 @@ def test_crosslink_counts_unknown_targets_and_overlap_removals():
     counts = {}
     links = extract_crosslinks(corpus, counts=counts)
     assert [l.source_post for l in links] == ["s1", "s2", "s5"]
-    assert counts == {"unknown_target": 3, "overlap_removed": 2}
-    counts = {}
-    assert len(extract_crosslinks(corpus, remove_overlaps=False, counts=counts)) == 5
-    assert counts == {"unknown_target": 3, "overlap_removed": 0}
+    assert counts == {"unknown_target": 3, "overlap_removed": 2}  # 5 links before the rule
 
 
 def test_overlap_removal_keeps_earlier():
@@ -593,10 +590,10 @@ def test_overlap_removal_keeps_earlier():
         post("s1", "alice", "A", BASE + 30 * HOUR, body="r/B/comments/t1"),
         post("s2", "carol", "A", BASE + 31 * HOUR, body="r/B/comments/t1"),
     ])
-    links = extract_crosslinks(corpus)
+    counts = {}
+    links = extract_crosslinks(corpus, counts=counts)
     assert [l.source_post for l in links] == ["s1"]
-    raw = extract_crosslinks(corpus, remove_overlaps=False)
-    assert len(raw) == 2
+    assert len(links) + counts["overlap_removed"] == 2  # the raw links
 
 
 def test_overlap_removal_nonintersecting_kept():
@@ -614,12 +611,14 @@ def test_overlap_removal_greedy_chain():
     # dropped (overlaps 0h), 30h dropped? 30h - 0h = 30h >= 24h -> kept
     times = [0, 20, 30]
     events = [post("t1", "bob", "B", BASE)]
+    links = []
     for i, hours in enumerate(times):
-        events.append(post(f"s{i}", "u", "A", BASE + 100 * HOUR + hours * HOUR,
-                           body="r/B/comments/t1"))
-    links = extract_crosslinks(corpus_from(events), remove_overlaps=False)
+        t0 = BASE + 100 * HOUR + hours * HOUR
+        events.append(post(f"s{i}", "u", "A", t0, body="r/B/comments/t1"))
+        links.append(CrossLink(f"s{i}", "t1", "A", "B", t0, "u"))
     kept = remove_overlapping(links)
     assert [l.source_post for l in kept] == ["s0", "s2"]
+    assert extract_crosslinks(corpus_from(events)) == kept
 
 
 def test_extract_deterministic_and_sorted():

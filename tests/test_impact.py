@@ -10,16 +10,14 @@ from intercom.impact import (
     IMPACT_HEADER,
     MWU_EXACT_MAX,
     WILCOXON_EXACT_MAX,
-    DefenseOutcome,
     ImpactRecord,
     _activity_counts,
     activity_delta,
     aggregate,
-    assign_deciles,
-    decile_series,
     mann_whitney_u,
     mobilization_impacts,
     moving_average,
+    success_series,
     wilcoxon_signed_rank,
 )
 from intercom.pipeline import SERIES, Config, run_pipeline
@@ -98,14 +96,20 @@ def test_activity_delta_windows_brute_force():
     assert result.delta == pytest.approx(expected)
 
 
-def success_scores(monkeypatch, impacts):
-    """The success_score column of ``aggregate``'s rows, by record id, for
-    records whose impact records are ``impacts[id]``."""
+def impact_rows(monkeypatch, impacts):
+    """``aggregate``'s rows for records whose impact records are
+    ``impacts[id]``, in that order."""
     monkeypatch.setattr(impact, "mobilization_impacts",
                         lambda corpus, records, seed: [impacts[r.id] for r in records])
     records = [type("R", (), {"id": key})() for key in impacts]
     rows, *_ = aggregate(None, records, [], [])
-    return {row[0]: row[IMPACT_HEADER.index("success_score")] for row in rows}
+    return rows
+
+
+def success_scores(monkeypatch, impacts):
+    """The success_score column of ``impact_rows``, by record id."""
+    return {row[0]: row[IMPACT_HEADER.index("success_score")]
+            for row in impact_rows(monkeypatch, impacts)}
 
 
 def test_defense_success_values(monkeypatch):
@@ -141,17 +145,21 @@ def test_every_success_score_is_the_mean_defender_delta_less_the_mean_matched_on
         assert float(row["success_score"]) == expected, row["mobilization"]
 
 
-def test_assign_deciles_partition():
-    outcomes = [DefenseOutcome(mobilization_id=f"m{i}", success_score=i * 0.01)
-                for i in range(25)]
-    assign_deciles(outcomes)
+def test_aggregate_decile_partition(monkeypatch):
+    # each record's one defender has no matched user, so its score is its delta
+    order = list(range(25))
+    random.Random(0).shuffle(order)
+    rows = impact_rows(monkeypatch, {
+        f"m{i}": [ImpactRecord(user="d", role="defender", delta=i * 0.01, matched_delta=None)]
+        for i in order})
+    score, decile = IMPACT_HEADER.index("success_score"), IMPACT_HEADER.index("decile")
     sizes = {}
-    for o in outcomes:
-        sizes[o.decile] = sizes.get(o.decile, 0) + 1
+    for row in rows:
+        sizes[row[decile]] = sizes.get(row[decile], 0) + 1
     assert set(sizes) == set(range(1, 11))
     assert max(sizes.values()) - min(sizes.values()) <= 1
-    ordered = sorted(outcomes, key=lambda o: o.success_score)
-    assert all(a.decile <= b.decile for a, b in zip(ordered, ordered[1:]))
+    ordered = sorted(rows, key=lambda row: row[score])
+    assert all(a[decile] <= b[decile] for a, b in zip(ordered, ordered[1:]))
 
 
 def test_moving_average_constant():
@@ -168,18 +176,17 @@ def test_moving_average_impulse_plateau():
             assert v == 0.0
 
 
-def test_decile_series_smoothing_and_flag():
-    outcomes = [DefenseOutcome(mobilization_id=f"m{i:02d}", success_score=i / 50)
-                for i in range(50)]
-    series = decile_series(outcomes, lambda o: o.success_score, n_buckets=25)
-    assert series.smoothed
-    assert len(series.points) == 25
-    xs = [x for x, _ in series.points]
+def test_success_series_smoothing_and_flag():
+    scores = [i / 50 for i in range(50)]
+    points, smoothed = success_series(scores, scores, n_buckets=25)
+    assert smoothed
+    assert len(points) == 25
+    xs = [x for x, _ in points]
     assert xs == sorted(xs)
 
-    small = decile_series(outcomes[:6], lambda o: 1.0, n_buckets=100)
-    assert not small.smoothed
-    assert len(small.points) == 6
+    small_points, small_smoothed = success_series(scores[:6], [1.0] * 6, n_buckets=100)
+    assert not small_smoothed
+    assert len(small_points) == 6
 
 
 def _mwu_exact_oracle(a, b):
@@ -436,7 +443,7 @@ def test_aggregate_of_no_mobilizations():
                                             seed=3)
     assert rows == []
     assert list(series) == [column for _, column in SERIES]
-    assert all(s.points == [] and not s.smoothed for s in series.values())
+    assert all(s == ([], False) for s in series.values())
     assert tests == {"defender_vs_attacker_delta_mwu": {"skipped": "both samples must be non-empty"},
                      "attacker_delta_vs_matched_wilcoxon": {"skipped": "no pairs"},
                      "defender_delta_vs_matched_wilcoxon": {"skipped": "no pairs"}}

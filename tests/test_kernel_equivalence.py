@@ -599,7 +599,7 @@ def score_bytes(scores):
     return list(scores), np.array(list(scores.values())).tobytes()
 
 
-TELEPORT_SETS = ("attackers", "defenders", "all", {"u000", "u001"})
+TELEPORT_SETS = ("attackers", "defenders", "all")
 
 
 @settings(max_examples=40, deadline=None)

@@ -734,6 +734,18 @@ def test_replynet_stage_counts_pagerank_iterations(synth_corpus, tmp_path):
     assert none_ran["pagerank_iterations_mean"] is None
 
 
+def test_every_mobilized_records_reply_graph_groups_are_its_sets(tmp_path):
+    """The groups every replynet column reads are the attackers and defenders
+    the anger rates and the impact stage read."""
+    events_path, _ = generate_corpus(SynthSpec(), tmp_path / "world")  # 60 links
+    run = Run(Config(corpus=str(events_path), output_dir=str(tmp_path / "run")))
+    assert len(run.mobilized) > 10
+    for record in run.mobilized:
+        graph = replynet.thread_graph(run.corpus, record)
+        assert graph.users_in_group("attacker") == record.attackers
+        assert graph.users_in_group("defender") == record.defenders
+
+
 def test_a_name_with_whitespace_is_rejected_and_embed_and_predict_run(synth_corpus, tmp_path):
     events_path, _ = synth_corpus
     records = [json.loads(line) for line in Path(events_path).read_text().splitlines()]

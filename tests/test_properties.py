@@ -1,5 +1,6 @@
 """Hypothesis properties of the analysis stages, on random small inputs."""
 import random
+from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from intercom.corpus import (DAY, CrossLink, Texts, _offsets, _pack, _time_order,  # noqa: E402
                              day_start, extract_crosslinks, link_members, member_window,
                              members)
-from intercom.impact import _activity_counts, activity_delta  # noqa: E402
+from intercom import impact as impact_mod  # noqa: E402
+from intercom.impact import (ImpactRecord, _activity_counts, activity_delta,  # noqa: E402
+                             aggregate, moving_average)
 from intercom.matching import match_pools, matched_user  # noqa: E402
 from intercom.mobilization import (DEFAULT_BASELINE, MobilizationRecord, detect,  # noqa: E402
                                    measure)
@@ -89,10 +92,10 @@ def test_swapping_attackers_and_defenders_swaps_the_replynet_columns(seed, alpha
     assert swapped_iterations == iterations[half:] + iterations[:half]
 
 
-def scan_echo_metrics(graph, apr, dpr, attackers, defenders):
+def scan_echo_metrics(graph, apr, dpr):
     """Oracle: the echo columns by one scan of the edges per group pair and
-    one more for the out-weight of the record's defenders, with the means
-    over the record's sets in name order."""
+    one more for the defenders' out-weight, with the means over the graph's
+    groups in name order."""
     def weight_between(from_group, to_group):
         return sum(w for (i, j), w in graph.edges.items()
                    if graph.nodes[i] == from_group and graph.nodes[j] == to_group)
@@ -109,34 +112,30 @@ def scan_echo_metrics(graph, apr, dpr, attackers, defenders):
     scores = [apr[u] for u in sorted(in_defenders)]
     tentimes = (sum(1 for x in scores if x >= 10.0 * mean_score) / len(scores)
                 if mean_score > 0.0 else 0.0)
-    defender_out = sum(w for (i, _j), w in graph.edges.items() if i in defenders)
+    defender_out = sum(w for (i, _j), w in graph.edges.items() if i in in_defenders)
     return dict(zip(REPLYNET_HEADER[1:15], (
         len(in_attackers), len(in_defenders), aa, ad, dd, da,
         ratio(aa, cross), ratio(dd, cross), ratio(cross, aa + dd),
         sum(1 for x in scores if x == 0.0) / len(scores), tentimes,
         (da / defender_out) if defender_out else 0.0,
-        sum(apr[u] for u in sorted(defenders)) / len(defenders),
-        sum(dpr[u] for u in sorted(attackers)) / len(attackers))))
+        sum(apr[u] for u in sorted(in_defenders)) / len(in_defenders),
+        sum(dpr[u] for u in sorted(in_attackers)) / len(in_attackers))))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_echo_metrics_equals_the_per_group_edge_scans(seed):
-    """On graphs with attackers, defenders and others, users in both of a
-    record's sets (whom the graph tags attackers), self-loops, and defenders
-    that may reply to no one, and on scores with exact zeros and one score
-    far above the rest."""
+    """On graphs with attackers, defenders and others, self-loops, and
+    defenders that may reply to no one, and on scores with exact zeros and
+    one score far above the rest."""
     rng = random.Random(seed)
     n = rng.randint(2, 14)
     names = [f"u{i:02d}" for i in range(n)]
-    roles = ["attacker", "defender"] + [rng.choice(("attacker", "defender", "both", "other"))
+    roles = ["attacker", "defender"] + [rng.choice(("attacker", "defender", "other"))
                                         for _ in range(n - 2)]
     rng.shuffle(roles)
-    attackers = {u for u, role in zip(names, roles) if role in ("attacker", "both")}
-    defenders = {u for u, role in zip(names, roles) if role in ("defender", "both")}
-    nodes = {u: "attacker" if u in attackers else "defender" if u in defenders else "other"
-             for u in names}
-    silent = {u for u in defenders if rng.random() < 0.5}
+    nodes = dict(zip(names, roles))
+    silent = {u for u, role in nodes.items() if role == "defender" and rng.random() < 0.5}
     edges = {}
     for _ in range(rng.randint(0, 4 * n)):
         i, j = rng.choice(names), rng.choice(names)
@@ -153,8 +152,7 @@ def test_echo_metrics_equals_the_per_group_edge_scans(seed):
         return out
 
     apr, dpr = scores(), scores()
-    assert (repr(echo_metrics(graph, apr, dpr, attackers, defenders))
-            == repr(scan_echo_metrics(graph, apr, dpr, attackers, defenders)))
+    assert repr(echo_metrics(graph, apr, dpr)) == repr(scan_echo_metrics(graph, apr, dpr))
 
 
 def scan_anger_rate(comments, lexicon, from_users, to_users):
@@ -369,3 +367,115 @@ def test_measure_and_match_pools_read_the_link_members(events):
         for side, (codes, _history) in zip((source, target), match_pools(corpus, link)):
             expected = names(corpus, side) - on_thread
             assert codes.tolist() == sorted(corpus.user_codes[u] for u in expected)
+
+
+# -- defense outcomes ------------------------------------------------------------
+# An oracle of ``impact.aggregate``: one object per defense, labelled with its
+# decile, and the outcomes sorted again for each success series.
+
+@dataclass
+class DefenseOutcome:
+    mobilization_id: str
+    success_score: float
+    decile: int | None = None
+
+
+def assign_deciles(outcomes):
+    """Oracle: each outcome's success decile, from the outcomes sorted once here."""
+    ordered = sorted(outcomes, key=lambda o: (o.success_score, o.mobilization_id))
+    n = len(ordered)
+    for rank, outcome in enumerate(ordered):
+        outcome.decile = min(10, 1 + (rank * 10) // n)
+    return outcomes
+
+
+def decile_series(outcomes, metric_fn, window=5, n_buckets=100):
+    """Oracle: the outcomes sorted again, bucketed and smoothed, as
+    (points, smoothed)."""
+    ordered = sorted(outcomes, key=lambda o: (o.success_score, o.mobilization_id))
+    n = len(ordered)
+    if n == 0:
+        return [], False
+    buckets = min(n_buckets, n)
+    xs, ys = [], []
+    for b in range(buckets):
+        lo, hi = (b * n) // buckets, ((b + 1) * n) // buckets
+        chunk = ordered[lo:hi]
+        xs.append(sum(o.success_score for o in chunk) / len(chunk))
+        ys.append(sum(metric_fn(o) for o in chunk) / len(chunk))
+    if buckets < 2 * window + 1:
+        return list(zip(xs, ys)), False
+    return list(zip(xs, moving_average(ys, window))), True
+
+
+def outcome_rows_and_series(impacts, replynet, columns):
+    """Oracle: the impact rows and success series of records whose impact
+    records are ``impacts[id]``, through one DefenseOutcome per defense."""
+    def mean(xs):
+        return sum(xs) / len(xs) if xs else None
+
+    metrics = {row[0]: dict(zip(REPLYNET_HEADER, row)) for row in replynet}
+    outcomes, rows = [], []
+    for key, found in impacts.items():
+        attackers = [i for i in found if i.role == "attacker"]
+        defenders = [i for i in found if i.role == "defender"]
+        if not defenders:
+            continue
+        mean_defender = mean([i.delta for i in defenders])
+        mean_matched = mean([i.matched_delta for i in defenders if i.matched_delta is not None])
+        outcome = DefenseOutcome(key, mean_defender - (mean_matched or 0.0))
+        outcomes.append(outcome)
+        rows.append([
+            key, len(attackers), len(defenders),
+            mean([i.delta for i in attackers]), mean_defender,
+            mean([i.matched_delta for i in attackers if i.matched_delta is not None]),
+            mean_matched, outcome.success_score, None,
+        ])
+    assign_deciles(outcomes)
+    for row, outcome in zip(rows, outcomes):
+        row[-1] = outcome.decile
+    series = {}
+    for column in columns:
+        def metric(outcome, column=column):
+            value = metrics.get(outcome.mobilization_id, {}).get(column)
+            return 0.0 if value is None else float(value)
+        series[column] = decile_series(outcomes, metric)
+    return rows, series
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_aggregate_rows_and_series_equal_the_per_outcome_oracle(seed, many):
+    """On fewer than 11 or more than 100 defenses with tied success scores,
+    records without defenders or without a replynet row, replynet rows of no
+    record, and None, int and float columns."""
+    rng = random.Random(seed)
+    n = rng.randint(101, 130) if many else rng.randint(0, 10)
+    ids = [f"m{k:03d}" for k in range(n + rng.randint(0, 3))]
+    rng.shuffle(ids)  # record order is not id order
+    deltas = (0.0, 0.25, -0.5, 1.0, 0.1, 1 / 3)
+    impacts = {}
+    for k, key in enumerate(ids):
+        found = [ImpactRecord(user=f"{role}{j}", role=role, delta=rng.choice(deltas),
+                              matched_delta=rng.choice((None, *deltas)),
+                              low_support=rng.random() < 0.2)
+                 for role, count in (("attacker", rng.randint(0, 2)),
+                                     ("defender", rng.randint(1, 3) if k < n else 0))
+                 for j in range(count)]
+        rng.shuffle(found)
+        impacts[key] = found
+    values = (None, 0, 3, 0.5, 0.125, 2 / 3)
+    replynet = [[key, *(rng.choice(values) for _ in REPLYNET_HEADER[1:])]
+                for key in ids + ["m999"] if rng.random() < 0.7]
+    columns = REPLYNET_HEADER[1:]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(impact_mod, "mobilization_impacts",
+                      lambda corpus, records, seed: [impacts[r.id] for r in records])
+        records = [type("R", (), {"id": key})() for key in ids]
+        rows, series, _tests, counts = aggregate(None, records, replynet, columns)
+    expected_rows, expected_series = outcome_rows_and_series(impacts, replynet, columns)
+    assert counts["outcomes"] == len(expected_rows) == n
+    # repr compares floats bit for bit and keeps None apart from 0
+    assert repr(rows) == repr(expected_rows)
+    assert repr(series) == repr(expected_series)

@@ -3,7 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from intercom.corpus import CrossLink
 from intercom.lexicon import Lexicon
+from intercom.mobilization import MobilizationRecord
 from intercom.replynet import (
     TELEPORT_PROB,
     ConvergenceError,
@@ -21,12 +23,6 @@ from conftest import BASE, comment
 def make_graph(nodes, edges):
     """nodes: {user: group}; edges: {(src, dst): weight}"""
     return ReplyGraph(nodes=dict(nodes), edges=dict(edges))
-
-
-def groups(graph):
-    """The attacker and defender sets of a record, with no user in both,
-    whose thread has the reply graph ``graph``."""
-    return graph.users_in_group("attacker"), graph.users_in_group("defender")
 
 
 def _jump_table(graph):
@@ -308,12 +304,6 @@ def test_pagerank_relabel_symmetry_exact():
     assert a_scores == d_scores  # bitwise identical
 
 
-def test_pagerank_explicit_teleport_set():
-    graph = make_graph({"a": "other", "b": "other"}, {("a", "b"): 1})
-    scores = group_pagerank([graph], {"a"})[0].scores
-    assert scores["a"] > 0 and scores["b"] > 0
-
-
 def test_a_batch_that_cannot_converge_names_max_iter_and_its_first_graph():
     # an edgeless graph is at its fixed point after one step; a graph with an
     # edge out of the teleport set is not
@@ -390,7 +380,7 @@ def test_echo_metrics_attacker_only_edges():
         {("a1", "a2"): 3, ("a2", "a1"): 2},
     )
     report = echo_metrics(graph, group_pagerank([graph], "attackers")[0].scores,
-                          group_pagerank([graph], "defenders")[0].scores, *groups(graph))
+                          group_pagerank([graph], "defenders")[0].scores)
     assert report["cross_group_ratio"] == 0.0
     assert report["attacker_attacker_weight"] == 5
     assert report["defender_apr_zero_fraction"] == 1.0
@@ -407,7 +397,7 @@ def _gang_up_graph(n_attackers):
 
 def _echo(graph):
     apr, dpr = (group_pagerank([graph], group)[0].scores for group in ("attackers", "defenders"))
-    return apr, echo_metrics(graph, apr, dpr, *groups(graph))
+    return apr, echo_metrics(graph, apr, dpr)
 
 
 def test_echo_metrics_gang_up_flag():
@@ -430,27 +420,18 @@ def test_echo_metrics_requires_both_groups():
     graph = make_graph({"a1": "attacker"}, {})
     apr = group_pagerank([graph], "attackers")[0].scores
     with pytest.raises(ValueError):
-        echo_metrics(graph, apr, apr, *groups(graph))
+        echo_metrics(graph, apr, apr)
 
 
-def test_echo_metrics_reads_the_record_sets_for_the_reply_fraction_and_the_means():
-    # u is a source and a target member: the graph tags u an attacker, while
-    # the defenders' out-weight and the mean scores count u as a defender
-    comments = [
-        comment("c1", "a", "B", BASE + 1, "p1"),
-        comment("c2", "u", "B", BASE + 2, "p1", parent_id="c1"),
-        comment("c3", "d", "B", BASE + 3, "p1", parent_id="c1"),
-        comment("c4", "a", "B", BASE + 4, "p1", parent_id="c3"),
-    ]
-    attackers, defenders = {"a", "u"}, {"u", "d"}
-    graph = build_reply_graph(thread_replies(comments), "p1", attackers, defenders)
-    apr, dpr = (group_pagerank([graph], group)[0].scores for group in ("attackers", "defenders"))
-    report = echo_metrics(graph, apr, dpr, attackers, defenders)
-    assert (report["n_attackers"], report["n_defenders"]) == (2, 1)
-    assert (report["attacker_attacker_weight"], report["defender_attacker_weight"]) == (1, 1)
-    assert report["defender_reply_fraction_to_attackers"] == 0.5  # d's reply of u's and d's
-    assert report["mean_defender_apr"] == (apr["d"] + apr["u"]) / 2
-    assert report["mean_attacker_dpr"] == (dpr["a"] + dpr["u"]) / 2
+def test_a_record_whose_attackers_and_defenders_overlap_is_refused():
+    # link_members makes a link's source and target members disjoint, so
+    # no measured link has a user in both sets
+    link = CrossLink("s1", "p1", "A", "B", BASE, "op")
+    with pytest.raises(ValueError, match=r"\['u'\]"):
+        MobilizationRecord(link, 0, 1, 2.0, 1.0, "mobilization",
+                           attackers={"a", "u"}, defenders={"u", "d"})
+    assert MobilizationRecord(link, 0, 1, 2.0, 1.0, "mobilization",
+                              attackers={"a"}, defenders={"d"}).id == "s1"
 
 
 @pytest.fixture

@@ -239,7 +239,7 @@ def test_predict_sentiment_on_links_equals_one_call_per_link(lexicon):
         events.append(post(f"s{i}", "alice", "A", BASE + 3600 + i,
                            body=" ".join(words) + f" r/B/comments/t{i}" + "!" * (i % 4)))
     corpus = corpus_from(events)
-    links = extract_crosslinks(corpus, remove_overlaps=False)
+    links = extract_crosslinks(corpus)
     assert len(links) == 40
     alone = [pair for link in links for pair in predict_sentiment(forest, [link], corpus, lexicon)]
     together = predict_sentiment(forest, links, corpus, lexicon)
