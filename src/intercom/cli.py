@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import logging
@@ -72,6 +71,8 @@ def _config(args, **fixed) -> Config:
 
 
 def cmd_ingest(args) -> int:
+    import dataclasses  # here, not at the top: an all-hit report needs none
+
     stats = stages.Run(_config(args)).corpus.stats
     # the bytes of the report bundle's ingest.json
     pipeline.write_json(args.out, dataclasses.asdict(stats))
@@ -96,6 +97,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_match(args) -> int:
+    import dataclasses  # here, not at the top: an all-hit report needs none
+
     run = stages.Run(_config(args))
     pair = matching_mod.matched_post(run.corpus, args.post,
                                      matching_mod.crosslink_involved_posts(run.links))
@@ -225,8 +228,8 @@ def build_parser() -> _Parser:
                      description="Intercommunity mobilization detection and prediction toolkit")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-    # every command reads its settings dataclass the same way: synth its
-    # SynthSpec, the analysis commands their Config (``_config``)
+    # every command reads its settings the same way: synth its SynthSpec,
+    # the analysis commands their Config (``_config``)
     settings = argparse.ArgumentParser(add_help=False)
     settings.add_argument("--config", help="key = value settings file")
     settings.add_argument("--set", action="append", default=[], type=_setting, metavar="KEY=VALUE",

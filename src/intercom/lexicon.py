@@ -3,21 +3,20 @@ anger rates read. Its words are an input digest of every report, so this
 module loads without numpy or any stage module."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 
-@dataclass
 class Lexicon:
-    name: str
-    categories: dict[str, set[str]]
+    """A named set of word lists by category, each lowercased and none empty."""
 
-    def __post_init__(self):
-        for cat, words in self.categories.items():
+    def __init__(self, name: str, categories: dict[str, set[str]]):
+        for cat, words in categories.items():
             if not words:
                 raise ValueError(f"lexicon category {cat!r} is empty")
-            self.categories[cat] = {w.lower() for w in words}
+            categories[cat] = {w.lower() for w in words}
+        self.name = name
+        self.categories = categories
 
 
 def load_lexicon(directory, name: str | None = None) -> Lexicon:

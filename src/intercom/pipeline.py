@@ -4,7 +4,6 @@ bundle and its writers. This module and those it runs (``settings`` and
 the values they share are in ``intercom.stages``."""
 from __future__ import annotations
 
-import dataclasses
 import gc
 import hashlib
 import json
@@ -12,9 +11,8 @@ import resource
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 # by module, each looked up when it is needed (intercom.LAZY_MODULES): an
@@ -78,15 +76,13 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     output_dir: Path
     manifest: dict
-    cache_hits: list[str] = field(default_factory=list)
+    cache_hits: list[str]
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     name: str
     keys: tuple[str, ...]  # Config fields the stage reads
     upstream: tuple[str, ...]  # stages whose values it uses
@@ -243,7 +239,7 @@ def run_pipeline(config: Config) -> PipelineResult:
     stages["report"] = {"outputs": ["manifest.json"]}
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "config": {k: v for k, v in dataclasses.asdict(config).items() if k not in _PATH_KEYS},
+        "config": {k: v for k, v in config.to_dict().items() if k not in _PATH_KEYS},
         "stages": stages,
         "files": files,
     }
@@ -288,12 +284,28 @@ def _peak_rss_mb() -> float:
     return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
+def _numpy_kernels(numpy) -> dict | None:
+    """The kernels numpy's floats come from: its BLAS (name and version)
+    and the SIMD extensions it found on this CPU, both of which can move a
+    learning stage's bytes. None when the run never imported numpy."""
+    if numpy is None:
+        return None
+    try:
+        config = numpy.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 prints its config only
+        return {"blas": None, "simd": None}
+    blas = config["Build Dependencies"]["blas"]
+    return {"blas": {"name": blas["name"], "version": blas["version"]},
+            "simd": config["SIMD Extensions"]["found"]}
+
+
 def _run_record(timings: dict, collections: list[int]) -> dict:
     """The run record: per stage whether it hit the cache and its wall and
     CPU time (``timings``), the collector's passes per generation since
-    ``collections`` was taken, the process's peak RSS and the versions that
-    ran, numpy's null when the run never imported it. It changes from run
-    to run, so it stays out of the manifest."""
+    ``collections`` was taken, the process's peak RSS, the versions that
+    ran and numpy's kernels, numpy's version and kernels null when the run
+    never imported it. It changes from run to run, so it stays out of the
+    manifest."""
     numpy = sys.modules.get("numpy")
     return {
         "stages": timings,
@@ -301,6 +313,7 @@ def _run_record(timings: dict, collections: list[int]) -> dict:
         "peak_rss_mb": _peak_rss_mb(),
         "versions": {"python": sys.version.split()[0],
                      "numpy": numpy.__version__ if numpy else None, "intercom": __version__},
+        "numpy_kernels": _numpy_kernels(numpy),
     }
 
 

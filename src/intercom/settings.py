@@ -1,9 +1,10 @@
-"""The pipeline's Config, and the ``key = value`` parser of any settings dataclass."""
+"""The pipeline's Config, and the ``key = value`` parser of any settings
+class: one whose annotated fields (``type(settings).__annotations__``) are
+its settings, Config here and the synth's SynthSpec. This module imports no
+``dataclasses``, so an all-hit re-run does not."""
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -21,8 +22,11 @@ def _has_type(value, kind: str) -> bool:
     return isinstance(value, {"int": int, "float": (int, float), "bool": (), "str": str}[kind])
 
 
-@dataclass
 class Config:
+    """The pipeline's settings, one annotated and defaulted field a line.
+    Built by keyword: a name that is not a field is a TypeError. Its fields
+    stay settable, so the CLI and ``apply_overrides`` set them in place."""
+
     corpus: str = ""
     output_dir: str = ""
     lexicon_dir: str = ""  # empty: builtin lexicon
@@ -47,12 +51,23 @@ class Config:
     ensemble_trees: int = 100
     seed: int = 0
 
+    def __init__(self, **values):
+        unknown = values.keys() - type(self).__annotations__
+        if unknown:
+            raise TypeError(f"Config has no field {min(unknown)!r}")
+        vars(self).update(values)  # a field not given reads its class default
+
+    def to_dict(self) -> dict:
+        """The fields by name in declaration order."""
+        return {name: getattr(self, name) for name in type(self).__annotations__}
+
     def validate(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not _has_type(value, f.type):
-                raise ConfigError(f"{f.name} must be {_TYPE_NAMES[f.type]}, got {value!r}")
-        numbers = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.type == "float"}
+        kinds = type(self).__annotations__
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            if not _has_type(value, kind):
+                raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        numbers = {name: getattr(self, name) for name, kind in kinds.items() if kind == "float"}
         if self.baseline != "auto":
             try:
                 numbers["baseline"] = float(self.baseline)
@@ -114,7 +129,7 @@ def _coerce(kind: str, name: str, raw: str):
 
 
 def load_config(path, cls=Config):
-    """The ``cls`` settings dataclass (Config, SynthSpec) a key-value file
+    """The ``cls`` settings (Config, SynthSpec) a key-value file
     gives: ``key = value`` lines, # comments, defaults for keys not given."""
     settings = cls()
     with open(path, "r", encoding="utf-8") as fh:
@@ -133,9 +148,9 @@ def load_config(path, cls=Config):
 
 
 def apply_overrides(settings, overrides: dict[str, str]):
-    """Set fields of the settings dataclass ``settings`` from their text
-    values; flag overrides win over file values."""
-    kinds = {f.name: f.type for f in dataclasses.fields(settings)}
+    """Set fields of the settings ``settings`` from their text values; flag
+    overrides win over file values."""
+    kinds = type(settings).__annotations__
     for key, raw in overrides.items():
         if key not in kinds:
             raise ConfigError(f"unknown config key {key!r}")

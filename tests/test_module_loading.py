@@ -84,19 +84,23 @@ ran(hits=result.cache_hits, added=sorted(set(sys.modules) - before))
                             "intercom.settings"]
     assert not found["numpy"]
     assert not {"csv", "logging", "platform"} & set(found["added"])
+    # its records (Config, Stage, PipelineResult, Lexicon) are plain classes
+    assert not {"dataclasses", "inspect"} & set(found["added"])
 
 
 def test_an_all_hit_cli_report_runs_only_the_pipeline_modules(events_path, tmp_path):
     out = tmp_path / "bundle"
     run_pipeline(Config(corpus=str(events_path), output_dir=str(out)))
     found = probe("""
+before = set(sys.modules)
 from intercom import cli
-ran(status=cli.main(sys.argv[1:]))
+ran(status=cli.main(sys.argv[1:]), added=sorted(set(sys.modules) - before))
 """, "report", "--corpus", events_path, "--out", out)
     assert found["status"] == 0
     assert found["ran"] == ["intercom", "intercom.cli", "intercom.lexicon", "intercom.pipeline",
                             "intercom.settings"]
     assert not found["numpy"]
+    assert not {"dataclasses", "inspect"} & set(found["added"])
 
 
 def test_importing_the_cli_and_its_help_import_no_numpy():

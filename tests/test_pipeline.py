@@ -1,9 +1,9 @@
 import ast
-import dataclasses
 import hashlib
 import json
 import logging
 import platform
+import random
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,8 @@ def test_config_unknown_key_rejected(tmp_path):
         load_config(config_path)
     with pytest.raises(ConfigError):
         apply_overrides(Config(), {"nope": "1"})
+    with pytest.raises(TypeError):
+        Config(nope=1)
 
 
 def test_config_validation():
@@ -264,6 +266,26 @@ def test_the_learn_path_files_of_the_default_world_match_their_pinned_digests(tm
     assert digests == LEARN_PATH_FILES
 
 
+@pytest.mark.parametrize("settings", [{}, LEARN_CONFIG], ids=["default", "learn path"])
+def test_a_shuffled_log_gives_the_same_bundle(tmp_path, settings):
+    # a bundle depends on the log's events, not on the order of its lines,
+    # when no two lines share an id; only the stage keys differ, as the
+    # corpus digest is of the file's bytes
+    events_path, _ = generate_corpus(SynthSpec(n_crosslinks=40, seed=5), tmp_path / "world")
+    lines = events_path.read_text(encoding="utf-8").splitlines()
+    assert len({json.loads(line)["id"] for line in lines}) == len(lines)
+    random.Random(17).shuffle(lines)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    bundles = []
+    for name, path in (("ordered", events_path), ("shuffled", shuffled)):
+        run_pipeline(Config(corpus=str(path), output_dir=str(tmp_path / name), **settings))
+        bundles.append(bundle_bytes(tmp_path / name))
+    manifests = [json.loads(bundle.pop("manifest.json")) for bundle in bundles]
+    assert bundles[0] == bundles[1]
+    assert manifests[0]["files"] == manifests[1]["files"]
+
+
 def test_predict_reads_the_embeddings_from_the_bundle_only_when_embed_hit_the_cache(
         synth_corpus, tmp_path, monkeypatch):
     events_path, _ = synth_corpus
@@ -314,6 +336,10 @@ def test_report_writes_a_run_record_outside_the_manifest(synth_corpus, tmp_path)
 
     versions = {"python": platform.python_version(), "numpy": np.__version__,
                 "intercom": intercom.__version__}
+    build = np.show_config(mode="dicts")
+    blas = build["Build Dependencies"]["blas"]
+    kernels = {"blas": {"name": blas["name"], "version": blas["version"]},
+               "simd": build["SIMD Extensions"]["found"]}
     one, two = report("one"), report("two")
     assert one[1] == two[1] and bundle_bytes(tmp_path / "one") == bundle_bytes(tmp_path / "two")
     for result, _manifest, record in (one, two):
@@ -325,6 +351,7 @@ def test_report_writes_a_run_record_outside_the_manifest(synth_corpus, tmp_path)
             assert timing["wall_s"] >= 0 and timing["cpu_s"] >= 0
         assert record["peak_rss_mb"] > 1
         assert record["versions"] == versions
+        assert record["numpy_kernels"] == kernels
         collections = record["gc"]["collections"]
         assert len(collections) == 3 and all(type(n) is int and n >= 0 for n in collections)
         assert "gc" not in result.manifest["stages"] and "gc" not in result.manifest
@@ -334,6 +361,7 @@ def test_report_writes_a_run_record_outside_the_manifest(synth_corpus, tmp_path)
     assert all(timing["hit"] for timing in record["stages"].values())
     assert manifest == two[1]
     assert set(record["gc"]) == {"collections"}
+    assert record["numpy_kernels"] == kernels
 
     # an all-hit re-run in a fresh interpreter never imports numpy, and its
     # record says so
@@ -345,6 +373,7 @@ pipeline.run_pipeline(pipeline.Config(corpus=sys.argv[1], output_dir=sys.argv[2]
     assert fresh.returncode == 0, fresh.stderr
     record = json.loads((tmp_path / "two" / RUN_RECORD).read_text())
     assert record["versions"] == {**versions, "numpy": None}
+    assert record["numpy_kernels"] is None
     assert set(record["stages"]) == set(two[0].manifest["stages"])
     assert all(timing["hit"] for timing in record["stages"].values())
     assert (tmp_path / "two" / "manifest.json").read_bytes() == two[1]
@@ -464,7 +493,7 @@ def test_raised_stage_version_reruns_it_and_downstream(synth_corpus, tmp_path, m
     out = tmp_path / "run"
     run_pipeline(Config(output_dir=str(out), **config))
     detect = STAGES["detect"]
-    monkeypatch.setitem(STAGES, "detect", dataclasses.replace(detect, version=detect.version + 1))
+    monkeypatch.setitem(STAGES, "detect", detect._replace(version=detect.version + 1))
     rerun = run_pipeline(Config(output_dir=str(out), **config))
     # replynet and impact read the records; sentiment does not
     assert rerun.cache_hits == ["ingest", "crosslinks", "baseline", "sentiment"]
