@@ -39,7 +39,8 @@ class Event(NamedTuple):
     author: str
     community: str
     timestamp: float  # epoch seconds, UTC
-    body: str = ""
+    # a comment's body is None when its Corpus does not hold it (see Corpus)
+    body: str | None = ""
     thread_id: str | None = None  # comments only: the post the comment lives under
     parent_id: str | None = None  # comments only: post id or comment id replied to
 
@@ -97,10 +98,15 @@ class Texts:
                 for lo, hi in zip(offsets[rows].tolist(), offsets[rows + 1].tolist())]
 
     def select(self, kept: np.ndarray) -> Texts:
-        """The strings where the boolean mask ``kept`` is set, in order."""
-        lengths = np.diff(self.offsets)
-        data = np.frombuffer(self.data, dtype=np.uint8)[np.repeat(kept, lengths)]
-        return Texts(data.tobytes(), _offsets([lengths[kept]]))
+        """The strings where the boolean mask ``kept`` is set, in order. Each
+        run of kept strings is copied as one byte range, so nothing the size
+        of the buffer is made but the kept bytes."""
+        # +1 where a run of kept strings starts, -1 just past one's end
+        steps = np.diff(kept.astype(np.int8), prepend=np.int8(0), append=np.int8(0))
+        bounds = self.offsets[np.flatnonzero(steps)].tolist()
+        view = memoryview(self.data)
+        data = b"".join([view[lo:hi] for lo, hi in zip(bounds[::2], bounds[1::2])])
+        return Texts(data, _offsets([np.diff(self.offsets)[kept]]))
 
 
 def _pack(strings: list[str], data: bytearray) -> np.ndarray:
@@ -123,16 +129,20 @@ def _offsets(lengths: list[np.ndarray]) -> np.ndarray:
 
 class CommentColumns(NamedTuple):
     """The comments of an event log in input order, one entry per comment
-    in each column: the fields of ``Event`` after ``kind``. Ids and bodies
-    are packed ``Texts``, times a float64 array and the other fields lists
-    of strings."""
+    in each column: the fields of ``Event`` after ``kind``, a body given by
+    its row in the held bodies (``Corpus.comment_bodies``) and a thread id
+    by its post's place in the log's posts. Ids are packed ``Texts``, times,
+    body rows and thread posts numpy arrays and the other fields lists of
+    strings."""
 
     ids: Texts
     authors: list[str]
     communities: list[str]
     times: np.ndarray  # float64 epoch seconds
-    bodies: Texts
-    threads: list[str]
+    body_rows: np.ndarray  # int32 rows of the held bodies; -1 where not held
+    # int32 indices of the threads' posts in the posts in input order; -1
+    # where the thread is no post
+    thread_posts: np.ndarray
     parents: list[str]
 
 
@@ -153,7 +163,7 @@ class CommentTable(NamedTuple):
     authors: np.ndarray  # int32 user codes
     communities: np.ndarray  # int32 community codes
     threads: np.ndarray  # int32 thread codes
-    events: np.ndarray  # int32 indices into Corpus.comment_ids, _bodies and _parents
+    events: np.ndarray  # int32 indices into Corpus.comment_ids, _body_rows and _parents
 
 
 class Groups(NamedTuple):
@@ -175,13 +185,20 @@ class Corpus:
 
     ``posts`` maps ids to posts in input order; comments whose thread is not
     a post are not indexed. Comments are held as columns, not as events:
-    their ids, bodies and parent ids in input order (``comment_ids`` and
-    ``comment_bodies``, packed as ``Texts``, and ``comment_parents``, a list
-    of shared strings) and every other field in ``table``.
-    ``thread_comments`` builds a thread's ``Event``s from these on demand,
-    decoding only that thread's ids and bodies, with the author, community
-    and thread id strings of ``users``, ``communities`` and ``threads``.
-    Every other list below is ordered by ``(timestamp, id)``.
+    their ids, body rows and parent ids in input order (``comment_ids``,
+    packed as ``Texts``, ``comment_body_rows``, an int32 array, and
+    ``comment_parents``, a list of shared strings) and every other field in
+    ``table``. ``thread_comments`` builds a thread's ``Event``s from these on
+    demand, decoding only that thread's ids and bodies, with the author,
+    community and thread id strings of ``users``, ``communities`` and
+    ``threads``. Every other list below is ordered by ``(timestamp, id)``.
+
+    Only the bodies a report reads are held: those of the comments in a
+    thread whose post some post's body names in a permalink
+    (``linked_threads``), whatever the permalink's host or community, so
+    every cross-link target under any host allowlist. ``comment_bodies``
+    packs them in input order, and a comment's ``comment_body_rows`` entry
+    is its body's row there, or -1 when its body is not held.
 
     Users, communities and threads have integer codes, which index
     ``users`` (sorted, so sorting codes sorts names), ``communities``
@@ -198,10 +215,12 @@ class Corpus:
     """
 
     posts: dict[str, Event]
-    # the comments' ids, bodies and parent ids, in input order
+    # the comments' ids, body rows and parent ids, in input order, and the
+    # held bodies
     comment_ids: Texts
-    comment_bodies: Texts
+    comment_body_rows: np.ndarray
     comment_parents: list[str]
+    comment_bodies: Texts
     stats: LoadStats
     posts_by_time: list[Event]
     # community -> posts; user -> posts authored
@@ -227,11 +246,14 @@ class Corpus:
 
     def thread_comments(self, post_id: str) -> list[Event]:
         """The comments on a thread, time-ordered; empty for a post without
-        comments or an id that is no post."""
+        comments or an id that is no post. A comment's body is None when the
+        Corpus does not hold it: when no post's body names the thread."""
         rows = self._thread_rows(post_id)
         table = self.table
         events = table.events[rows]
-        ids, bodies = self.comment_ids.strings(events), self.comment_bodies.strings(events)
+        ids, body_rows = self.comment_ids.strings(events), self.comment_body_rows[events]
+        held = iter(self.comment_bodies.strings(body_rows[body_rows >= 0]))
+        bodies = [next(held) if k >= 0 else None for k in body_rows.tolist()]
         parents = self.comment_parents
         users, communities, threads = self.users, self.communities, self.threads
         new = tuple.__new__  # Event's own __new__ is a Python function
@@ -294,11 +316,12 @@ def _grouped(codes: np.ndarray, n_codes: int, rows: np.ndarray) -> Groups:
     return Groups(rows[np.argsort(keys)], offsets)
 
 
-def _index(posts: dict[str, Event], columns: CommentColumns, stats: LoadStats) -> Corpus:
-    """The Corpus of posts keyed by id and of the comments' columns, as
-    ``_read_events`` gives them, in ``(timestamp, id)`` order. Comments
-    whose thread is not a post are dropped and counted in
-    ``stats.dangling_comments``."""
+def _index(posts: dict[str, Event], columns: CommentColumns, bodies: Texts,
+           stats: LoadStats) -> Corpus:
+    """The Corpus of posts keyed by id, of the comments' columns and of the
+    held bodies, as ``_read_events`` gives them, in ``(timestamp, id)``
+    order. Comments whose thread is not a post are dropped and counted in
+    ``stats.dangling_comments``; none of their bodies is held."""
     posts_by_time = sorted(posts.values(), key=attrgetter("timestamp", "id"))
     community_posts: dict[str, list[Event]] = {}
     user_posts: dict[str, list[Event]] = {}
@@ -306,20 +329,19 @@ def _index(posts: dict[str, Event], columns: CommentColumns, stats: LoadStats) -
         community_posts.setdefault(e.community, []).append(e)
         user_posts.setdefault(e.author, []).append(e)
 
-    # a thread's code is its post's index in posts_by_time; -1 for none
+    # a thread's code is its post's index in posts_by_time
     threads = [e.id for e in posts_by_time]
     thread_codes = dict(zip(threads, range(len(threads))))
     n = len(columns.ids)
-    thread = np.fromiter(map(thread_codes.get, columns.threads, repeat(-1)),
-                         dtype=np.int32, count=n)
-    if (thread < 0).any():
-        kept = thread >= 0
-        columns = _select(columns, kept)
+    if (columns.thread_posts < 0).any():
+        columns = _select(columns, columns.thread_posts >= 0)
         stats.dangling_comments += n - len(columns.ids)
         log.warning("dropped %d comments with unknown thread ids", n - len(columns.ids))
-        thread = thread[kept]
         n = len(columns.ids)
     stats.posts, stats.comments = len(posts), n
+    # each post's thread code, at its index in input order
+    codes = np.fromiter(map(thread_codes.__getitem__, posts), dtype=np.int32, count=len(posts))
+    thread = codes[columns.thread_posts]
 
     times = columns.times
     in_time = _time_order(times, columns.ids)
@@ -349,7 +371,8 @@ def _index(posts: dict[str, Event], columns: CommentColumns, stats: LoadStats) -
     bounds = offsets.tolist()
     timelines = {name: (table.times[lo:hi], table.authors[lo:hi])
                  for name, lo, hi in zip(communities, bounds, bounds[1:]) if lo < hi}
-    return Corpus(posts, columns.ids, columns.bodies, columns.parents, stats, posts_by_time,
+    return Corpus(posts, columns.ids, columns.body_rows, columns.parents, bodies, stats,
+                  posts_by_time,
                   community_posts, user_posts,
                   users, user_codes, communities, community_codes, threads, thread_codes,
                   table, by_user, by_thread, timelines)
@@ -411,7 +434,8 @@ def load_events(path) -> Corpus:
     id or parent id shares one string for it. No set of comment ids is
     kept while the lines are read; the first comment of a repeated id is
     found after the last line (``_first_rows``), so a repeated comment's
-    id and body are held until then.
+    id and body are held until then. So is every body: after the last line
+    only those of the comments in ``linked_threads`` are kept.
     """
     try:
         # an undecodable byte becomes a lone surrogate, which orjson refuses
@@ -447,10 +471,12 @@ def _depth(line: str) -> int:
 PACK = 4096
 
 
-def _read_events(lines) -> tuple[dict[str, Event], CommentColumns, LoadStats]:
+def _read_events(lines) -> tuple[dict[str, Event], CommentColumns, Texts, LoadStats]:
     """The posts of an event log's lines keyed by id in input order, its
-    comments as columns in input order, and the log's line counts, by
-    ``load_events``' rule. The first event of a repeated id is kept.
+    comments as columns in input order, the bodies of the first comment of
+    each id in a thread of ``linked_threads``, in input order, and the
+    log's line counts, by ``load_events``' rule. The first event of a
+    repeated id is kept.
 
     An id is a JSON string, or a non-bool integer, which stands for its
     decimal string; a name is checked by ``_name``. Every comment that
@@ -550,14 +576,49 @@ def _read_events(lines) -> tuple[dict[str, Event], CommentColumns, LoadStats]:
         body_lengths.append(_pack(batch_bodies, body_data))
         hashes.frombytes(np.fromiter(map(hash, batch_ids), dtype=np.int64,
                                      count=len(batch_ids)).tobytes())
-    columns = CommentColumns(Texts(id_data, _offsets(id_lengths)), authors, communities,
-                             np.frombuffer(times, dtype=np.float64),
-                             Texts(body_data, _offsets(body_lengths)), threads, parents)
-    kept = _first_rows(columns.ids, np.frombuffer(hashes, dtype=np.int64))
+    ids = Texts(id_data, _offsets(id_lengths))
+    n = len(ids)
+    kept = _first_rows(ids, np.frombuffer(hashes, dtype=np.int64))
+    # each comment's post by its index in ``posts``, or -1 for none, which
+    # picks ``linked``'s last entry, one past every post's and never set
+    post_index = dict(zip(posts, range(len(posts))))
+    thread_posts = np.fromiter(map(post_index.get, threads, repeat(-1)), dtype=np.int32, count=n)
+    linked = np.zeros(len(posts) + 1, dtype=bool)
+    linked[[post_index[post_id] for post_id in linked_threads(posts)]] = True
+    held = kept & linked[thread_posts]
+    # the buffer of every body is freed here, before the indexes are built
+    bodies = Texts(body_data, _offsets(body_lengths)).select(held)
+    del body_data
+    body_rows = np.full(n, -1, dtype=np.int32)
+    body_rows[held] = np.arange(len(bodies), dtype=np.int32)
+    columns = CommentColumns(ids, authors, communities, np.frombuffer(times, dtype=np.float64),
+                             body_rows, thread_posts, parents)
     if not kept.all():  # ids are unique per kind
         columns = _select(columns, kept)
     n_comments = len(columns.ids)
-    return posts, columns, LoadStats(lines=n_lines, rejected=n_lines - len(posts) - n_comments)
+    return posts, columns, bodies, LoadStats(lines=n_lines,
+                                             rejected=n_lines - len(posts) - n_comments)
+
+
+def _permalinks(body: str):
+    """The ``CROSSLINK_RE`` matches in a post body, in order.
+
+    A body without "comments/" once case-folded holds none, and is not
+    scanned: every character that the pattern's ``re.IGNORECASE`` matches
+    to a letter of "comments", U+017F (long s) included, folds to that
+    letter. Most posts link nowhere, and the check takes a fraction of a
+    scan's time.
+    """
+    return CROSSLINK_RE.finditer(body) if "comments/" in body.casefold() else ()
+
+
+def linked_threads(posts: dict[str, Event]) -> set[str]:
+    """The ids of the posts, of ``posts`` keyed by id, that some post's body
+    names in a ``CROSSLINK_RE`` permalink, whatever its host or community:
+    every thread ``extract_crosslinks`` can give as a target, under any
+    host allowlist."""
+    return {m.group(3) for post in posts.values() for m in _permalinks(post.body)
+            if m.group(3) in posts}
 
 
 def _first_rows(texts: Texts, hashes: np.ndarray) -> np.ndarray:
@@ -604,7 +665,7 @@ def extract_crosslinks(
     links: list[CrossLink] = []
     dropped_unknown = 0
     for post in corpus.posts_by_time:
-        for m in CROSSLINK_RE.finditer(post.body):
+        for m in _permalinks(post.body):
             host, _url_comm, target_id = m.group(1), m.group(2), m.group(3)
             if host is not None and allow is not None and host.lower() not in allow:
                 continue

@@ -261,8 +261,11 @@ class _Clock:
         self.wall, self.cpu = time.perf_counter(), time.process_time()
 
     def timing(self, hit: bool) -> dict:
+        """The stage's timing: whether it hit the cache, its wall and CPU
+        time, and the process's peak RSS when it ended, read after both
+        times."""
         return {"hit": hit, "wall_s": time.perf_counter() - self.wall,
-                "cpu_s": time.process_time() - self.cpu}
+                "cpu_s": time.process_time() - self.cpu, "peak_rss_mb": _peak_rss_mb()}
 
 
 def _collections() -> list[int]:
@@ -300,8 +303,8 @@ def _numpy_kernels(numpy) -> dict | None:
 
 
 def _run_record(timings: dict, collections: list[int]) -> dict:
-    """The run record: per stage whether it hit the cache and its wall and
-    CPU time (``timings``), the collector's passes per generation since
+    """The run record: per stage whether it hit the cache, its wall and
+    CPU time and the peak RSS when it ended (``timings``), the collector's passes per generation since
     ``collections`` was taken, the process's peak RSS, the versions that
     ran and numpy's kernels, numpy's version and kernels null when the run
     never imported it. It changes from run to run, so it stays out of the

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from intercom.corpus import Event, index_lines
+from intercom.corpus import CROSSLINK_RE, Event, index_lines
 
 DAY = 86400.0
 HOUR = 3600.0
@@ -32,17 +32,41 @@ def corpus_from(events):
     return index_lines(map(log_line, events))
 
 
+def held_threads(posts):
+    """The ids of ``posts``, a list of post Events, whose comments' bodies a
+    loaded Corpus holds: those that some post's body names in a permalink,
+    whatever its host or community, found by a scan of every body."""
+    ids = {p.id for p in posts}
+    return {m.group(3) for p in posts for m in CROSSLINK_RE.finditer(p.body)} & ids
+
+
 def comment_events(corpus):
     """The comments of a Corpus keyed by id in input order, as Events, read
     from its comment columns and table: the id -> comment map the analysis
-    never reads."""
+    never reads. A comment's body is None unless ``held_threads`` holds its
+    thread, and then it is the one the Corpus holds, which must exist."""
     table = corpus.table
+    held = held_threads(list(corpus.posts.values()))
     rows = sorted(zip(table.events.tolist(), table.authors.tolist(), table.communities.tolist(),
                       table.times.tolist(), table.threads.tolist()))
+
+    def body(k, thread):
+        row = int(corpus.comment_body_rows[k])
+        return corpus.comment_bodies[row] if thread in held else None  # [-1] raises
+
     return {corpus.comment_ids[k]: Event("comment", corpus.comment_ids[k], corpus.users[a],
-                                         corpus.communities[c], t, corpus.comment_bodies[k],
+                                         corpus.communities[c], t,
+                                         body(k, corpus.threads[h]),
                                          corpus.threads[h], corpus.comment_parents[k])
             for k, a, c, t, h in rows}
+
+
+def logged_events(corpus):
+    """The posts, then the comments, of a Corpus whose comments all have
+    empty bodies, as Events to write to a log again: a comment body it does
+    not hold is None, written as the empty body it stands for."""
+    return [*corpus.posts.values(),
+            *(c._replace(body=c.body or "") for c in comment_events(corpus).values())]
 
 
 def names(corpus, mask):

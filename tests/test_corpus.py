@@ -30,8 +30,8 @@ from intercom.corpus import (
 )
 from intercom.synth import SynthSpec, generate_corpus
 
-from conftest import (BASE, DAY, HOUR, comment, comment_events, corpus_from, names, post,
-                      tracked_objects, write_events)
+from conftest import (BASE, DAY, HOUR, comment, comment_events, corpus_from, held_threads,
+                      logged_events, names, post, tracked_objects, write_events)
 
 
 def test_load_empty_file(tmp_path):
@@ -221,13 +221,40 @@ def test_load_retains_a_bounded_number_of_bytes_per_comment(tmp_path):
 # bytes an event with one id string and one body string a comment, and
 # about 130 with both packed into ``Texts``.
 RETAINED_BYTES_PER_EVENT = 160
+# Fixed before the first run, from the seed-1 world's 18,162 events, which
+# retained 134.1 bytes an event with every body held: holding only the
+# 1,212 bodies of its 60 linked threads drops 640,967 body bytes and
+# 17,610 int64 body offsets, and adds 1,212 offsets and one int32 body
+# row a comment, 95.5 bytes an event in all.
+RETAINED_BYTES_PER_EVENT_HELD = 100
 
 
-def test_load_retains_a_bounded_number_of_bytes_per_event(tmp_path):
-    events_path, _ = generate_corpus(SynthSpec(seed=1), tmp_path / "world")
-    corpus, retained = loaded_and_retained(events_path)
+@pytest.fixture(scope="module")
+def default_world(tmp_path_factory):
+    events_path, _ = generate_corpus(SynthSpec(seed=1), tmp_path_factory.mktemp("world"))
+    return events_path
+
+
+def test_load_retains_a_bounded_number_of_bytes_per_event(default_world):
+    corpus, retained = loaded_and_retained(default_world)
     assert corpus.stats.lines > 10000
     assert retained / corpus.stats.lines <= RETAINED_BYTES_PER_EVENT
+    assert retained / corpus.stats.lines <= RETAINED_BYTES_PER_EVENT_HELD
+
+
+def test_load_holds_the_bodies_of_the_linked_threads_alone(default_world):
+    posts, comments = {}, {}
+    with open(default_world, encoding="utf-8") as fh:
+        for line in fh:
+            row = json.loads(line)
+            (posts if row["kind"] == "post" else comments).setdefault(row["id"], row)
+    held = held_threads([post(p["id"], p["author"], p["community"], p["timestamp"], p["body"])
+                         for p in posts.values()])
+    bodies = [c["body"] for c in comments.values() if c["thread_id"] in held]
+    corpus = load_events(default_world)
+    assert 0 < len(bodies) < corpus.stats.comments
+    assert len(corpus.comment_bodies.data) == sum(len(b.encode("utf-8")) for b in bodies)
+    assert list(corpus.comment_bodies) == bodies
 
 
 def packed(strings):
@@ -390,8 +417,7 @@ def test_orjson_decides_the_rule_load_events_relies_on():
 
 def test_load_rejects_no_line_of_an_ordinary_log(tmp_path, two_community_corpus):
     world, _t0 = two_community_corpus
-    path = write_events(tmp_path / "world.jsonl",
-                        [*world.posts.values(), *comment_events(world).values()])
+    path = write_events(tmp_path / "world.jsonl", logged_events(world))
     events_path, _ = generate_corpus(SynthSpec(n_communities=3, n_crosslinks=4, seed=2),
                                      tmp_path / "synth")
     for log_path in (path, events_path):

@@ -53,8 +53,8 @@ from intercom.matching import (  # noqa: E402
     matched_user,
 )
 
-from conftest import (BASE, HOUR, comment, comment_events, corpus_from, log_line,  # noqa: E402
-                      post, record)
+from conftest import (BASE, HOUR, comment, comment_events, corpus_from, held_threads,  # noqa: E402
+                      log_line, post, record)
 
 GAP = 3 * DAY
 COMMUNITIES = ["A", "B", "C"]
@@ -167,7 +167,8 @@ class TwoPassCorpus:
     """The indexing ``index_lines`` replaced: ``add`` every event, each one
     line of the log, then ``build_indexes``; the community comment
     timelines are built on their first read. The first event of a kind and
-    id is kept, and a later one is a rejected line."""
+    id is kept, and a later one is a rejected line. A comment's body is
+    kept only when ``held_threads`` holds its thread, and is None otherwise."""
 
     def __init__(self):
         self.posts, self.comments = {}, {}
@@ -187,9 +188,10 @@ class TwoPassCorpus:
         self.posts_by_time = sorted(self.posts.values(), key=order)
 
         kept = {}
+        held = held_threads(list(self.posts.values()))
         for cid, c in self.comments.items():
             if c.thread_id in self.posts:
-                kept[cid] = c
+                kept[cid] = c if c.thread_id in held else c._replace(body=None)
             else:
                 self.stats.dangling_comments += 1
         self.comments = kept
@@ -486,12 +488,48 @@ def ordered(value):
     return value
 
 
+# comment bodies; the permalink prefixes of hosts in an allowlist of
+# reddit.example, outside it, and of none; and the spellings of "comments"
+# the permalink pattern matches, U+017F (long s) matching "s"
+BODIES = st.sampled_from(["", "hate it", "caf\u00e9 \u2603", "\U0001f600", "calm"])
+HOSTS = st.sampled_from(["", "https://reddit.example/", "http://elsewhere.example/",
+                         "HTTPS://Old.Reddit.Example/"])
+COMMENTS = st.sampled_from(["comments", "COMMENTS", "comment\u017f"])
+
+
+@st.composite
+def permalinked(draw, events, t0):
+    """``events`` with bodies drawn for their comments and 0-3 posts added,
+    each of whose bodies names one or two posts by permalinks, bare or on a
+    host in or outside an allowlist: a post of ``events``, of the linking
+    post's own community or another, an unknown post, or the thread below.
+    Then that thread, "early" in C, whose comments are to come before its
+    post and before the post that names it. Returns the events to place
+    first, ``events`` and the events to place last."""
+    posts = [e for e in events if e.kind == "post"]
+    events = [e._replace(body=draw(BODIES)) if e.kind == "comment" else e for e in events]
+    named = [(p.community, p.id) for p in posts] + [("B", "ghost"), ("C", "early")]
+    for k in range(draw(st.integers(0, 3))):
+        links = draw(st.lists(st.sampled_from(named), min_size=1, max_size=2))
+        body = " ".join(f"{draw(HOSTS)}r/{community}/{draw(COMMENTS)}/{pid}"
+                        for community, pid in links)
+        events.append(post(f"linking{k}", "linker", draw(st.sampled_from(COMMUNITIES)),
+                           draw(st.sampled_from(edges(t0))), body=body))
+    first = [comment(f"early{k}", draw(st.sampled_from(USERS)), "C", t0 + k, "early",
+                     body=draw(BODIES)) for k in range(draw(st.integers(1, 3)))]
+    last = [post("early", "x", "C", t0 - HOUR),
+            post("naming", "linker", "A", t0, body=f"{draw(HOSTS)}r/C/{draw(COMMENTS)}/early")]
+    return first, events, last
+
+
 @st.composite
 def event_logs(draw):
-    """``drawn_events`` in any order, plus comments whose thread is not a
-    post, ids shared by a post and a comment at the same time, and events
-    that repeat the kind and id of an earlier one, which is kept."""
+    """``drawn_events`` and ``permalinked``'s posts in any order, plus
+    comments whose thread is not a post, ids shared by a post and a comment
+    at the same time, and events that repeat the kind and id of an earlier
+    one, which is kept; with ``permalinked``'s thread first and last."""
     events, _link, t0 = draw(drawn_events())
+    first, events, last = draw(permalinked(events, t0))
     times = st.sampled_from(edges(t0))
     for k in range(draw(st.integers(0, 3))):
         events.append(comment(f"dangling{k}", draw(st.sampled_from(USERS)),
@@ -507,7 +545,7 @@ def event_logs(draw):
         replacement = (post(e.id, "again", e.community, draw(times)) if e.kind == "post" else
                        comment(e.id, "again", e.community, draw(times), e.thread_id))
         events.append(replacement)
-    return draw(st.permutations(events))
+    return [*first, *draw(st.permutations(events)), *last]
 
 
 INDEXES = ("posts", "posts_by_time", "community_posts", "user_posts", "stats")
@@ -548,10 +586,17 @@ def assert_indexes_equal(corpus, expected):
     assert [corpus.communities[k] for k in table.communities.tolist()] == \
         [c.community for c in rows]
     assert [corpus.threads[k] for k in table.threads.tolist()] == [c.thread_id for c in rows]
-    # each row's input-order index picks its id, body and parent id from
-    # the columns, and the comments built from them are the events
-    assert [(corpus.comment_ids[k], corpus.comment_bodies[k], corpus.comment_parents[k])
+    # each row's input-order index picks its id, body row and parent id
+    # from the columns, and the comments built from them are the events;
+    # the bodies held are those of ``held_threads``, in input order
+    body_rows = corpus.comment_body_rows
+    assert body_rows.dtype == np.int32
+    assert [(corpus.comment_ids[k], corpus.comment_bodies[int(body_rows[k])]
+             if body_rows[k] >= 0 else None, corpus.comment_parents[k])
             for k in table.events.tolist()] == [(c.id, c.body, c.parent_id) for c in rows]
+    held = [c.body for c in expected.comments.values() if c.body is not None]
+    assert list(corpus.comment_bodies) == held
+    assert bytes(corpus.comment_bodies.data) == "".join(held).encode("utf-8", "surrogatepass")
     assert list(comment_events(corpus).items()) == list(expected.comments.items())
 
     expected.comment_timeline("Z")  # builds every community's timeline
@@ -805,16 +850,18 @@ def changed_line(draw, event):
 
 @st.composite
 def raw_logs(draw):
-    """The text of an event log: ``drawn_events``, each line valid or made
-    malformed, with repeated ids, lines that are no event at all and blank
-    lines, in any order and with any line ending."""
+    """The text of an event log: ``drawn_events`` and ``permalinked``'s
+    posts, each line valid or made malformed, with repeated ids, lines that
+    are no event at all and blank lines, in any order, with
+    ``permalinked``'s thread first and last, and with any line ending."""
     events, _link, t0 = draw(drawn_events())
+    first, events, last = draw(permalinked(events, t0))
     lines = [draw(changed_line(e)) for e in events]
     for e in draw(st.lists(st.sampled_from(events), max_size=4)):  # repeated ids
         again = e._replace(author="again", timestamp=draw(st.sampled_from(edges(t0))))
         lines.append(draw(changed_line(again)))
     lines += draw(st.lists(st.sampled_from(GARBAGE + ["", "   "]), max_size=4))
-    lines = draw(st.permutations(lines))
+    lines = [*map(log_line, first), *draw(st.permutations(lines)), *map(log_line, last)]
     endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
                             max_size=len(lines)))
     return "".join(line + end for line, end in zip(lines, endings))

@@ -407,13 +407,28 @@ def test_run_record_ingest_entry_holds_only_its_timings(tmp_path):
         result = run_pipeline(config)
         return result, json.loads((result.output_dir / RUN_RECORD).read_text())
 
+    timing = {"hit", "wall_s", "cpu_s", "peak_rss_mb"}
     result, record = report()
-    assert set(record["stages"]["ingest"]) == {"hit", "wall_s", "cpu_s"}
+    assert set(record["stages"]["ingest"]) == timing
     assert json.loads((result.output_dir / "ingest.json").read_text()) == {
         "lines": 4, "posts": 1, "comments": 1, "rejected": 2, "dangling_comments": 0}
     result, record = report()
     assert "ingest" in result.cache_hits
-    assert set(record["stages"]["ingest"]) == {"hit", "wall_s", "cpu_s"}
+    assert set(record["stages"]["ingest"]) == timing
+
+
+def test_run_record_holds_the_peak_rss_after_each_stage(synth_corpus, tmp_path):
+    events_path, _ = synth_corpus
+    config = Config(corpus=str(events_path), output_dir=str(tmp_path / "out"),
+                    embed_enabled=True, embed_epochs=1)
+    order = [name for name in STAGES if STAGES[name].enabled_by in ("", "embed_enabled")]
+    for _run in ("fresh", "all hits"):
+        run_pipeline(config)
+        record = json.loads((tmp_path / "out" / RUN_RECORD).read_text())
+        assert list(record["stages"]) == sorted(order + ["report"])
+        peaks = [record["stages"][name]["peak_rss_mb"] for name in order + ["report"]]
+        assert all(type(peak) is float and peak > 1 for peak in peaks)
+        assert peaks == sorted(peaks) and peaks[-1] <= record["peak_rss_mb"]
 
 
 def test_pipeline_empty_corpus(tmp_path, caplog):

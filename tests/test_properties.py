@@ -41,13 +41,15 @@ SWAPPED = [
 
 def threads(rng):
     """1-5 threads of 1-25 comments by up to 12 users, each replying to the
-    post, to an earlier comment or (rarely) to a missing one, and one record
-    per thread whose attackers and defenders are disjoint sets of its
-    commenters (either may be empty)."""
+    post, to an earlier comment or (rarely) to a missing one, each named by
+    the source post of its link, and one record per thread whose attackers
+    and defenders are disjoint sets of its commenters (either may be
+    empty)."""
     events, records = [], []
     for k in range(rng.randint(1, 5)):
         target = f"t{k}"
         events.append(post(target, "op", "B", BASE))
+        events.append(post(f"s{k}", "op", "A", BASE + 30, body=f"r/B/comments/{target}"))
         users = [f"u{i:02d}" for i in range(rng.randint(1, 12))]
         ids, authors = [], set()
         for n in range(rng.randint(1, 25)):
@@ -221,6 +223,33 @@ def test_time_order_is_the_timestamp_then_id_order(comments):
     assert order.tolist() == sorted(range(len(comments)), key=lambda k: (times[k], ids[k]))
 
 
+# -- packed text ---------------------------------------------------------------
+
+def packed_texts(strings):
+    data = bytearray()
+    return Texts(data, _offsets([_pack(strings, data)]))
+
+
+# strings with non-ASCII characters and lone surrogates, which pack too
+TEXTS = st.lists(st.text(max_size=6) | st.sampled_from(["\ud800", "a\udfffb", "\U0001f600"]),
+                 max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXTS, st.sampled_from(["none", "all", "any"]), st.data())
+def test_selected_texts_equal_the_kept_strings_packed(strings, which, data):
+    if which == "any":
+        kept = data.draw(st.lists(st.booleans(), min_size=len(strings), max_size=len(strings)))
+    else:
+        kept = [which == "all"] * len(strings)
+    selected = packed_texts(strings).select(np.array(kept, dtype=bool))
+    expected = packed_texts([text for text, keep in zip(strings, kept) if keep])
+    assert bytes(selected.data) == bytes(expected.data)
+    assert selected.offsets.dtype == np.int64
+    assert selected.offsets.tolist() == expected.offsets.tolist()
+    assert list(selected) == list(expected)
+
+
 # -- windows -------------------------------------------------------------------
 
 DAY0 = BASE + 40 * DAY  # the day the links of the tests below are created on
@@ -344,6 +373,40 @@ def analysis(events):
 def test_a_whole_day_shift_changes_no_verdict_delta_match_or_pagerank(events, days):
     # repr compares floats bit for bit
     assert repr(analysis(shifted(events, days))) == repr(analysis(events))
+
+
+# -- host allowlists ---------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(linked_logs(), st.data())
+def test_the_anger_columns_of_a_record_do_not_depend_on_the_host_allowlist(events, data):
+    """The Corpus holds the bodies of every thread a permalink names, on
+    any host, so a record that both an allowlist and none give has the same
+    replynet row under both, anger columns included."""
+    hosts = st.sampled_from(["", "https://reddit.example/", "http://elsewhere.example/"])
+
+    def rewritten(e):
+        if e.kind == "comment":
+            return e._replace(body=" ".join(data.draw(st.lists(st.sampled_from(WORDS),
+                                                               max_size=4))))
+        if e.body:  # a source post's permalink, on a host in or outside the allowlist, or none
+            return e._replace(body=data.draw(hosts) + e.body)
+        return e
+
+    corpus = corpus_from([rewritten(e) for e in events])
+    rows = []
+    for allowlist in (None, ["reddit.example"]):
+        links = extract_crosslinks(corpus, host_allowlist=allowlist)
+        records = [detect(counts, DEFAULT_BASELINE) for counts in measure(corpus, links)]
+        found, _ = replynet_rows(corpus, LEXICON, records, alpha=TELEPORT_PROB, tol=1e-10,
+                                 max_iter=10000)
+        rows.append(dict(zip([r.crosslink for r in records if r.attackers and r.defenders],
+                             found)))
+    anger = slice(REPLYNET_HEADER.index("anger_attacker_to_defender"), None)
+    every, allowed = rows
+    for link in every.keys() & allowed.keys():
+        # repr compares floats bit for bit and keeps None apart from 0
+        assert repr(every[link][anger]) == repr(allowed[link][anger])
 
 
 # -- one membership rule -----------------------------------------------------------
