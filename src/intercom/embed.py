@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import float_rows
 from .corpus import Corpus
 from .lstm import _sigmoid
 from .sentiment import tokenize, top_vocabulary
@@ -207,8 +208,7 @@ def save_vectors(path, names: list[str], vectors: np.ndarray) -> None:
     n, d = vectors.shape
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{n} {d}\n")
-        for name, row in zip(names, vectors.tolist()):
-            fh.write(f"{name} {d} {' '.join(map(repr, row))}\n")
+        fh.writelines(f"{name} {d} {text}\n" for name, text in zip(names, float_rows(vectors)))
 
 
 def load_vectors(path) -> dict[str, np.ndarray]:

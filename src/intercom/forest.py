@@ -347,7 +347,7 @@ class Forest:
 
     def save(self, path) -> None:
         write_checkpoint(path, FOREST_FORMAT, FOREST_VERSION, {
-            **{k: getattr(self, k).tolist() for k in NODE_ARRAYS + ("roots",)},
+            **{k: getattr(self, k) for k in NODE_ARRAYS + ("roots",)},
             "schema": list(self.schema), "classes": np.asarray(self.classes).tolist(),
             "seed": int(self.seed), "oob_accuracy": self.oob_accuracy, "metadata": self.metadata})
 

@@ -64,7 +64,7 @@ def save_params(path, params: LSTMParams, seed: int, max_words: int, log: list[d
     write_checkpoint(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, {
         "input_dim": params.input_dim, "hidden_dim": params.hidden_dim,
         "seed": seed, "max_words": max_words, "log": log,
-        "weights": {k: v.tolist() for k, v in params.weights.items()}})
+        "weights": params.weights})
 
 
 def _is_count(value, least: int) -> bool:

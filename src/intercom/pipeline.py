@@ -60,12 +60,16 @@ def write_jsonl(path, rows) -> None:
 
 def write_csv(path, header: list[str], rows) -> None:
     import csv  # here, not at the top: an all-hit re-run writes no CSV
+    from .checkpoint import float_rows  # nor loads numpy or orjson
 
+    rows = list(rows)
+    # a float's text as repr writes it; a subclass of float is written by its own repr
+    texts = float_rows([v for row in rows for v in row if type(v) is float])
     with _output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(["" if v is None else next(texts) if type(v) is float
+                          else repr(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def _sha256(path: Path) -> str:
