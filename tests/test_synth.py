@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,33 @@ def small_spec(**kwargs):
                     background_comments_per_user=6, seed=0)
     defaults.update(kwargs)
     return SynthSpec(**defaults)
+
+
+# sha256 of (events.jsonl, manifest.json): the generator's own bytes, so a
+# refactor of the synth that moves a single draw fails here first
+SYNTH_DIGESTS = {
+    "default-seed0": ("83702f6876b261add4cb0b1ef487547c20d261599ef4a3b31bb935259c1be19e",
+                      "ed7b03c1abf90700985aa84e46012c82ba21adb69f1c768c4c1c760e787e4716"),
+    "default-seed1": ("9b29f9b15e9a15f8b8f34b3887c5176b58f86f9662bcd972112a22a86e946ba1",
+                      "b43d7ded1d714f06a0d3a9be91e38196ffabf86fc0608494141903f68a3b1d3d"),
+    "default-seed2": ("946f8a5bf762a5a8f38f79cfb3fe46ea60f244f5f42fd82eae72ebec549cf249",
+                      "7a473be07120335666c915172bcfe7d7ae5bb0305334a5cc26f25c2b1c0869c6"),
+    "small-seed3": ("234eec6dbae8ccf5aa7d9847b0451ab66be5eb4b1bbf61543f31fca6b200a075",
+                    "1c57fcda01ae09908b512821f16ea079b7d559fdd557ed2b4cc3a89d6463cfd8"),
+}
+
+
+@pytest.mark.parametrize("name, spec", [
+    ("default-seed0", SynthSpec(seed=0)),
+    ("default-seed1", SynthSpec(seed=1)),
+    ("default-seed2", SynthSpec(seed=2)),
+    ("small-seed3", small_spec(seed=3)),
+])
+def test_generator_bytes_pinned(tmp_path, name, spec):
+    generate_corpus(spec, tmp_path)
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("events.jsonl", "manifest.json"))
+    assert digests == SYNTH_DIGESTS[name]
 
 
 def test_zero_crosslinks_empty_manifest(tmp_path):
