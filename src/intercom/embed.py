@@ -186,19 +186,17 @@ def loss(
     table: EmbeddingTable,
     seed: int = 0,
     sample_size: int | None = None,
-    negatives: int | None = None,
 ) -> float:
     """Monte Carlo estimate of the mean per-edge objective on a seeded edge
     sample with seeded negatives, scored in one batch."""
     if table.user_vectors.shape[1] != table.dim or table.community_vectors.shape[1] != table.dim:
         raise ValueError("embedding table dimensions are inconsistent")
     rng = np.random.default_rng(seed)
-    k = table.negatives if negatives is None else negatives
     edges = graph.edges
     if sample_size is not None and sample_size < graph.n_edges:
         edges = edges[rng.choice(graph.n_edges, size=sample_size, replace=False)]
-    # one (n, k) draw gives the same values as one draw of k per edge
-    negs = rng.integers(0, len(table.communities), size=(len(edges), k))
+    # one (n, negatives) draw gives the same values as one draw of negatives per edge
+    negs = rng.integers(0, len(table.communities), size=(len(edges), table.negatives))
     C = table.community_vectors
     return float(edge_losses(table.user_vectors[edges[:, 0]], C[edges[:, 1]], C[negs]).mean())
 

@@ -24,6 +24,18 @@ T0_EARLIEST_HOUR = 14.0
 ROUND_SPACING_DAYS = 3
 SLICE_CYCLE = 11
 
+# Membership comments land a uniform [5, 20) days before t0: inside the
+# [day-30d, day) window, 3+ days clear of t0. The far end is the least
+# first_link_day, so each lands after its community's anchor post (day 0.5).
+MEMBER_LOOKBACK_DAYS = (5.0, 20.0)
+
+# Whom a burst comment replies to, by its author's group: the first group whose cumulative
+# probability exceeds a uniform roll, else (or if it has no comment yet) the target post.
+REPLY_TARGETS = {
+    "attacker": ((0.3, "defender"), (0.5, "attacker")),
+    "defender": ((0.5, "attacker"), (0.7, "defender")),
+}
+
 ANGER_WORDS = ["hate", "idiots", "stupid", "garbage", "pathetic", "rage", "awful", "dumb", "ridiculous", "morons"]
 NEUTRAL_WORDS = [
     "today", "thread", "interesting", "discussion", "link", "post", "people", "look",
@@ -59,8 +71,9 @@ class SynthSpec:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise SynthError(f"{f.name} must be finite")
-        if self.n_communities < 2:
-            raise SynthError("need at least 2 communities")
+        # with 2, a target's defenders also comment in its links' source (in reverse links)
+        if self.n_communities < 3:
+            raise SynthError("need at least 3 communities")
         for name in ("background_posts_per_community", "background_comments_per_user",
                      "n_crosslinks", "pre_comments", "attackers_per_link", "defenders_per_link"):
             if getattr(self, name) < 0:
@@ -68,15 +81,15 @@ class SynthSpec:
         for name in ("burst_ratio", "quiet_ratio", "matched_ratio"):
             if getattr(self, name) <= 0:
                 raise SynthError(f"{name} must be > 0")
+            if self.attackers_per_link == 0 and self._after_count(getattr(self, name)) > 0:
+                raise SynthError(f"{name} plants after-window comments but attackers_per_link is 0")
         for name in ("mobilization_fraction", "negative_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise SynthError(f"{name} must be in [0, 1]")
         if self.days < 1:
             raise SynthError("days must be >= 1")
-        if self.first_link_day < 0:
-            raise SynthError("first_link_day must be >= 0")
-        if self.attackers_per_link == 0 and self._after_count(self.burst_ratio) > 0:
-            raise SynthError("planted burst exceeds the attacker user pool")
+        if self.first_link_day < MEMBER_LOOKBACK_DAYS[1]:
+            raise SynthError(f"first_link_day must be >= {MEMBER_LOOKBACK_DAYS[1]:g}")
         self.pool_size()  # raises when users_per_community is too small
 
     def _after_count(self, ratio: float) -> int:
@@ -142,10 +155,56 @@ class _Builder:
         return cid
 
 
-def _attach_post(post_times: list[float], post_ids: list[str], ts: float) -> str | None:
-    """Latest post created before ts, if any."""
-    i = bisect.bisect_left(post_times, ts)
-    return post_ids[i - 1] if i > 0 else None
+def _anchored_comment(build: _Builder, rng, posts: tuple[list[float], list[str]], author, community, ts) -> None:
+    """A comment at ts on the latest of ``posts`` (times, ids) before ts; validate keeps one there."""
+    times, ids = posts
+    anchor = ids[bisect.bisect_left(times, ts) - 1]
+    build.comment(author, community, ts, anchor, anchor, _body(rng, 0.05, 6))
+
+
+@dataclass(frozen=True)
+class LinkPlan:
+    """One planted link's decisions, made before any event is written."""
+    source: str  # source community
+    target: str  # target community
+    t0: float
+    target_time: float  # the target post's creation time
+    matched_time: float  # the matched post's creation time
+    hot: bool  # a mobilization
+    negative: bool  # the source post's planted sentiment
+    pre_users: list[str]  # comment on the target thread before t0
+    attackers: list[str]  # comment on it after t0
+    matched_pre_users: list[str]  # the same two on the matched thread
+    matched_after_users: list[str]
+    n_after: int  # attacker comments after t0
+
+
+def plan_links(spec: SynthSpec, rng, users: dict[str, list[str]]) -> list[LinkPlan]:
+    """One LinkPlan per link, link k from community k+1 to community k.
+
+    Per link this draws four values, in this order: the t0 offset, the target
+    post's offset, ``hot`` and ``negative``. ``perfbench.fixtures.synth_seed``
+    replays them to pick seeds that plant a fixed number of mobilizations, so
+    their number and order must not change."""
+    communities = list(users)
+    nc, n_pre, half = len(communities), spec.pre_comments, spec.slice_size // 2
+    plans = []
+    for k in range(spec.n_crosslinks):
+        day = spec.first_link_day + (k // nc) * ROUND_SPACING_DAYS
+        t0 = T_BASE + day * DAY + T0_EARLIEST_HOUR * HOUR + rng.uniform(0.0, 4.0) * HOUR
+        target_time = t0 - rng.uniform(13.0, 16.0) * HOUR
+        hot = rng.random() < spec.mobilization_fraction
+        negative = rng.random() < spec.negative_fraction
+        source = communities[(k + 1) % nc]
+        s0 = ((k // nc) % SLICE_CYCLE) * spec.slice_size
+        sset = users[source][s0 : s0 + spec.slice_size]
+        n_after = spec._after_count(spec.burst_ratio if hot else spec.quiet_ratio)
+        plans.append(LinkPlan(
+            source=source, target=communities[k % nc], t0=t0, target_time=target_time,
+            matched_time=target_time + 600.0, hot=hot, negative=negative,
+            pre_users=sset[:n_pre], attackers=sset[n_pre:half][:n_after], n_after=n_after,
+            matched_pre_users=sset[half : half + n_pre], matched_after_users=sset[half + n_pre :]))
+    return plans
 
 
 def generate_corpus(spec: SynthSpec, out_dir) -> tuple[Path, dict]:
@@ -161,34 +220,19 @@ def generate_corpus(spec: SynthSpec, out_dir) -> tuple[Path, dict]:
     out_dir.mkdir(parents=True, exist_ok=True)
     build = _Builder()
 
-    nc = spec.n_communities
     pool = spec.pool_size()
-    communities = [f"comm{j:02d}" for j in range(nc)]
+    communities = [f"comm{j:02d}" for j in range(spec.n_communities)]
     users = {c: [f"u{j * pool + i:05d}" for i in range(pool)] for j, c in enumerate(communities)}
     days = spec.total_days()
-
-    # -- plan links -------------------------------------------------------
-    plans = []
-    reserved: dict[str, list[float]] = {c: [] for c in communities}
-    for k in range(spec.n_crosslinks):
-        tc = communities[k % nc]
-        sc = communities[(k + 1) % nc]
-        day = spec.first_link_day + (k // nc) * ROUND_SPACING_DAYS
-        t0 = T_BASE + day * DAY + T0_EARLIEST_HOUR * HOUR + rng.uniform(0.0, 4.0) * HOUR
-        target_time = t0 - rng.uniform(13.0, 16.0) * HOUR
-        matched_time = target_time + 600.0
-        hot = rng.random() < spec.mobilization_fraction
-        negative = rng.random() < spec.negative_fraction
-        plans.append(
-            {"k": k, "sc": sc, "tc": tc, "t0": t0, "target_time": target_time,
-             "matched_time": matched_time, "hot": hot, "negative": negative}
-        )
-        reserved[tc].extend([target_time, matched_time])
-        reserved[sc].append(t0)
+    plans = plan_links(spec, rng, users)
 
     # -- background posts (kept 2 h clear of planted post times) ----------
     # every community gets one early anchor post so membership comments
     # always have a thread to land on
+    reserved: dict[str, list[float]] = {c: [] for c in communities}
+    for plan in plans:
+        reserved[plan.target] += (plan.target_time, plan.matched_time)
+        reserved[plan.source].append(plan.t0)
     bg_posts: dict[str, tuple[list[float], list[str]]] = {}
     for c in communities:
         times: list[float] = [T_BASE + 0.5 * DAY]
@@ -203,124 +247,80 @@ def generate_corpus(spec: SynthSpec, out_dir) -> tuple[Path, dict]:
 
     # -- planted links ----------------------------------------------------
     manifest_links = []
-    after_hot = spec._after_count(spec.burst_ratio)
-    after_quiet = spec._after_count(spec.quiet_ratio)
     matched_after = spec._after_count(spec.matched_ratio)
-
     for plan in plans:
-        k, sc, tc, t0 = plan["k"], plan["sc"], plan["tc"], plan["t0"]
-        rnd = k // nc
-        s0 = (rnd % SLICE_CYCLE) * spec.slice_size
-        sset = users[sc][s0 : s0 + spec.slice_size]
-        half = spec.slice_size // 2
-        pre_users = sset[:spec.pre_comments]
-        attacker_pool = sset[spec.pre_comments : half]
-        m_pre_users = sset[half : half + spec.pre_comments]
-        m_after_pool = sset[half + spec.pre_comments :]
-
+        sc, tc, t0 = plan.source, plan.target, plan.t0
         target_author = users[tc][int(rng.integers(0, pool))]
-        target_post = build.post(target_author, tc, plan["target_time"], _body(rng, 0.05, 10))
+        target_post = build.post(target_author, tc, plan.target_time, _body(rng, 0.05, 10))
         matched_author = users[tc][int(rng.integers(0, pool))]
-        matched_post = build.post(matched_author, tc, plan["matched_time"], _body(rng, 0.05, 10))
+        matched_post = build.post(matched_author, tc, plan.matched_time, _body(rng, 0.05, 10))
 
         source_author = users[sc][int(rng.integers(0, pool))]
         url = f"https://reddit.example/r/{tc}/comments/{target_post}"
-        anger_prob = 0.55 if plan["negative"] else 0.02
+        anger_prob = 0.55 if plan.negative else 0.02
         body = f"{_body(rng, anger_prob, 12)} {url} {_body(rng, anger_prob, 4)}"
         source_post = build.post(source_author, sc, t0, body)
-
-        n_after = after_hot if plan["hot"] else after_quiet
-        attackers = attacker_pool[: min(len(attacker_pool), n_after)] if n_after else []
-        defender_pool = [u for u in users[tc] if u not in (target_author, matched_author)]
-        defenders = defender_pool[: spec.defenders_per_link]
+        defenders = [u for u in users[tc] if u not in (target_author, matched_author)][: spec.defenders_per_link]
 
         # membership comments put every planted participant inside the
         # 30-day window (and outside the +/-3 day exclusion band)
-        sc_times, sc_ids = bg_posts[sc]
-        tc_times, tc_ids = bg_posts[tc]
-        for u in dict.fromkeys(pre_users + list(attackers) + m_pre_users + m_after_pool):
-            ts = t0 - rng.uniform(5.0, 20.0) * DAY
-            anchor = _attach_post(sc_times, sc_ids, ts)
-            if anchor is not None:
-                build.comment(u, sc, ts, anchor, anchor, _body(rng, 0.05, 6))
-        for u in defenders:
-            ts = t0 - rng.uniform(5.0, 20.0) * DAY
-            anchor = _attach_post(tc_times, tc_ids, ts)
-            if anchor is not None:
-                build.comment(u, tc, ts, anchor, anchor, _body(rng, 0.05, 6))
+        source_members = plan.pre_users + plan.attackers + plan.matched_pre_users + plan.matched_after_users
+        for c, u in [(sc, u) for u in source_members] + [(tc, u) for u in defenders]:
+            _anchored_comment(build, rng, bg_posts[c], u, c, t0 - rng.uniform(*MEMBER_LOOKBACK_DAYS) * DAY)
 
         # pre-window comments on the target thread by source members
         pre_ts = sorted(rng.uniform(t0 - 11 * HOUR, t0 - 1 * HOUR, size=spec.pre_comments))
-        for u, ts in zip(pre_users, pre_ts):
+        for u, ts in zip(plan.pre_users, pre_ts):
             build.comment(u, tc, ts, target_post, target_post, _body(rng, 0.1, 8))
 
         # interleaved burst: attacker and defender comments after t0
-        burst: list[tuple[float, str, str]] = []
-        for i in range(n_after):
-            burst.append((t0 + 600.0 + rng.uniform(0, 11 * HOUR - 1200.0), attackers[i % len(attackers)], "attacker"))
-        for i, u in enumerate(defenders):
-            for _ in range(2):
-                burst.append((t0 + 900.0 + rng.uniform(0, 11 * HOUR - 1800.0), u, "defender"))
+        burst = [(t0 + 600.0 + rng.uniform(0, 11 * HOUR - 1200.0), plan.attackers[i % len(plan.attackers)],
+                  "attacker") for i in range(plan.n_after)]
+        burst += [(t0 + 900.0 + rng.uniform(0, 11 * HOUR - 1800.0), u, "defender")
+                  for u in defenders for _ in range(2)]
         burst.sort(key=lambda t: t[0])
         placed: list[tuple[str, str]] = []  # (comment id, group)
         for ts, u, group in burst:
             roll = rng.random()
-            parent = target_post
-            if group == "attacker":
-                want = "defender" if roll < 0.3 else ("attacker" if roll < 0.5 else None)
-            else:
-                want = "attacker" if roll < 0.5 else ("defender" if roll < 0.7 else None)
-            if want is not None:
-                options = [cid for cid, g in placed if g == want]
-                if options:
-                    parent = options[int(rng.integers(0, len(options)))]
-            to_defender = group == "attacker" and parent != target_post and want == "defender"
-            to_attacker = group == "defender" and parent != target_post and want == "attacker"
-            anger_prob = 0.5 if (to_defender or to_attacker) else 0.15
+            want = next((g for p, g in REPLY_TARGETS[group] if roll < p), None)
+            options = [cid for cid, g in placed if g == want]
+            parent = options[int(rng.integers(0, len(options)))] if options else target_post
+            anger_prob = 0.5 if parent != target_post and want != group else 0.15
             cid = build.comment(u, tc, ts, target_post, parent, _body(rng, anger_prob, 8))
             placed.append((cid, group))
 
         # matched-thread comments by source members tune the null model
         m_pre_ts = sorted(rng.uniform(t0 - 11 * HOUR, t0 - 1 * HOUR, size=spec.pre_comments))
-        for u, ts in zip(m_pre_users, m_pre_ts):
+        for u, ts in zip(plan.matched_pre_users, m_pre_ts):
             build.comment(u, tc, ts, matched_post, matched_post, _body(rng, 0.05, 6))
         m_after_ts = sorted(rng.uniform(t0 + 600.0, t0 + 11 * HOUR, size=matched_after))
         for i, ts in enumerate(m_after_ts):
-            u = m_after_pool[i % len(m_after_pool)]
+            u = plan.matched_after_users[i % len(plan.matched_after_users)]
             build.comment(u, tc, ts, matched_post, matched_post, _body(rng, 0.05, 6))
 
-        manifest_links.append(
-            {
-                "source_post": source_post,
-                "target_post": target_post,
-                "matched_post": matched_post,
-                "source_community": sc,
-                "target_community": tc,
-                "t0": t0,
-                "mobilization": bool(plan["hot"]),
-                "planted_ratio": (n_after + 1) / (spec.pre_comments + 1),
-                "sentiment": "negative" if plan["negative"] else "neutral",
-                "attackers": sorted(set(attackers)),
-                "defenders": sorted(defenders),
-                "before_count": spec.pre_comments,
-                "after_count": n_after,
-                "matched_before": spec.pre_comments,
-                "matched_after": matched_after,
-            }
-        )
+        manifest_links.append({
+            "source_post": source_post,
+            "target_post": target_post,
+            "matched_post": matched_post,
+            "source_community": sc,
+            "target_community": tc,
+            "t0": t0,
+            "mobilization": plan.hot,
+            "planted_ratio": (plan.n_after + 1) / (spec.pre_comments + 1),
+            "sentiment": "negative" if plan.negative else "neutral",
+            "attackers": sorted(plan.attackers),
+            "defenders": sorted(defenders),
+            "before_count": spec.pre_comments,
+            "after_count": plan.n_after,
+            "matched_before": spec.pre_comments,
+            "matched_after": matched_after,
+        })
 
     # -- background comments ----------------------------------------------
     for c in communities:
-        times, ids = bg_posts[c]
-        if not ids:
-            continue
         for u in users[c]:
             for _ in range(spec.background_comments_per_user):
-                ts = T_BASE + rng.uniform(2.0, days - 2.0) * DAY
-                anchor = _attach_post(times, ids, ts)
-                if anchor is None:
-                    continue
-                build.comment(u, c, ts, anchor, anchor, _body(rng, 0.05, 6))
+                _anchored_comment(build, rng, bg_posts[c], u, c, T_BASE + rng.uniform(2.0, days - 2.0) * DAY)
 
     build.events.sort(key=lambda e: (e["timestamp"], e["kind"], e["id"]))
     events_path = out_dir / "events.jsonl"

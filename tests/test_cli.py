@@ -104,7 +104,7 @@ def test_synth_rejects_a_malformed_setting(tmp_path, capsys, setting, source):
 @pytest.mark.parametrize("field, value, message", [
     ("negative_fraction", 5, "negative_fraction must be in [0, 1]"),
     ("days", -5, "days must be >= 1"),
-    ("first_link_day", -100, "first_link_day must be >= 0"),
+    ("first_link_day", 19, "first_link_day must be >= 20"),
     ("users_per_community", 3, "users_per_community=3 too small"),
     ("burst_ratio", "inf", "burst_ratio must be finite"),
     ("matched_ratio", "nan", "matched_ratio must be finite"),

@@ -1,9 +1,13 @@
 import hashlib
+import json
+import tempfile
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
-from intercom.corpus import extract_crosslinks, load_events
+from intercom.corpus import DAY, extract_crosslinks, load_events, member_window
 from intercom.lexicon import builtin_lexicon
 from intercom.mobilization import baseline_ratio, detect, measure
 from intercom.sentiment import extract_text_features
@@ -88,8 +92,21 @@ def test_infeasible_specs_rejected(tmp_path):
         generate_corpus(small_spec(attackers_per_link=0), tmp_path)
     with pytest.raises(SynthError):
         generate_corpus(small_spec(n_communities=1), tmp_path)
+    with pytest.raises(SynthError, match="^need at least 3 communities$"):
+        generate_corpus(small_spec(n_communities=2), tmp_path)
+    with pytest.raises(SynthError, match="^first_link_day must be >= 20$"):
+        generate_corpus(small_spec(first_link_day=19), tmp_path)
     with pytest.raises(SynthError):
         generate_corpus(small_spec(burst_ratio=-1), tmp_path)
+
+
+@pytest.mark.parametrize("ratio", ["burst_ratio", "quiet_ratio", "matched_ratio"])
+def test_after_window_comments_need_attackers(tmp_path, ratio):
+    # at ratio 0.1 a link plants no after-window comment, at 3.0 some
+    ratios = {"burst_ratio": 0.1, "quiet_ratio": 0.1, "matched_ratio": 0.1}
+    generate_corpus(small_spec(attackers_per_link=0, **ratios), tmp_path / "none")
+    with pytest.raises(SynthError, match=f"^{ratio} plants after-window comments but attackers_per_link is 0$"):
+        generate_corpus(small_spec(attackers_per_link=0, **{**ratios, ratio: 3.0}), tmp_path / "some")
 
 
 @pytest.mark.parametrize("field", ["mobilization_fraction", "burst_ratio", "quiet_ratio",
@@ -123,12 +140,32 @@ def test_planted_links_extracted_exactly(tmp_path):
         assert link.t0 == pytest.approx(planted["t0"])
 
 
-def test_detector_counts_match_manifest(tmp_path):
-    events_path, manifest = generate_corpus(small_spec(seed=3), tmp_path)
-    corpus = load_events(events_path)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_communities=st.integers(2, 6), pre_comments=st.integers(0, 6),
+       attackers_per_link=st.integers(0, 8), defenders_per_link=st.integers(0, 6),
+       first_link_day=st.integers(0, 60))
+@example(seed=3, n_communities=4, pre_comments=4, attackers_per_link=6, defenders_per_link=4, first_link_day=40)
+def test_detector_counts_match_manifest(**fields):
+    spec = small_spec(**fields)
+    try:
+        spec.validate()
+    except SynthError:
+        reject()
+    with tempfile.TemporaryDirectory() as out:
+        events_path, manifest = generate_corpus(spec, out)
+        corpus = load_events(events_path)
+        with open(events_path, encoding="utf-8") as fh:
+            events = [json.loads(line) for line in fh]
+    post_times = {e["id"]: e["timestamp"] for e in events if e["kind"] == "post"}
+    comment_times = defaultdict(list)  # (author, community) -> comment timestamps
+    for event in events:
+        if event["kind"] == "comment":  # later than its thread's post
+            assert event["timestamp"] > post_times[event["thread_id"]]
+            comment_times[event["author"], event["community"]].append(event["timestamp"])
     links = extract_crosslinks(corpus)
     by_source = {m["source_post"]: m for m in manifest["links"]}
     baseline = manifest["planted_matched_ratio"]
+    assert len(links) == len(by_source)
     for link, counts in zip(links, measure(corpus, links)):
         planted = by_source[link.source_post]
         record = detect(counts, baseline)
@@ -139,6 +176,14 @@ def test_detector_counts_match_manifest(tmp_path):
         assert record.defenders == set(planted["defenders"])
         assert (record.matched_before, record.matched_after) == (
             planted["matched_before"], planted["matched_after"])
+        # each planted participant is a member by a comment in the window
+        # that lies 3 or more days before t0
+        lo, hi = member_window(link)
+        for community, users in ((link.source_community, planted["attackers"]),
+                                 (link.target_community, planted["defenders"])):
+            for user in users:
+                assert any(lo <= ts < hi and link.t0 - ts >= 3 * DAY
+                           for ts in comment_times[user, community]), (user, community)
 
 
 def test_baseline_recovered_and_verdicts_match(tmp_path):
