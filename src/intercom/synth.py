@@ -71,7 +71,7 @@ class SynthSpec:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise SynthError(f"{f.name} must be finite")
-        # with 2, a target's defenders also comment in its links' source (in reverse links)
+        # with 2, a target's defenders also comment in its links' source, as source members
         if self.n_communities < 3:
             raise SynthError("need at least 3 communities")
         for name in ("background_posts_per_community", "background_comments_per_user",
