@@ -29,7 +29,8 @@ from intercom.settings import apply_overrides, load_config
 from intercom.stages import Run, substream_seed
 from intercom.synth import SynthSpec, generate_corpus
 
-from conftest import BASE, DAY, HOUR, comment, post, run_python, write_canary_pickle, write_events
+from conftest import (BASE, DAY, HOUR, SRC, comment, post, run_python, write_canary_pickle,
+                      write_events)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +212,36 @@ def test_default_world_bundle_matches_its_pinned_digests(tmp_path):
     digests = {name: hashlib.sha256(data).hexdigest()
                for name, data in bundle_bytes(tmp_path / "out").items()}
     assert digests == DEFAULT_WORLD_FILES
+
+
+# The sha256 of every bundle file, manifest.json included, of the benchmark's
+# links-440 world at seed 0 (perfbench.fixtures: 440 links, 12 communities)
+# under its config. No learning stage runs, so no BLAS call touches them.
+LINKS_440_FILES = {
+    "baseline.json": "32696941033e8170ee3e1c0bdb02c6f25ed70cd60e49720c1337b428c4079b3e",
+    "crosslinks.jsonl": "49823ba381afb8b4773e64e312e896eedf8685065f07e6839ef70e4846898d36",
+    "impact.csv": "9b02f221d652504a5a20f94ce454afba97110acff57e1448b78e4e45782984fd",
+    "ingest.json": "02426d67975b75d639d8e5c8a702516dae60341fb3eb9e012c30a67a8aa77e32",
+    "manifest.json": "3fc9618ceea5474b487b202a7f9ea3992a425eafa764abb104c1918ef117e586",
+    "mobilizations.jsonl": "469f3cfdf37c1a8de3be5508ad5cec8f3d23abd4dfb37e6228d6d173fa79c8a0",
+    "replynet.csv": "59f99d19a3d13d47ebec51943ff73ce2015e4c5c51b2c07d2acabda440b2b344",
+    "sentiment.jsonl": "ae028e4c6f5f8aacfa09f17575489503d6e0274fed982aa931c71aa2941caa7f",
+    "series_attacker_dpr.csv": "a7f314d3676bd22c31e20ebc10c0f5ddf093fc1aef2a45dd8e3a1bff00f0b000",
+    "series_defender_anger.csv": "2fa98f50c6ea473fa391fed4b782d8bc4be7fdc6027706bd3fa4f3a417041ce4",
+    "series_defender_apr.csv": "63aba3caf62abeb89661eb0b664f4726ddc4cfda829b94bdc13a328773e39f70",
+    "series_reply_fraction.csv": "77dd949478caf5d2b2fa21ed0a257126be93d07a74941a1ca0e12ec745389bfc",
+    "stat_tests.json": "8c8d8f40fd5f99238df85193e335422e1f243995d2275a0dd3263768bae68566",
+}
+
+
+def test_the_links_440_benchmark_world_matches_its_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SRC.parent))  # the repository root, which holds perfbench
+    from perfbench.fixtures import build
+
+    run_pipeline(Config(output_dir=str(tmp_path / "out"), **build("links-440", 0, tmp_path).config))
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in bundle_bytes(tmp_path / "out").items()}
+    assert digests == LINKS_440_FILES
 
 
 # The sha256 of a 50-tree sentiment forest's checkpoint, trained on the
