@@ -688,7 +688,6 @@ def extract_crosslinks(
             break
     if dropped_unknown:
         log.warning("dropped %d cross-links to nonexistent target posts", dropped_unknown)
-    links.sort(key=lambda l: (l.t0, l.source_post))
     found = len(links)
     links = remove_overlapping(links, window_hours=window_hours)
     if counts is not None:
@@ -698,7 +697,7 @@ def extract_crosslinks(
 
 def remove_overlapping(links: list[CrossLink], window_hours: float = 12.0) -> list[CrossLink]:
     """Keep only the earliest of any links that share a target post and whose
-    half-open analysis windows [t0-w, t0+w) intersect."""
+    half-open analysis windows [t0-w, t0+w) intersect, sorted by t0."""
     span = 2 * window_hours * 3600.0
     last_kept: dict[str, float] = {}
     kept = []

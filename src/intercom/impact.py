@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations, groupby, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -37,13 +37,15 @@ class ActivityDelta(NamedTuple):
     low_support: bool
 
 
-@dataclass
-class ImpactRecord:
-    user: str
+class Participant(NamedTuple):
+    """An attacker or defender of ``records[record]``, and its and its
+    matched user's activity deltas in the target community."""
+    record: int
     role: str  # "attacker" | "defender"
+    user: str
     delta: float
-    matched_delta: float | None
-    low_support: bool = False
+    matched_delta: float | None  # None without a matched user
+    low_support: bool
 
 
 def _window_edges(times, t0: float) -> list[int]:
@@ -152,47 +154,32 @@ def activity_delta(corpus: Corpus, queries: list[tuple[str, str, float]]) -> lis
 
 
 def mobilization_impacts(corpus: Corpus, records: list[MobilizationRecord],
-                         seed: int = 0) -> list[list[ImpactRecord]]:
-    """For each record, the activity deltas in its target community of every
-    attacker and defender, paired with their matched users' deltas
-    (``matched_delta`` is None for a user with no matched user), from one
+                         seed: int = 0) -> list[Participant]:
+    """Every attacker and defender of the ``records``, in record order, each
+    record's attackers before its defenders and each side by name, from one
     ``activity_delta`` batch."""
-    plan, queries = [], []
-    for record in records:
+    found, queries = [], []
+    for index, record in enumerate(records):
         link = record.crosslink
         subjects = sorted(record.attackers), sorted(record.defenders)
         # matched in a comprehension, so no match pool is held through the batch
         matches = [matched_user(corpus, users, pool, seed=seed) if users else []
                    for users, pool in zip(subjects, match_pools(corpus, link))]
-        sides = []
-        for role, home, users, found in zip(("attacker", "defender"), (
+        for role, home, users, matched in zip(("attacker", "defender"), (
                 link.source_community, link.target_community), subjects, matches):
-            if not users:
-                continue
-            sides.append((role, users, found))
-            for user, match in zip(users, found):
+            for user, match in zip(users, matched):
+                found.append((index, role, user, match))
                 queries.append((user, link.target_community, link.t0))
                 if match is None:
                     log.debug("no matched user for %s in %s", user, home)
                 else:
                     queries.append((match, link.target_community, link.t0))
-        plan.append(sides)
-    # the batch's queries and answers are freed as the records are built
-    deltas = activity_delta(corpus, queries)
+    answers = iter(activity_delta(corpus, queries))
     del queries
-    deltas.reverse()  # popped in query order
-    impacts = []
-    for sides in plan:
-        rows = []
-        for role, subjects, matches in sides:
-            for user, match in zip(subjects, matches):
-                own = deltas.pop()
-                rows.append(ImpactRecord(
-                    user=user, role=role, delta=own.delta,
-                    matched_delta=None if match is None else deltas.pop().delta,
-                    low_support=own.low_support))
-        impacts.append(rows)
-    return impacts
+    # zip reads each user's answer, and next() its matched user's after it
+    return [Participant(index, role, user, own.delta,
+                        None if match is None else next(answers).delta, own.low_support)
+            for (index, role, user, match), own in zip(found, answers)]
 
 
 def moving_average(values: list[float], window: int = 5) -> list[float]:
@@ -338,38 +325,41 @@ def _mean(xs):
     return sum(xs) / len(xs) if xs else None
 
 
-def aggregate(corpus: Corpus, records: list[MobilizationRecord], replynet_rows: list[list],
-              columns: list[str], seed: int = 0) -> tuple[list[list], dict, dict, dict]:
-    """The impact of the mobilization ``records``: the IMPACT_HEADER rows of
-    those with defenders, in record order, each defense's success score its
-    mean defender delta minus its mean matched defender delta (0.0 without
-    a matched defender), so positive means the defense succeeded, and its
+def _sides(participants: list[Participant]) -> tuple[list[Participant], list[Participant]]:
+    """The attackers and the defenders among ``participants``, each in their order."""
+    return ([p for p in participants if p.role == "attacker"],
+            [p for p in participants if p.role == "defender"])
+
+
+def _matched(side: list[Participant]) -> list[tuple[float, float]]:
+    """The (delta, matched delta) pairs of the ``side``'s matched users."""
+    return [(p.delta, p.matched_delta) for p in side if p.matched_delta is not None]
+
+
+def aggregate(records: list[MobilizationRecord], participants: list[Participant],
+              replynet_rows: list[list], columns: list[str]) -> tuple[list[list], dict, dict, dict]:
+    """The impact of the mobilization ``records`` from their ``participants``
+    (``mobilization_impacts``): the IMPACT_HEADER rows of those with
+    defenders, in record order, each defense's success score its mean
+    defender delta minus its mean matched defender delta (0.0 without a
+    matched defender), so positive means the defense succeeded, and its
     success decile (1 = least successful; the deciles' sizes differ by at
     most one); per REPLYNET_HEADER column named in ``columns``, the
     ``success_series`` of that column of their replynet rows (0.0 where
-    missing); the tests, each ``{"skipped": reason}`` where it cannot run;
-    and the counts of outcomes and fallbacks."""
+    missing); the tests on the participants pooled, each
+    ``{"skipped": reason}`` where it cannot run; and the counts of outcomes
+    and fallbacks."""
     rows = []
-    deltas = {"attacker": [], "defender": []}
-    pairs = {"attacker": [], "defender": []}
-    counts = {"no_matched_attacker": 0, "no_matched_defender": 0, "low_support": 0}
-    for record, impacts in zip(records, mobilization_impacts(corpus, records, seed=seed)):
-        for i in impacts:
-            counts[f"no_matched_{i.role}"] += i.matched_delta is None
-            counts["low_support"] += i.low_support
-            deltas[i.role].append(i.delta)
-            if i.matched_delta is not None:
-                pairs[i.role].append((i.delta, i.matched_delta))
-        attackers = [i for i in impacts if i.role == "attacker"]
-        defenders = [i for i in impacts if i.role == "defender"]
+    for index, group in groupby(participants, attrgetter("record")):
+        attackers, defenders = _sides(list(group))
         if not defenders:
             continue
-        mean_defender = _mean([i.delta for i in defenders])
-        mean_matched = _mean([i.matched_delta for i in defenders if i.matched_delta is not None])
+        mean_defender = _mean([p.delta for p in defenders])
+        mean_matched = _mean([m for _d, m in _matched(defenders)])
         rows.append([
-            record.id, len(attackers), len(defenders),
-            _mean([i.delta for i in attackers]), mean_defender,
-            _mean([i.matched_delta for i in attackers if i.matched_delta is not None]),
+            records[index].id, len(attackers), len(defenders),
+            _mean([p.delta for p in attackers]), mean_defender,
+            _mean([m for _d, m in _matched(attackers)]),
             mean_matched, mean_defender - (mean_matched or 0.0), None,
         ])
     ordered = sorted(rows, key=lambda row: (row[-2], row[0]))  # by (success score, id)
@@ -392,8 +382,13 @@ def aggregate(corpus: Corpus, records: list[MobilizationRecord], replynet_rows: 
             return {"skipped": str(exc)}
         return {statistic: value, "p": p}
 
-    tests = {"defender_vs_attacker_delta_mwu":
-             result(mann_whitney_u, "U", deltas["defender"], deltas["attacker"])}
-    for role in ("attacker", "defender"):
-        tests[f"{role}_delta_vs_matched_wilcoxon"] = result(wilcoxon_signed_rank, "W", pairs[role])
-    return rows, series, tests, {"outcomes": len(rows), **counts}
+    attackers, defenders = _sides(participants)
+    tests = {"defender_vs_attacker_delta_mwu": result(
+        mann_whitney_u, "U", [p.delta for p in defenders], [p.delta for p in attackers])}
+    counts = {"outcomes": len(rows)}
+    for role, side in (("attacker", attackers), ("defender", defenders)):
+        pairs = _matched(side)
+        tests[f"{role}_delta_vs_matched_wilcoxon"] = result(wilcoxon_signed_rank, "W", pairs)
+        counts[f"no_matched_{role}"] = len(side) - len(pairs)
+    counts["low_support"] = sum(p.low_support for p in participants)
+    return rows, series, tests, counts

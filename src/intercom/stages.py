@@ -197,9 +197,10 @@ def stage_replynet(run: Run) -> dict:
 
 
 def stage_impact(run: Run) -> dict:
+    participants = impact_mod.mobilization_impacts(
+        run.corpus, run.mobilized, seed=substream_seed(run.config.seed, "impact"))
     rows, series, tests, counts = impact_mod.aggregate(
-        run.corpus, run.mobilized, run.replynet_rows, [column for _, column in SERIES],
-        seed=substream_seed(run.config.seed, "impact"))
+        run.mobilized, participants, run.replynet_rows, [column for _, column in SERIES])
     write_csv(run.out / "impact.csv", impact_mod.IMPACT_HEADER, rows)
     for filename, column in SERIES:
         points, smoothed = series[column]

@@ -32,6 +32,32 @@ def corpus_from(events):
     return index_lines(map(log_line, events))
 
 
+def paired_participants(corpus, records, seed):
+    """Oracle of ``impact.mobilization_impacts``: per record, per side, the
+    side's matched users, then one ``activity_delta`` call per user and per
+    matched user, each answer paired with the user it asked about."""
+    from intercom.impact import Participant, activity_delta
+    from intercom.matching import match_pools, matched_user
+
+    def delta(user, link):
+        [answer] = activity_delta(corpus, [(user, link.target_community, link.t0)])
+        return answer
+
+    found = []
+    for index, record in enumerate(records):
+        link = record.crosslink
+        for role, users, pool in zip(("attacker", "defender"),
+                                     (record.attackers, record.defenders),
+                                     match_pools(corpus, link)):
+            users = sorted(users)
+            for user, match in zip(users, matched_user(corpus, users, pool, seed=seed)):
+                own = delta(user, link)
+                found.append(Participant(index, role, user, own.delta,
+                                         None if match is None else delta(match, link).delta,
+                                         own.low_support))
+    return found
+
+
 def held_threads(posts):
     """The ids of ``posts``, a list of post Events, whose comments' bodies a
     loaded Corpus holds: those that some post's body names in a permalink,

@@ -5,12 +5,11 @@ from itertools import combinations, product
 
 import pytest
 
-from intercom import impact
 from intercom.impact import (
     IMPACT_HEADER,
     MWU_EXACT_MAX,
     WILCOXON_EXACT_MAX,
-    ImpactRecord,
+    Participant,
     _activity_counts,
     activity_delta,
     aggregate,
@@ -21,9 +20,10 @@ from intercom.impact import (
     wilcoxon_signed_rank,
 )
 from intercom.pipeline import SERIES, Config, run_pipeline
+from intercom.stages import Run
 from intercom.synth import SynthSpec, generate_corpus
 
-from conftest import BASE, DAY, HOUR, comment, corpus_from, post
+from conftest import BASE, DAY, HOUR, comment, corpus_from, paired_participants, post
 
 
 def _activity_corpus(before_in, before_out, after_in, after_out, t0):
@@ -96,39 +96,37 @@ def test_activity_delta_windows_brute_force():
     assert result.delta == pytest.approx(expected)
 
 
-def impact_rows(monkeypatch, impacts):
-    """``aggregate``'s rows for records whose impact records are
-    ``impacts[id]``, in that order."""
-    monkeypatch.setattr(impact, "mobilization_impacts",
-                        lambda corpus, records, seed: [impacts[r.id] for r in records])
+def impact_rows(impacts):
+    """``aggregate``'s rows for records with the ids of ``impacts``, in that
+    order, whose participants are ``impacts[id]``, each a (user, role,
+    delta, matched_delta)."""
     records = [type("R", (), {"id": key})() for key in impacts]
-    rows, *_ = aggregate(None, records, [], [])
+    participants = [Participant(index, role, user, delta, matched_delta, False)
+                    for index, found in enumerate(impacts.values())
+                    for user, role, delta, matched_delta in found]
+    rows, *_ = aggregate(records, participants, [], [])
     return rows
 
 
-def success_scores(monkeypatch, impacts):
+def success_scores(impacts):
     """The success_score column of ``impact_rows``, by record id."""
-    return {row[0]: row[IMPACT_HEADER.index("success_score")]
-            for row in impact_rows(monkeypatch, impacts)}
+    return {row[0]: row[IMPACT_HEADER.index("success_score")] for row in impact_rows(impacts)}
 
 
-def test_defense_success_values(monkeypatch):
-    scores = success_scores(monkeypatch, {
-        "m1": [ImpactRecord(user="d1", role="defender", delta=0.2, matched_delta=0.0),
-               ImpactRecord(user="d2", role="defender", delta=0.4, matched_delta=0.0),
-               ImpactRecord(user="a1", role="attacker", delta=0.9, matched_delta=0.9)],
-        "m2": [ImpactRecord(user="d", role="defender", delta=0.1, matched_delta=0.1)],
+def test_defense_success_values():
+    scores = success_scores({
+        "m1": [("d1", "defender", 0.2, 0.0), ("d2", "defender", 0.4, 0.0),
+               ("a1", "attacker", 0.9, 0.9)],
+        "m2": [("d", "defender", 0.1, 0.1)],
         # no matched defender: the matched side counts 0.0
-        "m3": [ImpactRecord(user="d", role="defender", delta=0.25, matched_delta=None)],
+        "m3": [("d", "defender", 0.25, None)],
     })
     assert scores == {"m1": pytest.approx(0.3), "m2": pytest.approx(0.0), "m3": 0.25}
 
 
-def test_defense_success_requires_defenders(monkeypatch):
+def test_defense_success_requires_defenders():
     # a mobilization without defenders has no defense, so no row
-    assert success_scores(monkeypatch, {
-        "m1": [ImpactRecord(user="a", role="attacker", delta=0.0, matched_delta=None)],
-    }) == {}
+    assert success_scores({"m1": [("a", "attacker", 0.0, None)]}) == {}
 
 
 def test_every_success_score_is_the_mean_defender_delta_less_the_mean_matched_one(tmp_path):
@@ -145,13 +143,11 @@ def test_every_success_score_is_the_mean_defender_delta_less_the_mean_matched_on
         assert float(row["success_score"]) == expected, row["mobilization"]
 
 
-def test_aggregate_decile_partition(monkeypatch):
+def test_aggregate_decile_partition():
     # each record's one defender has no matched user, so its score is its delta
     order = list(range(25))
     random.Random(0).shuffle(order)
-    rows = impact_rows(monkeypatch, {
-        f"m{i}": [ImpactRecord(user="d", role="defender", delta=i * 0.01, matched_delta=None)]
-        for i in order})
+    rows = impact_rows({f"m{i}": [("d", "defender", i * 0.01, None)] for i in order})
     score, decile = IMPACT_HEADER.index("success_score"), IMPACT_HEADER.index("decile")
     sizes = {}
     for row in rows:
@@ -430,17 +426,30 @@ def test_mobilization_impacts_roles(two_community_corpus):
     corpus, _ = two_community_corpus
     links = extract_crosslinks(corpus)
     record = detect(measure(corpus, links)[0], 1.6)
-    [impacts] = mobilization_impacts(corpus, [record])
+    impacts = mobilization_impacts(corpus, [record])
     roles = {(i.user, i.role) for i in impacts}
     assert {(f"a{i}", "attacker") for i in range(1, 6)} <= roles
     assert {("b1", "defender"), ("b2", "defender")} <= roles
     for i in impacts:
+        assert i.record == 0
         assert -1.0 <= i.delta <= 1.0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_participant_is_paired_with_its_own_matched_users_delta(seed, tmp_path):
+    """On every record of the default world, mobilizations or not, against
+    one activity_delta call per user and per matched user."""
+    events_path, _ = generate_corpus(SynthSpec(seed=seed), tmp_path / "world")
+    run = Run(Config(corpus=str(events_path), output_dir=str(tmp_path / "out")))
+    found = mobilization_impacts(run.corpus, run.records, seed=seed + 5)
+    assert len({p.record for p in found}) > 50
+    # repr compares floats bit for bit and keeps None apart from 0
+    assert repr(found) == repr(paired_participants(run.corpus, run.records, seed + 5))
+
+
 def test_aggregate_of_no_mobilizations():
-    rows, series, tests, counts = aggregate(corpus_from([]), [], [], [column for _, column in SERIES],
-                                            seed=3)
+    assert mobilization_impacts(corpus_from([]), [], seed=3) == []
+    rows, series, tests, counts = aggregate([], [], [], [column for _, column in SERIES])
     assert rows == []
     assert list(series) == [column for _, column in SERIES]
     assert all(s == ([], False) for s in series.values())

@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from intercom.corpus import (DAY, CrossLink, Texts, _offsets, _pack, _time_order,  # noqa: E402
                              day_start, extract_crosslinks, link_members, member_window,
                              members)
-from intercom import impact as impact_mod  # noqa: E402
-from intercom.impact import (ImpactRecord, _activity_counts, activity_delta,  # noqa: E402
-                             aggregate, moving_average)
+from intercom.impact import (Participant, _activity_counts, activity_delta,  # noqa: E402
+                             aggregate, mobilization_impacts, moving_average)
 from intercom.matching import match_pools, matched_user  # noqa: E402
 from intercom.mobilization import (DEFAULT_BASELINE, MobilizationRecord, detect,  # noqa: E402
                                    measure)
@@ -24,7 +23,8 @@ from intercom.replynet import (REPLYNET_HEADER, TELEPORT_PROB, ReplyGraph, anger
 from intercom.lexicon import Lexicon  # noqa: E402
 from intercom.sentiment import tokenize  # noqa: E402
 
-from conftest import BASE, HOUR, comment, corpus_from, names, post  # noqa: E402
+from conftest import (BASE, HOUR, comment, corpus_from, names, paired_participants,  # noqa: E402
+                      post)
 
 LEXICON = Lexicon(name="t", categories={"anger": {"hate", "rage"}})
 WORDS = ["hate", "rage", "calm", "fine", "well"]
@@ -472,8 +472,8 @@ def decile_series(outcomes, metric_fn, window=5, n_buckets=100):
 
 
 def outcome_rows_and_series(impacts, replynet, columns):
-    """Oracle: the impact rows and success series of records whose impact
-    records are ``impacts[id]``, through one DefenseOutcome per defense."""
+    """Oracle: the impact rows and success series of records whose
+    participants are ``impacts[id]``, through one DefenseOutcome per defense."""
     def mean(xs):
         return sum(xs) / len(xs) if xs else None
 
@@ -506,22 +506,19 @@ def outcome_rows_and_series(impacts, replynet, columns):
     return rows, series
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_aggregate_rows_and_series_equal_the_per_outcome_oracle(seed, many):
-    """On fewer than 11 or more than 100 defenses with tied success scores,
-    records without defenders or without a replynet row, replynet rows of no
-    record, and None, int and float columns."""
-    rng = random.Random(seed)
-    n = rng.randint(101, 130) if many else rng.randint(0, 10)
+def defenses(rng, n):
+    """Records with ``n`` defenses and 0-3 more without defenders, in an
+    order that is not id order; their participants, by record id, of 0-2
+    attackers and 1-3 defenders interleaved, with tied deltas, no matched
+    user or a low-support window; and replynet rows of 70% of them and of
+    one id of no record."""
     ids = [f"m{k:03d}" for k in range(n + rng.randint(0, 3))]
     rng.shuffle(ids)  # record order is not id order
     deltas = (0.0, 0.25, -0.5, 1.0, 0.1, 1 / 3)
     impacts = {}
     for k, key in enumerate(ids):
-        found = [ImpactRecord(user=f"{role}{j}", role=role, delta=rng.choice(deltas),
-                              matched_delta=rng.choice((None, *deltas)),
-                              low_support=rng.random() < 0.2)
+        found = [Participant(k, role, f"{role}{j}", rng.choice(deltas),
+                             rng.choice((None, *deltas)), rng.random() < 0.2)
                  for role, count in (("attacker", rng.randint(0, 2)),
                                      ("defender", rng.randint(1, 3) if k < n else 0))
                  for j in range(count)]
@@ -530,15 +527,59 @@ def test_aggregate_rows_and_series_equal_the_per_outcome_oracle(seed, many):
     values = (None, 0, 3, 0.5, 0.125, 2 / 3)
     replynet = [[key, *(rng.choice(values) for _ in REPLYNET_HEADER[1:])]
                 for key in ids + ["m999"] if rng.random() < 0.7]
-    columns = REPLYNET_HEADER[1:]
+    records = [type("R", (), {"id": key})() for key in ids]
+    return records, impacts, replynet
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(impact_mod, "mobilization_impacts",
-                      lambda corpus, records, seed: [impacts[r.id] for r in records])
-        records = [type("R", (), {"id": key})() for key in ids]
-        rows, series, _tests, counts = aggregate(None, records, replynet, columns)
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_aggregate_rows_and_series_equal_the_per_outcome_oracle(seed, many):
+    """On fewer than 11 or more than 100 defenses with tied success scores,
+    records without defenders or without a replynet row, replynet rows of no
+    record, and None, int and float columns."""
+    rng = random.Random(seed)
+    n = rng.randint(101, 130) if many else rng.randint(0, 10)
+    records, impacts, replynet = defenses(rng, n)
+    columns = REPLYNET_HEADER[1:]
+    participants = [p for found in impacts.values() for p in found]
+    rows, series, _tests, counts = aggregate(records, participants, replynet, columns)
     expected_rows, expected_series = outcome_rows_and_series(impacts, replynet, columns)
     assert counts["outcomes"] == len(expected_rows) == n
     # repr compares floats bit for bit and keeps None apart from 0
     assert repr(rows) == repr(expected_rows)
     assert repr(series) == repr(expected_series)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.randoms(use_true_random=False))
+def test_aggregate_permutes_its_rows_with_the_records_and_keeps_all_else(seed, n, shuffler):
+    """On pooled samples small enough for the exact tests and large enough
+    for the normal approximations: midranks are half-integers, so U, W and
+    their p-values do not depend on the order of the pooled samples."""
+    records, impacts, replynet = defenses(random.Random(seed), n)
+    columns = REPLYNET_HEADER[1:]
+    participants = [p for found in impacts.values() for p in found]
+    rows, series, tests, counts = aggregate(records, participants, replynet, columns)
+    order = list(range(len(records)))
+    shuffler.shuffle(order)
+    moved = [records[k] for k in order]
+    # each record's participants, in their order, renumbered to its new place
+    moved_participants = [p._replace(record=place) for place, k in enumerate(order)
+                          for p in impacts[records[k].id]]
+    by_id = {row[0]: row for row in rows}
+    expected = [by_id[r.id] for r in moved if r.id in by_id]
+    # repr compares floats bit for bit and keeps None apart from 0
+    assert repr(aggregate(moved, moved_participants, replynet, columns)) == repr(
+        (expected, series, tests, counts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(linked_logs(), st.integers(0, 2**32 - 1))
+def test_each_participant_is_paired_with_its_own_matched_users_delta(events, seed):
+    """On every record, with or without attackers, defenders or matched users."""
+    corpus = corpus_from(events)
+    records = [detect(counts, DEFAULT_BASELINE)
+               for counts in measure(corpus, extract_crosslinks(corpus))]
+    # repr compares floats bit for bit and keeps None apart from 0
+    assert repr(mobilization_impacts(corpus, records, seed=seed)) == repr(
+        paired_participants(corpus, records, seed))
