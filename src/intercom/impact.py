@@ -38,8 +38,8 @@ class ActivityDelta(NamedTuple):
 
 
 class Participant(NamedTuple):
-    """An attacker or defender of ``records[record]``, and its and its
-    matched user's activity deltas in the target community."""
+    """An attacker or defender of ``records[record]``, with its own and its
+    matched user's activity deltas in the record's target community."""
     record: int
     role: str  # "attacker" | "defender"
     user: str

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from intercom.corpus import CROSSLINK_RE, Event, index_lines
+from intercom.impact import Participant, activity_delta
+from intercom.matching import match_pools, matched_user
 
 DAY = 86400.0
 HOUR = 3600.0
@@ -36,9 +38,6 @@ def paired_participants(corpus, records, seed):
     """Oracle of ``impact.mobilization_impacts``: per record, per side, the
     side's matched users, then one ``activity_delta`` call per user and per
     matched user, each answer paired with the user it asked about."""
-    from intercom.impact import Participant, activity_delta
-    from intercom.matching import match_pools, matched_user
-
     def delta(user, link):
         [answer] = activity_delta(corpus, [(user, link.target_community, link.t0)])
         return answer
